@@ -15,7 +15,7 @@ words 1..3 drive xi, sigma, dpat through inverse CDFs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
@@ -24,6 +24,9 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _COUNTER_MOD = 1 << 256
 _U53 = 2.0 ** -53
+# Blocks fetched before a Markov window to find the regeneration its first
+# state descends from; doubled until one turns up.
+_CHAIN_LOOKBACK = 64
 # Probability of no chain regeneration over this many steps is (1-delta)^n;
 # hitting the guard means the transition matrix is effectively degenerate.
 _MAX_CHAIN_LOOKBACK = 1 << 20
@@ -127,7 +130,8 @@ class TruncatedExponential:
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         total = -math.expm1(-self.rate * self.cap)
-        return -np.log1p(-u * total) / self.rate
+        # rounding can carry u near 1 one ulp past cap
+        return np.minimum(-np.log1p(-u * total) / self.rate, self.cap)
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,8 @@ class Discrete:
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         cum = np.cumsum(self.probs)
-        cum[-1] = 1.0
+        # 1.0 from the last atom with positive mass on: no u < 1 selects a zero-mass atom
+        cum[np.flatnonzero(self.probs)[-1]:] = 1.0
         idx = np.searchsorted(cum, u, side="right")
         return np.asarray(self.atoms, dtype=float)[idx]
 
@@ -240,14 +245,15 @@ class MarkSource:
     """Two-sided stationary ergodic sequence of mark triples.
 
     kind "deterministic" and "iid" use states[0]; kind "markov" modulates the
-    per-state marginals by a finite ergodic chain.  The chain state at index
-    n is resolved by scanning backwards to the most recent regeneration of a
-    Doeblin split of the transition matrix, which makes the realized sequence
-    exactly stationary and keeps mark_at a pure function of (seed, stream, n)
-    regardless of the order indices are requested in.
+    per-state marginals by a finite ergodic chain.  The chain states of a
+    window descend from the most recent regeneration of a Doeblin split of the
+    transition matrix at or before its first index, and are resolved by
+    composing per-index successor tables from there.  This makes the realized
+    sequence exactly stationary and every window a pure function of
+    (seed, stream, index), whatever the order indices are requested in.
 
-    Instances are immutable; the chain-state cache only memoizes pure values
-    and is safe to share across threads.
+    Instances are immutable and memoize no marks or states, so memory stays
+    flat however many windows are resolved.
     """
 
     kind: str
@@ -257,7 +263,6 @@ class MarkSource:
     stream: int = 0
     origin: int = 0
     alpha_bound: float | None = None
-    _chain_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("deterministic", "iid", "markov"):
@@ -338,50 +343,48 @@ class MarkSource:
         pi = np.clip(pi, 0.0, None)
         return pi / pi.sum()
 
-    def _chain_u(self, g: int) -> float:
-        return float((self._blocks(g, 1)[0, 0] >> np.uint64(11)) * _U53)
+    def _chain_window(self, g0: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block uniforms (count x 4) and chain states for indices g0..g0+count-1.
 
-    def _state_at(self, g: int) -> int:
-        """Chain state at global index g (pure in (seed, stream, g))."""
-        cache = self._chain_cache
-        s = cache.get(g)
-        if s is not None:
-            return s
-        delta, nu_cum, q_cum = self._doeblin_parts
-        pending: list[tuple[int, float]] = []
-        j = g
-        while True:
-            s = cache.get(j)
-            if s is not None:
-                break
-            u = self._chain_u(j)
-            if u < delta:
-                s = int(np.searchsorted(nu_cum, u / delta, side="right"))
-                cache[j] = s
-                break
-            pending.append((j, u))
-            j -= 1
-            if g - j > _MAX_CHAIN_LOOKBACK:
+        One batch of blocks covers the lookback and the window; chain[look] is g0.
+        """
+        delta = self._doeblin_parts[0]
+        look = _CHAIN_LOOKBACK
+        u = (self._blocks(g0 - look, look + count) >> np.uint64(11)) * _U53
+        chain = u[:, 0]
+        while not (regen := np.flatnonzero(chain[:look + 1] < delta)).size:
+            if look >= _MAX_CHAIN_LOOKBACK:
                 raise RuntimeError("no chain regeneration found; transition matrix is near-degenerate")
-        for idx, u in reversed(pending):
-            s = int(np.searchsorted(q_cum[s], (u - delta) / (1.0 - delta), side="right"))
-            cache[idx] = s
-        return s
+            earlier = (self._blocks(g0 - 2 * look, look)[:, 0] >> np.uint64(11)) * _U53
+            chain = np.concatenate([earlier, chain])
+            look *= 2
+        start = int(regen[-1])
+        return u[-count:], self._compose_states(chain[start:])[look - start:]
 
-    def _states_for(self, g0: int, u0: np.ndarray) -> np.ndarray:
+    def _compose_states(self, chain: np.ndarray) -> np.ndarray:
+        """States along chain uniforms whose first entry is a regeneration.
+
+        Row k of the successor table maps the state at k-1 to the state at k.
+        Pointer doubling turns the rows into prefix compositions, one gather
+        per doubling; a row is constant once its prefix reaches back to a
+        regeneration, so the doubling stops at the longest regeneration gap.
+        """
         delta, nu_cum, q_cum = self._doeblin_parts
-        cache = self._chain_cache
-        prev = self._state_at(g0 - 1)
-        out = np.empty(len(u0), dtype=np.intp)
-        for k, u in enumerate(u0.tolist()):
-            if u < delta:
-                s = int(np.searchsorted(nu_cum, u / delta, side="right"))
-            else:
-                s = int(np.searchsorted(q_cum[prev], (u - delta) / (1.0 - delta), side="right"))
-            cache[g0 + k] = s
-            out[k] = s
-            prev = s
-        return out
+        regen = chain < delta
+        n_states = len(self.states)
+        succ = np.empty((chain.size, n_states), dtype=np.intp)
+        succ[regen] = np.searchsorted(nu_cum, chain[regen] / delta, side="right")[:, None]
+        v = (chain[~regen] - delta) / (1.0 - delta)
+        for s, cum in enumerate(q_cum):
+            succ[~regen, s] = np.searchsorted(cum, v, side="right")
+        cut = np.append(np.flatnonzero(regen), chain.size)
+        gap = int((cut[1:] - cut[:-1]).max())
+        row = np.arange(chain.size)[:, None] * n_states
+        step = 1
+        while step < gap:
+            succ[step:] = succ.ravel()[row[step:] + succ[:-step]]
+            step *= 2
+        return succ[:, 0]
 
     # -- raw generation ----------------------------------------------------
 
@@ -397,10 +400,10 @@ class MarkSource:
             raise ValueError(f"window requires lo <= hi, got [{lo}, {hi}]")
         g0 = self.origin + lo
         count = hi - lo + 1
-        u = (self._blocks(g0, count) >> np.uint64(11)) * _U53
         if self.kind == "markov":
-            state = self._states_for(g0, u[:, 0])
+            u, state = self._chain_window(g0, count)
         else:
+            u = (self._blocks(g0, count) >> np.uint64(11)) * _U53
             state = np.zeros(count, dtype=np.intp)
         xi = np.empty(count)
         sigma = np.empty(count)
@@ -427,12 +430,9 @@ class MarkSource:
 
     def shift(self, k: int) -> "MarkSource":
         """Source advanced by k customers: mark_at(shifted, n) == mark_at(self, n+k)."""
-        new = MarkSource(kind=self.kind, states=self.states, transition=self.transition,
-                         seed=self.seed, stream=self.stream, origin=self.origin + k,
-                         alpha_bound=self.alpha_bound)
-        # same (seed, stream) means the same chain realization; share the memo
-        object.__setattr__(new, "_chain_cache", self._chain_cache)
-        return new
+        return MarkSource(kind=self.kind, states=self.states, transition=self.transition,
+                          seed=self.seed, stream=self.stream, origin=self.origin + k,
+                          alpha_bound=self.alpha_bound)
 
     def substream(self, r: int) -> "MarkSource":
         """Independent replica source on stream+r (fresh chain realization)."""

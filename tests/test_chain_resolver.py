@@ -1,0 +1,151 @@
+"""Vectorised Markov chain-state resolution against the scalar backward scan.
+
+The oracle below is the resolver the vectorised one replaced: it fetches one
+Philox block per index, scans back from the index before the window to the
+most recent Doeblin regeneration, then walks forward one searchsorted call at
+a time.  The vectorised resolver performs the same IEEE divisions and the same
+searchsorted comparisons, so states and marks must agree bit for bit.
+"""
+
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from renege import Discrete, StateMarginals, TruncatedExponential, Uniform, markov_source
+from renege.marks import _CHAIN_LOOKBACK, _MAX_CHAIN_LOOKBACK, _U53
+
+_FAST = StateMarginals(Uniform(0.2, 0.6), TruncatedExponential(2.0, 0.5), Uniform(0.0, 0.2))
+_SLOW = StateMarginals(Uniform(1.0, 2.0), Uniform(0.0, 0.8),
+                       Discrete((0.1, 0.4, 0.9), (0.5, 0.3, 0.2)))
+_MID = StateMarginals(Uniform(0.6, 1.0), TruncatedExponential(0.7, 3.0), Uniform(0.3, 0.6))
+
+CHAINS = {
+    "two-state": (((0.9, 0.1), (0.3, 0.7)), (_FAST, _SLOW)),
+    "three-state": (((0.9, 0.06, 0.04), (0.05, 0.9, 0.05), (0.03, 0.02, 0.95)),
+                    (_FAST, _SLOW, _MID)),
+    "delta-one": (((0.3, 0.7), (0.3, 0.7)), (_FAST, _SLOW)),
+    # residual kernel is the flip: states between regenerations never coalesce
+    "delta-0.02": (((0.01, 0.99), (0.99, 0.01)), (_FAST, _SLOW)),
+}
+
+# (lo, hi) windows: negative indices, length one, straddling 0, long
+WINDOWS = [(-300, -200), (-1, -1), (0, 0), (-17, 40), (5, 5), (1000, 1511),
+           (-100_000, -99_990), (123_456, 123_456), (2_000_000, 2_000_700)]
+
+
+def _chain_u(src, g):
+    return float((src._blocks(g, 1)[0, 0] >> np.uint64(11)) * _U53)
+
+
+def oracle_states(src, g0, count):
+    """Chain states at global indices g0..g0+count-1 by the scalar backward scan."""
+    delta, nu_cum, q_cum = src._doeblin_parts
+    pending = []
+    j = g0 - 1
+    while True:
+        u = _chain_u(src, j)
+        if u < delta:
+            s = int(np.searchsorted(nu_cum, u / delta, side="right"))
+            break
+        pending.append(u)
+        j -= 1
+        if g0 - 1 - j > _MAX_CHAIN_LOOKBACK:
+            raise RuntimeError("no chain regeneration found")
+    for u in reversed(pending):
+        s = int(np.searchsorted(q_cum[s], (u - delta) / (1.0 - delta), side="right"))
+    out = []
+    for g in range(g0, g0 + count):
+        u = _chain_u(src, g)
+        if u < delta:
+            s = int(np.searchsorted(nu_cum, u / delta, side="right"))
+        else:
+            s = int(np.searchsorted(q_cum[s], (u - delta) / (1.0 - delta), side="right"))
+        out.append(s)
+    return np.array(out), g0 - 1 - j
+
+
+def oracle_marks(src, lo, hi):
+    """(xi, sigma, dpat) for lo..hi, one index and one quantile call at a time."""
+    g0 = src.origin + lo
+    states, _ = oracle_states(src, g0, hi - lo + 1)
+    out = ([], [], [])
+    for k, s in enumerate(states):
+        u = (src._blocks(g0 + k, 1) >> np.uint64(11)) * _U53
+        sm = src.states[s]
+        for col, marginal in enumerate((sm.xi, sm.sigma, sm.dpat)):
+            out[col].append(float(marginal.quantile(u[:, col + 1])[0]))
+    return tuple(np.array(c) for c in out)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _source(name, seed=31, stream=0):
+    transition, states = CHAINS[name]
+    return markov_source(transition, states, seed=seed, stream=stream)
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_states_and_marks_match_backward_scan(name):
+    src = _source(name).shift(7)
+    for lo, hi in WINDOWS:
+        g0 = src.origin + lo
+        expected, _ = oracle_states(src, g0, hi - lo + 1)
+        np.testing.assert_array_equal(src._chain_window(g0, hi - lo + 1)[1], expected)
+        for got, want in zip(src.window_arrays(lo, hi), oracle_marks(src, lo, hi)):
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_small_delta_lookback_outgrows_first_fetch():
+    src = _source("delta-0.02", seed=5)
+    reaches = []
+    for g0 in range(0, 40_000, 1000):
+        expected, reach = oracle_states(src, g0, 3)
+        np.testing.assert_array_equal(src._chain_window(g0, 3)[1], expected)
+        reaches.append(reach)
+    assert max(reaches) > _CHAIN_LOOKBACK  # the doubled fetch was needed and exercised
+
+
+@pytest.mark.parametrize("name", ["two-state", "three-state"])
+def test_shuffled_request_order(name):
+    windows = [(lo, lo + size) for lo in range(-5000, 5000, 700) for size in (0, 3, 90)]
+    src = _source(name, seed=77, stream=2)
+    expected = {w: src.window_arrays(*w) for w in windows}
+    random.Random(4).shuffle(windows)
+    fresh = _source(name, seed=77, stream=2)
+    for lo, hi in windows:
+        for got, want in zip(fresh.window_arrays(lo, hi), expected[(lo, hi)]):
+            assert np.array_equal(_bits(got), _bits(want))
+    lo, hi = windows[0]
+    for got, want in zip(fresh.window_arrays(lo, hi), oracle_marks(fresh, lo, hi)):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_near_degenerate_chain_raises():
+    eps = 1e-9  # delta = 2e-9: a regeneration within 2^20 steps has probability ~0.2%
+    src = markov_source(((1.0 - eps, eps), (eps, 1.0 - eps)), (_FAST, _SLOW), seed=3)
+    with pytest.raises(RuntimeError, match="regeneration"):
+        src.window_arrays(0, 10)
+
+
+def test_memory_stays_flat_over_far_apart_windows():
+    src = _source("two-state", seed=12)
+
+    def resolve(first, last):
+        for i in range(first, last):
+            src.window_arrays(i * 100_000, i * 100_000 + 511)
+
+    resolve(0, 20)  # lazy set-up: cached Doeblin split, numpy internals
+    tracemalloc.start()
+    try:
+        resolve(20, 40)
+        held_before = tracemalloc.get_traced_memory()[0]
+        resolve(40, 220)
+        held_after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a memo of resolved states would hold ~50 kB per window here
+    assert held_after - held_before < 32 * 1024

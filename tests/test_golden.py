@@ -1,0 +1,136 @@
+"""Golden outputs: every subcommand on small pinned configs.
+
+Each case runs through the real entry point and compares the SHA-256 of every
+file it writes with a stored hash.  The hashes were recorded from the code
+before Markov chain states were resolved in vectorised form, so they guard
+that and every later speed-up.  Change a hash only when a numeric change is
+intended and named in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from renege.cli import main
+
+
+def _u(low, high):
+    return {"dist": "uniform", "low": low, "high": high}
+
+
+BOUNDED = {"kind": "iid", "seed": 4401, "xi": _u(0.5, 1.5), "sigma": _u(0.0, 0.8),
+           "dpat": {"dist": "truncated-exponential", "rate": 2.0, "cap": 0.6}}
+EXPO = {"kind": "iid", "seed": 4402, "xi": {"dist": "exponential", "rate": 1.0},
+        "sigma": {"dist": "exponential", "rate": 1.2}, "dpat": {"dist": "exponential", "rate": 0.5}}
+MARKOV = {"kind": "markov", "seed": 4403, "transition": [[0.9, 0.1], [0.3, 0.7]],
+          "states": [{"xi": _u(0.5, 1.5), "sigma": _u(0.0, 0.8), "dpat": _u(0.0, 1.0)},
+                     {"xi": _u(0.1, 0.7), "sigma": {"dist": "truncated-exponential",
+                                                    "rate": 1.0, "cap": 3.0},
+                      "dpat": {"dist": "discrete", "atoms": [0.5, 1.5, 3.0],
+                               "probs": [0.3, 0.5, 0.2]}}]}
+# a slow-mixing three-state chain (delta = 0.06): long stretches between regenerations
+MARKOV3 = {"kind": "markov", "seed": 4404,
+           "transition": [[0.9, 0.06, 0.04], [0.05, 0.9, 0.05], [0.03, 0.02, 0.95]],
+           "states": [{"xi": _u(0.2, 0.6), "sigma": _u(0.0, 0.3), "dpat": _u(0.0, 0.2)},
+                      {"xi": _u(0.8, 1.6), "sigma": _u(0.0, 0.9), "dpat": _u(0.0, 0.5)},
+                      {"xi": _u(1.0, 2.0), "sigma": _u(0.2, 1.2), "dpat": _u(0.1, 0.9)}]}
+
+# name -> (subcommand, config)
+CASES = {
+    "sample-w-iid": ("sample-w", {"source": BOUNDED, "run": {"mode": "exact", "samples": 40}}),
+    "sample-w-markov": ("sample-w", {"source": MARKOV3,
+                                     "run": {"mode": "exact", "samples": 30, "max_depth": 300}}),
+    "sample-s-markov": ("sample-s", {"source": MARKOV,
+                                     "run": {"mode": "exact", "samples": 30, "max_depth": 300}}),
+    "loss-begin-iid": ("loss-begin", {"source": BOUNDED, "run": {"mode": "exact", "samples": 60}}),
+    "loss-begin-approx": ("loss-begin", {"source": EXPO, "run": {
+        "mode": "approximate", "samples": 20000, "warmup": 2000}}),
+    "loss-end-markov": ("loss-end", {"source": MARKOV, "run": {"mode": "exact", "samples": 60}}),
+    "loss-end-markov3": ("loss-end", {"source": MARKOV3, "run": {"mode": "exact", "samples": 40}}),
+    "loss-end-approx-markov": ("loss-end", {"source": MARKOV, "run": {
+        "mode": "approximate", "samples": 20000, "warmup": 1000}}),
+    "regen-markov": ("regen", {"source": MARKOV3, "model": {"servers": 1, "impatience": "begin"},
+                               "run": {"customers": 1500, "replicas": 30, "max_depth": 300}}),
+    "des-markov": ("des", {"source": MARKOV, "model": {"servers": 2, "impatience": "end"},
+                           "run": {"customers": 2000}}),
+    "des-iid": ("des", {"source": EXPO, "model": {"servers": 4, "impatience": "begin"},
+                        "run": {"customers": 2000}}),
+    "cesaro-markov": ("cesaro", {"source": MARKOV, "model": {"impatience": "end"},
+                                 "run": {"steps": 3000, "boundary_p": 5}}),
+    "xval-markov": ("xval", {"source": MARKOV3, "model": {"servers": 1, "impatience": "begin"},
+                             "run": {"customers": 2000}}),
+    "props": ("props", {"source": BOUNDED, "run": {"tuples": 2000}}),
+}
+
+# name -> {output file: SHA-256}
+HASHES = {
+    "sample-w-iid": {
+        "detail.csv": "28bf23b1bfee991d439caed9cd89679e433a87dac131363d5df496c8761ca1b2",
+        "summary.json": "b5af80ae585e890117783a89a3c3cdc52bcc42bfdc1d049de6042f4cd5e204ca",
+    },
+    "sample-w-markov": {
+        "detail.csv": "84ebbbd95b8110df882789569badf0f95912741dc3fddcb2d202c08066955f1f",
+        "summary.json": "e52efbe5895d25cd0bf397910c4878cf399d27903802120ffd1497e21ea442fc",
+    },
+    "sample-s-markov": {
+        "detail.csv": "8203319e8602f0ebfe9a683d2b516cb8e819a2b491779be22e5c6172ddc7c5df",
+        "summary.json": "9106435e99f039364a84413c8670a39422938bbd49689b14ba468ad147571cfc",
+    },
+    "loss-begin-iid": {
+        "detail.csv": "402a34466266493f1c5eed47978fac4ddf80c818fc119f534b624b8be0087b30",
+        "summary.json": "8c731b153e994767d0e67a22ae291d9bebd1e0d30a7e4595d34450f34874070d",
+    },
+    "loss-begin-approx": {
+        "summary.json": "d7910ee48b6ba8364adb701ac0e64dec2eb21310a984c8d7aa3daecb7ca43fdb",
+    },
+    "loss-end-markov": {
+        "detail.csv": "419bbb6fa541e99449a3c4cbf87a8d5760c28bd9d79e68af3d64341636e68e1c",
+        "summary.json": "e27020600678c07ddbbb3eb929da7c91edc807aa260682ab25adfaa038589c3a",
+    },
+    "loss-end-markov3": {
+        "detail.csv": "292b44964cac169317f13cc36e35194e9f164fdd2718200eeb4ada4d77c9c287",
+        "summary.json": "d45f3a29e392cdc4777a74bff62a10dede75e29c52bf8062cc18d7c2e25822ad",
+    },
+    "loss-end-approx-markov": {
+        "summary.json": "8bb24ccb9823e3045e07d2df1c5e8a1db71cd0f0e73c566fcfa50a0f4a8d6bec",
+    },
+    "regen-markov": {
+        "detail.csv": "b5f26611c78c848d2d84d42ea94233d5005851b43655a001a7c854e7537d80b8",
+        "summary.json": "243174bf57248ba65d8cf745bbdcc0af9f0f9c780222e0e7588bebb12d725f62",
+    },
+    "des-markov": {
+        "customers.csv": "4259a7d444ad9c86f6a887bff1fc22c770e4bc88e0c1e0aa50b689b9861788da",
+        "summary.json": "e9f3229fc37b7764ccf7010e9e7ea14bc8c883439b5994a91d4cf3d2f099d1f2",
+    },
+    "des-iid": {
+        "customers.csv": "cd71b14b91c0e1a990bfacbddbfdc2e2f197f8cebc704fbdfc143111f89e566a",
+        "summary.json": "ed765e28b4f56b974142976973cefdb6de3f5db968cdae74032334fdbd95a89b",
+    },
+    "cesaro-markov": {
+        "detail.csv": "660de17854812fe9c923490206b73b5766022158786bdf8804b559ea722bfe2a",
+        "summary.json": "8d6b267f830814413aee518dd24906025fc01eec4875ac7782799af697198e4e",
+    },
+    "xval-markov": {
+        "summary.json": "fcc1df00ff9eff03a3d14dc59705c487c8b9ed88d3375681b41c32938b1d435a",
+    },
+    "props": {
+        "summary.json": "f2c0dec4d2073b365d6f1c07b1dcc282c2fedfdebba96410733440b12184c749",
+    },
+}
+
+
+def run_case(name, tmp_path):
+    """Run one golden case; returns {output file: SHA-256}."""
+    experiment, cfg = CASES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / name
+    assert main([experiment, "--config", str(path), "--out-dir", str(out)]) == 0
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_outputs(name, tmp_path):
+    assert run_case(name, tmp_path) == HASHES[name]

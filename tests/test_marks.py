@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from renege import (
     ConfigError,
@@ -117,6 +119,40 @@ def test_truncated_exponential_mean_matches_samples():
     src = iid_source(Deterministic(1.0), m, Deterministic(0.0), seed=21)
     sigma = src.window_arrays(0, 200_000)[1]
     assert sigma.mean() == pytest.approx(m.mean, abs=5 * sigma.std() / math.sqrt(sigma.size))
+
+
+_U_EDGES = np.array([0.0, 1.0 - 2.0 ** -53])
+_SCALE = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+_NONNEG = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+_DISCRETE = st.lists(st.tuples(_NONNEG, st.integers(0, 9)), min_size=1, max_size=6).filter(
+    lambda aw: sum(w for _, w in aw) > 0).map(
+    lambda aw: Discrete(tuple(a for a, _ in aw),
+                        tuple(w / sum(w for _, w in aw) for _, w in aw)))
+_MARGINALS = st.one_of(
+    st.builds(Deterministic, _NONNEG),
+    st.tuples(_NONNEG, _NONNEG).map(lambda ab: Uniform(min(ab), max(ab))),
+    st.builds(Exponential, _SCALE),
+    st.builds(TruncatedExponential, _SCALE, _SCALE),
+    _DISCRETE,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_MARGINALS)
+# each of these once returned a value outside its support at u = 1 - 2^-53
+@example(TruncatedExponential(3.069, 0.172))
+@example(TruncatedExponential(0.112, 3.46))
+@example(Discrete((1.0, 2.0, 3.0, 9.0), (0.7, 0.2, 0.1, 0.0)))
+def test_quantiles_stay_in_support_at_extreme_uniforms(m):
+    q = m.quantile(_U_EDGES)
+    assert np.all(np.isfinite(q)) and np.all(q >= 0.0)
+    if m.upper_bound is not None:
+        assert np.all(q <= m.upper_bound)
+    if isinstance(m, Uniform):
+        assert np.all(q >= m.low)
+    if isinstance(m, Discrete):
+        support = {a for a, p in zip(m.atoms, m.probs) if p > 0.0}
+        assert set(q.tolist()) <= support
 
 
 def test_discrete_frequencies():
