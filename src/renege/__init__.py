@@ -43,6 +43,7 @@ from .recursion import (
     coupling_time,
     loynes_backward,
     prob_zero_estimate,
+    renovation_search,
     step,
 )
 from .fifo_begin import (

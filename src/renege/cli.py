@@ -37,7 +37,7 @@ from .fifo_end import (
     loss_report_from_rows_end,
     sample_stationary_s,
 )
-from .marks import ConfigError, MarkSource, source_from_config
+from .marks import ConfigError, MarkSource, check_keys, source_from_config
 from .properties import (
     des_inclusion_suite,
     end_case_table_mismatches,
@@ -62,6 +62,14 @@ XVAL_TOLERANCE = 1e-9
 EXPERIMENTS = ("sample-w", "sample-s", "loss-begin", "loss-end",
                "regen", "des", "cesaro", "xval", "props")
 
+# Keys of each config section: every key some experiment reads.
+SECTION_KEYS = {
+    "model": ("servers", "impatience"),
+    "run": ("mode", "samples", "max_epochs", "max_depth", "warmup", "replicas", "customers",
+            "steps", "boundary_p", "quantiles", "tuples", "prop_seed"),
+}
+CONFIG_KEYS = ("experiment", "source", *SECTION_KEYS)
+
 
 def _load_config(path: str) -> dict:
     try:
@@ -76,10 +84,17 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _check_config_keys(cfg: dict) -> None:
+    check_keys(cfg, CONFIG_KEYS, "top-level config")
+    for section, keys in SECTION_KEYS.items():
+        block = cfg.get(section, {})
+        if not isinstance(block, dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        check_keys(block, keys, f"config section {section!r}")
+
+
 def _get(cfg: dict, section: str, key: str, default, caster):
     block = cfg.get(section, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"config section {section!r} must be an object")
     if key not in block:
         if default is None:
             raise ConfigError(f"config is missing required key {section}.{key}")
@@ -423,9 +438,10 @@ def run_scenario(cfg: dict, experiment: str, out_dir: str | Path, workers: int =
     declared = cfg.get("experiment")
     if declared is not None and declared != experiment:
         raise ConfigError(f"config declares experiment {declared!r} but {experiment!r} was invoked")
+    _check_config_keys(cfg)
+    src = _build_source(cfg, seed_override)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    src = _build_source(cfg, seed_override)
     if experiment == "sample-w":
         return _exp_sample(cfg, out, workers, src, "begin")
     if experiment == "sample-s":

@@ -25,9 +25,8 @@ from .marks import MarkSource, MarkTriple
 from .recursion import (
     SIGMA_PLUS_D,
     MarkWindowCache,
-    RenovationNotFoundError,
     ZeroCertificate,
-    certified_zero,
+    renovation_search,
 )
 
 DEFAULT_WARMUP = 100_000
@@ -67,15 +66,7 @@ def find_renovation_epoch(src: MarkSource, max_epochs: int, max_depth: int,
     (alpha = sigma + dpat) is certifiably 0, hence the stationary W is 0."""
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
-    if cache is None:
-        cache = MarkWindowCache(src)
-    for m in range(1, max_epochs + 1):
-        cert = certified_zero(SIGMA_PLUS_D, src, -m, max_depth, cache)
-        if cert is not None:
-            return -m, cert
-    raise RenovationNotFoundError(
-        f"no certified zero epoch within {max_epochs} epochs; either zero states have "
-        "probability 0 for this source or max_epochs/max_depth are too small")
+    return renovation_search(SIGMA_PLUS_D, src, 0, max_epochs, max_depth, cache, first=1)
 
 
 def _replay(src: MarkSource, start_epoch: int, end_epoch: int,
@@ -84,10 +75,8 @@ def _replay(src: MarkSource, start_epoch: int, end_epoch: int,
     w = 0.0
     if start_epoch == end_epoch:
         return w
-    if cache is not None:
-        xi, sigma, dpat = cache.range(start_epoch, end_epoch - 1)
-    else:
-        xi, sigma, dpat = src.window_arrays(start_epoch, end_epoch - 1)
+    cache = cache if cache is not None else MarkWindowCache(src)
+    xi, sigma, dpat = cache.range(start_epoch, end_epoch - 1)
     for x, s, d in zip(xi.tolist(), sigma.tolist(), dpat.tolist()):
         inner = w + s if w <= d else w
         v = inner - x
@@ -101,12 +90,8 @@ def exact_w_at(src: MarkSource, epoch: int, max_epochs: int, max_depth: int,
     certified-zero epoch at or before it."""
     if cache is None:
         cache = MarkWindowCache(src)
-    for k in range(max_epochs + 1):
-        cert = certified_zero(SIGMA_PLUS_D, src, epoch - k, max_depth, cache)
-        if cert is not None:
-            return _replay(src, epoch - k, epoch, cache)
-    raise RenovationNotFoundError(
-        f"no certified zero epoch within {max_epochs} epochs of {epoch}")
+    start, _ = renovation_search(SIGMA_PLUS_D, src, epoch, max_epochs, max_depth, cache)
+    return _replay(src, start, epoch, cache)
 
 
 def exact_triple_at(src: MarkSource, epoch: int, max_epochs: int, max_depth: int,
@@ -120,14 +105,7 @@ def exact_triple_at(src: MarkSource, epoch: int, max_epochs: int, max_depth: int
     """
     if cache is None:
         cache = MarkWindowCache(src)
-    for k in range(max_epochs + 1):
-        cert = certified_zero(SIGMA_PLUS_D, src, epoch - k, max_depth, cache)
-        if cert is not None:
-            start = epoch - k
-            break
-    else:
-        raise RenovationNotFoundError(
-            f"no certified zero epoch within {max_epochs} epochs of {epoch}")
+    start, _ = renovation_search(SIGMA_PLUS_D, src, epoch, max_epochs, max_depth, cache)
     ym = w = yp = 0.0
     if start == epoch:
         return ym, w, yp
@@ -154,8 +132,9 @@ def sample_stationary_w(src: MarkSource, max_epochs: int = 10_000, max_depth: in
     and carries the method tag saying so.
     """
     if mode == "exact":
-        epoch, cert = find_renovation_epoch(src, max_epochs, max_depth)
-        value = _replay(src, epoch, 0)
+        cache = MarkWindowCache(src)
+        epoch, cert = find_renovation_epoch(src, max_epochs, max_depth, cache)
+        value = _replay(src, epoch, 0, cache)
         return StationarySample(value, "renovation-exact", epoch, cert)
     if mode == "approximate":
         value = _replay(src, -warmup, 0)
@@ -236,8 +215,10 @@ def exact_loss_rows(src: MarkSource, lo: int, hi: int, max_epochs: int,
             # spaced epochs do not overlap backwards windows; a per-replica
             # cache keeps memory at O(scan depth) instead of the whole span
             rep, e = src, r * 2 * max_depth
-        ym, w, yp = exact_triple_at(rep, e, max_epochs, max_depth, MarkWindowCache(rep))
-        rows.append((r, ym, w, yp, rep.mark_at(e).dpat))
+        cache = MarkWindowCache(rep)
+        _, _, dpat = cache.range(e, e)  # the first fill ends at e and covers the search
+        ym, w, yp = exact_triple_at(rep, e, max_epochs, max_depth, cache)
+        rows.append((r, ym, w, yp, float(dpat[0])))
     return rows
 
 

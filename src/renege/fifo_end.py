@@ -26,9 +26,8 @@ from .marks import MarkSource, MarkTriple
 from .recursion import (
     D_ONLY,
     MarkWindowCache,
-    RenovationNotFoundError,
     ZeroCertificate,
-    certified_zero,
+    renovation_search,
 )
 
 DEFAULT_WARMUP = 100_000
@@ -55,15 +54,7 @@ def find_renovation_epoch_end(src: MarkSource, max_epochs: int, max_depth: int,
     certifiably 0, hence the stationary S is 0."""
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
-    if cache is None:
-        cache = MarkWindowCache(src)
-    for m in range(1, max_epochs + 1):
-        cert = certified_zero(D_ONLY, src, -m, max_depth, cache)
-        if cert is not None:
-            return -m, cert
-    raise RenovationNotFoundError(
-        f"no certified zero epoch within {max_epochs} epochs; either zero states have "
-        "probability 0 for this source or max_epochs/max_depth are too small")
+    return renovation_search(D_ONLY, src, 0, max_epochs, max_depth, cache, first=1)
 
 
 def _replay_end(src: MarkSource, start_epoch: int, end_epoch: int,
@@ -71,10 +62,8 @@ def _replay_end(src: MarkSource, start_epoch: int, end_epoch: int,
     s = 0.0
     if start_epoch == end_epoch:
         return s
-    if cache is not None:
-        xi, sigma, dpat = cache.range(start_epoch, end_epoch - 1)
-    else:
-        xi, sigma, dpat = src.window_arrays(start_epoch, end_epoch - 1)
+    cache = cache if cache is not None else MarkWindowCache(src)
+    xi, sigma, dpat = cache.range(start_epoch, end_epoch - 1)
     for x, sg, d in zip(xi.tolist(), sigma.tolist(), dpat.tolist()):
         if s > d:
             inner = s
@@ -97,14 +86,7 @@ def exact_triple_end(src: MarkSource, epoch: int, max_epochs: int, max_depth: in
     """
     if cache is None:
         cache = MarkWindowCache(src)
-    for k in range(max_epochs + 1):
-        cert = certified_zero(D_ONLY, src, epoch - k, max_depth, cache)
-        if cert is not None:
-            start = epoch - k
-            break
-    else:
-        raise RenovationNotFoundError(
-            f"no certified zero epoch within {max_epochs} epochs of {epoch}")
+    start, _ = renovation_search(D_ONLY, src, epoch, max_epochs, max_depth, cache)
     ym = s = yd = 0.0
     if start == epoch:
         return ym, s, yd
@@ -130,8 +112,9 @@ def sample_stationary_s(src: MarkSource, max_epochs: int = 10_000, max_depth: in
     """Stationary end-impatience workload at epoch 0 (exact via renovation
     replay, or forward-approximate with a warm-up)."""
     if mode == "exact":
-        epoch, cert = find_renovation_epoch_end(src, max_epochs, max_depth)
-        return StationarySample(_replay_end(src, epoch, 0), "renovation-exact", epoch, cert)
+        cache = MarkWindowCache(src)
+        epoch, cert = find_renovation_epoch_end(src, max_epochs, max_depth, cache)
+        return StationarySample(_replay_end(src, epoch, 0, cache), "renovation-exact", epoch, cert)
     if mode == "approximate":
         return StationarySample(_replay_end(src, -warmup, 0), "forward-approximate")
     raise ValueError(f"unknown mode {mode!r}")
@@ -222,9 +205,10 @@ def exact_loss_rows_end(src: MarkSource, lo: int, hi: int, max_epochs: int,
             rep, e = src.substream(r), 0
         else:
             rep, e = src, r * 2 * max_depth
-        ym, s, yd = exact_triple_end(rep, e, max_epochs, max_depth, MarkWindowCache(rep))
-        m = rep.mark_at(e)
-        rows.append((r, ym, s, yd, m.sigma, m.dpat))
+        cache = MarkWindowCache(rep)
+        _, sigma, dpat = cache.range(e, e)  # the first fill ends at e and covers the search
+        ym, s, yd = exact_triple_end(rep, e, max_epochs, max_depth, cache)
+        rows.append((r, ym, s, yd, float(sigma[0]), float(dpat[0])))
     return rows
 
 

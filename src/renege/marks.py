@@ -170,26 +170,42 @@ class Discrete:
 Marginal = Union[Deterministic, Uniform, Exponential, TruncatedExponential, Discrete]
 
 
+# Class and parameters, in constructor order, of each marginal dist.
+_MARGINALS = {
+    "deterministic": (Deterministic, ("value",)),
+    "uniform": (Uniform, ("low", "high")),
+    "exponential": (Exponential, ("rate",)),
+    "truncated-exponential": (TruncatedExponential, ("rate", "cap")),
+    "discrete": (Discrete, ("atoms", "probs")),
+}
+# Keys of every source kind, besides its marginals or its chain.
+_SOURCE_KEYS = ("kind", "seed", "stream", "alpha_bound")
+_TRIPLE_KEYS = ("xi", "sigma", "dpat")
+
+
+def check_keys(cfg: dict, allowed, where: str) -> None:
+    """Reject a config object holding a key outside `allowed`: a misspelt key
+    would otherwise be ignored and its default used silently."""
+    unknown = sorted(set(cfg) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {unknown}; allowed keys: {sorted(allowed)}")
+
+
 def marginal_from_config(cfg: dict) -> Marginal:
     """Build a marginal from its JSON description ({"dist": ..., params})."""
     if not isinstance(cfg, dict) or "dist" not in cfg:
         raise ConfigError(f"marginal config must be a dict with a 'dist' key, got {cfg!r}")
     kind = cfg["dist"]
-    try:
-        if kind == "deterministic":
-            return Deterministic(float(cfg["value"]))
-        if kind == "uniform":
-            return Uniform(float(cfg["low"]), float(cfg["high"]))
-        if kind == "exponential":
-            return Exponential(float(cfg["rate"]))
-        if kind == "truncated-exponential":
-            return TruncatedExponential(float(cfg["rate"]), float(cfg["cap"]))
-        if kind == "discrete":
-            return Discrete(tuple(float(a) for a in cfg["atoms"]),
-                            tuple(float(p) for p in cfg["probs"]))
-    except KeyError as exc:
-        raise ConfigError(f"marginal '{kind}' is missing parameter {exc}") from exc
-    raise ConfigError(f"unknown marginal dist {kind!r}")
+    if not isinstance(kind, str) or kind not in _MARGINALS:
+        raise ConfigError(f"unknown marginal dist {kind!r}")
+    cls, params = _MARGINALS[kind]
+    check_keys(cfg, ("dist",) + params, f"marginal '{kind}'")
+    missing = [p for p in params if p not in cfg]
+    if missing:
+        raise ConfigError(f"marginal '{kind}' is missing parameter {missing[0]!r}")
+    if cls is Discrete:
+        return Discrete(*(tuple(float(v) for v in cfg[p]) for p in params))
+    return cls(*(float(cfg[p]) for p in params))
 
 
 @dataclass(frozen=True)
@@ -389,10 +405,11 @@ class MarkSource:
     # -- raw generation ----------------------------------------------------
 
     def _blocks(self, g0: int, count: int) -> np.ndarray:
+        """Raw Philox words of indices g0..g0+count-1, one 4-word block each
+        (the words Generator.integers(0, 2**64, dtype=uint64) would return)."""
         key = ((self.seed & _MASK64) << 64) | (self.stream & _MASK64)
         bg = np.random.Philox(key=key, counter=g0 % _COUNTER_MOD)
-        gen = np.random.Generator(bg)
-        return gen.integers(0, 1 << 64, size=4 * count, dtype=np.uint64).reshape(count, 4)
+        return bg.random_raw(4 * count).reshape(count, 4)
 
     def window_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays (xi, sigma, dpat) for indices lo..hi inclusive."""
@@ -400,11 +417,13 @@ class MarkSource:
             raise ValueError(f"window requires lo <= hi, got [{lo}, {hi}]")
         g0 = self.origin + lo
         count = hi - lo + 1
-        if self.kind == "markov":
-            u, state = self._chain_window(g0, count)
-        else:
-            u = (self._blocks(g0, count) >> np.uint64(11)) * _U53
-            state = np.zeros(count, dtype=np.intp)
+        if self.kind != "markov":
+            # contiguous columns, like the masked copies of the Markov branch:
+            # numpy may take other code paths for strided inputs
+            u = np.ascontiguousarray(((self._blocks(g0, count) >> np.uint64(11)) * _U53).T)
+            sm = self.states[0]
+            return sm.xi.quantile(u[1]), sm.sigma.quantile(u[2]), sm.dpat.quantile(u[3])
+        u, state = self._chain_window(g0, count)
         xi = np.empty(count)
         sigma = np.empty(count)
         dpat = np.empty(count)
@@ -490,6 +509,16 @@ def markov_source(transition, states: tuple[StateMarginals, ...],
                       seed=seed, stream=stream, alpha_bound=alpha_bound)
 
 
+def _marginals_from_config(cfg, allowed, where: str) -> StateMarginals:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} config must be a dict")
+    check_keys(cfg, allowed, where)
+    missing = [k for k in _TRIPLE_KEYS if k not in cfg]
+    if missing:
+        raise ConfigError(f"{where} config missing marginals: {missing}")
+    return StateMarginals(*(marginal_from_config(cfg[k]) for k in _TRIPLE_KEYS))
+
+
 def source_from_config(cfg: dict) -> MarkSource:
     """Build a MarkSource from its JSON description."""
     if not isinstance(cfg, dict):
@@ -500,22 +529,15 @@ def source_from_config(cfg: dict) -> MarkSource:
     alpha_bound = cfg.get("alpha_bound")
     alpha_bound = None if alpha_bound is None else float(alpha_bound)
     if kind in ("deterministic", "iid"):
-        missing = [k for k in ("xi", "sigma", "dpat") if k not in cfg]
-        if missing:
-            raise ConfigError(f"source config missing marginals: {missing}")
-        xi = marginal_from_config(cfg["xi"])
-        sigma = marginal_from_config(cfg["sigma"])
-        dpat = marginal_from_config(cfg["dpat"])
-        return MarkSource(kind=kind, states=(StateMarginals(xi, sigma, dpat),),
-                          transition=None, seed=seed, stream=stream, alpha_bound=alpha_bound)
+        st = _marginals_from_config(cfg, _SOURCE_KEYS + _TRIPLE_KEYS, "source")
+        return MarkSource(kind=kind, states=(st,), transition=None,
+                          seed=seed, stream=stream, alpha_bound=alpha_bound)
     if kind == "markov":
+        check_keys(cfg, _SOURCE_KEYS + ("transition", "states"), "markov source")
         if "transition" not in cfg or "states" not in cfg:
             raise ConfigError("markov source config needs 'transition' and 'states'")
-        states = tuple(
-            StateMarginals(marginal_from_config(s["xi"]),
-                           marginal_from_config(s["sigma"]),
-                           marginal_from_config(s["dpat"]))
-            for s in cfg["states"])
+        states = tuple(_marginals_from_config(st, _TRIPLE_KEYS, f"markov state {i}")
+                       for i, st in enumerate(cfg["states"]))
         return markov_source(cfg["transition"], states, seed=seed, stream=stream,
                              alpha_bound=alpha_bound)
     raise ConfigError(f"unknown source kind {kind!r}")

@@ -24,6 +24,13 @@ from .estimation import Estimate, mc_aggregate
 from .marks import MarkSource, MarkTriple
 
 _CHUNK = 512
+# Marks in a MarkWindowCache's first fill: a shallow exact draw reads fewer.
+_FIRST_FILL = 128
+# A renovation search first screens this many candidate epochs, each over this
+# many lags; both double as needed, with at most _SEARCH_CELLS terms per pass.
+_SEARCH_EPOCHS = 16
+_SEARCH_LAGS = 16
+_SEARCH_CELLS = 1 << 16
 
 
 class CapabilityError(RuntimeError):
@@ -129,39 +136,35 @@ class RecursionValue:
 class MarkWindowCache:
     """Contiguous cache of mark arrays over a source, grown on demand.
 
-    Renovation scans revisit overlapping backward windows; caching makes each
-    additional lag amortized O(1) instead of regenerating marks per epoch.
+    One exact draw reads overlapping backward windows: the renovation search,
+    the certificate walk and the replay.  The first fill spans at least
+    _FIRST_FILL marks ending at the highest index asked for, so a shallow draw
+    costs one window_arrays call; each later fill at least doubles the cached
+    range, so a deep one costs a logarithmic number.
     """
 
     def __init__(self, src: MarkSource):
         self.src = src
         self._lo = 0
-        self._xi = np.empty(0)
-        self._sigma = np.empty(0)
-        self._dpat = np.empty(0)
+        self._marks = np.empty((3, 0))  # rows xi, sigma, dpat from index _lo on
+
+    def _fetch(self, lo: int, hi: int) -> np.ndarray:
+        return np.stack(self.src.window_arrays(lo, hi))
 
     def range(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(xi, sigma, dpat) for indices lo..hi inclusive."""
-        if self._xi.size == 0:
-            span = max(hi - lo + 1, _CHUNK)
-            self._lo = hi - span + 1
-            self._xi, self._sigma, self._dpat = self.src.window_arrays(self._lo, hi)
-        if lo < self._lo:
-            new_lo = min(lo, self._lo - _CHUNK)
-            xi, sg, dp = self.src.window_arrays(new_lo, self._lo - 1)
-            self._xi = np.concatenate([xi, self._xi])
-            self._sigma = np.concatenate([sg, self._sigma])
-            self._dpat = np.concatenate([dp, self._dpat])
+        size = self._marks.shape[1]
+        if size == 0:
+            self._lo = min(lo, hi - _FIRST_FILL + 1)
+            self._marks = self._fetch(self._lo, hi)
+        elif lo < self._lo:
+            new_lo = min(lo, self._lo - size)
+            self._marks = np.hstack([self._fetch(new_lo, self._lo - 1), self._marks])
             self._lo = new_lo
-        hi_cached = self._lo + self._xi.size - 1
-        if hi > hi_cached:
-            xi, sg, dp = self.src.window_arrays(hi_cached + 1, max(hi, hi_cached + _CHUNK))
-            self._xi = np.concatenate([self._xi, xi])
-            self._sigma = np.concatenate([self._sigma, sg])
-            self._dpat = np.concatenate([self._dpat, dp])
-        a = lo - self._lo
-        b = hi - self._lo + 1
-        return self._xi[a:b], self._sigma[a:b], self._dpat[a:b]
+        top = self._lo + self._marks.shape[1] - 1
+        if hi > top:
+            self._marks = np.hstack([self._marks, self._fetch(top + 1, max(hi, top + size))])
+        return tuple(self._marks[:, lo - self._lo:hi - self._lo + 1])
 
 
 def step(y: float, mark: MarkTriple, spec: RecursionSpec) -> float:
@@ -226,25 +229,35 @@ def backward_supremum(spec: RecursionSpec, src: MarkSource, epoch: int, max_dept
             f"exact evaluation needs an a.s. bound on alpha ({spec.alpha_kind}); "
             "the source marginals are unbounded and no bound is declared")
     best = -np.inf
-    s = 0.0  # sequential cumsum of beta, bit-identical to the one-pass form
+    for depth, t, s in _backward_walk(spec, src, epoch, max_depth, cache, bound):
+        if t > best:
+            best = t
+        if s >= bound:
+            value = best if best > 0.0 else 0.0
+            cert = None
+            if value == 0.0:
+                cert = ZeroCertificate(epoch=epoch, depth=depth, residual_bound=bound - s)
+            return RecursionValue(value, exact=True, certificate=cert)
+
+
+def _backward_walk(spec: RecursionSpec, src: MarkSource, epoch: int, max_depth: int,
+                   cache: MarkWindowCache | None, bound: float):
+    """(depth, lag term, cumulative beta) for lags 1..max_depth, beta summed in
+    sequence; DepthExhaustedError past max_depth.  Chunks double up to _CHUNK,
+    so a shallow walk reads only marks a renovation search already fetched."""
+    s = 0.0
     depth = 0
+    chunk = _SEARCH_LAGS
     while depth < max_depth:
-        take = min(_CHUNK, max_depth - depth)
+        take = min(chunk, max_depth - depth)
+        chunk = min(2 * chunk, _CHUNK)
         lo, hi = epoch - depth - take, epoch - depth - 1
         xi, sigma, dpat = cache.range(lo, hi) if cache is not None else src.window_arrays(lo, hi)
         alpha = spec.alpha_array(xi, sigma, dpat)
         for al, be in zip(alpha[::-1].tolist(), xi[::-1].tolist()):
             depth += 1
             s = s + be
-            t = al - s
-            if t > best:
-                best = t
-            if s >= bound:
-                value = best if best > 0.0 else 0.0
-                cert = None
-                if value == 0.0:
-                    cert = ZeroCertificate(epoch=epoch, depth=depth, residual_bound=bound - s)
-                return RecursionValue(value, exact=True, certificate=cert)
+            yield depth, al - s, s
     raise DepthExhaustedError(
         f"cumulative beta reached {s:.6g} < alpha bound {bound:.6g} within {max_depth} lags")
 
@@ -259,22 +272,58 @@ def certified_zero(spec: RecursionSpec, src: MarkSource, epoch: int, max_depth: 
     if bound is None:
         raise CapabilityError(
             f"zero certificates need an a.s. bound on alpha ({spec.alpha_kind})")
-    s = 0.0
-    depth = 0
-    while depth < max_depth:
-        take = min(_CHUNK, max_depth - depth)
-        lo, hi = epoch - depth - take, epoch - depth - 1
-        xi, sigma, dpat = cache.range(lo, hi) if cache is not None else src.window_arrays(lo, hi)
+    for depth, t, s in _backward_walk(spec, src, epoch, max_depth, cache, bound):
+        if t > 0.0:
+            return None
+        if s >= bound:
+            return ZeroCertificate(epoch=epoch, depth=depth, residual_bound=bound - s)
+
+
+def renovation_search(spec: RecursionSpec, src: MarkSource, epoch: int, max_epochs: int,
+                      max_depth: int, cache: MarkWindowCache | None,
+                      first: int = 0) -> tuple[int, ZeroCertificate]:
+    """Nearest renovation epoch epoch-k, k = first..max_epochs, with its
+    certificate: what certified_zero at k = first, first+1, ... returns or
+    raises first.
+
+    Each pass screens a block of candidates over a lags x candidates gather of
+    the cached marks.  np.add.accumulate sums beta down each column in
+    sequence, bit-identical to the scalar s = s + be, and a candidate is
+    positive when the first lag with a positive term or with s >= bound has a
+    positive term.  Positive candidates are skipped, an undecided one doubles
+    the lags up to max_depth, and an all-positive block doubles the next one.
+    certified_zero then issues the first other candidate's certificate or
+    raises its DepthExhaustedError.
+    """
+    if cache is None:
+        cache = MarkWindowCache(src)
+    bound = spec.bound_for(src)
+    k = first
+    if k <= max_epochs and (bound is None or max_depth < 1):
+        certified_zero(spec, src, epoch - k, max_depth, cache)  # raises either error
+    epochs, lags = _SEARCH_EPOCHS, min(_SEARCH_LAGS, max_depth)
+    while k <= max_epochs:
+        n = min(epochs, max_epochs - k + 1)
+        xi, sigma, dpat = cache.range(epoch - k - n - lags + 1, epoch - k - 1)
         alpha = spec.alpha_array(xi, sigma, dpat)
-        for al, be in zip(alpha[::-1].tolist(), xi[::-1].tolist()):
-            depth += 1
-            s = s + be
-            if al - s > 0.0:
-                return None
-            if s >= bound:
-                return ZeroCertificate(epoch=epoch, depth=depth, residual_bound=bound - s)
-    raise DepthExhaustedError(
-        f"cumulative beta reached {s:.6g} < alpha bound {bound:.6g} within {max_depth} lags")
+        # [j-1, c] is lag j of candidate epoch-k-c
+        at = np.subtract.outer(np.arange(n + lags - 2, n - 2, -1), np.arange(n))
+        s = np.add.accumulate(xi[at], axis=0)
+        positive = alpha[at] - s > 0.0
+        decided = positive | (s >= bound)
+        open_ = np.flatnonzero(~positive[decided.argmax(axis=0), np.arange(n)])
+        if open_.size == 0:
+            k += n
+            epochs = max(1, min(2 * epochs, _SEARCH_CELLS // lags))
+            continue
+        k += int(open_[0])
+        if lags == max_depth or decided[:, open_[0]].any():
+            return epoch - k, certified_zero(spec, src, epoch - k, max_depth, cache)
+        lags = min(2 * lags, max_depth)
+        epochs = max(1, min(epochs, _SEARCH_CELLS // lags))
+    raise RenovationNotFoundError(
+        f"no certified zero epoch within {max_epochs} epochs of {epoch}; either zero states "
+        "have probability 0 for this source or max_epochs/max_depth are too small")
 
 
 @dataclass(frozen=True)

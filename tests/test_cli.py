@@ -221,3 +221,61 @@ def test_seed_override(tmp_path):
     sa, sb = _summary(tmp_path / "a"), _summary(tmp_path / "b")
     assert sa["seeds"]["seed"] == 777 and sb["seeds"]["seed"] == 321
     assert (tmp_path / "a" / "detail.csv").read_bytes() != (tmp_path / "b" / "detail.csv").read_bytes()
+
+
+MARKOV_SOURCE = {
+    "kind": "markov", "seed": 3, "transition": [[0.9, 0.1], [0.3, 0.7]],
+    "states": [{"xi": {"dist": "uniform", "low": 0.5, "high": 1.5},
+                "sigma": {"dist": "uniform", "low": 0.0, "high": 0.8},
+                "dpat": {"dist": "uniform", "low": 0.0, "high": 1.0}}] * 2,
+}
+
+
+def _with_typo(where):
+    cfg = {"source": json.loads(json.dumps(BOUNDED_SOURCE)),
+           "model": {"servers": 1, "impatience": "begin"},
+           "run": {"mode": "exact", "samples": 5}}
+    if where == "top":
+        cfg["experimnt"] = "loss-begin"
+    elif where == "source":
+        cfg["source"]["sead"] = 7
+    elif where == "marginal":
+        cfg["source"]["xi"]["hihg"] = 2.0
+    elif where == "model":
+        cfg["model"]["impatiance"] = "end"
+    elif where == "run":
+        cfg["run"]["sampels"] = 5
+    else:
+        cfg["source"] = json.loads(json.dumps(MARKOV_SOURCE))
+        cfg["source"]["states"][1]["dpatt"] = {"dist": "deterministic", "value": 1.0}
+    return cfg
+
+
+@pytest.mark.parametrize("where", ["top", "source", "marginal", "model", "run", "markov-state"])
+def test_unknown_config_keys_exit_2(tmp_path, capsys, where):
+    out = tmp_path / "out"
+    code = main(["loss-begin", "--config", _write(tmp_path, _with_typo(where)),
+                 "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown" in err
+    assert any(typo in err for typo in ("experimnt", "sead", "hihg", "impatiance", "sampels",
+                                        "dpatt"))
+    assert not out.exists()
+
+
+def test_config_section_must_be_an_object(tmp_path):
+    cfg = {"source": BOUNDED_SOURCE, "model": 5, "run": {"mode": "exact", "samples": 5}}
+    assert main(["loss-begin", "--config", _write(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+
+
+def test_section_keys_cover_every_key_the_cli_reads():
+    import inspect
+    import re
+
+    import renege.cli as cli
+    read = re.findall(r'_get\(cfg, "(\w+)", "(\w+)"', inspect.getsource(cli))
+    assert read
+    assert {(sec, key) for sec, key in read} == {
+        (sec, key) for sec, keys in cli.SECTION_KEYS.items() for key in keys}

@@ -240,6 +240,22 @@ def test_source_from_config_roundtrip():
     assert msrc.kind == "markov" and msrc.alpha_bound_for("d_only") == 0.4
 
 
+@pytest.mark.parametrize("seed,stream,g0,count", [
+    (0, 0, 0, 1),
+    (20081, 7, -3, 6),                     # negative index: the counter wraps past 2**256
+    (2**64 + 5, 2**64 - 1, 2**256 - 2, 5),  # key words masked, counter wraps
+    (12345, 0, 2**130 + 17, 300),
+])
+def test_blocks_match_generator_integers(seed, stream, g0, count):
+    src = iid_source(Uniform(0.0, 1.0), Uniform(0.0, 1.0), Uniform(0.0, 1.0),
+                     seed=seed, stream=stream)
+    key = ((seed & (2**64 - 1)) << 64) | (stream & (2**64 - 1))
+    gen = np.random.Generator(np.random.Philox(key=key, counter=g0 % 2**256))
+    ref = gen.integers(0, 1 << 64, size=4 * count, dtype=np.uint64).reshape(count, 4)
+    got = src._blocks(g0, count)
+    assert got.dtype == np.uint64 and np.array_equal(got, ref)
+
+
 def test_substreams_differ(bounded_src):
     assert bounded_src.substream(1).mark_at(0) != bounded_src.mark_at(0)
     assert bounded_src.substream(0).mark_at(0) == bounded_src.mark_at(0)
