@@ -17,33 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fifo import BEGIN, MODELS
 from .marks import MarkSource
 
 _PUSH_STREAM = 0x70757368  # dedicated substream for pushforward marks
 
 
-def _step_begin(w: float, x: float, s: float, d: float) -> float:
-    inner = w + s if w <= d else w
-    v = inner - x
-    return v if v > 0.0 else 0.0
-
-
-def _step_end(w: float, x: float, s: float, d: float) -> float:
-    if w > d:
-        inner = w
-    else:
-        t = w + s
-        inner = t if t < d else d
-    v = inner - x
-    return v if v > 0.0 else 0.0
-
-
 def _stepper(model: str):
-    if model == "begin":
-        return _step_begin
-    if model == "end":
-        return _step_end
-    raise ValueError(f"unknown model {model!r}")
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    return MODELS[model].step
 
 
 @dataclass(frozen=True)
@@ -165,11 +148,10 @@ def tightness_report(src: MarkSource, n: int, levels=(0.5, 0.9, 0.99, 0.999)) ->
     xi, sigma, dpat = src.window_arrays(0, n - 1)
     w_traj = np.empty(n)
     l_traj = np.empty(n)
+    step = BEGIN.step
     w = lv = 0.0
     for i, (x, s, d) in enumerate(zip(xi.tolist(), sigma.tolist(), dpat.tolist())):
-        inner = w + s if w <= d else w
-        v = inner - x
-        w = v if v > 0.0 else 0.0
+        w = step(w, x, s, d)
         a = s + d
         v = (lv if lv > a else a) - x
         lv = v if v > 0.0 else 0.0

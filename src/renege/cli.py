@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +26,15 @@ from . import __version__
 from .cesaro import boundary_mass, cesaro_distribution, invariance_distance, tightness_report
 from .des import Scenario, cross_validate_recursion, regeneration_stats, simulate
 from .estimation import TruncationError, mc_aggregate
-from .fifo_begin import (
+from .fifo import (
+    BEGIN,
+    END,
+    MODELS,
+    Model,
     exact_loss_rows,
-    loss_probability_begin,
+    loss_probability,
     loss_report_from_rows,
-    sample_stationary_w,
-)
-from .fifo_end import (
-    exact_loss_rows_end,
-    loss_metrics_end,
-    loss_report_from_rows_end,
-    sample_stationary_s,
+    sample_stationary,
 )
 from .marks import ConfigError, MarkSource, check_keys, source_from_config
 from .properties import (
@@ -45,8 +44,6 @@ from .properties import (
     step_monotonicity_violations,
 )
 from .recursion import (
-    D_ONLY,
-    SIGMA_PLUS_D,
     CapabilityError,
     DepthExhaustedError,
     RenovationNotFoundError,
@@ -58,9 +55,6 @@ EXIT_CAPABILITY = 3
 EXIT_CONTRACT = 4
 
 XVAL_TOLERANCE = 1e-9
-
-EXPERIMENTS = ("sample-w", "sample-s", "loss-begin", "loss-end",
-               "regen", "des", "cesaro", "xval", "props")
 
 # Keys of each config section: every key some experiment reads.
 SECTION_KEYS = {
@@ -93,16 +87,21 @@ def _check_config_keys(cfg: dict) -> None:
         check_keys(block, keys, f"config section {section!r}")
 
 
-def _get(cfg: dict, section: str, key: str, default, caster):
+def _get(cfg: dict, section: str, key: str, default, caster, minimum: int | None = None):
+    """Config value section.key cast by caster; an integer read with a minimum
+    must be at least that."""
     block = cfg.get(section, {})
     if key not in block:
         if default is None:
             raise ConfigError(f"config is missing required key {section}.{key}")
         return default
     try:
-        return caster(block[key])
+        value = caster(block[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {section}.{key} is invalid: {exc}") from exc
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"config key {section}.{key} must be >= {minimum}, got {value}")
+    return value
 
 
 def _build_source(cfg: dict, seed_override: int | None) -> MarkSource:
@@ -121,13 +120,12 @@ def _mode(cfg: dict) -> str:
     return mode
 
 
-def _require_exact_bound(src: MarkSource, model: str) -> None:
-    spec = SIGMA_PLUS_D if model == "begin" else D_ONLY
-    if spec.bound_for(src) is None:
-        name = "sigma+dpat" if model == "begin" else "dpat"
+def _require_exact_bound(src: MarkSource, model: Model) -> None:
+    if model.dominating.bound_for(src) is None:
         raise CapabilityError(
-            f"exact mode needs an a.s. alpha_bound on {name}; the configured source is "
-            "unbounded (use uniform, truncated-exponential, discrete, or deterministic marginals)")
+            f"exact mode needs an a.s. alpha_bound on {model.dominating.alpha_kind}; the "
+            "configured source is unbounded (use uniform, truncated-exponential, discrete, "
+            "or deterministic marginals)")
 
 
 def _config_sha256(cfg: dict) -> str:
@@ -166,6 +164,18 @@ def _write_summary(out_dir: Path, experiment: str, cfg: dict, seeds: dict, resul
         fh.write(blob)
 
 
+def _finish(out_dir: Path, experiment: str, cfg: dict, src: MarkSource, results: dict,
+            violation: str | None = None, **seeds) -> int:
+    """Write summary.json and return the exit status: EXIT_CONTRACT, after
+    reporting it, when the run broke a contract."""
+    _write_summary(out_dir, experiment, cfg, {"seed": src.seed, "stream": src.stream, **seeds},
+                   results)
+    if violation:
+        print(f"contract violation: {violation}", file=sys.stderr)
+        return EXIT_CONTRACT
+    return EXIT_OK
+
+
 def _write_csv(path: Path, header: list[str], rows, preamble: str | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if preamble:
@@ -192,16 +202,17 @@ def _replica_chunk(args):
     """Top-level worker: one chunk of replica-indexed rows (picklable)."""
     kind, source_cfg, params, lo, hi = args
     src = source_from_config(source_cfg)
-    if kind == "loss-begin":
-        return exact_loss_rows(src, lo, hi, params["max_epochs"], params["max_depth"])
-    if kind == "loss-end":
-        return exact_loss_rows_end(src, lo, hi, params["max_epochs"], params["max_depth"])
-    sampler = sample_stationary_w if kind == "sample-w" else sample_stationary_s
+    model = MODELS[params["model"]]
+    if kind == "loss":
+        return exact_loss_rows(model, src, lo, hi, params["max_epochs"], params["max_depth"])
+    # sampled replicas of a non-iid source sit further apart than loss rows
+    spacing = max(2 * params["max_depth"], params["warmup"])
     rows = []
     for r in range(lo, hi):
-        rep = src.substream(r) if src.is_iid else src.shift(r * params["replica_spacing"])
-        smp = sampler(rep, max_epochs=params["max_epochs"], max_depth=params["max_depth"],
-                      mode=params["mode"], warmup=params["warmup"])
+        rep, e = src.replica(r, spacing)
+        smp = sample_stationary(model, rep.shift(e), max_epochs=params["max_epochs"],
+                                max_depth=params["max_depth"], mode=params["mode"],
+                                warmup=params["warmup"])
         cert_depth = smp.certificate.depth if smp.certificate is not None else None
         rows.append((r, smp.value, smp.method, smp.renovation_epoch, cert_depth))
     return rows
@@ -223,24 +234,29 @@ def _source_cfg_with_seed(cfg: dict, src: MarkSource) -> dict:
     return scfg
 
 
-def _exp_sample(cfg, out_dir, workers, src, model: str) -> int:
-    mode = _mode(cfg)
-    samples = _get(cfg, "run", "samples", 1000, int)
+def _replica_params(cfg: dict, src: MarkSource, model: Model) -> dict:
+    """Run parameters of the sample and loss experiments."""
     params = {
-        "mode": mode,
-        "max_epochs": _get(cfg, "run", "max_epochs", 10_000, int),
-        "max_depth": _get(cfg, "run", "max_depth", 10_000, int),
-        "warmup": _get(cfg, "run", "warmup", 100_000, int),
+        "model": model.name,
+        "mode": _mode(cfg),
+        "samples": _get(cfg, "run", "samples", 1000, int, 1),
+        "max_epochs": _get(cfg, "run", "max_epochs", 10_000, int, 1),
+        "max_depth": _get(cfg, "run", "max_depth", 10_000, int, 1),
+        "warmup": _get(cfg, "run", "warmup", 100_000, int, 0),
     }
-    params["replica_spacing"] = max(2 * params["max_depth"], params["warmup"])
-    if mode == "exact":
+    if params["mode"] == "exact":
         _require_exact_bound(src, model)
-    kind = "sample-w" if model == "begin" else "sample-s"
-    rows = _parallel_rows(kind, _source_cfg_with_seed(cfg, src), params, samples, workers)
+    return params
+
+
+def _exp_sample(experiment: str, model: Model, cfg, out_dir, workers, src) -> int:
+    params = _replica_params(cfg, src, model)
+    samples = params["samples"]
+    rows = _parallel_rows("sample", _source_cfg_with_seed(cfg, src), params, samples, workers)
     values = [r[1] for r in rows]
     est = mc_aggregate(values, kind="real") if len(values) > 1 else None
     results = {
-        "model": model,
+        "model": model.name,
         "method": rows[0][2] if rows else None,
         "samples": samples,
         "mean": (est.as_dict() if est is not None else
@@ -250,36 +266,19 @@ def _exp_sample(cfg, out_dir, workers, src, model: str) -> int:
     }
     _write_csv(out_dir / "detail.csv",
                ["replica", "value", "method", "renovation_epoch", "certificate_depth"], rows)
-    _write_summary(out_dir, kind, cfg,
-                   {"seed": src.seed, "stream": src.stream, "replica_streams": [0, samples]},
-                   results)
-    return EXIT_OK
+    return _finish(out_dir, experiment, cfg, src, results, replica_streams=[0, samples])
 
 
-def _exp_loss(cfg, out_dir, workers, src, model: str) -> int:
-    mode = _mode(cfg)
-    samples = _get(cfg, "run", "samples", 1000, int)
-    max_epochs = _get(cfg, "run", "max_epochs", 10_000, int)
-    max_depth = _get(cfg, "run", "max_depth", 10_000, int)
-    warmup = _get(cfg, "run", "warmup", 100_000, int)
-    kind = "loss-begin" if model == "begin" else "loss-end"
-    if mode == "exact":
-        _require_exact_bound(src, model)
-        params = {"max_epochs": max_epochs, "max_depth": max_depth}
-        rows = _parallel_rows(kind, _source_cfg_with_seed(cfg, src), params, samples, workers)
-        if model == "begin":
-            report = loss_report_from_rows(src, rows)
-            _write_csv(out_dir / "detail.csv",
-                       ["replica", "y_min", "w", "y_plus", "dpat"], rows)
-        else:
-            report = loss_report_from_rows_end(src, rows)
-            _write_csv(out_dir / "detail.csv",
-                       ["replica", "y_min", "s", "y_dpat", "sigma", "dpat"], rows)
+def _exp_loss(experiment: str, model: Model, cfg, out_dir, workers, src) -> int:
+    params = _replica_params(cfg, src, model)
+    samples = params["samples"]
+    if params["mode"] == "exact":
+        rows = _parallel_rows("loss", _source_cfg_with_seed(cfg, src), params, samples, workers)
+        report = loss_report_from_rows(model, src, rows)
+        _write_csv(out_dir / "detail.csv", list(model.columns), rows)
     else:
-        if model == "begin":
-            report = loss_probability_begin(src, samples, mode="approximate", warmup=warmup)
-        else:
-            report = loss_metrics_end(src, samples, mode="approximate", warmup=warmup)
+        report = loss_probability(model, src, samples, mode="approximate",
+                                  warmup=params["warmup"])
     results = {
         "model": report.model,
         "method": report.method,
@@ -291,12 +290,8 @@ def _exp_loss(cfg, out_dir, workers, src, model: str) -> int:
     }
     if report.pi_never_reach is not None:
         results["pi_never_reach"] = report.pi_never_reach.as_dict()
-    _write_summary(out_dir, kind, cfg,
-                   {"seed": src.seed, "stream": src.stream}, results)
-    if not report.bracket_ok:
-        print("contract violation: loss estimate escapes its bounds", file=sys.stderr)
-        return EXIT_CONTRACT
-    return EXIT_OK
+    return _finish(out_dir, experiment, cfg, src, results,
+                   None if report.bracket_ok else "loss estimate escapes its bounds")
 
 
 def _scenario(cfg, src) -> Scenario:
@@ -324,10 +319,16 @@ def _path_stats_results(stats) -> dict:
     }
 
 
+def _path_violation(stats) -> str | None:
+    if stats.inclusion_violations or stats.sojourn_violations:
+        return "inclusion or sojourn bounds broken"
+    return None
+
+
 def _exp_regen(cfg, out_dir, workers, src) -> int:
     scn = _scenario(cfg, src)
-    replicas = _get(cfg, "run", "replicas", 200, int)
-    max_depth = _get(cfg, "run", "max_depth", 10_000, int)
+    replicas = _get(cfg, "run", "replicas", 200, int, 1)
+    max_depth = _get(cfg, "run", "max_depth", 10_000, int, 1)
     sim = simulate(scn)
     report = regeneration_stats(scn, sim, replicas=replicas, max_depth=max_depth)
     results = _path_stats_results(report.stats)
@@ -343,11 +344,7 @@ def _exp_regen(cfg, out_dir, workers, src) -> int:
                ["index", "l_before", "m_before", "x_before"],
                zip(range(stats.arrivals), stats.l_before.tolist(),
                    stats.m_before.tolist(), stats.x_before.tolist()))
-    _write_summary(out_dir, "regen", cfg, {"seed": src.seed, "stream": src.stream}, results)
-    if stats.inclusion_violations or stats.sojourn_violations:
-        print("contract violation: inclusion or sojourn bounds broken", file=sys.stderr)
-        return EXIT_CONTRACT
-    return EXIT_OK
+    return _finish(out_dir, "regen", cfg, src, results, _path_violation(stats))
 
 
 def _exp_des(cfg, out_dir, workers, src) -> int:
@@ -357,20 +354,15 @@ def _exp_des(cfg, out_dir, workers, src) -> int:
                ["index", "arrival", "sigma", "dpat", "service_start", "departure", "outcome"],
                ((r.index, r.arrival, r.sigma, r.dpat, r.service_start, r.departure, r.outcome)
                 for r in records))
-    _write_summary(out_dir, "des", cfg, {"seed": src.seed, "stream": src.stream},
-                   _path_stats_results(stats))
-    if stats.inclusion_violations or stats.sojourn_violations:
-        print("contract violation: inclusion or sojourn bounds broken", file=sys.stderr)
-        return EXIT_CONTRACT
-    return EXIT_OK
+    return _finish(out_dir, "des", cfg, src, _path_stats_results(stats), _path_violation(stats))
 
 
 def _exp_cesaro(cfg, out_dir, workers, src) -> int:
     model = _get(cfg, "model", "impatience", "begin", str)
-    if model not in ("begin", "end"):
+    if model not in MODELS:
         raise ConfigError(f"model.impatience must be 'begin' or 'end', got {model!r}")
-    n = _get(cfg, "run", "steps", 10_000, int)
-    p = _get(cfg, "run", "boundary_p", 10, int)
+    n = _get(cfg, "run", "steps", 10_000, int, 1)
+    p = _get(cfg, "run", "boundary_p", 10, int, 1)
     levels = _get(cfg, "run", "quantiles", [0.5, 0.9, 0.99, 0.999],
                   lambda xs: [float(x) for x in xs])
     mu = cesaro_distribution(src, n, model)
@@ -394,40 +386,45 @@ def _exp_cesaro(cfg, out_dir, workers, src) -> int:
     preamble = f"# n_steps={mu.n_steps} model={mu.model} seed={src.seed} stream={src.stream}"
     _write_csv(out_dir / "detail.csv", ["value", "weight"],
                zip(mu.values.tolist(), mu.weights.tolist()), preamble=preamble)
-    _write_summary(out_dir, "cesaro", cfg, {"seed": src.seed, "stream": src.stream}, results)
-    return EXIT_OK
+    return _finish(out_dir, "cesaro", cfg, src, results)
 
 
 def _exp_xval(cfg, out_dir, workers, src) -> int:
     scn = _scenario(cfg, src)
     disc = cross_validate_recursion(scn)
     ok = disc <= XVAL_TOLERANCE
-    _write_summary(out_dir, "xval", cfg, {"seed": src.seed, "stream": src.stream},
+    return _finish(out_dir, "xval", cfg, src,
                    {"model": scn.impatience, "customers": scn.horizon_customers,
-                    "max_discrepancy": disc, "tolerance": XVAL_TOLERANCE, "contract_ok": ok})
-    if not ok:
-        print(f"contract violation: DES/recursion discrepancy {disc:g} > {XVAL_TOLERANCE:g}",
-              file=sys.stderr)
-        return EXIT_CONTRACT
-    return EXIT_OK
+                    "max_discrepancy": disc, "tolerance": XVAL_TOLERANCE, "contract_ok": ok},
+                   None if ok else f"DES/recursion discrepancy {disc:g} > {XVAL_TOLERANCE:g}")
 
 
 def _exp_props(cfg, out_dir, workers, src) -> int:
-    count = _get(cfg, "run", "tuples", 100_000, int)
+    count = _get(cfg, "run", "tuples", 100_000, int, 1)
     seed = _get(cfg, "run", "prop_seed", 20240811, int)
     suite = pointwise_inequality_suite(count, seed)
     suite["step_monotonicity"] = step_monotonicity_violations(count, seed + 1)
     suite["end_case_table"] = end_case_table_mismatches(count, seed + 2)
     suite.update(des_inclusion_suite(seed + 3))
     total = sum(suite.values())
-    _write_summary(out_dir, "props", cfg, {"seed": src.seed, "stream": src.stream},
-                   {"violations": suite, "total_violations": total, "tuples": count})
     for name, bad in suite.items():
         print(f"{name}: {'ok' if bad == 0 else f'{bad} violations'}")
-    if total:
-        print("contract violation: property suite found violations", file=sys.stderr)
-        return EXIT_CONTRACT
-    return EXIT_OK
+    return _finish(out_dir, "props", cfg, src,
+                   {"violations": suite, "total_violations": total, "tuples": count},
+                   "property suite found violations" if total else None)
+
+
+EXPERIMENTS = {
+    "sample-w": partial(_exp_sample, "sample-w", BEGIN),
+    "sample-s": partial(_exp_sample, "sample-s", END),
+    "loss-begin": partial(_exp_loss, "loss-begin", BEGIN),
+    "loss-end": partial(_exp_loss, "loss-end", END),
+    "regen": _exp_regen,
+    "des": _exp_des,
+    "cesaro": _exp_cesaro,
+    "xval": _exp_xval,
+    "props": _exp_props,
+}
 
 
 def run_scenario(cfg: dict, experiment: str, out_dir: str | Path, workers: int = 1,
@@ -435,6 +432,8 @@ def run_scenario(cfg: dict, experiment: str, out_dir: str | Path, workers: int =
     """Execute one experiment; returns the process exit status."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     declared = cfg.get("experiment")
     if declared is not None and declared != experiment:
         raise ConfigError(f"config declares experiment {declared!r} but {experiment!r} was invoked")
@@ -442,23 +441,7 @@ def run_scenario(cfg: dict, experiment: str, out_dir: str | Path, workers: int =
     src = _build_source(cfg, seed_override)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if experiment == "sample-w":
-        return _exp_sample(cfg, out, workers, src, "begin")
-    if experiment == "sample-s":
-        return _exp_sample(cfg, out, workers, src, "end")
-    if experiment == "loss-begin":
-        return _exp_loss(cfg, out, workers, src, "begin")
-    if experiment == "loss-end":
-        return _exp_loss(cfg, out, workers, src, "end")
-    if experiment == "regen":
-        return _exp_regen(cfg, out, workers, src)
-    if experiment == "des":
-        return _exp_des(cfg, out, workers, src)
-    if experiment == "cesaro":
-        return _exp_cesaro(cfg, out, workers, src)
-    if experiment == "xval":
-        return _exp_xval(cfg, out, workers, src)
-    return _exp_props(cfg, out, workers, src)
+    return EXPERIMENTS[experiment](cfg, out, workers, src)
 
 
 def main(argv=None) -> int:

@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fifo import MODELS
 from .marks import MarkSource
-from .recursion import D_ONLY, SIGMA_MIN_D, SIGMA_PLUS_D, CapabilityError, ProbZero, prob_zero_estimate
+from .recursion import SIGMA_MIN_D, CapabilityError, ProbZero, prob_zero_estimate
 
 _COMPLETION, _DEADLINE, _ARRIVAL = 0, 1, 2
 _WAITING, _IN_SERVICE, _DONE = 0, 1, 2
@@ -269,10 +270,7 @@ def regeneration_stats(scn: Scenario, sim: tuple[list[CustomerRecord], PathStati
     if sim is None:
         sim = simulate(scn)
     _, stats = sim
-    if scn.impatience == "begin":
-        suff_spec, suff_name = SIGMA_PLUS_D, "sigma_plus_d"
-    else:
-        suff_spec, suff_name = D_ONLY, "d_only"
+    suff_spec = MODELS[scn.impatience].dominating
     exact = suff_spec.bound_for(scn.source) is not None
     p_suff = prob_zero_estimate(suff_spec, scn.source, replicas, max_depth, exact=exact)
     exact_nec = SIGMA_MIN_D.bound_for(scn.source) is not None
@@ -280,7 +278,7 @@ def regeneration_stats(scn: Scenario, sim: tuple[list[CustomerRecord], PathStati
     return RegenReport(stats=stats,
                        l_zero_freq=stats.l_zero_arrival_freq,
                        m_zero_freq=stats.m_zero_arrival_freq,
-                       sufficient_alpha=suff_name,
+                       sufficient_alpha=suff_spec.alpha_kind,
                        p_zero_sufficient=p_suff,
                        p_zero_necessary=p_nec)
 
@@ -313,7 +311,7 @@ def cross_validate_recursion(scn: Scenario) -> float:
     records, _ = simulate(scn)
     des_w = workload_before_arrivals(records).tolist()
     xi, sigma, dpat = scn.source.window_arrays(0, scn.horizon_customers - 1)
-    end_model = scn.impatience == "end"
+    step = MODELS[scn.impatience].step
     w = 0.0
     worst = 0.0
     for i, (x, s, d) in enumerate(zip(xi.tolist(), sigma.tolist(), dpat.tolist())):
@@ -322,14 +320,5 @@ def cross_validate_recursion(scn: Scenario) -> float:
             diff = -diff
         if diff > worst:
             worst = diff
-        if end_model:
-            if w > d:
-                inner = w
-            else:
-                tt = w + s
-                inner = tt if tt < d else d
-        else:
-            inner = w + s if w <= d else w
-        v = inner - x
-        w = v if v > 0.0 else 0.0
+        w = step(w, x, s, d)
     return worst

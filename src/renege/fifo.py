@@ -1,0 +1,343 @@
+"""Single-server FIFO queues with impatient customers: one record per model,
+one driver per method.
+
+Both models are handled by one argument.  The workload W of the model is
+bounded from above pathwise by a monotone dominating recursion
+Y' = [max(Y, alpha) - xi]+ (alpha = sigma + dpat for the begin model,
+alpha = dpat for the end model), and from below by the dominated recursion
+with alpha = sigma ^ dpat.  Every epoch where the dominating value is
+certifiably 0 forces W = 0 there too, so replaying the three chains forward
+from such an epoch gives an exact draw of the stationary triple, ordered
+exactly in floating point at every step.  Loss probabilities count the
+states above the observing customer's threshold; the dominated and
+dominating chains bracket them.
+
+A Model holds what differs between the two: the dominating spec, the scalar
+step (w, xi, sigma, dpat) -> w', a window kernel that advances (ym, w, yp)
+over a window of marks and counts its exceedances, and the layout of the
+exact loss rows.  The kernels are written out per model because the forward
+loop is the hot path of approximate loss runs, which a function call per
+step slows by about 8% (loop-only timing, 2 cores, Python 3.11).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from operator import add
+from typing import Callable
+
+import numpy as np
+
+from .estimation import LossReport, binomial_se, wilson
+from .marks import MarkSource, MarkTriple
+from .recursion import (
+    D_ONLY,
+    SIGMA_PLUS_D,
+    MarkWindowCache,
+    RecursionSpec,
+    ZeroCertificate,
+    mark_windows,
+    renovation_search,
+)
+
+DEFAULT_WARMUP = 100_000
+
+
+@dataclass(frozen=True)
+class StationarySample:
+    """One draw of the stationary workload with its provenance."""
+
+    value: float
+    method: str  # "renovation-exact" | "forward-approximate"
+    renovation_epoch: int | None = None
+    certificate: ZeroCertificate | None = None
+
+    def __post_init__(self):
+        if not (np.isfinite(self.value) and self.value >= 0.0):
+            raise ValueError(f"workload must be finite and >= 0, got {self.value}")
+        if self.method == "renovation-exact":
+            if self.certificate is None or self.certificate.epoch != self.renovation_epoch:
+                raise ValueError("exact samples need a certificate at the renovation epoch")
+        elif self.method != "forward-approximate":
+            raise ValueError(f"unknown method {self.method!r}")
+
+
+@dataclass(frozen=True)
+class Model:
+    """What one single-server model needs beyond the shared drivers.
+
+    window(ym, w, yp, xi, sigma, dpat) returns (ym, w, yp, counts) after the
+    window, counts being how many arrivals saw each of (w, ym, yp) above
+    their loss threshold, plus, for the end model, w above dpat (the
+    customer never reaches the server).  An exact loss row is (replica, ym,
+    w, yp, *row_marks(sigma, dpat)); exceeds(ym, w, yp, *row marks) gives
+    the same indicators for one row.
+    """
+
+    name: str
+    dominating: RecursionSpec
+    step: Callable[[float, float, float, float], float]
+    window: Callable[..., tuple]
+    row_marks: Callable[[float, float], tuple]
+    exceeds: Callable[..., tuple]
+    columns: tuple[str, ...]  # detail.csv header of the exact loss rows
+
+    def mark_step(self, w: float, mark: MarkTriple) -> float:
+        """One arrival with the given marks; the workload must be >= 0."""
+        if w < 0.0:
+            raise ValueError(f"workload must be >= 0, got {w}")
+        return self.step(w, mark.xi, mark.sigma, mark.dpat)
+
+
+def _step_begin(w: float, x: float, s: float, d: float) -> float:
+    inner = w + s if w <= d else w
+    v = inner - x
+    return v if v > 0.0 else 0.0
+
+
+def _step_end(w: float, x: float, s: float, d: float) -> float:
+    if w > d:
+        inner = w
+    else:
+        t = w + s
+        inner = t if t < d else d
+    v = inner - x
+    return v if v > 0.0 else 0.0
+
+
+def _window_begin(ym, w, yp, xi, sigma, dpat):
+    n_loss = n_low = n_up = 0
+    for x, s, d in zip(xi.tolist(), sigma.tolist(), dpat.tolist()):
+        if w > d:
+            n_loss += 1
+        if ym > d:
+            n_low += 1
+        if yp > d:
+            n_up += 1
+        a = s if s < d else d
+        v = (ym if ym > a else a) - x
+        ym = v if v > 0.0 else 0.0
+        inner = w + s if w <= d else w
+        v = inner - x
+        w = v if v > 0.0 else 0.0
+        a = s + d
+        v = (yp if yp > a else a) - x
+        yp = v if v > 0.0 else 0.0
+    return ym, w, yp, (n_loss, n_low, n_up)
+
+
+def _window_end(ym, w, yp, xi, sigma, dpat):
+    n_loss = n_low = n_up = n_never = 0
+    for x, s, d in zip(xi.tolist(), sigma.tolist(), dpat.tolist()):
+        thresh = d - s
+        if w > thresh:
+            n_loss += 1
+        if ym > thresh:
+            n_low += 1
+        if yp > thresh:
+            n_up += 1
+        if w > d:
+            n_never += 1
+        a = s if s < d else d
+        v = (ym if ym > a else a) - x
+        ym = v if v > 0.0 else 0.0
+        if w > d:
+            inner = w
+        else:
+            t = w + s
+            inner = t if t < d else d
+        v = inner - x
+        w = v if v > 0.0 else 0.0
+        v = (yp if yp > d else d) - x
+        yp = v if v > 0.0 else 0.0
+    return ym, w, yp, (n_loss, n_low, n_up, n_never)
+
+
+BEGIN = Model(
+    name="begin", dominating=SIGMA_PLUS_D, step=_step_begin, window=_window_begin,
+    row_marks=lambda s, d: (d,),
+    exceeds=lambda ym, w, yp, d: (w > d, ym > d, yp > d),
+    columns=("replica", "y_min", "w", "y_plus", "dpat"))
+END = Model(
+    name="end", dominating=D_ONLY, step=_step_end, window=_window_end,
+    row_marks=lambda s, d: (s, d),
+    exceeds=lambda ym, w, yp, s, d: (w > d - s, ym > d - s, yp > d - s, w > d),
+    columns=("replica", "y_min", "s", "y_dpat", "sigma", "dpat"))
+MODELS = {m.name: m for m in (BEGIN, END)}
+
+
+def _advance(model: Model, src: MarkSource, lo: int, hi: int,
+             cache: MarkWindowCache | None = None, state=(0.0, 0.0, 0.0)):
+    """(ym, w, yp) at hi from `state` at lo, and the exceedance counts of the
+    arrivals lo..hi-1 (None when there are none)."""
+    counts = None
+    for marks in mark_windows(src.window_arrays if cache is None else cache.range, lo, hi):
+        *state, c = model.window(*state, *marks)
+        counts = c if counts is None else tuple(map(add, counts, c))
+    return tuple(state), counts
+
+
+def find_renovation_epoch(model: Model, src: MarkSource, max_epochs: int, max_depth: int,
+                          cache: MarkWindowCache | None = None) -> tuple[int, ZeroCertificate]:
+    """Nearest epoch -m, m = 1..max_epochs, where the dominating recursion is
+    certifiably 0, hence the stationary workload is 0."""
+    if max_epochs < 1:
+        raise ValueError("max_epochs must be >= 1")
+    return renovation_search(model.dominating, src, 0, max_epochs, max_depth, cache, first=1)
+
+
+def replay(model: Model, src: MarkSource, start_epoch: int, end_epoch: int,
+           cache: MarkWindowCache | None = None) -> float:
+    """Workload at end_epoch when it was 0 at start_epoch."""
+    return _advance(model, src, start_epoch, end_epoch, cache)[0][1]
+
+
+def exact_triple(model: Model, src: MarkSource, epoch: int, max_epochs: int, max_depth: int,
+                 cache: MarkWindowCache | None = None) -> tuple[float, float, float]:
+    """(dominated Y, W, dominating Y) at `epoch`, replayed from a common
+    certified-zero epoch of the dominating recursion.
+
+    The certified zero forces the two dominated values to 0 as well, and
+    replaying the three chains on the same marks keeps ym <= w <= yp exact in
+    floating point at every step.
+    """
+    if cache is None:
+        cache = MarkWindowCache(src)
+    start, _ = renovation_search(model.dominating, src, epoch, max_epochs, max_depth, cache)
+    return _advance(model, src, start, epoch, cache)[0]
+
+
+def sample_stationary(model: Model, src: MarkSource, max_epochs: int = 10_000,
+                      max_depth: int = 10_000, mode: str = "exact",
+                      warmup: int = DEFAULT_WARMUP) -> StationarySample:
+    """Stationary workload at epoch 0.
+
+    Exact mode replays from the nearest renovation epoch -m and is an exact
+    draw.  Approximate mode iterates forward from 0 over `warmup` arrivals
+    and carries the method tag saying so.
+    """
+    if mode == "exact":
+        cache = MarkWindowCache(src)
+        epoch, cert = find_renovation_epoch(model, src, max_epochs, max_depth, cache)
+        return StationarySample(replay(model, src, epoch, 0, cache), "renovation-exact",
+                                epoch, cert)
+    if mode == "approximate":
+        if warmup < 0:
+            raise ValueError("warmup must be >= 0")
+        return StationarySample(replay(model, src, -warmup, 0), "forward-approximate")
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def sandwich_check(model: Model, src: MarkSource, epochs, max_depth: int,
+                   max_epochs: int = 10_000) -> int:
+    """Count violations of dominated Y <= W <= dominating Y at the epochs."""
+    cache = MarkWindowCache(src)
+    violations = 0
+    for e in epochs:
+        ym, w, yp = exact_triple(model, src, e, max_epochs, max_depth, cache)
+        violations += (ym > w) + (w > yp)
+    return violations
+
+
+def forward_samples(model: Model, src: MarkSource, count: int, warmup: int = DEFAULT_WARMUP,
+                    spacing: int = 1, with_marks: bool = False):
+    """Workload states from one forward trajectory started empty.
+
+    Records the state seen by customers warmup, warmup+spacing, ... (the
+    state before that customer's mark is applied).  With with_marks=True also
+    returns the (sigma, dpat) of the recording customers, preserving the
+    joint law needed for loss estimation.
+    """
+    if count < 1 or spacing < 1 or warmup < 0:
+        raise ValueError("count and spacing must be >= 1, warmup >= 0")
+    step = model.step
+    total = warmup + (count - 1) * spacing + 1
+    out = np.empty((3, count))  # rows: state, sigma, dpat of the recording customers
+    w = 0.0
+    pos = taken = 0
+    for xi, sigma, dpat in mark_windows(src.window_arrays, 0, total):
+        for x, s, d in zip(xi.tolist(), sigma.tolist(), dpat.tolist()):
+            if pos >= warmup and (pos - warmup) % spacing == 0:
+                out[:, taken] = w, s, d
+                taken += 1
+            w = step(w, x, s, d)
+            pos += 1
+    return (out[0], out[1], out[2]) if with_marks else out[0]
+
+
+def _report(model: Model, src: MarkSource, counts, samples: int, method: str) -> LossReport:
+    """Wilson intervals of the counts (pi, lower, upper[, never-reach]); the
+    bracket holds when pi is within 3 standard errors of its bounds."""
+    pi, lo, up, *never = (wilson(c, samples) for c in counts)
+    slack = 3.0 * binomial_se(pi.point, samples)
+    return LossReport(model=model.name, pi_hat=pi, lower_bound=lo, upper_bound=up,
+                      method=method, replicas=samples, seed=src.seed, stream=src.stream,
+                      bracket_ok=lo.point <= pi.point + slack and pi.point <= up.point + slack,
+                      pi_never_reach=never[0] if never else None)
+
+
+def exact_loss_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
+                    max_depth: int) -> list[tuple]:
+    """Per-replica exact rows (replica, ym, W, yp, *row marks) at the
+    replica's own epoch (MarkSource.replica, spacing 2*max_depth).
+
+    Rows only depend on the replica index, so ranges computed in parallel
+    merge deterministically.  A per-replica cache keeps memory at O(scan
+    depth) instead of the whole span of a non-iid source.
+    """
+    rows = []
+    for r in range(lo, hi):
+        rep, e = src.replica(r, 2 * max_depth)
+        cache = MarkWindowCache(rep)
+        _, sigma, dpat = cache.range(e, e)  # the first fill ends at e and covers the search
+        ym, w, yp = exact_triple(model, rep, e, max_epochs, max_depth, cache)
+        rows.append((r, ym, w, yp, *model.row_marks(float(sigma[0]), float(dpat[0]))))
+    return rows
+
+
+def loss_report_from_rows(model: Model, src: MarkSource, rows) -> LossReport:
+    """Aggregate exact per-replica rows into the model's loss report."""
+    counts = [sum(col) for col in zip(*(model.exceeds(*row[1:]) for row in rows))]
+    return _report(model, src, counts, len(rows), "renovation-exact")
+
+
+def loss_probability(model: Model, src: MarkSource, samples: int, mode: str = "exact",
+                     max_epochs: int = 10_000, max_depth: int = 10_000,
+                     warmup: int = DEFAULT_WARMUP) -> LossReport:
+    """Loss probability with its dominated and dominating bounds.
+
+    Each stationary workload is paired with the marks of the customer
+    observing it, preserving their joint law, and the bounds evaluate the
+    dominated and dominating recursions against the same threshold.  Exact
+    mode draws one renovation replay per replica; approximate mode counts
+    `samples` arrivals after `warmup` on one forward trajectory from 0.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if mode == "exact":
+        return loss_report_from_rows(
+            model, src, exact_loss_rows(model, src, 0, samples, max_epochs, max_depth))
+    if mode != "approximate":
+        raise ValueError(f"unknown mode {mode!r}")
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
+    state, _ = _advance(model, src, 0, warmup)
+    _, counts = _advance(model, src, warmup, warmup + samples, state=state)
+    return _report(model, src, counts, samples, "forward-approximate")
+
+
+def compare_disciplines(src: MarkSource, horizon: int) -> int:
+    """Count indices n <= horizon where the end-model workload exceeds the
+    begin-model workload on the same marks from the same empty start.
+    The contract is 0: aborting service at the deadline never leaves more
+    work than running every admitted service to completion."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    s = w = 0.0
+    violations = 0
+    for xi, sigma, dpat in mark_windows(src.window_arrays, 0, horizon):
+        for x, sg, d in zip(xi.tolist(), sigma.tolist(), dpat.tolist()):
+            s = _step_end(s, x, sg, d)
+            w = _step_begin(w, x, sg, d)
+            violations += s > w
+    return violations

@@ -447,17 +447,25 @@ class MarkSource:
         xi, sigma, dpat = self.window_arrays(lo, hi)
         return [MarkTriple(float(x), float(s), float(d)) for x, s, d in zip(xi, sigma, dpat)]
 
+    def _moved(self, **where) -> "MarkSource":
+        """Copy with another stream or origin.  Validation and the cached
+        properties depend on neither, so the copy keeps them."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, **where)
+        return out
+
     def shift(self, k: int) -> "MarkSource":
         """Source advanced by k customers: mark_at(shifted, n) == mark_at(self, n+k)."""
-        return MarkSource(kind=self.kind, states=self.states, transition=self.transition,
-                          seed=self.seed, stream=self.stream, origin=self.origin + k,
-                          alpha_bound=self.alpha_bound)
+        return self._moved(origin=self.origin + k)
 
     def substream(self, r: int) -> "MarkSource":
         """Independent replica source on stream+r (fresh chain realization)."""
-        return MarkSource(kind=self.kind, states=self.states, transition=self.transition,
-                          seed=self.seed, stream=(self.stream + r) & _MASK64,
-                          origin=self.origin, alpha_bound=self.alpha_bound)
+        return self._moved(stream=(self.stream + r) & _MASK64)
+
+    def replica(self, r: int, spacing: int) -> tuple["MarkSource", int]:
+        """(source, epoch) of replica r: epoch 0 of stream+r for iid sources,
+        epoch r*spacing of this one realization otherwise."""
+        return (self.substream(r), 0) if self.is_iid else (self, r * spacing)
 
     # -- derived scalar facts -------------------------------------------------
 

@@ -24,6 +24,7 @@ from .estimation import Estimate, mc_aggregate
 from .marks import MarkSource, MarkTriple
 
 _CHUNK = 512
+_FORWARD_CHUNK = 1 << 14  # marks per window of a forward pass
 # Marks in a MarkWindowCache's first fill: a shallow exact draw reads fewer.
 _FIRST_FILL = 128
 # A renovation search first screens this many candidate epochs, each over this
@@ -165,6 +166,13 @@ class MarkWindowCache:
         if hi > top:
             self._marks = np.hstack([self._marks, self._fetch(top + 1, max(hi, top + size))])
         return tuple(self._marks[:, lo - self._lo:hi - self._lo + 1])
+
+
+def mark_windows(fetch, lo: int, hi: int):
+    """(xi, sigma, dpat) over indices lo..hi-1, _FORWARD_CHUNK marks at a time,
+    read with fetch(lo, hi) (MarkSource.window_arrays or MarkWindowCache.range)."""
+    for a in range(lo, hi, _FORWARD_CHUNK):
+        yield fetch(a, min(a + _FORWARD_CHUNK, hi) - 1)
 
 
 def step(y: float, mark: MarkTriple, spec: RecursionSpec) -> float:
@@ -348,17 +356,12 @@ def prob_zero_estimate(spec: RecursionSpec, src: MarkSource, replicas: int, max_
     if exact is None:
         exact = spec.bound_for(src) is not None
     hits = []
-    if src.is_iid:
-        for r in range(replicas):
-            rv = backward_supremum(spec, src.substream(r), 0, max_depth, exact=exact)
-            hits.append(1.0 if rv.value == 0.0 else 0.0)
-    else:
-        # spaced epochs keep the draws weakly dependent; uncached window
-        # fetches keep memory flat across the wide span they cover
-        spacing = 2 * max_depth
-        for r in range(replicas):
-            rv = backward_supremum(spec, src, r * spacing, max_depth, exact=exact)
-            hits.append(1.0 if rv.value == 0.0 else 0.0)
+    for r in range(replicas):
+        # uncached window fetches keep memory flat across the wide span that
+        # spaced epochs cover
+        rep, e = src.replica(r, 2 * max_depth)
+        rv = backward_supremum(spec, rep, e, max_depth, exact=exact)
+        hits.append(1.0 if rv.value == 0.0 else 0.0)
     return ProbZero(mc_aggregate(hits, kind="binary"), exact=exact, replicas=replicas)
 
 
@@ -379,10 +382,7 @@ def coupling_time(spec: RecursionSpec, src: MarkSource, z1: float, z2: float,
     a, b = z1, z2
     met: int | None = 0 if a == b else None
     n = 0
-    chunk = 4096
-    while n < horizon:
-        take = min(chunk, horizon - n)
-        xi, sigma, dpat = src.window_arrays(n, n + take - 1)
+    for xi, sigma, dpat in mark_windows(src.window_arrays, 0, horizon):
         alpha = spec.alpha_array(xi, sigma, dpat)
         for al, be in zip(alpha.tolist(), xi.tolist()):
             va = max(a, al) - be

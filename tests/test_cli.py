@@ -279,3 +279,25 @@ def test_section_keys_cover_every_key_the_cli_reads():
     assert read
     assert {(sec, key) for sec, key in read} == {
         (sec, key) for sec, keys in cli.SECTION_KEYS.items() for key in keys}
+
+
+@pytest.mark.parametrize("experiment,run,args", [
+    ("sample-w", {"mode": "exact", "samples": 0}, []),
+    ("loss-begin", {"mode": "exact", "samples": -3}, []),
+    ("loss-begin", {"mode": "exact", "max_epochs": 0}, []),
+    ("sample-w", {"mode": "exact", "max_epochs": 0}, []),
+    ("loss-end", {"mode": "exact", "max_depth": 0}, []),
+    ("regen", {"replicas": 0}, []),
+    ("cesaro", {"steps": 0}, []),
+    ("cesaro", {"boundary_p": 0}, []),
+    ("loss-begin", {"mode": "approximate", "samples": 5, "warmup": -1}, []),
+    ("sample-s", {"mode": "approximate", "samples": 5, "warmup": -1}, []),
+    ("props", {"tuples": 0}, []),
+    ("loss-begin", {"mode": "exact", "samples": 5}, ["--workers", "0"]),
+])
+def test_out_of_range_run_integers_exit_2(tmp_path, capsys, experiment, run, args):
+    cfg = {"source": BOUNDED_SOURCE, "run": run}
+    code = main([experiment, "--config", _write(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "out"), *args])
+    assert code == 2
+    assert "must be >= " in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -259,3 +260,17 @@ def test_blocks_match_generator_integers(seed, stream, g0, count):
 def test_substreams_differ(bounded_src):
     assert bounded_src.substream(1).mark_at(0) != bounded_src.mark_at(0)
     assert bounded_src.substream(0).mark_at(0) == bounded_src.mark_at(0)
+
+
+def test_shift_and_substream_copy_the_validated_source():
+    src = _two_state_markov(seed=11)
+    probs, parts = src.stationary_state_probs, src._doeblin_parts
+    for moved, rebuilt in ((src.substream(3), dataclasses.replace(src, stream=src.stream + 3)),
+                           (src.shift(-7), dataclasses.replace(src, origin=src.origin - 7))):
+        assert moved == rebuilt
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(moved.window_arrays(-40, 40), rebuilt.window_arrays(-40, 40)))
+        # the copy carries the cached properties instead of computing them again
+        assert moved.__dict__["stationary_state_probs"] is probs
+        assert moved.__dict__["_doeblin_parts"] is parts
+        assert moved.__dict__["mean_xi"] == src.mean_xi
