@@ -146,17 +146,13 @@ def tightness_report(src: MarkSource, n: int, levels=(0.5, 0.9, 0.99, 0.999)) ->
     if n < 1:
         raise ValueError("n must be >= 1")
     xi, sigma, dpat = src.window_arrays(0, n - 1)
-    w_traj = np.empty(n)
-    l_traj = np.empty(n)
-    step = BEGIN.step
-    w = lv = 0.0
-    for i, (x, s, d) in enumerate(zip(xi.tolist(), sigma.tolist(), dpat.tolist())):
-        w = step(w, x, s, d)
-        a = s + d
+    w_traj = BEGIN.w_path(0.0, xi, sigma, dpat)
+    l_traj = []
+    lv = 0.0
+    for x, a in zip(xi.tolist(), (sigma + dpat).tolist()):
         v = (lv if lv > a else a) - x
         lv = v if v > 0.0 else 0.0
-        w_traj[i] = w
-        l_traj[i] = lv
+        l_traj.append(lv)
     wq = tuple(float(q) for q in np.quantile(w_traj, levels))
     lq = tuple(float(q) for q in np.quantile(l_traj, levels))
     ordered = all(a <= b for a, b in zip(wq, lq))

@@ -18,6 +18,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,7 @@ EXIT_CAPABILITY = 3
 EXIT_CONTRACT = 4
 
 XVAL_TOLERANCE = 1e-9
+_CSV_ROWS = 256  # rows formatted at once by _write_csv
 
 # Keys of each config section: every key some experiment reads.
 SECTION_KEYS = {
@@ -177,19 +179,45 @@ def _finish(out_dir: Path, experiment: str, cfg: dict, src: MarkSource, results:
 
 
 def _write_csv(path: Path, header: list[str], rows, preamble: str | None = None) -> None:
+    """Write the rows as csv.writer would, _CSV_ROWS rows at a time, each
+    formatted a column at a time.  Every row must have one field per header
+    column: ValueError otherwise."""
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if preamble:
             fh.write(preamble + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(c) for c in row])
+        _write_lines(fh, [header])
+        while chunk := list(islice(rows, _CSV_ROWS)):
+            if set(map(len, chunk)) != {len(header)}:
+                raise ValueError(f"{path.name}: every row needs {len(header)} fields")
+            _write_lines(fh, list(zip(*map(_csv_column, zip(*chunk)))))
 
 
-def _csv_cell(c):
-    if isinstance(c, float):
-        return repr(c)
-    return "" if c is None else c
+def _write_lines(fh, lines: list) -> None:
+    """Rows of text cells, all of one length, joined directly unless some
+    cell needs quoting (holds a comma, a quote or a line end) or a row has one
+    field: csv.writer writes those.  The direct join takes about two thirds
+    of csv.writer's time on des customers.csv."""
+    body = "\r\n".join(map(",".join, lines)) + "\r\n"
+    if (len(lines[0]) > 1 and '"' not in body
+            and body.count(",") == len(lines) * (len(lines[0]) - 1)
+            and body.count("\r") == body.count("\n") == len(lines)):
+        fh.write(body)
+    else:
+        csv.writer(fh).writerows(lines)
+
+
+def _csv_column(col) -> list[str]:
+    """One column's cells as text: float.__repr__ for floats (numpy floats
+    included, which repr would write as np.float64(...)), "" for None and str
+    for the rest."""
+    kinds = set(map(type, col))
+    if kinds == {float}:
+        return list(map(float.__repr__, col))
+    if kinds == {int}:
+        return list(map(int.__repr__, col))
+    return ["" if c is None else float.__repr__(c) if isinstance(c, float) else str(c)
+            for c in col]
 
 
 def _chunks(total: int, parts: int) -> list[tuple[int, int]]:

@@ -311,14 +311,12 @@ def cross_validate_recursion(scn: Scenario) -> float:
     records, _ = simulate(scn)
     des_w = workload_before_arrivals(records).tolist()
     xi, sigma, dpat = scn.source.window_arrays(0, scn.horizon_customers - 1)
-    step = MODELS[scn.impatience].step
-    w = 0.0
+    path = MODELS[scn.impatience].w_path(0.0, xi, sigma, dpat)
     worst = 0.0
-    for i, (x, s, d) in enumerate(zip(xi.tolist(), sigma.tolist(), dpat.tolist())):
-        diff = des_w[i] - w
+    for dw, w in zip(des_w, [0.0] + path[:-1]):
+        diff = dw - w
         if diff < 0.0:
             diff = -diff
         if diff > worst:
             worst = diff
-        w = step(w, x, s, d)
     return worst

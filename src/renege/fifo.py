@@ -13,11 +13,13 @@ states above the observing customer's threshold; the dominated and
 dominating chains bracket them.
 
 A Model holds what differs between the two: the dominating spec, the scalar
-step (w, xi, sigma, dpat) -> w', a window kernel that advances (ym, w, yp)
-over a window of marks and counts its exceedances, and the layout of the
-exact loss rows.  The kernels are written out per model because the forward
-loop is the hot path of approximate loss runs, which a function call per
-step slows by about 8% (loop-only timing, 2 cores, Python 3.11).
+step (w, xi, sigma, dpat) -> w', its elementwise numpy form, a window kernel
+that advances (ym, w, yp) over a window of marks and counts its exceedances,
+one that lists W alone along a window, and the layout of the exact loss
+rows.  The kernels are written out per model because the forward loops are
+the hot path of approximate runs, which a function call per step slows by
+about 8% (three chains) to 17% (W alone) (loop-only timing, 2 cores,
+Python 3.11).
 """
 
 from __future__ import annotations
@@ -31,16 +33,23 @@ import numpy as np
 from .estimation import LossReport, binomial_se, wilson
 from .marks import MarkSource, MarkTriple
 from .recursion import (
+    _FIRST_FILL,
     D_ONLY,
     SIGMA_PLUS_D,
     MarkWindowCache,
     RecursionSpec,
     ZeroCertificate,
+    clip,
     mark_windows,
+    renovation_offsets,
     renovation_search,
+    step_array,
 )
 
 DEFAULT_WARMUP = 100_000
+# Replicas per lockstep batch of exact loss rows: the batch's arrays peak
+# near 1 MB for a Markov source and 1.3 MB for an iid one.
+_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -66,18 +75,22 @@ class StationarySample:
 class Model:
     """What one single-server model needs beyond the shared drivers.
 
-    window(ym, w, yp, xi, sigma, dpat) returns (ym, w, yp, counts) after the
-    window, counts being how many arrivals saw each of (w, ym, yp) above
-    their loss threshold, plus, for the end model, w above dpat (the
-    customer never reaches the server).  An exact loss row is (replica, ym,
-    w, yp, *row_marks(sigma, dpat)); exceeds(ym, w, yp, *row marks) gives
-    the same indicators for one row.
+    inner(w, sigma, dpat) is the elementwise numpy form of the step before
+    xi is taken off, so step_array is the step.  window(ym, w, yp, xi,
+    sigma, dpat) returns (ym, w, yp, counts) after the window, counts being
+    how many arrivals saw each of (w, ym, yp) above their loss threshold,
+    plus, for the end model, w above dpat (the customer never reaches the
+    server); w_path(w, xi, sigma, dpat) lists w after each arrival.  An
+    exact loss row is (replica, ym, w, yp, *row_marks(sigma, dpat));
+    exceeds(ym, w, yp, *row marks) gives the same indicators for one row.
     """
 
     name: str
     dominating: RecursionSpec
     step: Callable[[float, float, float, float], float]
+    inner: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     window: Callable[..., tuple]
+    w_path: Callable[..., list]
     row_marks: Callable[[float, float], tuple]
     exceeds: Callable[..., tuple]
     columns: tuple[str, ...]  # detail.csv header of the exact loss rows
@@ -87,6 +100,10 @@ class Model:
         if w < 0.0:
             raise ValueError(f"workload must be >= 0, got {w}")
         return self.step(w, mark.xi, mark.sigma, mark.dpat)
+
+    def step_array(self, w, xi, sigma, dpat):
+        """step, elementwise over numpy arrays, with the same IEEE operations."""
+        return clip(self.inner(w, sigma, dpat) - xi)
 
 
 def _step_begin(w: float, x: float, s: float, d: float) -> float:
@@ -103,6 +120,41 @@ def _step_end(w: float, x: float, s: float, d: float) -> float:
         inner = t if t < d else d
     v = inner - x
     return v if v > 0.0 else 0.0
+
+
+def _inner_begin(w, s, d):
+    return np.where(w <= d, w + s, w)
+
+
+def _inner_end(w, s, d):
+    t = w + s
+    return np.where(w > d, w, np.where(t < d, t, d))
+
+
+def _w_path_begin(w, xi, sigma, dpat):
+    path = []
+    put = path.append
+    for x, s, d in zip(xi.tolist(), sigma.tolist(), dpat.tolist()):
+        inner = w + s if w <= d else w
+        v = inner - x
+        w = v if v > 0.0 else 0.0
+        put(w)
+    return path
+
+
+def _w_path_end(w, xi, sigma, dpat):
+    path = []
+    put = path.append
+    for x, s, d in zip(xi.tolist(), sigma.tolist(), dpat.tolist()):
+        if w > d:
+            inner = w
+        else:
+            t = w + s
+            inner = t if t < d else d
+        v = inner - x
+        w = v if v > 0.0 else 0.0
+        put(w)
+    return path
 
 
 def _window_begin(ym, w, yp, xi, sigma, dpat):
@@ -154,12 +206,14 @@ def _window_end(ym, w, yp, xi, sigma, dpat):
 
 
 BEGIN = Model(
-    name="begin", dominating=SIGMA_PLUS_D, step=_step_begin, window=_window_begin,
+    name="begin", dominating=SIGMA_PLUS_D, step=_step_begin, inner=_inner_begin,
+    window=_window_begin, w_path=_w_path_begin,
     row_marks=lambda s, d: (d,),
     exceeds=lambda ym, w, yp, d: (w > d, ym > d, yp > d),
     columns=("replica", "y_min", "w", "y_plus", "dpat"))
 END = Model(
-    name="end", dominating=D_ONLY, step=_step_end, window=_window_end,
+    name="end", dominating=D_ONLY, step=_step_end, inner=_inner_end,
+    window=_window_end, w_path=_w_path_end,
     row_marks=lambda s, d: (s, d),
     exceeds=lambda ym, w, yp, s, d: (w > d - s, ym > d - s, yp > d - s, w > d),
     columns=("replica", "y_min", "s", "y_dpat", "sigma", "dpat"))
@@ -189,7 +243,11 @@ def find_renovation_epoch(model: Model, src: MarkSource, max_epochs: int, max_de
 def replay(model: Model, src: MarkSource, start_epoch: int, end_epoch: int,
            cache: MarkWindowCache | None = None) -> float:
     """Workload at end_epoch when it was 0 at start_epoch."""
-    return _advance(model, src, start_epoch, end_epoch, cache)[0][1]
+    w = 0.0
+    for marks in mark_windows(src.window_arrays if cache is None else cache.range,
+                              start_epoch, end_epoch):
+        w = model.w_path(w, *marks)[-1]
+    return w
 
 
 def exact_triple(model: Model, src: MarkSource, epoch: int, max_epochs: int, max_depth: int,
@@ -276,23 +334,74 @@ def _report(model: Model, src: MarkSource, counts, samples: int, method: str) ->
                       pi_never_reach=never[0] if never else None)
 
 
+def _exact_row(model: Model, src: MarkSource, r: int, max_epochs: int, max_depth: int) -> tuple:
+    """One exact loss row by the scalar path: search, certificate and replay."""
+    rep, e = src.replica(r, 2 * max_depth)
+    cache = MarkWindowCache(rep)
+    _, sigma, dpat = cache.range(e, e)  # the first fill ends at e and covers the search
+    ym, w, yp = exact_triple(model, rep, e, max_epochs, max_depth, cache)
+    return (r, ym, w, yp, *model.row_marks(float(sigma[0]), float(dpat[0])))
+
+
+def _replay_rows(model: Model, marks: np.ndarray, alpha_up: np.ndarray,
+                 k: np.ndarray) -> np.ndarray:
+    """(ym, w, yp) at the last column of each row of marks, replayed in
+    lockstep from 0 at column -1-k of that row (no step where k < 1).
+
+    Each step is the scalar kernels' arithmetic in elementwise numpy form,
+    masked to the rows whose replay has begun.
+    """
+    xi, sigma, dpat = marks
+    ym, w, yp = np.zeros((3, k.size))
+    width = xi.shape[1]
+    for lag in range(int(k.max(initial=0)), 0, -1):
+        c = width - 1 - lag
+        x, s, d = xi[:, c], sigma[:, c], dpat[:, c]
+        on = k >= lag
+        ym = np.where(on, step_array(ym, np.where(s < d, s, d), x), ym)
+        w = np.where(on, model.step_array(w, x, s, d), w)
+        yp = np.where(on, step_array(yp, alpha_up[:, c], x), yp)
+    return np.stack((ym, w, yp))
+
+
 def exact_loss_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
                     max_depth: int) -> list[tuple]:
     """Per-replica exact rows (replica, ym, W, yp, *row marks) at the
     replica's own epoch (MarkSource.replica, spacing 2*max_depth).
 
-    Rows only depend on the replica index, so ranges computed in parallel
-    merge deterministically.  A per-replica cache keeps memory at O(scan
-    depth) instead of the whole span of a non-iid source.
+    Replicas go in batches of _BATCH, in lockstep: one fetch of the
+    _FIRST_FILL marks ending at each replica's epoch (what the scalar path's
+    cache reads first), one renovation screen over the batch
+    (recursion.renovation_offsets) and one replay of the three chains.  A
+    replica the window does not decide takes the scalar path (exact_triple),
+    which also raises its DepthExhaustedError or RenovationNotFoundError,
+    first replica first.  Both paths run the same IEEE operations on the same
+    marks, so the rows are bit-identical to the scalar path's.  Rows only
+    depend on the replica index, so ranges computed in parallel merge
+    deterministically, and memory stays at one batch, whatever the span of a
+    non-iid source.
     """
+    bound = model.dominating.bound_for(src)
+    if bound is None or max_depth < 1:
+        return [_exact_row(model, src, r, max_epochs, max_depth) for r in range(lo, hi)]
     rows = []
-    for r in range(lo, hi):
-        rep, e = src.replica(r, 2 * max_depth)
-        cache = MarkWindowCache(rep)
-        _, sigma, dpat = cache.range(e, e)  # the first fill ends at e and covers the search
-        ym, w, yp = exact_triple(model, rep, e, max_epochs, max_depth, cache)
-        rows.append((r, ym, w, yp, *model.row_marks(float(sigma[0]), float(dpat[0]))))
+    for a in range(lo, hi, _BATCH):
+        rows += _batch_rows(model, src, a, min(a + _BATCH, hi), bound, max_epochs, max_depth)
     return rows
+
+
+def _batch_rows(model: Model, src: MarkSource, lo: int, hi: int, bound: float,
+                max_epochs: int, max_depth: int) -> list[tuple]:
+    """exact_loss_rows for one batch; its arrays are freed on return, before
+    the next batch's marks are fetched."""
+    marks = src.replica_windows(lo, hi, 2 * max_depth, _FIRST_FILL)
+    alpha_up = model.dominating.alpha_array(*marks)
+    k = renovation_offsets(marks[0], alpha_up, bound, max_epochs, max_depth)
+    ym, w, yp = _replay_rows(model, marks, alpha_up, k).tolist()
+    sigma, dpat = marks[1:, :, -1].tolist()
+    return [(r, ym[i], w[i], yp[i], *model.row_marks(sigma[i], dpat[i])) if k[i] >= 0
+            else _exact_row(model, src, r, max_epochs, max_depth)
+            for i, r in enumerate(range(lo, hi))]
 
 
 def loss_report_from_rows(model: Model, src: MarkSource, rows) -> LossReport:

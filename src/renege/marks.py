@@ -435,6 +435,35 @@ class MarkSource:
             dpat[m] = sm.dpat.quantile(u[m, 3])
         return xi, sigma, dpat
 
+    def replica_windows(self, lo: int, hi: int, spacing: int, width: int) -> np.ndarray:
+        """Marks (3, hi - lo, width): row i holds what window_arrays gives for
+        the `width` indices ending at replica lo+i's epoch (see replica).
+
+        iid replicas differ only in their Philox key, so one generator is
+        re-keyed per replica and the quantiles run once over the batch.
+        """
+        if not self.is_iid:
+            out = np.empty((3, hi - lo, width))
+            for i, e in enumerate(range(lo * spacing, hi * spacing, spacing)):
+                out[:, i] = self.window_arrays(e - width + 1, e)
+            return out
+        bg = np.random.Philox(0)
+        state = bg.state
+        g0 = (self.origin - width + 1) % _COUNTER_MOD
+        state["state"]["counter"][:] = [(g0 >> b) & _MASK64 for b in (0, 64, 128, 192)]
+        key = state["state"]["key"]
+        key[1] = self.seed & _MASK64
+        raw = np.empty((hi - lo, width, 4), dtype=np.uint64)
+        for i in range(hi - lo):
+            key[0] = (self.stream + lo + i) & _MASK64
+            bg.state = state
+            raw[i] = bg.random_raw(4 * width).reshape(width, 4)
+        sm = self.states[0]
+        out = np.empty((3, hi - lo, width))
+        for j, m in enumerate((sm.xi, sm.sigma, sm.dpat)):
+            out[j] = m.quantile((raw[:, :, j + 1] >> np.uint64(11)) * _U53)
+        return out
+
     # -- public mark access --------------------------------------------------
 
     def mark_at(self, n: int) -> MarkTriple:

@@ -12,19 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .des import Scenario, simulate
+from .fifo import BEGIN, END
 from .marks import Uniform, iid_source
-
-
-def _fifo_inner(x, s, d):
-    return np.where(x <= d, x + s, x)
-
-
-def _end_inner(x, s, d):
-    return np.where(x > d, x, np.minimum(x + s, d))
-
-
-def _clip_step(inner, xi):
-    return np.maximum(inner - xi, 0.0)
+from .recursion import clip, step_array
 
 
 def _tuples(count: int, seed: int):
@@ -53,16 +43,16 @@ def pointwise_inequality_suite(count: int = 100_000, seed: int = 20240811) -> di
         "end_step_vs_fifo_step": 0,          # end_step  <=  fifo_step
     }
     for xv in variants:
-        fifo_in = _fifo_inner(xv, s, d)
-        end_in = _end_inner(xv, s, d)
+        fifo_in = BEGIN.inner(xv, s, d)
+        end_in = END.inner(xv, s, d)
         out["served_indicator_vs_envelope"] += int(np.sum(fifo_in > np.maximum(xv, d + s)))
         out["end_inner_vs_capped_fifo"] += int(np.sum(end_in > np.minimum(np.maximum(xv, d), fifo_in)))
         out["floor_vs_end_inner"] += int(np.sum(np.maximum(xv, np.minimum(d, s)) > end_in))
-        fifo_step = _clip_step(fifo_in, xi)
-        low = _clip_step(np.maximum(xv, np.minimum(s, d)), xi)
-        high = _clip_step(np.maximum(xv, s + d), xi)
+        fifo_step = clip(fifo_in - xi)
+        low = step_array(xv, np.minimum(s, d), xi)
+        high = step_array(xv, s + d, xi)
         out["step_envelope_sandwich"] += int(np.sum(low > fifo_step) + np.sum(fifo_step > high))
-        out["end_step_vs_fifo_step"] += int(np.sum(_clip_step(end_in, xi) > fifo_step))
+        out["end_step_vs_fifo_step"] += int(np.sum(clip(end_in - xi) > fifo_step))
     return out
 
 
@@ -76,8 +66,7 @@ def step_monotonicity_violations(count: int = 100_000, seed: int = 20240812) -> 
     xi = rng.uniform(0.0, 2.0, count)
     bad = 0
     for alpha in (np.minimum(s, d), d, s + d):
-        bad += int(np.sum(_clip_step(np.maximum(x, alpha), xi)
-                          > _clip_step(np.maximum(y, alpha), xi)))
+        bad += int(np.sum(step_array(x, alpha, xi) > step_array(y, alpha, xi)))
     return bad
 
 
@@ -91,7 +80,7 @@ def end_case_table_mismatches(count: int = 100_000, seed: int = 20240813) -> int
     """
     x, s, d, _ = _tuples(count, seed)
     case = np.where((s <= d) & (x <= d - s), x + s, np.where(x <= d, d, x))
-    return int(np.sum(case != _end_inner(x, s, d)))
+    return int(np.sum(case != END.inner(x, s, d)))
 
 
 def fifo_nonmonotonicity_witness() -> tuple[float, float, float, float]:

@@ -28,7 +28,8 @@ _FORWARD_CHUNK = 1 << 14  # marks per window of a forward pass
 # Marks in a MarkWindowCache's first fill: a shallow exact draw reads fewer.
 _FIRST_FILL = 128
 # A renovation search first screens this many candidate epochs, each over this
-# many lags; both double as needed, with at most _SEARCH_CELLS terms per pass.
+# many lags; both double as needed, with at most _SEARCH_CELLS terms per pass
+# (per slice of replicas in a lockstep screen).
 _SEARCH_EPOCHS = 16
 _SEARCH_LAGS = 16
 _SEARCH_CELLS = 1 << 16
@@ -183,6 +184,19 @@ def step(y: float, mark: MarkTriple, spec: RecursionSpec) -> float:
     return v if v > 0.0 else 0.0
 
 
+def clip(v: np.ndarray) -> np.ndarray:
+    """[v]+ elementwise as the scalar steps write it, v if v > 0.0 else 0.0:
+    +0.0 where v is -0.0 (np.maximum leaves the sign of tied zeros to the
+    implementation)."""
+    return np.where(v > 0.0, v, 0.0)
+
+
+def step_array(y: np.ndarray, alpha: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The step [max(y, alpha) - xi]+ elementwise, with the scalar kernels'
+    operations (y if y > alpha else alpha)."""
+    return clip(np.where(y > alpha, y, alpha) - xi)
+
+
 def _lag_terms(spec: RecursionSpec, src: MarkSource, epoch: int, depth: int,
                cache: MarkWindowCache | None = None):
     """Terms alpha_{epoch-j} - cumsum beta for lags j=1..depth, oldest mark first."""
@@ -332,6 +346,65 @@ def renovation_search(spec: RecursionSpec, src: MarkSource, epoch: int, max_epoc
     raise RenovationNotFoundError(
         f"no certified zero epoch within {max_epochs} epochs of {epoch}; either zero states "
         "have probability 0 for this source or max_epochs/max_depth are too small")
+
+
+def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epochs: int,
+                       max_depth: int) -> np.ndarray:
+    """Renovation distances of a batch of replicas, screened in lockstep.
+
+    Row i of xi and alpha holds a window of marks whose last column is
+    replica i's epoch.  Entry i is the k for which renovation_search (first=0,
+    max_depth >= 1) returns epoch - k, or -1 when the window cannot tell: the
+    first candidate that is not positive is undecided at the window's start,
+    or max_epochs or max_depth stops the search (renovation_search then
+    raises).  The screen is renovation_search's block screen with a third
+    axis for the replicas, each at its own next candidate k: the sums are the
+    same np.add.accumulate down the lags, and a replica whose candidates were
+    all positive moves on by the block, doubled for the next pass, while one
+    whose first open candidate is undecided doubles the lags.  A pass covers
+    at most _SEARCH_CELLS (replica, lag, candidate) cells at a time.
+    """
+    replicas, width = xi.shape
+    out = np.full(replicas, -1)
+    k = np.zeros(replicas, dtype=np.intp)
+    todo = np.arange(replicas)
+    epochs, lags = _SEARCH_EPOCHS, min(_SEARCH_LAGS, max_depth, width - 1)
+    while todo.size:
+        part = max(1, _SEARCH_CELLS // (epochs * lags))
+        more_epochs = more_lags = False
+        nxt = []
+        for rows in np.split(todo, range(part, todo.size, part)):
+            cand = np.arange(epochs)
+            kr = k[rows]
+            # [i, j-1, c] is lag j of replica i's candidate epoch - k - c
+            at = (width - 1 - kr)[:, None, None] - np.arange(1, lags + 1)[:, None] - cand
+            inside = at >= 0
+            at = np.where(inside, at, 0) + (rows * width)[:, None, None]
+            s = np.add.accumulate(xi.ravel()[at], axis=1)
+            positive = (alpha.ravel()[at] - s > 0.0) & inside
+            decided = positive | ((s >= bound) & inside)
+            first = decided.argmax(axis=1)
+            in_range = (kr[:, None] + cand) <= max_epochs
+            is_pos = np.take_along_axis(positive, first[:, None], axis=1)[:, 0] & in_range
+            has_open = ~is_pos.all(axis=1)
+            c0 = (~is_pos).argmax(axis=1)  # the first open candidate
+            k0 = kr + c0
+            i = np.arange(rows.size)
+            cert = has_open & (k0 <= max_epochs) & decided[i, first[i, c0], c0]
+            out[rows[cert]] = k0[cert]
+            undecided = has_open & ~cert
+            stuck = (k0 > max_epochs) | (lags >= np.minimum(max_depth, width - 1 - k0))
+            widen = undecided & ~stuck
+            k[rows] = np.where(has_open, k0, kr + epochs)
+            more_lags |= bool(widen.any())
+            more_epochs |= not has_open.all()
+            nxt.append(rows[widen | ~has_open])
+        todo = np.concatenate(nxt)
+        if more_lags:
+            lags = min(2 * lags, max_depth, width - 1)
+        if more_epochs:
+            epochs = min(2 * epochs, width - 1)
+    return out
 
 
 @dataclass(frozen=True)

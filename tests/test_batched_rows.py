@@ -1,0 +1,234 @@
+"""Exact loss rows in lockstep batches against the scalar path, bit for bit.
+
+The oracle computes each replica on its own, as exact_loss_rows did before
+batching: the replica's source and epoch, the scalar renovation search and
+three-chain replay of exact_triple, and the observer's marks by mark_at.
+Rows are compared through float.hex, so a signed zero or a last-ulp change
+fails.  Small batch sizes put batch boundaries inside the ranges tested.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from renege import (
+    CapabilityError,
+    DepthExhaustedError,
+    Exponential,
+    RenovationNotFoundError,
+    StateMarginals,
+    TruncatedExponential,
+    Uniform,
+    deterministic_source,
+    iid_source,
+    markov_source,
+)
+from renege import fifo
+from renege.cli import main
+from renege.fifo import BEGIN, END, MODELS, exact_loss_rows, exact_triple
+from renege.recursion import renovation_offsets
+
+# heavy end-model dominating recursion (alpha = dpat up to 6): about one
+# replica in six is not decided within its 128-mark window
+DEEP = iid_source(Uniform(0.1, 0.9), Uniform(0.0, 1.0), TruncatedExponential(0.5, 6.0),
+                  seed=4405)
+DEEP_MARKOV = markov_source(
+    [[0.8, 0.2], [0.3, 0.7]],
+    (StateMarginals(Uniform(0.1, 0.9), Uniform(0.0, 1.0), TruncatedExponential(0.5, 6.0)),
+     StateMarginals(Uniform(0.3, 1.2), Uniform(0.0, 0.5), Uniform(0.0, 2.0))),
+    seed=4406)
+SOURCES = {
+    "iid": iid_source(Uniform(0.2, 1.0), TruncatedExponential(1.5, 2.0), Uniform(0.0, 1.5),
+                      seed=20081),
+    "markov": markov_source(
+        [[0.9, 0.1], [0.3, 0.7]],
+        (StateMarginals(Uniform(0.5, 1.5), Uniform(0.0, 0.8), Uniform(0.0, 1.0)),
+         StateMarginals(Uniform(0.1, 0.7), TruncatedExponential(1.0, 3.0), Uniform(0.5, 3.0))),
+        seed=20082),
+    "deterministic": deterministic_source(1.5, 0.5, 0.7, seed=3),
+    "deep": DEEP,
+    "deep-markov": DEEP_MARKOV,
+}
+
+
+def oracle_rows(model, src, lo, hi, max_epochs, max_depth):
+    rows = []
+    for r in range(lo, hi):
+        rep, e = src.replica(r, 2 * max_depth)
+        ym, w, yp = exact_triple(model, rep, e, max_epochs, max_depth)
+        mark = rep.mark_at(e)
+        rows.append((r, ym, w, yp, *model.row_marks(mark.sigma, mark.dpat)))
+    return rows
+
+
+def hexed(rows):
+    return [tuple(c.hex() if isinstance(c, float) else c for c in row) for row in rows]
+
+
+def outcome(fn):
+    try:
+        return hexed(fn())
+    except (CapabilityError, DepthExhaustedError, RenovationNotFoundError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def count_fallbacks(monkeypatch):
+    calls = []
+    scalar = fifo._exact_row
+
+    def counted(model, src, r, *limits):
+        calls.append(r)
+        return scalar(model, src, r, *limits)
+    monkeypatch.setattr(fifo, "_exact_row", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(SOURCES))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_rows_match_the_scalar_path(model, kind, monkeypatch):
+    model, src = MODELS[model], SOURCES[kind]
+    monkeypatch.setattr(fifo, "_BATCH", 7)
+    lo, hi = 5, 45  # starts and ends inside a batch
+    assert hexed(exact_loss_rows(model, src, lo, hi, 10_000, 400)) == \
+        hexed(oracle_rows(model, src, lo, hi, 10_000, 400))
+
+
+def test_default_batches_match_the_scalar_path():
+    src = SOURCES["iid"]
+    assert hexed(exact_loss_rows(BEGIN, src, 250, 600, 10_000, 10_000)) == \
+        hexed(oracle_rows(BEGIN, src, 250, 600, 10_000, 10_000))
+
+
+def test_deep_replicas_fall_back_to_the_scalar_path(count_fallbacks):
+    rows = exact_loss_rows(END, DEEP, 0, 120, 10_000, 10_000)
+    assert 5 <= len(count_fallbacks) <= 60
+    assert hexed(rows) == hexed(oracle_rows(END, DEEP, 0, 120, 10_000, 10_000))
+
+
+def test_shallow_replicas_stay_in_the_batch(count_fallbacks):
+    exact_loss_rows(BEGIN, SOURCES["iid"], 0, 300, 10_000, 10_000)
+    assert len(count_fallbacks) <= 3
+
+
+@pytest.mark.parametrize("kind", ["deep", "deep-markov"])
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("max_epochs, max_depth", [(1, 10_000), (0, 10_000), (10_000, 2),
+                                                   (3, 5), (10_000, 0), (60, 10_000)])
+def test_errors_match_the_scalar_path(model, kind, max_epochs, max_depth, monkeypatch):
+    # a Markov replica's error names its own epoch, so it also shows which
+    # replica raised first
+    model, src = MODELS[model], SOURCES[kind]
+    monkeypatch.setattr(fifo, "_BATCH", 16)
+    want = outcome(lambda: oracle_rows(model, src, 3, 60, max_epochs, max_depth))
+    assert isinstance(want, tuple)
+    assert outcome(lambda: exact_loss_rows(model, src, 3, 60, max_epochs, max_depth)) == want
+
+
+def test_unbounded_marginals_raise_capability_error():
+    src = iid_source(Exponential(1.0), Uniform(0.0, 0.5), Exponential(2.0), seed=9)
+    with pytest.raises(CapabilityError):
+        exact_loss_rows(BEGIN, src, 0, 3, 100, 100)
+    assert exact_loss_rows(BEGIN, src, 4, 4, 100, 100) == []
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", ["iid", "markov", "deterministic"])
+@pytest.mark.parametrize("origin", [0, -5, 3, 2 ** 256 - 40, -(2 ** 256) + 60])
+def test_batch_marks_match_window_arrays(kind, origin):
+    src = SOURCES[kind].shift(origin)
+    for lo, hi in ((0, 9), (37, 41)):
+        batch = src.replica_windows(lo, hi, 300, 128)
+        assert batch.shape == (3, hi - lo, 128)
+        for i, r in enumerate(range(lo, hi)):
+            rep, e = src.replica(r, 300)
+            np.testing.assert_array_equal(_bits(batch[:, i]),
+                                          _bits(np.stack(rep.window_arrays(e - 127, e))))
+
+
+def test_batch_marks_wrap_the_stream():
+    src = iid_source(Exponential(1.0), TruncatedExponential(2.0, 1.0), Uniform(0.0, 2.0),
+                     seed=2 ** 64 - 1, stream=2 ** 64 - 3)
+    batch = src.replica_windows(0, 6, 1, 16)
+    for r in range(6):
+        assert src.substream(r).stream == (2 ** 64 - 3 + r) % 2 ** 64
+        np.testing.assert_array_equal(_bits(batch[:, r]),
+                                      _bits(np.stack(src.substream(r).window_arrays(-15, 0))))
+
+
+def window_oracle(xi, alpha, bound, max_epochs, max_depth):
+    """What renovation_search returns for the window's last index, walking
+    each candidate's lags in turn; -1 where it needs marks before the window
+    or raises."""
+    width = len(xi)
+    for k in range(max_epochs + 1):
+        s = 0.0
+        for j in range(1, max_depth + 1):
+            col = width - 1 - k - j
+            if col < 0:
+                return -1
+            s = s + xi[col]
+            if alpha[col] - s > 0.0:
+                break
+            if s >= bound:
+                return k
+        else:
+            return -1
+    return -1
+
+
+# coarse values make positive terms and reached bounds tie at one lag
+grid = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.lists(st.lists(st.tuples(grid, grid), min_size=2, max_size=100),
+                     min_size=1, max_size=5),
+       bound=st.sampled_from([0.5, 1.0, 2.0, 3.0]), max_epochs=st.integers(0, 120),
+       max_depth=st.integers(1, 120))
+def test_screen_matches_the_per_candidate_walk(rows, bound, max_epochs, max_depth):
+    width = min(len(r) for r in rows)
+    xi = np.array([[x for x, _ in r[:width]] for r in rows])
+    alpha = np.array([[a for _, a in r[:width]] for r in rows])
+    got = renovation_offsets(xi, alpha, bound, max_epochs, max_depth)
+    want = [window_oracle(x.tolist(), a.tolist(), bound, max_epochs, max_depth)
+            for x, a in zip(xi, alpha)]
+    assert got.tolist() == want
+
+
+def test_screen_reaches_past_the_first_blocks():
+    # row i: candidates 0..k_i - 1 are positive at lag 1 and candidate k_i
+    # needs 40 lags; 16 and 48 open the second and third blocks
+    width = 128
+    want = [1, 15, 16, 17, 47, 48, 70]
+    xi = np.full((len(want), width), 0.1)
+    alpha = np.zeros((len(want), width))
+    for row, k in zip(alpha, want):
+        row[width - 1 - k:] = 1.0
+    got = renovation_offsets(xi, alpha, 3.95, 10_000, 10_000)
+    assert [window_oracle(x.tolist(), a.tolist(), 3.95, 10_000, 10_000)
+            for x, a in zip(xi, alpha)] == want
+    assert got.tolist() == want
+
+
+def test_worker_counts_write_identical_files(tmp_path):
+    # chunks of 60 rows over 1, 2 and 3 workers cut the batches differently
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps({"source": {
+        "kind": "iid", "seed": 4405, "xi": {"dist": "uniform", "low": 0.1, "high": 0.9},
+        "sigma": {"dist": "uniform", "low": 0.0, "high": 1.0},
+        "dpat": {"dist": "truncated-exponential", "rate": 0.5, "cap": 6.0}},
+        "run": {"mode": "exact", "samples": 60}}))
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert main(["loss-end", "--config", str(cfg), "--workers", str(workers),
+                     "--out-dir", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1] == outputs[2]

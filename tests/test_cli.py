@@ -1,9 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from renege.cli import main, run_scenario
+from renege.cli import _write_csv, main, run_scenario
 from renege.marks import ConfigError
 
 DET_STABLE_SOURCE = {
@@ -301,3 +302,34 @@ def test_out_of_range_run_integers_exit_2(tmp_path, capsys, experiment, run, arg
                  "--out-dir", str(tmp_path / "out"), *args])
     assert code == 2
     assert "must be >= " in capsys.readouterr().err
+
+
+def _csv_writer_reference(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(c)) if isinstance(c, float) else c for c in row]
+                         for row in rows)
+
+
+@pytest.mark.parametrize("header, rows", [
+    (["a", "b"], []),
+    (["index", "value", "epoch", "outcome"],
+     [(i, i / 7, None if i % 3 else -i, "served") for i in range(3000)]),
+    (["x", "y"], [(-0.0, float("inf")), (float("nan"), 1e-300), (True, 2 ** 70)]),
+    (["x", "y"], [(np.float64(0.1), np.int64(3)), (1.5, "has,comma")]),
+    (["x", "y"], [("q\"uote", ""), ("line\nend", "cr\rx")]),
+    (["only"], [("",), (None,), (1.0,)]),
+    (["a,b", "c"], [(1, 2)]),
+])
+def test_write_csv_matches_csv_writer(tmp_path, header, rows):
+    # floats go through float.__repr__, so numpy floats read as plain floats
+    _write_csv(tmp_path / "got.csv", header, iter(rows))
+    _csv_writer_reference(tmp_path / "want.csv", header, rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [[(1, 2), (3,)], [(1, 2, 3)], [(1, 2)] * 300 + [(1, 2, 3)]])
+def test_write_csv_rejects_rows_unlike_the_header(tmp_path, rows):
+    with pytest.raises(ValueError, match="every row needs 2 fields"):
+        _write_csv(tmp_path / "got.csv", ["a", "b"], iter(rows))

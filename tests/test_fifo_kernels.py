@@ -1,4 +1,5 @@
-"""Each model's window kernel against its scalar step, bit for bit.
+"""Each model's window kernels and numpy step forms against its scalar step,
+bit for bit.
 
 The reference advances the model's workload with its scalar step, and the
 dominated and dominating chains with the generic recursion step, one mark at
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from renege import SIGMA_MIN_D, MarkTriple, step
 from renege.fifo import BEGIN, END, MODELS
+from renege.recursion import clip, step_array
 
 values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]),
                    st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False))
@@ -69,3 +71,30 @@ def test_kernel_thresholds_at_the_boundary():
     assert END.window(0.0, d, 0.0, *one)[3] == (1, 0, 0, 0)
     assert END.window(0.0, 0.5, 0.0, *one)[3] == (0, 0, 0, 0)  # w == d - sigma completes
     assert END.window(0.0, math.nextafter(d, math.inf), 0.0, *one)[3] == (1, 0, 0, 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(model=st.sampled_from(sorted(MODELS)), mark_list=marks,
+       kind=st.sampled_from(["zero", "at_d", "above_d", "at_threshold", "free"]), free=values)
+def test_w_path_and_numpy_steps_match_scalar_steps(model, mark_list, kind, free):
+    # the numpy forms step every (state, mark) pair of the scalar walk at once
+    model = MODELS[model]
+    x, s, d = mark_list[0]
+    w = _start(kind, x, s, d, free)
+    states, ys = [], []
+    for x, s, d in mark_list:
+        states.append(w)
+        ys.append(step(w, MarkTriple(x, s, d), SIGMA_MIN_D))
+        w = model.step(w, x, s, d)
+    xi, sigma, dpat = (np.array(c) for c in zip(*mark_list))
+    after = [v.hex() for v in states[1:] + [w]]
+    assert [v.hex() for v in model.w_path(states[0], xi, sigma, dpat)] == after
+    assert [v.hex() for v in model.step_array(np.array(states), xi, sigma, dpat).tolist()] == after
+    got = step_array(np.array(states), np.minimum(sigma, dpat), xi).tolist()
+    assert [v.hex() for v in got] == [v.hex() for v in ys]
+
+
+def test_clip_writes_positive_zero():
+    assert [v.hex() for v in clip(np.array([-0.0, 0.0, -1.5, 2.0])).tolist()] == \
+        [(0.0).hex(), (0.0).hex(), (0.0).hex(), (2.0).hex()]
+    assert step_array(np.array([0.0]), np.array([-0.0]), np.array([0.0]))[0].hex() == (0.0).hex()

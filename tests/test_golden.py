@@ -35,6 +35,11 @@ MARKOV3 = {"kind": "markov", "seed": 4404,
            "states": [{"xi": _u(0.2, 0.6), "sigma": _u(0.0, 0.3), "dpat": _u(0.0, 0.2)},
                       {"xi": _u(0.8, 1.6), "sigma": _u(0.0, 0.9), "dpat": _u(0.0, 0.5)},
                       {"xi": _u(1.0, 2.0), "sigma": _u(0.2, 1.2), "dpat": _u(0.1, 0.9)}]}
+# heavy end-model dominating recursion (alpha = dpat, up to 6): about one replica
+# in six needs more than 128 marks to certify and replay, so the loss rows take
+# the scalar path for those
+DEEP = {"kind": "iid", "seed": 4405, "xi": _u(0.1, 0.9), "sigma": _u(0.0, 1.0),
+        "dpat": {"dist": "truncated-exponential", "rate": 0.5, "cap": 6.0}}
 
 # name -> (subcommand, config)
 CASES = {
@@ -46,6 +51,9 @@ CASES = {
     "loss-begin-iid": ("loss-begin", {"source": BOUNDED, "run": {"mode": "exact", "samples": 60}}),
     "loss-begin-approx": ("loss-begin", {"source": EXPO, "run": {
         "mode": "approximate", "samples": 20000, "warmup": 2000}}),
+    "loss-begin-markov": ("loss-begin", {"source": MARKOV,
+                                         "run": {"mode": "exact", "samples": 60}}),
+    "loss-end-iid": ("loss-end", {"source": DEEP, "run": {"mode": "exact", "samples": 60}}),
     "loss-end-markov": ("loss-end", {"source": MARKOV, "run": {"mode": "exact", "samples": 60}}),
     "loss-end-markov3": ("loss-end", {"source": MARKOV3, "run": {"mode": "exact", "samples": 40}}),
     "loss-end-approx-markov": ("loss-end", {"source": MARKOV, "run": {
@@ -83,6 +91,14 @@ HASHES = {
     },
     "loss-begin-approx": {
         "summary.json": "d7910ee48b6ba8364adb701ac0e64dec2eb21310a984c8d7aa3daecb7ca43fdb",
+    },
+    "loss-begin-markov": {
+        "detail.csv": "7103da6c6b4eb046197d6fcd4bd749469baf64ab721006816c5f5759494903d9",
+        "summary.json": "ca361fddc0d06e487d88c8a0a603a2e2228aead0879389e5c7860b98a2c156cd",
+    },
+    "loss-end-iid": {
+        "detail.csv": "9bb1590d1683c69996d40c48231c2c8c5e78f73ea2a81ae9e154ee1d46b9b03c",
+        "summary.json": "9ddbf4aec4dddd24109ed4a337a1d21dc20bcaba36285b5870ecef7e04a5e1e4",
     },
     "loss-end-markov": {
         "detail.csv": "419bbb6fa541e99449a3c4cbf87a8d5760c28bd9d79e68af3d64341636e68e1c",
