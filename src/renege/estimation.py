@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 _Z95 = 1.959963984540054
 
@@ -74,6 +73,7 @@ def mc_aggregate(values, kind: str = "auto") -> Estimate:
     if n == 1:
         return Estimate(point=mean, low=-math.inf, high=math.inf, n=1, kind="t")
     var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
+    from scipy import stats  # about 1 s to import; only real-valued intervals need it
     half = float(stats.t.ppf(0.975, n - 1)) * math.sqrt(var / n)
     return Estimate(point=mean, low=mean - half, high=mean + half, n=n, kind="t")
 

@@ -13,13 +13,20 @@ states above the observing customer's threshold; the dominated and
 dominating chains bracket them.
 
 A Model holds what differs between the two: the dominating spec, the scalar
-step (w, xi, sigma, dpat) -> w', its elementwise numpy form, a window kernel
-that advances (ym, w, yp) over a window of marks and counts its exceedances,
-one that lists W alone along a window, and the layout of the exact loss
-rows.  The kernels are written out per model because the forward loops are
-the hot path of approximate runs, which a function call per step slows by
-about 8% (three chains) to 17% (W alone) (loop-only timing, 2 cores,
-Python 3.11).
+step (w, xi, sigma, dpat) -> w', its elementwise numpy form, a scalar window
+kernel that advances (ym, w, yp) over a window of marks and counts its
+exceedances, one that lists W alone along a window, and the layout of the
+exact loss rows.
+
+Long forward runs (approximate loss, approximate sampling) go through one
+coupled-segment engine, _coupled, for both models.  The queue is
+regenerative: two copies driven by the same marks are equal from the first
+index where their states are equal.  So a window is cut into segments of
+_SEGMENT marks, every segment is run from 0 in lockstep with the numpy step
+forms, and each segment's true start (the previous segment's end) is
+stepped until it meets that recorded path.  The scalar kernels stay as the
+engine's fallback, for windows too short to cut, for the first segment and
+after a segment that does not couple, and as its test oracle.
 """
 
 from __future__ import annotations
@@ -50,6 +57,12 @@ DEFAULT_WARMUP = 100_000
 # Replicas per lockstep batch of exact loss rows: the batch's arrays peak
 # near 1 MB for a Markov source and 1.3 MB for an iid one.
 _BATCH = 128
+# Marks per window of a coupled forward run, and per segment of a window.
+# With its marks, a window's arrays peak near 4 MB (2 MB for the scalar
+# kernels).  On the M/M/1+M forward workload every segment couples, within
+# 56 steps at most.
+_WINDOW = 1 << 15
+_SEGMENT = 64
 
 
 @dataclass(frozen=True)
@@ -76,20 +89,21 @@ class Model:
     """What one single-server model needs beyond the shared drivers.
 
     inner(w, sigma, dpat) is the elementwise numpy form of the step before
-    xi is taken off, so step_array is the step.  window(ym, w, yp, xi,
-    sigma, dpat) returns (ym, w, yp, counts) after the window, counts being
-    how many arrivals saw each of (w, ym, yp) above their loss threshold,
-    plus, for the end model, w above dpat (the customer never reaches the
-    server); w_path(w, xi, sigma, dpat) lists w after each arrival.  An
-    exact loss row is (replica, ym, w, yp, *row_marks(sigma, dpat));
-    exceeds(ym, w, yp, *row marks) gives the same indicators for one row.
+    xi is taken off, so step_array is the step.  scalar_window(ym, w, yp,
+    xi, sigma, dpat) returns (ym, w, yp, counts) after the window, counts
+    being how many arrivals saw each of (w, ym, yp) above their loss
+    threshold, plus, for the end model, w above dpat (the customer never
+    reaches the server); w_path(w, xi, sigma, dpat) lists w after each
+    arrival.  An exact loss row is (replica, ym, w, yp, *row_marks(sigma,
+    dpat)); exceeds(ym, w, yp, *row marks) gives the same indicators for one
+    row, or elementwise for arrays.
     """
 
     name: str
     dominating: RecursionSpec
     step: Callable[[float, float, float, float], float]
     inner: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    window: Callable[..., tuple]
+    scalar_window: Callable[..., tuple]
     w_path: Callable[..., list]
     row_marks: Callable[[float, float], tuple]
     exceeds: Callable[..., tuple]
@@ -104,6 +118,11 @@ class Model:
     def step_array(self, w, xi, sigma, dpat):
         """step, elementwise over numpy arrays, with the same IEEE operations."""
         return clip(self.inner(w, sigma, dpat) - xi)
+
+    def window(self, ym, w, yp, xi, sigma, dpat) -> tuple:
+        """What scalar_window returns, computed by the coupled-segment engine."""
+        state, counts = _coupled(self, (ym, w, yp), xi, sigma, dpat)
+        return (*state, counts)
 
 
 def _step_begin(w: float, x: float, s: float, d: float) -> float:
@@ -207,17 +226,103 @@ def _window_end(ym, w, yp, xi, sigma, dpat):
 
 BEGIN = Model(
     name="begin", dominating=SIGMA_PLUS_D, step=_step_begin, inner=_inner_begin,
-    window=_window_begin, w_path=_w_path_begin,
+    scalar_window=_window_begin, w_path=_w_path_begin,
     row_marks=lambda s, d: (d,),
     exceeds=lambda ym, w, yp, d: (w > d, ym > d, yp > d),
     columns=("replica", "y_min", "w", "y_plus", "dpat"))
 END = Model(
     name="end", dominating=D_ONLY, step=_step_end, inner=_inner_end,
-    window=_window_end, w_path=_w_path_end,
+    scalar_window=_window_end, w_path=_w_path_end,
     row_marks=lambda s, d: (s, d),
     exceeds=lambda ym, w, yp, s, d: (w > d - s, ym > d - s, yp > d - s, w > d),
     columns=("replica", "y_min", "s", "y_dpat", "sigma", "dpat"))
 MODELS = {m.name: m for m in (BEGIN, END)}
+
+
+def _scalar(model: Model, state: tuple, xi, sigma, dpat) -> tuple:
+    """_coupled by the scalar kernels: the three chains with their counts, or
+    W alone with none."""
+    if len(state) == 3:
+        *state, counts = model.scalar_window(*state, xi, sigma, dpat)
+        return tuple(state), counts
+    return (model.w_path(state[0], xi, sigma, dpat)[-1] if xi.size else state[0],), ()
+
+
+def _coupled(model: Model, state: tuple, xi, sigma, dpat) -> tuple:
+    """(state, counts) after the window xi, sigma, dpat, for the chains in
+    `state`: (ym, w, yp) with the exceedance counts of Model.scalar_window,
+    or (w,) alone with no counts.  Bit-identical to the scalar kernels.
+
+    The window is cut into segments of _SEGMENT arrivals.  Equal states take
+    equal steps, so a path that meets another on the same marks retraces it
+    from there on.  Segment 0 runs through the scalar kernels from `state`
+    and from 0; when the two ends differ it has not coupled, and the scalar
+    kernels run the rest of the window.  Otherwise the later whole segments
+    go to _lockstep, and the scalar kernels run what it leaves.
+    """
+    k = xi.size // _SEGMENT - 1  # whole segments after segment 0
+    if k < 1:  # no segment to guess a start for
+        return _scalar(model, state, xi, sigma, dpat)
+    head = slice(_SEGMENT)
+    zero, _ = _scalar(model, (0.0,) * len(state), xi[head], sigma[head], dpat[head])
+    state, counts = _scalar(model, state, xi[head], sigma[head], dpat[head])
+    a = _SEGMENT  # marks taken
+    if state == zero:
+        body = slice(a, a + k * _SEGMENT)
+        state, more, taken = _lockstep(model, state, xi[body], sigma[body], dpat[body])
+        counts = tuple(map(add, counts, more))
+        a += taken
+    state, rest = _scalar(model, state, xi[a:], sigma[a:], dpat[a:])
+    return state, tuple(map(add, counts, rest))
+
+
+def _lockstep(model: Model, state: tuple, xi, sigma, dpat) -> tuple:
+    """(state, counts, marks taken) of _coupled over the K whole segments of
+    xi, sigma, dpat, the first starting from its true `state`.
+
+    (a) Every segment runs from 0 at once, in the numpy step forms, and the
+    states seen before each arrival are recorded.  (b) Segment 0 starts from
+    `state` and every later one from the recorded end of the one before, its
+    true start when that one coupled; these starts are stepped in lockstep
+    until all the chains of every segment equal its recorded path.  (c) So
+    the stepped path, continued by the recorded one, is each segment's true
+    path: its counts are those before the coupling index plus the recorded
+    ones from there on, and its end is the recorded end.  The segments are
+    taken up to the first one that does not couple within _SEGMENT steps,
+    whose stepped path is its true one.
+    """
+    k = xi.size // _SEGMENT
+    # [j, i] is arrival j of segment i
+    x, s, d = (v.reshape(k, _SEGMENT).T.copy() for v in (xi, sigma, dpat))
+    w_row = len(state) // 2  # chains are rows: (w,) or (ym, w, yp)
+    if w_row:
+        alphas = np.stack((np.where(s < d, s, d), model.dominating.alpha_array(x, s, d)), axis=1)
+
+    def step(j, y, out):
+        out[w_row] = model.step_array(y[w_row], x[j], s[j], d[j])
+        if w_row:
+            out[::2] = step_array(y[::2], alphas[j], x[j])
+
+    # [j, c, i]: chain c of segment i before arrival j, and after the last at j = _SEGMENT
+    recorded = np.zeros((_SEGMENT + 1, len(state), k))  # (a)
+    for j in range(_SEGMENT):
+        step(j, recorded[j], recorded[j + 1])
+    path = np.empty_like(recorded)  # (b)
+    path[0, :, 0] = state
+    path[0, :, 1:] = recorded[-1, :, :-1]
+    for j in range(_SEGMENT + 1):
+        open_ = (path[j] != recorded[j]).any(axis=0)
+        if j == _SEGMENT or not open_.any():
+            break
+        step(j, path[j], path[j + 1])
+    recorded[:j + 1] = path[:j + 1]
+    stop = int(open_.argmax()) if open_.any() else k - 1  # the last segment taken
+    counts = ()
+    if w_row:  # (c)
+        seen = recorded[:_SEGMENT, :, :stop + 1].transpose(1, 0, 2)
+        flags = model.exceeds(*seen, *model.row_marks(s[:, :stop + 1], d[:, :stop + 1]))
+        counts = tuple(int(np.count_nonzero(f)) for f in flags)
+    return tuple(recorded[-1, :, stop].tolist()), counts, (stop + 1) * _SEGMENT
 
 
 def _advance(model: Model, src: MarkSource, lo: int, hi: int,
@@ -225,7 +330,8 @@ def _advance(model: Model, src: MarkSource, lo: int, hi: int,
     """(ym, w, yp) at hi from `state` at lo, and the exceedance counts of the
     arrivals lo..hi-1 (None when there are none)."""
     counts = None
-    for marks in mark_windows(src.window_arrays if cache is None else cache.range, lo, hi):
+    for marks in mark_windows(src.window_arrays if cache is None else cache.range, lo, hi,
+                              _WINDOW):
         *state, c = model.window(*state, *marks)
         counts = c if counts is None else tuple(map(add, counts, c))
     return tuple(state), counts
@@ -243,11 +349,11 @@ def find_renovation_epoch(model: Model, src: MarkSource, max_epochs: int, max_de
 def replay(model: Model, src: MarkSource, start_epoch: int, end_epoch: int,
            cache: MarkWindowCache | None = None) -> float:
     """Workload at end_epoch when it was 0 at start_epoch."""
-    w = 0.0
+    state = (0.0,)
     for marks in mark_windows(src.window_arrays if cache is None else cache.range,
-                              start_epoch, end_epoch):
-        w = model.w_path(w, *marks)[-1]
-    return w
+                              start_epoch, end_epoch, _WINDOW):
+        state, _ = _coupled(model, state, *marks)
+    return state[0]
 
 
 def exact_triple(model: Model, src: MarkSource, epoch: int, max_epochs: int, max_depth: int,
@@ -308,18 +414,18 @@ def forward_samples(model: Model, src: MarkSource, count: int, warmup: int = DEF
     """
     if count < 1 or spacing < 1 or warmup < 0:
         raise ValueError("count and spacing must be >= 1, warmup >= 0")
-    step = model.step
     total = warmup + (count - 1) * spacing + 1
     out = np.empty((3, count))  # rows: state, sigma, dpat of the recording customers
-    w = 0.0
-    pos = taken = 0
-    for xi, sigma, dpat in mark_windows(src.window_arrays, 0, total):
-        for x, s, d in zip(xi.tolist(), sigma.tolist(), dpat.tolist()):
-            if pos >= warmup and (pos - warmup) % spacing == 0:
-                out[:, taken] = w, s, d
-                taken += 1
-            w = step(w, x, s, d)
-            pos += 1
+    w = replay(model, src, 0, warmup)
+    a = taken = 0
+    for xi, sigma, dpat in mark_windows(src.window_arrays, warmup, total):
+        seen = [w] + model.w_path(w, xi, sigma, dpat)  # before each arrival, then after
+        w = seen.pop()
+        at = slice(-a % spacing, None, spacing)
+        got = seen[at]
+        out[:, taken:taken + len(got)] = got, sigma[at], dpat[at]
+        taken += len(got)
+        a += xi.size
     return (out[0], out[1], out[2]) if with_marks else out[0]
 
 
@@ -444,9 +550,8 @@ def compare_disciplines(src: MarkSource, horizon: int) -> int:
         raise ValueError("horizon must be >= 1")
     s = w = 0.0
     violations = 0
-    for xi, sigma, dpat in mark_windows(src.window_arrays, 0, horizon):
-        for x, sg, d in zip(xi.tolist(), sigma.tolist(), dpat.tolist()):
-            s = _step_end(s, x, sg, d)
-            w = _step_begin(w, x, sg, d)
-            violations += s > w
+    for marks in mark_windows(src.window_arrays, 0, horizon):
+        s_path, w_path = _w_path_end(s, *marks), _w_path_begin(w, *marks)
+        violations += int(np.count_nonzero(np.greater(s_path, w_path)))
+        s, w = s_path[-1], w_path[-1]
     return violations

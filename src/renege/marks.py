@@ -20,6 +20,9 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
+# numpy loads numpy.random on first use; loading it here keeps that out of
+# every process-pool worker, which is forked afresh for each CLI call
+from numpy.random import Philox
 
 _MASK64 = (1 << 64) - 1
 _COUNTER_MOD = 1 << 256
@@ -408,7 +411,7 @@ class MarkSource:
         """Raw Philox words of indices g0..g0+count-1, one 4-word block each
         (the words Generator.integers(0, 2**64, dtype=uint64) would return)."""
         key = ((self.seed & _MASK64) << 64) | (self.stream & _MASK64)
-        bg = np.random.Philox(key=key, counter=g0 % _COUNTER_MOD)
+        bg = Philox(key=key, counter=g0 % _COUNTER_MOD)
         return bg.random_raw(4 * count).reshape(count, 4)
 
     def window_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -447,7 +450,7 @@ class MarkSource:
             for i, e in enumerate(range(lo * spacing, hi * spacing, spacing)):
                 out[:, i] = self.window_arrays(e - width + 1, e)
             return out
-        bg = np.random.Philox(0)
+        bg = Philox(0)
         state = bg.state
         g0 = (self.origin - width + 1) % _COUNTER_MOD
         state["state"]["counter"][:] = [(g0 >> b) & _MASK64 for b in (0, 64, 128, 192)]

@@ -169,11 +169,11 @@ class MarkWindowCache:
         return tuple(self._marks[:, lo - self._lo:hi - self._lo + 1])
 
 
-def mark_windows(fetch, lo: int, hi: int):
-    """(xi, sigma, dpat) over indices lo..hi-1, _FORWARD_CHUNK marks at a time,
-    read with fetch(lo, hi) (MarkSource.window_arrays or MarkWindowCache.range)."""
-    for a in range(lo, hi, _FORWARD_CHUNK):
-        yield fetch(a, min(a + _FORWARD_CHUNK, hi) - 1)
+def mark_windows(fetch, lo: int, hi: int, size: int = _FORWARD_CHUNK):
+    """(xi, sigma, dpat) over indices lo..hi-1, `size` marks at a time, read
+    with fetch(lo, hi) (MarkSource.window_arrays or MarkWindowCache.range)."""
+    for a in range(lo, hi, size):
+        yield fetch(a, min(a + size, hi) - 1)
 
 
 def step(y: float, mark: MarkTriple, spec: RecursionSpec) -> float:

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import renege
 from renege.cli import _write_csv, main, run_scenario
 from renege.marks import ConfigError
 
@@ -333,3 +338,16 @@ def test_write_csv_matches_csv_writer(tmp_path, header, rows):
 def test_write_csv_rejects_rows_unlike_the_header(tmp_path, rows):
     with pytest.raises(ValueError, match="every row needs 2 fields"):
         _write_csv(tmp_path / "got.csv", ["a", "b"], iter(rows))
+
+
+def test_cli_import_loads_numpy_random_but_not_scipy():
+    # scipy.stats takes about a second to import and only t intervals use
+    # it; numpy.random is needed by every mark fetch, so it must not be left
+    # to each process-pool worker
+    src = str(Path(renege.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = "import sys, renege.cli; print('scipy' in sys.modules, 'numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert out.stdout.split() == ["False", "True"]

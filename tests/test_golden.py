@@ -3,8 +3,10 @@
 Each case runs through the real entry point and compares the SHA-256 of every
 file it writes with a stored hash.  The hashes were recorded from the code
 before Markov chain states were resolved in vectorised form, so they guard
-that and every later speed-up.  Change a hash only when a numeric change is
-intended and named in CHANGES.md.
+that and every later speed-up.  Those of loss-end-approx-iid,
+loss-begin-approx-heavy and sample-w-approx were recorded from the scalar
+forward kernels, before the coupled-segment engine replaced them.  Change a
+hash only when a numeric change is intended and named in CHANGES.md.
 """
 
 import hashlib
@@ -40,6 +42,12 @@ MARKOV3 = {"kind": "markov", "seed": 4404,
 # the scalar path for those
 DEEP = {"kind": "iid", "seed": 4405, "xi": _u(0.1, 0.9), "sigma": _u(0.0, 1.0),
         "dpat": {"dist": "truncated-exponential", "rate": 0.5, "cap": 6.0}}
+# near-critical begin model (rho = 1, mean patience 5): now and then a segment
+# of an approximate run's window does not couple, and the scalar kernel runs
+# the rest of that window
+HEAVY = {"kind": "iid", "seed": 4406, "xi": {"dist": "exponential", "rate": 1.0},
+         "sigma": {"dist": "exponential", "rate": 1.0},
+         "dpat": {"dist": "exponential", "rate": 0.2}}
 
 # name -> (subcommand, config)
 CASES = {
@@ -58,6 +66,13 @@ CASES = {
     "loss-end-markov3": ("loss-end", {"source": MARKOV3, "run": {"mode": "exact", "samples": 40}}),
     "loss-end-approx-markov": ("loss-end", {"source": MARKOV, "run": {
         "mode": "approximate", "samples": 20000, "warmup": 1000}}),
+    # seven coupled windows: two of warm-up, five of samples
+    "loss-end-approx-iid": ("loss-end", {"source": EXPO, "run": {
+        "mode": "approximate", "samples": 150000, "warmup": 50000}}),
+    "loss-begin-approx-heavy": ("loss-begin", {"source": HEAVY, "run": {
+        "mode": "approximate", "samples": 60000, "warmup": 5000}}),
+    "sample-w-approx": ("sample-w", {"source": EXPO, "run": {
+        "mode": "approximate", "samples": 12, "warmup": 40000}}),
     "regen-markov": ("regen", {"source": MARKOV3, "model": {"servers": 1, "impatience": "begin"},
                                "run": {"customers": 1500, "replicas": 30, "max_depth": 300}}),
     "des-markov": ("des", {"source": MARKOV, "model": {"servers": 2, "impatience": "end"},
@@ -110,6 +125,16 @@ HASHES = {
     },
     "loss-end-approx-markov": {
         "summary.json": "8bb24ccb9823e3045e07d2df1c5e8a1db71cd0f0e73c566fcfa50a0f4a8d6bec",
+    },
+    "loss-end-approx-iid": {
+        "summary.json": "9d02212caf52b8fa44093ef86ef6394572ba08612c6b435e5e1201941fb90898",
+    },
+    "loss-begin-approx-heavy": {
+        "summary.json": "fbca56e52716eec91932e07df0fe799a01961e71c2c888477feaeb63c1dc1bc8",
+    },
+    "sample-w-approx": {
+        "detail.csv": "18f73554a0e697dc0e3d3bac9b1dd34f6d4905b489d988ef3d66150f688e87da",
+        "summary.json": "b3fb51aeafb4d7ed0a7949f5c5b5e20947054ca5bec4d786d5b898558ece1074",
     },
     "regen-markov": {
         "detail.csv": "b5f26611c78c848d2d84d42ea94233d5005851b43655a001a7c854e7537d80b8",
