@@ -49,7 +49,6 @@ from .recursion import (
 from .fifo_begin import (
     StationarySample,
     exact_triple_at,
-    exact_w_at,
     fifo_step,
     find_renovation_epoch,
     forward_samples,

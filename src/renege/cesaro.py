@@ -17,16 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fifo import BEGIN, MODELS
+from .fifo import BEGIN, MODELS, Model
 from .marks import MarkSource
+from .recursion import y_path
 
 _PUSH_STREAM = 0x70757368  # dedicated substream for pushforward marks
 
 
-def _stepper(model: str):
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    return MODELS[model].step
+def _model(name: str) -> Model:
+    if name not in MODELS:
+        raise ValueError(f"unknown model {name!r}")
+    return MODELS[name]
 
 
 @dataclass(frozen=True)
@@ -73,14 +74,7 @@ def kolmogorov_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
 
 def _trajectory(src: MarkSource, n: int, model: str) -> np.ndarray:
     """States w_1..w_n of the workload started from 0 at index 0."""
-    step = _stepper(model)
-    xi, sigma, dpat = src.window_arrays(0, n - 1)
-    out = np.empty(n)
-    w = 0.0
-    for i, (x, s, d) in enumerate(zip(xi.tolist(), sigma.tolist(), dpat.tolist())):
-        w = step(w, x, s, d)
-        out[i] = w
-    return out
+    return np.array(_model(model).w_path(0.0, *src.window_arrays(0, n - 1)))
 
 
 def cesaro_distribution(src: MarkSource, n: int, model: str,
@@ -114,12 +108,8 @@ def invariance_distance(mu: EmpiricalMeasure, src: MarkSource, model: str) -> fl
     diagnostic, not a contract, except in deterministic periodic cases where
     it must vanish.
     """
-    step = _stepper(model)
-    fresh = src.substream(_PUSH_STREAM)
-    n = mu.values.size
-    xi, sigma, dpat = fresh.window_arrays(0, n - 1)
-    pushed = np.array([step(w, x, s, d) for w, x, s, d
-                       in zip(mu.values.tolist(), xi.tolist(), sigma.tolist(), dpat.tolist())])
+    marks = src.substream(_PUSH_STREAM).window_arrays(0, mu.values.size - 1)
+    pushed = _model(model).step_array(mu.values, *marks)
     half = EmpiricalMeasure(values=np.concatenate([mu.values, pushed]),
                             weights=np.concatenate([mu.weights, mu.weights]) * 0.5,
                             n_steps=mu.n_steps, model=mu.model)
@@ -147,12 +137,7 @@ def tightness_report(src: MarkSource, n: int, levels=(0.5, 0.9, 0.99, 0.999)) ->
         raise ValueError("n must be >= 1")
     xi, sigma, dpat = src.window_arrays(0, n - 1)
     w_traj = BEGIN.w_path(0.0, xi, sigma, dpat)
-    l_traj = []
-    lv = 0.0
-    for x, a in zip(xi.tolist(), (sigma + dpat).tolist()):
-        v = (lv if lv > a else a) - x
-        lv = v if v > 0.0 else 0.0
-        l_traj.append(lv)
+    l_traj = y_path(0.0, BEGIN.dominating.alpha_array(xi, sigma, dpat), xi)
     wq = tuple(float(q) for q in np.quantile(w_traj, levels))
     lq = tuple(float(q) for q in np.quantile(l_traj, levels))
     ordered = all(a <= b for a, b in zip(wq, lq))
@@ -170,15 +155,7 @@ def boundary_mass(src: MarkSource, n: int, p: int, model: str) -> float:
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be >= 1")
-    step = _stepper(model)
     xi, sigma, dpat = src.window_arrays(0, n)
-    eps = 2.0 ** (-p)
-    hits = 0
-    w = 0.0
-    dp = dpat.tolist()
-    for i, (x, s, d) in enumerate(zip(xi.tolist()[:n], sigma.tolist()[:n], dp[:n])):
-        w = step(w, x, s, d)
-        di = dp[i + 1]
-        if di < w < di + eps:
-            hits += 1
-    return hits / n
+    w = np.array(_model(model).w_path(0.0, xi[:n], sigma[:n], dpat[:n]))
+    d = dpat[1:]  # the patience of the customer observing each state
+    return int(np.count_nonzero((d < w) & (w < d + 2.0 ** (-p)))) / n

@@ -106,6 +106,14 @@ def _get(cfg: dict, section: str, key: str, default, caster, minimum: int | None
     return value
 
 
+def _levels(values) -> list[float]:
+    """Quantile levels as floats, each in [0, 1]."""
+    levels = [float(v) for v in values]
+    if not all(0.0 <= q <= 1.0 for q in levels):
+        raise ValueError(f"quantile levels must lie in [0, 1], got {levels}")
+    return levels
+
+
 def _build_source(cfg: dict, seed_override: int | None) -> MarkSource:
     if "source" not in cfg:
         raise ConfigError("config is missing the 'source' section")
@@ -391,8 +399,7 @@ def _exp_cesaro(cfg, out_dir, workers, src) -> int:
         raise ConfigError(f"model.impatience must be 'begin' or 'end', got {model!r}")
     n = _get(cfg, "run", "steps", 10_000, int, 1)
     p = _get(cfg, "run", "boundary_p", 10, int, 1)
-    levels = _get(cfg, "run", "quantiles", [0.5, 0.9, 0.99, 0.999],
-                  lambda xs: [float(x) for x in xs])
+    levels = _get(cfg, "run", "quantiles", [0.5, 0.9, 0.99, 0.999], _levels)
     mu = cesaro_distribution(src, n, model)
     inv = invariance_distance(mu, src, model)
     bmass = boundary_mass(src, n, p, model)
@@ -429,7 +436,7 @@ def _exp_xval(cfg, out_dir, workers, src) -> int:
 
 def _exp_props(cfg, out_dir, workers, src) -> int:
     count = _get(cfg, "run", "tuples", 100_000, int, 1)
-    seed = _get(cfg, "run", "prop_seed", 20240811, int)
+    seed = _get(cfg, "run", "prop_seed", 20240811, int, 0)
     suite = pointwise_inequality_suite(count, seed)
     suite["step_monotonicity"] = step_monotonicity_violations(count, seed + 1)
     suite["end_case_table"] = end_case_table_mismatches(count, seed + 2)

@@ -13,8 +13,10 @@ maximal and minimal sojourn times L_t and M_t.  Both decay at unit rate
 between arrivals, so each is [E - t]+ for a running max E of per-customer
 latest (resp. earliest) possible departure times; that form makes the
 zero-set checks {L=0} => {X=0} => {M=0} exact against event timestamps.
-The same quantities are also maintained in arrival-indexed recursion form,
-bit-identical to the generic recursion step on the same marks.
+The same quantities are also built in arrival-indexed recursion form,
+before the event loop and by recursion.y_path: L from the model's dominating
+alpha and M from sigma ^ dpat, bit-identical to the generic recursion step
+on the same marks.
 
 Simultaneous events process as completion < deadline < arrival, then by
 customer index; inclusion checks run when an instant's events are done
@@ -32,7 +34,7 @@ import numpy as np
 
 from .fifo import MODELS
 from .marks import MarkSource
-from .recursion import SIGMA_MIN_D, CapabilityError, ProbZero, prob_zero_estimate
+from .recursion import SIGMA_MIN_D, CapabilityError, ProbZero, prob_zero_estimate, y_path
 
 _COMPLETION, _DEADLINE, _ARRIVAL = 0, 1, 2
 _WAITING, _IN_SERVICE, _DONE = 0, 1, 2
@@ -104,9 +106,16 @@ def simulate(scn: Scenario) -> tuple[list[CustomerRecord], PathStatistics]:
     n_cust = scn.horizon_customers
     end_model = scn.impatience == "end"
     xi, sigma, dpat = scn.source.window_arrays(0, n_cust - 1)
-    xi_l, sigma_l, dpat_l = xi.tolist(), sigma.tolist(), dpat.tolist()
+    sigma_l, dpat_l = sigma.tolist(), dpat.tolist()
     arrival = np.concatenate([[0.0], np.cumsum(xi)[:-1]]) if n_cust > 1 else np.zeros(1)
     arrival_l = arrival.tolist()
+    # L and M before each arrival in recursion form: 0 before the first, then
+    # after arrivals 0..n-2.  Built before the event loop, whose lists would
+    # otherwise hold their memory at the same time as these paths.
+    marks = xi[:-1], sigma[:-1], dpat[:-1]
+    alpha_l = MODELS[scn.impatience].dominating.alpha_array(*marks)
+    l_chain = np.array([0.0] + y_path(0.0, alpha_l, xi[:-1]))
+    m_chain = np.array([0.0] + y_path(0.0, SIGMA_MIN_D.alpha_array(*marks), xi[:-1]))
 
     status = [_WAITING] * n_cust
     service_start: list[float | None] = [None] * n_cust
@@ -121,14 +130,10 @@ def simulate(scn: Scenario) -> tuple[list[CustomerRecord], PathStatistics]:
 
     l_before = np.zeros(n_cust)
     m_before = np.zeros(n_cust)
-    l_chain_arr = np.zeros(n_cust)
-    m_chain_arr = np.zeros(n_cust)
     x_before = np.zeros(n_cust, dtype=np.int64)
 
     e_l = -math.inf  # L_t = [e_l - t]+
     e_m = -math.inf
-    l_chain = 0.0
-    m_chain = 0.0
     x = 0
     integral = 0.0
     t_prev = 0.0
@@ -182,8 +187,6 @@ def simulate(scn: Scenario) -> tuple[list[CustomerRecord], PathStatistics]:
                 l_before[j] = lp if lp > 0.0 else 0.0
                 mp = e_m - t
                 m_before[j] = mp if mp > 0.0 else 0.0
-                l_chain_arr[j] = l_chain
-                m_chain_arr[j] = m_chain
                 x_before[j] = x
                 x += 1
                 deadline = t + dpat_l[j]
@@ -194,12 +197,6 @@ def simulate(scn: Scenario) -> tuple[list[CustomerRecord], PathStatistics]:
                 term_m = t + smin
                 if term_m > e_m:
                     e_m = term_m
-                # arrival-indexed recursion forms, same arithmetic as step()
-                a = dpat_l[j] if end_model else sigma_l[j] + dpat_l[j]
-                v = (l_chain if l_chain > a else a) - xi_l[j]
-                l_chain = v if v > 0.0 else 0.0
-                v = (m_chain if m_chain > smin else smin) - xi_l[j]
-                m_chain = v if v > 0.0 else 0.0
                 heapq.heappush(heap, (deadline, _DEADLINE, j))
                 queue.append(j)
                 dispatch(t)
@@ -239,7 +236,7 @@ def simulate(scn: Scenario) -> tuple[list[CustomerRecord], PathStatistics]:
         l_zero_arrival_freq=float(np.mean(l_before == 0.0)),
         m_zero_arrival_freq=float(np.mean(m_before == 0.0)),
         l_before=l_before, m_before=m_before,
-        l_chain=l_chain_arr, m_chain=m_chain_arr, x_before=x_before,
+        l_chain=l_chain, m_chain=m_chain, x_before=x_before,
     )
     return records, stats
 
@@ -309,14 +306,7 @@ def cross_validate_recursion(scn: Scenario) -> float:
     if scn.servers != 1:
         raise CapabilityError("workload cross-validation is defined for a single server")
     records, _ = simulate(scn)
-    des_w = workload_before_arrivals(records).tolist()
-    xi, sigma, dpat = scn.source.window_arrays(0, scn.horizon_customers - 1)
-    path = MODELS[scn.impatience].w_path(0.0, xi, sigma, dpat)
-    worst = 0.0
-    for dw, w in zip(des_w, [0.0] + path[:-1]):
-        diff = dw - w
-        if diff < 0.0:
-            diff = -diff
-        if diff > worst:
-            worst = diff
-    return worst
+    # W before each arrival: 0 before the first, then after arrivals 0..n-2
+    marks = (m[:-1] for m in scn.source.window_arrays(0, scn.horizon_customers - 1))
+    w = [0.0] + MODELS[scn.impatience].w_path(0.0, *marks)
+    return float(np.max(np.abs(workload_before_arrivals(records) - w)))

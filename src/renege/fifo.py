@@ -119,11 +119,6 @@ class Model:
         """step, elementwise over numpy arrays, with the same IEEE operations."""
         return clip(self.inner(w, sigma, dpat) - xi)
 
-    def window(self, ym, w, yp, xi, sigma, dpat) -> tuple:
-        """What scalar_window returns, computed by the coupled-segment engine."""
-        state, counts = _coupled(self, (ym, w, yp), xi, sigma, dpat)
-        return (*state, counts)
-
 
 def _step_begin(w: float, x: float, s: float, d: float) -> float:
     inner = w + s if w <= d else w
@@ -325,16 +320,18 @@ def _lockstep(model: Model, state: tuple, xi, sigma, dpat) -> tuple:
     return tuple(recorded[-1, :, stop].tolist()), counts, (stop + 1) * _SEGMENT
 
 
-def _advance(model: Model, src: MarkSource, lo: int, hi: int,
-             cache: MarkWindowCache | None = None, state=(0.0, 0.0, 0.0)):
-    """(ym, w, yp) at hi from `state` at lo, and the exceedance counts of the
-    arrivals lo..hi-1 (None when there are none)."""
+def _advance(model: Model, src: MarkSource, lo: int, hi: int, state: tuple,
+             cache: MarkWindowCache | None = None) -> tuple:
+    """(state, counts) at hi from `state` at lo, run by _coupled a window at a
+    time: the chains (ym, w, yp) with the exceedance counts of the arrivals
+    lo..hi-1, or (w,) alone with none (counts None when there are no
+    arrivals)."""
     counts = None
     for marks in mark_windows(src.window_arrays if cache is None else cache.range, lo, hi,
                               _WINDOW):
-        *state, c = model.window(*state, *marks)
+        state, c = _coupled(model, state, *marks)
         counts = c if counts is None else tuple(map(add, counts, c))
-    return tuple(state), counts
+    return state, counts
 
 
 def find_renovation_epoch(model: Model, src: MarkSource, max_epochs: int, max_depth: int,
@@ -344,16 +341,6 @@ def find_renovation_epoch(model: Model, src: MarkSource, max_epochs: int, max_de
     if max_epochs < 1:
         raise ValueError("max_epochs must be >= 1")
     return renovation_search(model.dominating, src, 0, max_epochs, max_depth, cache, first=1)
-
-
-def replay(model: Model, src: MarkSource, start_epoch: int, end_epoch: int,
-           cache: MarkWindowCache | None = None) -> float:
-    """Workload at end_epoch when it was 0 at start_epoch."""
-    state = (0.0,)
-    for marks in mark_windows(src.window_arrays if cache is None else cache.range,
-                              start_epoch, end_epoch, _WINDOW):
-        state, _ = _coupled(model, state, *marks)
-    return state[0]
 
 
 def exact_triple(model: Model, src: MarkSource, epoch: int, max_epochs: int, max_depth: int,
@@ -368,7 +355,7 @@ def exact_triple(model: Model, src: MarkSource, epoch: int, max_epochs: int, max
     if cache is None:
         cache = MarkWindowCache(src)
     start, _ = renovation_search(model.dominating, src, epoch, max_epochs, max_depth, cache)
-    return _advance(model, src, start, epoch, cache)[0]
+    return _advance(model, src, start, epoch, (0.0, 0.0, 0.0), cache)[0]
 
 
 def sample_stationary(model: Model, src: MarkSource, max_epochs: int = 10_000,
@@ -383,12 +370,13 @@ def sample_stationary(model: Model, src: MarkSource, max_epochs: int = 10_000,
     if mode == "exact":
         cache = MarkWindowCache(src)
         epoch, cert = find_renovation_epoch(model, src, max_epochs, max_depth, cache)
-        return StationarySample(replay(model, src, epoch, 0, cache), "renovation-exact",
-                                epoch, cert)
+        (w,), _ = _advance(model, src, epoch, 0, (0.0,), cache)
+        return StationarySample(w, "renovation-exact", epoch, cert)
     if mode == "approximate":
         if warmup < 0:
             raise ValueError("warmup must be >= 0")
-        return StationarySample(replay(model, src, -warmup, 0), "forward-approximate")
+        (w,), _ = _advance(model, src, -warmup, 0, (0.0,))
+        return StationarySample(w, "forward-approximate")
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -416,7 +404,7 @@ def forward_samples(model: Model, src: MarkSource, count: int, warmup: int = DEF
         raise ValueError("count and spacing must be >= 1, warmup >= 0")
     total = warmup + (count - 1) * spacing + 1
     out = np.empty((3, count))  # rows: state, sigma, dpat of the recording customers
-    w = replay(model, src, 0, warmup)
+    (w,), _ = _advance(model, src, 0, warmup, (0.0,))
     a = taken = 0
     for xi, sigma, dpat in mark_windows(src.window_arrays, warmup, total):
         seen = [w] + model.w_path(w, xi, sigma, dpat)  # before each arrival, then after
@@ -536,8 +524,8 @@ def loss_probability(model: Model, src: MarkSource, samples: int, mode: str = "e
         raise ValueError(f"unknown mode {mode!r}")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
-    state, _ = _advance(model, src, 0, warmup)
-    _, counts = _advance(model, src, warmup, warmup + samples, state=state)
+    state, _ = _advance(model, src, 0, warmup, (0.0, 0.0, 0.0))
+    _, counts = _advance(model, src, warmup, warmup + samples, state)
     return _report(model, src, counts, samples, "forward-approximate")
 
 

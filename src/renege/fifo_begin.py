@@ -23,12 +23,9 @@ from functools import partial
 
 from . import fifo
 from .fifo import BEGIN, DEFAULT_WARMUP, StationarySample  # noqa: F401  (public names)
-from .marks import MarkSource
-from .recursion import MarkWindowCache
 
 fifo_step = BEGIN.mark_step
 find_renovation_epoch = partial(fifo.find_renovation_epoch, BEGIN)
-_replay = partial(fifo.replay, BEGIN)
 exact_triple_at = partial(fifo.exact_triple, BEGIN)
 sample_stationary_w = partial(fifo.sample_stationary, BEGIN)
 sandwich_check = partial(fifo.sandwich_check, BEGIN)
@@ -36,10 +33,3 @@ forward_samples = partial(fifo.forward_samples, BEGIN)
 exact_loss_rows = partial(fifo.exact_loss_rows, BEGIN)
 loss_report_from_rows = partial(fifo.loss_report_from_rows, BEGIN)
 loss_probability_begin = partial(fifo.loss_probability, BEGIN)
-
-
-def exact_w_at(src: MarkSource, epoch: int, max_epochs: int, max_depth: int,
-               cache: MarkWindowCache | None = None) -> float:
-    """Exact stationary workload at an arbitrary epoch, via the nearest
-    certified-zero epoch at or before it."""
-    return exact_triple_at(src, epoch, max_epochs, max_depth, cache)[1]

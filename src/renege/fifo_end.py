@@ -31,7 +31,6 @@ from .marks import MarkSource, MarkTriple
 from .recursion import MarkWindowCache
 
 find_renovation_epoch_end = partial(fifo.find_renovation_epoch, END)
-_replay_end = partial(fifo.replay, END)
 exact_triple_end = partial(fifo.exact_triple, END)
 sample_stationary_s = partial(fifo.sample_stationary, END)
 sandwich_check_end = partial(fifo.sandwich_check, END)
@@ -73,9 +72,9 @@ def loynes_minimal(src: MarkSource, epoch: int = 0, max_depth: int = 1000,
     """
     if cache is None:
         cache = MarkWindowCache(src)
-    prev = _replay_end(src, epoch - 1, epoch, cache)
+    (prev,), _ = fifo._advance(END, src, epoch - 1, epoch, (0.0,), cache)
     for k in range(2, max_depth + 1):
-        cur = _replay_end(src, epoch - k, epoch, cache)
+        (cur,), _ = fifo._advance(END, src, epoch - k, epoch, (0.0,), cache)
         if cur == prev:
             return LoynesResult(cur, k, True)
         prev = cur

@@ -149,7 +149,7 @@ class Discrete:
             raise ConfigError("discrete needs matching nonempty atoms and probs")
         if any(not math.isfinite(a) or a < 0.0 for a in self.atoms):
             raise ConfigError("discrete atoms must be finite and >= 0")
-        if any(p < 0.0 for p in self.probs):
+        if not all(p >= 0.0 for p in self.probs):  # NaN included
             raise ConfigError("discrete probs must be >= 0")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ConfigError(f"discrete probs must sum to 1, got {sum(self.probs)}")
@@ -194,6 +194,22 @@ def check_keys(cfg: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown {where} keys {unknown}; allowed keys: {sorted(allowed)}")
 
 
+def _cast(value, caster, what: str):
+    """caster(value); a value of the wrong type or form raises ConfigError
+    naming `what`."""
+    try:
+        return caster(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} is invalid: {exc}") from exc
+
+
+def _floats(values) -> tuple[float, ...]:
+    """A list of numbers as floats; a string is not one."""
+    if isinstance(values, str):
+        raise TypeError(f"expected a list of numbers, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
 def marginal_from_config(cfg: dict) -> Marginal:
     """Build a marginal from its JSON description ({"dist": ..., params})."""
     if not isinstance(cfg, dict) or "dist" not in cfg:
@@ -206,9 +222,8 @@ def marginal_from_config(cfg: dict) -> Marginal:
     missing = [p for p in params if p not in cfg]
     if missing:
         raise ConfigError(f"marginal '{kind}' is missing parameter {missing[0]!r}")
-    if cls is Discrete:
-        return Discrete(*(tuple(float(v) for v in cfg[p]) for p in params))
-    return cls(*(float(cfg[p]) for p in params))
+    caster = _floats if cls is Discrete else float
+    return cls(*(_cast(cfg[p], caster, f"marginal '{kind}' parameter {p!r}") for p in params))
 
 
 @dataclass(frozen=True)
@@ -315,7 +330,7 @@ class MarkSource:
         if p is None or len(p) != k or any(len(row) != k for row in p):
             raise ConfigError(f"transition matrix must be {k}x{k}")
         for row in p:
-            if any(q < 0.0 for q in row):
+            if not all(q >= 0.0 for q in row):  # NaN included
                 raise ConfigError("transition probabilities must be >= 0")
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ConfigError("transition rows must sum to 1")
@@ -474,11 +489,6 @@ class MarkSource:
         xi, sigma, dpat = self.window_arrays(n, n)
         return MarkTriple(float(xi[0]), float(sigma[0]), float(dpat[0]))
 
-    def window(self, lo: int, hi: int) -> list[MarkTriple]:
-        """Mark triples for indices lo..hi inclusive."""
-        xi, sigma, dpat = self.window_arrays(lo, hi)
-        return [MarkTriple(float(x), float(s), float(d)) for x, s, d in zip(xi, sigma, dpat)]
-
     def _moved(self, **where) -> "MarkSource":
         """Copy with another stream or origin.  Validation and the cached
         properties depend on neither, so the copy keeps them."""
@@ -544,7 +554,7 @@ def iid_source(xi: Marginal, sigma: Marginal, dpat: Marginal,
 def markov_source(transition, states: tuple[StateMarginals, ...],
                   seed: int, stream: int = 0, alpha_bound: float | None = None) -> MarkSource:
     """Marks modulated by a finite ergodic chain in its stationary regime."""
-    trans = tuple(tuple(float(q) for q in row) for row in transition)
+    trans = _cast(transition, lambda rows: tuple(map(_floats, rows)), "transition matrix")
     return MarkSource(kind="markov", states=tuple(states), transition=trans,
                       seed=seed, stream=stream, alpha_bound=alpha_bound)
 
@@ -564,10 +574,11 @@ def source_from_config(cfg: dict) -> MarkSource:
     if not isinstance(cfg, dict):
         raise ConfigError("source config must be a dict")
     kind = cfg.get("kind")
-    seed = int(cfg.get("seed", 0))
-    stream = int(cfg.get("stream", 0))
+    seed = _cast(cfg.get("seed", 0), int, "source key 'seed'")
+    stream = _cast(cfg.get("stream", 0), int, "source key 'stream'")
     alpha_bound = cfg.get("alpha_bound")
-    alpha_bound = None if alpha_bound is None else float(alpha_bound)
+    if alpha_bound is not None:
+        alpha_bound = _cast(alpha_bound, float, "source key 'alpha_bound'")
     if kind in ("deterministic", "iid"):
         st = _marginals_from_config(cfg, _SOURCE_KEYS + _TRIPLE_KEYS, "source")
         return MarkSource(kind=kind, states=(st,), transition=None,
@@ -576,6 +587,8 @@ def source_from_config(cfg: dict) -> MarkSource:
         check_keys(cfg, _SOURCE_KEYS + ("transition", "states"), "markov source")
         if "transition" not in cfg or "states" not in cfg:
             raise ConfigError("markov source config needs 'transition' and 'states'")
+        if not isinstance(cfg["states"], list):
+            raise ConfigError(f"markov source 'states' must be a list, got {cfg['states']!r}")
         states = tuple(_marginals_from_config(st, _TRIPLE_KEYS, f"markov state {i}")
                        for i, st in enumerate(cfg["states"]))
         return markov_source(cfg["transition"], states, seed=seed, stream=stream,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .des import Scenario, simulate
 from .fifo import BEGIN, END
-from .marks import Uniform, iid_source
+from .marks import MarkTriple, Uniform, iid_source
 from .recursion import clip, step_array
 
 
@@ -89,11 +89,9 @@ def fifo_nonmonotonicity_witness() -> tuple[float, float, float, float]:
     Crossing the patience boundary drops the service term: serving at x = d
     loads d + sigma while y just above d keeps only y.
     """
-    from .marks import MarkTriple
-    from .fifo_begin import fifo_step
     mark = MarkTriple(xi=0.5, sigma=1.0, dpat=1.0)
     x, y = 1.0, 1.25
-    return x, y, fifo_step(x, mark), fifo_step(y, mark)
+    return x, y, BEGIN.mark_step(x, mark), BEGIN.mark_step(y, mark)
 
 
 def des_inclusion_suite(seed: int = 20240814, customers: int = 4000) -> dict[str, int]:

@@ -197,6 +197,18 @@ def step_array(y: np.ndarray, alpha: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return clip(np.where(y > alpha, y, alpha) - xi)
 
 
+def y_path(y: float, alpha: np.ndarray, xi: np.ndarray) -> list[float]:
+    """y after each arrival of the step [max(y, alpha) - xi]+ from y, one
+    arrival per entry of alpha and xi, with the scalar kernels' operations."""
+    path = []
+    put = path.append
+    for a, x in zip(alpha.tolist(), xi.tolist()):
+        v = (y if y > a else a) - x
+        y = v if v > 0.0 else 0.0
+        put(y)
+    return path
+
+
 def _lag_terms(spec: RecursionSpec, src: MarkSource, epoch: int, depth: int,
                cache: MarkWindowCache | None = None):
     """Terms alpha_{epoch-j} - cumsum beta for lags j=1..depth, oldest mark first."""
@@ -454,18 +466,17 @@ def coupling_time(spec: RecursionSpec, src: MarkSource, z1: float, z2: float,
         raise ValueError("horizon must be >= 1")
     a, b = z1, z2
     met: int | None = 0 if a == b else None
-    n = 0
+    n = 0  # steps taken before the window
     for xi, sigma, dpat in mark_windows(src.window_arrays, 0, horizon):
         alpha = spec.alpha_array(xi, sigma, dpat)
-        for al, be in zip(alpha.tolist(), xi.tolist()):
-            va = max(a, al) - be
-            a = va if va > 0.0 else 0.0
-            vb = max(b, al) - be
-            b = vb if vb > 0.0 else 0.0
-            n += 1
-            if met is None:
-                if a == b:
-                    met = n
-            elif a != b:
-                raise RuntimeError(f"iterates separated at step {n} after coupling at {met}")
+        pa, pb = y_path(a, alpha, xi), y_path(b, alpha, xi)
+        equal = np.equal(pa, pb)
+        if met is None and equal.any():
+            met = n + 1 + int(equal.argmax())
+        apart = np.flatnonzero(~equal) + n + 1  # the steps after which they differ
+        if met is not None and apart.size and apart[-1] > met:
+            raise RuntimeError(
+                f"iterates separated at step {apart[apart > met][0]} after coupling at {met}")
+        a, b = pa[-1], pb[-1]
+        n += xi.size
     return met

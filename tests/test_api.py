@@ -23,7 +23,6 @@ PARAMETERS = {
     "end_step": ("s", "mark"),
     "exact_triple_at": ("src", "epoch", "max_epochs", "max_depth", "cache"),
     "exact_triple_end": ("src", "epoch", "max_epochs", "max_depth", "cache"),
-    "exact_w_at": ("src", "epoch", "max_epochs", "max_depth", "cache"),
     "fifo_step": ("w", "mark"),
     "find_renovation_epoch": ("src", "max_epochs", "max_depth", "cache"),
     "find_renovation_epoch_end": ("src", "max_epochs", "max_depth", "cache"),

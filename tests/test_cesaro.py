@@ -77,6 +77,9 @@ def test_boundary_mass_examples(bounded_src):
     for p in (2, 5, 10):
         assert boundary_mass(PERIOD2, 100, p, "begin") == 0.0
     assert boundary_mass(DOMINATED, 100, 3, "begin") == 0.0
+    edge = deterministic_source(1.0, 1.5, 0.25, seed=6)  # orbit 0 -> 0.5 = d + 2^-2 -> 0
+    assert boundary_mass(edge, 100, 2, "begin") == 0.0  # the interval is open
+    assert boundary_mass(edge, 100, 1, "begin") == 0.5
     n = 40_000
     wide = boundary_mass(bounded_src, n, 1, "begin")
     narrow = boundary_mass(bounded_src, n, 10, "begin")

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -270,6 +271,52 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys, where):
     assert not out.exists()
 
 
+DISCRETE = {"dist": "discrete", "atoms": [0.1, 0.3], "probs": [0.5, 0.5]}
+
+
+# (keys down to the bad value in "source", the value, what the error names)
+@pytest.mark.parametrize("path, value, named", [
+    (("seed",), "abc", "seed"),
+    (("seed",), None, "seed"),
+    (("seed",), [1], "seed"),
+    (("seed",), math.inf, "seed"),
+    (("stream",), "x", "stream"),
+    (("alpha_bound",), "big", "alpha_bound"),
+    (("xi", "low"), "a", "low"),
+    (("sigma", "high"), None, "high"),
+    (("dpat",), dict(DISCRETE, atoms="13"), "atoms"),  # not the atoms 1.0 and 3.0
+    (("dpat",), dict(DISCRETE, probs=[0.5, "x"]), "probs"),
+    (("dpat",), dict(DISCRETE, probs=0.5), "probs"),
+    (("dpat",), dict(DISCRETE, probs=[math.nan, 1.0]), "probs"),
+    (("transition",), [[0.9, "a"], [0.3, 0.7]], "transition"),
+    (("transition",), 5, "transition"),
+    (("transition",), [[math.nan, 0.1], [0.3, 0.7]], "transition"),
+    (("states",), 5, "states"),
+])
+def test_malformed_source_values_exit_2(tmp_path, capsys, path, value, named):
+    markov = path[0] in ("transition", "states")
+    cfg = {"source": json.loads(json.dumps(MARKOV_SOURCE if markov else BOUNDED_SOURCE)),
+           "run": {"mode": "exact", "samples": 5}}
+    *parents, key = path
+    block = cfg["source"]
+    for k in parents:
+        block = block[k]
+    block[key] = value
+    out = tmp_path / "out"
+    code = main(["loss-begin", "--config", _write(tmp_path, cfg), "--out-dir", str(out)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("levels", [[0.5, 1.5], [-0.1], [math.nan], 0.5, ["a"]])
+def test_quantile_levels_outside_the_unit_interval_exit_2(tmp_path, capsys, levels):
+    cfg = {"source": BOUNDED_SOURCE, "run": {"steps": 10, "quantiles": levels}}
+    code = main(["cesaro", "--config", _write(tmp_path, cfg), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "run.quantiles" in capsys.readouterr().err
+
+
 def test_config_section_must_be_an_object(tmp_path):
     cfg = {"source": BOUNDED_SOURCE, "model": 5, "run": {"mode": "exact", "samples": 5}}
     assert main(["loss-begin", "--config", _write(tmp_path, cfg),
@@ -300,6 +347,7 @@ def test_section_keys_cover_every_key_the_cli_reads():
     ("sample-s", {"mode": "approximate", "samples": 5, "warmup": -1}, []),
     ("props", {"tuples": 0}, []),
     ("loss-begin", {"mode": "exact", "samples": 5}, ["--workers", "0"]),
+    ("props", {"prop_seed": -1}, []),
 ])
 def test_out_of_range_run_integers_exit_2(tmp_path, capsys, experiment, run, args):
     cfg = {"source": BOUNDED_SOURCE, "run": run}

@@ -1,9 +1,10 @@
 """The coupled-segment engine against the scalar window kernels, bit for bit.
 
-Model.window and the W-alone replay run a window through fifo._coupled,
-which cuts it into segments of fifo._SEGMENT marks, runs the first through
-the scalar kernels and the later ones in lockstep, and falls back to the
-scalar kernels after a segment that does not couple.
+fifo._coupled runs a window for the three chains or for W alone: it cuts it
+into segments of fifo._SEGMENT marks, runs the first through the scalar
+kernels and the later ones in lockstep, and falls back to the scalar kernels
+after a segment that does not couple.  fifo._advance runs it a window at a
+time.
 Every case compares the engine's states by float.hex and its counts exactly
 with _window_begin / _window_end (and w_path for W alone) on the same marks.
 """
@@ -45,8 +46,9 @@ STARTS = [(0.0, 0.0, 0.0), (0.25, 1.5, 4.0), (0.0, 7.0, 30.0)]
 
 
 def _same(model, state, xi, sigma, dpat):
-    """Model.window and the W-alone engine equal the scalar kernels."""
-    *got, got_counts = model.window(*state, xi, sigma, dpat)
+    """The engine, for the three chains and for W alone, equals the scalar
+    kernels."""
+    got, got_counts = fifo._coupled(model, state, xi, sigma, dpat)
     *want, want_counts = model.scalar_window(*state, xi, sigma, dpat)
     assert [v.hex() for v in got] == [v.hex() for v in want]
     assert got_counts == want_counts
@@ -132,8 +134,9 @@ def test_replay_matches_w_path(kind, model):
     model = MODELS[model]
     for lo, hi in [(-5, 0), (-3 * L, 0), (-fifo._WINDOW - 3 * L - 1, 17)]:
         want = model.w_path(0.0, *src.window_arrays(lo, hi - 1))[-1]
-        assert fifo.replay(model, src, lo, hi).hex() == want.hex()
-    assert fifo.replay(model, src, 4, 4) == 0.0
+        (w,), counts = fifo._advance(model, src, lo, hi, (0.0,))
+        assert (w.hex(), counts) == (want.hex(), ())
+    assert fifo._advance(model, src, 4, 4, (0.0,)) == ((0.0,), None)
 
 
 GRID = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0])

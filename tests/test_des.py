@@ -6,6 +6,7 @@ from renege import (
     D_ONLY,
     Discrete,
     MarkTriple,
+    SIGMA_MIN_D,
     SIGMA_PLUS_D,
     Scenario,
     Uniform,
@@ -19,6 +20,8 @@ from renege import (
 )
 
 BOUNDED = iid_source(Uniform(0.5, 1.5), Uniform(0.0, 0.8), Uniform(0.0, 0.4), seed=515151)
+# short interarrivals: the dominated chain M (alpha = sigma ^ dpat) leaves 0 too
+BUSY = iid_source(Uniform(0.1, 1.0), Uniform(0.0, 0.8), Uniform(0.0, 0.6), seed=525252)
 
 
 def test_hand_timeline_stable_single_server():
@@ -97,29 +100,36 @@ def test_inclusions_and_sojourn_bounds(model, servers):
 
 
 def test_des_l_chain_matches_recursion_step():
-    scn = Scenario(servers=3, impatience="begin", source=BOUNDED, horizon_customers=3000)
+    scn = Scenario(servers=3, impatience="begin", source=BUSY, horizon_customers=3000)
     _, stats = simulate(scn)
-    xi, sigma, dpat = BOUNDED.window_arrays(0, 2999)
+    xi, sigma, dpat = BUSY.window_arrays(0, 2999)
     l = m = 0.0
     for n in range(3000):
         assert stats.l_chain[n] == l       # bit-exact: same arithmetic
         assert stats.m_chain[n] == m
         mark = MarkTriple(xi[n], sigma[n], dpat[n])
         l = step(l, mark, SIGMA_PLUS_D)
-        m = step(m, mark, D_ONLY)
+        m = step(m, mark, SIGMA_MIN_D)
+    assert np.count_nonzero(stats.m_chain) > 100
     # continuous-time and arrival-recursion forms agree up to reassociation
     assert np.max(np.abs(stats.l_before - stats.l_chain)) <= 1e-9
     assert np.max(np.abs(stats.m_before - stats.m_chain)) <= 1e-9
 
 
 def test_des_l_chain_matches_recursion_step_end_model():
-    scn = Scenario(servers=2, impatience="end", source=BOUNDED, horizon_customers=2000)
+    scn = Scenario(servers=2, impatience="end", source=BUSY, horizon_customers=2000)
     _, stats = simulate(scn)
-    xi, sigma, dpat = BOUNDED.window_arrays(0, 1999)
-    l = 0.0
+    xi, sigma, dpat = BUSY.window_arrays(0, 1999)
+    l = m = 0.0
     for n in range(2000):
         assert stats.l_chain[n] == l
-        l = step(l, MarkTriple(xi[n], sigma[n], dpat[n]), D_ONLY)
+        assert stats.m_chain[n] == m
+        mark = MarkTriple(xi[n], sigma[n], dpat[n])
+        l = step(l, mark, D_ONLY)
+        m = step(m, mark, SIGMA_MIN_D)
+    assert np.count_nonzero(stats.m_chain) > 100
+    assert np.max(np.abs(stats.l_before - stats.l_chain)) <= 1e-9
+    assert np.max(np.abs(stats.m_before - stats.m_chain)) <= 1e-9
 
 
 def test_cross_validation_examples():

@@ -11,7 +11,6 @@ from renege import (
     backward_supremum,
     deterministic_source,
     exact_triple_at,
-    exact_w_at,
     fifo_step,
     find_renovation_epoch,
     forward_samples,
@@ -21,7 +20,8 @@ from renege import (
     sample_stationary_w,
     sandwich_check,
 )
-from renege.fifo_begin import _replay, exact_loss_rows
+from renege import fifo
+from renege.fifo_begin import exact_loss_rows
 
 DET_STABLE = deterministic_source(1.0, 0.6, 0.3, seed=2)
 
@@ -65,11 +65,11 @@ def test_sample_stationary_w_examples():
 def test_exact_sample_stability(bounded_src):
     cache = MarkWindowCache(bounded_src)
     epoch, _ = find_renovation_epoch(bounded_src, 10_000, 10_000, cache)
-    w_near = _replay(bounded_src, epoch, 0, cache)
+    (w_near,), _ = fifo._advance(fifo.BEGIN, bounded_src, epoch, 0, (0.0,), cache)
     # replaying from any deeper certified epoch gives the identical draw
     deeper = bounded_src.shift(epoch)
     e2, _ = find_renovation_epoch(deeper, 10_000, 10_000)
-    w_deep = _replay(bounded_src, epoch + e2, 0, cache)
+    (w_deep,), _ = fifo._advance(fifo.BEGIN, bounded_src, epoch + e2, 0, (0.0,), cache)
     assert epoch + e2 < epoch
     assert w_deep == w_near
 
@@ -106,11 +106,12 @@ def test_sandwich_examples(bounded_src):
 
 
 def test_exact_w_matches_triple(bounded_src):
+    # W of the triple at e is the exact draw at epoch 0 of the source shifted
+    # by e, whose search starts one epoch further back
     cache = MarkWindowCache(bounded_src)
     for e in range(0, -25, -1):
-        w = exact_w_at(bounded_src, e, 10_000, 10_000, cache)
-        _, w2, _ = exact_triple_at(bounded_src, e, 10_000, 10_000, cache)
-        assert w == w2
+        w = exact_triple_at(bounded_src, e, 10_000, 10_000, cache)[1]
+        assert w == sample_stationary_w(bounded_src.shift(e)).value
 
 
 def test_forward_samples_manual_orbit():

@@ -18,7 +18,8 @@ from renege import (
     sample_stationary_s,
     sandwich_check_end,
 )
-from renege.fifo_end import _replay_end, exact_loss_rows_end
+from renege import fifo
+from renege.fifo_end import exact_loss_rows_end
 
 
 def test_end_step_examples():
@@ -75,7 +76,8 @@ def test_loynes_agrees_with_renovation(bounded_src):
 
 def test_loynes_iterates_nondecreasing(bounded_src):
     cache = MarkWindowCache(bounded_src)
-    vals = [_replay_end(bounded_src, -k, 0, cache) for k in range(1, 40)]
+    vals = [fifo._advance(fifo.END, bounded_src, -k, 0, (0.0,), cache)[0][0]
+            for k in range(1, 40)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 

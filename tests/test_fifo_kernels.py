@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renege import SIGMA_MIN_D, MarkTriple, step
-from renege.fifo import BEGIN, END, MODELS
+from renege.fifo import BEGIN, END, MODELS, _coupled
 from renege.recursion import clip, step_array
 
 values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]),
@@ -56,7 +56,7 @@ def test_window_kernel_matches_scalar_steps(model, mark_list, kinds, frees, sigm
     state = tuple(_start(k, x, s, d, f) for k, f in zip(kinds, frees))
     want_state, want_counts = _reference(model, state, mark_list)
     xi, sigma, dpat = (np.array(c) for c in zip(*mark_list))
-    *got_state, got_counts = model.window(*state, xi, sigma, dpat)
+    got_state, got_counts = _coupled(model, state, xi, sigma, dpat)
     assert [v.hex() for v in got_state] == [v.hex() for v in want_state]
     assert got_counts == want_counts
 
@@ -66,11 +66,12 @@ def test_kernel_thresholds_at_the_boundary():
     # server but cannot complete a positive service by its deadline
     d = 1.0
     one = np.array([0.0]), np.array([0.5]), np.array([d])
-    assert BEGIN.window(0.0, d, 0.0, *one)[3] == (0, 0, 0)
-    assert BEGIN.window(0.0, math.nextafter(d, math.inf), 0.0, *one)[3] == (1, 0, 0)
-    assert END.window(0.0, d, 0.0, *one)[3] == (1, 0, 0, 0)
-    assert END.window(0.0, 0.5, 0.0, *one)[3] == (0, 0, 0, 0)  # w == d - sigma completes
-    assert END.window(0.0, math.nextafter(d, math.inf), 0.0, *one)[3] == (1, 0, 0, 1)
+    above = math.nextafter(d, math.inf)
+    assert _coupled(BEGIN, (0.0, d, 0.0), *one)[1] == (0, 0, 0)
+    assert _coupled(BEGIN, (0.0, above, 0.0), *one)[1] == (1, 0, 0)
+    assert _coupled(END, (0.0, d, 0.0), *one)[1] == (1, 0, 0, 0)
+    assert _coupled(END, (0.0, 0.5, 0.0), *one)[1] == (0, 0, 0, 0)  # w == d - sigma completes
+    assert _coupled(END, (0.0, above, 0.0), *one)[1] == (1, 0, 0, 1)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -5,7 +5,9 @@ file it writes with a stored hash.  The hashes were recorded from the code
 before Markov chain states were resolved in vectorised form, so they guard
 that and every later speed-up.  Those of loss-end-approx-iid,
 loss-begin-approx-heavy and sample-w-approx were recorded from the scalar
-forward kernels, before the coupled-segment engine replaced them.  Change a
+forward kernels, before the coupled-segment engine replaced them, and those
+of cesaro-iid and xval-end from the per-mark walks in renege.cesaro and
+renege.des, before they went through the shared path kernels.  Change a
 hash only when a numeric change is intended and named in CHANGES.md.
 """
 
@@ -81,8 +83,12 @@ CASES = {
                         "run": {"customers": 2000}}),
     "cesaro-markov": ("cesaro", {"source": MARKOV, "model": {"impatience": "end"},
                                  "run": {"steps": 3000, "boundary_p": 5}}),
+    "cesaro-iid": ("cesaro", {"source": BOUNDED, "model": {"impatience": "begin"},
+                              "run": {"steps": 3000, "boundary_p": 5}}),
     "xval-markov": ("xval", {"source": MARKOV3, "model": {"servers": 1, "impatience": "begin"},
                              "run": {"customers": 2000}}),
+    "xval-end": ("xval", {"source": EXPO, "model": {"servers": 1, "impatience": "end"},
+                          "run": {"customers": 2000}}),
     "props": ("props", {"source": BOUNDED, "run": {"tuples": 2000}}),
 }
 
@@ -152,8 +158,15 @@ HASHES = {
         "detail.csv": "660de17854812fe9c923490206b73b5766022158786bdf8804b559ea722bfe2a",
         "summary.json": "8d6b267f830814413aee518dd24906025fc01eec4875ac7782799af697198e4e",
     },
+    "cesaro-iid": {
+        "detail.csv": "fe3a1be0d38bd4f8ab8a413bba997bdd523324d0b833293d532e5d51c743e8f8",
+        "summary.json": "0f32020a7eb5a75aa720a8c0fb3cb780d154d0a5ab54c76b9604c5bda29f1bf6",
+    },
     "xval-markov": {
         "summary.json": "fcc1df00ff9eff03a3d14dc59705c487c8b9ed88d3375681b41c32938b1d435a",
+    },
+    "xval-end": {
+        "summary.json": "98a794269be475bdf54d7a21ae61c8752485eeff6967a508c0bd11b4189c154a",
     },
     "props": {
         "summary.json": "f2c0dec4d2073b365d6f1c07b1dcc282c2fedfdebba96410733440b12184c749",

@@ -44,13 +44,17 @@ def test_shift_identity_definition_composition(bounded_src):
 
 
 def test_window_basics(bounded_src):
-    assert bounded_src.window(0, 0) == [bounded_src.mark_at(0)]
+    m = bounded_src.mark_at(0)
+    assert [v.tolist() for v in bounded_src.window_arrays(0, 0)] == [[m.xi], [m.sigma], [m.dpat]]
     det = deterministic_source(2.0, 1.0, 0.5, seed=0)
-    assert det.window(-2, 1) == [MarkTriple(2.0, 1.0, 0.5)] * 4
+    assert [v.tolist() for v in det.window_arrays(-2, 1)] == [[2.0] * 4, [1.0] * 4, [0.5] * 4]
     a, b, c = -4, 1, 6
-    assert bounded_src.window(a, b) + bounded_src.window(b + 1, c) == bounded_src.window(a, c)
+    for left, right, whole in zip(bounded_src.window_arrays(a, b),
+                                  bounded_src.window_arrays(b + 1, c),
+                                  bounded_src.window_arrays(a, c)):
+        assert left.tolist() + right.tolist() == whole.tolist()
     with pytest.raises(ValueError):
-        bounded_src.window(2, 1)
+        bounded_src.window_arrays(2, 1)
 
 
 def test_empirical_stationarity_of_xi():

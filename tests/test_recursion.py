@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from renege import recursion
 from renege import (
     D_ONLY,
     SIGMA_MIN_D,
@@ -20,6 +23,7 @@ from renege import (
     prob_zero_estimate,
     step,
 )
+from renege.recursion import y_path
 
 DET_SUB = deterministic_source(1.0, 0.6, 0.3, seed=2)   # sigma+dpat = 0.9 < xi
 DET_SUPER = deterministic_source(1.0, 1.4, 0.3, seed=2)  # sigma+dpat = 1.7 > xi
@@ -171,6 +175,44 @@ def test_coupling_time_examples():
     assert coupling_time(SIGMA_PLUS_D, DET_SUB, 0.0, 5.0, 100) == 5
     assert coupling_time(SIGMA_PLUS_D, DET_SUB, 0.0, 0.5, 100) == 1
     assert coupling_time(SIGMA_PLUS_D, DET_SUB, 0.0, 5.0, 3) is None
+
+
+def test_coupling_time_across_mark_windows():
+    # alpha = 0.5 < xi = 1: from 20000 the iterate falls by 1 a step and meets
+    # the one from 0 at step 20000, in the second window of marks; equality is
+    # then checked through a third
+    src = deterministic_source(1.0, 0.25, 0.25, seed=5)
+    assert recursion._FORWARD_CHUNK < 20_000
+    assert coupling_time(SIGMA_PLUS_D, src, 20_000.0, 0.0, 3 * recursion._FORWARD_CHUNK) == 20_000
+    assert coupling_time(SIGMA_PLUS_D, src, 0.0, 20_000.0, 19_999) is None
+    assert coupling_time(SIGMA_PLUS_D, src, 3.0, 3.0, 2 * recursion._FORWARD_CHUNK + 1) == 0
+
+
+def test_coupling_time_reports_separation(monkeypatch):
+    paths = iter([[1.0, 0.0, 0.0], [2.0, 0.0, 1.0]])
+    monkeypatch.setattr(recursion, "y_path", lambda y, alpha, xi: next(paths))
+    with pytest.raises(RuntimeError, match="separated at step 3 after coupling at 2"):
+        coupling_time(SIGMA_PLUS_D, DET_SUB, 0.0, 5.0, 3)
+
+
+values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]),
+                   st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=st.sampled_from([SIGMA_PLUS_D, SIGMA_MIN_D, D_ONLY]),
+       mark_list=st.lists(st.tuples(values, values, values), min_size=1, max_size=24),
+       start=st.sampled_from(["zero", "at_alpha", "free"]), free=values)
+def test_y_path_matches_repeated_step(spec, mark_list, start, free):
+    # grid marks put states on alpha (y == alpha) often, and on 0
+    xi, sigma, dpat = (np.array(c) for c in zip(*mark_list))
+    alpha = spec.alpha_array(xi, sigma, dpat)
+    y0 = y = {"zero": 0.0, "at_alpha": float(alpha[0]), "free": free}[start]
+    want = []
+    for x, s, d in mark_list:
+        y = step(y, MarkTriple(x, s, d), spec)
+        want.append(y.hex())
+    assert [v.hex() for v in y_path(y0, alpha, xi)] == want
 
 
 def test_coupling_time_bounded_scenario(bounded_src):
