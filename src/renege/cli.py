@@ -2,10 +2,11 @@
 
 Every run takes a JSON scenario config (--config), writes summary.json plus
 CSV detail files into --out-dir, and exits 0 on success, 2 on config errors,
-3 on capability errors (an exact mode without the bound it needs, or no
-renovation epoch in range), 4 on contract violations.  Summaries carry the
-config hash, seeds, and method tags, and contain nothing run-dependent, so
-identical configs replay to bit-identical files regardless of --workers.
+3 on capability errors (an exact mode without the bound it needs, no
+renovation epoch in range, or a Markov chain with no regeneration within
+reach), 4 on contract violations.  Summaries carry the config hash, seeds,
+and method tags, and contain nothing run-dependent, so identical configs
+replay to bit-identical files regardless of --workers.
 """
 
 from __future__ import annotations
@@ -37,7 +38,14 @@ from .fifo import (
     loss_report_from_rows,
     sample_stationary,
 )
-from .marks import ConfigError, MarkSource, check_keys, source_from_config
+from .marks import (
+    ConfigError,
+    MarkSource,
+    check_keys,
+    source_from_config,
+    strict_float,
+    strict_int,
+)
 from .properties import (
     des_inclusion_suite,
     end_case_table_mismatches,
@@ -108,7 +116,7 @@ def _get(cfg: dict, section: str, key: str, default, caster, minimum: int | None
 
 def _levels(values) -> list[float]:
     """Quantile levels as floats, each in [0, 1]."""
-    levels = [float(v) for v in values]
+    levels = [strict_float(v) for v in values]
     if not all(0.0 <= q <= 1.0 for q in levels):
         raise ValueError(f"quantile levels must lie in [0, 1], got {levels}")
     return levels
@@ -275,10 +283,10 @@ def _replica_params(cfg: dict, src: MarkSource, model: Model) -> dict:
     params = {
         "model": model.name,
         "mode": _mode(cfg),
-        "samples": _get(cfg, "run", "samples", 1000, int, 1),
-        "max_epochs": _get(cfg, "run", "max_epochs", 10_000, int, 1),
-        "max_depth": _get(cfg, "run", "max_depth", 10_000, int, 1),
-        "warmup": _get(cfg, "run", "warmup", 100_000, int, 0),
+        "samples": _get(cfg, "run", "samples", 1000, strict_int, 1),
+        "max_epochs": _get(cfg, "run", "max_epochs", 10_000, strict_int, 1),
+        "max_depth": _get(cfg, "run", "max_depth", 10_000, strict_int, 1),
+        "warmup": _get(cfg, "run", "warmup", 100_000, strict_int, 0),
     }
     if params["mode"] == "exact":
         _require_exact_bound(src, model)
@@ -331,9 +339,9 @@ def _exp_loss(experiment: str, model: Model, cfg, out_dir, workers, src) -> int:
 
 
 def _scenario(cfg, src) -> Scenario:
-    servers = _get(cfg, "model", "servers", 1, int)
+    servers = _get(cfg, "model", "servers", 1, strict_int)
     impatience = _get(cfg, "model", "impatience", "begin", str)
-    customers = _get(cfg, "run", "customers", 10_000, int)
+    customers = _get(cfg, "run", "customers", 10_000, strict_int)
     try:
         return Scenario(servers=servers, impatience=impatience, source=src,
                         horizon_customers=customers)
@@ -363,8 +371,8 @@ def _path_violation(stats) -> str | None:
 
 def _exp_regen(cfg, out_dir, workers, src) -> int:
     scn = _scenario(cfg, src)
-    replicas = _get(cfg, "run", "replicas", 200, int, 1)
-    max_depth = _get(cfg, "run", "max_depth", 10_000, int, 1)
+    replicas = _get(cfg, "run", "replicas", 200, strict_int, 1)
+    max_depth = _get(cfg, "run", "max_depth", 10_000, strict_int, 1)
     sim = simulate(scn)
     report = regeneration_stats(scn, sim, replicas=replicas, max_depth=max_depth)
     results = _path_stats_results(report.stats)
@@ -397,8 +405,8 @@ def _exp_cesaro(cfg, out_dir, workers, src) -> int:
     model = _get(cfg, "model", "impatience", "begin", str)
     if model not in MODELS:
         raise ConfigError(f"model.impatience must be 'begin' or 'end', got {model!r}")
-    n = _get(cfg, "run", "steps", 10_000, int, 1)
-    p = _get(cfg, "run", "boundary_p", 10, int, 1)
+    n = _get(cfg, "run", "steps", 10_000, strict_int, 1)
+    p = _get(cfg, "run", "boundary_p", 10, strict_int, 1)
     levels = _get(cfg, "run", "quantiles", [0.5, 0.9, 0.99, 0.999], _levels)
     mu = cesaro_distribution(src, n, model)
     inv = invariance_distance(mu, src, model)
@@ -435,8 +443,8 @@ def _exp_xval(cfg, out_dir, workers, src) -> int:
 
 
 def _exp_props(cfg, out_dir, workers, src) -> int:
-    count = _get(cfg, "run", "tuples", 100_000, int, 1)
-    seed = _get(cfg, "run", "prop_seed", 20240811, int, 0)
+    count = _get(cfg, "run", "tuples", 100_000, strict_int, 1)
+    seed = _get(cfg, "run", "prop_seed", 20240811, strict_int, 0)
     suite = pointwise_inequality_suite(count, seed)
     suite["step_monotonicity"] = step_monotonicity_violations(count, seed + 1)
     suite["end_case_table"] = end_case_table_mismatches(count, seed + 2)

@@ -55,7 +55,8 @@ from .recursion import (
 
 DEFAULT_WARMUP = 100_000
 # Replicas per lockstep batch of exact loss rows: the batch's arrays peak
-# near 1 MB for a Markov source and 1.3 MB for an iid one.
+# near 1.8 MB for a Markov source (the marks fetch with its chain lookback and
+# composition) and 1.6 MB for an iid one (tracemalloc).
 _BATCH = 128
 # Marks per window of a coupled forward run, and per segment of a window.
 # With its marks, a window's arrays peak near 4 MB (2 MB for the scalar

@@ -15,6 +15,7 @@ words 1..3 drive xi, sigma, dpat through inverse CDFs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -37,6 +38,14 @@ _MAX_CHAIN_LOOKBACK = 1 << 20
 
 class ConfigError(ValueError):
     """Invalid source or distribution parameters."""
+
+
+class CapabilityError(RuntimeError):
+    """Exact mode requested without the capability it needs (an a.s. alpha bound)."""
+
+
+class ChainRegenerationError(CapabilityError):
+    """No chain regeneration in _MAX_CHAIN_LOOKBACK steps: a near-degenerate chain."""
 
 
 @dataclass(frozen=True)
@@ -203,11 +212,25 @@ def _cast(value, caster, what: str):
         raise ConfigError(f"{what} is invalid: {exc}") from exc
 
 
+def strict_float(value) -> float:
+    """A number as a float; a string or a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def strict_int(value) -> int:
+    """An integral number as an int: a fraction is refused, not truncated."""
+    if strict_float(value) % 1:  # NaN and infinities included
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _floats(values) -> tuple[float, ...]:
     """A list of numbers as floats; a string is not one."""
     if isinstance(values, str):
         raise TypeError(f"expected a list of numbers, got {values!r}")
-    return tuple(float(v) for v in values)
+    return tuple(map(strict_float, values))
 
 
 def marginal_from_config(cfg: dict) -> Marginal:
@@ -222,7 +245,7 @@ def marginal_from_config(cfg: dict) -> Marginal:
     missing = [p for p in params if p not in cfg]
     if missing:
         raise ConfigError(f"marginal '{kind}' is missing parameter {missing[0]!r}")
-    caster = _floats if cls is Discrete else float
+    caster = _floats if cls is Discrete else strict_float
     return cls(*(_cast(cfg[p], caster, f"marginal '{kind}' parameter {p!r}") for p in params))
 
 
@@ -250,30 +273,6 @@ class StateMarginals:
     dpat: Marginal
 
 
-def _bound_sum(a: float | None, b: float | None) -> float | None:
-    if a is None or b is None:
-        return None
-    return a + b
-
-
-def _bound_min(a: float | None, b: float | None) -> float | None:
-    # min(X, Y) is a.s. bounded as soon as either factor is
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _bound_max(bounds: list[float | None]) -> float | None:
-    out = 0.0
-    for b in bounds:
-        if b is None:
-            return None
-        out = max(out, b)
-    return out
-
-
 @dataclass(frozen=True)
 class MarkSource:
     """Two-sided stationary ergodic sequence of mark triples.
@@ -282,9 +281,11 @@ class MarkSource:
     per-state marginals by a finite ergodic chain.  The chain states of a
     window descend from the most recent regeneration of a Doeblin split of the
     transition matrix at or before its first index, and are resolved by
-    composing per-index successor tables from there.  This makes the realized
-    sequence exactly stationary and every window a pure function of
-    (seed, stream, index), whatever the order indices are requested in.
+    composing per-index successor tables from there: for a batch of replica
+    windows (replica_windows) in one composition with a replica axis, over
+    blocks fetched by one Philox generator re-positioned per replica.  This
+    makes the realized sequence exactly stationary and every window a pure
+    function of (seed, stream, index), whatever the order of the requests.
 
     Instances are immutable and memoize no marks or states, so memory stays
     flat however many windows are resolved.
@@ -334,17 +335,12 @@ class MarkSource:
                 raise ConfigError("transition probabilities must be >= 0")
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ConfigError("transition rows must sum to 1")
-        if self._doeblin_delta <= 0.0:
+        if np.min(np.asarray(p, dtype=float), axis=0).sum() <= 0.0:
             raise ConfigError(
                 "markov source needs a one-step minorization: some state must be "
                 "reachable from every state in one step (a strictly positive column)")
 
     # -- chain machinery (markov kind) ------------------------------------
-
-    @cached_property
-    def _doeblin_delta(self) -> float:
-        p = np.asarray(self.transition, dtype=float)
-        return float(np.min(p, axis=0).sum())
 
     @cached_property
     def _doeblin_parts(self):
@@ -388,46 +384,67 @@ class MarkSource:
         chain = u[:, 0]
         while not (regen := np.flatnonzero(chain[:look + 1] < delta)).size:
             if look >= _MAX_CHAIN_LOOKBACK:
-                raise RuntimeError("no chain regeneration found; transition matrix is near-degenerate")
+                raise ChainRegenerationError(
+                    f"no chain regeneration found in the {look} indices before index {g0}; "
+                    "transition matrix is near-degenerate")
             earlier = (self._blocks(g0 - 2 * look, look)[:, 0] >> np.uint64(11)) * _U53
             chain = np.concatenate([earlier, chain])
             look *= 2
         start = int(regen[-1])
-        return u[-count:], self._compose_states(chain[start:])[look - start:]
+        return u[-count:], self._compose_states(chain[None, start:])[0, look - start:]
 
     def _compose_states(self, chain: np.ndarray) -> np.ndarray:
-        """States along chain uniforms whose first entry is a regeneration.
+        """States along chain uniforms (replicas x indices), each row starting
+        at a regeneration.
 
-        Row k of the successor table maps the state at k-1 to the state at k.
-        Pointer doubling turns the rows into prefix compositions, one gather
-        per doubling; a row is constant once its prefix reaches back to a
-        regeneration, so the doubling stops at the longest regeneration gap.
+        Entry k of the successor tables (replicas x indices x states) maps the
+        state at k-1 to the state at k.  Pointer doubling turns the entries
+        into prefix compositions; an entry is constant, and no longer gathered,
+        once its prefix reaches back to a regeneration, so the doubling stops
+        at the longest regeneration gap of any row.  Since every row starts at
+        a regeneration, the rows compose as one sequence without mixing.
         """
         delta, nu_cum, q_cum = self._doeblin_parts
-        regen = chain < delta
+        flat = chain.ravel()
+        regen = flat < delta
         n_states = len(self.states)
-        succ = np.empty((chain.size, n_states), dtype=np.intp)
-        succ[regen] = np.searchsorted(nu_cum, chain[regen] / delta, side="right")[:, None]
-        v = (chain[~regen] - delta) / (1.0 - delta)
+        succ = np.empty((flat.size, n_states), dtype=np.intp)
+        succ[regen] = np.searchsorted(nu_cum, flat[regen] / delta, side="right")[:, None]
+        v = (flat[~regen] - delta) / (1.0 - delta)
         for s, cum in enumerate(q_cum):
             succ[~regen, s] = np.searchsorted(cum, v, side="right")
-        cut = np.append(np.flatnonzero(regen), chain.size)
-        gap = int((cut[1:] - cut[:-1]).max())
-        row = np.arange(chain.size)[:, None] * n_states
+        k = np.arange(flat.size)
+        reach = k - np.maximum.accumulate(np.where(regen, k, 0))
         step = 1
-        while step < gap:
-            succ[step:] = succ.ravel()[row[step:] + succ[:-step]]
+        while (k := np.flatnonzero(reach >= step)).size:
+            succ[k] = succ.ravel()[k[:, None] * n_states + succ[k - step]]
             step *= 2
-        return succ[:, 0]
+        return succ[:, 0].reshape(chain.shape)
 
     # -- raw generation ----------------------------------------------------
 
+    def _fetch(self, streams, starts, count: int) -> np.ndarray:
+        """Raw Philox words (rows, count, 4): row i holds one 4-word block per
+        index from starts[i] on, on stream streams[i] (the words that
+        Generator.integers(0, 2**64, dtype=uint64) would return)."""
+        bg = Philox(0)
+        state = bg.state
+        key, counter = state["state"]["key"], state["state"]["counter"]
+        key[1] = self.seed & _MASK64
+        raw = np.empty((len(starts), count, 4), dtype=np.uint64)
+        at = None
+        for i, (stream, g) in enumerate(zip(streams, starts)):
+            key[0] = stream & _MASK64
+            if g != at:  # re-keyed rows share one start: set it once
+                at = g
+                counter[:] = [(g % _COUNTER_MOD >> b) & _MASK64 for b in (0, 64, 128, 192)]
+            bg.state = state
+            raw[i] = bg.random_raw(4 * count).reshape(count, 4)
+        return raw
+
     def _blocks(self, g0: int, count: int) -> np.ndarray:
-        """Raw Philox words of indices g0..g0+count-1, one 4-word block each
-        (the words Generator.integers(0, 2**64, dtype=uint64) would return)."""
-        key = ((self.seed & _MASK64) << 64) | (self.stream & _MASK64)
-        bg = Philox(key=key, counter=g0 % _COUNTER_MOD)
-        return bg.random_raw(4 * count).reshape(count, 4)
+        """Raw Philox words of indices g0..g0+count-1 (see _fetch)."""
+        return self._fetch((self.stream,), (g0,), count)[0]
 
     def window_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arrays (xi, sigma, dpat) for indices lo..hi inclusive."""
@@ -442,44 +459,53 @@ class MarkSource:
             sm = self.states[0]
             return sm.xi.quantile(u[1]), sm.sigma.quantile(u[2]), sm.dpat.quantile(u[3])
         u, state = self._chain_window(g0, count)
-        xi = np.empty(count)
-        sigma = np.empty(count)
-        dpat = np.empty(count)
-        for s in np.unique(state):
-            m = state == s
-            sm = self.states[int(s)]
-            xi[m] = sm.xi.quantile(u[m, 1])
-            sigma[m] = sm.sigma.quantile(u[m, 2])
-            dpat[m] = sm.dpat.quantile(u[m, 3])
-        return xi, sigma, dpat
+        return tuple(self._quantiles(u.T[1:], state))
+
+    def _quantiles(self, u, state=None) -> np.ndarray:
+        """Marks (3, *shape) from the uniforms u[0..2] of xi, sigma and dpat,
+        by chain state (state 0 throughout when `state` is None): each state's
+        quantiles run once, over a mask of the whole array."""
+        out = np.empty((3,) + u[0].shape)
+        for s, sm in enumerate(self.states):
+            m = Ellipsis if state is None else state == s
+            for j, marginal in enumerate((sm.xi, sm.sigma, sm.dpat)):
+                out[j][m] = marginal.quantile(u[j][m])
+        return out
 
     def replica_windows(self, lo: int, hi: int, spacing: int, width: int) -> np.ndarray:
         """Marks (3, hi - lo, width): row i holds what window_arrays gives for
         the `width` indices ending at replica lo+i's epoch (see replica).
 
-        iid replicas differ only in their Philox key, so one generator is
-        re-keyed per replica and the quantiles run once over the batch.
+        One Philox generator is re-positioned per replica: re-keyed (iid), or
+        moved to the start of the replica's chain lookback (markov).  Markov
+        states come from one composition with a replica axis.  A Markov
+        replica with no regeneration in its lookback takes window_arrays,
+        which looks further back.
         """
-        if not self.is_iid:
-            out = np.empty((3, hi - lo, width))
-            for i, e in enumerate(range(lo * spacing, hi * spacing, spacing)):
-                out[:, i] = self.window_arrays(e - width + 1, e)
-            return out
-        bg = Philox(0)
-        state = bg.state
-        g0 = (self.origin - width + 1) % _COUNTER_MOD
-        state["state"]["counter"][:] = [(g0 >> b) & _MASK64 for b in (0, 64, 128, 192)]
-        key = state["state"]["key"]
-        key[1] = self.seed & _MASK64
-        raw = np.empty((hi - lo, width, 4), dtype=np.uint64)
-        for i in range(hi - lo):
-            key[0] = (self.stream + lo + i) & _MASK64
-            bg.state = state
-            raw[i] = bg.random_raw(4 * width).reshape(width, 4)
-        sm = self.states[0]
-        out = np.empty((3, hi - lo, width))
-        for j, m in enumerate((sm.xi, sm.sigma, sm.dpat)):
-            out[j] = m.quantile((raw[:, :, j + 1] >> np.uint64(11)) * _U53)
+        rows = range(lo, hi)
+        if self.is_iid:
+            look = 0
+            raw = self._fetch([self.stream + r for r in rows],
+                              [self.origin - width + 1] * len(rows), width)
+        else:
+            look = _CHAIN_LOOKBACK
+            raw = self._fetch([self.stream] * len(rows),
+                              [self.origin + r * spacing - width + 1 - look for r in rows],
+                              look + width)
+        chain = None if self.is_iid else (raw[:, :, 0] >> np.uint64(11)) * _U53
+        u = [(raw[:, look:, j] >> np.uint64(11)) * _U53 for j in (1, 2, 3)]
+        del raw
+        if chain is None:
+            return self._quantiles(u)
+        regen = chain[:, :look + 1] < self._doeblin_parts[0]
+        # forced regenerations before each row's last one keep gaps short
+        last = look - np.argmax(regen[:, ::-1], axis=1)
+        chain[np.arange(look + width) < last[:, None]] = 0.0
+        out = self._quantiles(u, self._compose_states(chain)[:, look:])
+        # rows with none in the lookback were composed from a forced one
+        for i in np.flatnonzero(~regen.any(axis=1)).tolist():
+            e = (lo + i) * spacing
+            out[:, i] = self.window_arrays(e - width + 1, e)
         return out
 
     # -- public mark access --------------------------------------------------
@@ -522,18 +548,21 @@ class MarkSource:
 
     def alpha_bound_for(self, alpha_kind: str) -> float | None:
         """A.s. upper bound on the chosen alpha mark, or None if unbounded."""
-        per_state: list[float | None] = []
+        out = 0.0
         for st in self.states:
             sb, db = st.sigma.upper_bound, st.dpat.upper_bound
             if alpha_kind == "sigma_plus_d":
-                per_state.append(_bound_sum(sb, db))
-            elif alpha_kind == "sigma_min_d":
-                per_state.append(_bound_min(sb, db))
+                b = None if sb is None or db is None else sb + db
+            elif alpha_kind == "sigma_min_d":  # bounded as soon as either factor is
+                b = db if sb is None else sb if db is None else min(sb, db)
             elif alpha_kind == "d_only":
-                per_state.append(db)
+                b = db
             else:
                 raise ValueError(f"no derived bound for alpha kind {alpha_kind!r}")
-        return _bound_max(per_state)
+            if b is None:
+                return None
+            out = max(out, b)
+        return out
 
 
 def deterministic_source(xi: float, sigma: float, dpat: float,
@@ -574,11 +603,11 @@ def source_from_config(cfg: dict) -> MarkSource:
     if not isinstance(cfg, dict):
         raise ConfigError("source config must be a dict")
     kind = cfg.get("kind")
-    seed = _cast(cfg.get("seed", 0), int, "source key 'seed'")
-    stream = _cast(cfg.get("stream", 0), int, "source key 'stream'")
+    seed = _cast(cfg.get("seed", 0), strict_int, "source key 'seed'")
+    stream = _cast(cfg.get("stream", 0), strict_int, "source key 'stream'")
     alpha_bound = cfg.get("alpha_bound")
     if alpha_bound is not None:
-        alpha_bound = _cast(alpha_bound, float, "source key 'alpha_bound'")
+        alpha_bound = _cast(alpha_bound, strict_float, "source key 'alpha_bound'")
     if kind in ("deterministic", "iid"):
         st = _marginals_from_config(cfg, _SOURCE_KEYS + _TRIPLE_KEYS, "source")
         return MarkSource(kind=kind, states=(st,), transition=None,

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .estimation import Estimate, mc_aggregate
-from .marks import MarkSource, MarkTriple
+from .marks import CapabilityError, MarkSource, MarkTriple
 
 _CHUNK = 512
 _FORWARD_CHUNK = 1 << 14  # marks per window of a forward pass
@@ -33,10 +33,6 @@ _FIRST_FILL = 128
 _SEARCH_EPOCHS = 16
 _SEARCH_LAGS = 16
 _SEARCH_CELLS = 1 << 16
-
-
-class CapabilityError(RuntimeError):
-    """Exact mode requested without the capability it needs (an a.s. alpha bound)."""
 
 
 class DepthExhaustedError(RuntimeError):

@@ -8,6 +8,7 @@ fails.  Small batch sizes put batch boundaries inside the ranges tested.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from renege import (
 from renege import fifo
 from renege.cli import main
 from renege.fifo import BEGIN, END, MODELS, exact_loss_rows, exact_triple
-from renege.recursion import renovation_offsets
+from renege.recursion import _FIRST_FILL, renovation_offsets
 
 # heavy end-model dominating recursion (alpha = dpat up to 6): about one
 # replica in six is not decided within its 128-mark window
@@ -40,6 +41,14 @@ DEEP_MARKOV = markov_source(
     (StateMarginals(Uniform(0.1, 0.9), Uniform(0.0, 1.0), TruncatedExponential(0.5, 6.0)),
      StateMarginals(Uniform(0.3, 1.2), Uniform(0.0, 0.5), Uniform(0.0, 2.0))),
     seed=4406)
+# three states, delta = 0.03: about one replica window in eight has no chain
+# regeneration in its lookback and is resolved by window_arrays
+SLOW_MARKOV = markov_source(
+    [[0.97, 0.02, 0.01], [0.01, 0.97, 0.02], [0.02, 0.01, 0.97]],
+    (StateMarginals(Uniform(0.3, 1.1), Uniform(0.0, 0.6), Uniform(0.0, 0.4)),
+     StateMarginals(Uniform(0.6, 1.4), TruncatedExponential(1.5, 2.0), Uniform(0.0, 1.2)),
+     StateMarginals(Uniform(0.9, 1.9), Uniform(0.2, 1.0), Uniform(0.0, 1.6))),
+    seed=4407)
 SOURCES = {
     "iid": iid_source(Uniform(0.2, 1.0), TruncatedExponential(1.5, 2.0), Uniform(0.0, 1.5),
                       seed=20081),
@@ -51,6 +60,7 @@ SOURCES = {
     "deterministic": deterministic_source(1.5, 0.5, 0.7, seed=3),
     "deep": DEEP,
     "deep-markov": DEEP_MARKOV,
+    "slow-markov": SLOW_MARKOV,
 }
 
 
@@ -162,6 +172,18 @@ def test_batch_marks_wrap_the_stream():
                                       _bits(np.stack(src.substream(r).window_arrays(-15, 0))))
 
 
+def test_markov_batch_marks_peak_under_2_5_mb():
+    src = SOURCES["markov"]
+    src.replica_windows(0, 128, 20_000, _FIRST_FILL)  # lazy set-up: the Doeblin split
+    tracemalloc.start()
+    try:
+        src.replica_windows(128, 256, 20_000, _FIRST_FILL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
 def window_oracle(xi, alpha, bound, max_epochs, max_depth):
     """What renovation_search returns for the window's last index, walking
     each candidate's lags in turn; -1 where it needs marks before the window
@@ -215,6 +237,30 @@ def test_screen_reaches_past_the_first_blocks():
     assert [window_oracle(x.tolist(), a.tolist(), 3.95, 10_000, 10_000)
             for x, a in zip(xi, alpha)] == want
     assert got.tolist() == want
+
+
+def _u(low, high):
+    return {"dist": "uniform", "low": low, "high": high}
+
+
+def test_worker_counts_write_identical_markov_files(tmp_path):
+    # SLOW_MARKOV's chain: 1, 2 and 3 workers cut the batches differently, and
+    # some windows are resolved in the batch, some by window_arrays
+    cfg = tmp_path / "slow.json"
+    cfg.write_text(json.dumps({"source": {
+        "kind": "markov", "seed": 4407,
+        "transition": [[0.97, 0.02, 0.01], [0.01, 0.97, 0.02], [0.02, 0.01, 0.97]],
+        "states": [{"xi": _u(0.3, 1.1), "sigma": _u(0.0, 0.6), "dpat": _u(0.0, 0.4)},
+                   {"xi": _u(0.6, 1.4), "sigma": _u(0.0, 1.5), "dpat": _u(0.0, 1.2)},
+                   {"xi": _u(0.9, 1.9), "sigma": _u(0.2, 1.0), "dpat": _u(0.0, 1.6)}]},
+        "run": {"mode": "exact", "samples": 90, "max_depth": 400}}))
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert main(["loss-end", "--config", str(cfg), "--workers", str(workers),
+                     "--out-dir", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_worker_counts_write_identical_files(tmp_path):

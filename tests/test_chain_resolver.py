@@ -13,8 +13,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from renege import Discrete, StateMarginals, TruncatedExponential, Uniform, markov_source
-from renege.marks import _CHAIN_LOOKBACK, _MAX_CHAIN_LOOKBACK, _U53
+from renege import (
+    CapabilityError,
+    Discrete,
+    MarkSource,
+    StateMarginals,
+    TruncatedExponential,
+    Uniform,
+    markov_source,
+)
+from renege.marks import _CHAIN_LOOKBACK, _MAX_CHAIN_LOOKBACK, _U53, ChainRegenerationError
 
 _FAST = StateMarginals(Uniform(0.2, 0.6), TruncatedExponential(2.0, 0.5), Uniform(0.0, 0.2))
 _SLOW = StateMarginals(Uniform(1.0, 2.0), Uniform(0.0, 0.8),
@@ -129,6 +137,65 @@ def test_near_degenerate_chain_raises():
     src = markov_source(((1.0 - eps, eps), (eps, 1.0 - eps)), (_FAST, _SLOW), seed=3)
     with pytest.raises(RuntimeError, match="regeneration"):
         src.window_arrays(0, 10)
+
+
+def test_near_degenerate_chain_raises_on_the_scalar_and_batch_paths():
+    # delta = 2e-9 and one absorbing state; every window falls back
+    src = markov_source(((1.0 - 2e-9, 2e-9), (0.0, 1.0)), (_FAST, _SLOW), seed=7).shift(3)
+    assert issubclass(ChainRegenerationError, CapabilityError)
+    assert issubclass(ChainRegenerationError, RuntimeError)
+    with pytest.raises(ChainRegenerationError, match="before index 8;"):
+        src.window_arrays(5, 10)
+    with pytest.raises(ChainRegenerationError, match="before index -12;"):
+        src.replica_windows(0, 3, 10, 16)  # replica 0's window is -15..0
+
+
+# (lo, hi, spacing, width): replica batches; one replica; overlapping windows
+BATCHES = [(0, 9, 300, 128), (37, 41, 300, 128), (5, 6, 300, 128), (0, 40, 1, 128),
+           (2, 50, 7, 16)]
+
+
+@pytest.mark.parametrize("origin", [0, -5, 3, 2 ** 256 - 40, -(2 ** 256) + 60])
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_replica_windows_match_window_arrays(name, origin, monkeypatch):
+    src = _source(name, seed=23).shift(origin)
+    fallbacks = []
+    scalar = MarkSource.window_arrays
+
+    def counted(self, lo, hi):
+        fallbacks.append(lo)
+        return scalar(self, lo, hi)
+    for lo, hi, spacing, width in BATCHES:
+        monkeypatch.setattr(MarkSource, "window_arrays", counted)
+        batch = src.replica_windows(lo, hi, spacing, width)
+        monkeypatch.undo()
+        assert batch.shape == (3, hi - lo, width)
+        for i, r in enumerate(range(lo, hi)):
+            want = np.stack(src.window_arrays(r * spacing - width + 1, r * spacing))
+            assert np.array_equal(_bits(batch[:, i]), _bits(want))
+    if name == "delta-0.02":
+        # (1 - 0.02)^65: about one row in four has no regeneration in its lookback
+        assert len(fallbacks) >= 5
+    else:
+        assert not fallbacks
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_composition_with_a_replica_axis_matches_backward_scan(name):
+    # rows of different lengths of lookback before a regeneration, composed
+    # at once: each row's window must come out as its own backward scan
+    src = _source(name, seed=41)
+    delta = src._doeblin_parts[0]
+    look, count = 600, 40
+    starts = [1000 * i - 7 for i in range(24)]
+    rows = np.stack([(src._blocks(g - look, look + count)[:, 0] >> np.uint64(11)) * _U53
+                     for g in starts])
+    assert (rows[:, 1:look] < delta).any(axis=1).all()  # a true regeneration in each lookback
+    rows[:, 0] = 0.0  # every row starts at a regeneration
+    states = src._compose_states(rows)
+    assert states.shape == rows.shape
+    for g, row in zip(starts, states):
+        np.testing.assert_array_equal(row[look:], oracle_states(src, g, count)[0])
 
 
 def test_memory_stays_flat_over_far_apart_windows():

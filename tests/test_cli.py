@@ -292,6 +292,21 @@ DISCRETE = {"dist": "discrete", "atoms": [0.1, 0.3], "probs": [0.5, 0.5]}
     (("transition",), 5, "transition"),
     (("transition",), [[math.nan, 0.1], [0.3, 0.7]], "transition"),
     (("states",), 5, "states"),
+    # numbers of the wrong kind: neither truncated nor parsed
+    (("seed",), 4401.9, "seed"),
+    (("seed",), True, "seed"),
+    (("seed",), "4401", "seed"),
+    (("stream",), 2.5, "stream"),
+    (("stream",), False, "stream"),
+    (("alpha_bound",), "2.0", "alpha_bound"),
+    (("alpha_bound",), True, "alpha_bound"),
+    (("xi", "low"), "0.2", "low"),
+    (("sigma", "high"), True, "high"),
+    (("dpat",), dict(DISCRETE, atoms=["0.1", 0.3]), "atoms"),
+    (("dpat",), dict(DISCRETE, probs=[True, False]), "probs"),
+    (("transition",), [[0.9, "0.1"], [0.3, 0.7]], "transition"),
+    (("transition",), [[True, False], [0.3, 0.7]], "transition"),
+    (("states", 1, "dpat", "high"), "1.0", "high"),
 ])
 def test_malformed_source_values_exit_2(tmp_path, capsys, path, value, named):
     markov = path[0] in ("transition", "states")
@@ -309,7 +324,8 @@ def test_malformed_source_values_exit_2(tmp_path, capsys, path, value, named):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("levels", [[0.5, 1.5], [-0.1], [math.nan], 0.5, ["a"]])
+@pytest.mark.parametrize("levels", [[0.5, 1.5], [-0.1], [math.nan], 0.5, ["a"], ["0.5"],
+                                    [True]])
 def test_quantile_levels_outside_the_unit_interval_exit_2(tmp_path, capsys, levels):
     cfg = {"source": BOUNDED_SOURCE, "run": {"steps": 10, "quantiles": levels}}
     code = main(["cesaro", "--config", _write(tmp_path, cfg), "--out-dir", str(tmp_path / "out")])
@@ -355,6 +371,62 @@ def test_out_of_range_run_integers_exit_2(tmp_path, capsys, experiment, run, arg
                  "--out-dir", str(tmp_path / "out"), *args])
     assert code == 2
     assert "must be >= " in capsys.readouterr().err
+
+
+# (experiment, config section, key, value): integers that are bools,
+# strings, fractions or infinite
+@pytest.mark.parametrize("experiment, section, key, value", [
+    ("loss-begin", "run", "samples", 20.7),
+    ("loss-begin", "run", "samples", "20"),
+    ("loss-begin", "run", "samples", True),
+    ("loss-begin", "run", "samples", math.inf),
+    ("loss-begin", "run", "max_epochs", "10"),
+    ("loss-end", "run", "max_depth", 300.5),
+    ("loss-begin", "run", "warmup", 1.5),
+    ("sample-w", "run", "samples", 3.25),
+    ("regen", "run", "replicas", False),
+    ("regen", "run", "max_depth", "300"),
+    ("des", "run", "customers", 100.5),
+    ("des", "model", "servers", 2.5),
+    ("cesaro", "run", "steps", "10"),
+    ("cesaro", "run", "boundary_p", True),
+    ("props", "run", "tuples", 10.5),
+    ("props", "run", "prop_seed", "7"),
+])
+def test_non_integer_config_integers_exit_2(tmp_path, capsys, experiment, section, key, value):
+    run = {"mode": "approximate", "samples": 5} if key == "warmup" else {}
+    cfg = {"source": BOUNDED_SOURCE, "model": {}, "run": run}
+    cfg[section][key] = value
+    code = main([experiment, "--config", _write(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_integral_floats_are_read_as_integers(tmp_path):
+    cfg = {"source": dict(BOUNDED_SOURCE, seed=4401.0, stream=2.0),
+           "run": {"mode": "exact", "samples": 5.0, "max_depth": 300.0}}
+    out = tmp_path / "out"
+    assert main(["loss-begin", "--config", _write(tmp_path, cfg), "--out-dir", str(out)]) == 0
+    summary = _summary(out)
+    assert summary["seeds"]["seed"] == 4401 and summary["seeds"]["stream"] == 2
+    assert summary["results"]["replicas"] == 5
+
+
+# delta = 2e-9: the chain is valid, but no regeneration turns up within the
+# longest lookback before the first replica's window
+DEGENERATE_SOURCE = dict(MARKOV_SOURCE, seed=7, transition=[[1 - 2e-9, 2e-9], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_near_degenerate_chain_exits_3(tmp_path, capsys, workers):
+    cfg = {"source": DEGENERATE_SOURCE, "run": {"mode": "exact", "samples": 4}}
+    code = main(["loss-end", "--config", _write(tmp_path, cfg), "--workers", str(workers),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "capability error: no chain regeneration" in err
+    assert "before index -127" in err  # replica 0's window starts at -127
 
 
 def _csv_writer_reference(path, header, rows):

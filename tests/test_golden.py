@@ -7,8 +7,10 @@ that and every later speed-up.  Those of loss-end-approx-iid,
 loss-begin-approx-heavy and sample-w-approx were recorded from the scalar
 forward kernels, before the coupled-segment engine replaced them, and those
 of cesaro-iid and xval-end from the per-mark walks in renege.cesaro and
-renege.des, before they went through the shared path kernels.  Change a
-hash only when a numeric change is intended and named in CHANGES.md.
+renege.des, before they went through the shared path kernels.  That of
+loss-end-markov3-slow was recorded while exact Markov rows still resolved
+their windows one replica at a time, before the batched chain composition.
+Change a hash only when a numeric change is intended and named in CHANGES.md.
 """
 
 import hashlib
@@ -39,6 +41,16 @@ MARKOV3 = {"kind": "markov", "seed": 4404,
            "states": [{"xi": _u(0.2, 0.6), "sigma": _u(0.0, 0.3), "dpat": _u(0.0, 0.2)},
                       {"xi": _u(0.8, 1.6), "sigma": _u(0.0, 0.9), "dpat": _u(0.0, 0.5)},
                       {"xi": _u(1.0, 2.0), "sigma": _u(0.2, 1.2), "dpat": _u(0.1, 0.9)}]}
+# a three-state chain with delta = 0.03: about one replica window in eight has
+# no regeneration in its 64-block lookback and takes the per-window resolver
+MARKOV3_SLOW = {"kind": "markov", "seed": 4407,
+                "transition": [[0.97, 0.02, 0.01], [0.01, 0.97, 0.02], [0.02, 0.01, 0.97]],
+                "states": [{"xi": _u(0.3, 1.1), "sigma": _u(0.0, 0.6), "dpat": _u(0.0, 0.4)},
+                           {"xi": _u(0.6, 1.4), "dpat": _u(0.0, 1.2),
+                            "sigma": {"dist": "truncated-exponential", "rate": 1.5, "cap": 2.0}},
+                           {"xi": _u(0.9, 1.9), "sigma": _u(0.2, 1.0),
+                            "dpat": {"dist": "discrete", "atoms": [0.2, 0.8, 1.6],
+                                     "probs": [0.5, 0.3, 0.2]}}]}
 # heavy end-model dominating recursion (alpha = dpat, up to 6): about one replica
 # in six needs more than 128 marks to certify and replay, so the loss rows take
 # the scalar path for those
@@ -66,6 +78,8 @@ CASES = {
     "loss-end-iid": ("loss-end", {"source": DEEP, "run": {"mode": "exact", "samples": 60}}),
     "loss-end-markov": ("loss-end", {"source": MARKOV, "run": {"mode": "exact", "samples": 60}}),
     "loss-end-markov3": ("loss-end", {"source": MARKOV3, "run": {"mode": "exact", "samples": 40}}),
+    "loss-end-markov3-slow": ("loss-end", {"source": MARKOV3_SLOW, "run": {
+        "mode": "exact", "samples": 150, "max_depth": 400}}),
     "loss-end-approx-markov": ("loss-end", {"source": MARKOV, "run": {
         "mode": "approximate", "samples": 20000, "warmup": 1000}}),
     # seven coupled windows: two of warm-up, five of samples
@@ -128,6 +142,10 @@ HASHES = {
     "loss-end-markov3": {
         "detail.csv": "292b44964cac169317f13cc36e35194e9f164fdd2718200eeb4ada4d77c9c287",
         "summary.json": "d45f3a29e392cdc4777a74bff62a10dede75e29c52bf8062cc18d7c2e25822ad",
+    },
+    "loss-end-markov3-slow": {
+        "detail.csv": "1a69d2ec7ffacf74cdc6fe9226beb1a12472bd1d9541b3c35bedd9f2d3a4198c",
+        "summary.json": "715b8cb062b1074f37e863a66def439f0825886f116a95c83cdc4ab940c7df92",
     },
     "loss-end-approx-markov": {
         "summary.json": "8bb24ccb9823e3045e07d2df1c5e8a1db71cd0f0e73c566fcfa50a0f4a8d6bec",
