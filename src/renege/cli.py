@@ -19,7 +19,6 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -194,19 +193,18 @@ def _finish(out_dir: Path, experiment: str, cfg: dict, src: MarkSource, results:
     return EXIT_OK
 
 
-def _write_csv(path: Path, header: list[str], rows, preamble: str | None = None) -> None:
-    """Write the rows as csv.writer would, _CSV_ROWS rows at a time, each
-    formatted a column at a time.  Every row must have one field per header
-    column: ValueError otherwise."""
-    rows = iter(rows)
+def _write_csv(path: Path, header: list[str], columns: list, preamble: str | None = None) -> None:
+    """Write the columns' rows as csv.writer would, _CSV_ROWS rows at a time,
+    each formatted a column at a time.  There must be one column per header
+    field, all of one length: ValueError otherwise."""
+    if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+        raise ValueError(f"{path.name}: every row needs {len(header)} fields")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if preamble:
             fh.write(preamble + "\n")
         _write_lines(fh, [header])
-        while chunk := list(islice(rows, _CSV_ROWS)):
-            if set(map(len, chunk)) != {len(header)}:
-                raise ValueError(f"{path.name}: every row needs {len(header)} fields")
-            _write_lines(fh, list(zip(*map(_csv_column, zip(*chunk)))))
+        for lo in range(0, len(columns[0]), _CSV_ROWS):
+            _write_lines(fh, list(zip(*(_csv_column(c[lo:lo + _CSV_ROWS]) for c in columns))))
 
 
 def _write_lines(fh, lines: list) -> None:
@@ -232,6 +230,8 @@ def _csv_column(col) -> list[str]:
         return list(map(float.__repr__, col))
     if kinds == {int}:
         return list(map(int.__repr__, col))
+    if kinds == {str}:
+        return list(col)
     return ["" if c is None else float.__repr__(c) if isinstance(c, float) else str(c)
             for c in col]
 
@@ -309,7 +309,8 @@ def _exp_sample(experiment: str, model: Model, cfg, out_dir, workers, src) -> in
         "max_value": max(values),
     }
     _write_csv(out_dir / "detail.csv",
-               ["replica", "value", "method", "renovation_epoch", "certificate_depth"], rows)
+               ["replica", "value", "method", "renovation_epoch", "certificate_depth"],
+               list(zip(*rows)))
     return _finish(out_dir, experiment, cfg, src, results, replica_streams=[0, samples])
 
 
@@ -319,7 +320,7 @@ def _exp_loss(experiment: str, model: Model, cfg, out_dir, workers, src) -> int:
     if params["mode"] == "exact":
         rows = _parallel_rows("loss", _source_cfg_with_seed(cfg, src), params, samples, workers)
         report = loss_report_from_rows(model, src, rows)
-        _write_csv(out_dir / "detail.csv", list(model.columns), rows)
+        _write_csv(out_dir / "detail.csv", list(model.columns), list(zip(*rows)))
     else:
         report = loss_probability(model, src, samples, mode="approximate",
                                   warmup=params["warmup"])
@@ -386,18 +387,18 @@ def _exp_regen(cfg, out_dir, workers, src) -> int:
     stats = report.stats
     _write_csv(out_dir / "detail.csv",
                ["index", "l_before", "m_before", "x_before"],
-               zip(range(stats.arrivals), stats.l_before.tolist(),
-                   stats.m_before.tolist(), stats.x_before.tolist()))
+               [range(stats.arrivals), stats.l_before.tolist(), stats.m_before.tolist(),
+                stats.x_before.tolist()])
     return _finish(out_dir, "regen", cfg, src, results, _path_violation(stats))
 
 
 def _exp_des(cfg, out_dir, workers, src) -> int:
     scn = _scenario(cfg, src)
-    records, stats = simulate(scn)
+    cust, stats = simulate(scn)
     _write_csv(out_dir / "customers.csv",
                ["index", "arrival", "sigma", "dpat", "service_start", "departure", "outcome"],
-               ((r.index, r.arrival, r.sigma, r.dpat, r.service_start, r.departure, r.outcome)
-                for r in records))
+               [range(len(cust)), cust.arrival, cust.sigma, cust.dpat, cust.service_start,
+                cust.departure, cust.outcome])
     return _finish(out_dir, "des", cfg, src, _path_stats_results(stats), _path_violation(stats))
 
 
@@ -428,7 +429,7 @@ def _exp_cesaro(cfg, out_dir, workers, src) -> int:
     }
     preamble = f"# n_steps={mu.n_steps} model={mu.model} seed={src.seed} stream={src.stream}"
     _write_csv(out_dir / "detail.csv", ["value", "weight"],
-               zip(mu.values.tolist(), mu.weights.tolist()), preamble=preamble)
+               [mu.values.tolist(), mu.weights.tolist()], preamble=preamble)
     return _finish(out_dir, "cesaro", cfg, src, results)
 
 

@@ -18,9 +18,17 @@ before the event loop and by recursion.y_path: L from the model's dominating
 alpha and M from sigma ^ dpat, bit-identical to the generic recursion step
 on the same marks.
 
-Simultaneous events process as completion < deadline < arrival, then by
-customer index; inclusion checks run when an instant's events are done
-(right-continuous convention).
+Completions and deadlines wait in a heap; arrivals, already sorted by
+index, are merged in from their list and go after any heap event at the
+same instant.  Simultaneous events therefore process as completion <
+deadline < arrival, then by customer index.  A completion or deadline that
+no longer applies stays in the heap and is ignored when popped, and
+inclusion checks run when an instant's events are done (right-continuous
+convention).
+
+simulate returns the per-customer lists the event loop fills, as
+CustomerColumns; the CLI writes them to customers.csv column by column, and
+indexing or iterating them gives CustomerRecord views.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +45,7 @@ from .fifo import MODELS
 from .marks import MarkSource
 from .recursion import SIGMA_MIN_D, CapabilityError, ProbZero, prob_zero_estimate, y_path
 
-_COMPLETION, _DEADLINE, _ARRIVAL = 0, 1, 2
+_COMPLETION, _DEADLINE = 0, 1  # heap ties at one instant: completion first
 _WAITING, _IN_SERVICE, _DONE = 0, 1, 2
 
 # |departure - arrival| vs the mark-based sojourn bounds can differ by a few
@@ -77,6 +86,35 @@ class CustomerRecord:
     outcome: str
 
 
+@dataclass(frozen=True, repr=False)
+class CustomerColumns(Sequence):
+    """Per-customer columns of one simulation, read as CustomerRecord views.
+
+    The columns are the lists the event loop fills, indexed by customer;
+    service_start is None for a customer who abandoned the queue.  Indexing
+    builds a fresh CustomerRecord (a list of them for a slice).
+    """
+
+    arrival: list[float]
+    sigma: list[float]
+    dpat: list[float]
+    service_start: list[float | None]
+    departure: list[float]
+    outcome: list[str]
+
+    def __len__(self) -> int:
+        return len(self.arrival)
+
+    def __iter__(self):
+        return map(CustomerRecord, range(len(self)), *vars(self).values())
+
+    def __getitem__(self, i):
+        k = range(len(self))[i]  # IndexError out of range, a range for a slice
+        if isinstance(k, range):
+            return [self[j] for j in k]
+        return CustomerRecord(k, *(col[k] for col in vars(self).values()))
+
+
 @dataclass
 class PathStatistics:
     arrivals: int
@@ -96,10 +134,10 @@ class PathStatistics:
     x_before: np.ndarray = field(repr=False, default=None)
 
 
-def simulate(scn: Scenario) -> tuple[list[CustomerRecord], PathStatistics]:
+def simulate(scn: Scenario) -> tuple[CustomerColumns, PathStatistics]:
     """Run the scenario to the arrival horizon, then drain the system.
 
-    Returns one record per customer plus path statistics; inclusion and
+    Returns the per-customer columns plus path statistics; inclusion and
     per-customer sojourn-bound violations are counted inline and are 0 by
     contract.
     """
@@ -123,10 +161,11 @@ def simulate(scn: Scenario) -> tuple[list[CustomerRecord], PathStatistics]:
     outcome = [""] * n_cust
     server_of = [-1] * n_cust
 
-    free = list(range(scn.servers))
-    heapq.heapify(free)
+    free = list(range(scn.servers))  # a sorted list is a heap
     queue: deque[int] = deque()
-    heap: list[tuple[float, int, int]] = [(0.0, _ARRIVAL, 0)]
+    # completions and deadlines; arrivals come in index order from arrival_l
+    heap: list[tuple[float, int, int]] = []
+    heappush, heappop, popleft = heapq.heappush, heapq.heappop, queue.popleft
 
     l_before = np.zeros(n_cust)
     m_before = np.zeros(n_cust)
@@ -141,89 +180,87 @@ def simulate(scn: Scenario) -> tuple[list[CustomerRecord], PathStatistics]:
     inclusion_violations = 0
     sojourn_violations = 0
     counts = {OUTCOME_SERVED: 0, OUTCOME_ABANDONED: 0, OUTCOME_ABORTED: 0}
+    nxt = 0  # next customer to arrive
+    t_arr = 0.0  # its arrival time, inf once all have arrived
 
-    def dispatch(now: float) -> None:
-        nonlocal x
-        while free and queue:
-            j = queue[0]
-            if status[j] != _WAITING:
-                queue.popleft()
-                continue
-            queue.popleft()
-            server = heapq.heappop(free)
-            status[j] = _IN_SERVICE
-            service_start[j] = now
-            server_of[j] = server
-            heapq.heappush(heap, (now + sigma_l[j], _COMPLETION, j))
-
-    def depart(j: int, now: float, kind: str) -> None:
-        nonlocal x, empty_epochs, sojourn_violations
-        status[j] = _DONE
-        departure[j] = now
-        outcome[j] = kind
-        counts[kind] += 1
-        x -= 1
-        if x == 0:
-            empty_epochs += 1
-        soj = now - arrival_l[j]
-        lb = sigma_l[j] if sigma_l[j] < dpat_l[j] else dpat_l[j]
-        ub = dpat_l[j] if end_model else sigma_l[j] + dpat_l[j]
-        if soj < lb - SOJOURN_TIME_TOL or soj > ub + SOJOURN_TIME_TOL:
-            sojourn_violations += 1
-
-    while heap:
-        t, tie, j = heapq.heappop(heap)
-        if tie == _COMPLETION:
-            valid = status[j] == _IN_SERVICE
-        elif tie == _DEADLINE:
-            valid = status[j] == _WAITING or (end_model and status[j] == _IN_SERVICE)
-        else:
-            valid = True
-        if valid:
+    while True:
+        # a heap event at the next arrival's instant goes first: completion <
+        # deadline < arrival, then index
+        if heap and heap[0][0] <= t_arr:
+            t, tie, j = heappop(heap)
+            st = status[j]
+            if tie == _COMPLETION:
+                kind = OUTCOME_SERVED if st == _IN_SERVICE else None
+            elif st == _WAITING:
+                kind = OUTCOME_ABANDONED
+            else:
+                kind = OUTCOME_ABORTED if end_model and st == _IN_SERVICE else None
+            if kind is not None:  # stale events change nothing
+                integral += x * (t - t_prev)
+                t_prev = t
+                status[j] = _DONE
+                departure[j] = t
+                outcome[j] = kind
+                counts[kind] += 1
+                x -= 1
+                if x == 0:
+                    empty_epochs += 1
+                soj = t - arrival_l[j]
+                s_j, d_j = sigma_l[j], dpat_l[j]
+                lb = s_j if s_j < d_j else d_j
+                ub = d_j if end_model else s_j + d_j
+                if soj < lb - SOJOURN_TIME_TOL or soj > ub + SOJOURN_TIME_TOL:
+                    sojourn_violations += 1
+                if kind != OUTCOME_ABANDONED:
+                    heappush(free, server_of[j])
+                    while free and queue:
+                        k = popleft()
+                        if status[k] == _WAITING:
+                            status[k] = _IN_SERVICE
+                            service_start[k] = t
+                            server_of[k] = heappop(free)
+                            heappush(heap, (t + sigma_l[k], _COMPLETION, k))
+        elif nxt < n_cust:
+            t = t_arr
+            j = nxt
+            nxt += 1
+            t_arr = arrival_l[nxt] if nxt < n_cust else math.inf
             integral += x * (t - t_prev)
             t_prev = t
-            if tie == _ARRIVAL:
-                lp = e_l - t
-                l_before[j] = lp if lp > 0.0 else 0.0
-                mp = e_m - t
-                m_before[j] = mp if mp > 0.0 else 0.0
-                x_before[j] = x
-                x += 1
-                deadline = t + dpat_l[j]
-                term_l = deadline if end_model else deadline + sigma_l[j]
-                if term_l > e_l:
-                    e_l = term_l
-                smin = sigma_l[j] if sigma_l[j] < dpat_l[j] else dpat_l[j]
-                term_m = t + smin
-                if term_m > e_m:
-                    e_m = term_m
-                heapq.heappush(heap, (deadline, _DEADLINE, j))
+            lp = e_l - t
+            l_before[j] = lp if lp > 0.0 else 0.0
+            mp = e_m - t
+            m_before[j] = mp if mp > 0.0 else 0.0
+            x_before[j] = x
+            x += 1
+            s_j, d_j = sigma_l[j], dpat_l[j]
+            deadline = t + d_j
+            term_l = deadline if end_model else deadline + s_j
+            if term_l > e_l:
+                e_l = term_l
+            term_m = t + (s_j if s_j < d_j else d_j)
+            if term_m > e_m:
+                e_m = term_m
+            heappush(heap, (deadline, _DEADLINE, j))
+            # every dispatch ends with no free server or an empty queue, so
+            # with a server free the arrival is served at once
+            if free:
+                status[j] = _IN_SERVICE
+                service_start[j] = t
+                server_of[j] = heappop(free)
+                heappush(heap, (t + s_j, _COMPLETION, j))
+            else:
                 queue.append(j)
-                dispatch(t)
-                if j + 1 < n_cust:
-                    heapq.heappush(heap, (arrival_l[j + 1], _ARRIVAL, j + 1))
-            elif tie == _COMPLETION:
-                depart(j, t, OUTCOME_SERVED)
-                heapq.heappush(free, server_of[j])
-                dispatch(t)
-            else:  # deadline
-                if status[j] == _WAITING:
-                    depart(j, t, OUTCOME_ABANDONED)
-                else:  # end model, in service
-                    depart(j, t, OUTCOME_ABORTED)
-                    heapq.heappush(free, server_of[j])
-                    dispatch(t)
-        if not heap or heap[0][0] != t:
+        else:
+            break
+        t_next = heap[0][0] if heap and heap[0][0] < t_arr else t_arr
+        if t_next != t:
             # instant closed: right-continuous state at t
             if e_l <= t and x > 0:
                 inclusion_violations += 1
             if x == 0 and e_m > t:
                 inclusion_violations += 1
 
-    records = [CustomerRecord(index=i, arrival=arrival_l[i], sigma=sigma_l[i],
-                              dpat=dpat_l[i], service_start=service_start[i],
-                              departure=departure[i], outcome=outcome[i])
-               for i in range(n_cust)]
     horizon_time = t_prev
     stats = PathStatistics(
         arrivals=n_cust,
@@ -238,7 +275,8 @@ def simulate(scn: Scenario) -> tuple[list[CustomerRecord], PathStatistics]:
         l_before=l_before, m_before=m_before,
         l_chain=l_chain, m_chain=m_chain, x_before=x_before,
     )
-    return records, stats
+    columns = CustomerColumns(arrival_l, sigma_l, dpat_l, service_start, departure, outcome)
+    return columns, stats
 
 
 @dataclass
@@ -255,7 +293,7 @@ class RegenReport:
     p_zero_necessary: ProbZero
 
 
-def regeneration_stats(scn: Scenario, sim: tuple[list[CustomerRecord], PathStatistics] | None = None,
+def regeneration_stats(scn: Scenario, sim: tuple[CustomerColumns, PathStatistics] | None = None,
                        replicas: int = 200, max_depth: int = 10_000) -> RegenReport:
     """Side-by-side regenerativity report for a completed simulation.
 
@@ -280,21 +318,18 @@ def regeneration_stats(scn: Scenario, sim: tuple[list[CustomerRecord], PathStati
                        p_zero_necessary=p_nec)
 
 
-def workload_before_arrivals(records: list[CustomerRecord]) -> np.ndarray:
+def workload_before_arrivals(records: CustomerColumns) -> np.ndarray:
     """Workload just before each arrival, reconstructed from the records.
 
     With one FIFO server the customers that reach it occupy it back to back
     in arrival order, so the committed work at T_n- is the latest departure
     among engaged (served or aborted) earlier customers minus T_n, clipped.
     """
-    out = np.empty(len(records))
-    f = -math.inf
-    for r in records:
-        v = f - r.arrival
-        out[r.index] = v if v > 0.0 else 0.0
-        if r.service_start is not None and r.departure > f:
-            f = r.departure
-    return out
+    # service_start is None (nan here) exactly for customers who abandoned
+    engaged = ~np.isnan(np.array(records.service_start, dtype=float))
+    latest = np.maximum.accumulate(np.where(engaged, records.departure, -math.inf))
+    v = np.concatenate([[-math.inf], latest[:-1]]) - np.array(records.arrival)
+    return np.where(v > 0.0, v, 0.0)
 
 
 def cross_validate_recursion(scn: Scenario) -> float:

@@ -437,6 +437,13 @@ def _csv_writer_reference(path, header, rows):
                          for row in rows)
 
 
+def _columns(rows, width):
+    """The rows as columns, at least width of them; a ragged row leaves its
+    columns of unequal length."""
+    width = max([width, *map(len, rows)])
+    return [[row[k] for row in rows if k < len(row)] for k in range(width)]
+
+
 @pytest.mark.parametrize("header, rows", [
     (["a", "b"], []),
     (["index", "value", "epoch", "outcome"],
@@ -449,7 +456,7 @@ def _csv_writer_reference(path, header, rows):
 ])
 def test_write_csv_matches_csv_writer(tmp_path, header, rows):
     # floats go through float.__repr__, so numpy floats read as plain floats
-    _write_csv(tmp_path / "got.csv", header, iter(rows))
+    _write_csv(tmp_path / "got.csv", header, _columns(rows, len(header)))
     _csv_writer_reference(tmp_path / "want.csv", header, rows)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -457,7 +464,7 @@ def test_write_csv_matches_csv_writer(tmp_path, header, rows):
 @pytest.mark.parametrize("rows", [[(1, 2), (3,)], [(1, 2, 3)], [(1, 2)] * 300 + [(1, 2, 3)]])
 def test_write_csv_rejects_rows_unlike_the_header(tmp_path, rows):
     with pytest.raises(ValueError, match="every row needs 2 fields"):
-        _write_csv(tmp_path / "got.csv", ["a", "b"], iter(rows))
+        _write_csv(tmp_path / "got.csv", ["a", "b"], _columns(rows, 2))
 
 
 def test_cli_import_loads_numpy_random_but_not_scipy():
@@ -471,3 +478,10 @@ def test_cli_import_loads_numpy_random_but_not_scipy():
     out = subprocess.run([sys.executable, "-c", code],
                          capture_output=True, text=True, env=env, timeout=60, check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("columns", [[[1, 2], [3]], [[1], [2], [3]], [[1, 2]]])
+def test_write_csv_rejects_columns_before_writing(tmp_path, columns):
+    with pytest.raises(ValueError, match="every row needs 2 fields"):
+        _write_csv(tmp_path / "got.csv", ["a", "b"], columns)
+    assert not (tmp_path / "got.csv").exists()

@@ -1,0 +1,271 @@
+"""The event loop that merges sorted arrivals with the heap against the loop
+that pushed every arrival through the heap, kept here as the oracle; and
+the read-only column view simulate returns."""
+
+import heapq
+import math
+from collections import deque
+
+import numpy as np
+import pytest
+
+from renege import (
+    CustomerRecord,
+    Discrete,
+    Scenario,
+    Uniform,
+    deterministic_source,
+    iid_source,
+    simulate,
+    workload_before_arrivals,
+)
+from renege.des import (
+    OUTCOME_ABANDONED,
+    OUTCOME_ABORTED,
+    OUTCOME_SERVED,
+    SOJOURN_TIME_TOL,
+    CustomerColumns,
+)
+
+_COMPLETION, _DEADLINE, _ARRIVAL = 0, 1, 2
+_WAITING, _IN_SERVICE, _DONE = 0, 1, 2
+
+
+def heap_loop(scn):
+    """Every event through one heap, arrivals included: the event loop as it
+    was before arrivals were merged from their sorted list."""
+    n_cust = scn.horizon_customers
+    end_model = scn.impatience == "end"
+    xi, sigma, dpat = scn.source.window_arrays(0, n_cust - 1)
+    sigma_l, dpat_l = sigma.tolist(), dpat.tolist()
+    arrival = np.concatenate([[0.0], np.cumsum(xi)[:-1]]) if n_cust > 1 else np.zeros(1)
+    arrival_l = arrival.tolist()
+
+    status = [_WAITING] * n_cust
+    service_start = [None] * n_cust
+    departure = [0.0] * n_cust
+    outcome = [""] * n_cust
+    server_of = [-1] * n_cust
+
+    free = list(range(scn.servers))
+    heapq.heapify(free)
+    queue = deque()
+    heap = [(0.0, _ARRIVAL, 0)]
+
+    l_before = np.zeros(n_cust)
+    m_before = np.zeros(n_cust)
+    x_before = np.zeros(n_cust, dtype=np.int64)
+
+    e_l = -math.inf
+    e_m = -math.inf
+    x = 0
+    integral = 0.0
+    t_prev = 0.0
+    empty_epochs = 0
+    inclusion_violations = 0
+    sojourn_violations = 0
+    counts = {OUTCOME_SERVED: 0, OUTCOME_ABANDONED: 0, OUTCOME_ABORTED: 0}
+
+    def dispatch(now):
+        while free and queue:
+            j = queue[0]
+            if status[j] != _WAITING:
+                queue.popleft()
+                continue
+            queue.popleft()
+            server = heapq.heappop(free)
+            status[j] = _IN_SERVICE
+            service_start[j] = now
+            server_of[j] = server
+            heapq.heappush(heap, (now + sigma_l[j], _COMPLETION, j))
+
+    def depart(j, now, kind):
+        nonlocal x, empty_epochs, sojourn_violations
+        status[j] = _DONE
+        departure[j] = now
+        outcome[j] = kind
+        counts[kind] += 1
+        x -= 1
+        if x == 0:
+            empty_epochs += 1
+        soj = now - arrival_l[j]
+        lb = sigma_l[j] if sigma_l[j] < dpat_l[j] else dpat_l[j]
+        ub = dpat_l[j] if end_model else sigma_l[j] + dpat_l[j]
+        if soj < lb - SOJOURN_TIME_TOL or soj > ub + SOJOURN_TIME_TOL:
+            sojourn_violations += 1
+
+    while heap:
+        t, tie, j = heapq.heappop(heap)
+        if tie == _COMPLETION:
+            valid = status[j] == _IN_SERVICE
+        elif tie == _DEADLINE:
+            valid = status[j] == _WAITING or (end_model and status[j] == _IN_SERVICE)
+        else:
+            valid = True
+        if valid:
+            integral += x * (t - t_prev)
+            t_prev = t
+            if tie == _ARRIVAL:
+                lp = e_l - t
+                l_before[j] = lp if lp > 0.0 else 0.0
+                mp = e_m - t
+                m_before[j] = mp if mp > 0.0 else 0.0
+                x_before[j] = x
+                x += 1
+                deadline = t + dpat_l[j]
+                term_l = deadline if end_model else deadline + sigma_l[j]
+                if term_l > e_l:
+                    e_l = term_l
+                smin = sigma_l[j] if sigma_l[j] < dpat_l[j] else dpat_l[j]
+                term_m = t + smin
+                if term_m > e_m:
+                    e_m = term_m
+                heapq.heappush(heap, (deadline, _DEADLINE, j))
+                queue.append(j)
+                dispatch(t)
+                if j + 1 < n_cust:
+                    heapq.heappush(heap, (arrival_l[j + 1], _ARRIVAL, j + 1))
+            elif tie == _COMPLETION:
+                depart(j, t, OUTCOME_SERVED)
+                heapq.heappush(free, server_of[j])
+                dispatch(t)
+            else:
+                if status[j] == _WAITING:
+                    depart(j, t, OUTCOME_ABANDONED)
+                else:
+                    depart(j, t, OUTCOME_ABORTED)
+                    heapq.heappush(free, server_of[j])
+                    dispatch(t)
+        if not heap or heap[0][0] != t:
+            if e_l <= t and x > 0:
+                inclusion_violations += 1
+            if x == 0 and e_m > t:
+                inclusion_violations += 1
+
+    columns = {"arrival": arrival_l, "sigma": sigma_l, "dpat": dpat_l,
+               "service_start": service_start, "departure": departure, "outcome": outcome}
+    stats = {"counts": counts, "empty_epochs": empty_epochs,
+             "inclusion_violations": inclusion_violations,
+             "sojourn_violations": sojourn_violations,
+             "horizon_time": t_prev,
+             "time_average_congestion": integral / t_prev if t_prev > 0.0 else 0.0,
+             "l_before": l_before, "m_before": m_before, "x_before": x_before}
+    return columns, stats
+
+
+def heap_loop_workload(columns):
+    """Workload before each arrival by the record walk it replaced."""
+    out = []
+    f = -math.inf
+    for a, s, d in zip(columns["arrival"], columns["service_start"], columns["departure"]):
+        v = f - a
+        out.append(v if v > 0.0 else 0.0)
+        if s is not None and d > f:
+            f = d
+    return out
+
+
+def _hex(values):
+    return [None if v is None else float(v).hex() for v in values]
+
+
+def _tie_heavy(seed):
+    # atoms at 0 everywhere: simultaneous arrivals, zero services completing
+    # on arrival and deadlines falling on arrivals, completions and each other
+    return iid_source(Discrete((0.0, 0.5, 1.0), (0.4, 0.3, 0.3)),
+                      Discrete((0.0, 0.5, 1.0, 1.5), (0.25, 0.25, 0.25, 0.25)),
+                      Discrete((0.0, 0.5, 1.0), (0.3, 0.4, 0.3)), seed=seed)
+
+
+SOURCES = {
+    "tie-heavy": _tie_heavy(4242),
+    "tie-heavy-overloaded": iid_source(Discrete((0.0, 0.5), (0.6, 0.4)),
+                                       Discrete((0.0, 1.0, 2.0), (0.2, 0.4, 0.4)),
+                                       Discrete((0.0, 0.5, 2.0), (0.2, 0.3, 0.5)), seed=77),
+    "deterministic-equal": deterministic_source(1.0, 1.0, 1.0, seed=1),
+    "deterministic-half": deterministic_source(0.5, 0.5, 0.5, seed=1),
+    "deterministic-overloaded": deterministic_source(0.5, 1.0, 1.0, seed=1),
+    "bounded": iid_source(Uniform(0.1, 1.0), Uniform(0.0, 1.6), Uniform(0.0, 1.0), seed=99),
+}
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3000])
+@pytest.mark.parametrize("servers", [1, 2, 3, 4])
+@pytest.mark.parametrize("model", ["begin", "end"])
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_merged_arrivals_match_the_heap_loop(name, model, servers, horizon):
+    scn = Scenario(servers=servers, impatience=model, source=SOURCES[name],
+                   horizon_customers=horizon)
+    got, stats = simulate(scn)
+    want, ref = heap_loop(scn)
+    assert isinstance(got, CustomerColumns)
+    for col in ("arrival", "sigma", "dpat", "service_start", "departure"):
+        assert _hex(getattr(got, col)) == _hex(want[col]), col
+    assert got.outcome == want["outcome"]
+    for series in ("l_before", "m_before"):
+        assert _hex(getattr(stats, series)) == _hex(ref[series]), series
+    assert stats.x_before.tolist() == ref["x_before"].tolist()
+    assert stats.outcome_counts == ref["counts"]
+    assert stats.empty_epoch_count == ref["empty_epochs"]
+    assert stats.inclusion_violations == ref["inclusion_violations"] == 0
+    assert stats.sojourn_violations == ref["sojourn_violations"] == 0
+    assert stats.horizon_time.hex() == ref["horizon_time"].hex()
+    assert (stats.time_average_congestion.hex()
+            == float(ref["time_average_congestion"]).hex())
+    if servers == 1:
+        assert (_hex(workload_before_arrivals(got))
+                == _hex(heap_loop_workload(want)))
+
+
+def test_tie_heavy_sources_do_tie():
+    # the cases above only test the tie order if events really coincide
+    got, _ = simulate(Scenario(servers=1, impatience="end", source=SOURCES["tie-heavy"],
+                               horizon_customers=3000))
+    cust = list(zip(got.arrival, got.sigma, got.dpat, got.service_start, got.departure,
+                    got.outcome))
+    assert sum(a == b for a, b in zip(got.arrival, got.arrival[1:])) > 500
+    assert sum(d == a + p for a, _, p, _, d, _ in cust) > 500
+    # completions exactly on the deadline count as served
+    assert sum(o == OUTCOME_SERVED and s + g == a + p for a, g, p, s, _, o in cust) > 100
+    assert sum(got.outcome.count(k) > 100 for k in
+               (OUTCOME_SERVED, OUTCOME_ABANDONED, OUTCOME_ABORTED)) == 3
+
+
+def test_workload_before_arrivals_matches_the_record_walk():
+    for model in ("begin", "end"):
+        src = iid_source(Uniform(0.0, 1.0), Uniform(0.0, 1.5), Uniform(0.0, 1.0), seed=5)
+        got, _ = simulate(Scenario(servers=1, impatience=model, source=src,
+                                   horizon_customers=5000))
+        w = workload_before_arrivals(got)
+        assert np.count_nonzero(w) > 1000
+        want = heap_loop_workload({"arrival": got.arrival, "service_start": got.service_start,
+                                   "departure": got.departure})
+        assert _hex(w) == _hex(want)
+
+
+def test_columns_read_as_customer_records():
+    src = SOURCES["tie-heavy"]
+    cols, _ = simulate(Scenario(servers=2, impatience="begin", source=src,
+                                horizon_customers=50))
+    assert len(cols) == 50
+    records = list(cols)
+    assert len(records) == 50 and all(isinstance(r, CustomerRecord) for r in records)
+    for i, r in enumerate(records):
+        assert r == CustomerRecord(i, cols.arrival[i], cols.sigma[i], cols.dpat[i],
+                                   cols.service_start[i], cols.departure[i], cols.outcome[i])
+        assert cols[i] == r
+        assert cols[i - 50] == r
+    assert cols[-1].index == 49
+    assert cols[:3] == records[:3]
+    assert cols[10:20:3] == records[10:20:3]
+    assert cols[::-7] == records[::-7]
+    assert cols[60:] == [] and cols[5:2] == []
+    for bad in (50, -51, 10 ** 9):
+        with pytest.raises(IndexError):
+            cols[bad]
+    # a record is a copy: changing it leaves the columns alone
+    records[0].departure = -1.0
+    assert cols[0].departure == cols.departure[0] != -1.0
+    assert not hasattr(cols, "__setitem__")
+    with pytest.raises(AttributeError):
+        cols.arrival = []
