@@ -13,10 +13,9 @@ maximal and minimal sojourn times L_t and M_t.  Both decay at unit rate
 between arrivals, so each is [E - t]+ for a running max E of per-customer
 latest (resp. earliest) possible departure times; that form makes the
 zero-set checks {L=0} => {X=0} => {M=0} exact against event timestamps.
-The same quantities are also built in arrival-indexed recursion form,
-before the event loop and by recursion.y_path: L from the model's dominating
-alpha and M from sigma ^ dpat, bit-identical to the generic recursion step
-on the same marks.
+Seen just before each arrival, they equal the arrival-indexed recursions
+(L from the model's dominating alpha, M from sigma ^ dpat) up to
+reassociation of the arrival times.
 
 Completions and deadlines wait in a heap; arrivals, already sorted by
 index, are merged in from their list and go after any heap event at the
@@ -43,7 +42,7 @@ import numpy as np
 
 from .fifo import MODELS
 from .marks import MarkSource
-from .recursion import SIGMA_MIN_D, CapabilityError, ProbZero, prob_zero_estimate, y_path
+from .recursion import SIGMA_MIN_D, CapabilityError, ProbZero, clip, prob_zero_estimate
 
 _COMPLETION, _DEADLINE = 0, 1  # heap ties at one instant: completion first
 _WAITING, _IN_SERVICE, _DONE = 0, 1, 2
@@ -129,8 +128,6 @@ class PathStatistics:
     # per-arrival series, values seen just before each arrival
     l_before: np.ndarray = field(repr=False, default=None)
     m_before: np.ndarray = field(repr=False, default=None)
-    l_chain: np.ndarray = field(repr=False, default=None)
-    m_chain: np.ndarray = field(repr=False, default=None)
     x_before: np.ndarray = field(repr=False, default=None)
 
 
@@ -147,13 +144,6 @@ def simulate(scn: Scenario) -> tuple[CustomerColumns, PathStatistics]:
     sigma_l, dpat_l = sigma.tolist(), dpat.tolist()
     arrival = np.concatenate([[0.0], np.cumsum(xi)[:-1]]) if n_cust > 1 else np.zeros(1)
     arrival_l = arrival.tolist()
-    # L and M before each arrival in recursion form: 0 before the first, then
-    # after arrivals 0..n-2.  Built before the event loop, whose lists would
-    # otherwise hold their memory at the same time as these paths.
-    marks = xi[:-1], sigma[:-1], dpat[:-1]
-    alpha_l = MODELS[scn.impatience].dominating.alpha_array(*marks)
-    l_chain = np.array([0.0] + y_path(0.0, alpha_l, xi[:-1]))
-    m_chain = np.array([0.0] + y_path(0.0, SIGMA_MIN_D.alpha_array(*marks), xi[:-1]))
 
     status = [_WAITING] * n_cust
     service_start: list[float | None] = [None] * n_cust
@@ -273,7 +263,7 @@ def simulate(scn: Scenario) -> tuple[CustomerColumns, PathStatistics]:
         l_zero_arrival_freq=float(np.mean(l_before == 0.0)),
         m_zero_arrival_freq=float(np.mean(m_before == 0.0)),
         l_before=l_before, m_before=m_before,
-        l_chain=l_chain, m_chain=m_chain, x_before=x_before,
+        x_before=x_before,
     )
     columns = CustomerColumns(arrival_l, sigma_l, dpat_l, service_start, departure, outcome)
     return columns, stats
@@ -329,7 +319,7 @@ def workload_before_arrivals(records: CustomerColumns) -> np.ndarray:
     engaged = ~np.isnan(np.array(records.service_start, dtype=float))
     latest = np.maximum.accumulate(np.where(engaged, records.departure, -math.inf))
     v = np.concatenate([[-math.inf], latest[:-1]]) - np.array(records.arrival)
-    return np.where(v > 0.0, v, 0.0)
+    return clip(v, v)
 
 
 def cross_validate_recursion(scn: Scenario) -> float:

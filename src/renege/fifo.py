@@ -13,20 +13,29 @@ states above the observing customer's threshold; the dominated and
 dominating chains bracket them.
 
 A Model holds what differs between the two: the dominating spec, the scalar
-step (w, xi, sigma, dpat) -> w', its elementwise numpy form, a scalar window
-kernel that advances (ym, w, yp) over a window of marks and counts its
-exceedances, one that lists W alone along a window, and the layout of the
-exact loss rows.
+step (w, xi, sigma, dpat) -> w', its elementwise in-place numpy form, a
+scalar window kernel that advances (ym, w, yp) over a window of marks and
+counts its exceedances, one that lists W alone along a window, and the
+layout of the exact loss rows.
 
 Long forward runs (approximate loss, approximate sampling) go through one
 coupled-segment engine, _coupled, for both models.  The queue is
 regenerative: two copies driven by the same marks are equal from the first
 index where their states are equal.  So a window is cut into segments of
-_SEGMENT marks, every segment is run from 0 in lockstep with the numpy step
-forms, and each segment's true start (the previous segment's end) is
-stepped until it meets that recorded path.  The scalar kernels stay as the
-engine's fallback, for windows too short to cut, for the first segment and
-after a segment that does not couple, and as its test oracle.
+_SEGMENT marks, every segment is run from 0 in lockstep, and each segment's
+start, guessed as the end of the previous segment's path from 0, is stepped
+until it meets that recorded path.  After a segment that does not couple,
+the scalar kernels run the next segments from the true end until one ends
+on its path from 0, and the later segments keep their lockstep results.
+The scalar kernels also run the first segment (twice, to see whether it
+couples; a window whose first segment does not is left to them), windows
+too short to cut and the tail of a window, and they are the engine's test
+oracle.
+
+Every lockstep step, of the coupled engine and of the replay of exact loss
+rows, is one in-place kernel, _step, writing into preallocated buffers:
+np.maximum for the dominated and dominating chains, the model's inner form
+for W, then one subtraction of xi and one clip over all the chains.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from .marks import MarkSource, MarkTriple
 from .recursion import (
     _FIRST_FILL,
     D_ONLY,
+    SIGMA_MIN_D,
     SIGMA_PLUS_D,
     MarkWindowCache,
     RecursionSpec,
@@ -50,7 +60,6 @@ from .recursion import (
     mark_windows,
     renovation_offsets,
     renovation_search,
-    step_array,
 )
 
 DEFAULT_WARMUP = 100_000
@@ -59,9 +68,12 @@ DEFAULT_WARMUP = 100_000
 # composition) and 1.6 MB for an iid one (tracemalloc).
 _BATCH = 128
 # Marks per window of a coupled forward run, and per segment of a window.
-# With its marks, a window's arrays peak near 4 MB (2 MB for the scalar
-# kernels).  On the M/M/1+M forward workload every segment couples, within
-# 56 steps at most.
+# With its marks, a window's arrays peak near 4 MB (tracemalloc): the marks
+# and their segment-major copies (0.8 MB each), the two alpha rows (0.5 MB),
+# and the recorded and stepped paths of the three chains (0.8 MB each).
+# Windows of 2^16 marks run about 12 % faster but add 3.4 MB to the peak RSS
+# of the forward workload.  On the M/M/1+M forward workload every segment
+# couples, within 56 steps at most.
 _WINDOW = 1 << 15
 _SEGMENT = 64
 
@@ -89,13 +101,14 @@ class StationarySample:
 class Model:
     """What one single-server model needs beyond the shared drivers.
 
-    inner(w, sigma, dpat) is the elementwise numpy form of the step before
-    xi is taken off, so step_array is the step.  scalar_window(ym, w, yp,
-    xi, sigma, dpat) returns (ym, w, yp, counts) after the window, counts
-    being how many arrivals saw each of (w, ym, yp) above their loss
-    threshold, plus, for the end model, w above dpat (the customer never
-    reaches the server); w_path(w, xi, sigma, dpat) lists w after each
-    arrival.  An exact loss row is (replica, ym, w, yp, *row_marks(sigma,
+    inner(w, sigma, dpat, out=None, mask=None) is the elementwise numpy form
+    of the step before xi is taken off, written into `out` (not w) with
+    `mask` as scratch for w > dpat, so step_array is the step.
+    scalar_window(ym, w, yp, xi, sigma, dpat) returns (ym, w, yp, counts)
+    after the window, counts being how many arrivals saw each of (w, ym, yp)
+    above their loss threshold, plus, for the end model, w above dpat (the
+    customer never reaches the server); w_path(w, xi, sigma, dpat) lists w
+    after each arrival.  An exact loss row is (replica, ym, w, yp, *row_marks(sigma,
     dpat)); exceeds(ym, w, yp, *row marks) gives the same indicators for one
     row, or elementwise for arrays.
     """
@@ -103,7 +116,7 @@ class Model:
     name: str
     dominating: RecursionSpec
     step: Callable[[float, float, float, float], float]
-    inner: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    inner: Callable[..., np.ndarray]
     scalar_window: Callable[..., tuple]
     w_path: Callable[..., list]
     row_marks: Callable[[float, float], tuple]
@@ -117,8 +130,9 @@ class Model:
         return self.step(w, mark.xi, mark.sigma, mark.dpat)
 
     def step_array(self, w, xi, sigma, dpat):
-        """step, elementwise over numpy arrays, with the same IEEE operations."""
-        return clip(self.inner(w, sigma, dpat) - xi)
+        """step, elementwise over numpy arrays, bit-identical (see _step)."""
+        out = self.inner(w, sigma, dpat)
+        return clip(np.subtract(out, xi, out=out), out)
 
 
 def _step_begin(w: float, x: float, s: float, d: float) -> float:
@@ -137,13 +151,17 @@ def _step_end(w: float, x: float, s: float, d: float) -> float:
     return v if v > 0.0 else 0.0
 
 
-def _inner_begin(w, s, d):
-    return np.where(w <= d, w + s, w)
+def _inner_begin(w, s, d, out=None, mask=None):
+    out = np.add(w, s, out=out)
+    np.copyto(out, w, where=np.greater(w, d, out=mask))
+    return out
 
 
-def _inner_end(w, s, d):
-    t = w + s
-    return np.where(w > d, w, np.where(t < d, t, d))
+def _inner_end(w, s, d, out=None, mask=None):
+    out = np.add(w, s, out=out)
+    np.minimum(out, d, out=out)
+    np.copyto(out, w, where=np.greater(w, d, out=mask))
+    return out
 
 
 def _w_path_begin(w, xi, sigma, dpat):
@@ -244,17 +262,35 @@ def _scalar(model: Model, state: tuple, xi, sigma, dpat) -> tuple:
     return (model.w_path(state[0], xi, sigma, dpat)[-1] if xi.size else state[0],), ()
 
 
+def _step(model: Model, y: np.ndarray, alphas, x, s, d, out: np.ndarray,
+          mask: np.ndarray) -> None:
+    """One arrival of the chains in the rows of y, (w,) or (ym, w, yp), written
+    into out (not y), in place: alphas holds the rows (sigma ^ dpat, the
+    dominating alpha) for three chains, mask is scratch.
+
+    Bit-identical to the scalar kernels.  np.maximum and np.minimum differ
+    from y if y > a else a and t if t < d else d only in the sign of a tied
+    zero; taking off xi and the clip's + 0.0 turn any such zero into +0.0,
+    as v if v > 0.0 else 0.0 does.  Marks and states are finite, so no NaN.
+    """
+    w = len(y) // 2
+    model.inner(y[w], s, d, out[w], mask)
+    if w:
+        np.maximum(y[::2], alphas, out=out[::2])
+    clip(np.subtract(out, x, out=out), out)
+
+
 def _coupled(model: Model, state: tuple, xi, sigma, dpat) -> tuple:
     """(state, counts) after the window xi, sigma, dpat, for the chains in
     `state`: (ym, w, yp) with the exceedance counts of Model.scalar_window,
     or (w,) alone with no counts.  Bit-identical to the scalar kernels.
 
-    The window is cut into segments of _SEGMENT arrivals.  Equal states take
-    equal steps, so a path that meets another on the same marks retraces it
-    from there on.  Segment 0 runs through the scalar kernels from `state`
-    and from 0; when the two ends differ it has not coupled, and the scalar
-    kernels run the rest of the window.  Otherwise the later whole segments
-    go to _lockstep, and the scalar kernels run what it leaves.
+    The window is cut into segments of _SEGMENT arrivals.  Segment 0 runs
+    through the scalar kernels from `state` and from 0; when the two ends
+    differ it has not coupled, a sign of heavy traffic in which the later
+    segments would mostly not couple either, and the scalar kernels run the
+    rest of the window.  Otherwise the later whole segments go to _lockstep,
+    and the scalar kernels run the tail.
     """
     k = xi.size // _SEGMENT - 1  # whole segments after segment 0
     if k < 1:  # no segment to guess a start for
@@ -265,60 +301,70 @@ def _coupled(model: Model, state: tuple, xi, sigma, dpat) -> tuple:
     a = _SEGMENT  # marks taken
     if state == zero:
         body = slice(a, a + k * _SEGMENT)
-        state, more, taken = _lockstep(model, state, xi[body], sigma[body], dpat[body])
+        state, more = _lockstep(model, state, xi[body], sigma[body], dpat[body])
         counts = tuple(map(add, counts, more))
-        a += taken
+        a += k * _SEGMENT
     state, rest = _scalar(model, state, xi[a:], sigma[a:], dpat[a:])
     return state, tuple(map(add, counts, rest))
 
 
 def _lockstep(model: Model, state: tuple, xi, sigma, dpat) -> tuple:
-    """(state, counts, marks taken) of _coupled over the K whole segments of
-    xi, sigma, dpat, the first starting from its true `state`.
+    """(state, counts) of _coupled over the K whole segments of xi, sigma,
+    dpat, the first starting from its true `state`.
 
-    (a) Every segment runs from 0 at once, in the numpy step forms, and the
-    states seen before each arrival are recorded.  (b) Segment 0 starts from
-    `state` and every later one from the recorded end of the one before, its
-    true start when that one coupled; these starts are stepped in lockstep
-    until all the chains of every segment equal its recorded path.  (c) So
-    the stepped path, continued by the recorded one, is each segment's true
-    path: its counts are those before the coupling index plus the recorded
-    ones from there on, and its end is the recorded end.  The segments are
-    taken up to the first one that does not couple within _SEGMENT steps,
-    whose stepped path is its true one.
+    Equal states take equal steps, so a path that meets another on the same
+    marks retraces it from there on.  (a) Every segment runs from 0 at once,
+    and the states seen before each arrival are recorded.  (b) Segment 0
+    starts from `state` and every later one from the recorded end of the one
+    before; these starts are stepped in lockstep until all the chains of
+    every segment equal its recorded path.  The stepped path, continued by
+    the recorded one, is a segment's true path whenever its start was true:
+    its counts are those before the coupling index plus the recorded ones
+    from there on.  (c) A segment whose end is not its recorded end, because
+    it did not couple within _SEGMENT steps, makes the next start wrong: the
+    scalar kernels run the next segment from the true end, and each one
+    after it, until one ends on its recorded end; the later segments keep
+    their lockstep paths.
     """
     k = xi.size // _SEGMENT
     # [j, i] is arrival j of segment i
     x, s, d = (v.reshape(k, _SEGMENT).T.copy() for v in (xi, sigma, dpat))
-    w_row = len(state) // 2  # chains are rows: (w,) or (ym, w, yp)
-    if w_row:
-        alphas = np.stack((np.where(s < d, s, d), model.dominating.alpha_array(x, s, d)), axis=1)
-
-    def step(j, y, out):
-        out[w_row] = model.step_array(y[w_row], x[j], s[j], d[j])
-        if w_row:
-            out[::2] = step_array(y[::2], alphas[j], x[j])
-
+    alphas = (np.stack((SIGMA_MIN_D.alpha_array(x, s, d), model.dominating.alpha_array(x, s, d)),
+                       axis=1) if len(state) == 3 else [None] * _SEGMENT)
+    mask = np.empty(k, dtype=bool)
     # [j, c, i]: chain c of segment i before arrival j, and after the last at j = _SEGMENT
     recorded = np.zeros((_SEGMENT + 1, len(state), k))  # (a)
     for j in range(_SEGMENT):
-        step(j, recorded[j], recorded[j + 1])
+        _step(model, recorded[j], alphas[j], x[j], s[j], d[j], recorded[j + 1], mask)
+    zero_ends = recorded[-1].copy()
     path = np.empty_like(recorded)  # (b)
     path[0, :, 0] = state
-    path[0, :, 1:] = recorded[-1, :, :-1]
-    for j in range(_SEGMENT + 1):
-        open_ = (path[j] != recorded[j]).any(axis=0)
-        if j == _SEGMENT or not open_.any():
-            break
-        step(j, path[j], path[j + 1])
+    path[0, :, 1:] = zero_ends[:, :-1]
+    j = 0
+    while j < _SEGMENT and (path[j] != recorded[j]).any():
+        _step(model, path[j], alphas[j], x[j], s[j], d[j], path[j + 1], mask)
+        j += 1
     recorded[:j + 1] = path[:j + 1]
-    stop = int(open_.argmax()) if open_.any() else k - 1  # the last segment taken
+    ends = recorded[-1]
+    taken = np.ones(k, dtype=bool)  # segments whose lockstep path is true
+    end, redone = None, []  # (c): the scalar kernels' last end, and their counts
+    for i in np.flatnonzero((ends != zero_ends).any(axis=0)).tolist():
+        if not taken[i] or i == k - 1:
+            continue
+        end = tuple(ends[:, i].tolist())
+        for t in range(i + 1, k):
+            taken[t] = False
+            at = slice(t * _SEGMENT, (t + 1) * _SEGMENT)
+            end, more = _scalar(model, end, xi[at], sigma[at], dpat[at])
+            redone.append(more)
+            if end == tuple(zero_ends[:, t].tolist()):
+                break
     counts = ()
-    if w_row:  # (c)
-        seen = recorded[:_SEGMENT, :, :stop + 1].transpose(1, 0, 2)
-        flags = model.exceeds(*seen, *model.row_marks(s[:, :stop + 1], d[:, :stop + 1]))
-        counts = tuple(int(np.count_nonzero(f)) for f in flags)
-    return tuple(recorded[-1, :, stop].tolist()), counts, (stop + 1) * _SEGMENT
+    if len(state) == 3:
+        flags = model.exceeds(*recorded[:_SEGMENT].transpose(1, 0, 2), *model.row_marks(s, d))
+        counts = tuple(int(np.count_nonzero(f[:, taken])) for f in flags)
+    state = tuple(ends[:, -1].tolist()) if taken[-1] else end
+    return state, tuple(map(sum, zip(counts, *redone)))
 
 
 def _advance(model: Model, src: MarkSource, lo: int, hi: int, state: tuple,
@@ -443,20 +489,21 @@ def _replay_rows(model: Model, marks: np.ndarray, alpha_up: np.ndarray,
     """(ym, w, yp) at the last column of each row of marks, replayed in
     lockstep from 0 at column -1-k of that row (no step where k < 1).
 
-    Each step is the scalar kernels' arithmetic in elementwise numpy form,
-    masked to the rows whose replay has begun.
+    Each step is _step into a scratch buffer, copied to the rows whose
+    replay has begun.
     """
-    xi, sigma, dpat = marks
-    ym, w, yp = np.zeros((3, k.size))
-    width = xi.shape[1]
-    for lag in range(int(k.max(initial=0)), 0, -1):
-        c = width - 1 - lag
-        x, s, d = xi[:, c], sigma[:, c], dpat[:, c]
-        on = k >= lag
-        ym = np.where(on, step_array(ym, np.where(s < d, s, d), x), ym)
-        w = np.where(on, model.step_array(w, x, s, d), w)
-        yp = np.where(on, step_array(yp, alpha_up[:, c], x), yp)
-    return np.stack((ym, w, yp))
+    lags = int(k.max(initial=0))
+    cols = slice(marks.shape[2] - 1 - lags, marks.shape[2] - 1)  # the columns replayed
+    # [j, r]: the mark of row r at lag lags - j
+    x, s, d = (np.ascontiguousarray(v[:, cols].T) for v in marks)
+    alphas = np.stack((SIGMA_MIN_D.alpha_array(x, s, d), alpha_up[:, cols].T), axis=1)
+    y = np.zeros((3, k.size))
+    out = np.empty_like(y)
+    mask, on = np.empty((2, k.size), dtype=bool)
+    for j, lag in enumerate(range(lags, 0, -1)):
+        _step(model, y, alphas[j], x[j], s[j], d[j], out, mask)
+        np.copyto(y, out, where=np.greater_equal(k, lag, out=on))
+    return y
 
 
 def exact_loss_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,

@@ -180,17 +180,20 @@ def step(y: float, mark: MarkTriple, spec: RecursionSpec) -> float:
     return v if v > 0.0 else 0.0
 
 
-def clip(v: np.ndarray) -> np.ndarray:
-    """[v]+ elementwise as the scalar steps write it, v if v > 0.0 else 0.0:
-    +0.0 where v is -0.0 (np.maximum leaves the sign of tied zeros to the
-    implementation)."""
-    return np.where(v > 0.0, v, 0.0)
+def clip(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """[v]+ elementwise, into `out` when given (which may be v): +0.0 where the
+    scalar steps' v if v > 0.0 else 0.0 gives it, for v = -0.0 too, since
+    np.maximum may keep the sign of a tied zero and adding 0.0 clears it."""
+    out = np.maximum(v, 0.0, out=out)
+    return np.add(out, 0.0, out=out)
 
 
 def step_array(y: np.ndarray, alpha: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """The step [max(y, alpha) - xi]+ elementwise, with the scalar kernels'
-    operations (y if y > alpha else alpha)."""
-    return clip(np.where(y > alpha, y, alpha) - xi)
+    """The step [max(y, alpha) - xi]+ elementwise.  Bit-identical to the
+    scalar (y if y > alpha else alpha): np.maximum differs from it only in
+    the sign of a tied zero, which the clip clears."""
+    out = np.maximum(y, alpha)
+    return clip(np.subtract(out, xi, out=out), out)
 
 
 def y_path(y: float, alpha: np.ndarray, xi: np.ndarray) -> list[float]:

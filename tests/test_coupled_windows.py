@@ -2,9 +2,10 @@
 
 fifo._coupled runs a window for the three chains or for W alone: it cuts it
 into segments of fifo._SEGMENT marks, runs the first through the scalar
-kernels and the later ones in lockstep, and falls back to the scalar kernels
-after a segment that does not couple.  fifo._advance runs it a window at a
-time.
+kernels (the whole window when the first does not couple) and the later ones
+in lockstep; after a segment that does not couple, the scalar kernels run
+the next ones until one ends on its path from 0.  fifo._advance runs it a
+window at a time.
 Every case compares the engine's states by float.hex and its counts exactly
 with _window_begin / _window_end (and w_path for W alone) on the same marks.
 """
@@ -100,7 +101,9 @@ def test_no_segment_couples(model, rests):
     assert rests == [L, L, n - L]
     rests.clear()
     _same(model, (0.0, 0.0, 0.0), xi, sigma, dpat)
-    assert rests == [L, L, n - 2 * L]  # segment 0 starts at 0 and couples; 1 fails
+    # segment 0 starts at 0 and couples; 1 starts true but ends off its path
+    # from 0, and so does every segment after it: each is redone, then the tail
+    assert rests == [L, L] + [L] * 38 + [5]
 
 
 @pytest.mark.parametrize("model", [BEGIN, END])
@@ -118,7 +121,14 @@ def test_a_middle_segment_fails(model, rests):
     for state in STARTS[:2]:
         rests.clear()
         _same(model, state, xi, sigma, dpat)
-        assert rests == [L, L, xi.size - (fail + 1) * L]
+        # segment 0 twice; segment fail + 1 is redone and ends on its path
+        # from 0, so the later segments keep their lockstep paths
+        assert rests == [L, L, L, 9]
+        # each later segment's end, lockstep-made, by float.hex
+        for m in range(fail + 2, k + 1):
+            rests.clear()
+            _same(model, state, xi[:m * L], sigma[:m * L], dpat[:m * L])
+            assert rests == [L, L, L, 0]
 
 
 def test_every_segment_couples_on_light_traffic(rests):

@@ -99,37 +99,34 @@ def test_inclusions_and_sojourn_bounds(model, servers):
                 assert r.service_start <= r.arrival + r.dpat + 1e-9
 
 
+def _chains(n, dominating):
+    """L and M before each of the first n arrivals of BUSY, by recursion.step."""
+    xi, sigma, dpat = BUSY.window_arrays(0, n - 1)
+    l_chain, m_chain = np.zeros((2, n))
+    for i in range(n - 1):
+        mark = MarkTriple(xi[i], sigma[i], dpat[i])
+        l_chain[i + 1] = step(l_chain[i], mark, dominating)
+        m_chain[i + 1] = step(m_chain[i], mark, SIGMA_MIN_D)
+    return l_chain, m_chain
+
+
 def test_des_l_chain_matches_recursion_step():
     scn = Scenario(servers=3, impatience="begin", source=BUSY, horizon_customers=3000)
     _, stats = simulate(scn)
-    xi, sigma, dpat = BUSY.window_arrays(0, 2999)
-    l = m = 0.0
-    for n in range(3000):
-        assert stats.l_chain[n] == l       # bit-exact: same arithmetic
-        assert stats.m_chain[n] == m
-        mark = MarkTriple(xi[n], sigma[n], dpat[n])
-        l = step(l, mark, SIGMA_PLUS_D)
-        m = step(m, mark, SIGMA_MIN_D)
-    assert np.count_nonzero(stats.m_chain) > 100
+    l_chain, m_chain = _chains(3000, SIGMA_PLUS_D)
+    assert np.count_nonzero(m_chain) > 100
     # continuous-time and arrival-recursion forms agree up to reassociation
-    assert np.max(np.abs(stats.l_before - stats.l_chain)) <= 1e-9
-    assert np.max(np.abs(stats.m_before - stats.m_chain)) <= 1e-9
+    assert np.max(np.abs(stats.l_before - l_chain)) <= 1e-9
+    assert np.max(np.abs(stats.m_before - m_chain)) <= 1e-9
 
 
 def test_des_l_chain_matches_recursion_step_end_model():
     scn = Scenario(servers=2, impatience="end", source=BUSY, horizon_customers=2000)
     _, stats = simulate(scn)
-    xi, sigma, dpat = BUSY.window_arrays(0, 1999)
-    l = m = 0.0
-    for n in range(2000):
-        assert stats.l_chain[n] == l
-        assert stats.m_chain[n] == m
-        mark = MarkTriple(xi[n], sigma[n], dpat[n])
-        l = step(l, mark, D_ONLY)
-        m = step(m, mark, SIGMA_MIN_D)
-    assert np.count_nonzero(stats.m_chain) > 100
-    assert np.max(np.abs(stats.l_before - stats.l_chain)) <= 1e-9
-    assert np.max(np.abs(stats.m_before - stats.m_chain)) <= 1e-9
+    l_chain, m_chain = _chains(2000, D_ONLY)
+    assert np.count_nonzero(m_chain) > 100
+    assert np.max(np.abs(stats.l_before - l_chain)) <= 1e-9
+    assert np.max(np.abs(stats.m_before - m_chain)) <= 1e-9
 
 
 def test_cross_validation_examples():

@@ -57,8 +57,8 @@ MARKOV3_SLOW = {"kind": "markov", "seed": 4407,
 DEEP = {"kind": "iid", "seed": 4405, "xi": _u(0.1, 0.9), "sigma": _u(0.0, 1.0),
         "dpat": {"dist": "truncated-exponential", "rate": 0.5, "cap": 6.0}}
 # near-critical begin model (rho = 1, mean patience 5): now and then a segment
-# of an approximate run's window does not couple, and the scalar kernel runs
-# the rest of that window
+# of an approximate run's window does not couple, and the scalar kernels run
+# the next segments until one ends on its path from 0
 HEAVY = {"kind": "iid", "seed": 4406, "xi": {"dist": "exponential", "rate": 1.0},
          "sigma": {"dist": "exponential", "rate": 1.0},
          "dpat": {"dist": "exponential", "rate": 0.2}}
