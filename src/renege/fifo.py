@@ -30,7 +30,7 @@ on its path from 0, and the later segments keep their lockstep results.
 The scalar kernels also run the first segment (twice, to see whether it
 couples; a window whose first segment does not is left to them), windows
 too short to cut and the tail of a window, and they are the engine's test
-oracle.
+oracle.  _advance holds one window's marks and lockstep arrays for a run.
 
 Every lockstep step, of the coupled engine and of the replay of exact loss
 rows, is one in-place kernel, _step, writing into preallocated buffers:
@@ -41,6 +41,7 @@ for W, then one subtraction of xi and one clip over all the chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import add
 from typing import Callable
 
@@ -67,13 +68,12 @@ DEFAULT_WARMUP = 100_000
 # near 1.8 MB for a Markov source (the marks fetch with its chain lookback and
 # composition) and 1.6 MB for an iid one (tracemalloc).
 _BATCH = 128
-# Marks per window of a coupled forward run, and per segment of a window.
-# With its marks, a window's arrays peak near 4 MB (tracemalloc): the marks
-# and their segment-major copies (0.8 MB each), the two alpha rows (0.5 MB),
-# and the recorded and stepped paths of the three chains (0.8 MB each).
-# Windows of 2^16 marks run about 12 % faster but add 3.4 MB to the peak RSS
-# of the forward workload.  On the M/M/1+M forward workload every segment
-# couples, within 56 steps at most.
+# Marks per window of a coupled forward run, and per segment of a window.  A
+# run holds one window's arrays, 3.2 MB, for all its windows: the marks and
+# their segment-major copies (0.8 MB each), the alphas (0.5 MB), the recorded
+# paths (0.8 MB) and the end model's thresholds (0.26 MB).  Windows of 2^16
+# marks ran 5-15 % faster for 3 MB more peak RSS (in-process, 2 cores).  On
+# the M/M/1+M forward workload every segment couples, within 56 steps at most.
 _WINDOW = 1 << 15
 _SEGMENT = 64
 
@@ -109,8 +109,8 @@ class Model:
     above their loss threshold, plus, for the end model, w above dpat (the
     customer never reaches the server); w_path(w, xi, sigma, dpat) lists w
     after each arrival.  An exact loss row is (replica, ym, w, yp, *row_marks(sigma,
-    dpat)); exceeds(ym, w, yp, *row marks) gives the same indicators for one
-    row, or elementwise for arrays.
+    dpat)); exceeds(ym, w, yp, *row marks, out=None) gives the same indicators
+    for one row, or elementwise for arrays, the end model's d - s into `out`.
     """
 
     name: str
@@ -238,17 +238,22 @@ def _window_end(ym, w, yp, xi, sigma, dpat):
     return ym, w, yp, (n_loss, n_low, n_up, n_never)
 
 
+def _exceeds_end(ym, w, yp, s, d, out=None):
+    t = d - s if out is None else np.subtract(d, s, out=out)
+    return w > t, ym > t, yp > t, w > d
+
+
 BEGIN = Model(
     name="begin", dominating=SIGMA_PLUS_D, step=_step_begin, inner=_inner_begin,
     scalar_window=_window_begin, w_path=_w_path_begin,
     row_marks=lambda s, d: (d,),
-    exceeds=lambda ym, w, yp, d: (w > d, ym > d, yp > d),
+    exceeds=lambda ym, w, yp, d, out=None: (w > d, ym > d, yp > d),
     columns=("replica", "y_min", "w", "y_plus", "dpat"))
 END = Model(
     name="end", dominating=D_ONLY, step=_step_end, inner=_inner_end,
     scalar_window=_window_end, w_path=_w_path_end,
     row_marks=lambda s, d: (s, d),
-    exceeds=lambda ym, w, yp, s, d: (w > d - s, ym > d - s, yp > d - s, w > d),
+    exceeds=_exceeds_end,
     columns=("replica", "y_min", "s", "y_dpat", "sigma", "dpat"))
 MODELS = {m.name: m for m in (BEGIN, END)}
 
@@ -280,7 +285,13 @@ def _step(model: Model, y: np.ndarray, alphas, x, s, d, out: np.ndarray,
     clip(np.subtract(out, x, out=out), out)
 
 
-def _coupled(model: Model, state: tuple, xi, sigma, dpat) -> tuple:
+def _workspace(chains: int, k: int) -> tuple:
+    """_lockstep's arrays for k segments (or fewer) of the given chains."""
+    rows = np.empty((6 if chains == 3 else 4, _SEGMENT, k))  # x, s, d, thresh[, two alphas]
+    return (*rows[:4], rows[4:], np.empty((_SEGMENT + 1, chains, k)), *np.empty((2, chains, k)))
+
+
+def _coupled(model: Model, state: tuple, xi, sigma, dpat, work: tuple = ()) -> tuple:
     """(state, counts) after the window xi, sigma, dpat, for the chains in
     `state`: (ym, w, yp) with the exceedance counts of Model.scalar_window,
     or (w,) alone with no counts.  Bit-identical to the scalar kernels.
@@ -301,50 +312,56 @@ def _coupled(model: Model, state: tuple, xi, sigma, dpat) -> tuple:
     a = _SEGMENT  # marks taken
     if state == zero:
         body = slice(a, a + k * _SEGMENT)
-        state, more = _lockstep(model, state, xi[body], sigma[body], dpat[body])
+        state, more = _lockstep(model, state, xi[body], sigma[body], dpat[body], work)
         counts = tuple(map(add, counts, more))
         a += k * _SEGMENT
     state, rest = _scalar(model, state, xi[a:], sigma[a:], dpat[a:])
     return state, tuple(map(add, counts, rest))
 
 
-def _lockstep(model: Model, state: tuple, xi, sigma, dpat) -> tuple:
+def _lockstep(model: Model, state: tuple, xi, sigma, dpat, work: tuple = ()) -> tuple:
     """(state, counts) of _coupled over the K whole segments of xi, sigma,
-    dpat, the first starting from its true `state`.
+    dpat, the first starting from its true `state`, in the arrays of `work`
+    (a _workspace, or fresh ones).
 
     Equal states take equal steps, so a path that meets another on the same
     marks retraces it from there on.  (a) Every segment runs from 0 at once,
     and the states seen before each arrival are recorded.  (b) Segment 0
     starts from `state` and every later one from the recorded end of the one
     before; these starts are stepped in lockstep until all the chains of
-    every segment equal its recorded path.  The stepped path, continued by
-    the recorded one, is a segment's true path whenever its start was true:
-    its counts are those before the coupling index plus the recorded ones
-    from there on.  (c) A segment whose end is not its recorded end, because
-    it did not couple within _SEGMENT steps, makes the next start wrong: the
+    every segment equal its recorded path, each stepped row overwriting the
+    recorded one it was compared with.  The stepped path, continued by the
+    recorded one, is a segment's true path whenever its start was true: its
+    counts are those before the coupling index plus the recorded ones from
+    there on.  (c) A segment whose end is not its recorded end, because it
+    did not couple within _SEGMENT steps, makes the next start wrong: the
     scalar kernels run the next segment from the true end, and each one
     after it, until one ends on its recorded end; the later segments keep
     their lockstep paths.
     """
-    k = xi.size // _SEGMENT
-    # [j, i] is arrival j of segment i
-    x, s, d = (v.reshape(k, _SEGMENT).T.copy() for v in (xi, sigma, dpat))
-    alphas = (np.stack((SIGMA_MIN_D.alpha_array(x, s, d), model.dominating.alpha_array(x, s, d)),
-                       axis=1) if len(state) == 3 else [None] * _SEGMENT)
-    mask = np.empty(k, dtype=bool)
+    k, c = xi.size // _SEGMENT, len(state)
+    # [j, i] is arrival j of segment i, [a, j, i] in alphas (three chains only);
     # [j, c, i]: chain c of segment i before arrival j, and after the last at j = _SEGMENT
-    recorded = np.zeros((_SEGMENT + 1, len(state), k))  # (a)
+    x, s, d, thresh, alphas, recorded, y, zero_ends = (
+        a[..., :k] for a in (work or _workspace(c, k)))
+    for v, seg in zip((xi, sigma, dpat), (x, s, d)):
+        seg[...] = v.reshape(k, _SEGMENT).T
+    if c == 3:
+        SIGMA_MIN_D.alpha_array(x, s, d, alphas[0])
+        model.dominating.alpha_array(x, s, d, alphas[1])
+    mask = np.empty(k, dtype=bool)
+    recorded[0] = 0.0  # (a)
     for j in range(_SEGMENT):
-        _step(model, recorded[j], alphas[j], x[j], s[j], d[j], recorded[j + 1], mask)
-    zero_ends = recorded[-1].copy()
-    path = np.empty_like(recorded)  # (b)
-    path[0, :, 0] = state
-    path[0, :, 1:] = zero_ends[:, :-1]
+        _step(model, recorded[j], alphas[:, j], x[j], s[j], d[j], recorded[j + 1], mask)
+    zero_ends[...] = recorded[-1]
+    y[:, 0] = state  # (b)
+    y[:, 1:] = zero_ends[:, :-1]
     j = 0
-    while j < _SEGMENT and (path[j] != recorded[j]).any():
-        _step(model, path[j], alphas[j], x[j], s[j], d[j], path[j + 1], mask)
+    while j < _SEGMENT and (y != recorded[j]).any():
+        recorded[j] = y
+        _step(model, recorded[j], alphas[:, j], x[j], s[j], d[j], y, mask)
         j += 1
-    recorded[:j + 1] = path[:j + 1]
+    recorded[j] = y
     ends = recorded[-1]
     taken = np.ones(k, dtype=bool)  # segments whose lockstep path is true
     end, redone = None, []  # (c): the scalar kernels' last end, and their counts
@@ -360,9 +377,10 @@ def _lockstep(model: Model, state: tuple, xi, sigma, dpat) -> tuple:
             if end == tuple(zero_ends[:, t].tolist()):
                 break
     counts = ()
-    if len(state) == 3:
-        flags = model.exceeds(*recorded[:_SEGMENT].transpose(1, 0, 2), *model.row_marks(s, d))
-        counts = tuple(int(np.count_nonzero(f[:, taken])) for f in flags)
+    if c == 3:
+        flags = model.exceeds(*recorded[:_SEGMENT].transpose(1, 0, 2), *model.row_marks(s, d),
+                              out=thresh)
+        counts = tuple(int(np.count_nonzero(f) - np.count_nonzero(f[:, ~taken])) for f in flags)
     state = tuple(ends[:, -1].tolist()) if taken[-1] else end
     return state, tuple(map(sum, zip(counts, *redone)))
 
@@ -372,11 +390,14 @@ def _advance(model: Model, src: MarkSource, lo: int, hi: int, state: tuple,
     """(state, counts) at hi from `state` at lo, run by _coupled a window at a
     time: the chains (ym, w, yp) with the exceedance counts of the arrivals
     lo..hi-1, or (w,) alone with none (counts None when there are no
-    arrivals)."""
+    arrivals).  The marks (unless from `cache`) and the lockstep arrays of
+    every window are held in buffers allocated once per call."""
+    n = min(max(hi - lo, 0), _WINDOW)
+    fetch = cache.range if cache is not None else partial(src.window_arrays, out=np.empty((3, n)))
+    work = _workspace(len(state), max(n // _SEGMENT - 1, 0))  # the segments after _coupled's first
     counts = None
-    for marks in mark_windows(src.window_arrays if cache is None else cache.range, lo, hi,
-                              _WINDOW):
-        state, c = _coupled(model, state, *marks)
+    for marks in mark_windows(fetch, lo, hi, _WINDOW):
+        state, c = _coupled(model, state, *marks, work)
         counts = c if counts is None else tuple(map(add, counts, c))
     return state, counts
 

@@ -28,6 +28,10 @@ from numpy.random import Philox
 _MASK64 = (1 << 64) - 1
 _COUNTER_MOD = 1 << 256
 _U53 = 2.0 ** -53
+# Blocks per Philox read of a window: 64 KB of raw words, which the heap hands
+# back for the next read instead of mapping fresh pages.  A Markov window reads
+# 4x as many, which spreads the per-call cost of its chain composition.
+_CHUNK = 1 << 11
 # Blocks fetched before a Markov window to find the regeneration its first
 # state descends from; doubled until one turns up.
 _CHAIN_LOOKBACK = 64
@@ -373,16 +377,14 @@ class MarkSource:
         pi = np.clip(pi, 0.0, None)
         return pi / pi.sum()
 
-    def _chain_window(self, g0: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Block uniforms (count x 4) and chain states for indices g0..g0+count-1.
-
-        One batch of blocks covers the lookback and the window; chain[look] is g0.
-        """
+    def _chain_before(self, g0: int) -> int:
+        """Chain state at index g0 - 1, composed from the last regeneration at
+        or before g0 (0 when that is g0 itself, whose state does not depend on
+        it), in a lookback doubled until a regeneration turns up."""
         delta = self._doeblin_parts[0]
         look = _CHAIN_LOOKBACK
-        u = (self._blocks(g0 - look, look + count) >> np.uint64(11)) * _U53
-        chain = u[:, 0]
-        while not (regen := np.flatnonzero(chain[:look + 1] < delta)).size:
+        chain = (self._blocks(g0 - look, look + 1)[:, 0] >> np.uint64(11)) * _U53  # g0 - look..g0
+        while not (regen := np.flatnonzero(chain < delta)).size:
             if look >= _MAX_CHAIN_LOOKBACK:
                 raise ChainRegenerationError(
                     f"no chain regeneration found in the {look} indices before index {g0}; "
@@ -391,11 +393,11 @@ class MarkSource:
             chain = np.concatenate([earlier, chain])
             look *= 2
         start = int(regen[-1])
-        return u[-count:], self._compose_states(chain[None, start:])[0, look - start:]
+        return int(self._compose_states(chain[None, start:look])[0, -1]) if start < look else 0
 
-    def _compose_states(self, chain: np.ndarray) -> np.ndarray:
+    def _compose_states(self, chain: np.ndarray, state: int = 0) -> np.ndarray:
         """States along chain uniforms (replicas x indices), each row starting
-        at a regeneration.
+        at a regeneration, or, for one row, after chain state `state`.
 
         Entry k of the successor tables (replicas x indices x states) maps the
         state at k-1 to the state at k.  Pointer doubling turns the entries
@@ -419,26 +421,32 @@ class MarkSource:
         while (k := np.flatnonzero(reach >= step)).size:
             succ[k] = succ.ravel()[k[:, None] * n_states + succ[k - step]]
             step *= 2
-        return succ[:, 0].reshape(chain.shape)
+        return succ[:, state].reshape(chain.shape)
 
     # -- raw generation ----------------------------------------------------
 
-    def _fetch(self, streams, starts, count: int) -> np.ndarray:
-        """Raw Philox words (rows, count, 4): row i holds one 4-word block per
-        index from starts[i] on, on stream streams[i] (the words that
-        Generator.integers(0, 2**64, dtype=uint64) would return)."""
+    def _generators(self, streams, starts):
+        """One Philox generator, yielded keyed to (seed, streams[i]) with index
+        starts[i]'s block next, for each i; random_raw calls go on from there."""
         bg = Philox(0)
         state = bg.state
         key, counter = state["state"]["key"], state["state"]["counter"]
         key[1] = self.seed & _MASK64
-        raw = np.empty((len(starts), count, 4), dtype=np.uint64)
         at = None
-        for i, (stream, g) in enumerate(zip(streams, starts)):
+        for stream, g in zip(streams, starts):
             key[0] = stream & _MASK64
             if g != at:  # re-keyed rows share one start: set it once
                 at = g
                 counter[:] = [(g % _COUNTER_MOD >> b) & _MASK64 for b in (0, 64, 128, 192)]
             bg.state = state
+            yield bg
+
+    def _fetch(self, streams, starts, count: int) -> np.ndarray:
+        """Raw Philox words (rows, count, 4): row i holds one 4-word block per
+        index from starts[i] on, on stream streams[i] (the words that
+        Generator.integers(0, 2**64, dtype=uint64) would return)."""
+        raw = np.empty((len(starts), count, 4), dtype=np.uint64)
+        for i, bg in enumerate(self._generators(streams, starts)):
             raw[i] = bg.random_raw(4 * count).reshape(count, 4)
         return raw
 
@@ -446,26 +454,37 @@ class MarkSource:
         """Raw Philox words of indices g0..g0+count-1 (see _fetch)."""
         return self._fetch((self.stream,), (g0,), count)[0]
 
-    def window_arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arrays (xi, sigma, dpat) for indices lo..hi inclusive."""
+    def window_arrays(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Marks (3, n), rows xi, sigma, dpat, of the n indices lo..hi
+        inclusive; into the first n columns of `out` when given.  A window is
+        read in chunks (_CHUNK), so its temporaries are a chunk's: the words
+        are shifted in place, a Markov chunk's chain states are composed from
+        the state before it, and each used column is scaled into a contiguous
+        row before its quantile (numpy may take other code paths for strided
+        input)."""
         if lo > hi:
             raise ValueError(f"window requires lo <= hi, got [{lo}, {hi}]")
         g0 = self.origin + lo
         count = hi - lo + 1
-        if self.kind != "markov":
-            # contiguous columns, like the masked copies of the Markov branch:
-            # numpy may take other code paths for strided inputs
-            u = np.ascontiguousarray(((self._blocks(g0, count) >> np.uint64(11)) * _U53).T)
-            sm = self.states[0]
-            return sm.xi.quantile(u[1]), sm.sigma.quantile(u[2]), sm.dpat.quantile(u[3])
-        u, state = self._chain_window(g0, count)
-        return tuple(self._quantiles(u.T[1:], state))
+        out = np.empty((3, count)) if out is None else out[:, :count]
+        state, before = None, self._chain_before(g0) if self.kind == "markov" else None
+        bg = next(self._generators((self.stream,), (g0,)))
+        chunk = _CHUNK if before is None else 4 * _CHUNK
+        for a in range(0, count, chunk):
+            raw = bg.random_raw(4 * min(chunk, count - a)).reshape(-1, 4)
+            np.right_shift(raw, 11, out=raw)
+            if before is not None:
+                state = self._compose_states(np.multiply(raw[None, :, 0], _U53), before)[0]
+                before = state[-1]
+            self._quantiles([np.multiply(raw[:, j], _U53) for j in (1, 2, 3)], state,
+                            out[:, a:a + len(raw)])
+        return out
 
-    def _quantiles(self, u, state=None) -> np.ndarray:
-        """Marks (3, *shape) from the uniforms u[0..2] of xi, sigma and dpat,
-        by chain state (state 0 throughout when `state` is None): each state's
-        quantiles run once, over a mask of the whole array."""
-        out = np.empty((3,) + u[0].shape)
+    def _quantiles(self, u, state=None, out=None) -> np.ndarray:
+        """Marks (3, *shape), into `out` when given, from the uniforms u[0..2] of
+        xi, sigma and dpat, by chain state (0 throughout when `state` is None):
+        each state's quantiles run once, over a mask of the whole array."""
+        out = np.empty((3,) + u[0].shape) if out is None else out
         for s, sm in enumerate(self.states):
             m = Ellipsis if state is None else state == s
             for j, marginal in enumerate((sm.xi, sm.sigma, sm.dpat)):

@@ -74,16 +74,19 @@ class RecursionSpec:
             raise ValueError(f"custom alpha extractor returned {v}, must be finite and >= 0")
         return v
 
-    def alpha_array(self, xi: np.ndarray, sigma: np.ndarray, dpat: np.ndarray) -> np.ndarray:
+    def alpha_array(self, xi: np.ndarray, sigma: np.ndarray, dpat: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """alpha elementwise, written into `out` when given."""
         if self.alpha_kind == "sigma_plus_d":
-            return sigma + dpat
+            return np.add(sigma, dpat, out=out)
         if self.alpha_kind == "sigma_min_d":
-            return np.minimum(sigma, dpat)
-        if self.alpha_kind == "d_only":
-            return dpat
-        out = np.array([self.alpha_of(MarkTriple(x, s, d))
-                        for x, s, d in zip(xi.tolist(), sigma.tolist(), dpat.tolist())])
-        return out
+            return np.minimum(sigma, dpat, out=out)
+        alpha = dpat if self.alpha_kind == "d_only" else np.array(
+            [self.alpha_of(MarkTriple(x, s, d))
+             for x, s, d in zip(xi.tolist(), sigma.tolist(), dpat.tolist())])
+        if out is not None:
+            out[...] = alpha
+        return alpha if out is None else out
 
     def bound_for(self, src: MarkSource) -> float | None:
         """A.s. upper bound on alpha under src, or None if unavailable."""
@@ -146,22 +149,19 @@ class MarkWindowCache:
         self._lo = 0
         self._marks = np.empty((3, 0))  # rows xi, sigma, dpat from index _lo on
 
-    def _fetch(self, lo: int, hi: int) -> np.ndarray:
-        return np.stack(self.src.window_arrays(lo, hi))
-
     def range(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(xi, sigma, dpat) for indices lo..hi inclusive."""
-        size = self._marks.shape[1]
+        size, fetch = self._marks.shape[1], self.src.window_arrays
         if size == 0:
             self._lo = min(lo, hi - _FIRST_FILL + 1)
-            self._marks = self._fetch(self._lo, hi)
+            self._marks = fetch(self._lo, hi)
         elif lo < self._lo:
             new_lo = min(lo, self._lo - size)
-            self._marks = np.hstack([self._fetch(new_lo, self._lo - 1), self._marks])
+            self._marks = np.hstack([fetch(new_lo, self._lo - 1), self._marks])
             self._lo = new_lo
         top = self._lo + self._marks.shape[1] - 1
         if hi > top:
-            self._marks = np.hstack([self._marks, self._fetch(top + 1, max(hi, top + size))])
+            self._marks = np.hstack([self._marks, fetch(top + 1, max(hi, top + size))])
         return tuple(self._marks[:, lo - self._lo:hi - self._lo + 1])
 
 

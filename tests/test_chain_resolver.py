@@ -74,6 +74,13 @@ def oracle_states(src, g0, count):
     return np.array(out), g0 - 1 - j
 
 
+def window_states(src, g0, count):
+    """Chain states of indices g0..g0+count-1 as window_arrays resolves them:
+    composed from the state before g0, found in the chain lookback."""
+    chain = (src._blocks(g0, count)[:, 0] >> np.uint64(11)) * _U53
+    return src._compose_states(chain[None], src._chain_before(g0))[0]
+
+
 def oracle_marks(src, lo, hi):
     """(xi, sigma, dpat) for lo..hi, one index and one quantile call at a time."""
     g0 = src.origin + lo
@@ -102,7 +109,7 @@ def test_states_and_marks_match_backward_scan(name):
     for lo, hi in WINDOWS:
         g0 = src.origin + lo
         expected, _ = oracle_states(src, g0, hi - lo + 1)
-        np.testing.assert_array_equal(src._chain_window(g0, hi - lo + 1)[1], expected)
+        np.testing.assert_array_equal(window_states(src, g0, hi - lo + 1), expected)
         for got, want in zip(src.window_arrays(lo, hi), oracle_marks(src, lo, hi)):
             assert np.array_equal(_bits(got), _bits(want))
 
@@ -112,7 +119,7 @@ def test_small_delta_lookback_outgrows_first_fetch():
     reaches = []
     for g0 in range(0, 40_000, 1000):
         expected, reach = oracle_states(src, g0, 3)
-        np.testing.assert_array_equal(src._chain_window(g0, 3)[1], expected)
+        np.testing.assert_array_equal(window_states(src, g0, 3), expected)
         reaches.append(reach)
     assert max(reaches) > _CHAIN_LOOKBACK  # the doubled fetch was needed and exercised
 

@@ -45,7 +45,7 @@ class SequenceSource:
         xi = np.full(n, self.xi)
         sigma = np.zeros(n)
         dpat = np.array([self.dvals.get(i, 0.0) for i in range(lo, hi + 1)])
-        return xi, sigma, dpat
+        return np.stack((xi, sigma, dpat))
 
     def alpha_bound_for(self, kind):
         return self.bound

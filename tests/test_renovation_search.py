@@ -45,7 +45,7 @@ class TableSource:
 
     def window_arrays(self, lo, hi):
         rows = np.array([self.marks.get(i, self.default) for i in range(lo, hi + 1)], dtype=float)
-        return rows[:, 0].copy(), rows[:, 1].copy(), rows[:, 2].copy()
+        return rows.T.copy()
 
     def alpha_bound_for(self, kind):
         return self.bound
