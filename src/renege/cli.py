@@ -28,6 +28,7 @@ from .cesaro import boundary_mass, cesaro_distribution, invariance_distance, tig
 from .des import Scenario, cross_validate_recursion, regeneration_stats, simulate
 from .estimation import TruncationError, mc_aggregate
 from .fifo import (
+    _BATCH,
     BEGIN,
     END,
     MODELS,
@@ -236,16 +237,15 @@ def _csv_column(col) -> list[str]:
             for c in col]
 
 
-def _chunks(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total))
-    step = math.ceil(total / parts)
+def _chunks(total: int, parts: int, unit: int = 1) -> list[tuple[int, int]]:
+    """About `parts` ranges covering 0..total, cut at multiples of `unit`:
+    _BATCH for exact loss rows, so that every batch but the last is whole."""
+    step = unit * math.ceil(total / (parts * unit))
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _replica_chunk(args):
-    """Top-level worker: one chunk of replica-indexed rows (picklable)."""
-    kind, source_cfg, params, lo, hi = args
-    src = source_from_config(source_cfg)
+def _replica_rows(kind: str, src: MarkSource, params: dict, lo: int, hi: int) -> list:
+    """Replica-indexed rows lo..hi-1."""
     model = MODELS[params["model"]]
     if kind == "loss":
         return exact_loss_rows(model, src, lo, hi, params["max_epochs"], params["max_depth"])
@@ -262,20 +262,16 @@ def _replica_chunk(args):
     return rows
 
 
-def _parallel_rows(kind: str, source_cfg: dict, params: dict, total: int, workers: int) -> list:
-    jobs = [(kind, source_cfg, params, lo, hi) for lo, hi in _chunks(total, workers * 4)]
+def _parallel_rows(kind: str, src: MarkSource, params: dict, total: int, workers: int) -> list:
+    """Rows 0..total-1: in one range in-process at one worker, else in
+    workers*4 ranges over a process pool, each handed the validated source.
+    Sampled replicas run one at a time, so their ranges need no whole batches."""
     if workers <= 1:
-        results = [_replica_chunk(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replica_chunk, jobs))
-    return [row for chunk in results for row in chunk]
-
-
-def _source_cfg_with_seed(cfg: dict, src: MarkSource) -> dict:
-    scfg = dict(cfg["source"])
-    scfg["seed"] = src.seed
-    return scfg
+        return _replica_rows(kind, src, params, 0, total)
+    los, his = zip(*_chunks(total, workers * 4, _BATCH if kind == "loss" else 1))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = pool.map(partial(_replica_rows, kind, src, params), los, his)
+        return [row for chunk in chunks for row in chunk]
 
 
 def _replica_params(cfg: dict, src: MarkSource, model: Model) -> dict:
@@ -296,7 +292,7 @@ def _replica_params(cfg: dict, src: MarkSource, model: Model) -> dict:
 def _exp_sample(experiment: str, model: Model, cfg, out_dir, workers, src) -> int:
     params = _replica_params(cfg, src, model)
     samples = params["samples"]
-    rows = _parallel_rows("sample", _source_cfg_with_seed(cfg, src), params, samples, workers)
+    rows = _parallel_rows("sample", src, params, samples, workers)
     values = [r[1] for r in rows]
     est = mc_aggregate(values, kind="real") if len(values) > 1 else None
     results = {
@@ -318,7 +314,7 @@ def _exp_loss(experiment: str, model: Model, cfg, out_dir, workers, src) -> int:
     params = _replica_params(cfg, src, model)
     samples = params["samples"]
     if params["mode"] == "exact":
-        rows = _parallel_rows("loss", _source_cfg_with_seed(cfg, src), params, samples, workers)
+        rows = _parallel_rows("loss", src, params, samples, workers)
         report = loss_report_from_rows(model, src, rows)
         _write_csv(out_dir / "detail.csv", list(model.columns), list(zip(*rows)))
     else:

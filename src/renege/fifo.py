@@ -65,8 +65,10 @@ from .recursion import (
 
 DEFAULT_WARMUP = 100_000
 # Replicas per lockstep batch of exact loss rows: the batch's arrays peak
-# near 1.8 MB for a Markov source (the marks fetch with its chain lookback and
-# composition) and 1.6 MB for an iid one (tracemalloc).
+# near 1.6 MB for a Markov source (the marks fetch with its chain lookback and
+# composition) and for an iid one (tracemalloc).  The CLI cuts its ranges of
+# exact loss rows at multiples of it (cli._chunks), so only a run's last batch
+# is part full.
 _BATCH = 128
 # Marks per window of a coupled forward run, and per segment of a window.  A
 # run holds one window's arrays, 3.2 MB, for all its windows: the marks and

@@ -30,11 +30,17 @@ _COUNTER_MOD = 1 << 256
 _U53 = 2.0 ** -53
 # Blocks per Philox read of a window: 64 KB of raw words, which the heap hands
 # back for the next read instead of mapping fresh pages.  A Markov window reads
-# 4x as many, which spreads the per-call cost of its chain composition.
+# 4x as many: its chain composition costs per call, and an approximate
+# end-model run on a two-state source was 15-20 % slower with one _CHUNK
+# (in-process).
 _CHUNK = 1 << 11
 # Blocks fetched before a Markov window to find the regeneration its first
 # state descends from; doubled until one turns up.
 _CHAIN_LOOKBACK = 64
+# One level of the chain-state scan costs about as much as one doubling pass
+# over this many successor-table entries (indices x states); _compose_states
+# takes whichever costs less by the longest regeneration gap.
+_SCAN_LEVEL = 500
 # Probability of no chain regeneration over this many steps is (1-delta)^n;
 # hitting the guard means the transition matrix is effectively degenerate.
 _MAX_CHAIN_LOOKBACK = 1 << 20
@@ -284,12 +290,12 @@ class MarkSource:
     kind "deterministic" and "iid" use states[0]; kind "markov" modulates the
     per-state marginals by a finite ergodic chain.  The chain states of a
     window descend from the most recent regeneration of a Doeblin split of the
-    transition matrix at or before its first index, and are resolved by
-    composing per-index successor tables from there: for a batch of replica
-    windows (replica_windows) in one composition with a replica axis, over
-    blocks fetched by one Philox generator re-positioned per replica.  This
-    makes the realized sequence exactly stationary and every window a pure
-    function of (seed, stream, index), whatever the order of the requests.
+    transition matrix at or before its first index, and are composed forward
+    from there (_compose_states): for a batch of replica windows
+    (replica_windows) in one composition with a replica axis, over blocks
+    fetched by one Philox generator re-positioned per replica.  This makes
+    the realized sequence exactly stationary and every window a pure function
+    of (seed, stream, index), whatever the order of the requests.
 
     Instances are immutable and memoize no marks or states, so memory stays
     flat however many windows are resolved.
@@ -396,32 +402,74 @@ class MarkSource:
         return int(self._compose_states(chain[None, start:look])[0, -1]) if start < look else 0
 
     def _compose_states(self, chain: np.ndarray, state: int = 0) -> np.ndarray:
-        """States along chain uniforms (replicas x indices), each row starting
-        at a regeneration, or, for one row, after chain state `state`.
+        """States along chain uniforms (replicas x indices), read as one
+        sequence after chain state `state`; rows that each start at a
+        regeneration therefore compose without mixing.
 
-        Entry k of the successor tables (replicas x indices x states) maps the
-        state at k-1 to the state at k.  Pointer doubling turns the entries
-        into prefix compositions; an entry is constant, and no longer gathered,
-        once its prefix reaches back to a regeneration, so the doubling stops
-        at the longest regeneration gap of any row.  Since every row starts at
-        a regeneration, the rows compose as one sequence without mixing.
+        A regeneration takes its state from nu, and every other index steps
+        through Q from the state before it.  A uniform whose residual rounds
+        to 1.0 stands for the largest one below it, so it selects the last
+        state with positive mass.  The states come from one scan
+        (_scanned_states) or, when the longest regeneration gap makes that
+        dearer, from pointer doubling (_doubled_states); both give the same.
         """
-        delta, nu_cum, q_cum = self._doeblin_parts
+        delta = self._doeblin_parts[0]
         flat = chain.ravel()
         regen = flat < delta
-        n_states = len(self.states)
-        succ = np.empty((flat.size, n_states), dtype=np.intp)
-        succ[regen] = np.searchsorted(nu_cum, flat[regen] / delta, side="right")[:, None]
-        v = (flat[~regen] - delta) / (1.0 - delta)
+        # delta = 1 steps no index, so its residual divisor only has to be nonzero
+        v = np.where(regen, flat / delta, (flat - delta) / ((1.0 - delta) or 1.0))
+        np.minimum(v, 1.0 - _U53, out=v)
+        # the scan makes one pass per level of the longest gap, the doubling
+        # about log2 of it over the whole table, so short chains always double
+        table = v.size * len(self.states)
+        if table * v.size.bit_length() >= _SCAN_LEVEL:
+            # each index's distance from its last regeneration, or from the start
+            k = np.arange(1, v.size + 1)
+            levels = int((k - np.maximum.accumulate(k * regen)).max(initial=0))
+            if levels * _SCAN_LEVEL <= table * levels.bit_length():
+                return self._scanned_states(regen, v, state).reshape(chain.shape)
+        return self._doubled_states(regen, v, state).reshape(chain.shape)
+
+    def _scanned_states(self, regen, v, state: int) -> np.ndarray:
+        """States by one scan, level by level: the regenerations take theirs
+        from nu, and level d, every index d steps after its last regeneration
+        (or after the start), is stepped from level d-1 at once.  Each index is
+        touched once, in one pass per level."""
+        _, nu_cum, q_cum = self._doeblin_parts
+        # out[-1] holds `state`, which out[pos - 1] reads for pos 0
+        out = np.empty(v.size + 1, dtype=np.intp)
+        out[-1] = state
+        pos = np.flatnonzero(regen)
+        # a lookup counts the entries <= its uniform, as searchsorted(side="right")
+        # does; no uniform reaches the forced last entry 1.0
+        out[pos] = sum(c <= v[pos] for c in nu_cum[:-1].tolist())
+        stepped = np.append(~regen, False)
+        cum = [np.ascontiguousarray(c) for c in q_cum[:, :-1].T]
+        pos = np.append(pos, -1)  # level 0: the regenerations and the start
+        while (pos := pos[stepped[pos + 1]] + 1).size:
+            out[pos] = sum(c[out[pos - 1]] <= v[pos] for c in cum)
+        return out[:-1]
+
+    def _doubled_states(self, regen, v, state: int) -> np.ndarray:
+        """States by pointer doubling: entry k of the successor tables
+        (indices x states) maps the state at k-1 to the state at k, and is
+        composed with the entries before it until its prefix reaches back to a
+        regeneration, in about log2 passes of the longest gap."""
+        _, nu_cum, q_cum = self._doeblin_parts
+        n_states = len(q_cum)
+        succ = np.empty((v.size, n_states), dtype=np.intp)
+        succ[regen] = np.searchsorted(nu_cum, v[regen], side="right")[:, None]
+        stepped = ~regen
+        w = v[stepped]
         for s, cum in enumerate(q_cum):
-            succ[~regen, s] = np.searchsorted(cum, v, side="right")
-        k = np.arange(flat.size)
+            succ[stepped, s] = np.searchsorted(cum, w, side="right")
+        k = np.arange(v.size)
         reach = k - np.maximum.accumulate(np.where(regen, k, 0))
         step = 1
         while (k := np.flatnonzero(reach >= step)).size:
             succ[k] = succ.ravel()[k[:, None] * n_states + succ[k - step]]
             step *= 2
-        return succ[:, state].reshape(chain.shape)
+        return succ[:, state]
 
     # -- raw generation ----------------------------------------------------
 
@@ -458,10 +506,10 @@ class MarkSource:
         """Marks (3, n), rows xi, sigma, dpat, of the n indices lo..hi
         inclusive; into the first n columns of `out` when given.  A window is
         read in chunks (_CHUNK), so its temporaries are a chunk's: the words
-        are shifted in place, a Markov chunk's chain states are composed from
-        the state before it, and each used column is scaled into a contiguous
-        row before its quantile (numpy may take other code paths for strided
-        input)."""
+        are shifted in place, a Markov chunk's chain states are composed on from
+        the state before it (found once per window by _chain_before), and each
+        used column is scaled into a contiguous row before its quantile (numpy
+        may take other code paths for strided input)."""
         if lo > hi:
             raise ValueError(f"window requires lo <= hi, got [{lo}, {hi}]")
         g0 = self.origin + lo
@@ -497,7 +545,9 @@ class MarkSource:
 
         One Philox generator is re-positioned per replica: re-keyed (iid), or
         moved to the start of the replica's chain lookback (markov).  Markov
-        states come from one composition with a replica axis.  A Markov
+        states come from one composition with a replica axis, from the
+        earliest of the rows' last lookback regenerations on; each row is
+        forced to regenerate before its own, so the gaps stay short.  A Markov
         replica with no regeneration in its lookback takes window_arrays,
         which looks further back.
         """
@@ -520,7 +570,8 @@ class MarkSource:
         # forced regenerations before each row's last one keep gaps short
         last = look - np.argmax(regen[:, ::-1], axis=1)
         chain[np.arange(look + width) < last[:, None]] = 0.0
-        out = self._quantiles(u, self._compose_states(chain)[:, look:])
+        first = int(last.min(initial=look))
+        out = self._quantiles(u, self._compose_states(chain[:, first:])[:, look - first:])
         # rows with none in the lookback were composed from a forced one
         for i in np.flatnonzero(~regen.any(axis=1)).tolist():
             e = (lo + i) * spacing

@@ -244,8 +244,8 @@ def _u(low, high):
 
 
 def test_worker_counts_write_identical_markov_files(tmp_path):
-    # SLOW_MARKOV's chain: 1, 2 and 3 workers cut the batches differently, and
-    # some windows are resolved in the batch, some by window_arrays
+    # SLOW_MARKOV's chain, in one part batch at any worker count, in process or
+    # in a pool worker; some windows are resolved in the batch, some by window_arrays
     cfg = tmp_path / "slow.json"
     cfg.write_text(json.dumps({"source": {
         "kind": "markov", "seed": 4407,
@@ -264,7 +264,7 @@ def test_worker_counts_write_identical_markov_files(tmp_path):
 
 
 def test_worker_counts_write_identical_files(tmp_path):
-    # chunks of 60 rows over 1, 2 and 3 workers cut the batches differently
+    # 60 rows: one part batch at any worker count, in process or in a pool worker
     cfg = tmp_path / "deep.json"
     cfg.write_text(json.dumps({"source": {
         "kind": "iid", "seed": 4405, "xi": {"dist": "uniform", "low": 0.1, "high": 0.9},

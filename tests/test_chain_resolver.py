@@ -1,20 +1,32 @@
-"""Vectorised Markov chain-state resolution against the scalar backward scan.
+"""Vectorised Markov chain-state resolution against scalar oracles.
 
-The oracle below is the resolver the vectorised one replaced: it fetches one
+The first oracle is the resolver the vectorised one replaced: it fetches one
 Philox block per index, scans back from the index before the window to the
 most recent Doeblin regeneration, then walks forward one searchsorted call at
 a time.  The vectorised resolver performs the same IEEE divisions and the same
-searchsorted comparisons, so states and marks must agree bit for bit.
+comparisons, so states and marks must agree bit for bit.
+
+MarkSource._compose_states takes one of two compositions, a scan level by
+level after each index's last regeneration or pointer doubling of per-index
+successor tables, by the longest regeneration gap.  Both, forced through
+_SCAN_LEVEL, are checked against a per-index scalar forward walk that reads
+the same uniforms as one sequence after a given state; a uniform whose
+residual rounds to 1.0 stands for the largest one below it in all three.
 """
 
 import random
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renege import (
     CapabilityError,
+    Deterministic,
     Discrete,
     MarkSource,
     StateMarginals,
@@ -22,6 +34,7 @@ from renege import (
     Uniform,
     markov_source,
 )
+from renege import marks
 from renege.marks import _CHAIN_LOOKBACK, _MAX_CHAIN_LOOKBACK, _U53, ChainRegenerationError
 
 _FAST = StateMarginals(Uniform(0.2, 0.6), TruncatedExponential(2.0, 0.5), Uniform(0.0, 0.2))
@@ -223,3 +236,133 @@ def test_memory_stays_flat_over_far_apart_windows():
         tracemalloc.stop()
     # a memo of resolved states would hold ~50 kB per window here
     assert held_after - held_before < 32 * 1024
+
+
+_TOP = 1.0 - _U53  # the largest uniform Philox gives
+SCAN, DOUBLING = 0, 2 ** 64  # a scan level free, or dearer than any table
+
+
+def forced(level):
+    """The scan forced (SCAN), the doubling forced (DOUBLING), or
+    _compose_states's own choice (None)."""
+    return mock.patch.object(marks, "_SCAN_LEVEL", marks._SCAN_LEVEL if level is None else level)
+
+
+def composed(src, chain, state=0, level=None):
+    with forced(level):
+        return src._compose_states(chain, state)
+
+
+def walked_states(src, chain, state=0):
+    """States by one scalar lookup per index, in index order; a uniform whose
+    residual rounds to 1.0 stands for the largest one below it."""
+    delta, nu_cum, q_cum = src._doeblin_parts
+    out = []
+    for u in np.ravel(chain).tolist():
+        cum, v = (nu_cum, u / delta) if u < delta else (q_cum[state], (u - delta) / (1.0 - delta))
+        state = int(np.searchsorted(cum, min(v, _TOP), side="right"))
+        out.append(state)
+    return np.array(out, dtype=np.intp).reshape(np.shape(chain))
+
+
+_POINT = StateMarginals(Deterministic(1.0), Deterministic(0.5), Deterministic(0.25))
+
+
+@st.composite
+def chains(draw):
+    """A Markov source with S = 1..4 states and delta from near 0 up to 1,
+    uniforms (rows x indices) on the Philox grid, and a start state."""
+    n_states = draw(st.integers(1, 4))
+    delta = draw(st.sampled_from([1e-3, 0.02, 0.3, 0.7, 0.999, 1.0]))
+    nu = np.array(draw(st.lists(st.integers(1, 9), min_size=n_states, max_size=n_states)), float)
+    nu /= nu.sum()
+    if n_states == 1:
+        transition = [[1.0]]
+    else:
+        # a zero diagonal in the residual kernel keeps the column minima at delta * nu
+        q = np.array([[0.0 if i == j else draw(st.integers(0, 9)) + (j == (i + 1) % n_states)
+                       for j in range(n_states)] for i in range(n_states)], float)
+        q /= q.sum(axis=1, keepdims=True)
+        transition = (delta * nu + (1.0 - delta) * q).tolist()
+    src = markov_source(transition, (_POINT,) * n_states, seed=1)
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 24))
+    # edges: 0, the top uniform, and the grid points next to delta
+    d = int(src._doeblin_parts[0] / _U53)
+    edges = [0, 2 ** 53 - 1] + [k for k in (d - 1, d, d + 1) if 0 <= k < 2 ** 53]
+    special = st.sampled_from(edges)
+    k = draw(st.lists(st.one_of(st.integers(0, 2 ** 53 - 1), special),
+                      min_size=rows * width, max_size=rows * width))
+    chain = np.array(k, dtype=float).reshape(rows, width) * _U53
+    if draw(st.booleans()):
+        chain[-1, -1] = 0.0  # a regeneration at the last index
+    return src, chain, draw(st.integers(0, n_states - 1))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(case=chains())
+def test_scan_and_doubling_match_the_scalar_walk(case):
+    src, chain, state = case
+    want = walked_states(src, chain, state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for level in (None, SCAN, DOUBLING):
+            got = composed(src, chain, state, level)
+            assert got.shape == chain.shape and got.dtype == np.intp
+            np.testing.assert_array_equal(got, want)
+
+
+def test_the_cheaper_composition_is_taken():
+    # a gap of 4096 indices costs 4096 scan levels but 13 doubling passes;
+    # gaps of one index cost one scan level
+    src = _source("two-state")
+    long_gap, short_gaps = np.full((1, 4096), 0.5), np.tile([0.0, 0.5], (1, 2048))
+    for chain, used in ((long_gap, "_doubled_states"), (short_gaps, "_scanned_states")):
+        with mock.patch.object(MarkSource, used, autospec=True,
+                               side_effect=getattr(MarkSource, used)) as spy:
+            got = src._compose_states(chain, 1)
+        assert spy.call_count == 1
+        np.testing.assert_array_equal(got, walked_states(src, chain, 1))
+
+
+def test_top_uniform_selects_the_last_state_with_mass():
+    # delta = 0.3; (u - delta) / (1 - delta) rounds to 1.0 at the top uniform.
+    # Q's row of state 0 is [0, 1, 0]: the lookup must give state 1, not 2
+    src = markov_source(((0.3, 0.7, 0.0), (0.3, 0.0, 0.7), (0.5, 0.5, 0.0)), (_POINT,) * 3,
+                        seed=1)
+    delta = src._doeblin_parts[0]
+    assert delta == 0.3 and (_TOP - delta) / (1.0 - delta) == 1.0
+    chain = np.array([[0.0, _TOP, 0.5, 0.5]])
+    for level in (SCAN, DOUBLING):
+        np.testing.assert_array_equal(composed(src, chain, 0, level), [[0, 1, 2, 1]])
+    np.testing.assert_array_equal(walked_states(src, chain), [[0, 1, 2, 1]])
+    # mid-array and as the start of a chunk: no index reads another's entry
+    chain = np.array([[0.0, 0.5, _TOP, 0.5, 0.0, _TOP, 0.5]])
+    for level in (SCAN, DOUBLING):
+        np.testing.assert_array_equal(composed(src, chain, 0, level), walked_states(src, chain))
+        np.testing.assert_array_equal(composed(src, chain[:, 2:], 0, level), [[1, 2, 0, 1, 2]])
+    # every state drives the marks: none is left uninitialized
+    marks_ = src._quantiles([np.full((1, 4), 0.5)] * 3, src._compose_states(chain[:, :4]))
+    assert np.array_equal(marks_, np.broadcast_to([[[1.0]], [[0.5]], [[0.25]]], (3, 1, 4)))
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_marks_match_under_either_composition(name):
+    src = _source(name, seed=29).shift(11)
+    windows = [(-40, 300), (5, 5), (1000, 1000 + 4 * 2 ** 11 + 7)]
+    batches = [(0, 9, 300, 128), (2, 50, 7, 16)]
+    got = []
+    for level in (None, SCAN, DOUBLING):
+        with warnings.catch_warnings(), forced(level):
+            warnings.simplefilter("error", RuntimeWarning)
+            got.append([src.window_arrays(lo, hi) for lo, hi in windows]
+                       + [src.replica_windows(*b) for b in batches])
+    for g, s, d in zip(*got):
+        assert [v.hex() for v in g.ravel().tolist()] == [v.hex() for v in s.ravel().tolist()]
+        assert [v.hex() for v in g.ravel().tolist()] == [v.hex() for v in d.ravel().tolist()]
+
+
+def test_an_empty_batch_composes_nothing():
+    src = _source("two-state")
+    for level in (SCAN, DOUBLING):
+        assert composed(src, np.empty((0, 5)), 1, level).shape == (0, 5)
+    assert src.replica_windows(3, 3, 300, 128).shape == (3, 0, 128)

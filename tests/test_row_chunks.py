@@ -1,0 +1,118 @@
+"""Replica rows cut at whole batches: the chunks of cli._parallel_rows.
+
+Every chunk but the last ends at a multiple of fifo._BATCH, so no chunk
+leaves a part batch before the end.  Rows depend only on the replica index,
+so every worker count writes the same files and raises the first failing
+replica's error, wherever the chunk boundaries fall.
+"""
+
+import json
+
+import pytest
+
+from renege import DepthExhaustedError, source_from_config
+from renege import cli
+from renege.cli import _chunks, main
+from renege.fifo import _BATCH, END, exact_loss_rows
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("total", [1, 127, 128, 129, 600, 4000])
+def test_chunks_cover_the_rows_at_batch_multiples(total, workers):
+    chunks = _chunks(total, workers * 4, _BATCH)
+    assert chunks[0][0] == 0 and chunks[-1][1] == total
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    assert all(lo < hi and lo % _BATCH == 0 for lo, hi in chunks)
+    assert len(chunks) <= workers * 4
+
+
+def test_exact_iid_pool_keeps_eight_chunks():
+    assert _chunks(4000, 8, _BATCH) == [(lo, min(lo + 512, 4000)) for lo in range(0, 4000, 512)]
+
+
+@pytest.mark.parametrize("total", [1, 7, 128, 300])
+def test_sampled_replicas_keep_an_even_split(total):
+    # sampled replicas run one at a time: their ranges spread over the pool
+    chunks = _chunks(total, 16)
+    assert len(chunks) == min(total, 16)
+    assert chunks[0][0] == 0 and chunks[-1][1] == total
+    assert max(hi - lo for lo, hi in chunks) == -(-total // 16)
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: runs the ranges here, records them."""
+
+    ranges = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, los, his):
+        self.ranges[:] = list(zip(los, his))
+        return map(fn, los, his)
+
+
+@pytest.mark.parametrize("kind, unit", [("loss", _BATCH), ("sample", 1)])
+def test_pool_ranges_by_row_kind(monkeypatch, kind, unit):
+    # loss rows run in batches, sampled replicas one at a time
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(cli, "_replica_rows", lambda kind, src, params, lo, hi: range(lo, hi))
+    assert cli._parallel_rows(kind, None, {}, 300, 4) == list(range(300))
+    assert _InProcessPool.ranges == _chunks(300, 16, unit)
+    assert len(_InProcessPool.ranges) == (3 if kind == "loss" else 16)
+
+
+def _u(low, high):
+    return {"dist": "uniform", "low": low, "high": high}
+
+
+# a two-state chain with a heavy patience in state 0 (seed 4): at max_depth 13
+# replicas 213, 252 and 339 exhaust their certificate depth, the first of them
+# after the first batch boundary and the last in a later chunk
+DEEP_MARKOV = {"kind": "markov", "seed": 4, "transition": [[0.8, 0.2], [0.3, 0.7]],
+               "states": [{"xi": _u(0.1, 0.9), "sigma": _u(0.0, 1.0),
+                           "dpat": {"dist": "truncated-exponential", "rate": 0.5, "cap": 6.0}},
+                          {"xi": _u(0.3, 1.2), "sigma": _u(0.0, 0.5), "dpat": _u(0.0, 2.0)}]}
+
+
+def _run(tmp_path, cfg, workers):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / f"w{workers}"
+    code = main(["loss-end", "--config", str(path), "--workers", str(workers),
+                 "--out-dir", str(out)])
+    return code, out
+
+
+def test_worker_counts_write_identical_files_over_part_batches(tmp_path):
+    cfg = {"source": DEEP_MARKOV, "run": {"mode": "exact", "samples": 300, "max_depth": 60}}
+    assert 300 % _BATCH
+    outputs = []
+    for workers in (1, 2, 3):
+        code, out = _run(tmp_path, cfg, workers)
+        assert code == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert len(outputs[0]["detail.csv"].splitlines()) == 301
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_first_failing_replica_after_a_boundary_raises(tmp_path, capsys, workers):
+    cfg = {"source": DEEP_MARKOV, "run": {"mode": "exact", "samples": 400, "max_depth": 13}}
+    src = source_from_config(DEEP_MARKOV)
+    messages = []
+    for r in (213, 252, 339):
+        with pytest.raises(DepthExhaustedError) as exc:
+            exact_loss_rows(END, src, r, r + 1, 10_000, 13)
+        messages.append(str(exc.value))
+    assert exact_loss_rows(END, src, 0, 213, 10_000, 13)[-1][0] == 212
+    assert len(set(messages)) == 3
+    code, _ = _run(tmp_path, cfg, workers)
+    assert code == 3
+    assert capsys.readouterr().err.strip() == f"capability error: {messages[0]}"
