@@ -72,31 +72,14 @@ def kolmogorov_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     return float(np.abs(fa - fb).max())
 
 
-def _trajectory(src: MarkSource, n: int, model: str) -> np.ndarray:
-    """States w_1..w_n of the workload started from 0 at index 0."""
-    return np.array(_model(model).w_path(0.0, *src.window_arrays(0, n - 1)))
-
-
-def cesaro_distribution(src: MarkSource, n: int, model: str,
-                        mode: str = "trajectory") -> EmpiricalMeasure:
-    """Uniform mixture of the laws of the first n workload states from 0.
-
-    The default realizes it as the occupation measure of a single trajectory
-    (ergodic surrogate).  mode="replica" matches the mixture literally with
-    n independent trajectories, trajectory i contributing its step-i state;
-    that costs O(n^2) steps and is meant for cross-checks at small n.
-    """
+def cesaro_distribution(src: MarkSource, n: int, model: str) -> EmpiricalMeasure:
+    """Uniform mixture of the laws of the first n workload states from 0,
+    realized as the occupation measure of a single trajectory (ergodic
+    surrogate)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if mode == "trajectory":
-        values = _trajectory(src, n, model)
-    elif mode == "replica":
-        values = np.array([_trajectory(src.substream(i), i, model)[-1]
-                           for i in range(1, n + 1)])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return EmpiricalMeasure(values=values, weights=np.full(n, 1.0 / n),
-                            n_steps=n, model=model)
+    values = np.array(_model(model).w_path(0.0, *src.window_arrays(0, n - 1)))  # w_1..w_n
+    return EmpiricalMeasure(values=values, weights=np.full(n, 1.0 / n), n_steps=n, model=model)
 
 
 def invariance_distance(mu: EmpiricalMeasure, src: MarkSource, model: str) -> float:

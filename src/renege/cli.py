@@ -34,6 +34,7 @@ from .fifo import (
     MODELS,
     Model,
     exact_loss_rows,
+    exact_sample_rows,
     loss_probability,
     loss_report_from_rows,
     sample_stationary,
@@ -239,7 +240,7 @@ def _csv_column(col) -> list[str]:
 
 def _chunks(total: int, parts: int, unit: int = 1) -> list[tuple[int, int]]:
     """About `parts` ranges covering 0..total, cut at multiples of `unit`:
-    _BATCH for exact loss rows, so that every batch but the last is whole."""
+    _BATCH for exact rows, so that every batch but the last is whole."""
     step = unit * math.ceil(total / (parts * unit))
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
@@ -247,28 +248,29 @@ def _chunks(total: int, parts: int, unit: int = 1) -> list[tuple[int, int]]:
 def _replica_rows(kind: str, src: MarkSource, params: dict, lo: int, hi: int) -> list:
     """Replica-indexed rows lo..hi-1."""
     model = MODELS[params["model"]]
+    limits = params["max_epochs"], params["max_depth"]
     if kind == "loss":
-        return exact_loss_rows(model, src, lo, hi, params["max_epochs"], params["max_depth"])
+        return exact_loss_rows(model, src, lo, hi, *limits)
     # sampled replicas of a non-iid source sit further apart than loss rows
     spacing = max(2 * params["max_depth"], params["warmup"])
+    if params["mode"] == "exact":
+        return exact_sample_rows(model, src, lo, hi, *limits, spacing)
     rows = []
     for r in range(lo, hi):
         rep, e = src.replica(r, spacing)
-        smp = sample_stationary(model, rep.shift(e), max_epochs=params["max_epochs"],
-                                max_depth=params["max_depth"], mode=params["mode"],
-                                warmup=params["warmup"])
-        cert_depth = smp.certificate.depth if smp.certificate is not None else None
-        rows.append((r, smp.value, smp.method, smp.renovation_epoch, cert_depth))
+        smp = sample_stationary(model, rep.shift(e), mode="approximate", warmup=params["warmup"])
+        rows.append((r, smp.value, smp.method, None, None))
     return rows
 
 
 def _parallel_rows(kind: str, src: MarkSource, params: dict, total: int, workers: int) -> list:
     """Rows 0..total-1: in one range in-process at one worker, else in
     workers*4 ranges over a process pool, each handed the validated source.
-    Sampled replicas run one at a time, so their ranges need no whole batches."""
+    Exact rows run in batches of _BATCH, so their ranges are cut at whole
+    batches; approximate sampled replicas run one at a time, evenly split."""
     if workers <= 1:
         return _replica_rows(kind, src, params, 0, total)
-    los, his = zip(*_chunks(total, workers * 4, _BATCH if kind == "loss" else 1))
+    los, his = zip(*_chunks(total, workers * 4, _BATCH if params["mode"] == "exact" else 1))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunks = pool.map(partial(_replica_rows, kind, src, params), los, his)
         return [row for chunk in chunks for row in chunk]

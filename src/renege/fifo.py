@@ -33,9 +33,9 @@ too short to cut and the tail of a window, and they are the engine's test
 oracle.  _advance holds one window's marks and lockstep arrays for a run.
 
 Every lockstep step, of the coupled engine and of the replay of exact loss
-rows, is one in-place kernel, _step, writing into preallocated buffers:
-np.maximum for the dominated and dominating chains, the model's inner form
-for W, then one subtraction of xi and one clip over all the chains.
+and sample rows, is one in-place kernel, _step, writing into preallocated
+buffers: np.maximum for the dominated and dominating chains, the model's
+inner form for W, then one subtraction of xi and one clip over all the chains.
 """
 
 from __future__ import annotations
@@ -64,11 +64,11 @@ from .recursion import (
 )
 
 DEFAULT_WARMUP = 100_000
-# Replicas per lockstep batch of exact loss rows: the batch's arrays peak
-# near 1.6 MB for a Markov source (the marks fetch with its chain lookback and
+# Replicas per lockstep batch of exact rows: the batch's arrays peak near
+# 1.6 MB for a Markov source (the marks fetch with its chain lookback and
 # composition) and for an iid one (tracemalloc).  The CLI cuts its ranges of
-# exact loss rows at multiples of it (cli._chunks), so only a run's last batch
-# is part full.
+# exact rows at multiples of it (cli._chunks), so only a run's last batch is
+# part full.
 _BATCH = 128
 # Marks per window of a coupled forward run, and per segment of a window.  A
 # run holds one window's arrays, 3.2 MB, for all its windows: the marks and
@@ -498,9 +498,14 @@ def _report(model: Model, src: MarkSource, counts, samples: int, method: str) ->
                       pi_never_reach=never[0] if never else None)
 
 
-def _exact_row(model: Model, src: MarkSource, r: int, max_epochs: int, max_depth: int) -> tuple:
-    """One exact loss row by the scalar path: search, certificate and replay."""
-    rep, e = src.replica(r, 2 * max_depth)
+def _exact_row(model: Model, src: MarkSource, r: int, max_epochs: int, max_depth: int,
+               spacing: int, first: int) -> tuple:
+    """Replica r's row of _batch_rows by the scalar path: exact_triple for a
+    loss row, sample_stationary at the replica's epoch for a sample row."""
+    rep, e = src.replica(r, spacing)
+    if first:
+        smp = sample_stationary(model, rep.shift(e), max_epochs, max_depth)
+        return (r, smp.value, smp.method, smp.renovation_epoch, smp.certificate.depth)
     cache = MarkWindowCache(rep)
     _, sigma, dpat = cache.range(e, e)  # the first fill ends at e and covers the search
     ym, w, yp = exact_triple(model, rep, e, max_epochs, max_depth, cache)
@@ -532,40 +537,56 @@ def _replay_rows(model: Model, marks: np.ndarray, alpha_up: np.ndarray,
 def exact_loss_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
                     max_depth: int) -> list[tuple]:
     """Per-replica exact rows (replica, ym, W, yp, *row marks) at the
-    replica's own epoch (MarkSource.replica, spacing 2*max_depth).
+    replica's own epoch (MarkSource.replica, spacing 2*max_depth), replayed
+    from the renovation epoch exact_triple finds, in batches (_batch_rows)."""
+    return [row for a in range(lo, hi, _BATCH) for row in _batch_rows(
+        model, src, a, min(a + _BATCH, hi), max_epochs, max_depth, 2 * max_depth, 0)]
 
-    Replicas go in batches of _BATCH, in lockstep: one fetch of the
-    _FIRST_FILL marks ending at each replica's epoch (what the scalar path's
-    cache reads first), one renovation screen over the batch
-    (recursion.renovation_offsets) and one replay of the three chains.  A
-    replica the window does not decide takes the scalar path (exact_triple),
-    which also raises its DepthExhaustedError or RenovationNotFoundError,
-    first replica first.  Both paths run the same IEEE operations on the same
-    marks, so the rows are bit-identical to the scalar path's.  Rows only
-    depend on the replica index, so ranges computed in parallel merge
-    deterministically, and memory stays at one batch, whatever the span of a
-    non-iid source.
+
+def exact_sample_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
+                      max_depth: int, spacing: int) -> list[tuple]:
+    """Per-replica exact draws (replica, W, method, renovation epoch,
+    certificate depth): sample_stationary on replica r's source shifted to
+    its epoch (MarkSource.replica at `spacing`), in batches (_batch_rows)."""
+    return [row for a in range(lo, hi, _BATCH) for row in _batch_rows(
+        model, src, a, min(a + _BATCH, hi), max_epochs, max_depth, spacing, 1)]
+
+
+def _batch_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
+                max_depth: int, spacing: int, first: int) -> list[tuple]:
+    """Exact rows of the replicas lo..hi-1 (at most _BATCH), spaced `spacing`
+    apart: loss rows (first=0) or sample rows, whose renovation search
+    starts at k = first = 1.  Its arrays are freed on return, before the
+    next batch's marks are fetched.
+
+    The batch runs in lockstep: one fetch of the _FIRST_FILL marks ending at
+    each replica's epoch (what a loss row's scalar cache reads first), one
+    renovation screen (recursion.renovation_offsets) on the windows without
+    their last `first` marks, and one replay of the three chains.  A replica
+    that its window does not decide, or that max_epochs or max_depth stops,
+    takes the scalar path (_exact_row), which also raises its
+    DepthExhaustedError or RenovationNotFoundError, first replica first.
+    Both paths run the same IEEE operations on the same marks, so the rows
+    are bit-identical to the scalar path's.  Rows only depend on the replica
+    index, so ranges computed in parallel merge deterministically, and
+    memory stays at one batch, whatever the span of a non-iid source.
     """
     bound = model.dominating.bound_for(src)
-    if bound is None or max_depth < 1:
-        return [_exact_row(model, src, r, max_epochs, max_depth) for r in range(lo, hi)]
-    rows = []
-    for a in range(lo, hi, _BATCH):
-        rows += _batch_rows(model, src, a, min(a + _BATCH, hi), bound, max_epochs, max_depth)
-    return rows
-
-
-def _batch_rows(model: Model, src: MarkSource, lo: int, hi: int, bound: float,
-                max_epochs: int, max_depth: int) -> list[tuple]:
-    """exact_loss_rows for one batch; its arrays are freed on return, before
-    the next batch's marks are fetched."""
-    marks = src.replica_windows(lo, hi, 2 * max_depth, _FIRST_FILL)
+    if bound is None or max_depth < 1:  # the scalar path raises at the first replica
+        return [_exact_row(model, src, r, max_epochs, max_depth, spacing, first)
+                for r in range(lo, hi)]
+    marks = src.replica_windows(lo, hi, spacing, _FIRST_FILL)
     alpha_up = model.dominating.alpha_array(*marks)
-    k = renovation_offsets(marks[0], alpha_up, bound, max_epochs, max_depth)
+    cut = _FIRST_FILL - first
+    k, depth = renovation_offsets(marks[0, :, :cut], alpha_up[:, :cut], bound,
+                                  max_epochs - first, max_depth)
+    k = np.where(depth > 0, k + first, -1)  # -1: the scalar path
     ym, w, yp = _replay_rows(model, marks, alpha_up, k).tolist()
     sigma, dpat = marks[1:, :, -1].tolist()
-    return [(r, ym[i], w[i], yp[i], *model.row_marks(sigma[i], dpat[i])) if k[i] >= 0
-            else _exact_row(model, src, r, max_epochs, max_depth)
+    k, depth = k.tolist(), depth.tolist()
+    return [_exact_row(model, src, r, max_epochs, max_depth, spacing, first) if k[i] < 0
+            else (r, w[i], "renovation-exact", -k[i], depth[i]) if first
+            else (r, ym[i], w[i], yp[i], *model.row_marks(sigma[i], dpat[i]))
             for i, r in enumerate(range(lo, hi))]
 
 

@@ -331,9 +331,9 @@ class MarkSource:
                 raise ConfigError(
                     "alpha_bound declared but sigma+dpat has unbounded support; "
                     "use bounded marginals (uniform, truncated-exponential, discrete, deterministic)")
-            if self.alpha_bound < derived - 1e-12:
-                raise ConfigError(
-                    f"declared alpha_bound {self.alpha_bound} is below the support bound {derived}")
+            if not derived - 1e-12 <= self.alpha_bound < math.inf:  # NaN fails too
+                raise ConfigError(f"declared alpha_bound {self.alpha_bound} must be finite and "
+                                  f"at least the support bound {derived}")
 
     def _validate_transition(self):
         p = self.transition

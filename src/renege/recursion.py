@@ -27,9 +27,9 @@ _CHUNK = 512
 _FORWARD_CHUNK = 1 << 14  # marks per window of a forward pass
 # Marks in a MarkWindowCache's first fill: a shallow exact draw reads fewer.
 _FIRST_FILL = 128
-# A renovation search first screens this many candidate epochs, each over this
-# many lags; both double as needed, with at most _SEARCH_CELLS terms per pass
-# (per slice of replicas in a lockstep screen).
+# A renovation screen first takes this many candidate epochs, each over this
+# many lags; both double as needed, with at most _SEARCH_CELLS terms per slice
+# of replicas in a pass.
 _SEARCH_EPOCHS = 16
 _SEARCH_LAGS = 16
 _SEARCH_CELLS = 1 << 16
@@ -319,64 +319,56 @@ def renovation_search(spec: RecursionSpec, src: MarkSource, epoch: int, max_epoc
     certificate: what certified_zero at k = first, first+1, ... returns or
     raises first.
 
-    Each pass screens a block of candidates over a lags x candidates gather of
-    the cached marks.  np.add.accumulate sums beta down each column in
-    sequence, bit-identical to the scalar s = s + be, and a candidate is
-    positive when the first lag with a positive term or with s >= bound has a
-    positive term.  Positive candidates are skipped, an undecided one doubles
-    the lags up to max_depth, and an all-positive block doubles the next one.
-    certified_zero then issues the first other candidate's certificate or
-    raises its DepthExhaustedError.
+    renovation_offsets screens the cached window of marks ending at
+    epoch - first, as a batch of one, from _FIRST_FILL marks on, doubled
+    until the window decides the search or max_epochs or max_depth stops it.
+    certified_zero then issues the found candidate's certificate or raises
+    its DepthExhaustedError.
     """
     if cache is None:
         cache = MarkWindowCache(src)
     bound = spec.bound_for(src)
-    k = first
-    if k <= max_epochs and (bound is None or max_depth < 1):
-        certified_zero(spec, src, epoch - k, max_depth, cache)  # raises either error
-    epochs, lags = _SEARCH_EPOCHS, min(_SEARCH_LAGS, max_depth)
-    while k <= max_epochs:
-        n = min(epochs, max_epochs - k + 1)
-        xi, sigma, dpat = cache.range(epoch - k - n - lags + 1, epoch - k - 1)
+    if first <= max_epochs and (bound is None or max_depth < 1):
+        certified_zero(spec, src, epoch - first, max_depth, cache)  # raises either error
+    k, width = -1, _FIRST_FILL
+    while k < 0 and first <= max_epochs:
+        xi, sigma, dpat = cache.range(epoch - first - width + 1, epoch - first)
         alpha = spec.alpha_array(xi, sigma, dpat)
-        # [j-1, c] is lag j of candidate epoch-k-c
-        at = np.subtract.outer(np.arange(n + lags - 2, n - 2, -1), np.arange(n))
-        s = np.add.accumulate(xi[at], axis=0)
-        positive = alpha[at] - s > 0.0
-        decided = positive | (s >= bound)
-        open_ = np.flatnonzero(~positive[decided.argmax(axis=0), np.arange(n)])
-        if open_.size == 0:
-            k += n
-            epochs = max(1, min(2 * epochs, _SEARCH_CELLS // lags))
-            continue
-        k += int(open_[0])
-        if lags == max_depth or decided[:, open_[0]].any():
-            return epoch - k, certified_zero(spec, src, epoch - k, max_depth, cache)
-        lags = min(2 * lags, max_depth)
-        epochs = max(1, min(epochs, _SEARCH_CELLS // lags))
-    raise RenovationNotFoundError(
-        f"no certified zero epoch within {max_epochs} epochs of {epoch}; either zero states "
-        "have probability 0 for this source or max_epochs/max_depth are too small")
+        (k,), _ = renovation_offsets(xi[None], alpha[None], bound, max_epochs - first, max_depth)
+        width *= 2
+    if not 0 <= k <= max_epochs - first:
+        raise RenovationNotFoundError(
+            f"no certified zero epoch within {max_epochs} epochs of {epoch}; either zero states "
+            "have probability 0 for this source or max_epochs/max_depth are too small")
+    k = first + int(k)
+    return epoch - k, certified_zero(spec, src, epoch - k, max_depth, cache)
 
 
 def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epochs: int,
-                       max_depth: int) -> np.ndarray:
-    """Renovation distances of a batch of replicas, screened in lockstep.
+                       max_depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Renovation distances k and certificate depths of a batch of replicas,
+    screened in lockstep.
 
     Row i of xi and alpha holds a window of marks whose last column is
-    replica i's epoch.  Entry i is the k for which renovation_search (first=0,
-    max_depth >= 1) returns epoch - k, or -1 when the window cannot tell: the
-    first candidate that is not positive is undecided at the window's start,
-    or max_epochs or max_depth stops the search (renovation_search then
-    raises).  The screen is renovation_search's block screen with a third
-    axis for the replicas, each at its own next candidate k: the sums are the
-    same np.add.accumulate down the lags, and a replica whose candidates were
-    all positive moves on by the block, doubled for the next pass, while one
-    whose first open candidate is undecided doubles the lags.  A pass covers
-    at most _SEARCH_CELLS (replica, lag, candidate) cells at a time.
+    replica i's epoch, and max_depth >= 1.  Entry i is where the walk of
+    certified_zero over the candidates epoch - k, k = 0..max_epochs, ends:
+    the first candidate that is not positive, with the depth of its
+    certificate, or with depth 0 when max_depth stops it (certified_zero
+    raises there); k = max_epochs + 1 and depth 0 when every candidate is
+    positive; k = -1 and depth 0 when the walk needs marks before the window.
+
+    Each pass gathers lags x candidates from each replica's next candidate
+    k on.  np.add.accumulate sums beta down the lags in sequence,
+    bit-identical to certified_zero's s = s + be, and a candidate is
+    positive when the first lag with a positive term or with s >= bound has
+    a positive term; that lag is the certificate depth otherwise.  A replica
+    whose candidates were all positive moves on by the block, doubled for
+    the next pass, and one whose first open candidate is undecided doubles
+    the lags.  A pass covers at most _SEARCH_CELLS (replica, lag, candidate)
+    cells at a time, or one replica's lags.
     """
     replicas, width = xi.shape
-    out = np.full(replicas, -1)
+    out, depth = np.full(replicas, -1), np.zeros(replicas, dtype=np.intp)
     k = np.zeros(replicas, dtype=np.intp)
     todo = np.arange(replicas)
     epochs, lags = _SEARCH_EPOCHS, min(_SEARCH_LAGS, max_depth, width - 1)
@@ -384,8 +376,9 @@ def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epoc
         part = max(1, _SEARCH_CELLS // (epochs * lags))
         more_epochs = more_lags = False
         nxt = []
-        for rows in np.split(todo, range(part, todo.size, part)):
-            cand = np.arange(epochs)
+        for a in range(0, todo.size, part):
+            rows, cand = todo[a:a + part], np.arange(epochs)
+            i = np.arange(rows.size)
             kr = k[rows]
             # [i, j-1, c] is lag j of replica i's candidate epoch - k - c
             at = (width - 1 - kr)[:, None, None] - np.arange(1, lags + 1)[:, None] - cand
@@ -396,16 +389,16 @@ def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epoc
             decided = positive | ((s >= bound) & inside)
             first = decided.argmax(axis=1)
             in_range = (kr[:, None] + cand) <= max_epochs
-            is_pos = np.take_along_axis(positive, first[:, None], axis=1)[:, 0] & in_range
+            is_pos = positive[i[:, None], first, cand] & in_range
             has_open = ~is_pos.all(axis=1)
             c0 = (~is_pos).argmax(axis=1)  # the first open candidate
             k0 = kr + c0
-            i = np.arange(rows.size)
             cert = has_open & (k0 <= max_epochs) & decided[i, first[i, c0], c0]
-            out[rows[cert]] = k0[cert]
-            undecided = has_open & ~cert
-            stuck = (k0 > max_epochs) | (lags >= np.minimum(max_depth, width - 1 - k0))
-            widen = undecided & ~stuck
+            room = width - 1 - k0  # the lags of candidate k0 in the window
+            found = cert | has_open & ((k0 > max_epochs) | (np.minimum(lags, room) >= max_depth))
+            out[rows[found]] = k0[found]
+            depth[rows[cert]] = first[i, c0][cert] + 1
+            widen = has_open & ~found & (lags < room)
             k[rows] = np.where(has_open, k0, kr + epochs)
             more_lags |= bool(widen.any())
             more_epochs |= not has_open.all()
@@ -413,9 +406,9 @@ def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epoc
         todo = np.concatenate(nxt)
         if more_lags:
             lags = min(2 * lags, max_depth, width - 1)
-        if more_epochs:
-            epochs = min(2 * epochs, width - 1)
-    return out
+        epochs = max(1, min(2 * epochs if more_epochs else epochs, width - 1,
+                            _SEARCH_CELLS // lags))
+    return out, depth
 
 
 @dataclass(frozen=True)

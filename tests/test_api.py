@@ -15,7 +15,7 @@ PARAMETERS = {
     "birth_death_stationary": ("oracle",),
     "boundary_mass": ("src", "n", "p", "model"),
     "certified_zero": ("spec", "src", "epoch", "max_depth", "cache"),
-    "cesaro_distribution": ("src", "n", "model", "mode"),
+    "cesaro_distribution": ("src", "n", "model"),
     "compare_disciplines": ("src", "horizon"),
     "coupling_time": ("spec", "src", "z1", "z2", "horizon"),
     "cross_validate_recursion": ("scn",),

@@ -1,10 +1,12 @@
-"""Exact loss rows in lockstep batches against the scalar path, bit for bit.
+"""Exact rows in lockstep batches against the scalar path, bit for bit.
 
-The oracle computes each replica on its own, as exact_loss_rows did before
-batching: the replica's source and epoch, the scalar renovation search and
-three-chain replay of exact_triple, and the observer's marks by mark_at.
-Rows are compared through float.hex, so a signed zero or a last-ulp change
-fails.  Small batch sizes put batch boundaries inside the ranges tested.
+The oracles compute each replica on its own, as the rows were computed
+before batching.  A loss row takes the replica's source and epoch, the
+scalar renovation search and three-chain replay of exact_triple, and the
+observer's marks by mark_at.  A sample row takes sample_stationary on the
+replica's source shifted to its epoch.  Rows are compared through float.hex,
+so a signed zero or a last-ulp change fails.  Small batch sizes put batch
+boundaries inside the ranges tested.
 """
 
 import json
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renege import (
+    D_ONLY,
     CapabilityError,
     DepthExhaustedError,
     Exponential,
@@ -23,13 +26,22 @@ from renege import (
     StateMarginals,
     TruncatedExponential,
     Uniform,
+    certified_zero,
     deterministic_source,
     iid_source,
     markov_source,
 )
 from renege import fifo
 from renege.cli import main
-from renege.fifo import BEGIN, END, MODELS, exact_loss_rows, exact_triple
+from renege.fifo import (
+    BEGIN,
+    END,
+    MODELS,
+    exact_loss_rows,
+    exact_sample_rows,
+    exact_triple,
+    sample_stationary,
+)
 from renege.recursion import _FIRST_FILL, renovation_offsets
 
 # heavy end-model dominating recursion (alpha = dpat up to 6): about one
@@ -74,6 +86,15 @@ def oracle_rows(model, src, lo, hi, max_epochs, max_depth):
     return rows
 
 
+def sample_oracle(model, src, lo, hi, max_epochs, max_depth, spacing):
+    rows = []
+    for r in range(lo, hi):
+        rep, e = src.replica(r, spacing)
+        smp = sample_stationary(model, rep.shift(e), max_epochs, max_depth)
+        rows.append((r, smp.value, smp.method, smp.renovation_epoch, smp.certificate.depth))
+    return rows
+
+
 def hexed(rows):
     return [tuple(c.hex() if isinstance(c, float) else c for c in row) for row in rows]
 
@@ -87,12 +108,13 @@ def outcome(fn):
 
 @pytest.fixture
 def count_fallbacks(monkeypatch):
+    """The replicas, loss or sample rows, that take the scalar path."""
     calls = []
     scalar = fifo._exact_row
 
-    def counted(model, src, r, *limits):
+    def counted(model, src, r, *args):
         calls.append(r)
-        return scalar(model, src, r, *limits)
+        return scalar(model, src, r, *args)
     monkeypatch.setattr(fifo, "_exact_row", counted)
     return calls
 
@@ -136,6 +158,48 @@ def test_errors_match_the_scalar_path(model, kind, max_epochs, max_depth, monkey
     want = outcome(lambda: oracle_rows(model, src, 3, 60, max_epochs, max_depth))
     assert isinstance(want, tuple)
     assert outcome(lambda: exact_loss_rows(model, src, 3, 60, max_epochs, max_depth)) == want
+
+
+@pytest.mark.parametrize("kind", sorted(SOURCES))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_sample_rows_match_the_sampler(model, kind, monkeypatch):
+    # the sampler's spacing max(2*max_depth, warmup) at warmup 1000
+    model, src = MODELS[model], SOURCES[kind]
+    monkeypatch.setattr(fifo, "_BATCH", 7)
+    assert hexed(exact_sample_rows(model, src, 5, 45, 10_000, 400, 1000)) == \
+        hexed(sample_oracle(model, src, 5, 45, 10_000, 400, 1000))
+
+
+def test_deep_sample_replicas_fall_back_to_the_sampler(count_fallbacks):
+    rows = exact_sample_rows(END, DEEP, 0, 120, 10_000, 10_000, 20_000)
+    assert 5 <= len(count_fallbacks) <= 60
+    assert hexed(rows) == hexed(sample_oracle(END, DEEP, 0, 120, 10_000, 10_000, 20_000))
+
+
+def test_shallow_sample_replicas_stay_in_the_batch(count_fallbacks):
+    rows = exact_sample_rows(BEGIN, SOURCES["iid"], 0, 300, 10_000, 10_000, 100_000)
+    assert len(count_fallbacks) <= 3
+    assert max(-row[3] for row in rows) > 16  # searches past the first block of candidates
+
+
+@pytest.mark.parametrize("kind", ["deep", "deep-markov", "markov"])
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("max_epochs, max_depth", [(1, 10_000), (3, 10_000), (10_000, 2),
+                                                   (10_000, 5), (3, 5)])
+def test_sample_errors_match_the_sampler(model, kind, max_epochs, max_depth, monkeypatch):
+    # every replica's sampler searches from epoch 0 of its shifted source, so
+    # an error does not name its replica: each replica is also compared on
+    # its own.  At max_epochs 1 only epoch -1 may renovate: a screen that took
+    # the limit unchanged would accept epoch -2 where the sampler raises.
+    model, src = MODELS[model], SOURCES[kind]
+    monkeypatch.setattr(fifo, "_BATCH", 16)
+    limits = max_epochs, max_depth, 2 * max_depth
+    want = outcome(lambda: sample_oracle(model, src, 3, 60, *limits))
+    assert isinstance(want, tuple)
+    assert outcome(lambda: exact_sample_rows(model, src, 3, 60, *limits)) == want
+    each = [outcome(lambda: sample_oracle(model, src, r, r + 1, *limits)) for r in range(3, 60)]
+    assert [outcome(lambda: exact_sample_rows(model, src, r, r + 1, *limits))
+            for r in range(3, 60)] == each
 
 
 def test_unbounded_marginals_raise_capability_error():
@@ -185,24 +249,44 @@ def test_markov_batch_marks_peak_under_2_5_mb():
 
 
 def window_oracle(xi, alpha, bound, max_epochs, max_depth):
-    """What renovation_search returns for the window's last index, walking
-    each candidate's lags in turn; -1 where it needs marks before the window
-    or raises."""
+    """(k, depth) where renovation_search's candidate walk over the window's
+    last index ends: the certified candidate and its depth, the candidate
+    that max_depth stops with depth 0, max_epochs + 1 with depth 0 when
+    every candidate is positive, or -1 with depth 0 where the walk needs
+    marks before the window."""
     width = len(xi)
     for k in range(max_epochs + 1):
         s = 0.0
         for j in range(1, max_depth + 1):
             col = width - 1 - k - j
             if col < 0:
-                return -1
+                return -1, 0
             s = s + xi[col]
             if alpha[col] - s > 0.0:
                 break
             if s >= bound:
-                return k
+                return k, j
         else:
-            return -1
-    return -1
+            return k, 0
+    return max_epochs + 1, 0
+
+
+class WindowSource:
+    """One row of a screen's window as a source for certified_zero: index c
+    is column c, dpat (D_ONLY's alpha) is the row's alpha, and indices
+    before the window, which a certificate never reaches, hold NaN."""
+
+    def __init__(self, xi, alpha, bound):
+        self.marks = np.stack([xi, np.zeros_like(xi), alpha])
+        self.bound = bound
+
+    def window_arrays(self, lo, hi):
+        out = np.full((3, hi - lo + 1), np.nan)
+        out[:, max(-lo, 0):] = self.marks[:, max(lo, 0):hi + 1]
+        return out
+
+    def alpha_bound_for(self, kind):
+        return self.bound
 
 
 # coarse values make positive terms and reached bounds tie at one lag
@@ -218,10 +302,14 @@ def test_screen_matches_the_per_candidate_walk(rows, bound, max_epochs, max_dept
     width = min(len(r) for r in rows)
     xi = np.array([[x for x, _ in r[:width]] for r in rows])
     alpha = np.array([[a for _, a in r[:width]] for r in rows])
-    got = renovation_offsets(xi, alpha, bound, max_epochs, max_depth)
+    k, depth = renovation_offsets(xi, alpha, bound, max_epochs, max_depth)
     want = [window_oracle(x.tolist(), a.tolist(), bound, max_epochs, max_depth)
             for x, a in zip(xi, alpha)]
-    assert got.tolist() == want
+    assert list(zip(k.tolist(), depth.tolist())) == want
+    for x, a, kr, d in zip(xi, alpha, k.tolist(), depth.tolist()):
+        if d:
+            cert = certified_zero(D_ONLY, WindowSource(x, a, bound), width - 1 - kr, max_depth)
+            assert cert.depth == d
 
 
 def test_screen_reaches_past_the_first_blocks():
@@ -233,10 +321,10 @@ def test_screen_reaches_past_the_first_blocks():
     alpha = np.zeros((len(want), width))
     for row, k in zip(alpha, want):
         row[width - 1 - k:] = 1.0
-    got = renovation_offsets(xi, alpha, 3.95, 10_000, 10_000)
+    k, depth = renovation_offsets(xi, alpha, 3.95, 10_000, 10_000)
     assert [window_oracle(x.tolist(), a.tolist(), 3.95, 10_000, 10_000)
-            for x, a in zip(xi, alpha)] == want
-    assert got.tolist() == want
+            for x, a in zip(xi, alpha)] == [(k, 40) for k in want]
+    assert k.tolist() == want and depth.tolist() == [40] * len(want)
 
 
 def _u(low, high):

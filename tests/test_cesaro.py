@@ -12,6 +12,7 @@ from renege import (
     kolmogorov_distance,
     tightness_report,
 )
+from renege.fifo import BEGIN
 
 PERIOD2 = deterministic_source(1.0, 1.5, 0.2, seed=6)   # orbit 0 -> 0.5 -> 0
 FIXED = deterministic_source(1.0, 0.6, 0.3, seed=6)     # fixed point 0
@@ -45,8 +46,13 @@ def test_invariance_distance_examples():
 
 
 def test_replica_mode_cross_check(bounded_src):
-    traj = cesaro_distribution(bounded_src, 60, "begin")
-    repl = cesaro_distribution(bounded_src, 60, "begin", mode="replica")
+    # the mixture matched literally: n independent trajectories, trajectory i
+    # contributing its step-i state, O(n^2) steps
+    n = 60
+    traj = cesaro_distribution(bounded_src, n, "begin")
+    values = np.array([BEGIN.w_path(0.0, *bounded_src.substream(i).window_arrays(0, i - 1))[-1]
+                       for i in range(1, n + 1)])
+    repl = EmpiricalMeasure(values=values, weights=np.full(n, 1.0 / n), n_steps=n, model="begin")
     assert kolmogorov_distance(traj, repl) < 0.25  # both estimate the same mixture
 
 

@@ -307,6 +307,9 @@ DISCRETE = {"dist": "discrete", "atoms": [0.1, 0.3], "probs": [0.5, 0.5]}
     (("transition",), [[0.9, "0.1"], [0.3, 0.7]], "transition"),
     (("transition",), [[True, False], [0.3, 0.7]], "transition"),
     (("states", 1, "dpat", "high"), "1.0", "high"),
+    # a bound that is not finite would be written into summary.json as NaN or Infinity
+    (("alpha_bound",), math.nan, "alpha_bound"),
+    (("alpha_bound",), math.inf, "alpha_bound"),
 ])
 def test_malformed_source_values_exit_2(tmp_path, capsys, path, value, named):
     markov = path[0] in ("transition", "states")

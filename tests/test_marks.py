@@ -90,6 +90,10 @@ def test_declared_alpha_bound_validation():
     with pytest.raises(ConfigError):
         iid_source(Uniform(0.5, 1.5), Uniform(0.0, 0.8), Uniform(0.0, 0.4), seed=1,
                    alpha_bound=1.0)  # below the 1.2 support bound
+    for bound in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="must be finite"):
+            iid_source(Uniform(0.5, 1.5), Uniform(0.0, 0.8), Uniform(0.0, 0.4), seed=1,
+                       alpha_bound=bound)
     src = iid_source(Uniform(0.5, 1.5), Uniform(0.0, 0.8), Uniform(0.0, 0.4), seed=1,
                      alpha_bound=1.2000000000000002)
     assert src.alpha_bound == 1.2000000000000002

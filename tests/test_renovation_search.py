@@ -109,6 +109,15 @@ CASES = {
     "positive-beyond-first-lags": (TableSource({-40: (0.5, 0.0, 3.0), -41: (20.0, 0.0, 0.0)},
                                                bound=10.0), 0, 100, 60, 0,
                                    (-40, 1, (-10.0).hex())),
+    # the search's first window of 128 marks cannot decide these: it doubles
+    "distance-beyond-first-window": (TableSource({-301: (10.0, 0.0, 0.0)},
+                                                 default=(1.0, 0.0, 2.0), bound=5.0),
+                                     0, 1000, 100, 0, (-300, 1, (-5.0).hex())),
+    # xi 2^-5 a lag: 160 lags to reach the bound 5 exactly
+    "depth-beyond-first-window": (TableSource({}, default=(0.03125, 0.0, 0.0), bound=5.0),
+                                  0, 3, 1000, 1, (-1, 160, (0.0).hex())),
+    "exhausted-beyond-first-window": (TableSource({}, default=(0.03125, 0.0, 0.0), bound=5.0),
+                                      0, 3, 150, 0, "DepthExhaustedError"),
     "zero-max-depth": (TableSource({}), 0, 5, 0, 0, "DepthExhaustedError"),
     "no-candidates": (TableSource({}), 0, 0, 5, 1, "RenovationNotFoundError"),
 }

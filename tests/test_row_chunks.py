@@ -1,7 +1,7 @@
 """Replica rows cut at whole batches: the chunks of cli._parallel_rows.
 
-Every chunk but the last ends at a multiple of fifo._BATCH, so no chunk
-leaves a part batch before the end.  Rows depend only on the replica index,
+Every chunk of exact rows but the last ends at a multiple of fifo._BATCH,
+so no chunk leaves a part batch before the end.  Rows depend only on the replica index,
 so every worker count writes the same files and raises the first failing
 replica's error, wherever the chunk boundaries fall.
 """
@@ -32,7 +32,7 @@ def test_exact_iid_pool_keeps_eight_chunks():
 
 @pytest.mark.parametrize("total", [1, 7, 128, 300])
 def test_sampled_replicas_keep_an_even_split(total):
-    # sampled replicas run one at a time: their ranges spread over the pool
+    # approximate sampled replicas run one at a time: their ranges spread over the pool
     chunks = _chunks(total, 16)
     assert len(chunks) == min(total, 16)
     assert chunks[0][0] == 0 and chunks[-1][1] == total
@@ -58,14 +58,16 @@ class _InProcessPool:
         return map(fn, los, his)
 
 
-@pytest.mark.parametrize("kind, unit", [("loss", _BATCH), ("sample", 1)])
+@pytest.mark.parametrize("kind, unit", [("loss", _BATCH), ("sample", _BATCH), ("sample", 1)])
 def test_pool_ranges_by_row_kind(monkeypatch, kind, unit):
-    # loss rows run in batches, sampled replicas one at a time
+    # exact rows, loss or sample, run in batches; approximate sampled
+    # replicas (the unit-1 case) one at a time
+    mode = "exact" if unit == _BATCH else "approximate"
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(cli, "_replica_rows", lambda kind, src, params, lo, hi: range(lo, hi))
-    assert cli._parallel_rows(kind, None, {}, 300, 4) == list(range(300))
+    assert cli._parallel_rows(kind, None, {"mode": mode}, 300, 4) == list(range(300))
     assert _InProcessPool.ranges == _chunks(300, 16, unit)
-    assert len(_InProcessPool.ranges) == (3 if kind == "loss" else 16)
+    assert len(_InProcessPool.ranges) == (3 if mode == "exact" else 16)
 
 
 def _u(low, high):
@@ -81,25 +83,33 @@ DEEP_MARKOV = {"kind": "markov", "seed": 4, "transition": [[0.8, 0.2], [0.3, 0.7
                           {"xi": _u(0.3, 1.2), "sigma": _u(0.0, 0.5), "dpat": _u(0.0, 2.0)}]}
 
 
-def _run(tmp_path, cfg, workers):
+def _run(tmp_path, cfg, workers, experiment="loss-end"):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    out = tmp_path / f"w{workers}"
-    code = main(["loss-end", "--config", str(path), "--workers", str(workers),
+    out = tmp_path / f"{experiment}-w{workers}"
+    code = main([experiment, "--config", str(path), "--workers", str(workers),
                  "--out-dir", str(out)])
     return code, out
 
 
-def test_worker_counts_write_identical_files_over_part_batches(tmp_path):
+def _identical_over_worker_counts(tmp_path, experiment):
     cfg = {"source": DEEP_MARKOV, "run": {"mode": "exact", "samples": 300, "max_depth": 60}}
     assert 300 % _BATCH
     outputs = []
     for workers in (1, 2, 3):
-        code, out = _run(tmp_path, cfg, workers)
+        code, out = _run(tmp_path, cfg, workers, experiment)
         assert code == 0
         outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
     assert len(outputs[0]["detail.csv"].splitlines()) == 301
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_worker_counts_write_identical_files_over_part_batches(tmp_path):
+    _identical_over_worker_counts(tmp_path, "loss-end")
+
+
+def test_worker_counts_write_identical_sample_files_over_part_batches(tmp_path):
+    _identical_over_worker_counts(tmp_path, "sample-s")
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
