@@ -15,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -28,7 +27,6 @@ from .cesaro import boundary_mass, cesaro_distribution, invariance_distance, tig
 from .des import Scenario, cross_validate_recursion, regeneration_stats, simulate
 from .estimation import TruncationError, mc_aggregate
 from .fifo import (
-    _BATCH,
     BEGIN,
     END,
     MODELS,
@@ -238,11 +236,10 @@ def _csv_column(col) -> list[str]:
             for c in col]
 
 
-def _chunks(total: int, parts: int, unit: int = 1) -> list[tuple[int, int]]:
-    """About `parts` ranges covering 0..total, cut at multiples of `unit`:
-    _BATCH for exact rows, so that every batch but the last is whole."""
-    step = unit * math.ceil(total / (parts * unit))
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+def _chunks(total: int, parts: int) -> list[tuple[int, int]]:
+    """min(total, parts) ranges covering 0..total, whose sizes differ by one at most."""
+    cuts = [total * i // parts for i in range(parts + 1)]
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
 
 def _replica_rows(kind: str, src: MarkSource, params: dict, lo: int, hi: int) -> list:
@@ -265,12 +262,12 @@ def _replica_rows(kind: str, src: MarkSource, params: dict, lo: int, hi: int) ->
 
 def _parallel_rows(kind: str, src: MarkSource, params: dict, total: int, workers: int) -> list:
     """Rows 0..total-1: in one range in-process at one worker, else in
-    workers*4 ranges over a process pool, each handed the validated source.
-    Exact rows run in batches of _BATCH, so their ranges are cut at whole
-    batches; approximate sampled replicas run one at a time, evenly split."""
+    workers*4 even ranges over a process pool, each handed the validated
+    source.  Exact rows run in batches of fifo._BATCH from the start of each
+    range, so a range's last batch may be part full."""
     if workers <= 1:
         return _replica_rows(kind, src, params, 0, total)
-    los, his = zip(*_chunks(total, workers * 4, _BATCH if params["mode"] == "exact" else 1))
+    los, his = zip(*_chunks(total, workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunks = pool.map(partial(_replica_rows, kind, src, params), los, his)
         return [row for chunk in chunks for row in chunk]

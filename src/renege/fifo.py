@@ -50,7 +50,6 @@ import numpy as np
 from .estimation import LossReport, binomial_se, wilson
 from .marks import MarkSource, MarkTriple
 from .recursion import (
-    _FIRST_FILL,
     D_ONLY,
     SIGMA_MIN_D,
     SIGMA_PLUS_D,
@@ -64,12 +63,14 @@ from .recursion import (
 )
 
 DEFAULT_WARMUP = 100_000
-# Replicas per lockstep batch of exact rows: the batch's arrays peak near
-# 1.6 MB for a Markov source (the marks fetch with its chain lookback and
-# composition) and for an iid one (tracemalloc).  The CLI cuts its ranges of
-# exact rows at multiples of it (cli._chunks), so only a run's last batch is
-# part full.
-_BATCH = 128
+# Replicas per lockstep batch of exact rows, and the marks of each one's first
+# window; a re-screen at width w takes _BATCH * _FIRST_WIDTH // w replicas at
+# a time.  On the benchmark sources the renovation distance has mean 2 (Markov)
+# and 15 (heavy iid).  A batch's arrays peak near 1.7 MB for a Markov source
+# (the marks fetch with its chain lookback and composition) and for an iid one
+# (tracemalloc, with recursion._SEARCH_CELLS terms per screen slice).
+_BATCH = 512
+_FIRST_WIDTH = 32
 # Marks per window of a coupled forward run, and per segment of a window.  A
 # run holds one window's arrays, 3.2 MB, for all its windows: the marks and
 # their segment-major copies (0.8 MB each), the alphas (0.5 MB), the recorded
@@ -559,32 +560,50 @@ def _batch_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int
     starts at k = first = 1.  Its arrays are freed on return, before the
     next batch's marks are fetched.
 
-    The batch runs in lockstep: one fetch of the _FIRST_FILL marks ending at
-    each replica's epoch (what a loss row's scalar cache reads first), one
-    renovation screen (recursion.renovation_offsets) on the windows without
-    their last `first` marks, and one replay of the three chains.  A replica
-    that its window does not decide, or that max_epochs or max_depth stops,
-    takes the scalar path (_exact_row), which also raises its
-    DepthExhaustedError or RenovationNotFoundError, first replica first.
-    Both paths run the same IEEE operations on the same marks, so the rows
-    are bit-identical to the scalar path's.  Rows only depend on the replica
-    index, so ranges computed in parallel merge deterministically, and
-    memory stays at one batch, whatever the span of a non-iid source.
+    The batch runs in lockstep, from windows of _FIRST_WIDTH marks ending at
+    each replica's epoch: one renovation screen (recursion.renovation_offsets)
+    on the windows without their last `first` marks, and one replay of the
+    three chains for the rows it certifies.  The rows it leaves undecided are
+    fetched again and re-screened together at twice the width, from the
+    candidate where each one's walk ran out of marks, in sub-batches of at
+    most _BATCH * _FIRST_WIDTH marks, until every row is certified or
+    max_epochs or max_depth stops it.  A stopped row takes the
+    scalar path (_exact_row), which raises its DepthExhaustedError or
+    RenovationNotFoundError, first replica first; so no row after the first
+    stopped one is widened further.  Both paths run the same IEEE operations
+    on the same marks, so the rows are bit-identical to the scalar path's.
+    Rows only depend on the replica index, so ranges computed in parallel
+    merge deterministically, and memory stays at one sub-batch, whatever the
+    span of a non-iid source.
     """
     bound = model.dominating.bound_for(src)
     if bound is None or max_depth < 1:  # the scalar path raises at the first replica
         return [_exact_row(model, src, r, max_epochs, max_depth, spacing, first)
                 for r in range(lo, hi)]
-    marks = src.replica_windows(lo, hi, spacing, _FIRST_FILL)
-    alpha_up = model.dominating.alpha_array(*marks)
-    cut = _FIRST_FILL - first
-    k, depth = renovation_offsets(marks[0, :, :cut], alpha_up[:, :cut], bound,
-                                  max_epochs - first, max_depth)
-    k = np.where(depth > 0, k + first, -1)  # -1: the scalar path
-    ym, w, yp = _replay_rows(model, marks, alpha_up, k).tolist()
-    sigma, dpat = marks[1:, :, -1].tolist()
+    vals = np.empty((5, hi - lo))  # ym, w, yp, sigma, dpat of the certified rows
+    # k: the renovation distance, or -1 - the candidate an undecided row's walk is at
+    k, depth = np.full(hi - lo, -1), np.zeros(hi - lo, dtype=np.intp)
+    todo, width = np.arange(hi - lo), _FIRST_WIDTH
+    while todo.size:
+        undecided, step = [], max(1, _BATCH * _FIRST_WIDTH // width)
+        for part in (todo[a:a + step] for a in range(0, todo.size, step)):
+            marks = src.replica_windows((part + lo).tolist(), spacing, width)
+            alpha_up = model.dominating.alpha_array(*marks)
+            cut = width - first
+            kp, dp = renovation_offsets(marks[0, :, :cut], alpha_up[:, :cut], bound,
+                                        max_epochs - first, max_depth, -1 - k[part])
+            k[part] = np.where(kp < 0, kp, kp + first)
+            depth[part] = dp
+            vals[:3, part] = _replay_rows(model, marks, alpha_up, np.where(dp > 0, k[part], 0))
+            vals[3:, part] = marks[1:, :, -1]
+            undecided.append(part[kp < 0])
+        todo = np.concatenate(undecided)
+        stopped = np.flatnonzero((k >= 0) & (depth == 0))
+        todo = todo[todo < stopped[0]] if stopped.size else todo
+        width *= 2
+    ym, w, yp, sigma, dpat = vals.tolist()
     k, depth = k.tolist(), depth.tolist()
-    return [_exact_row(model, src, r, max_epochs, max_depth, spacing, first) if k[i] < 0
+    return [_exact_row(model, src, r, max_epochs, max_depth, spacing, first) if not depth[i]
             else (r, w[i], "renovation-exact", -k[i], depth[i]) if first
             else (r, ym[i], w[i], yp[i], *model.row_marks(sigma[i], dpat[i]))
             for i, r in enumerate(range(lo, hi))]

@@ -37,6 +37,8 @@ _CHUNK = 1 << 11
 # Blocks fetched before a Markov window to find the regeneration its first
 # state descends from; doubled until one turns up.
 _CHAIN_LOOKBACK = 64
+# Replicas per Philox read of a batch of replica windows (replica_windows).
+_REPLICA_BLOCK = 128
 # One level of the chain-state scan costs about as much as one doubling pass
 # over this many successor-table entries (indices x states); _compose_states
 # takes whichever costs less by the longest regeneration gap.
@@ -489,11 +491,13 @@ class MarkSource:
             bg.state = state
             yield bg
 
-    def _fetch(self, streams, starts, count: int) -> np.ndarray:
-        """Raw Philox words (rows, count, 4): row i holds one 4-word block per
-        index from starts[i] on, on stream streams[i] (the words that
-        Generator.integers(0, 2**64, dtype=uint64) would return)."""
-        raw = np.empty((len(starts), count, 4), dtype=np.uint64)
+    def _fetch(self, streams, starts, count: int, raw: np.ndarray | None = None) -> np.ndarray:
+        """Raw Philox words (rows, count, 4), into the first rows of `raw` when
+        given: row i holds one 4-word block per index from starts[i] on, on
+        stream streams[i] (the words that Generator.integers(0, 2**64,
+        dtype=uint64) would return)."""
+        rows = len(starts)
+        raw = np.empty((rows, count, 4), dtype=np.uint64) if raw is None else raw[:rows]
         for i, bg in enumerate(self._generators(streams, starts)):
             raw[i] = bg.random_raw(4 * count).reshape(count, 4)
         return raw
@@ -539,43 +543,51 @@ class MarkSource:
                 out[j][m] = marginal.quantile(u[j][m])
         return out
 
-    def replica_windows(self, lo: int, hi: int, spacing: int, width: int) -> np.ndarray:
-        """Marks (3, hi - lo, width): row i holds what window_arrays gives for
-        the `width` indices ending at replica lo+i's epoch (see replica).
+    def replica_windows(self, rows, spacing: int, width: int) -> np.ndarray:
+        """Marks (3, len(rows), width): row i holds what window_arrays gives for
+        the `width` indices ending at replica rows[i]'s epoch (see replica).
 
         One Philox generator is re-positioned per replica: re-keyed (iid), or
-        moved to the start of the replica's chain lookback (markov).  Markov
-        states come from one composition with a replica axis, from the
-        earliest of the rows' last lookback regenerations on; each row is
-        forced to regenerate before its own, so the gaps stay short.  A Markov
-        replica with no regeneration in its lookback takes window_arrays,
-        which looks further back.
+        moved to the start of the replica's chain lookback (markov).  The
+        replicas are read _REPLICA_BLOCK at a time into one buffer of words,
+        shifted in place and scaled into preallocated uniform rows, whose
+        quantiles overwrite them.  A block's Markov states come from one
+        composition with a replica axis, from the earliest of the rows' last
+        lookback regenerations on; each row is forced to regenerate before its
+        own, so the gaps stay short.  A Markov replica with no regeneration in
+        its lookback takes window_arrays, which looks further back.
         """
-        rows = range(lo, hi)
-        if self.is_iid:
-            look = 0
-            raw = self._fetch([self.stream + r for r in rows],
-                              [self.origin - width + 1] * len(rows), width)
-        else:
-            look = _CHAIN_LOOKBACK
-            raw = self._fetch([self.stream] * len(rows),
-                              [self.origin + r * spacing - width + 1 - look for r in rows],
-                              look + width)
-        chain = None if self.is_iid else (raw[:, :, 0] >> np.uint64(11)) * _U53
-        u = [(raw[:, look:, j] >> np.uint64(11)) * _U53 for j in (1, 2, 3)]
-        del raw
-        if chain is None:
-            return self._quantiles(u)
-        regen = chain[:, :look + 1] < self._doeblin_parts[0]
-        # forced regenerations before each row's last one keep gaps short
-        last = look - np.argmax(regen[:, ::-1], axis=1)
-        chain[np.arange(look + width) < last[:, None]] = 0.0
-        first = int(last.min(initial=look))
-        out = self._quantiles(u, self._compose_states(chain[:, first:])[:, look - first:])
-        # rows with none in the lookback were composed from a forced one
-        for i in np.flatnonzero(~regen.any(axis=1)).tolist():
-            e = (lo + i) * spacing
-            out[:, i] = self.window_arrays(e - width + 1, e)
+        rows = list(rows)
+        look = 0 if self.is_iid else _CHAIN_LOOKBACK
+        raw = np.empty((min(len(rows), _REPLICA_BLOCK), look + width, 4), dtype=np.uint64)
+        out = np.empty((3, len(rows), width))
+        for a in range(0, len(rows), _REPLICA_BLOCK):
+            block = rows[a:a + _REPLICA_BLOCK]
+            u = out[:, a:a + len(block)]
+            if self.is_iid:
+                streams = [self.stream + r for r in block]
+                starts = [self.origin - width + 1] * len(block)
+            else:
+                streams = [self.stream] * len(block)
+                starts = [self.origin + r * spacing - width + 1 - look for r in block]
+            words = self._fetch(streams, starts, look + width, raw)
+            np.right_shift(words, 11, out=words)
+            for j in (1, 2, 3):
+                np.multiply(words[:, look:, j], _U53, out=u[j - 1])
+            if self.is_iid:
+                self._quantiles(u, out=u)
+                continue
+            chain = np.multiply(words[:, :, 0], _U53)
+            regen = chain[:, :look + 1] < self._doeblin_parts[0]
+            # forced regenerations before each row's last one keep gaps short
+            last = look - np.argmax(regen[:, ::-1], axis=1)
+            chain[np.arange(look + width) < last[:, None]] = 0.0
+            first = int(last.min(initial=look))
+            self._quantiles(u, self._compose_states(chain[:, first:])[:, look - first:], u)
+            # rows with none in the lookback were composed from a forced one
+            for i in np.flatnonzero(~regen.any(axis=1)).tolist():
+                e = block[i] * spacing
+                u[:, i] = self.window_arrays(e - width + 1, e)
         return out
 
     # -- public mark access --------------------------------------------------

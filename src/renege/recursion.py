@@ -29,10 +29,11 @@ _FORWARD_CHUNK = 1 << 14  # marks per window of a forward pass
 _FIRST_FILL = 128
 # A renovation screen first takes this many candidate epochs, each over this
 # many lags; both double as needed, with at most _SEARCH_CELLS terms per slice
-# of replicas in a pass.
+# of replicas in a pass.  A slice's arrays take about 40 bytes a term: 2^16
+# terms held a batch of 512 exact rows above 2.5 MB (tracemalloc).
 _SEARCH_EPOCHS = 16
 _SEARCH_LAGS = 16
-_SEARCH_CELLS = 1 << 16
+_SEARCH_CELLS = 1 << 15
 
 
 class DepthExhaustedError(RuntimeError):
@@ -334,7 +335,8 @@ def renovation_search(spec: RecursionSpec, src: MarkSource, epoch: int, max_epoc
     while k < 0 and first <= max_epochs:
         xi, sigma, dpat = cache.range(epoch - first - width + 1, epoch - first)
         alpha = spec.alpha_array(xi, sigma, dpat)
-        (k,), _ = renovation_offsets(xi[None], alpha[None], bound, max_epochs - first, max_depth)
+        (k,), _ = renovation_offsets(xi[None], alpha[None], bound, max_epochs - first, max_depth,
+                                     -1 - k)
         width *= 2
     if not 0 <= k <= max_epochs - first:
         raise RenovationNotFoundError(
@@ -345,17 +347,19 @@ def renovation_search(spec: RecursionSpec, src: MarkSource, epoch: int, max_epoc
 
 
 def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epochs: int,
-                       max_depth: int) -> tuple[np.ndarray, np.ndarray]:
+                       max_depth: int, start: int | np.ndarray = 0
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Renovation distances k and certificate depths of a batch of replicas,
     screened in lockstep.
 
     Row i of xi and alpha holds a window of marks whose last column is
     replica i's epoch, and max_depth >= 1.  Entry i is where the walk of
-    certified_zero over the candidates epoch - k, k = 0..max_epochs, ends:
-    the first candidate that is not positive, with the depth of its
+    certified_zero over the candidates epoch - k, k = start[i]..max_epochs,
+    ends: the first candidate that is not positive, with the depth of its
     certificate, or with depth 0 when max_depth stops it (certified_zero
     raises there); k = max_epochs + 1 and depth 0 when every candidate is
-    positive; k = -1 and depth 0 when the walk needs marks before the window.
+    positive; -1 - k and depth 0 when candidate k's walk needs marks before
+    the window, where a wider window's walk may start.
 
     Each pass gathers lags x candidates from each replica's next candidate
     k on.  np.add.accumulate sums beta down the lags in sequence,
@@ -364,15 +368,20 @@ def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epoc
     a positive term; that lag is the certificate depth otherwise.  A replica
     whose candidates were all positive moves on by the block, doubled for
     the next pass, and one whose first open candidate is undecided doubles
-    the lags.  A pass covers at most _SEARCH_CELLS (replica, lag, candidate)
-    cells at a time, or one replica's lags.
+    the lags; neither grows past the lags left in the window for the
+    nearest candidate still open.  A pass covers at most _SEARCH_CELLS
+    (replica, lag, candidate) cells at a time, or one replica's lags.
     """
     replicas, width = xi.shape
     out, depth = np.full(replicas, -1), np.zeros(replicas, dtype=np.intp)
-    k = np.zeros(replicas, dtype=np.intp)
-    todo = np.arange(replicas)
-    epochs, lags = _SEARCH_EPOCHS, min(_SEARCH_LAGS, max_depth, width - 1)
+    k = np.zeros(replicas, dtype=np.intp) + start
+    todo = np.arange(replicas if width > 1 else 0)  # one mark has no lag to walk
+    epochs, lags, more_epochs, more_lags = _SEARCH_EPOCHS, _SEARCH_LAGS, False, False
     while todo.size:
+        # no open candidate has more lags in the window than the nearest one
+        room = width - 1 - int(k[todo].min())
+        lags = max(1, min(2 * lags if more_lags else lags, max_depth, room))
+        epochs = max(1, min(2 * epochs if more_epochs else epochs, room, _SEARCH_CELLS // lags))
         part = max(1, _SEARCH_CELLS // (epochs * lags))
         more_epochs = more_lags = False
         nxt = []
@@ -404,11 +413,7 @@ def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epoc
             more_epochs |= not has_open.all()
             nxt.append(rows[widen | ~has_open])
         todo = np.concatenate(nxt)
-        if more_lags:
-            lags = min(2 * lags, max_depth, width - 1)
-        epochs = max(1, min(2 * epochs if more_epochs else epochs, width - 1,
-                            _SEARCH_CELLS // lags))
-    return out, depth
+    return np.where(out < 0, -1 - k, out), depth
 
 
 @dataclass(frozen=True)

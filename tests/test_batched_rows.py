@@ -31,7 +31,7 @@ from renege import (
     iid_source,
     markov_source,
 )
-from renege import fifo
+from renege import fifo, marks
 from renege.cli import main
 from renege.fifo import (
     BEGIN,
@@ -42,10 +42,10 @@ from renege.fifo import (
     exact_triple,
     sample_stationary,
 )
-from renege.recursion import _FIRST_FILL, renovation_offsets
+from renege.recursion import renovation_offsets
 
 # heavy end-model dominating recursion (alpha = dpat up to 6): about one
-# replica in six is not decided within its 128-mark window
+# replica in six is not decided within 128 marks, so rows widen several times
 DEEP = iid_source(Uniform(0.1, 0.9), Uniform(0.0, 1.0), TruncatedExponential(0.5, 6.0),
                   seed=4405)
 DEEP_MARKOV = markov_source(
@@ -106,6 +106,10 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
+# max_epochs, max_depth pairs that stop some replica of DEEP and DEEP_MARKOV
+LIMITS = [(1, 10_000), (0, 10_000), (10_000, 2), (3, 5), (10_000, 0), (60, 10_000)]
+
+
 @pytest.fixture
 def count_fallbacks(monkeypatch):
     """The replicas, loss or sample rows, that take the scalar path."""
@@ -136,20 +140,31 @@ def test_default_batches_match_the_scalar_path():
 
 
 def test_deep_replicas_fall_back_to_the_scalar_path(count_fallbacks):
+    # undecided replicas are re-screened as a batch: none takes the scalar path
     rows = exact_loss_rows(END, DEEP, 0, 120, 10_000, 10_000)
-    assert 5 <= len(count_fallbacks) <= 60
+    assert count_fallbacks == []
     assert hexed(rows) == hexed(oracle_rows(END, DEEP, 0, 120, 10_000, 10_000))
+
+
+@pytest.mark.parametrize("kind", ["deep-markov", "slow-markov"])
+def test_markov_replicas_take_no_scalar_path(kind, count_fallbacks):
+    # at the default limits no row is stopped, so every row stays in the batch
+    src = SOURCES[kind]
+    rows = exact_loss_rows(END, src, 0, 120, 10_000, 10_000)
+    samples = exact_sample_rows(BEGIN, src, 0, 120, 10_000, 10_000, 20_000)
+    assert count_fallbacks == []
+    assert hexed(rows) == hexed(oracle_rows(END, src, 0, 120, 10_000, 10_000))
+    assert hexed(samples) == hexed(sample_oracle(BEGIN, src, 0, 120, 10_000, 10_000, 20_000))
 
 
 def test_shallow_replicas_stay_in_the_batch(count_fallbacks):
     exact_loss_rows(BEGIN, SOURCES["iid"], 0, 300, 10_000, 10_000)
-    assert len(count_fallbacks) <= 3
+    assert count_fallbacks == []
 
 
 @pytest.mark.parametrize("kind", ["deep", "deep-markov"])
 @pytest.mark.parametrize("model", sorted(MODELS))
-@pytest.mark.parametrize("max_epochs, max_depth", [(1, 10_000), (0, 10_000), (10_000, 2),
-                                                   (3, 5), (10_000, 0), (60, 10_000)])
+@pytest.mark.parametrize("max_epochs, max_depth", LIMITS)
 def test_errors_match_the_scalar_path(model, kind, max_epochs, max_depth, monkeypatch):
     # a Markov replica's error names its own epoch, so it also shows which
     # replica raised first
@@ -158,6 +173,27 @@ def test_errors_match_the_scalar_path(model, kind, max_epochs, max_depth, monkey
     want = outcome(lambda: oracle_rows(model, src, 3, 60, max_epochs, max_depth))
     assert isinstance(want, tuple)
     assert outcome(lambda: exact_loss_rows(model, src, 3, 60, max_epochs, max_depth)) == want
+
+
+@pytest.mark.parametrize("first_width", [1, 2, 8])
+@pytest.mark.parametrize("kind", ["deep", "deep-markov", "slow-markov"])
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_narrow_first_windows_widen_to_the_scalar_rows(model, kind, first_width, monkeypatch,
+                                                       count_fallbacks):
+    # every row is re-screened several times, at widths first_width * 2^i; only
+    # rows that max_epochs or max_depth stop reach the scalar path, which raises
+    model, src = MODELS[model], SOURCES[kind]
+    monkeypatch.setattr(fifo, "_FIRST_WIDTH", first_width)
+    monkeypatch.setattr(fifo, "_BATCH", 16)
+    assert hexed(exact_loss_rows(model, src, 3, 40, 10_000, 400)) == \
+        hexed(oracle_rows(model, src, 3, 40, 10_000, 400))
+    assert hexed(exact_sample_rows(model, src, 3, 40, 10_000, 400, 1000)) == \
+        hexed(sample_oracle(model, src, 3, 40, 10_000, 400, 1000))
+    assert count_fallbacks == []
+    want = [outcome(lambda: oracle_rows(model, src, 3, 40, *limits)) for limits in LIMITS]
+    assert any(isinstance(w, tuple) for w in want)
+    got = [outcome(lambda: exact_loss_rows(model, src, 3, 40, *limits)) for limits in LIMITS]
+    assert got == want
 
 
 @pytest.mark.parametrize("kind", sorted(SOURCES))
@@ -172,13 +208,13 @@ def test_sample_rows_match_the_sampler(model, kind, monkeypatch):
 
 def test_deep_sample_replicas_fall_back_to_the_sampler(count_fallbacks):
     rows = exact_sample_rows(END, DEEP, 0, 120, 10_000, 10_000, 20_000)
-    assert 5 <= len(count_fallbacks) <= 60
+    assert count_fallbacks == []
     assert hexed(rows) == hexed(sample_oracle(END, DEEP, 0, 120, 10_000, 10_000, 20_000))
 
 
 def test_shallow_sample_replicas_stay_in_the_batch(count_fallbacks):
     rows = exact_sample_rows(BEGIN, SOURCES["iid"], 0, 300, 10_000, 10_000, 100_000)
-    assert len(count_fallbacks) <= 3
+    assert count_fallbacks == []
     assert max(-row[3] for row in rows) > 16  # searches past the first block of candidates
 
 
@@ -218,7 +254,7 @@ def _bits(a):
 def test_batch_marks_match_window_arrays(kind, origin):
     src = SOURCES[kind].shift(origin)
     for lo, hi in ((0, 9), (37, 41)):
-        batch = src.replica_windows(lo, hi, 300, 128)
+        batch = src.replica_windows(range(lo, hi), 300, 128)
         assert batch.shape == (3, hi - lo, 128)
         for i, r in enumerate(range(lo, hi)):
             rep, e = src.replica(r, 300)
@@ -229,7 +265,7 @@ def test_batch_marks_match_window_arrays(kind, origin):
 def test_batch_marks_wrap_the_stream():
     src = iid_source(Exponential(1.0), TruncatedExponential(2.0, 1.0), Uniform(0.0, 2.0),
                      seed=2 ** 64 - 1, stream=2 ** 64 - 3)
-    batch = src.replica_windows(0, 6, 1, 16)
+    batch = src.replica_windows(range(6), 1, 16)
     for r in range(6):
         assert src.substream(r).stream == (2 ** 64 - 3 + r) % 2 ** 64
         np.testing.assert_array_equal(_bits(batch[:, r]),
@@ -237,30 +273,58 @@ def test_batch_marks_wrap_the_stream():
 
 
 def test_markov_batch_marks_peak_under_2_5_mb():
-    src = SOURCES["markov"]
-    src.replica_windows(0, 128, 20_000, _FIRST_FILL)  # lazy set-up: the Doeblin split
+    # a whole batch at its first width, with the chain lookback and composition
+    src, n = SOURCES["markov"], fifo._BATCH
+    src.replica_windows(range(n), 20_000, fifo._FIRST_WIDTH)  # lazy set-up: the Doeblin split
     tracemalloc.start()
     try:
-        src.replica_windows(128, 256, 20_000, _FIRST_FILL)
+        src.replica_windows(range(n, 2 * n), 20_000, fifo._FIRST_WIDTH)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2.5e6
 
 
-def window_oracle(xi, alpha, bound, max_epochs, max_depth):
+@pytest.mark.parametrize("kind", ["iid", "markov"])
+def test_a_whole_batch_of_rows_peaks_under_2_5_mb(kind):
+    # the marks, the screen, the replay and any re-screens of one batch
+    src, n = SOURCES[kind], fifo._BATCH
+    exact_loss_rows(END, src, 0, n, 10_000, 10_000)
+    tracemalloc.start()
+    try:
+        exact_loss_rows(END, src, n, 2 * n, 10_000, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
+@pytest.mark.parametrize("kind", ["iid", "markov", "slow-markov"])
+def test_batch_marks_across_fetch_blocks(kind, monkeypatch):
+    # replicas in any order, over several blocks of Philox reads
+    monkeypatch.setattr(marks, "_REPLICA_BLOCK", 3)
+    src, rows = SOURCES[kind], [7, 2, 11, 3, 40, 41, 0, 5]
+    batch = src.replica_windows(rows, 300, 20)
+    assert batch.shape == (3, len(rows), 20)
+    for i, r in enumerate(rows):
+        rep, e = src.replica(r, 300)
+        np.testing.assert_array_equal(_bits(batch[:, i]),
+                                      _bits(np.stack(rep.window_arrays(e - 19, e))))
+
+
+def window_oracle(xi, alpha, bound, max_epochs, max_depth, start=0):
     """(k, depth) where renovation_search's candidate walk over the window's
-    last index ends: the certified candidate and its depth, the candidate
-    that max_depth stops with depth 0, max_epochs + 1 with depth 0 when
-    every candidate is positive, or -1 with depth 0 where the walk needs
-    marks before the window."""
+    last index, from candidate `start` on, ends: the certified candidate and
+    its depth, the candidate that max_depth stops with depth 0, max_epochs + 1
+    with depth 0 when every candidate is positive, or -1 - k with depth 0
+    where candidate k's walk needs marks before the window."""
     width = len(xi)
-    for k in range(max_epochs + 1):
+    for k in range(start, max_epochs + 1):
         s = 0.0
         for j in range(1, max_depth + 1):
             col = width - 1 - k - j
             if col < 0:
-                return -1, 0
+                return -1 - k, 0
             s = s + xi[col]
             if alpha[col] - s > 0.0:
                 break
@@ -297,13 +361,15 @@ grid = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
 @given(rows=st.lists(st.lists(st.tuples(grid, grid), min_size=2, max_size=100),
                      min_size=1, max_size=5),
        bound=st.sampled_from([0.5, 1.0, 2.0, 3.0]), max_epochs=st.integers(0, 120),
-       max_depth=st.integers(1, 120))
-def test_screen_matches_the_per_candidate_walk(rows, bound, max_epochs, max_depth):
+       max_depth=st.integers(1, 120), start=st.integers(0, 40))
+def test_screen_matches_the_per_candidate_walk(rows, bound, max_epochs, max_depth, start):
+    # a re-screen starts where a narrower window's walk needed more marks
     width = min(len(r) for r in rows)
+    start = min(start, max_epochs + 1)
     xi = np.array([[x for x, _ in r[:width]] for r in rows])
     alpha = np.array([[a for _, a in r[:width]] for r in rows])
-    k, depth = renovation_offsets(xi, alpha, bound, max_epochs, max_depth)
-    want = [window_oracle(x.tolist(), a.tolist(), bound, max_epochs, max_depth)
+    k, depth = renovation_offsets(xi, alpha, bound, max_epochs, max_depth, start)
+    want = [window_oracle(x.tolist(), a.tolist(), bound, max_epochs, max_depth, start)
             for x, a in zip(xi, alpha)]
     assert list(zip(k.tolist(), depth.tolist())) == want
     for x, a, kr, d in zip(xi, alpha, k.tolist(), depth.tolist()):

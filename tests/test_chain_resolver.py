@@ -167,7 +167,7 @@ def test_near_degenerate_chain_raises_on_the_scalar_and_batch_paths():
     with pytest.raises(ChainRegenerationError, match="before index 8;"):
         src.window_arrays(5, 10)
     with pytest.raises(ChainRegenerationError, match="before index -12;"):
-        src.replica_windows(0, 3, 10, 16)  # replica 0's window is -15..0
+        src.replica_windows(range(3), 10, 16)  # replica 0's window is -15..0
 
 
 # (lo, hi, spacing, width): replica batches; one replica; overlapping windows
@@ -187,7 +187,7 @@ def test_replica_windows_match_window_arrays(name, origin, monkeypatch):
         return scalar(self, lo, hi)
     for lo, hi, spacing, width in BATCHES:
         monkeypatch.setattr(MarkSource, "window_arrays", counted)
-        batch = src.replica_windows(lo, hi, spacing, width)
+        batch = src.replica_windows(range(lo, hi), spacing, width)
         monkeypatch.undo()
         assert batch.shape == (3, hi - lo, width)
         for i, r in enumerate(range(lo, hi)):
@@ -355,7 +355,8 @@ def test_marks_match_under_either_composition(name):
         with warnings.catch_warnings(), forced(level):
             warnings.simplefilter("error", RuntimeWarning)
             got.append([src.window_arrays(lo, hi) for lo, hi in windows]
-                       + [src.replica_windows(*b) for b in batches])
+                       + [src.replica_windows(range(lo, hi), *rest)
+                          for lo, hi, *rest in batches])
     for g, s, d in zip(*got):
         assert [v.hex() for v in g.ravel().tolist()] == [v.hex() for v in s.ravel().tolist()]
         assert [v.hex() for v in g.ravel().tolist()] == [v.hex() for v in d.ravel().tolist()]
@@ -365,4 +366,4 @@ def test_an_empty_batch_composes_nothing():
     src = _source("two-state")
     for level in (SCAN, DOUBLING):
         assert composed(src, np.empty((0, 5)), 1, level).shape == (0, 5)
-    assert src.replica_windows(3, 3, 300, 128).shape == (3, 0, 128)
+    assert src.replica_windows(range(3, 3), 300, 128).shape == (3, 0, 128)

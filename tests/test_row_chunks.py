@@ -1,8 +1,9 @@
-"""Replica rows cut at whole batches: the chunks of cli._parallel_rows.
+"""Replica rows cut into even ranges: the chunks of cli._parallel_rows.
 
-Every chunk of exact rows but the last ends at a multiple of fifo._BATCH,
-so no chunk leaves a part batch before the end.  Rows depend only on the replica index,
-so every worker count writes the same files and raises the first failing
+The workers*4 chunks differ in size by one row at most, so no worker is
+handed a whole batch of fifo._BATCH rows more than another; each chunk's
+last batch may be part full.  Rows depend only on the replica index, so
+every worker count writes the same files and raises the first failing
 replica's error, wherever the chunk boundaries fall.
 """
 
@@ -19,15 +20,18 @@ from renege.fifo import _BATCH, END, exact_loss_rows
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("total", [1, 127, 128, 129, 600, 4000])
 def test_chunks_cover_the_rows_at_batch_multiples(total, workers):
-    chunks = _chunks(total, workers * 4, _BATCH)
+    # the ranges are even, not cut at multiples of _BATCH: 600 rows at
+    # --workers 2 are eight chunks of 75, not one of 512 and one of 88
+    chunks = _chunks(total, workers * 4)
     assert chunks[0][0] == 0 and chunks[-1][1] == total
     assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-    assert all(lo < hi and lo % _BATCH == 0 for lo, hi in chunks)
-    assert len(chunks) <= workers * 4
+    sizes = [hi - lo for lo, hi in chunks]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    assert len(chunks) == min(total, workers * 4)
 
 
 def test_exact_iid_pool_keeps_eight_chunks():
-    assert _chunks(4000, 8, _BATCH) == [(lo, min(lo + 512, 4000)) for lo in range(0, 4000, 512)]
+    assert _chunks(4000, 8) == [(lo, lo + 500) for lo in range(0, 4000, 500)]
 
 
 @pytest.mark.parametrize("total", [1, 7, 128, 300])
@@ -58,16 +62,16 @@ class _InProcessPool:
         return map(fn, los, his)
 
 
-@pytest.mark.parametrize("kind, unit", [("loss", _BATCH), ("sample", _BATCH), ("sample", 1)])
-def test_pool_ranges_by_row_kind(monkeypatch, kind, unit):
-    # exact rows, loss or sample, run in batches; approximate sampled
-    # replicas (the unit-1 case) one at a time
-    mode = "exact" if unit == _BATCH else "approximate"
+@pytest.mark.parametrize("kind, mode", [("loss", "exact"), ("sample", "exact"),
+                                        ("sample", "approximate")])
+def test_pool_ranges_by_row_kind(monkeypatch, kind, mode):
+    # exact rows, loss or sample, and approximate sampled replicas all spread
+    # evenly over the pool: 300 rows at 4 workers are 16 chunks of 18 or 19
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(cli, "_replica_rows", lambda kind, src, params, lo, hi: range(lo, hi))
     assert cli._parallel_rows(kind, None, {"mode": mode}, 300, 4) == list(range(300))
-    assert _InProcessPool.ranges == _chunks(300, 16, unit)
-    assert len(_InProcessPool.ranges) == (3 if mode == "exact" else 16)
+    assert _InProcessPool.ranges == _chunks(300, 16)
+    assert {hi - lo for lo, hi in _InProcessPool.ranges} == {18, 19}
 
 
 def _u(low, high):
@@ -75,8 +79,8 @@ def _u(low, high):
 
 
 # a two-state chain with a heavy patience in state 0 (seed 4): at max_depth 13
-# replicas 213, 252 and 339 exhaust their certificate depth, the first of them
-# after the first batch boundary and the last in a later chunk
+# replicas 213, 252 and 339 exhaust their certificate depth, each in its own
+# chunk at --workers 2 and 3
 DEEP_MARKOV = {"kind": "markov", "seed": 4, "transition": [[0.8, 0.2], [0.3, 0.7]],
                "states": [{"xi": _u(0.1, 0.9), "sigma": _u(0.0, 1.0),
                            "dpat": {"dist": "truncated-exponential", "rate": 0.5, "cap": 6.0}},
