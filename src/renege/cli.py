@@ -17,7 +17,8 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from concurrent.futures.process import BrokenProcessPool
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,11 @@ EXIT_CONTRACT = 4
 
 XVAL_TOLERANCE = 1e-9
 _CSV_ROWS = 256  # rows formatted at once by _write_csv
+
+# The process's one worker pool, (workers, pool), or None: _executor starts it
+# at the first pooled call and replaces it when the worker count changes;
+# concurrent.futures joins its workers at interpreter exit.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
 
 # Keys of each config section: every key some experiment reads.
 SECTION_KEYS = {
@@ -260,17 +266,41 @@ def _replica_rows(kind: str, src: MarkSource, params: dict, lo: int, hi: int) ->
     return rows
 
 
+def _executor(workers: int) -> ProcessPoolExecutor:
+    """The live pool of `workers` workers: a pool of another size is shut
+    down first, and a new one started when none is live."""
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        _drop_pool()
+    if _pool is None:
+        _pool = workers, ProcessPoolExecutor(max_workers=workers)
+    return _pool[1]
+
+
+def _drop_pool() -> None:
+    """Shut down the live pool, if any, waiting for its workers to end."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.shutdown()
+
+
 def _parallel_rows(kind: str, src: MarkSource, params: dict, total: int, workers: int) -> list:
     """Rows 0..total-1: in one range in-process at one worker, else in
-    workers*4 even ranges over a process pool, each handed the validated
-    source.  Exact rows run in batches of fifo._BATCH from the start of each
-    range, so a range's last batch may be part full."""
+    workers*4 even ranges over the process's pool (_executor), each handed
+    the validated source.  Exact rows run in batches of fifo._BATCH from the
+    start of each range, so a range's last batch may be part full.  A pool
+    that breaks is dropped and its error raised: the next call starts a new
+    one."""
     if workers <= 1:
         return _replica_rows(kind, src, params, 0, total)
     los, his = zip(*_chunks(total, workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(partial(_replica_rows, kind, src, params), los, his)
+    try:
+        chunks = _executor(workers).map(partial(_replica_rows, kind, src, params), los, his)
         return [row for chunk in chunks for row in chunk]
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
 
 
 def _replica_params(cfg: dict, src: MarkSource, model: Model) -> dict:
@@ -483,7 +513,9 @@ def run_scenario(cfg: dict, experiment: str, out_dir: str | Path, workers: int =
     return EXPERIMENTS[experiment](cfg, out, workers, src)
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="renege",
         description="Queues with impatient customers: exact stationary sampling, "
@@ -496,7 +528,11 @@ def main(argv=None) -> int:
         p.add_argument("--workers", type=int, default=1, help="replica-level parallelism")
         p.add_argument("--seed-override", type=int, default=None,
                        help="replace the source seed from the config")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
         return run_scenario(cfg, args.experiment, args.out_dir,

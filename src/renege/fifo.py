@@ -53,8 +53,10 @@ from .recursion import (
     D_ONLY,
     SIGMA_MIN_D,
     SIGMA_PLUS_D,
+    DepthExhaustedError,
     MarkWindowCache,
     RecursionSpec,
+    RenovationNotFoundError,
     ZeroCertificate,
     clip,
     mark_windows,
@@ -502,12 +504,20 @@ def _report(model: Model, src: MarkSource, counts, samples: int, method: str) ->
 def _exact_row(model: Model, src: MarkSource, r: int, max_epochs: int, max_depth: int,
                spacing: int, first: int) -> tuple:
     """Replica r's row of _batch_rows by the scalar path: exact_triple for a
-    loss row, sample_stationary at the replica's epoch for a sample row."""
+    loss row; for a sample row, sample_stationary's search and replay at the
+    replica's epoch e, whose errors name the replica and e."""
     rep, e = src.replica(r, spacing)
-    if first:
-        smp = sample_stationary(model, rep.shift(e), max_epochs, max_depth)
-        return (r, smp.value, smp.method, smp.renovation_epoch, smp.certificate.depth)
     cache = MarkWindowCache(rep)
+    if first:
+        if max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        try:
+            start, cert = renovation_search(model.dominating, rep, e, max_epochs, max_depth,
+                                            cache, first)
+        except (DepthExhaustedError, RenovationNotFoundError) as exc:
+            raise type(exc)(f"replica {r} at epoch {e}: {exc}") from exc
+        (w,), _ = _advance(model, rep, start, e, (0.0,), cache)
+        return (r, w, "renovation-exact", start - e, cert.depth)
     _, sigma, dpat = cache.range(e, e)  # the first fill ends at e and covers the search
     ym, w, yp = exact_triple(model, rep, e, max_epochs, max_depth, cache)
     return (r, ym, w, yp, *model.row_marks(float(sigma[0]), float(dpat[0])))
@@ -610,8 +620,10 @@ def _batch_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int
 
 
 def loss_report_from_rows(model: Model, src: MarkSource, rows) -> LossReport:
-    """Aggregate exact per-replica rows into the model's loss report."""
-    counts = [sum(col) for col in zip(*(model.exceeds(*row[1:]) for row in rows))]
+    """Aggregate exact per-replica rows into the model's loss report: the
+    model's indicators, each counted over the rows' columns at once."""
+    columns = map(np.array, list(zip(*rows))[1:])
+    counts = [int(np.count_nonzero(c)) for c in model.exceeds(*columns)]
     return _report(model, src, counts, len(rows), "renovation-exact")
 
 

@@ -40,6 +40,7 @@ from renege.fifo import (
     exact_loss_rows,
     exact_sample_rows,
     exact_triple,
+    loss_report_from_rows,
     sample_stationary,
 )
 from renege.recursion import renovation_offsets
@@ -218,24 +219,53 @@ def test_shallow_sample_replicas_stay_in_the_batch(count_fallbacks):
     assert max(-row[3] for row in rows) > 16  # searches past the first block of candidates
 
 
+def named(src, r, spacing, want):
+    """The sampler's outcome for replica r alone, an error naming the replica
+    and its epoch e, which the sampler's search from epoch 0 of the shifted
+    source reads as 0."""
+    if not isinstance(want, tuple):
+        return want
+    _, e = src.replica(r, spacing)
+    cls, message = want
+    return cls, f"replica {r} at epoch {e}: " + message.replace(" of 0;", f" of {e};")
+
+
 @pytest.mark.parametrize("kind", ["deep", "deep-markov", "markov"])
 @pytest.mark.parametrize("model", sorted(MODELS))
 @pytest.mark.parametrize("max_epochs, max_depth", [(1, 10_000), (3, 10_000), (10_000, 2),
                                                    (10_000, 5), (3, 5)])
 def test_sample_errors_match_the_sampler(model, kind, max_epochs, max_depth, monkeypatch):
-    # every replica's sampler searches from epoch 0 of its shifted source, so
-    # an error does not name its replica: each replica is also compared on
-    # its own.  At max_epochs 1 only epoch -1 may renovate: a screen that took
-    # the limit unchanged would accept epoch -2 where the sampler raises.
+    # each replica alone gives the sampler's row or error, the error naming
+    # the replica and its epoch, and a range raises the message of its first
+    # failing replica.  At max_epochs 1 only epoch -1 may renovate: a screen
+    # that took the limit unchanged would accept epoch -2 where the sampler raises.
     model, src = MODELS[model], SOURCES[kind]
     monkeypatch.setattr(fifo, "_BATCH", 16)
     limits = max_epochs, max_depth, 2 * max_depth
-    want = outcome(lambda: sample_oracle(model, src, 3, 60, *limits))
-    assert isinstance(want, tuple)
-    assert outcome(lambda: exact_sample_rows(model, src, 3, 60, *limits)) == want
-    each = [outcome(lambda: sample_oracle(model, src, r, r + 1, *limits)) for r in range(3, 60)]
-    assert [outcome(lambda: exact_sample_rows(model, src, r, r + 1, *limits))
-            for r in range(3, 60)] == each
+    each = [outcome(lambda: exact_sample_rows(model, src, r, r + 1, *limits))
+            for r in range(3, 60)]
+    assert each == [named(src, r, limits[2], outcome(lambda: sample_oracle(model, src, r, r + 1,
+                                                                           *limits)))
+                    for r in range(3, 60)]
+    failing = [got for got in each if isinstance(got, tuple)]
+    assert failing
+    assert outcome(lambda: exact_sample_rows(model, src, 3, 60, *limits)) == failing[0]
+
+
+@pytest.mark.parametrize("kind", ["iid", "markov", "deep"])
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_loss_counts_match_the_per_row_sums(model, kind, monkeypatch):
+    # the report counts each indicator over the rows' columns; the per-row
+    # sums give the same integers, the end model's never-reach count included
+    model, src = MODELS[model], SOURCES[kind]
+    rows = exact_loss_rows(model, src, 0, 300, 10_000, 400)
+    sums = [sum(col) for col in zip(*(model.exceeds(*row[1:]) for row in rows))]
+    assert len(sums) == len(model.columns) - 2 and 0 < min(sums) and max(sums) < len(rows)
+    counts, report = [], fifo._report
+    monkeypatch.setattr(fifo, "_report", lambda *args: counts.append(args[2]) or report(*args))
+    assert loss_report_from_rows(model, src, rows) == report(model, src, sums, len(rows),
+                                                             "renovation-exact")
+    assert counts == [sums] and {type(c) for c in counts[0]} == {int}
 
 
 def test_unbounded_marginals_raise_capability_error():

@@ -44,18 +44,10 @@ def test_sampled_replicas_keep_an_even_split(total):
 
 
 class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: runs the ranges here, records them."""
+    """Stands in for the process's pool (cli._executor): runs the ranges
+    here, records them."""
 
     ranges = []
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def map(self, fn, los, his):
         self.ranges[:] = list(zip(los, his))
@@ -67,7 +59,7 @@ class _InProcessPool:
 def test_pool_ranges_by_row_kind(monkeypatch, kind, mode):
     # exact rows, loss or sample, and approximate sampled replicas all spread
     # evenly over the pool: 300 rows at 4 workers are 16 chunks of 18 or 19
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(cli, "_executor", lambda workers: _InProcessPool())
     monkeypatch.setattr(cli, "_replica_rows", lambda kind, src, params, lo, hi: range(lo, hi))
     assert cli._parallel_rows(kind, None, {"mode": mode}, 300, 4) == list(range(300))
     assert _InProcessPool.ranges == _chunks(300, 16)
