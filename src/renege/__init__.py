@@ -32,41 +32,26 @@ from .recursion import (
     SIGMA_PLUS_D,
     CapabilityError,
     DepthExhaustedError,
-    MarkWindowCache,
     ProbZero,
     RecursionSpec,
-    RecursionValue,
     RenovationNotFoundError,
-    ZeroCertificate,
-    backward_supremum,
-    certified_zero,
     coupling_time,
-    loynes_backward,
     prob_zero_estimate,
-    renovation_search,
     step,
 )
 from .fifo_begin import (
     StationarySample,
-    exact_triple_at,
     fifo_step,
-    find_renovation_epoch,
     forward_samples,
     loss_probability_begin,
     sample_stationary_w,
-    sandwich_check,
 )
 from .fifo_end import (
-    LoynesResult,
     compare_disciplines,
     end_step,
-    exact_triple_end,
-    find_renovation_epoch_end,
     forward_samples_end,
     loss_metrics_end,
-    loynes_minimal,
     sample_stationary_s,
-    sandwich_check_end,
 )
 from .des import (
     CustomerRecord,

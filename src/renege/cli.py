@@ -261,7 +261,7 @@ def _replica_rows(kind: str, src: MarkSource, params: dict, lo: int, hi: int) ->
     rows = []
     for r in range(lo, hi):
         rep, e = src.replica(r, spacing)
-        smp = sample_stationary(model, rep.shift(e), mode="approximate", warmup=params["warmup"])
+        smp = sample_stationary(model, rep.shift(e), warmup=params["warmup"])
         rows.append((r, smp.value, smp.method, None, None))
     return rows
 
@@ -288,8 +288,8 @@ def _drop_pool() -> None:
 def _parallel_rows(kind: str, src: MarkSource, params: dict, total: int, workers: int) -> list:
     """Rows 0..total-1: in one range in-process at one worker, else in
     workers*4 even ranges over the process's pool (_executor), each handed
-    the validated source.  Exact rows run in batches of fifo._BATCH from the
-    start of each range, so a range's last batch may be part full.  A pool
+    the validated source.  Exact rows run in batches of recursion._BATCH from
+    the start of each range, so a range's last batch may be part full.  A pool
     that breaks is dropped and its error raised: the next call starts a new
     one."""
     if workers <= 1:
@@ -303,8 +303,17 @@ def _parallel_rows(kind: str, src: MarkSource, params: dict, total: int, workers
         raise
 
 
+def _single_server(cfg: dict) -> None:
+    """Refuse model.servers other than 1: the experiment runs the
+    single-server recursions."""
+    servers = _get(cfg, "model", "servers", 1, strict_int)
+    if servers != 1:
+        raise ConfigError(f"model.servers must be 1 for this experiment, got {servers}")
+
+
 def _replica_params(cfg: dict, src: MarkSource, model: Model) -> dict:
     """Run parameters of the sample and loss experiments."""
+    _single_server(cfg)
     params = {
         "model": model.name,
         "mode": _mode(cfg),
@@ -428,6 +437,7 @@ def _exp_des(cfg, out_dir, workers, src) -> int:
 
 
 def _exp_cesaro(cfg, out_dir, workers, src) -> int:
+    _single_server(cfg)
     model = _get(cfg, "model", "impatience", "begin", str)
     if model not in MODELS:
         raise ConfigError(f"model.impatience must be 'begin' or 'end', got {model!r}")

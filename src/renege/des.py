@@ -296,10 +296,8 @@ def regeneration_stats(scn: Scenario, sim: tuple[CustomerColumns, PathStatistics
         sim = simulate(scn)
     _, stats = sim
     suff_spec = MODELS[scn.impatience].dominating
-    exact = suff_spec.bound_for(scn.source) is not None
-    p_suff = prob_zero_estimate(suff_spec, scn.source, replicas, max_depth, exact=exact)
-    exact_nec = SIGMA_MIN_D.bound_for(scn.source) is not None
-    p_nec = prob_zero_estimate(SIGMA_MIN_D, scn.source, replicas, max_depth, exact=exact_nec)
+    p_suff = prob_zero_estimate(suff_spec, scn.source, replicas, max_depth)
+    p_nec = prob_zero_estimate(SIGMA_MIN_D, scn.source, replicas, max_depth)
     return RegenReport(stats=stats,
                        l_zero_freq=stats.l_zero_arrival_freq,
                        m_zero_freq=stats.m_zero_arrival_freq,

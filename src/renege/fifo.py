@@ -18,6 +18,13 @@ scalar window kernel that advances (ym, w, yp) over a window of marks and
 counts its exceedances, one that lists W alone along a window, and the
 layout of the exact loss rows.
 
+Exact rows, loss rows and sample draws alike, come from one engine,
+_batch_rows: the renovation screen of recursion.screen_replicas finds each
+replica's nearest certified zero of the dominating recursion, and every
+window it yields is replayed in lockstep from there (_replay_rows).  A
+replica the screen cannot certify within max_epochs and max_depth raises
+its error, naming the replica and its epoch.
+
 Long forward runs (approximate loss, approximate sampling) go through one
 coupled-segment engine, _coupled, for both models.  The queue is
 regenerative: two copies driven by the same marks are equal from the first
@@ -53,26 +60,13 @@ from .recursion import (
     D_ONLY,
     SIGMA_MIN_D,
     SIGMA_PLUS_D,
-    DepthExhaustedError,
-    MarkWindowCache,
     RecursionSpec,
-    RenovationNotFoundError,
-    ZeroCertificate,
     clip,
     mark_windows,
-    renovation_offsets,
-    renovation_search,
+    screen_replicas,
 )
 
 DEFAULT_WARMUP = 100_000
-# Replicas per lockstep batch of exact rows, and the marks of each one's first
-# window; a re-screen at width w takes _BATCH * _FIRST_WIDTH // w replicas at
-# a time.  On the benchmark sources the renovation distance has mean 2 (Markov)
-# and 15 (heavy iid).  A batch's arrays peak near 1.7 MB for a Markov source
-# (the marks fetch with its chain lookback and composition) and for an iid one
-# (tracemalloc, with recursion._SEARCH_CELLS terms per screen slice).
-_BATCH = 512
-_FIRST_WIDTH = 32
 # Marks per window of a coupled forward run, and per segment of a window.  A
 # run holds one window's arrays, 3.2 MB, for all its windows: the marks and
 # their segment-major copies (0.8 MB each), the alphas (0.5 MB), the recorded
@@ -85,21 +79,14 @@ _SEGMENT = 64
 
 @dataclass(frozen=True)
 class StationarySample:
-    """One draw of the stationary workload with its provenance."""
+    """One forward draw of the stationary workload, tagged with its method."""
 
     value: float
-    method: str  # "renovation-exact" | "forward-approximate"
-    renovation_epoch: int | None = None
-    certificate: ZeroCertificate | None = None
+    method: str = "forward-approximate"
 
     def __post_init__(self):
         if not (np.isfinite(self.value) and self.value >= 0.0):
             raise ValueError(f"workload must be finite and >= 0, got {self.value}")
-        if self.method == "renovation-exact":
-            if self.certificate is None or self.certificate.epoch != self.renovation_epoch:
-                raise ValueError("exact samples need a certificate at the renovation epoch")
-        elif self.method != "forward-approximate":
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -390,15 +377,14 @@ def _lockstep(model: Model, state: tuple, xi, sigma, dpat, work: tuple = ()) -> 
     return state, tuple(map(sum, zip(counts, *redone)))
 
 
-def _advance(model: Model, src: MarkSource, lo: int, hi: int, state: tuple,
-             cache: MarkWindowCache | None = None) -> tuple:
+def _advance(model: Model, src: MarkSource, lo: int, hi: int, state: tuple) -> tuple:
     """(state, counts) at hi from `state` at lo, run by _coupled a window at a
     time: the chains (ym, w, yp) with the exceedance counts of the arrivals
     lo..hi-1, or (w,) alone with none (counts None when there are no
-    arrivals).  The marks (unless from `cache`) and the lockstep arrays of
-    every window are held in buffers allocated once per call."""
+    arrivals).  The marks and the lockstep arrays of every window are held in
+    buffers allocated once per call."""
     n = min(max(hi - lo, 0), _WINDOW)
-    fetch = cache.range if cache is not None else partial(src.window_arrays, out=np.empty((3, n)))
+    fetch = partial(src.window_arrays, out=np.empty((3, n)))
     work = _workspace(len(state), max(n // _SEGMENT - 1, 0))  # the segments after _coupled's first
     counts = None
     for marks in mark_windows(fetch, lo, hi, _WINDOW):
@@ -407,61 +393,14 @@ def _advance(model: Model, src: MarkSource, lo: int, hi: int, state: tuple,
     return state, counts
 
 
-def find_renovation_epoch(model: Model, src: MarkSource, max_epochs: int, max_depth: int,
-                          cache: MarkWindowCache | None = None) -> tuple[int, ZeroCertificate]:
-    """Nearest epoch -m, m = 1..max_epochs, where the dominating recursion is
-    certifiably 0, hence the stationary workload is 0."""
-    if max_epochs < 1:
-        raise ValueError("max_epochs must be >= 1")
-    return renovation_search(model.dominating, src, 0, max_epochs, max_depth, cache, first=1)
-
-
-def exact_triple(model: Model, src: MarkSource, epoch: int, max_epochs: int, max_depth: int,
-                 cache: MarkWindowCache | None = None) -> tuple[float, float, float]:
-    """(dominated Y, W, dominating Y) at `epoch`, replayed from a common
-    certified-zero epoch of the dominating recursion.
-
-    The certified zero forces the two dominated values to 0 as well, and
-    replaying the three chains on the same marks keeps ym <= w <= yp exact in
-    floating point at every step.
-    """
-    if cache is None:
-        cache = MarkWindowCache(src)
-    start, _ = renovation_search(model.dominating, src, epoch, max_epochs, max_depth, cache)
-    return _advance(model, src, start, epoch, (0.0, 0.0, 0.0), cache)[0]
-
-
-def sample_stationary(model: Model, src: MarkSource, max_epochs: int = 10_000,
-                      max_depth: int = 10_000, mode: str = "exact",
+def sample_stationary(model: Model, src: MarkSource,
                       warmup: int = DEFAULT_WARMUP) -> StationarySample:
-    """Stationary workload at epoch 0.
-
-    Exact mode replays from the nearest renovation epoch -m and is an exact
-    draw.  Approximate mode iterates forward from 0 over `warmup` arrivals
-    and carries the method tag saying so.
-    """
-    if mode == "exact":
-        cache = MarkWindowCache(src)
-        epoch, cert = find_renovation_epoch(model, src, max_epochs, max_depth, cache)
-        (w,), _ = _advance(model, src, epoch, 0, (0.0,), cache)
-        return StationarySample(w, "renovation-exact", epoch, cert)
-    if mode == "approximate":
-        if warmup < 0:
-            raise ValueError("warmup must be >= 0")
-        (w,), _ = _advance(model, src, -warmup, 0, (0.0,))
-        return StationarySample(w, "forward-approximate")
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def sandwich_check(model: Model, src: MarkSource, epochs, max_depth: int,
-                   max_epochs: int = 10_000) -> int:
-    """Count violations of dominated Y <= W <= dominating Y at the epochs."""
-    cache = MarkWindowCache(src)
-    violations = 0
-    for e in epochs:
-        ym, w, yp = exact_triple(model, src, e, max_epochs, max_depth, cache)
-        violations += (ym > w) + (w > yp)
-    return violations
+    """Stationary workload at epoch 0, approximately: iterated forward from 0
+    over `warmup` arrivals.  Exact draws are the rows of exact_sample_rows."""
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
+    (w,), _ = _advance(model, src, -warmup, 0, (0.0,))
+    return StationarySample(w)
 
 
 def forward_samples(model: Model, src: MarkSource, count: int, warmup: int = DEFAULT_WARMUP,
@@ -501,28 +440,6 @@ def _report(model: Model, src: MarkSource, counts, samples: int, method: str) ->
                       pi_never_reach=never[0] if never else None)
 
 
-def _exact_row(model: Model, src: MarkSource, r: int, max_epochs: int, max_depth: int,
-               spacing: int, first: int) -> tuple:
-    """Replica r's row of _batch_rows by the scalar path: exact_triple for a
-    loss row; for a sample row, sample_stationary's search and replay at the
-    replica's epoch e, whose errors name the replica and e."""
-    rep, e = src.replica(r, spacing)
-    cache = MarkWindowCache(rep)
-    if first:
-        if max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        try:
-            start, cert = renovation_search(model.dominating, rep, e, max_epochs, max_depth,
-                                            cache, first)
-        except (DepthExhaustedError, RenovationNotFoundError) as exc:
-            raise type(exc)(f"replica {r} at epoch {e}: {exc}") from exc
-        (w,), _ = _advance(model, rep, start, e, (0.0,), cache)
-        return (r, w, "renovation-exact", start - e, cert.depth)
-    _, sigma, dpat = cache.range(e, e)  # the first fill ends at e and covers the search
-    ym, w, yp = exact_triple(model, rep, e, max_epochs, max_depth, cache)
-    return (r, ym, w, yp, *model.row_marks(float(sigma[0]), float(dpat[0])))
-
-
 def _replay_rows(model: Model, marks: np.ndarray, alpha_up: np.ndarray,
                  k: np.ndarray) -> np.ndarray:
     """(ym, w, yp) at the last column of each row of marks, replayed in
@@ -549,73 +466,49 @@ def exact_loss_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs:
                     max_depth: int) -> list[tuple]:
     """Per-replica exact rows (replica, ym, W, yp, *row marks) at the
     replica's own epoch (MarkSource.replica, spacing 2*max_depth), replayed
-    from the renovation epoch exact_triple finds, in batches (_batch_rows)."""
-    return [row for a in range(lo, hi, _BATCH) for row in _batch_rows(
-        model, src, a, min(a + _BATCH, hi), max_epochs, max_depth, 2 * max_depth, 0)]
+    from its nearest renovation epoch (_batch_rows)."""
+    return _batch_rows(model, src, lo, hi, max_epochs, max_depth, 2 * max_depth, 0)
 
 
 def exact_sample_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
                       max_depth: int, spacing: int) -> list[tuple]:
     """Per-replica exact draws (replica, W, method, renovation epoch,
-    certificate depth): sample_stationary on replica r's source shifted to
-    its epoch (MarkSource.replica at `spacing`), in batches (_batch_rows)."""
-    return [row for a in range(lo, hi, _BATCH) for row in _batch_rows(
-        model, src, a, min(a + _BATCH, hi), max_epochs, max_depth, spacing, 1)]
+    certificate depth) of W at replica r's epoch (MarkSource.replica at
+    `spacing`), replayed from its nearest renovation epoch strictly before it
+    (_batch_rows)."""
+    return _batch_rows(model, src, lo, hi, max_epochs, max_depth, spacing, 1)
 
 
 def _batch_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
                 max_depth: int, spacing: int, first: int) -> list[tuple]:
-    """Exact rows of the replicas lo..hi-1 (at most _BATCH), spaced `spacing`
-    apart: loss rows (first=0) or sample rows, whose renovation search
-    starts at k = first = 1.  Its arrays are freed on return, before the
-    next batch's marks are fetched.
+    """Exact rows of the replicas lo..hi-1, spaced `spacing` apart: loss rows
+    (first=0) or sample rows, whose renovation search starts at k = first = 1.
 
-    The batch runs in lockstep, from windows of _FIRST_WIDTH marks ending at
-    each replica's epoch: one renovation screen (recursion.renovation_offsets)
-    on the windows without their last `first` marks, and one replay of the
-    three chains for the rows it certifies.  The rows it leaves undecided are
-    fetched again and re-screened together at twice the width, from the
-    candidate where each one's walk ran out of marks, in sub-batches of at
-    most _BATCH * _FIRST_WIDTH marks, until every row is certified or
-    max_epochs or max_depth stops it.  A stopped row takes the
-    scalar path (_exact_row), which raises its DepthExhaustedError or
-    RenovationNotFoundError, first replica first; so no row after the first
-    stopped one is widened further.  Both paths run the same IEEE operations
-    on the same marks, so the rows are bit-identical to the scalar path's.
-    Rows only depend on the replica index, so ranges computed in parallel
-    merge deterministically, and memory stays at one sub-batch, whatever the
-    span of a non-iid source.
+    recursion.screen_replicas screens the model's dominating recursion over
+    the replicas' windows, _BATCH replicas at a time, widening the rows it
+    cannot yet decide, and raises the DepthExhaustedError,
+    RenovationNotFoundError or CapabilityError of the first replica it
+    cannot certify, its message naming the replica and its epoch.  Every
+    window it yields is replayed at once: the three chains in lockstep from
+    0 at each certified row's renovation epoch (_replay_rows).  The window
+    that certifies a row is the last one yielded for it, so its values are
+    final.  The screen and the replay run the IEEE operations of the scalar
+    search and step kernels on the same marks, so the rows are bit-identical
+    to one replica at a time.
     """
-    bound = model.dominating.bound_for(src)
-    if bound is None or max_depth < 1:  # the scalar path raises at the first replica
-        return [_exact_row(model, src, r, max_epochs, max_depth, spacing, first)
-                for r in range(lo, hi)]
-    vals = np.empty((5, hi - lo))  # ym, w, yp, sigma, dpat of the certified rows
-    # k: the renovation distance, or -1 - the candidate an undecided row's walk is at
-    k, depth = np.full(hi - lo, -1), np.zeros(hi - lo, dtype=np.intp)
-    todo, width = np.arange(hi - lo), _FIRST_WIDTH
-    while todo.size:
-        undecided, step = [], max(1, _BATCH * _FIRST_WIDTH // width)
-        for part in (todo[a:a + step] for a in range(0, todo.size, step)):
-            marks = src.replica_windows((part + lo).tolist(), spacing, width)
-            alpha_up = model.dominating.alpha_array(*marks)
-            cut = width - first
-            kp, dp = renovation_offsets(marks[0, :, :cut], alpha_up[:, :cut], bound,
-                                        max_epochs - first, max_depth, -1 - k[part])
-            k[part] = np.where(kp < 0, kp, kp + first)
-            depth[part] = dp
-            vals[:3, part] = _replay_rows(model, marks, alpha_up, np.where(dp > 0, k[part], 0))
-            vals[3:, part] = marks[1:, :, -1]
-            undecided.append(part[kp < 0])
-        todo = np.concatenate(undecided)
-        stopped = np.flatnonzero((k >= 0) & (depth == 0))
-        todo = todo[todo < stopped[0]] if stopped.size else todo
-        width *= 2
+    vals = np.empty((5, hi - lo))  # ym, w, yp, sigma, dpat
+    dist, certs = np.empty((2, hi - lo), dtype=np.intp)  # renovation distance, certificate depth
+    for rows, marks, alpha_up, k, depth in screen_replicas(
+            model.dominating, src, lo, hi, spacing, max_epochs, max_depth, first):
+        i = rows - lo
+        vals[:3, i] = _replay_rows(model, marks, alpha_up, np.where(depth > 0, k, 0))
+        vals[3:, i] = marks[1:, :, -1]
+        dist[i], certs[i] = k, depth
     ym, w, yp, sigma, dpat = vals.tolist()
-    k, depth = k.tolist(), depth.tolist()
-    return [_exact_row(model, src, r, max_epochs, max_depth, spacing, first) if not depth[i]
-            else (r, w[i], "renovation-exact", -k[i], depth[i]) if first
-            else (r, ym[i], w[i], yp[i], *model.row_marks(sigma[i], dpat[i]))
+    if first:
+        return list(zip(range(lo, hi), w, ["renovation-exact"] * (hi - lo),
+                        (-dist).tolist(), certs.tolist()))
+    return [(r, ym[i], w[i], yp[i], *model.row_marks(sigma[i], dpat[i]))
             for i, r in enumerate(range(lo, hi))]
 
 

@@ -25,10 +25,7 @@ from . import fifo
 from .fifo import BEGIN, DEFAULT_WARMUP, StationarySample  # noqa: F401  (public names)
 
 fifo_step = BEGIN.mark_step
-find_renovation_epoch = partial(fifo.find_renovation_epoch, BEGIN)
-exact_triple_at = partial(fifo.exact_triple, BEGIN)
 sample_stationary_w = partial(fifo.sample_stationary, BEGIN)
-sandwich_check = partial(fifo.sandwich_check, BEGIN)
 forward_samples = partial(fifo.forward_samples, BEGIN)
 exact_loss_rows = partial(fifo.exact_loss_rows, BEGIN)
 loss_report_from_rows = partial(fifo.loss_report_from_rows, BEGIN)

@@ -6,11 +6,14 @@ xi.  The stationary solution is the clipped backward supremum
 
     Y = [ sup_{j>=1} ( alpha_{-j} - sum_{i=1..j} beta_{-i} ) ]+
 
-evaluated here either exactly, by cutting the tail once the cumulative beta
-reaches an a.s. bound on alpha (which yields a finite zero certificate when
-the value is 0), or approximately by truncating at a fixed depth.  Forward
-iterates started from different states coalesce at the atom 0; coupling_time
-detects that and checks absorption.
+and Y = 0 at an epoch (a renovation) is decided exactly by cutting the tail
+once the cumulative beta reaches an a.s. bound on alpha: every deeper term is
+then <= 0.  One screen decides it, renovation_offsets, for a batch of
+replica windows in lockstep, and one loop, screen_replicas, runs it over
+replicas fetched at doubling widths; the exact rows of renege.fifo and the
+exact prob_zero_estimate are what it yields.  Forward iterates started from
+different states coalesce at the atom 0; coupling_time detects that and
+checks absorption.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ import numpy as np
 from .estimation import Estimate, mc_aggregate
 from .marks import CapabilityError, MarkSource, MarkTriple
 
-_CHUNK = 512
 _FORWARD_CHUNK = 1 << 14  # marks per window of a forward pass
-# Marks in a MarkWindowCache's first fill: a shallow exact draw reads fewer.
+# Marks in a MarkWindowCache's first fill.
 _FIRST_FILL = 128
 # A renovation screen first takes this many candidate epochs, each over this
 # many lags; both double as needed, with at most _SEARCH_CELLS terms per slice
@@ -34,6 +36,14 @@ _FIRST_FILL = 128
 _SEARCH_EPOCHS = 16
 _SEARCH_LAGS = 16
 _SEARCH_CELLS = 1 << 15
+# Replicas per lockstep batch of screen_replicas, and the marks of each one's
+# first window; a re-screen at width w takes _BATCH * _FIRST_WIDTH // w
+# replicas at a time.  On the benchmark sources the renovation distance has
+# mean 2 (Markov) and 15 (heavy iid).  A batch's arrays peak near 1.7 MB for
+# a Markov source (the marks fetch with its chain lookback and composition)
+# and for an iid one (tracemalloc, with _SEARCH_CELLS terms per screen slice).
+_BATCH = 512
+_FIRST_WIDTH = 32
 
 
 class DepthExhaustedError(RuntimeError):
@@ -101,48 +111,16 @@ SIGMA_MIN_D = RecursionSpec("sigma_min_d")
 D_ONLY = RecursionSpec("d_only")
 
 
-@dataclass(frozen=True)
-class ZeroCertificate:
-    """Finite witness that the backward supremum at `epoch` is <= 0.
-
-    Every checked term alpha_{epoch-j} - sum_{i<=j} beta_{epoch-i}, j <= depth,
-    is <= 0, and the cumulative beta over the window reached the a.s. bound on
-    alpha, so every unchecked tail term is <= residual_bound <= 0.
-    """
-
-    epoch: int
-    depth: int
-    residual_bound: float
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("certificate depth must be >= 1")
-        if self.residual_bound > 0.0:
-            raise ValueError("residual bound must be <= 0")
-
-
-@dataclass(frozen=True)
-class RecursionValue:
-    """Value of the stationary recursion at one epoch."""
-
-    value: float
-    exact: bool
-    truncation_depth: int | None = None
-    certificate: ZeroCertificate | None = None
-
-    def __post_init__(self):
-        if not (np.isfinite(self.value) and self.value >= 0.0):
-            raise ValueError(f"recursion value must be finite and >= 0, got {self.value}")
-
-
 class MarkWindowCache:
     """Contiguous cache of mark arrays over a source, grown on demand.
 
-    One exact draw reads overlapping backward windows: the renovation search,
-    the certificate walk and the replay.  The first fill spans at least
-    _FIRST_FILL marks ending at the highest index asked for, so a shallow draw
-    costs one window_arrays call; each later fill at least doubles the cached
-    range, so a deep one costs a logarithmic number.
+    Only the scalar test oracles (tests/oracles.py) read through it; it
+    stays in this module because the benchmark tracer wraps its range method
+    by name.
+
+    The first fill spans at least _FIRST_FILL marks ending at the highest
+    index asked for; each later fill at least doubles the cached range, so a
+    deep walk costs a logarithmic number of window_arrays calls.
     """
 
     def __init__(self, src: MarkSource):
@@ -168,7 +146,7 @@ class MarkWindowCache:
 
 def mark_windows(fetch, lo: int, hi: int, size: int = _FORWARD_CHUNK):
     """(xi, sigma, dpat) over indices lo..hi-1, `size` marks at a time, read
-    with fetch(lo, hi) (MarkSource.window_arrays or MarkWindowCache.range)."""
+    with fetch(lo, hi), a MarkSource's window_arrays."""
     for a in range(lo, hi, size):
         yield fetch(a, min(a + size, hi) - 1)
 
@@ -209,143 +187,6 @@ def y_path(y: float, alpha: np.ndarray, xi: np.ndarray) -> list[float]:
     return path
 
 
-def _lag_terms(spec: RecursionSpec, src: MarkSource, epoch: int, depth: int,
-               cache: MarkWindowCache | None = None):
-    """Terms alpha_{epoch-j} - cumsum beta for lags j=1..depth, oldest mark first."""
-    if cache is not None:
-        xi, sigma, dpat = cache.range(epoch - depth, epoch - 1)
-    else:
-        xi, sigma, dpat = src.window_arrays(epoch - depth, epoch - 1)
-    alpha = spec.alpha_array(xi, sigma, dpat)
-    # lag j corresponds to array position depth - j
-    rev_xi = xi[::-1]
-    rev_alpha = alpha[::-1]
-    cum_beta = np.cumsum(rev_xi)
-    return rev_alpha - cum_beta, cum_beta
-
-
-def loynes_backward(spec: RecursionSpec, src: MarkSource, epoch: int, depth: int,
-                    cache: MarkWindowCache | None = None) -> list[float]:
-    """Backward scheme: the k-th entry (k = 1..depth) is the value at `epoch`
-    of the recursion started from 0 at epoch-k.
-
-    Equals the clipped running maximum of the lag terms, so the list is
-    nondecreasing and its last element is a lower bound on the stationary
-    value at `epoch`.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    terms, _ = _lag_terms(spec, src, epoch, depth, cache)
-    running = np.maximum.accumulate(terms)
-    return [v if v > 0.0 else 0.0 for v in running.tolist()]
-
-
-def backward_supremum(spec: RecursionSpec, src: MarkSource, epoch: int, max_depth: int,
-                      exact: bool = True,
-                      cache: MarkWindowCache | None = None) -> RecursionValue:
-    """Stationary recursion value at `epoch` via the backward supremum.
-
-    Exact mode cuts the tail at the first depth J where the cumulative beta
-    reaches the a.s. alpha bound (every deeper term is then <= bound - cum <= 0)
-    and attaches a ZeroCertificate when the value is 0.  Approximate mode
-    truncates at max_depth; the bias is one-sided (the value is underestimated,
-    so zero events are overestimated).
-    """
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    if not exact:
-        terms, _ = _lag_terms(spec, src, epoch, max_depth, cache)
-        v = float(terms.max())
-        return RecursionValue(v if v > 0.0 else 0.0, exact=False, truncation_depth=max_depth)
-    bound = spec.bound_for(src)
-    if bound is None:
-        raise CapabilityError(
-            f"exact evaluation needs an a.s. bound on alpha ({spec.alpha_kind}); "
-            "the source marginals are unbounded and no bound is declared")
-    best = -np.inf
-    for depth, t, s in _backward_walk(spec, src, epoch, max_depth, cache, bound):
-        if t > best:
-            best = t
-        if s >= bound:
-            value = best if best > 0.0 else 0.0
-            cert = None
-            if value == 0.0:
-                cert = ZeroCertificate(epoch=epoch, depth=depth, residual_bound=bound - s)
-            return RecursionValue(value, exact=True, certificate=cert)
-
-
-def _backward_walk(spec: RecursionSpec, src: MarkSource, epoch: int, max_depth: int,
-                   cache: MarkWindowCache | None, bound: float):
-    """(depth, lag term, cumulative beta) for lags 1..max_depth, beta summed in
-    sequence; DepthExhaustedError past max_depth.  Chunks double up to _CHUNK,
-    so a shallow walk reads only marks a renovation search already fetched."""
-    s = 0.0
-    depth = 0
-    chunk = _SEARCH_LAGS
-    while depth < max_depth:
-        take = min(chunk, max_depth - depth)
-        chunk = min(2 * chunk, _CHUNK)
-        lo, hi = epoch - depth - take, epoch - depth - 1
-        xi, sigma, dpat = cache.range(lo, hi) if cache is not None else src.window_arrays(lo, hi)
-        alpha = spec.alpha_array(xi, sigma, dpat)
-        for al, be in zip(alpha[::-1].tolist(), xi[::-1].tolist()):
-            depth += 1
-            s = s + be
-            yield depth, al - s, s
-    raise DepthExhaustedError(
-        f"cumulative beta reached {s:.6g} < alpha bound {bound:.6g} within {max_depth} lags")
-
-
-def certified_zero(spec: RecursionSpec, src: MarkSource, epoch: int, max_depth: int,
-                   cache: MarkWindowCache | None = None) -> ZeroCertificate | None:
-    """Certificate that the stationary value at `epoch` is 0, or None if it is
-    positive (a positive lag term classifies the epoch exactly as
-    backward_supremum would, with the same arithmetic, but stops early).
-    """
-    bound = spec.bound_for(src)
-    if bound is None:
-        raise CapabilityError(
-            f"zero certificates need an a.s. bound on alpha ({spec.alpha_kind})")
-    for depth, t, s in _backward_walk(spec, src, epoch, max_depth, cache, bound):
-        if t > 0.0:
-            return None
-        if s >= bound:
-            return ZeroCertificate(epoch=epoch, depth=depth, residual_bound=bound - s)
-
-
-def renovation_search(spec: RecursionSpec, src: MarkSource, epoch: int, max_epochs: int,
-                      max_depth: int, cache: MarkWindowCache | None,
-                      first: int = 0) -> tuple[int, ZeroCertificate]:
-    """Nearest renovation epoch epoch-k, k = first..max_epochs, with its
-    certificate: what certified_zero at k = first, first+1, ... returns or
-    raises first.
-
-    renovation_offsets screens the cached window of marks ending at
-    epoch - first, as a batch of one, from _FIRST_FILL marks on, doubled
-    until the window decides the search or max_epochs or max_depth stops it.
-    certified_zero then issues the found candidate's certificate or raises
-    its DepthExhaustedError.
-    """
-    if cache is None:
-        cache = MarkWindowCache(src)
-    bound = spec.bound_for(src)
-    if first <= max_epochs and (bound is None or max_depth < 1):
-        certified_zero(spec, src, epoch - first, max_depth, cache)  # raises either error
-    k, width = -1, _FIRST_FILL
-    while k < 0 and first <= max_epochs:
-        xi, sigma, dpat = cache.range(epoch - first - width + 1, epoch - first)
-        alpha = spec.alpha_array(xi, sigma, dpat)
-        (k,), _ = renovation_offsets(xi[None], alpha[None], bound, max_epochs - first, max_depth,
-                                     -1 - k)
-        width *= 2
-    if not 0 <= k <= max_epochs - first:
-        raise RenovationNotFoundError(
-            f"no certified zero epoch within {max_epochs} epochs of {epoch}; either zero states "
-            "have probability 0 for this source or max_epochs/max_depth are too small")
-    k = first + int(k)
-    return epoch - k, certified_zero(spec, src, epoch - k, max_depth, cache)
-
-
 def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epochs: int,
                        max_depth: int, start: int | np.ndarray = 0
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -353,17 +194,17 @@ def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epoc
     screened in lockstep.
 
     Row i of xi and alpha holds a window of marks whose last column is
-    replica i's epoch, and max_depth >= 1.  Entry i is where the walk of
-    certified_zero over the candidates epoch - k, k = start[i]..max_epochs,
-    ends: the first candidate that is not positive, with the depth of its
-    certificate, or with depth 0 when max_depth stops it (certified_zero
-    raises there); k = max_epochs + 1 and depth 0 when every candidate is
-    positive; -1 - k and depth 0 when candidate k's walk needs marks before
-    the window, where a wider window's walk may start.
+    replica i's epoch, and max_depth >= 1, max_epochs >= start.  Entry i is
+    where the walk over the candidates epoch - k, k = start[i]..max_epochs,
+    each down its lags j = 1..max_depth, ends: the first candidate that is
+    not positive, with the depth of its certificate, or with depth 0 when
+    max_depth stops it; k = max_epochs + 1 and depth 0 when every candidate
+    is positive; -1 - k and depth 0 when candidate k's walk needs marks
+    before the window, where a wider window's walk may start.
 
     Each pass gathers lags x candidates from each replica's next candidate
     k on.  np.add.accumulate sums beta down the lags in sequence,
-    bit-identical to certified_zero's s = s + be, and a candidate is
+    bit-identical to a scalar running sum s = s + beta, and a candidate is
     positive when the first lag with a positive term or with s >= bound has
     a positive term; that lag is the certificate depth otherwise.  A replica
     whose candidates were all positive moves on by the block, doubled for
@@ -416,6 +257,90 @@ def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epoc
     return np.where(out < 0, -1 - k, out), depth
 
 
+def screen_replicas(spec: RecursionSpec, src: MarkSource, lo: int, hi: int, spacing: int,
+                    max_epochs: int, max_depth: int, first: int = 0, positive_ok: bool = False):
+    """Renovation screen of the replicas lo..hi-1 (MarkSource.replica at
+    `spacing`): for each, the nearest candidate epoch e - k, k =
+    first..max_epochs, e its epoch, where the spec's recursion is
+    certifiably 0.
+
+    Yields (rows, marks, alpha, k, depth) for every window it fetches: the
+    replica indices, their marks (3, rows, width) ending at e, the spec's
+    alpha over them, and what renovation_offsets finds on the windows
+    without their last `first` marks, as distances from e: each row's k with
+    its certificate depth, k < 0 while the window cannot decide the row, or
+    depth 0 where max_epochs or max_depth stops it.  With positive_ok, a row
+    whose every candidate is positive (k = max_epochs + 1) is an answer, not
+    a stopped row.
+
+    _BATCH replicas at a time start from windows of _FIRST_WIDTH marks.  The
+    rows a window leaves undecided are fetched again and re-screened together
+    at twice the width, from the candidate where each one's walk ran out of
+    marks, in sub-batches of at most _BATCH * _FIRST_WIDTH marks, until every
+    row is certified or stopped.  No row after the first stopped one is
+    widened further, and at the end of the batch that row's error is raised
+    (_stopped): so the rows of a batch that completes are all certified, each
+    by the last window yielded for it, and the first error is the first
+    stopped replica's.  The marks are a pure function of the replica index,
+    so rows computed in any order or process agree bit for bit.
+    """
+    if lo >= hi:
+        return
+    if max_epochs < first:
+        raise ValueError(f"max_epochs must be >= {first}")
+    bound = spec.bound_for(src)
+    if bound is None:
+        raise CapabilityError(
+            f"zero certificates need an a.s. bound on alpha ({spec.alpha_kind})")
+    if max_depth < 1:
+        raise _stopped(src, lo, spacing, bound, max_epochs, max_depth, 0.0)
+    for a in range(lo, hi, _BATCH):
+        n = min(_BATCH, hi - a)
+        # k: the renovation distance, or -1 - the candidate an undecided row's
+        # walk is at; beta: the cumulative beta of the rows max_depth stops
+        k, depth, beta = np.full(n, -1), np.zeros(n, dtype=np.intp), np.zeros(n)
+        todo, width = np.arange(n), _FIRST_WIDTH
+        while todo.size:
+            undecided, step, cut = [], max(1, _BATCH * _FIRST_WIDTH // width), width - first
+            for part in (todo[b:b + step] for b in range(0, todo.size, step)):
+                marks = src.replica_windows((part + a).tolist(), spacing, width)
+                alpha = spec.alpha_array(*marks)
+                kp, dp = renovation_offsets(marks[0, :, :cut], alpha[:, :cut], bound,
+                                            max_epochs - first, max_depth, -1 - k[part])
+                k[part] = np.where(kp < 0, kp, kp + first)
+                depth[part] = dp
+                for i in np.flatnonzero((dp == 0) & (0 <= kp) & (kp <= max_epochs - first)):
+                    c = width - 1 - k[part[i]]  # the stopped candidate's column
+                    beta[part[i]] = np.add.accumulate(marks[0, i, c - max_depth:c][::-1])[-1]
+                yield part + a, marks, alpha, k[part], dp
+                undecided.append(part[kp < 0])
+            todo = np.concatenate(undecided)
+            stopped = np.flatnonzero((k >= 0) & (depth == 0)
+                                     & ((k <= max_epochs) | (not positive_ok)))
+            todo = todo[todo < stopped[0]] if stopped.size else todo
+            width *= 2
+        if stopped.size:
+            i = stopped[0]
+            raise _stopped(src, a + int(i), spacing, bound, max_epochs, max_depth,
+                           float(beta[i]) if k[i] <= max_epochs else None)
+
+
+def _stopped(src: MarkSource, r: int, spacing: int, bound: float, max_epochs: int,
+             max_depth: int, beta: float | None) -> RuntimeError:
+    """The error of replica r, which max_depth stopped with the cumulative
+    beta `beta` or, with beta None, max_epochs stopped: the message of the
+    scalar walk, prefixed by the replica and its epoch e."""
+    e = src.replica(r, spacing)[1]
+    if beta is None:
+        return RenovationNotFoundError(
+            f"replica {r} at epoch {e}: no certified zero epoch within {max_epochs} epochs of "
+            f"{e}; either zero states have probability 0 for this source or "
+            "max_epochs/max_depth are too small")
+    return DepthExhaustedError(
+        f"replica {r} at epoch {e}: cumulative beta reached {beta:.6g} < alpha bound "
+        f"{bound:.6g} within {max_depth} lags")
+
+
 @dataclass(frozen=True)
 class ProbZero:
     """Estimated probability that the stationary recursion value is 0."""
@@ -425,26 +350,36 @@ class ProbZero:
     replicas: int
 
 
-def prob_zero_estimate(spec: RecursionSpec, src: MarkSource, replicas: int, max_depth: int,
-                       exact: bool | None = None) -> ProbZero:
+def prob_zero_estimate(spec: RecursionSpec, src: MarkSource, replicas: int,
+                       max_depth: int) -> ProbZero:
     """Fraction of well-separated epochs whose value is 0, with a Wilson 95% CI.
 
     iid sources use one independent stream per replica; other sources use
-    epochs spaced 2*max_depth apart to damp dependence.  exact=None picks
-    exact mode when an alpha bound is available.
+    epochs spaced 2*max_depth apart to damp dependence.  With an a.s. alpha
+    bound the answer is exact: candidate 0 of screen_replicas (max_epochs
+    0), which raises the DepthExhaustedError of the first replica whose lag
+    terms stay <= 0 while the cumulative beta stays under the bound for
+    max_depth lags.  Without one it is approximate: the supremum truncated at
+    max_depth, which overestimates zero events.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    if exact is None:
-        exact = spec.bound_for(src) is not None
-    hits = []
-    for r in range(replicas):
-        # uncached window fetches keep memory flat across the wide span that
-        # spaced epochs cover
-        rep, e = src.replica(r, 2 * max_depth)
-        rv = backward_supremum(spec, rep, e, max_depth, exact=exact)
-        hits.append(1.0 if rv.value == 0.0 else 0.0)
-    return ProbZero(mc_aggregate(hits, kind="binary"), exact=exact, replicas=replicas)
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    exact = spec.bound_for(src) is not None
+    hits = np.zeros(replicas)
+    if exact:
+        for rows, _, _, _, depth in screen_replicas(spec, src, 0, replicas, 2 * max_depth, 0,
+                                                    max_depth, positive_ok=True):
+            hits[rows] = depth > 0
+    else:
+        for r in range(replicas):
+            rep, e = src.replica(r, 2 * max_depth)
+            xi, sigma, dpat = rep.window_arrays(e - max_depth, e - 1)
+            # alpha - cumulative beta at lags 1..max_depth
+            terms = spec.alpha_array(xi, sigma, dpat)[::-1] - np.cumsum(xi[::-1])
+            hits[r] = not terms.max() > 0.0
+    return ProbZero(mc_aggregate(hits.tolist(), kind="binary"), exact=exact, replicas=replicas)
 
 
 def coupling_time(spec: RecursionSpec, src: MarkSource, z1: float, z2: float,

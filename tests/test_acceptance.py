@@ -28,12 +28,12 @@ from renege import (
     loss_metrics_end,
     loss_probability_begin,
     prob_zero_estimate,
-    sample_stationary_w,
-    sandwich_check,
-    sandwich_check_end,
     simulate,
 )
+from renege.fifo import BEGIN, END, exact_sample_rows
 from renege.properties import pointwise_inequality_suite
+
+from oracles import sandwich_check
 
 
 def _criterion(n: int, ok: bool, detail: str) -> None:
@@ -82,7 +82,8 @@ def test_c02_gg11_reduction_zero_patience():
 def test_c03_exact_sampling_matches_forward_simulation():
     src = iid_source(Uniform(0.5, 1.5), Uniform(0.0, 0.8), Uniform(0.0, 0.4), seed=30303)
     t0 = time.perf_counter()
-    exact = np.array([sample_stationary_w(src.substream(r)).value for r in range(10_000)])
+    exact = np.array([row[1] for row in exact_sample_rows(BEGIN, src, 0, 10_000, 10_000,
+                                                              10_000, 1)])
     forward = forward_samples(src.substream(10_000_019), 10_000, warmup=100_000, spacing=10)
     dt = time.perf_counter() - t0
     d = ks_two_sample(exact, forward)
@@ -94,8 +95,8 @@ def test_c04_sandwich_bounds_zero_violations():
     violations = 0
     for k in range(20):
         src = _random_bounded_source(k, rng)
-        violations += sandwich_check(src, range(0, -50, -1), 10_000)
-        violations += sandwich_check_end(src, range(0, -50, -1), 10_000)
+        violations += sandwich_check(BEGIN, src, range(0, -50, -1), 10_000)
+        violations += sandwich_check(END, src, range(0, -50, -1), 10_000)
     _criterion(4, violations == 0,
                f"{violations} violations over 2x1000 certified epochs in 20 scenarios")
 

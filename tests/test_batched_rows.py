@@ -1,12 +1,14 @@
-"""Exact rows in lockstep batches against the scalar path, bit for bit.
+"""Exact rows and exact zero-probability estimates in lockstep batches
+against the scalar oracles (tests/oracles.py), bit for bit.
 
 The oracles compute each replica on its own, as the rows were computed
 before batching.  A loss row takes the replica's source and epoch, the
 scalar renovation search and three-chain replay of exact_triple, and the
-observer's marks by mark_at.  A sample row takes sample_stationary on the
-replica's source shifted to its epoch.  Rows are compared through float.hex,
-so a signed zero or a last-ulp change fails.  Small batch sizes put batch
-boundaries inside the ranges tested.
+observer's marks by mark_at.  A sample row takes the exact sample_stationary
+oracle on the replica's source shifted to its epoch.  A zero of
+prob_zero_estimate takes backward_supremum at the replica's epoch.  Rows are
+compared through float.hex, so a signed zero or a last-ulp change fails.
+Small batch sizes put batch boundaries inside the ranges tested.
 """
 
 import json
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 
 from renege import (
     D_ONLY,
+    SIGMA_MIN_D,
+    SIGMA_PLUS_D,
     CapabilityError,
     DepthExhaustedError,
     Exponential,
@@ -26,12 +30,14 @@ from renege import (
     StateMarginals,
     TruncatedExponential,
     Uniform,
-    certified_zero,
     deterministic_source,
     iid_source,
     markov_source,
+    mc_aggregate,
+    prob_zero_estimate,
+    source_from_config,
 )
-from renege import fifo, marks
+from renege import fifo, marks, recursion
 from renege.cli import main
 from renege.fifo import (
     BEGIN,
@@ -39,11 +45,18 @@ from renege.fifo import (
     MODELS,
     exact_loss_rows,
     exact_sample_rows,
-    exact_triple,
     loss_report_from_rows,
+)
+from renege.recursion import renovation_offsets, screen_replicas
+
+from oracles import (
+    backward_supremum,
+    certified_zero,
+    exact_triple,
+    loynes_backward,
     sample_stationary,
 )
-from renege.recursion import renovation_offsets
+from test_golden import BOUNDED, MARKOV, MARKOV3
 
 # heavy end-model dominating recursion (alpha = dpat up to 6): about one
 # replica in six is not decided within 128 marks, so rows widen several times
@@ -78,10 +91,15 @@ SOURCES = {
 
 
 def oracle_rows(model, src, lo, hi, max_epochs, max_depth):
+    """Loss rows one replica at a time; an error names the replica and its
+    epoch e, as the batch engine's do."""
     rows = []
     for r in range(lo, hi):
         rep, e = src.replica(r, 2 * max_depth)
-        ym, w, yp = exact_triple(model, rep, e, max_epochs, max_depth)
+        try:
+            ym, w, yp = exact_triple(model, rep, e, max_epochs, max_depth)
+        except (DepthExhaustedError, RenovationNotFoundError) as exc:
+            raise type(exc)(f"replica {r} at epoch {e}: {exc}") from exc
         mark = rep.mark_at(e)
         rows.append((r, ym, w, yp, *model.row_marks(mark.sigma, mark.dpat)))
     return rows
@@ -111,24 +129,11 @@ def outcome(fn):
 LIMITS = [(1, 10_000), (0, 10_000), (10_000, 2), (3, 5), (10_000, 0), (60, 10_000)]
 
 
-@pytest.fixture
-def count_fallbacks(monkeypatch):
-    """The replicas, loss or sample rows, that take the scalar path."""
-    calls = []
-    scalar = fifo._exact_row
-
-    def counted(model, src, r, *args):
-        calls.append(r)
-        return scalar(model, src, r, *args)
-    monkeypatch.setattr(fifo, "_exact_row", counted)
-    return calls
-
-
 @pytest.mark.parametrize("kind", sorted(SOURCES))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_rows_match_the_scalar_path(model, kind, monkeypatch):
     model, src = MODELS[model], SOURCES[kind]
-    monkeypatch.setattr(fifo, "_BATCH", 7)
+    monkeypatch.setattr(recursion, "_BATCH", 7)
     lo, hi = 5, 45  # starts and ends inside a batch
     assert hexed(exact_loss_rows(model, src, lo, hi, 10_000, 400)) == \
         hexed(oracle_rows(model, src, lo, hi, 10_000, 400))
@@ -140,37 +145,34 @@ def test_default_batches_match_the_scalar_path():
         hexed(oracle_rows(BEGIN, src, 250, 600, 10_000, 10_000))
 
 
-def test_deep_replicas_fall_back_to_the_scalar_path(count_fallbacks):
-    # undecided replicas are re-screened as a batch: none takes the scalar path
+def test_deep_replicas_match_the_scalar_path():
+    # undecided replicas are re-screened as a batch, several times over
     rows = exact_loss_rows(END, DEEP, 0, 120, 10_000, 10_000)
-    assert count_fallbacks == []
     assert hexed(rows) == hexed(oracle_rows(END, DEEP, 0, 120, 10_000, 10_000))
 
 
 @pytest.mark.parametrize("kind", ["deep-markov", "slow-markov"])
-def test_markov_replicas_take_no_scalar_path(kind, count_fallbacks):
-    # at the default limits no row is stopped, so every row stays in the batch
+def test_markov_replicas_take_no_scalar_path(kind):
+    # the default limits stop no row: every row is certified in the batch
     src = SOURCES[kind]
     rows = exact_loss_rows(END, src, 0, 120, 10_000, 10_000)
     samples = exact_sample_rows(BEGIN, src, 0, 120, 10_000, 10_000, 20_000)
-    assert count_fallbacks == []
     assert hexed(rows) == hexed(oracle_rows(END, src, 0, 120, 10_000, 10_000))
     assert hexed(samples) == hexed(sample_oracle(BEGIN, src, 0, 120, 10_000, 10_000, 20_000))
 
 
-def test_shallow_replicas_stay_in_the_batch(count_fallbacks):
-    exact_loss_rows(BEGIN, SOURCES["iid"], 0, 300, 10_000, 10_000)
-    assert count_fallbacks == []
+def test_shallow_replicas_stay_in_the_batch():
+    rows = exact_loss_rows(BEGIN, SOURCES["iid"], 0, 300, 10_000, 10_000)
+    assert hexed(rows) == hexed(oracle_rows(BEGIN, SOURCES["iid"], 0, 300, 10_000, 10_000))
 
 
 @pytest.mark.parametrize("kind", ["deep", "deep-markov"])
 @pytest.mark.parametrize("model", sorted(MODELS))
 @pytest.mark.parametrize("max_epochs, max_depth", LIMITS)
 def test_errors_match_the_scalar_path(model, kind, max_epochs, max_depth, monkeypatch):
-    # a Markov replica's error names its own epoch, so it also shows which
-    # replica raised first
+    # the error names the first stopped replica and its epoch
     model, src = MODELS[model], SOURCES[kind]
-    monkeypatch.setattr(fifo, "_BATCH", 16)
+    monkeypatch.setattr(recursion, "_BATCH", 16)
     want = outcome(lambda: oracle_rows(model, src, 3, 60, max_epochs, max_depth))
     assert isinstance(want, tuple)
     assert outcome(lambda: exact_loss_rows(model, src, 3, 60, max_epochs, max_depth)) == want
@@ -179,18 +181,16 @@ def test_errors_match_the_scalar_path(model, kind, max_epochs, max_depth, monkey
 @pytest.mark.parametrize("first_width", [1, 2, 8])
 @pytest.mark.parametrize("kind", ["deep", "deep-markov", "slow-markov"])
 @pytest.mark.parametrize("model", sorted(MODELS))
-def test_narrow_first_windows_widen_to_the_scalar_rows(model, kind, first_width, monkeypatch,
-                                                       count_fallbacks):
-    # every row is re-screened several times, at widths first_width * 2^i; only
-    # rows that max_epochs or max_depth stop reach the scalar path, which raises
+def test_narrow_first_windows_widen_to_the_scalar_rows(model, kind, first_width, monkeypatch):
+    # every row is re-screened several times, at widths first_width * 2^i; the
+    # rows that max_epochs or max_depth stop raise the oracle's error
     model, src = MODELS[model], SOURCES[kind]
-    monkeypatch.setattr(fifo, "_FIRST_WIDTH", first_width)
-    monkeypatch.setattr(fifo, "_BATCH", 16)
+    monkeypatch.setattr(recursion, "_FIRST_WIDTH", first_width)
+    monkeypatch.setattr(recursion, "_BATCH", 16)
     assert hexed(exact_loss_rows(model, src, 3, 40, 10_000, 400)) == \
         hexed(oracle_rows(model, src, 3, 40, 10_000, 400))
     assert hexed(exact_sample_rows(model, src, 3, 40, 10_000, 400, 1000)) == \
         hexed(sample_oracle(model, src, 3, 40, 10_000, 400, 1000))
-    assert count_fallbacks == []
     want = [outcome(lambda: oracle_rows(model, src, 3, 40, *limits)) for limits in LIMITS]
     assert any(isinstance(w, tuple) for w in want)
     got = [outcome(lambda: exact_loss_rows(model, src, 3, 40, *limits)) for limits in LIMITS]
@@ -202,20 +202,20 @@ def test_narrow_first_windows_widen_to_the_scalar_rows(model, kind, first_width,
 def test_sample_rows_match_the_sampler(model, kind, monkeypatch):
     # the sampler's spacing max(2*max_depth, warmup) at warmup 1000
     model, src = MODELS[model], SOURCES[kind]
-    monkeypatch.setattr(fifo, "_BATCH", 7)
+    monkeypatch.setattr(recursion, "_BATCH", 7)
     assert hexed(exact_sample_rows(model, src, 5, 45, 10_000, 400, 1000)) == \
         hexed(sample_oracle(model, src, 5, 45, 10_000, 400, 1000))
 
 
-def test_deep_sample_replicas_fall_back_to_the_sampler(count_fallbacks):
+def test_deep_sample_replicas_match_the_sampler():
     rows = exact_sample_rows(END, DEEP, 0, 120, 10_000, 10_000, 20_000)
-    assert count_fallbacks == []
     assert hexed(rows) == hexed(sample_oracle(END, DEEP, 0, 120, 10_000, 10_000, 20_000))
 
 
-def test_shallow_sample_replicas_stay_in_the_batch(count_fallbacks):
+def test_shallow_sample_replicas_stay_in_the_batch():
     rows = exact_sample_rows(BEGIN, SOURCES["iid"], 0, 300, 10_000, 10_000, 100_000)
-    assert count_fallbacks == []
+    assert hexed(rows) == hexed(sample_oracle(BEGIN, SOURCES["iid"], 0, 300, 10_000, 10_000,
+                                              100_000))
     assert max(-row[3] for row in rows) > 16  # searches past the first block of candidates
 
 
@@ -240,7 +240,7 @@ def test_sample_errors_match_the_sampler(model, kind, max_epochs, max_depth, mon
     # failing replica.  At max_epochs 1 only epoch -1 may renovate: a screen
     # that took the limit unchanged would accept epoch -2 where the sampler raises.
     model, src = MODELS[model], SOURCES[kind]
-    monkeypatch.setattr(fifo, "_BATCH", 16)
+    monkeypatch.setattr(recursion, "_BATCH", 16)
     limits = max_epochs, max_depth, 2 * max_depth
     each = [outcome(lambda: exact_sample_rows(model, src, r, r + 1, *limits))
             for r in range(3, 60)]
@@ -304,11 +304,11 @@ def test_batch_marks_wrap_the_stream():
 
 def test_markov_batch_marks_peak_under_2_5_mb():
     # a whole batch at its first width, with the chain lookback and composition
-    src, n = SOURCES["markov"], fifo._BATCH
-    src.replica_windows(range(n), 20_000, fifo._FIRST_WIDTH)  # lazy set-up: the Doeblin split
+    src, n = SOURCES["markov"], recursion._BATCH
+    src.replica_windows(range(n), 20_000, recursion._FIRST_WIDTH)  # lazy set-up: the Doeblin split
     tracemalloc.start()
     try:
-        src.replica_windows(range(n, 2 * n), 20_000, fifo._FIRST_WIDTH)
+        src.replica_windows(range(n, 2 * n), 20_000, recursion._FIRST_WIDTH)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -318,7 +318,7 @@ def test_markov_batch_marks_peak_under_2_5_mb():
 @pytest.mark.parametrize("kind", ["iid", "markov"])
 def test_a_whole_batch_of_rows_peaks_under_2_5_mb(kind):
     # the marks, the screen, the replay and any re-screens of one batch
-    src, n = SOURCES[kind], fifo._BATCH
+    src, n = SOURCES[kind], recursion._BATCH
     exact_loss_rows(END, src, 0, n, 10_000, 10_000)
     tracemalloc.start()
     try:
@@ -462,3 +462,62 @@ def test_worker_counts_write_identical_files(tmp_path):
                      "--out-dir", str(out)]) == 0
         outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# the golden sources of the regen and exact cases (tests/test_golden.py)
+GOLDEN = {"markov3": MARKOV3, "markov": MARKOV, "bounded": BOUNDED}
+SPECS = {"sigma_plus_d": SIGMA_PLUS_D, "sigma_min_d": SIGMA_MIN_D, "d_only": D_ONLY}
+
+
+def zero_oracle(spec, src, replicas, max_depth):
+    """Whether the backward supremum is 0 at each replica's epoch."""
+    hits = []
+    for r in range(replicas):
+        rep, e = src.replica(r, 2 * max_depth)
+        hits.append(backward_supremum(spec, rep, e, max_depth).value == 0.0)
+    return hits
+
+
+@pytest.mark.parametrize("spec", sorted(SPECS))
+@pytest.mark.parametrize("kind", [*sorted(GOLDEN), "deep"])
+def test_prob_zero_matches_the_per_replica_oracle(kind, spec, monkeypatch):
+    # candidate 0 of the screen, in batches of 7 that the widening re-screens
+    # cross, against one backward_supremum per replica
+    src = DEEP if kind == "deep" else source_from_config(GOLDEN[kind])
+    spec, replicas, max_depth = SPECS[spec], 60, 300
+    monkeypatch.setattr(recursion, "_BATCH", 7)
+    want = zero_oracle(spec, src, replicas, max_depth)
+    got = [None] * replicas
+    for rows, _, _, _, depth in screen_replicas(spec, src, 0, replicas, 2 * max_depth, 0,
+                                                max_depth, positive_ok=True):
+        for r, d in zip(rows.tolist(), depth.tolist()):
+            got[r] = d > 0
+    assert got == want
+    pz = prob_zero_estimate(spec, src, replicas, max_depth)
+    assert pz.exact and pz.estimate == mc_aggregate([float(h) for h in want], kind="binary")
+
+
+def test_prob_zero_decides_a_positive_replica_the_depth_cuts_short():
+    # replica 0 of DEEP under D_ONLY has a positive term within 3 lags, but the
+    # cumulative beta stays under the bound 6 there: positive, although the
+    # backward supremum, which needs the bound reached, cannot say so
+    assert loynes_backward(D_ONLY, DEEP, 0, 3)[-1] > 0.0
+    with pytest.raises(DepthExhaustedError):
+        backward_supremum(D_ONLY, DEEP, 0, 3)
+    assert prob_zero_estimate(D_ONLY, DEEP, 1, 3).estimate.point == 0.0
+
+
+@pytest.mark.parametrize("kind", ["deep", "deep-markov"])
+def test_prob_zero_raises_where_the_depth_runs_out_on_nonpositive_terms(kind):
+    # the first replica whose 3 lag terms are all <= 0 cannot be decided within
+    # 3 lags (beta stays under the bound 6); the replicas before it are positive
+    src, max_depth = SOURCES[kind], 3
+    r = next(r for r in range(200)
+             if loynes_backward(D_ONLY, *src.replica(r, 2 * max_depth), max_depth)[-1] == 0.0)
+    rep, e = src.replica(r, 2 * max_depth)
+    assert r > 0 and (e > 0) == (kind == "deep-markov")
+    with pytest.raises(DepthExhaustedError) as scalar:
+        backward_supremum(D_ONLY, rep, e, max_depth)
+    with pytest.raises(DepthExhaustedError) as batch:
+        prob_zero_estimate(D_ONLY, src, r + 20, max_depth)
+    assert str(batch.value) == f"replica {r} at epoch {e}: {scalar.value}"

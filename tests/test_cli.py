@@ -150,6 +150,33 @@ def test_regen_summary(tmp_path):
     assert res["sufficient_alpha"] == "sigma_plus_d"
 
 
+def test_regen_decides_replicas_the_depth_cuts_short(tmp_path):
+    # replica 0 of this source has a positive dominating term within 3 lags,
+    # before the cumulative beta reaches the bound 6: P(Y = 0) is estimated
+    # exactly, with that replica counted as positive
+    deep = {"kind": "iid", "seed": 4405, "xi": {"dist": "uniform", "low": 0.1, "high": 0.9},
+            "sigma": {"dist": "uniform", "low": 0.0, "high": 1.0},
+            "dpat": {"dist": "truncated-exponential", "rate": 0.5, "cap": 6.0}}
+    cfg = {"source": deep, "model": {"servers": 1, "impatience": "end"},
+           "run": {"customers": 200, "replicas": 1, "max_depth": 3}}
+    assert main(["regen", "--config", _write(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    res = _summary(tmp_path / "out")["results"]
+    assert res["p_zero_sufficient"]["exact"] is True
+    assert res["p_zero_sufficient"]["point"] == 0.0
+
+
+@pytest.mark.parametrize("experiment", ["sample-w", "sample-s", "loss-begin", "loss-end",
+                                        "cesaro"])
+def test_single_server_experiments_refuse_more_servers(tmp_path, capsys, experiment):
+    cfg = {"source": BOUNDED_SOURCE, "model": {"servers": 2},
+           "run": {"mode": "exact", "samples": 5} if experiment != "cesaro" else {"steps": 50}}
+    out = tmp_path / "out"
+    assert main([experiment, "--config", _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
+    assert "model.servers" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_xval_contract(tmp_path):
     # 5000 begin-model customers produce a nonzero (reassociation-level)
     # discrepancy, exercising the numpy-to-JSON path in the summary
@@ -207,7 +234,9 @@ def test_summary_carries_provenance_fields(tmp_path):
 
 
 def test_detail_csv_roundtrips_exact_floats(tmp_path):
-    from renege import sample_stationary_w, source_from_config
+    from oracles import sample_stationary
+    from renege import source_from_config
+    from renege.fifo import BEGIN
     cfg = {"source": BOUNDED_SOURCE, "run": {"mode": "exact", "samples": 15}}
     assert main(["sample-w", "--config", _write(tmp_path, cfg),
                  "--out-dir", str(tmp_path / "out")]) == 0
@@ -215,7 +244,7 @@ def test_detail_csv_roundtrips_exact_floats(tmp_path):
         rows = list(csv.DictReader(fh))
     src = source_from_config(BOUNDED_SOURCE)
     for row in rows:
-        expected = sample_stationary_w(src.substream(int(row["replica"])))
+        expected = sample_stationary(BEGIN, src.substream(int(row["replica"])))
         assert float(row["value"]) == expected.value  # shortest-roundtrip repr
 
 
@@ -429,7 +458,7 @@ def test_near_degenerate_chain_exits_3(tmp_path, capsys, workers):
     assert code == 3
     err = capsys.readouterr().err
     assert "capability error: no chain regeneration" in err
-    # replica 0's first window, fifo._FIRST_WIDTH = 32 marks, starts at -31: the
+    # replica 0's first window, recursion._FIRST_WIDTH = 32 marks, starts at -31: the
     # batch finds no regeneration in its lookback and window_arrays, looking
     # further back from there, raises first
     assert "before index -31;" in err

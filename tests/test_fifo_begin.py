@@ -3,25 +3,25 @@ import pytest
 
 from renege import (
     MarkTriple,
-    MarkWindowCache,
     RenovationNotFoundError,
     SIGMA_PLUS_D,
     Deterministic,
     Uniform,
-    backward_supremum,
     deterministic_source,
-    exact_triple_at,
     fifo_step,
-    find_renovation_epoch,
     forward_samples,
     iid_source,
     ks_two_sample,
     loss_probability_begin,
     sample_stationary_w,
-    sandwich_check,
 )
 from renege import fifo
+from renege.fifo import BEGIN, exact_sample_rows
 from renege.fifo_begin import exact_loss_rows
+from renege.recursion import MarkWindowCache
+
+import oracles
+from oracles import backward_supremum, exact_triple, sandwich_check
 
 DET_STABLE = deterministic_source(1.0, 0.6, 0.3, seed=2)
 
@@ -34,6 +34,10 @@ def test_fifo_step_examples():
     assert fifo_step(2.0, MarkTriple(0.0, 1.0, 2.0)) == 3.0
     with pytest.raises(ValueError):
         fifo_step(-1e-9, MarkTriple(1.0, 1.0, 1.0))
+
+
+def find_renovation_epoch(src, max_epochs, max_depth, cache=None):
+    return oracles.find_renovation_epoch(BEGIN, src, max_epochs, max_depth, cache)
 
 
 def test_find_renovation_epoch_deterministic():
@@ -52,24 +56,24 @@ def test_find_renovation_epoch_dominated_iid():
 
 
 def test_sample_stationary_w_examples():
-    smp = sample_stationary_w(DET_STABLE)
+    smp = oracles.sample_stationary(BEGIN, DET_STABLE)
     assert smp.value == 0.0 and smp.method == "renovation-exact"
     assert smp.renovation_epoch == -1 and smp.certificate.epoch == -1
+    assert exact_sample_rows(BEGIN, DET_STABLE, 0, 1, 10_000, 10_000, 1) == \
+        [(0, 0.0, "renovation-exact", -1, 1)]
 
     eager = deterministic_source(1.0, 0.4, 2.0, seed=3)
-    approx = sample_stationary_w(eager, mode="approximate", warmup=50)
+    approx = sample_stationary_w(eager, warmup=50)
     assert approx.value == 0.0 and approx.method == "forward-approximate"
-    assert approx.certificate is None
 
 
 def test_exact_sample_stability(bounded_src):
-    cache = MarkWindowCache(bounded_src)
-    epoch, _ = find_renovation_epoch(bounded_src, 10_000, 10_000, cache)
-    (w_near,), _ = fifo._advance(fifo.BEGIN, bounded_src, epoch, 0, (0.0,), cache)
+    epoch, _ = find_renovation_epoch(bounded_src, 10_000, 10_000)
+    (w_near,), _ = fifo._advance(fifo.BEGIN, bounded_src, epoch, 0, (0.0,))
     # replaying from any deeper certified epoch gives the identical draw
     deeper = bounded_src.shift(epoch)
     e2, _ = find_renovation_epoch(deeper, 10_000, 10_000)
-    (w_deep,), _ = fifo._advance(fifo.BEGIN, bounded_src, epoch + e2, 0, (0.0,), cache)
+    (w_deep,), _ = fifo._advance(fifo.BEGIN, bounded_src, epoch + e2, 0, (0.0,))
     assert epoch + e2 < epoch
     assert w_deep == w_near
 
@@ -96,13 +100,13 @@ def test_renovation_correctness_forward_coupling(bounded_src):
 
 def test_sandwich_examples(bounded_src):
     cache = MarkWindowCache(DET_STABLE)
-    ym, w, yp = exact_triple_at(DET_STABLE, 0, 10, 10, cache)
+    ym, w, yp = exact_triple(BEGIN, DET_STABLE, 0, 10, 10, cache)
     assert (ym, w, yp) == (0.0, 0.0, 0.0)
 
     dominated = iid_source(Deterministic(1.0), Uniform(0.0, 0.25), Uniform(0.0, 0.25), seed=9)
-    assert sandwich_check(dominated, range(0, -20, -1), 100) == 0
+    assert sandwich_check(BEGIN, dominated, range(0, -20, -1), 100) == 0
 
-    assert sandwich_check(bounded_src, range(0, -100, -1), 10_000) == 0
+    assert sandwich_check(BEGIN, bounded_src, range(0, -100, -1), 10_000) == 0
 
 
 def test_exact_w_matches_triple(bounded_src):
@@ -110,8 +114,8 @@ def test_exact_w_matches_triple(bounded_src):
     # by e, whose search starts one epoch further back
     cache = MarkWindowCache(bounded_src)
     for e in range(0, -25, -1):
-        w = exact_triple_at(bounded_src, e, 10_000, 10_000, cache)[1]
-        assert w == sample_stationary_w(bounded_src.shift(e)).value
+        w = exact_triple(BEGIN, bounded_src, e, 10_000, 10_000, cache)[1]
+        assert w == oracles.sample_stationary(BEGIN, bounded_src.shift(e)).value
 
 
 def test_forward_samples_manual_orbit():
@@ -123,8 +127,8 @@ def test_forward_samples_manual_orbit():
 
 
 def test_exact_vs_forward_distribution(bounded_src):
-    exact = np.array([sample_stationary_w(bounded_src.substream(r)).value
-                      for r in range(2000)])
+    exact = np.array([row[1] for row in
+                      exact_sample_rows(BEGIN, bounded_src, 0, 2000, 10_000, 10_000, 1)])
     forward = forward_samples(bounded_src.substream(977001), 2000, warmup=10_000, spacing=5)
     assert ks_two_sample(exact, forward) < 0.05
 

@@ -3,23 +3,23 @@ import pytest
 
 from renege import (
     MarkTriple,
-    MarkWindowCache,
     binomial_se,
     compare_disciplines,
     deterministic_source,
     end_step,
-    exact_triple_end,
     forward_samples_end,
     iid_source,
     ks_two_sample,
     loss_metrics_end,
     loss_probability_begin,
-    loynes_minimal,
     sample_stationary_s,
-    sandwich_check_end,
 )
 from renege import fifo
+from renege.fifo import END, exact_sample_rows
 from renege.fifo_end import exact_loss_rows_end
+from renege.recursion import MarkWindowCache
+
+from oracles import exact_triple, loynes_minimal, sample_stationary, sandwich_check
 
 
 def test_end_step_examples():
@@ -52,45 +52,43 @@ def test_end_step_monotone_and_lipschitz():
 
 def test_sample_stationary_s_examples():
     hard = deterministic_source(1.0, 1.5, 0.2, seed=3)
-    smp = sample_stationary_s(hard)
+    smp = sample_stationary(END, hard)
     assert smp.value == 0.0 and smp.renovation_epoch == -1
     assert smp.certificate.depth == 1
 
     soft = deterministic_source(1.0, 0.6, 0.3, seed=3)
-    assert sample_stationary_s(soft).value == 0.0
-    assert sample_stationary_s(soft, mode="approximate", warmup=100).value == 0.0
+    assert exact_sample_rows(END, soft, 0, 1, 10_000, 10_000, 1)[0][1] == 0.0
+    assert sample_stationary_s(soft, warmup=100).value == 0.0
 
 
 def test_loynes_agrees_with_renovation(bounded_src):
     res = loynes_minimal(bounded_src, epoch=0, max_depth=500)
-    smp = sample_stationary_s(bounded_src)
+    smp = sample_stationary(END, bounded_src)
     assert res.converged
     assert res.value == smp.value
 
     for e in (-3, -11, 4):
         cache = MarkWindowCache(bounded_src)
         res = loynes_minimal(bounded_src, epoch=e, max_depth=500, cache=cache)
-        _, s_exact, _ = exact_triple_end(bounded_src, e, 10_000, 10_000, cache)
+        _, s_exact, _ = exact_triple(END, bounded_src, e, 10_000, 10_000, cache)
         assert res.converged and res.value == s_exact
 
 
 def test_loynes_iterates_nondecreasing(bounded_src):
-    cache = MarkWindowCache(bounded_src)
-    vals = [fifo._advance(fifo.END, bounded_src, -k, 0, (0.0,), cache)[0][0]
-            for k in range(1, 40)]
+    vals = [fifo._advance(fifo.END, bounded_src, -k, 0, (0.0,))[0][0] for k in range(1, 40)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 def test_sandwich_end(bounded_src):
-    assert sandwich_check_end(bounded_src, range(0, -100, -1), 10_000) == 0
+    assert sandwich_check(END, bounded_src, range(0, -100, -1), 10_000) == 0
     det = deterministic_source(1.0, 1.5, 0.2, seed=3)
-    ym, s, yd = exact_triple_end(det, 0, 10, 10)
+    ym, s, yd = exact_triple(END, det, 0, 10, 10)
     assert (ym, s, yd) == (0.0, 0.0, 0.0)
 
 
 def test_exact_vs_forward_distribution_end(bounded_src):
-    exact = np.array([sample_stationary_s(bounded_src.substream(r)).value
-                      for r in range(2000)])
+    exact = np.array([row[1] for row in
+                      exact_sample_rows(END, bounded_src, 0, 2000, 10_000, 10_000, 1)])
     forward = forward_samples_end(bounded_src.substream(977002), 2000,
                                   warmup=10_000, spacing=5)
     assert ks_two_sample(exact, forward) < 0.05

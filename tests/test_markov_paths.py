@@ -12,9 +12,11 @@ from renege import (
     loss_probability_begin,
     markov_source,
     regeneration_stats,
-    sample_stationary_w,
 )
 from renege.cli import main
+from renege.fifo import BEGIN, exact_sample_rows
+
+from oracles import sample_stationary
 
 MARKOV_CFG = {
     "kind": "markov", "seed": 909,
@@ -51,10 +53,14 @@ def test_markov_exact_loss_uses_spaced_epochs():
 
 def test_markov_exact_sampling_and_shift_equivalence():
     src = _markov_src()
-    smp = sample_stationary_w(src, max_depth=200)
+    smp = sample_stationary(BEGIN, src, max_depth=200)
     assert smp.method == "renovation-exact" and smp.value >= 0.0
-    # sampling after a shift equals sampling the shifted epoch directly
-    assert sample_stationary_w(src.shift(40), max_depth=200).certificate is not None
+    # sampling after a shift equals sampling the shifted epoch directly: the
+    # exact row of replica 1 at spacing 40 is the draw at epoch 0 of src.shift(40)
+    shifted = sample_stationary(BEGIN, src.shift(40), max_depth=200)
+    assert exact_sample_rows(BEGIN, src, 1, 2, 10_000, 200, 40) == [
+        (1, shifted.value, "renovation-exact", shifted.renovation_epoch,
+         shifted.certificate.depth)]
 
 
 def test_markov_regen_report():

@@ -15,15 +15,15 @@ from renege import (
     MarkTriple,
     RecursionSpec,
     Uniform,
-    backward_supremum,
     coupling_time,
     deterministic_source,
     iid_source,
-    loynes_backward,
     prob_zero_estimate,
     step,
 )
 from renege.recursion import y_path
+
+from oracles import backward_supremum, loynes_backward
 
 DET_SUB = deterministic_source(1.0, 0.6, 0.3, seed=2)   # sigma+dpat = 0.9 < xi
 DET_SUPER = deterministic_source(1.0, 1.4, 0.3, seed=2)  # sigma+dpat = 1.7 > xi

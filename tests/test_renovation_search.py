@@ -1,9 +1,11 @@
-"""renovation_search against the scalar certified_zero loop it replaces.
+"""The renovation screen as a batch of one (the renovation_search oracle)
+against the scalar certified_zero loop.
 
-The oracle walks the candidate epochs epoch-first, epoch-first-1, ... one at
-a time and stops at the first certificate or error.  The block search must
-return the same epoch and a bit-identical certificate, or raise the same
-error, whatever the spec, the source or the search limits.
+The loop walks the candidate epochs epoch-first, epoch-first-1, ... one at a
+time and stops at the first certificate or error.  renovation_search, which
+runs recursion.renovation_offsets on a doubling window, must return the same
+epoch and a bit-identical certificate, or raise the same error, whatever the
+spec, the source or the search limits.
 """
 
 import numpy as np
@@ -17,17 +19,17 @@ from renege import (
     SIGMA_PLUS_D,
     CapabilityError,
     DepthExhaustedError,
-    MarkWindowCache,
     RecursionSpec,
     RenovationNotFoundError,
     StateMarginals,
     TruncatedExponential,
     Uniform,
-    certified_zero,
     iid_source,
     markov_source,
-    renovation_search,
 )
+from renege.recursion import MarkWindowCache
+
+from oracles import certified_zero, renovation_search
 
 CUSTOM = RecursionSpec("custom", custom=lambda m: abs(m.sigma - m.dpat), custom_bound=2.0)
 SPECS = {"sigma_plus_d": SIGMA_PLUS_D, "sigma_min_d": SIGMA_MIN_D, "d_only": D_ONLY,

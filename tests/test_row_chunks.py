@@ -1,7 +1,7 @@
 """Replica rows cut into even ranges: the chunks of cli._parallel_rows.
 
 The workers*4 chunks differ in size by one row at most, so no worker is
-handed a whole batch of fifo._BATCH rows more than another; each chunk's
+handed a whole batch of recursion._BATCH rows more than another; each chunk's
 last batch may be part full.  Rows depend only on the replica index, so
 every worker count writes the same files and raises the first failing
 replica's error, wherever the chunk boundaries fall.
@@ -14,7 +14,8 @@ import pytest
 from renege import DepthExhaustedError, source_from_config
 from renege import cli
 from renege.cli import _chunks, main
-from renege.fifo import _BATCH, END, exact_loss_rows
+from renege.fifo import END, exact_loss_rows
+from renege.recursion import _BATCH
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
