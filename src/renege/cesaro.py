@@ -7,12 +7,13 @@ dominating recursion.  This module estimates that mixture as the occupation
 measure of a trajectory, measures how close a measure is to one-step
 invariance, reports tightness via quantiles against the dominating sequence,
 and tracks the mass the trajectory puts just above the patience mark, which
-is the quantity whose vanishing drives the continuity argument.
+is the quantity whose vanishing drives the continuity argument.  A measure
+is n equal atoms, one per sample point, so each distinct value's mass is its
+count times 1/n.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,35 +33,33 @@ def _model(name: str) -> Model:
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted sample points summing to unit mass."""
+    """Sample points of equal mass 1/n, n = values.size."""
 
     values: np.ndarray
-    weights: np.ndarray
     n_steps: int
     model: str
 
     def __post_init__(self):
-        if self.values.size == 0 or self.values.size != self.weights.size:
-            raise ValueError("values and weights must be nonempty and matched")
-        if np.any(self.weights < 0.0) or np.any(self.values < 0.0):
-            raise ValueError("values and weights must be >= 0")
-        if abs(math.fsum(self.weights.tolist()) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 within 1e-12")
+        if self.values.size == 0:
+            raise ValueError("values must be nonempty")
+        if np.any(self.values < 0.0):
+            raise ValueError("values must be >= 0")
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Each point's mass, 1/n."""
+        return np.full(self.values.size, 1.0 / self.values.size)
 
     def grouped(self) -> tuple[np.ndarray, np.ndarray]:
-        """(unique sorted values, per-value masses), masses fsum-exact."""
-        order = np.argsort(self.values, kind="mergesort")
-        v = self.values[order]
-        w = self.weights[order]
-        uniq, starts = np.unique(v, return_index=True)
-        bounds = list(starts) + [v.size]
-        masses = np.array([math.fsum(w[bounds[i]:bounds[i + 1]].tolist())
-                           for i in range(uniq.size)])
-        return uniq, masses
+        """(unique sorted values, per-value masses): k atoms weigh k * (1/n),
+        one IEEE multiply of exact operands, which is the correctly rounded sum
+        of k copies of 1/n (math.fsum's)."""
+        uniq, counts = np.unique(self.values, return_counts=True)
+        return uniq, counts * (1.0 / self.values.size)
 
 
 def kolmogorov_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    """sup_x |F_a(x) - F_b(x)| for weighted atomic measures."""
+    """sup_x |F_a(x) - F_b(x)| for atomic measures."""
     va, ma = a.grouped()
     vb, mb = b.grouped()
     ca, cb = np.cumsum(ma), np.cumsum(mb)
@@ -79,7 +78,7 @@ def cesaro_distribution(src: MarkSource, n: int, model: str) -> EmpiricalMeasure
     if n < 1:
         raise ValueError("n must be >= 1")
     values = np.array(_model(model).w_path(0.0, *src.window_arrays(0, n - 1)))  # w_1..w_n
-    return EmpiricalMeasure(values=values, weights=np.full(n, 1.0 / n), n_steps=n, model=model)
+    return EmpiricalMeasure(values=values, n_steps=n, model=model)
 
 
 def invariance_distance(mu: EmpiricalMeasure, src: MarkSource, model: str) -> float:
@@ -93,9 +92,8 @@ def invariance_distance(mu: EmpiricalMeasure, src: MarkSource, model: str) -> fl
     """
     marks = src.substream(_PUSH_STREAM).window_arrays(0, mu.values.size - 1)
     pushed = _model(model).step_array(mu.values, *marks)
-    half = EmpiricalMeasure(values=np.concatenate([mu.values, pushed]),
-                            weights=np.concatenate([mu.weights, mu.weights]) * 0.5,
-                            n_steps=mu.n_steps, model=mu.model)
+    half = EmpiricalMeasure(values=np.concatenate([mu.values, pushed]), n_steps=mu.n_steps,
+                            model=mu.model)
     return kolmogorov_distance(mu, half)
 
 

@@ -143,14 +143,6 @@ def _mode(cfg: dict) -> str:
     return mode
 
 
-def _require_exact_bound(src: MarkSource, model: Model) -> None:
-    if model.dominating.bound_for(src) is None:
-        raise CapabilityError(
-            f"exact mode needs an a.s. alpha_bound on {model.dominating.alpha_kind}; the "
-            "configured source is unbounded (use uniform, truncated-exponential, discrete, "
-            "or deterministic marginals)")
-
-
 def _config_sha256(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -311,10 +303,10 @@ def _single_server(cfg: dict) -> None:
         raise ConfigError(f"model.servers must be 1 for this experiment, got {servers}")
 
 
-def _replica_params(cfg: dict, src: MarkSource, model: Model) -> dict:
+def _replica_params(cfg: dict, model: Model) -> dict:
     """Run parameters of the sample and loss experiments."""
     _single_server(cfg)
-    params = {
+    return {
         "model": model.name,
         "mode": _mode(cfg),
         "samples": _get(cfg, "run", "samples", 1000, strict_int, 1),
@@ -322,13 +314,10 @@ def _replica_params(cfg: dict, src: MarkSource, model: Model) -> dict:
         "max_depth": _get(cfg, "run", "max_depth", 10_000, strict_int, 1),
         "warmup": _get(cfg, "run", "warmup", 100_000, strict_int, 0),
     }
-    if params["mode"] == "exact":
-        _require_exact_bound(src, model)
-    return params
 
 
 def _exp_sample(experiment: str, model: Model, cfg, out_dir, workers, src) -> int:
-    params = _replica_params(cfg, src, model)
+    params = _replica_params(cfg, model)
     samples = params["samples"]
     rows = _parallel_rows("sample", src, params, samples, workers)
     values = [r[1] for r in rows]
@@ -349,7 +338,7 @@ def _exp_sample(experiment: str, model: Model, cfg, out_dir, workers, src) -> in
 
 
 def _exp_loss(experiment: str, model: Model, cfg, out_dir, workers, src) -> int:
-    params = _replica_params(cfg, src, model)
+    params = _replica_params(cfg, model)
     samples = params["samples"]
     if params["mode"] == "exact":
         rows = _parallel_rows("loss", src, params, samples, workers)

@@ -12,11 +12,11 @@ exactly in floating point at every step.  Loss probabilities count the
 states above the observing customer's threshold; the dominated and
 dominating chains bracket them.
 
-A Model holds what differs between the two: the dominating spec, the scalar
-step (w, xi, sigma, dpat) -> w', its elementwise in-place numpy form, a
-scalar window kernel that advances (ym, w, yp) over a window of marks and
-counts its exceedances, one that lists W alone along a window, and the
-layout of the exact loss rows.
+A Model holds what differs between the two: the dominating spec, the
+elementwise in-place numpy form of the step, a scalar window kernel that
+advances (ym, w, yp) over a window of marks and counts its exceedances, one
+that lists W alone along a window (whose one-mark case is the scalar step),
+and the layout of the exact loss rows.
 
 Exact rows, loss rows and sample draws alike, come from one engine,
 _batch_rows: the renovation screen of recursion.screen_replicas finds each
@@ -95,7 +95,8 @@ class Model:
 
     inner(w, sigma, dpat, out=None, mask=None) is the elementwise numpy form
     of the step before xi is taken off, written into `out` (not w) with
-    `mask` as scratch for w > dpat, so step_array is the step.
+    `mask` as scratch for w > dpat, so step_array is the step; mark_step is
+    w_path over one mark.
     scalar_window(ym, w, yp, xi, sigma, dpat) returns (ym, w, yp, counts)
     after the window, counts being how many arrivals saw each of (w, ym, yp)
     above their loss threshold, plus, for the end model, w above dpat (the
@@ -107,7 +108,6 @@ class Model:
 
     name: str
     dominating: RecursionSpec
-    step: Callable[[float, float, float, float], float]
     inner: Callable[..., np.ndarray]
     scalar_window: Callable[..., tuple]
     w_path: Callable[..., list]
@@ -119,28 +119,12 @@ class Model:
         """One arrival with the given marks; the workload must be >= 0."""
         if w < 0.0:
             raise ValueError(f"workload must be >= 0, got {w}")
-        return self.step(w, mark.xi, mark.sigma, mark.dpat)
+        return self.w_path(w, *np.array([[mark.xi], [mark.sigma], [mark.dpat]]))[0]
 
     def step_array(self, w, xi, sigma, dpat):
-        """step, elementwise over numpy arrays, bit-identical (see _step)."""
+        """mark_step, elementwise over numpy arrays, bit-identical (see _step)."""
         out = self.inner(w, sigma, dpat)
         return clip(np.subtract(out, xi, out=out), out)
-
-
-def _step_begin(w: float, x: float, s: float, d: float) -> float:
-    inner = w + s if w <= d else w
-    v = inner - x
-    return v if v > 0.0 else 0.0
-
-
-def _step_end(w: float, x: float, s: float, d: float) -> float:
-    if w > d:
-        inner = w
-    else:
-        t = w + s
-        inner = t if t < d else d
-    v = inner - x
-    return v if v > 0.0 else 0.0
 
 
 def _inner_begin(w, s, d, out=None, mask=None):
@@ -236,13 +220,13 @@ def _exceeds_end(ym, w, yp, s, d, out=None):
 
 
 BEGIN = Model(
-    name="begin", dominating=SIGMA_PLUS_D, step=_step_begin, inner=_inner_begin,
+    name="begin", dominating=SIGMA_PLUS_D, inner=_inner_begin,
     scalar_window=_window_begin, w_path=_w_path_begin,
     row_marks=lambda s, d: (d,),
     exceeds=lambda ym, w, yp, d, out=None: (w > d, ym > d, yp > d),
     columns=("replica", "y_min", "w", "y_plus", "dpat"))
 END = Model(
-    name="end", dominating=D_ONLY, step=_step_end, inner=_inner_end,
+    name="end", dominating=D_ONLY, inner=_inner_end,
     scalar_window=_window_end, w_path=_w_path_end,
     row_marks=lambda s, d: (s, d),
     exceeds=_exceeds_end,
@@ -486,9 +470,10 @@ def _batch_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int
 
     recursion.screen_replicas screens the model's dominating recursion over
     the replicas' windows, _BATCH replicas at a time, widening the rows it
-    cannot yet decide, and raises the DepthExhaustedError,
-    RenovationNotFoundError or CapabilityError of the first replica it
-    cannot certify, its message naming the replica and its epoch.  Every
+    cannot yet decide, and raises the DepthExhaustedError or
+    RenovationNotFoundError of the first replica it cannot certify, its
+    message naming the replica and its epoch (a CapabilityError first when
+    the source's marginals give no bound on alpha).  Every
     window it yields is replayed at once: the three chains in lockstep from
     0 at each certified row's renovation epoch (_replay_rows).  The window
     that certifies a row is the last one yielded for it, so its values are

@@ -203,7 +203,7 @@ _MARGINALS = {
     "discrete": (Discrete, ("atoms", "probs")),
 }
 # Keys of every source kind, besides its marginals or its chain.
-_SOURCE_KEYS = ("kind", "seed", "stream", "alpha_bound")
+_SOURCE_KEYS = ("kind", "seed", "stream")
 _TRIPLE_KEYS = ("xi", "sigma", "dpat")
 
 
@@ -309,7 +309,6 @@ class MarkSource:
     seed: int
     stream: int = 0
     origin: int = 0
-    alpha_bound: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("deterministic", "iid", "markov"):
@@ -327,15 +326,6 @@ class MarkSource:
             self._validate_transition()
         if not self.mean_xi > 0.0:
             raise ConfigError("source must have E[xi] > 0")
-        if self.alpha_bound is not None:
-            derived = self.alpha_bound_for("sigma_plus_d")
-            if derived is None:
-                raise ConfigError(
-                    "alpha_bound declared but sigma+dpat has unbounded support; "
-                    "use bounded marginals (uniform, truncated-exponential, discrete, deterministic)")
-            if not derived - 1e-12 <= self.alpha_bound < math.inf:  # NaN fails too
-                raise ConfigError(f"declared alpha_bound {self.alpha_bound} must be finite and "
-                                  f"at least the support bound {derived}")
 
     def _validate_transition(self):
         p = self.transition
@@ -656,18 +646,18 @@ def deterministic_source(xi: float, sigma: float, dpat: float,
 
 
 def iid_source(xi: Marginal, sigma: Marginal, dpat: Marginal,
-               seed: int, stream: int = 0, alpha_bound: float | None = None) -> MarkSource:
+               seed: int, stream: int = 0) -> MarkSource:
     """Independent marks drawn from the three marginals at every index."""
     return MarkSource(kind="iid", states=(StateMarginals(xi, sigma, dpat),), transition=None,
-                      seed=seed, stream=stream, alpha_bound=alpha_bound)
+                      seed=seed, stream=stream)
 
 
 def markov_source(transition, states: tuple[StateMarginals, ...],
-                  seed: int, stream: int = 0, alpha_bound: float | None = None) -> MarkSource:
+                  seed: int, stream: int = 0) -> MarkSource:
     """Marks modulated by a finite ergodic chain in its stationary regime."""
     trans = _cast(transition, lambda rows: tuple(map(_floats, rows)), "transition matrix")
     return MarkSource(kind="markov", states=tuple(states), transition=trans,
-                      seed=seed, stream=stream, alpha_bound=alpha_bound)
+                      seed=seed, stream=stream)
 
 
 def _marginals_from_config(cfg, allowed, where: str) -> StateMarginals:
@@ -687,13 +677,9 @@ def source_from_config(cfg: dict) -> MarkSource:
     kind = cfg.get("kind")
     seed = _cast(cfg.get("seed", 0), strict_int, "source key 'seed'")
     stream = _cast(cfg.get("stream", 0), strict_int, "source key 'stream'")
-    alpha_bound = cfg.get("alpha_bound")
-    if alpha_bound is not None:
-        alpha_bound = _cast(alpha_bound, strict_float, "source key 'alpha_bound'")
     if kind in ("deterministic", "iid"):
         st = _marginals_from_config(cfg, _SOURCE_KEYS + _TRIPLE_KEYS, "source")
-        return MarkSource(kind=kind, states=(st,), transition=None,
-                          seed=seed, stream=stream, alpha_bound=alpha_bound)
+        return MarkSource(kind=kind, states=(st,), transition=None, seed=seed, stream=stream)
     if kind == "markov":
         check_keys(cfg, _SOURCE_KEYS + ("transition", "states"), "markov source")
         if "transition" not in cfg or "states" not in cfg:
@@ -702,6 +688,5 @@ def source_from_config(cfg: dict) -> MarkSource:
             raise ConfigError(f"markov source 'states' must be a list, got {cfg['states']!r}")
         states = tuple(_marginals_from_config(st, _TRIPLE_KEYS, f"markov state {i}")
                        for i, st in enumerate(cfg["states"]))
-        return markov_source(cfg["transition"], states, seed=seed, stream=stream,
-                             alpha_bound=alpha_bound)
+        return markov_source(cfg["transition"], states, seed=seed, stream=stream)
     raise ConfigError(f"unknown source kind {kind!r}")

@@ -1,17 +1,18 @@
 """The generic monotone recursion y -> [max(y, alpha) - beta]+.
 
 alpha is a nonnegative functional of one customer's marks (sigma+dpat,
-sigma^dpat, dpat alone, or a custom extractor) and beta is the interarrival
-xi.  The stationary solution is the clipped backward supremum
+sigma^dpat or dpat alone) and beta is the interarrival xi.  The stationary
+solution is the clipped backward supremum
 
     Y = [ sup_{j>=1} ( alpha_{-j} - sum_{i=1..j} beta_{-i} ) ]+
 
 and Y = 0 at an epoch (a renovation) is decided exactly by cutting the tail
-once the cumulative beta reaches an a.s. bound on alpha: every deeper term is
-then <= 0.  One screen decides it, renovation_offsets, for a batch of
-replica windows in lockstep, and one loop, screen_replicas, runs it over
-replicas fetched at doubling widths; the exact rows of renege.fifo and the
-exact prob_zero_estimate are what it yields.  Forward iterates started from
+once the cumulative beta reaches an a.s. bound on alpha, which the source's
+marginals give (MarkSource.alpha_bound_for): every deeper term is then <= 0.
+One screen decides it, renovation_offsets, for a batch of replica windows in
+lockstep, and one loop, screen_replicas, runs it over replicas fetched at
+doubling widths; the exact rows of renege.fifo and the exact
+prob_zero_estimate are what it yields.  Forward iterates started from
 different states coalesce at the atom 0; coupling_time detects that and
 checks absorption.
 """
@@ -19,7 +20,6 @@ checks absorption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -56,54 +56,29 @@ class RenovationNotFoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class RecursionSpec:
-    """Choice of the dominating recursion: which mark functional plays alpha.
+    """Choice of the dominating recursion: which mark functional plays alpha,
+    sigma + dpat, sigma ^ dpat or dpat alone.  beta is always the
+    interarrival xi; the a.s. bound on alpha that exact evaluation needs is
+    the source's MarkSource.alpha_bound_for(alpha_kind)."""
 
-    beta is always the interarrival xi.  A custom extractor maps a MarkTriple
-    to a nonnegative real; exact evaluation then needs custom_bound, an a.s.
-    upper bound on its output.
-    """
-
-    alpha_kind: str  # "sigma_plus_d" | "sigma_min_d" | "d_only" | "custom"
-    custom: Callable[[MarkTriple], float] | None = None
-    custom_bound: float | None = None
+    alpha_kind: str  # "sigma_plus_d" | "sigma_min_d" | "d_only"
 
     def __post_init__(self):
-        if self.alpha_kind not in ("sigma_plus_d", "sigma_min_d", "d_only", "custom"):
+        if self.alpha_kind not in ("sigma_plus_d", "sigma_min_d", "d_only"):
             raise ValueError(f"unknown alpha kind {self.alpha_kind!r}")
-        if (self.alpha_kind == "custom") != (self.custom is not None):
-            raise ValueError("custom extractor is required exactly when alpha_kind='custom'")
-
-    def alpha_of(self, mark: MarkTriple) -> float:
-        if self.alpha_kind == "sigma_plus_d":
-            return mark.sigma + mark.dpat
-        if self.alpha_kind == "sigma_min_d":
-            return min(mark.sigma, mark.dpat)
-        if self.alpha_kind == "d_only":
-            return mark.dpat
-        v = float(self.custom(mark))
-        if not (np.isfinite(v) and v >= 0.0):
-            raise ValueError(f"custom alpha extractor returned {v}, must be finite and >= 0")
-        return v
 
     def alpha_array(self, xi: np.ndarray, sigma: np.ndarray, dpat: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
-        """alpha elementwise, written into `out` when given."""
+        """alpha elementwise over the marks (xi, sigma, dpat), written into
+        `out` when given."""
         if self.alpha_kind == "sigma_plus_d":
             return np.add(sigma, dpat, out=out)
         if self.alpha_kind == "sigma_min_d":
             return np.minimum(sigma, dpat, out=out)
-        alpha = dpat if self.alpha_kind == "d_only" else np.array(
-            [self.alpha_of(MarkTriple(x, s, d))
-             for x, s, d in zip(xi.tolist(), sigma.tolist(), dpat.tolist())])
-        if out is not None:
-            out[...] = alpha
-        return alpha if out is None else out
-
-    def bound_for(self, src: MarkSource) -> float | None:
-        """A.s. upper bound on alpha under src, or None if unavailable."""
-        if self.alpha_kind == "custom":
-            return self.custom_bound
-        return src.alpha_bound_for(self.alpha_kind)
+        if out is None:
+            return dpat
+        out[...] = dpat
+        return out
 
 
 SIGMA_PLUS_D = RecursionSpec("sigma_plus_d")
@@ -155,7 +130,8 @@ def step(y: float, mark: MarkTriple, spec: RecursionSpec) -> float:
     """One forward step [max(y, alpha) - beta]+; nondecreasing, 1-Lipschitz in y."""
     if y < 0.0:
         raise ValueError(f"state must be >= 0, got {y}")
-    v = max(y, spec.alpha_of(mark)) - mark.xi
+    alpha = float(spec.alpha_array(*np.array([[mark.xi], [mark.sigma], [mark.dpat]]))[0])
+    v = max(y, alpha) - mark.xi
     return v if v > 0.0 else 0.0
 
 
@@ -194,13 +170,14 @@ def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epoc
     screened in lockstep.
 
     Row i of xi and alpha holds a window of marks whose last column is
-    replica i's epoch, and max_depth >= 1, max_epochs >= start.  Entry i is
-    where the walk over the candidates epoch - k, k = start[i]..max_epochs,
-    each down its lags j = 1..max_depth, ends: the first candidate that is
-    not positive, with the depth of its certificate, or with depth 0 when
-    max_depth stops it; k = max_epochs + 1 and depth 0 when every candidate
-    is positive; -1 - k and depth 0 when candidate k's walk needs marks
-    before the window, where a wider window's walk may start.
+    replica i's epoch, and max_depth >= 1.  Entry i is where the walk over
+    the candidates epoch - k, k = start[i]..max_epochs, each down its lags
+    j = 1..max_depth, ends: the first candidate that is not positive, with
+    the depth of its certificate, or with depth 0 when max_depth stops it;
+    k = max_epochs + 1 and depth 0 when every candidate is positive, or
+    there is none (start[i] > max_epochs); -1 - k and depth 0 when candidate
+    k's walk needs marks before the window, where a wider window's walk may
+    start.
 
     Each pass gathers lags x candidates from each replica's next candidate
     k on.  np.add.accumulate sums beta down the lags in sequence,
@@ -214,9 +191,9 @@ def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epoc
     (replica, lag, candidate) cells at a time, or one replica's lags.
     """
     replicas, width = xi.shape
-    out, depth = np.full(replicas, -1), np.zeros(replicas, dtype=np.intp)
     k = np.zeros(replicas, dtype=np.intp) + start
-    todo = np.arange(replicas if width > 1 else 0)  # one mark has no lag to walk
+    out, depth = np.where(k > max_epochs, max_epochs + 1, -1), np.zeros(replicas, dtype=np.intp)
+    todo = np.flatnonzero(out < 0) if width > 1 else np.arange(0)  # one mark has no lag to walk
     epochs, lags, more_epochs, more_lags = _SEARCH_EPOCHS, _SEARCH_LAGS, False, False
     while todo.size:
         # no open candidate has more lags in the window than the nearest one
@@ -281,17 +258,21 @@ def screen_replicas(spec: RecursionSpec, src: MarkSource, lo: int, hi: int, spac
     widened further, and at the end of the batch that row's error is raised
     (_stopped): so the rows of a batch that completes are all certified, each
     by the last window yielded for it, and the first error is the first
-    stopped replica's.  The marks are a pure function of the replica index,
-    so rows computed in any order or process agree bit for bit.
+    stopped replica's.  A source whose marginals give no a.s. bound on alpha
+    raises CapabilityError before any fetch.  The marks are a pure function
+    of the replica index, so rows computed in any order or process agree bit
+    for bit.
     """
     if lo >= hi:
         return
     if max_epochs < first:
         raise ValueError(f"max_epochs must be >= {first}")
-    bound = spec.bound_for(src)
+    bound = src.alpha_bound_for(spec.alpha_kind)
     if bound is None:
         raise CapabilityError(
-            f"zero certificates need an a.s. bound on alpha ({spec.alpha_kind})")
+            f"exact mode needs an a.s. bound on alpha ({spec.alpha_kind}), and the source's "
+            "marginals give none (use uniform, truncated-exponential, discrete or "
+            "deterministic marginals)")
     if max_depth < 1:
         raise _stopped(src, lo, spacing, bound, max_epochs, max_depth, 0.0)
     for a in range(lo, hi, _BATCH):
@@ -366,7 +347,7 @@ def prob_zero_estimate(spec: RecursionSpec, src: MarkSource, replicas: int,
         raise ValueError("replicas must be >= 1")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    exact = spec.bound_for(src) is not None
+    exact = src.alpha_bound_for(spec.alpha_kind) is not None
     hits = np.zeros(replicas)
     if exact:
         for rows, _, _, _, depth in screen_replicas(spec, src, 0, replicas, 2 * max_depth, 0,

@@ -10,7 +10,9 @@ the scalar walks it replaced, kept to check it:
   is replayed from it: the exact triple, the exact draw and the sandwich
   count of each model;
 - the end model's minimal stationary solution as the limit of backward
-  iterates from 0 (loynes_minimal).
+  iterates from 0 (loynes_minimal);
+- each model's plain per-arrival step (model_step), the reference of the
+  window, path and lockstep kernels.
 
 They read marks through recursion.MarkWindowCache and replay with the scalar
 kernels of the models (Model.scalar_window, Model.w_path).
@@ -35,6 +37,21 @@ from renege.recursion import (
 )
 
 _CHUNK = 512  # the longest chunk of lags a backward walk reads at once
+
+
+def model_step(model: Model, w: float, x: float, s: float, d: float) -> float:
+    """One arrival of the model's workload w with marks (x, s, d), written
+    out per model, as the models' kernels inline it: the begin model adds s
+    when w <= d, the end model adds at most up to d and nothing when w > d."""
+    if model.name == "begin":
+        inner = w + s if w <= d else w
+    elif w > d:
+        inner = w
+    else:
+        t = w + s
+        inner = t if t < d else d
+    v = inner - x
+    return v if v > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -118,11 +135,11 @@ def backward_supremum(spec: RecursionSpec, src: MarkSource, epoch: int, max_dept
         terms, _ = _lag_terms(spec, src, epoch, max_depth, cache)
         v = float(terms.max())
         return RecursionValue(v if v > 0.0 else 0.0, exact=False, truncation_depth=max_depth)
-    bound = spec.bound_for(src)
+    bound = src.alpha_bound_for(spec.alpha_kind)
     if bound is None:
         raise CapabilityError(
             f"exact evaluation needs an a.s. bound on alpha ({spec.alpha_kind}); "
-            "the source marginals are unbounded and no bound is declared")
+            "the source marginals are unbounded")
     best = -np.inf
     for depth, t, s in _backward_walk(spec, src, epoch, max_depth, cache, bound):
         if t > best:
@@ -162,7 +179,7 @@ def certified_zero(spec: RecursionSpec, src: MarkSource, epoch: int, max_depth: 
     positive (a positive lag term classifies the epoch exactly as
     backward_supremum would, with the same arithmetic, but stops early).
     """
-    bound = spec.bound_for(src)
+    bound = src.alpha_bound_for(spec.alpha_kind)
     if bound is None:
         raise CapabilityError(
             f"zero certificates need an a.s. bound on alpha ({spec.alpha_kind})")
@@ -188,7 +205,7 @@ def renovation_search(spec: RecursionSpec, src: MarkSource, epoch: int, max_epoc
     """
     if cache is None:
         cache = MarkWindowCache(src)
-    bound = spec.bound_for(src)
+    bound = src.alpha_bound_for(spec.alpha_kind)
     if first <= max_epochs and (bound is None or max_depth < 1):
         certified_zero(spec, src, epoch - first, max_depth, cache)  # raises either error
     k, width = -1, _FIRST_FILL

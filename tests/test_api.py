@@ -22,13 +22,13 @@ PARAMETERS = {
     "fifo_step": ("w", "mark"),
     "forward_samples": ("src", "count", "warmup", "spacing", "with_marks"),
     "forward_samples_end": ("src", "count", "warmup", "spacing"),
-    "iid_source": ("xi", "sigma", "dpat", "seed", "stream", "alpha_bound"),
+    "iid_source": ("xi", "sigma", "dpat", "seed", "stream"),
     "invariance_distance": ("mu", "src", "model"),
     "kolmogorov_distance": ("a", "b"),
     "ks_two_sample": ("a", "b"),
     "loss_metrics_end": ("src", "samples", "mode", "max_epochs", "max_depth", "warmup"),
     "loss_probability_begin": ("src", "samples", "mode", "max_epochs", "max_depth", "warmup"),
-    "markov_source": ("transition", "states", "seed", "stream", "alpha_bound"),
+    "markov_source": ("transition", "states", "seed", "stream"),
     "mc_aggregate": ("values", "kind"),
     "prob_zero_estimate": ("spec", "src", "replicas", "max_depth"),
     "regeneration_stats": ("scn", "sim", "replicas", "max_depth"),

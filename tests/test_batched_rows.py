@@ -393,9 +393,9 @@ grid = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
        bound=st.sampled_from([0.5, 1.0, 2.0, 3.0]), max_epochs=st.integers(0, 120),
        max_depth=st.integers(1, 120), start=st.integers(0, 40))
 def test_screen_matches_the_per_candidate_walk(rows, bound, max_epochs, max_depth, start):
-    # a re-screen starts where a narrower window's walk needed more marks
+    # a re-screen starts where a narrower window's walk needed more marks; a
+    # start past max_epochs leaves no candidate
     width = min(len(r) for r in rows)
-    start = min(start, max_epochs + 1)
     xi = np.array([[x for x, _ in r[:width]] for r in rows])
     alpha = np.array([[a for _, a in r[:width]] for r in rows])
     k, depth = renovation_offsets(xi, alpha, bound, max_epochs, max_depth, start)
@@ -421,6 +421,15 @@ def test_screen_reaches_past_the_first_blocks():
     assert [window_oracle(x.tolist(), a.tolist(), 3.95, 10_000, 10_000)
             for x, a in zip(xi, alpha)] == [(k, 40) for k in want]
     assert k.tolist() == want and depth.tolist() == [40] * len(want)
+
+
+@pytest.mark.parametrize("max_epochs, start", [(-1, 0), (2, 5)])
+def test_screen_without_candidates_reports_none_found(max_epochs, start):
+    # max_epochs + 1 with depth 0 (every candidate positive), not (start, 0),
+    # which would read as max_depth stopping candidate start
+    k, depth = renovation_offsets(np.full((1, 40), 0.5), np.zeros((1, 40)), 1.0, max_epochs, 10,
+                                  start)
+    assert (k.tolist(), depth.tolist()) == ([max_epochs + 1], [0])
 
 
 def _u(low, high):

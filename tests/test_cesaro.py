@@ -5,13 +5,16 @@ import pytest
 
 from renege import (
     EmpiricalMeasure,
+    Exponential,
     boundary_mass,
     cesaro_distribution,
     deterministic_source,
+    iid_source,
     invariance_distance,
     kolmogorov_distance,
     tightness_report,
 )
+from renege.cesaro import _PUSH_STREAM
 from renege.fifo import BEGIN
 
 PERIOD2 = deterministic_source(1.0, 1.5, 0.2, seed=6)   # orbit 0 -> 0.5 -> 0
@@ -38,8 +41,7 @@ def test_invariance_distance_examples():
     mu = cesaro_distribution(PERIOD2, 10, "begin")
     assert invariance_distance(mu, PERIOD2, "begin") == 0.0
 
-    delta0 = EmpiricalMeasure(values=np.zeros(4), weights=np.full(4, 0.25),
-                              n_steps=4, model="begin")
+    delta0 = EmpiricalMeasure(values=np.zeros(4), n_steps=4, model="begin")
     assert invariance_distance(delta0, DOMINATED, "begin") == 0.0
     # the period-2 map sends 0 to 0.5, so delta_0 is half a cycle off
     assert invariance_distance(delta0, PERIOD2, "begin") == 0.5
@@ -52,7 +54,7 @@ def test_replica_mode_cross_check(bounded_src):
     traj = cesaro_distribution(bounded_src, n, "begin")
     values = np.array([BEGIN.w_path(0.0, *bounded_src.substream(i).window_arrays(0, i - 1))[-1]
                        for i in range(1, n + 1)])
-    repl = EmpiricalMeasure(values=values, weights=np.full(n, 1.0 / n), n_steps=n, model="begin")
+    repl = EmpiricalMeasure(values=values, n_steps=n, model="begin")
     assert kolmogorov_distance(traj, repl) < 0.25  # both estimate the same mixture
 
 
@@ -95,21 +97,42 @@ def test_boundary_mass_examples(bounded_src):
 
 def test_measure_validation():
     with pytest.raises(ValueError):
-        EmpiricalMeasure(values=np.array([1.0]), weights=np.array([0.5]),
-                         n_steps=1, model="begin")
+        EmpiricalMeasure(values=np.array([-1.0]), n_steps=1, model="begin")
     with pytest.raises(ValueError):
-        EmpiricalMeasure(values=np.array([-1.0]), weights=np.array([1.0]),
-                         n_steps=1, model="begin")
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(values=np.array([]), weights=np.array([]),
-                         n_steps=0, model="begin")
+        EmpiricalMeasure(values=np.array([]), n_steps=0, model="begin")
+
+
+def _fsum_masses(values, weights):
+    """(unique sorted values, per-value masses), each mass the math.fsum of
+    its atoms' weights."""
+    order = np.argsort(values, kind="mergesort")
+    v, w = values[order], weights[order]
+    uniq, starts = np.unique(v, return_index=True)
+    bounds = [*starts.tolist(), v.size]
+    return uniq, np.array([math.fsum(w[a:b].tolist()) for a, b in zip(bounds, bounds[1:])])
+
+
+def test_grouped_masses_equal_the_fsum_masses():
+    # k * (1/n) is one IEEE multiply of exact operands, so it rounds the exact
+    # sum of k copies of 1/n as fsum does; the mixture's atoms weigh
+    # (1/n) * 0.5 = 1/(2n) exactly
+    src = iid_source(Exponential(0.9), Exponential(1.0), Exponential(0.5), seed=20083)
+    n = 200_000
+    mu = cesaro_distribution(src, n, "begin")
+    pushed = BEGIN.step_array(mu.values, *src.substream(_PUSH_STREAM).window_arrays(0, n - 1))
+    half = EmpiricalMeasure(values=np.concatenate([mu.values, pushed]), n_steps=n, model="begin")
+    for measure, weights in ((mu, np.full(n, 1.0 / n)),
+                             (half, np.concatenate([mu.weights, mu.weights]) * 0.5)):
+        assert measure.weights.tolist() == weights.tolist()
+        (got_v, got_m), (want_v, want_m) = measure.grouped(), _fsum_masses(measure.values, weights)
+        assert np.unique(got_m).size > 1  # atoms of several multiplicities
+        assert [v.hex() for v in got_v.tolist()] == [v.hex() for v in want_v.tolist()]
+        assert [m.hex() for m in got_m.tolist()] == [m.hex() for m in want_m.tolist()]
 
 
 def test_kolmogorov_distance_weighted():
-    a = EmpiricalMeasure(values=np.array([0.0]), weights=np.array([1.0]),
-                         n_steps=1, model="begin")
-    b = EmpiricalMeasure(values=np.array([1.0]), weights=np.array([1.0]),
-                         n_steps=1, model="begin")
+    a = EmpiricalMeasure(values=np.array([0.0]), n_steps=1, model="begin")
+    b = EmpiricalMeasure(values=np.array([1.0]), n_steps=1, model="begin")
     assert kolmogorov_distance(a, b) == 1.0
     assert kolmogorov_distance(a, a) == 0.0
 

@@ -27,14 +27,6 @@ BOUNDED_SOURCE = {
     "dpat": {"dist": "uniform", "low": 0.0, "high": 0.4},
 }
 
-EXPO_SOURCE = {
-    "kind": "iid", "seed": 5,
-    "xi": {"dist": "exponential", "rate": 1.0},
-    "sigma": {"dist": "exponential", "rate": 1.0},
-    "dpat": {"dist": "exponential", "rate": 0.5},
-}
-
-
 def _write(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -57,12 +49,40 @@ def test_loss_begin_deterministic_example(tmp_path):
     assert res["bracket_ok"] is True
 
 
+# the forward benchmark workload's source: the paper's M/M/1+M case, unbounded
+FORWARD_SOURCE = {"kind": "iid", "seed": 20083, "xi": {"dist": "exponential", "rate": 0.9},
+                  "sigma": {"dist": "exponential", "rate": 1.0},
+                  "dpat": {"dist": "exponential", "rate": 0.5}}
+
+
 def test_exact_mode_without_bound_exits_3(tmp_path, capsys):
-    cfg = {"source": EXPO_SOURCE, "run": {"mode": "exact", "samples": 5}}
-    code = main(["sample-w", "--config", _write(tmp_path, cfg),
-                 "--out-dir", str(tmp_path / "out")])
-    assert code == 3
-    assert "alpha_bound" in capsys.readouterr().err
+    # the screen raises the missing-bound error in every range, in-process at
+    # one worker and in the pool's workers at two
+    cfg = {"source": FORWARD_SOURCE, "run": {"mode": "exact", "samples": 1000}}
+    errs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        code = main(["sample-w", "--config", _write(tmp_path, cfg), "--workers", str(workers),
+                     "--out-dir", str(out)])
+        assert code == 3
+        assert not (out / "summary.json").exists()
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("capability error: exact mode needs an a.s. bound on alpha "
+                              "(sigma_plus_d)")
+    assert "truncated-exponential" in errs[0]
+
+
+@pytest.mark.parametrize("kind", ["iid", "markov"])
+def test_alpha_bound_key_exits_2_as_unknown(tmp_path, capsys, kind):
+    # sources carry no declared bound: their marginals give it
+    source = dict(BOUNDED_SOURCE if kind == "iid" else MARKOV_SOURCE, alpha_bound=2.0)
+    cfg = {"source": source, "run": {"mode": "exact", "samples": 5}}
+    out = tmp_path / "out"
+    assert main(["loss-begin", "--config", _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown" in err and "keys ['alpha_bound']" in err
+    assert not out.exists()
 
 
 def test_config_errors_exit_2(tmp_path):
@@ -310,7 +330,7 @@ DISCRETE = {"dist": "discrete", "atoms": [0.1, 0.3], "probs": [0.5, 0.5]}
     (("seed",), [1], "seed"),
     (("seed",), math.inf, "seed"),
     (("stream",), "x", "stream"),
-    (("alpha_bound",), "big", "alpha_bound"),
+    (("xi",), {"dist": "exponential", "rate": "fast"}, "rate"),
     (("xi", "low"), "a", "low"),
     (("sigma", "high"), None, "high"),
     (("dpat",), dict(DISCRETE, atoms="13"), "atoms"),  # not the atoms 1.0 and 3.0
@@ -327,8 +347,8 @@ DISCRETE = {"dist": "discrete", "atoms": [0.1, 0.3], "probs": [0.5, 0.5]}
     (("seed",), "4401", "seed"),
     (("stream",), 2.5, "stream"),
     (("stream",), False, "stream"),
-    (("alpha_bound",), "2.0", "alpha_bound"),
-    (("alpha_bound",), True, "alpha_bound"),
+    (("xi",), {"dist": "exponential", "rate": "2.0"}, "rate"),
+    (("sigma",), {"dist": "truncated-exponential", "rate": 1.0, "cap": True}, "cap"),
     (("xi", "low"), "0.2", "low"),
     (("sigma", "high"), True, "high"),
     (("dpat",), dict(DISCRETE, atoms=["0.1", 0.3]), "atoms"),
@@ -336,9 +356,6 @@ DISCRETE = {"dist": "discrete", "atoms": [0.1, 0.3], "probs": [0.5, 0.5]}
     (("transition",), [[0.9, "0.1"], [0.3, 0.7]], "transition"),
     (("transition",), [[True, False], [0.3, 0.7]], "transition"),
     (("states", 1, "dpat", "high"), "1.0", "high"),
-    # a bound that is not finite would be written into summary.json as NaN or Infinity
-    (("alpha_bound",), math.nan, "alpha_bound"),
-    (("alpha_bound",), math.inf, "alpha_bound"),
 ])
 def test_malformed_source_values_exit_2(tmp_path, capsys, path, value, named):
     markov = path[0] in ("transition", "states")

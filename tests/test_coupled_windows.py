@@ -22,6 +22,8 @@ from renege.cli import source_from_config
 from renege.fifo import BEGIN, END, MODELS
 from renege.marks import deterministic_source
 
+from oracles import model_step
+
 L = fifo._SEGMENT
 
 
@@ -187,7 +189,7 @@ def test_forward_samples_match_scalar_steps(model):
     for i, (x, s, d) in enumerate(zip(xi, sigma, dpat)):
         if i >= warmup and (i - warmup) % spacing == 0 and len(want) < count:
             want.append((w, s, d))
-        w = model.step(w, x, s, d)
+        w = model_step(model, w, x, s, d)
     got = fifo.forward_samples(model, src, count, warmup, spacing, with_marks=True)
     assert [[v.hex() for v in col] for col in zip(*want)] == [
         [v.hex() for v in col.tolist()] for col in got]

@@ -1,7 +1,7 @@
-"""Each model's window kernels and numpy step forms against its scalar step,
-bit for bit.
+"""Each model's window kernels, path kernel and numpy step forms against its
+per-arrival step, bit for bit.
 
-The reference advances the model's workload with its scalar step, and the
+The reference advances the model's workload with oracles.model_step, and the
 dominated and dominating chains with the generic recursion step, one mark at
 a time; an arrival's exceedances are the model's per-row indicators.  Marks
 sit on a coarse grid often enough that states land exactly on the patience
@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from renege import SIGMA_MIN_D, MarkTriple, step
 from renege.fifo import BEGIN, END, MODELS, _coupled
 from renege.recursion import clip, step_array
+
+from oracles import model_step
 
 values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]),
                    st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False))
@@ -38,7 +40,7 @@ def _reference(model, state, mark_list):
             c + int(f) for c, f in zip(counts, flags)]
         mark = MarkTriple(x, s, d)
         ym = step(ym, mark, SIGMA_MIN_D)
-        w = model.step(w, x, s, d)
+        w = model_step(model, w, x, s, d)
         yp = step(yp, mark, model.dominating)
     return (ym, w, yp), tuple(counts)
 
@@ -86,11 +88,12 @@ def test_w_path_and_numpy_steps_match_scalar_steps(model, mark_list, kind, free)
     for x, s, d in mark_list:
         states.append(w)
         ys.append(step(w, MarkTriple(x, s, d), SIGMA_MIN_D))
-        w = model.step(w, x, s, d)
+        w = model_step(model, w, x, s, d)
     xi, sigma, dpat = (np.array(c) for c in zip(*mark_list))
     after = [v.hex() for v in states[1:] + [w]]
     assert [v.hex() for v in model.w_path(states[0], xi, sigma, dpat)] == after
     assert [v.hex() for v in model.step_array(np.array(states), xi, sigma, dpat).tolist()] == after
+    assert [model.mark_step(v, MarkTriple(*m)).hex() for v, m in zip(states, mark_list)] == after
     got = step_array(np.array(states), np.minimum(sigma, dpat), xi).tolist()
     assert [v.hex() for v in got] == [v.hex() for v in ys]
 

@@ -83,22 +83,6 @@ def test_unbounded_alpha_has_no_bound():
     assert src.alpha_bound_for("sigma_min_d") == 0.4  # min is bounded by either factor
 
 
-def test_declared_alpha_bound_validation():
-    with pytest.raises(ConfigError):
-        iid_source(Exponential(1.0), Exponential(1.0), Exponential(1.0), seed=1,
-                   alpha_bound=5.0)
-    with pytest.raises(ConfigError):
-        iid_source(Uniform(0.5, 1.5), Uniform(0.0, 0.8), Uniform(0.0, 0.4), seed=1,
-                   alpha_bound=1.0)  # below the 1.2 support bound
-    for bound in (math.nan, math.inf):
-        with pytest.raises(ConfigError, match="must be finite"):
-            iid_source(Uniform(0.5, 1.5), Uniform(0.0, 0.8), Uniform(0.0, 0.4), seed=1,
-                       alpha_bound=bound)
-    src = iid_source(Uniform(0.5, 1.5), Uniform(0.0, 0.8), Uniform(0.0, 0.4), seed=1,
-                     alpha_bound=1.2000000000000002)
-    assert src.alpha_bound == 1.2000000000000002
-
-
 def test_constructor_rejects_zero_mean_xi():
     with pytest.raises(ConfigError):
         deterministic_source(0.0, 1.0, 1.0, seed=1)

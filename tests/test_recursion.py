@@ -64,18 +64,8 @@ def test_step_alpha_kinds():
     assert step(0.0, m, SIGMA_PLUS_D) == 2.5 - 1.0
     assert step(0.0, m, SIGMA_MIN_D) == 0.0   # [0.5 - 1]+
     assert step(0.0, m, D_ONLY) == 0.0
-    custom = RecursionSpec("custom", custom=lambda mk: 2.0 * mk.sigma, custom_bound=4.0)
-    assert step(0.0, m, custom) == 3.0
-
-
-def test_custom_extractor_must_be_nonnegative():
-    bad = RecursionSpec("custom", custom=lambda mk: -1.0)
-    with pytest.raises(ValueError):
-        step(0.0, MarkTriple(1.0, 1.0, 1.0), bad)
-    with pytest.raises(ValueError):
-        RecursionSpec("custom")  # missing extractor
-    with pytest.raises(ValueError):
-        RecursionSpec("sigma_plus_d", custom=lambda mk: mk.sigma)
+    with pytest.raises(ValueError, match="unknown alpha kind"):
+        RecursionSpec("custom")
 
 
 def test_loynes_backward_deterministic():

@@ -19,7 +19,6 @@ from renege import (
     SIGMA_PLUS_D,
     CapabilityError,
     DepthExhaustedError,
-    RecursionSpec,
     RenovationNotFoundError,
     StateMarginals,
     TruncatedExponential,
@@ -31,9 +30,7 @@ from renege.recursion import MarkWindowCache
 
 from oracles import certified_zero, renovation_search
 
-CUSTOM = RecursionSpec("custom", custom=lambda m: abs(m.sigma - m.dpat), custom_bound=2.0)
-SPECS = {"sigma_plus_d": SIGMA_PLUS_D, "sigma_min_d": SIGMA_MIN_D, "d_only": D_ONLY,
-         "custom": CUSTOM}
+SPECS = {"sigma_plus_d": SIGMA_PLUS_D, "sigma_min_d": SIGMA_MIN_D, "d_only": D_ONLY}
 
 
 class TableSource:
@@ -135,8 +132,6 @@ def test_constructed_cases(name):
 def test_missing_bound_raises_capability_error():
     src = TableSource({}, bound=None)
     assert assert_same(D_ONLY, src, 0, 5, 5)[0] == "CapabilityError"
-    unbounded = RecursionSpec("custom", custom=lambda m: m.sigma)
-    assert assert_same(unbounded, TableSource({}), 0, 5, 5)[0] == "CapabilityError"
 
 
 _LEVELS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0])

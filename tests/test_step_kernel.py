@@ -19,6 +19,8 @@ from renege import fifo
 from renege.fifo import MODELS
 from renege.recursion import clip, step_array
 
+from oracles import model_step
+
 L = fifo._SEGMENT
 
 
@@ -89,8 +91,8 @@ def test_kernel_matches_scalar_steps_and_where_forms(model, cell_list):
                out, np.empty(x.size, dtype=bool))
     marks = [MarkTriple(*m) for m in zip(x.tolist(), s.tolist(), d.tolist())]
     want = [[step(v, m, SIGMA_MIN_D) for v, m in zip(ym.tolist(), marks)],
-            [model.step(v, *m) for v, m in zip(w.tolist(), zip(x.tolist(), s.tolist(),
-                                                                d.tolist()))],
+            [model_step(model, v, *m) for v, m in zip(w.tolist(), zip(x.tolist(), s.tolist(),
+                                                                      d.tolist()))],
             [step(v, m, model.dominating) for v, m in zip(yp.tolist(), marks)]]
     assert _hex(out) == _hex(want)
     assert _hex(out) == _hex([_where_step_array(ym, np.where(s < d, s, d), x),
