@@ -118,7 +118,7 @@ def tightness_report(src: MarkSource, n: int, levels=(0.5, 0.9, 0.99, 0.999)) ->
         raise ValueError("n must be >= 1")
     xi, sigma, dpat = src.window_arrays(0, n - 1)
     w_traj = BEGIN.w_path(0.0, xi, sigma, dpat)
-    l_traj = y_path(0.0, BEGIN.dominating.alpha_array(xi, sigma, dpat), xi)
+    l_traj = y_path(0.0, BEGIN.dominating.alpha_array(sigma, dpat), xi)
     wq = tuple(float(q) for q in np.quantile(w_traj, levels))
     lq = tuple(float(q) for q in np.quantile(l_traj, levels))
     ordered = all(a <= b for a, b in zip(wq, lq))

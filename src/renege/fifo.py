@@ -323,8 +323,8 @@ def _lockstep(model: Model, state: tuple, xi, sigma, dpat, work: tuple = ()) -> 
     for v, seg in zip((xi, sigma, dpat), (x, s, d)):
         seg[...] = v.reshape(k, _SEGMENT).T
     if c == 3:
-        SIGMA_MIN_D.alpha_array(x, s, d, alphas[0])
-        model.dominating.alpha_array(x, s, d, alphas[1])
+        SIGMA_MIN_D.alpha_array(s, d, alphas[0])
+        model.dominating.alpha_array(s, d, alphas[1])
     mask = np.empty(k, dtype=bool)
     recorded[0] = 0.0  # (a)
     for j in range(_SEGMENT):
@@ -436,7 +436,7 @@ def _replay_rows(model: Model, marks: np.ndarray, alpha_up: np.ndarray,
     cols = slice(marks.shape[2] - 1 - lags, marks.shape[2] - 1)  # the columns replayed
     # [j, r]: the mark of row r at lag lags - j
     x, s, d = (np.ascontiguousarray(v[:, cols].T) for v in marks)
-    alphas = np.stack((SIGMA_MIN_D.alpha_array(x, s, d), alpha_up[:, cols].T), axis=1)
+    alphas = np.stack((SIGMA_MIN_D.alpha_array(s, d), alpha_up[:, cols].T), axis=1)
     y = np.zeros((3, k.size))
     out = np.empty_like(y)
     mask, on = np.empty((2, k.size), dtype=bool)

@@ -35,7 +35,7 @@ _U53 = 2.0 ** -53
 # (in-process).
 _CHUNK = 1 << 11
 # Blocks fetched before a Markov window to find the regeneration its first
-# state descends from; doubled until one turns up.
+# state descends from, doubled until one turns up (replica windows: _lookback).
 _CHAIN_LOOKBACK = 64
 # Replicas per Philox read of a batch of replica windows (replica_windows).
 _REPLICA_BLOCK = 128
@@ -362,6 +362,15 @@ class MarkSource:
         return delta, nu_cum, q_cum
 
     @cached_property
+    def _lookback(self) -> int:
+        """Lookback blocks of a replica window: the least power of two, up to
+        _CHAIN_LOOKBACK, that misses a regeneration w.p. (1-delta)^(look+1) <= 2^-9."""
+        look, miss = 1, 1.0 - self._doeblin_parts[0]
+        while look < _CHAIN_LOOKBACK and miss ** (look + 1) > 2.0 ** -9:
+            look *= 2
+        return look
+
+    @cached_property
     def stationary_state_probs(self) -> np.ndarray:
         """Stationary law of the modulating chain (single state for iid)."""
         if self.kind != "markov":
@@ -469,9 +478,10 @@ class MarkSource:
         """One Philox generator, yielded keyed to (seed, streams[i]) with index
         starts[i]'s block next, for each i; random_raw calls go on from there."""
         bg = Philox(0)
-        state = bg.state
-        key, counter = state["state"]["key"], state["state"]["counter"]
-        key[1] = self.seed & _MASK64
+        # plain ints: the setter reads them 2-3x faster than bg.state's arrays
+        key, counter = [0, self.seed & _MASK64], [0] * 4
+        state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         at = None
         for stream, g in zip(streams, starts):
             key[0] = stream & _MASK64
@@ -538,17 +548,17 @@ class MarkSource:
         the `width` indices ending at replica rows[i]'s epoch (see replica).
 
         One Philox generator is re-positioned per replica: re-keyed (iid), or
-        moved to the start of the replica's chain lookback (markov).  The
-        replicas are read _REPLICA_BLOCK at a time into one buffer of words,
-        shifted in place and scaled into preallocated uniform rows, whose
-        quantiles overwrite them.  A block's Markov states come from one
-        composition with a replica axis, from the earliest of the rows' last
-        lookback regenerations on; each row is forced to regenerate before its
-        own, so the gaps stay short.  A Markov replica with no regeneration in
-        its lookback takes window_arrays, which looks further back.
+        moved to the start of the replica's _lookback (markov).  The replicas
+        are read _REPLICA_BLOCK at a time into one buffer of words, shifted in
+        place and scaled into preallocated uniform rows, whose quantiles
+        overwrite them.  A block's Markov states come from one composition
+        with a replica axis, from the earliest of the rows' last lookback
+        regenerations on; each row is forced to regenerate before its own, so
+        the gaps stay short.  A Markov replica with no regeneration in its
+        lookback takes window_arrays, which looks further back.
         """
         rows = list(rows)
-        look = 0 if self.is_iid else _CHAIN_LOOKBACK
+        look = 0 if self.is_iid else self._lookback
         raw = np.empty((min(len(rows), _REPLICA_BLOCK), look + width, 4), dtype=np.uint64)
         out = np.empty((3, len(rows), width))
         for a in range(0, len(rows), _REPLICA_BLOCK):

@@ -30,18 +30,18 @@ _FORWARD_CHUNK = 1 << 14  # marks per window of a forward pass
 # Marks in a MarkWindowCache's first fill.
 _FIRST_FILL = 128
 # A renovation screen first takes this many candidate epochs, each over this
-# many lags; both double as needed, with at most _SEARCH_CELLS terms per slice
-# of replicas in a pass.  A slice's arrays take about 40 bytes a term: 2^16
-# terms held a batch of 512 exact rows above 2.5 MB (tracemalloc).
-_SEARCH_EPOCHS = 16
-_SEARCH_LAGS = 16
+# many lags, and doubles either as needed: from 4 x 4, a 512 x 32 Markov batch
+# (mean renovation distance 2) screens 3-4x faster than from 16 x 16.  A pass
+# takes at most _SEARCH_CELLS terms, of about 40 bytes each, per replica slice.
+_SEARCH_EPOCHS = 4
+_SEARCH_LAGS = 4
 _SEARCH_CELLS = 1 << 15
 # Replicas per lockstep batch of screen_replicas, and the marks of each one's
 # first window; a re-screen at width w takes _BATCH * _FIRST_WIDTH // w
 # replicas at a time.  On the benchmark sources the renovation distance has
-# mean 2 (Markov) and 15 (heavy iid).  A batch's arrays peak near 1.7 MB for
-# a Markov source (the marks fetch with its chain lookback and composition)
-# and for an iid one (tracemalloc, with _SEARCH_CELLS terms per screen slice).
+# mean 2 (Markov) and 15 (heavy iid).  A batch of exact loss rows peaks near
+# 1.0 MB on either source (end model) and 1.75 MB on the heavy iid one (begin
+# model, with its re-screens), by tracemalloc.
 _BATCH = 512
 _FIRST_WIDTH = 32
 
@@ -67,10 +67,10 @@ class RecursionSpec:
         if self.alpha_kind not in ("sigma_plus_d", "sigma_min_d", "d_only"):
             raise ValueError(f"unknown alpha kind {self.alpha_kind!r}")
 
-    def alpha_array(self, xi: np.ndarray, sigma: np.ndarray, dpat: np.ndarray,
+    def alpha_array(self, sigma: np.ndarray, dpat: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
-        """alpha elementwise over the marks (xi, sigma, dpat), written into
-        `out` when given."""
+        """alpha elementwise over the marks sigma and dpat, written into `out`
+        when given."""
         if self.alpha_kind == "sigma_plus_d":
             return np.add(sigma, dpat, out=out)
         if self.alpha_kind == "sigma_min_d":
@@ -130,7 +130,7 @@ def step(y: float, mark: MarkTriple, spec: RecursionSpec) -> float:
     """One forward step [max(y, alpha) - beta]+; nondecreasing, 1-Lipschitz in y."""
     if y < 0.0:
         raise ValueError(f"state must be >= 0, got {y}")
-    alpha = float(spec.alpha_array(*np.array([[mark.xi], [mark.sigma], [mark.dpat]]))[0])
+    alpha = float(spec.alpha_array(*np.array([[mark.sigma], [mark.dpat]]))[0])
     v = max(y, alpha) - mark.xi
     return v if v > 0.0 else 0.0
 
@@ -285,7 +285,7 @@ def screen_replicas(spec: RecursionSpec, src: MarkSource, lo: int, hi: int, spac
             undecided, step, cut = [], max(1, _BATCH * _FIRST_WIDTH // width), width - first
             for part in (todo[b:b + step] for b in range(0, todo.size, step)):
                 marks = src.replica_windows((part + a).tolist(), spacing, width)
-                alpha = spec.alpha_array(*marks)
+                alpha = spec.alpha_array(*marks[1:])
                 kp, dp = renovation_offsets(marks[0, :, :cut], alpha[:, :cut], bound,
                                             max_epochs - first, max_depth, -1 - k[part])
                 k[part] = np.where(kp < 0, kp, kp + first)
@@ -354,12 +354,17 @@ def prob_zero_estimate(spec: RecursionSpec, src: MarkSource, replicas: int,
                                                     max_depth, positive_ok=True):
             hits[rows] = depth > 0
     else:
+        # lag terms alpha - cumulative beta in windows doubling back from the
+        # epoch, up to the first positive one; np.cumsum over [carry, *window]
+        # sums in sequence, as one np.cumsum over all the lags would
         for r in range(replicas):
             rep, e = src.replica(r, 2 * max_depth)
-            xi, sigma, dpat = rep.window_arrays(e - max_depth, e - 1)
-            # alpha - cumulative beta at lags 1..max_depth
-            terms = spec.alpha_array(xi, sigma, dpat)[::-1] - np.cumsum(xi[::-1])
-            hits[r] = not terms.max() > 0.0
+            s, depth, take, hits[r] = np.zeros(1), 0, _FIRST_WIDTH, True
+            while hits[r] and depth < max_depth:
+                xi, sigma, dpat = rep.window_arrays(e - min(depth + take, max_depth), e - depth - 1)
+                s = np.cumsum(np.concatenate((s[-1:], xi[::-1])))
+                hits[r] = not (spec.alpha_array(sigma, dpat)[::-1] - s[1:] > 0.0).any()
+                depth, take = depth + xi.size, 2 * take
     return ProbZero(mc_aggregate(hits.tolist(), kind="binary"), exact=exact, replicas=replicas)
 
 
@@ -381,7 +386,7 @@ def coupling_time(spec: RecursionSpec, src: MarkSource, z1: float, z2: float,
     met: int | None = 0 if a == b else None
     n = 0  # steps taken before the window
     for xi, sigma, dpat in mark_windows(src.window_arrays, 0, horizon):
-        alpha = spec.alpha_array(xi, sigma, dpat)
+        alpha = spec.alpha_array(sigma, dpat)
         pa, pb = y_path(a, alpha, xi), y_path(b, alpha, xi)
         equal = np.equal(pa, pb)
         if met is None and equal.any():

@@ -28,7 +28,6 @@ from renege.fifo import END, Model
 from renege.marks import CapabilityError, MarkSource
 from renege.recursion import (
     _FIRST_FILL,
-    _SEARCH_LAGS,
     DepthExhaustedError,
     MarkWindowCache,
     RecursionSpec,
@@ -36,6 +35,7 @@ from renege.recursion import (
     renovation_offsets,
 )
 
+_FIRST_LAGS = 16  # the first chunk of lags a backward walk reads
 _CHUNK = 512  # the longest chunk of lags a backward walk reads at once
 
 
@@ -95,7 +95,7 @@ def _lag_terms(spec: RecursionSpec, src: MarkSource, epoch: int, depth: int,
         xi, sigma, dpat = cache.range(epoch - depth, epoch - 1)
     else:
         xi, sigma, dpat = src.window_arrays(epoch - depth, epoch - 1)
-    alpha = spec.alpha_array(xi, sigma, dpat)
+    alpha = spec.alpha_array(sigma, dpat)
     # lag j corresponds to array position depth - j
     cum_beta = np.cumsum(xi[::-1])
     return alpha[::-1] - cum_beta, cum_beta
@@ -158,13 +158,13 @@ def _backward_walk(spec: RecursionSpec, src: MarkSource, epoch: int, max_depth: 
     sequence; DepthExhaustedError past max_depth.  Chunks double up to _CHUNK."""
     s = 0.0
     depth = 0
-    chunk = _SEARCH_LAGS
+    chunk = _FIRST_LAGS
     while depth < max_depth:
         take = min(chunk, max_depth - depth)
         chunk = min(2 * chunk, _CHUNK)
         lo, hi = epoch - depth - take, epoch - depth - 1
         xi, sigma, dpat = cache.range(lo, hi) if cache is not None else src.window_arrays(lo, hi)
-        alpha = spec.alpha_array(xi, sigma, dpat)
+        alpha = spec.alpha_array(sigma, dpat)
         for al, be in zip(alpha[::-1].tolist(), xi[::-1].tolist()):
             depth += 1
             s = s + be
@@ -211,7 +211,7 @@ def renovation_search(spec: RecursionSpec, src: MarkSource, epoch: int, max_epoc
     k, width = -1, _FIRST_FILL
     while k < 0 and first <= max_epochs:
         xi, sigma, dpat = cache.range(epoch - first - width + 1, epoch - first)
-        alpha = spec.alpha_array(xi, sigma, dpat)
+        alpha = spec.alpha_array(sigma, dpat)
         (k,), _ = renovation_offsets(xi[None], alpha[None], bound, max_epochs - first, max_depth,
                                      -1 - k)
         width *= 2

@@ -432,6 +432,31 @@ def test_screen_without_candidates_reports_none_found(max_epochs, start):
     assert (k.tolist(), depth.tolist()) == ([max_epochs + 1], [0])
 
 
+# (_SEARCH_EPOCHS, _SEARCH_LAGS, _SEARCH_CELLS) of the screen's passes
+PASS_SHAPES = [(1, 1, 1 << 15), (3, 7, 1 << 15), (4, 4, 1 << 15), (16, 16, 1 << 15), (4, 4, 40)]
+
+
+@pytest.mark.parametrize("limits", [(10_000, 10_000), (3, 10_000), (10_000, 5)],
+                         ids=["open", "max_epochs-3", "max_depth-5"])
+@pytest.mark.parametrize("kind, spec", [("iid", SIGMA_PLUS_D), ("markov", D_ONLY),
+                                        ("deep", D_ONLY)], ids=["iid", "markov", "deep"])
+def test_screen_answers_do_not_depend_on_the_pass_shape(kind, spec, limits, monkeypatch):
+    # each candidate's lag sums are one sequential np.add.accumulate whatever
+    # the first pass, its doublings or the slices of replicas
+    src, (max_epochs, max_depth) = SOURCES[kind], limits
+    marks = src.replica_windows(range(40), 300, 96)
+    alpha, bound = spec.alpha_array(*marks[1:]), src.alpha_bound_for(spec.alpha_kind)
+    start = np.arange(40) % 6
+    want = [window_oracle(x.tolist(), a.tolist(), bound, max_epochs, max_depth, s)
+            for x, a, s in zip(marks[0], alpha, start.tolist())]
+    for epochs, lags, cells in PASS_SHAPES:
+        monkeypatch.setattr(recursion, "_SEARCH_EPOCHS", epochs)
+        monkeypatch.setattr(recursion, "_SEARCH_LAGS", lags)
+        monkeypatch.setattr(recursion, "_SEARCH_CELLS", cells)
+        k, depth = renovation_offsets(marks[0], alpha, bound, max_epochs, max_depth, start)
+        assert list(zip(k.tolist(), depth.tolist())) == want
+
+
 def _u(low, high):
     return {"dist": "uniform", "low": low, "high": high}
 

@@ -200,6 +200,42 @@ def test_replica_windows_match_window_arrays(name, origin, monkeypatch):
         assert not fallbacks
 
 
+@pytest.mark.parametrize("name, look", [("two-state", 16), ("delta-one", 1),
+                                        ("three-state", 64), ("delta-0.02", 64)])
+def test_replica_lookback_is_sized_by_delta(name, look):
+    # the shortest power of two up to _CHAIN_LOOKBACK missing a regeneration
+    # with probability (1 - delta)^(look + 1) <= 2^-9
+    src = _source(name)
+    miss = 1.0 - src._doeblin_parts[0]
+    assert src._lookback == look
+    assert look == _CHAIN_LOOKBACK or miss ** (look + 1) <= 2.0 ** -9
+    assert look == 1 or miss ** (look // 2 + 1) > 2.0 ** -9
+
+
+def test_sized_lookback_falls_back_where_it_misses_a_regeneration(monkeypatch):
+    # the two-state chain reads 16 blocks of lookback; the window of replica r
+    # starts at g, after a run of 17 indices without a regeneration
+    src, width = _source("two-state", seed=23), 8
+    look, delta = src._lookback, src._doeblin_parts[0]
+    assert look < _CHAIN_LOOKBACK
+    regen = (src._blocks(0, 50_000)[:, 0] >> np.uint64(11)) * _U53 < delta
+    g = int(np.flatnonzero(np.convolve(regen, np.ones(look + 1), "valid") == 0)[0]) + look
+    r = g + width - 1
+    fallbacks = []
+    scalar = MarkSource.window_arrays
+
+    def counted(self, lo, hi):
+        fallbacks.append(lo)
+        return scalar(self, lo, hi)
+    monkeypatch.setattr(MarkSource, "window_arrays", counted)
+    batch = src.replica_windows(range(r - 3, r + 4), 1, width)
+    monkeypatch.undo()
+    assert g in fallbacks
+    for i, e in enumerate(range(r - 3, r + 4)):
+        want = np.stack(src.window_arrays(e - width + 1, e))
+        assert np.array_equal(_bits(batch[:, i]), _bits(want))
+
+
 @pytest.mark.parametrize("name", sorted(CHAINS))
 def test_composition_with_a_replica_axis_matches_backward_scan(name):
     # rows of different lengths of lookback before a regeneration, composed

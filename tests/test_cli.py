@@ -323,40 +323,47 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys, where):
 DISCRETE = {"dist": "discrete", "atoms": [0.1, 0.3], "probs": [0.5, 0.5]}
 
 
-# (keys down to the bad value in "source", the value, what the error names)
-@pytest.mark.parametrize("path, value, named", [
-    (("seed",), "abc", "seed"),
-    (("seed",), None, "seed"),
-    (("seed",), [1], "seed"),
-    (("seed",), math.inf, "seed"),
-    (("stream",), "x", "stream"),
-    (("xi",), {"dist": "exponential", "rate": "fast"}, "rate"),
-    (("xi", "low"), "a", "low"),
-    (("sigma", "high"), None, "high"),
-    (("dpat",), dict(DISCRETE, atoms="13"), "atoms"),  # not the atoms 1.0 and 3.0
-    (("dpat",), dict(DISCRETE, probs=[0.5, "x"]), "probs"),
-    (("dpat",), dict(DISCRETE, probs=0.5), "probs"),
-    (("dpat",), dict(DISCRETE, probs=[math.nan, 1.0]), "probs"),
-    (("transition",), [[0.9, "a"], [0.3, 0.7]], "transition"),
-    (("transition",), 5, "transition"),
-    (("transition",), [[math.nan, 0.1], [0.3, 0.7]], "transition"),
-    (("states",), 5, "states"),
+# (id, keys down to the bad value in "source", the value, what the error names);
+# the ids are explicit, so removing a case renames no other
+MALFORMED = [
+    ("path0-abc-seed", ("seed",), "abc", "seed"),
+    ("path1-None-seed", ("seed",), None, "seed"),
+    ("path2-value2-seed", ("seed",), [1], "seed"),
+    ("path3-inf-seed", ("seed",), math.inf, "seed"),
+    ("path4-x-stream", ("stream",), "x", "stream"),
+    ("path5-value5-rate", ("xi",), {"dist": "exponential", "rate": "fast"}, "rate"),
+    ("path6-a-low", ("xi", "low"), "a", "low"),
+    ("path7-None-high", ("sigma", "high"), None, "high"),
+    ("path8-value8-atoms",  # not the atoms 1.0 and 3.0
+     ("dpat",), dict(DISCRETE, atoms="13"), "atoms"),
+    ("path9-value9-probs", ("dpat",), dict(DISCRETE, probs=[0.5, "x"]), "probs"),
+    ("path10-value10-probs", ("dpat",), dict(DISCRETE, probs=0.5), "probs"),
+    ("path11-value11-probs", ("dpat",), dict(DISCRETE, probs=[math.nan, 1.0]), "probs"),
+    ("path12-value12-transition", ("transition",), [[0.9, "a"], [0.3, 0.7]], "transition"),
+    ("path13-5-transition", ("transition",), 5, "transition"),
+    ("path14-value14-transition", ("transition",), [[math.nan, 0.1], [0.3, 0.7]], "transition"),
+    ("path15-5-states", ("states",), 5, "states"),
     # numbers of the wrong kind: neither truncated nor parsed
-    (("seed",), 4401.9, "seed"),
-    (("seed",), True, "seed"),
-    (("seed",), "4401", "seed"),
-    (("stream",), 2.5, "stream"),
-    (("stream",), False, "stream"),
-    (("xi",), {"dist": "exponential", "rate": "2.0"}, "rate"),
-    (("sigma",), {"dist": "truncated-exponential", "rate": 1.0, "cap": True}, "cap"),
-    (("xi", "low"), "0.2", "low"),
-    (("sigma", "high"), True, "high"),
-    (("dpat",), dict(DISCRETE, atoms=["0.1", 0.3]), "atoms"),
-    (("dpat",), dict(DISCRETE, probs=[True, False]), "probs"),
-    (("transition",), [[0.9, "0.1"], [0.3, 0.7]], "transition"),
-    (("transition",), [[True, False], [0.3, 0.7]], "transition"),
-    (("states", 1, "dpat", "high"), "1.0", "high"),
-])
+    ("path16-4401.9-seed", ("seed",), 4401.9, "seed"),
+    ("path17-True-seed", ("seed",), True, "seed"),
+    ("path18-4401-seed", ("seed",), "4401", "seed"),
+    ("path19-2.5-stream", ("stream",), 2.5, "stream"),
+    ("path20-False-stream", ("stream",), False, "stream"),
+    ("path21-value21-rate", ("xi",), {"dist": "exponential", "rate": "2.0"}, "rate"),
+    ("path22-value22-cap",
+     ("sigma",), {"dist": "truncated-exponential", "rate": 1.0, "cap": True}, "cap"),
+    ("path23-0.2-low", ("xi", "low"), "0.2", "low"),
+    ("path24-True-high", ("sigma", "high"), True, "high"),
+    ("path25-value25-atoms", ("dpat",), dict(DISCRETE, atoms=["0.1", 0.3]), "atoms"),
+    ("path26-value26-probs", ("dpat",), dict(DISCRETE, probs=[True, False]), "probs"),
+    ("path27-value27-transition", ("transition",), [[0.9, "0.1"], [0.3, 0.7]], "transition"),
+    ("path28-value28-transition", ("transition",), [[True, False], [0.3, 0.7]], "transition"),
+    ("path29-1.0-high", ("states", 1, "dpat", "high"), "1.0", "high"),
+]
+
+
+@pytest.mark.parametrize("path, value, named",
+                         [pytest.param(*case, id=name) for name, *case in MALFORMED])
 def test_malformed_source_values_exit_2(tmp_path, capsys, path, value, named):
     markov = path[0] in ("transition", "states")
     cfg = {"source": json.loads(json.dumps(MARKOV_SOURCE if markov else BOUNDED_SOURCE)),

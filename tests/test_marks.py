@@ -249,6 +249,30 @@ def test_blocks_match_generator_integers(seed, stream, g0, count):
     assert got.dtype == np.uint64 and np.array_equal(got, ref)
 
 
+_M64 = 2**64 - 1
+
+
+@pytest.mark.parametrize("seed, rows", [
+    # re-keyed rows at one start, as an iid batch reads them, up to stream 2^64 - 1
+    (20081, [(s, -31) for s in (0, 1, 2, 2**64 - 2, 2**64 - 1, 2**64, 3)]),
+    # one stream at spaced starts, as a Markov batch reads them
+    (20082, [(3, g) for g in (-80, 520, 520, 1120, -2)]),
+    # starts that wrap 2^256, negative starts, seed 2^64 - 1
+    (2**64 - 1, [(5, 2**256 - 2), (5, -(2**256) - 3), (2**64 - 1, -1), (0, 2**256 + 9)]),
+])
+def test_fetch_rows_match_philox_at_their_counters(seed, rows):
+    # each row from a Philox keyed [stream, seed] at counter g mod 2^256, into
+    # the first rows of a larger buffer
+    src = iid_source(Uniform(0.0, 1.0), Uniform(0.0, 1.0), Uniform(0.0, 1.0), seed=seed)
+    count, buffer = 5, np.zeros((len(rows) + 2, 5, 4), dtype=np.uint64)
+    got = src._fetch([s for s, _ in rows], [g for _, g in rows], count, buffer)
+    assert got.shape == (len(rows), count, 4) and np.shares_memory(got, buffer)
+    for (stream, g), words in zip(rows, got):
+        key = np.array([stream & _M64, seed & _M64], dtype=np.uint64)
+        bg = np.random.Philox(key=key, counter=g % 2**256)
+        assert np.array_equal(words, bg.random_raw(4 * count).reshape(count, 4))
+
+
 def test_substreams_differ(bounded_src):
     assert bounded_src.substream(1).mark_at(0) != bounded_src.mark_at(0)
     assert bounded_src.substream(0).mark_at(0) == bounded_src.mark_at(0)

@@ -18,6 +18,7 @@ from renege import (
     coupling_time,
     deterministic_source,
     iid_source,
+    mc_aggregate,
     prob_zero_estimate,
     step,
 )
@@ -49,6 +50,9 @@ class SequenceSource:
 
     def alpha_bound_for(self, kind):
         return self.bound
+
+    def replica(self, r, spacing):
+        return self, r * spacing
 
 
 def test_step_examples():
@@ -160,6 +164,39 @@ def test_prob_zero_approximate_flag():
     assert 0.0 <= pz.estimate.point <= 1.0
 
 
+# the forward benchmark workload's source: M/M/1+M, no bound on alpha
+FORWARD = iid_source(Exponential(0.9), Exponential(1.0), Exponential(0.5), seed=20083)
+
+
+@pytest.mark.parametrize("max_depth", [7, 10_000])
+@pytest.mark.parametrize("spec", [SIGMA_PLUS_D, SIGMA_MIN_D], ids=["sigma_plus_d", "sigma_min_d"])
+def test_truncated_prob_zero_matches_the_whole_window_walk(spec, max_depth):
+    # the estimate stops at each replica's first positive lag term; the
+    # oracle's truncated supremum reads all max_depth lags in one window.
+    # Replica r of an iid source is replica 0 of its substream r.
+    replicas = 40
+    want = [backward_supremum(spec, *FORWARD.replica(r, 2 * max_depth), max_depth,
+                              exact=False).value == 0.0 for r in range(replicas)]
+    got = [prob_zero_estimate(spec, FORWARD.substream(r), 1, max_depth).estimate.point == 1.0
+           for r in range(replicas)]
+    assert got == want and any(want) and not all(want)
+    pz = prob_zero_estimate(spec, FORWARD, replicas, max_depth)
+    assert not pz.exact
+    assert pz.estimate == mc_aggregate([float(h) for h in want], kind="binary")
+
+
+@pytest.mark.parametrize("lag", [1, 32, 33, 95, 96, 97, 200])
+def test_truncated_prob_zero_finds_a_positive_term_in_any_window(lag):
+    # xi is 2 at every index, so the one positive term is 0.5 at `lag`; the
+    # estimate reads the lags in windows 1..32, 33..96 and 97..224
+    src = SequenceSource({-lag: 2.0 * lag + 0.5}, bound=None)
+    for max_depth in {max(lag - 1, 1), lag, 224}:
+        zero = backward_supremum(D_ONLY, src, 0, max_depth, exact=False).value == 0.0
+        assert zero == (lag > max_depth)
+        pz = prob_zero_estimate(D_ONLY, src, 1, max_depth)
+        assert not pz.exact and pz.estimate.point == float(zero)
+
+
 def test_coupling_time_examples():
     assert coupling_time(SIGMA_PLUS_D, DET_SUB, 4.0, 4.0, 10) == 0
     assert coupling_time(SIGMA_PLUS_D, DET_SUB, 0.0, 5.0, 100) == 5
@@ -196,7 +233,7 @@ values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]),
 def test_y_path_matches_repeated_step(spec, mark_list, start, free):
     # grid marks put states on alpha (y == alpha) often, and on 0
     xi, sigma, dpat = (np.array(c) for c in zip(*mark_list))
-    alpha = spec.alpha_array(xi, sigma, dpat)
+    alpha = spec.alpha_array(sigma, dpat)
     y0 = y = {"zero": 0.0, "at_alpha": float(alpha[0]), "free": free}[start]
     want = []
     for x, s, d in mark_list:

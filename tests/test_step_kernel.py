@@ -85,9 +85,9 @@ def _columns(cell_list):
 def test_kernel_matches_scalar_steps_and_where_forms(model, cell_list):
     model = MODELS[model]
     x, s, d, ym, w, yp = _columns(cell_list)
-    alpha_up = model.dominating.alpha_array(x, s, d)
+    alpha_up = model.dominating.alpha_array(s, d)
     y, out = np.stack((ym, w, yp)), np.empty((3, x.size))
-    fifo._step(model, y, np.stack((SIGMA_MIN_D.alpha_array(x, s, d), alpha_up)), x, s, d,
+    fifo._step(model, y, np.stack((SIGMA_MIN_D.alpha_array(s, d), alpha_up)), x, s, d,
                out, np.empty(x.size, dtype=bool))
     marks = [MarkTriple(*m) for m in zip(x.tolist(), s.tolist(), d.tolist())]
     want = [[step(v, m, SIGMA_MIN_D) for v, m in zip(ym.tolist(), marks)],
@@ -151,7 +151,7 @@ def test_replay_rows_with_masked_rows(model, seed):
     marks[2, ::3] = marks[1, ::3]
     k = rng.integers(-1, width, rows)
     k[:4] = -1, 0, width - 1, 1
-    alpha_up = model.dominating.alpha_array(*marks)
+    alpha_up = model.dominating.alpha_array(*marks[1:])
     got = fifo._replay_rows(model, marks, alpha_up, k)
     assert _hex(got) == _hex(_where_replay_rows(model, marks, alpha_up, k))
     for r in range(rows):
