@@ -40,7 +40,6 @@ from .recursion import (
     step,
 )
 from .fifo_begin import (
-    StationarySample,
     fifo_step,
     forward_samples,
     loss_probability_begin,

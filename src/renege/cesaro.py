@@ -9,7 +9,8 @@ invariance, reports tightness via quantiles against the dominating sequence,
 and tracks the mass the trajectory puts just above the patience mark, which
 is the quantity whose vanishing drives the continuity argument.  A measure
 is n equal atoms, one per sample point, so each distinct value's mass is its
-count times 1/n.
+count times 1/n; the trajectory's measure holds the path itself, which the
+boundary mass and the tightness report read instead of walking it again.
 """
 
 from __future__ import annotations
@@ -60,29 +61,27 @@ class EmpiricalMeasure:
 
 def kolmogorov_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """sup_x |F_a(x) - F_b(x)| for atomic measures."""
-    va, ma = a.grouped()
-    vb, mb = b.grouped()
-    ca, cb = np.cumsum(ma), np.cumsum(mb)
+    (va, ma), (vb, mb) = a.grouped(), b.grouped()
     pooled = np.union1d(va, vb)
-    fa = np.where(np.searchsorted(va, pooled, side="right") > 0,
-                  ca[np.searchsorted(va, pooled, side="right") - 1], 0.0)
-    fb = np.where(np.searchsorted(vb, pooled, side="right") > 0,
-                  cb[np.searchsorted(vb, pooled, side="right") - 1], 0.0)
+    ia, ib = np.searchsorted(va, pooled, side="right"), np.searchsorted(vb, pooled, side="right")
+    fa = np.where(ia > 0, np.cumsum(ma)[ia - 1], 0.0)
+    fb = np.where(ib > 0, np.cumsum(mb)[ib - 1], 0.0)
     return float(np.abs(fa - fb).max())
 
 
 def cesaro_distribution(src: MarkSource, n: int, model: str) -> EmpiricalMeasure:
     """Uniform mixture of the laws of the first n workload states from 0,
     realized as the occupation measure of a single trajectory (ergodic
-    surrogate)."""
+    surrogate): values are w_1..w_n in order, the path that boundary_mass and
+    tightness_report read."""
     if n < 1:
         raise ValueError("n must be >= 1")
     values = np.array(_model(model).w_path(0.0, *src.window_arrays(0, n - 1)))  # w_1..w_n
     return EmpiricalMeasure(values=values, n_steps=n, model=model)
 
 
-def invariance_distance(mu: EmpiricalMeasure, src: MarkSource, model: str) -> float:
-    """Distance of mu from one-step invariance under the model's random map.
+def invariance_distance(mu: EmpiricalMeasure, src: MarkSource) -> float:
+    """Distance of mu from one-step invariance under the random map of its model.
 
     Each sample point is pushed one step with a fresh independent mark, and
     the result is the Kolmogorov distance between mu and the equal mixture of
@@ -91,7 +90,7 @@ def invariance_distance(mu: EmpiricalMeasure, src: MarkSource, model: str) -> fl
     it must vanish.
     """
     marks = src.substream(_PUSH_STREAM).window_arrays(0, mu.values.size - 1)
-    pushed = _model(model).step_array(mu.values, *marks)
+    pushed = _model(mu.model).step_array(mu.values, *marks)
     half = EmpiricalMeasure(values=np.concatenate([mu.values, pushed]), n_steps=mu.n_steps,
                             model=mu.model)
     return kolmogorov_distance(mu, half)
@@ -107,36 +106,37 @@ class TightnessReport:
     ordered_ok: bool
 
 
-def tightness_report(src: MarkSource, n: int, levels=(0.5, 0.9, 0.99, 0.999)) -> TightnessReport:
-    """Per-level quantiles of W (begin model, from 0) and of the dominating
-    recursion L (alpha = sigma+dpat, same marks, from 0).
+def tightness_report(mu: EmpiricalMeasure, src: MarkSource,
+                     levels=(0.5, 0.9, 0.99, 0.999)) -> TightnessReport:
+    """Per-level quantiles of W, the begin-model path of cesaro_distribution,
+    and of the dominating recursion L (alpha = sigma+dpat, same marks, from
+    0); ValueError for a measure of another model.
 
     W <= L pathwise, so every quantile row must be ordered; uniform control
     of the L quantiles is what makes the averaged law tight.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    xi, sigma, dpat = src.window_arrays(0, n - 1)
-    w_traj = BEGIN.w_path(0.0, xi, sigma, dpat)
+    if mu.model != BEGIN.name:
+        raise ValueError(f"tightness needs the begin model's path, got model {mu.model!r}")
+    xi, sigma, dpat = src.window_arrays(0, mu.values.size - 1)
     l_traj = y_path(0.0, BEGIN.dominating.alpha_array(sigma, dpat), xi)
-    wq = tuple(float(q) for q in np.quantile(w_traj, levels))
+    wq = tuple(float(q) for q in np.quantile(mu.values, levels))
     lq = tuple(float(q) for q in np.quantile(l_traj, levels))
     ordered = all(a <= b for a, b in zip(wq, lq))
     return TightnessReport(levels=tuple(levels), w_quantiles=wq, l_quantiles=lq,
                            ordered_ok=ordered)
 
 
-def boundary_mass(src: MarkSource, n: int, p: int, model: str) -> float:
-    """Fraction of the first n steps with the workload strictly inside
-    (D_i, D_i + 2^-p), D_i the patience of the observing customer.
+def boundary_mass(mu: EmpiricalMeasure, src: MarkSource, p: int) -> float:
+    """Fraction of the steps of mu's path w_1..w_n (cesaro_distribution) with
+    the workload strictly inside (D_i, D_i + 2^-p), D_i the patience of the
+    customer observing w_i.
 
     The trend in p (nonincreasing at fixed large n) is the empirical shadow
     of the vanishing boundary mass that the averaged construction needs; it
     is reported, not asserted pointwise.
     """
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be >= 1")
-    xi, sigma, dpat = src.window_arrays(0, n)
-    w = np.array(_model(model).w_path(0.0, xi[:n], sigma[:n], dpat[:n]))
-    d = dpat[1:]  # the patience of the customer observing each state
-    return int(np.count_nonzero((d < w) & (w < d + 2.0 ** (-p)))) / n
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    w = mu.values
+    d = src.window_arrays(1, w.size)[2]
+    return int(np.count_nonzero((d < w) & (w < d + 2.0 ** (-p)))) / w.size

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .cesaro import boundary_mass, cesaro_distribution, invariance_distance, tightness_report
 from .des import Scenario, cross_validate_recursion, regeneration_stats, simulate
-from .estimation import TruncationError, mc_aggregate
+from .estimation import mc_aggregate
 from .fifo import (
     BEGIN,
     END,
@@ -246,15 +246,15 @@ def _replica_rows(kind: str, src: MarkSource, params: dict, lo: int, hi: int) ->
     limits = params["max_epochs"], params["max_depth"]
     if kind == "loss":
         return exact_loss_rows(model, src, lo, hi, *limits)
-    # sampled replicas of a non-iid source sit further apart than loss rows
-    spacing = max(2 * params["max_depth"], params["warmup"])
     if params["mode"] == "exact":
-        return exact_sample_rows(model, src, lo, hi, *limits, spacing)
+        return exact_sample_rows(model, src, lo, hi, *limits)
+    # approximate draws of a non-iid source sit further apart than their warm-up
+    spacing = max(2 * params["max_depth"], params["warmup"])
     rows = []
     for r in range(lo, hi):
         rep, e = src.replica(r, spacing)
-        smp = sample_stationary(model, rep.shift(e), warmup=params["warmup"])
-        rows.append((r, smp.value, smp.method, None, None))
+        w = sample_stationary(model, rep.shift(e), warmup=params["warmup"])
+        rows.append((r, w, "forward-approximate", None, None))
     return rows
 
 
@@ -434,9 +434,11 @@ def _exp_cesaro(cfg, out_dir, workers, src) -> int:
     p = _get(cfg, "run", "boundary_p", 10, strict_int, 1)
     levels = _get(cfg, "run", "quantiles", [0.5, 0.9, 0.99, 0.999], _levels)
     mu = cesaro_distribution(src, n, model)
-    inv = invariance_distance(mu, src, model)
-    bmass = boundary_mass(src, n, p, model)
-    tight = tightness_report(src, n, tuple(levels))
+    inv = invariance_distance(mu, src)
+    bmass = boundary_mass(mu, src, p)
+    # the tightness block is the begin model's, whatever the run's model
+    begin = mu if model == BEGIN.name else cesaro_distribution(src, n, BEGIN.name)
+    tight = tightness_report(begin, src, tuple(levels))
     results = {
         "model": model,
         "mode": "trajectory",
@@ -539,8 +541,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CapabilityError, RenovationNotFoundError, DepthExhaustedError,
-            TruncationError) as exc:
+    except (CapabilityError, RenovationNotFoundError, DepthExhaustedError) as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
 

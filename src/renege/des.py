@@ -276,8 +276,6 @@ class RegenReport:
     recursions."""
 
     stats: PathStatistics
-    l_zero_freq: float
-    m_zero_freq: float
     sufficient_alpha: str
     p_zero_sufficient: ProbZero
     p_zero_necessary: ProbZero
@@ -298,12 +296,8 @@ def regeneration_stats(scn: Scenario, sim: tuple[CustomerColumns, PathStatistics
     suff_spec = MODELS[scn.impatience].dominating
     p_suff = prob_zero_estimate(suff_spec, scn.source, replicas, max_depth)
     p_nec = prob_zero_estimate(SIGMA_MIN_D, scn.source, replicas, max_depth)
-    return RegenReport(stats=stats,
-                       l_zero_freq=stats.l_zero_arrival_freq,
-                       m_zero_freq=stats.m_zero_arrival_freq,
-                       sufficient_alpha=suff_spec.alpha_kind,
-                       p_zero_sufficient=p_suff,
-                       p_zero_necessary=p_nec)
+    return RegenReport(stats=stats, sufficient_alpha=suff_spec.alpha_kind,
+                       p_zero_sufficient=p_suff, p_zero_necessary=p_nec)
 
 
 def workload_before_arrivals(records: CustomerColumns) -> np.ndarray:

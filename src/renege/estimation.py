@@ -51,17 +51,16 @@ def wilson(successes: float, n: int) -> Estimate:
                     n=n, kind="wilson")
 
 
-def mc_aggregate(values, kind: str = "auto") -> Estimate:
+def mc_aggregate(values, kind: str) -> Estimate:
     """Mean of replica outcomes with a 95% CI.
 
-    Binary data gets a Wilson interval, real data a t interval.  Sums use
-    math.fsum, so the result is exact in the inputs and permutation invariant.
+    Binary data (kind "binary") gets a Wilson interval, real data (kind
+    "real") a t interval.  Sums use math.fsum, so the result is exact in the
+    inputs and permutation invariant.
     """
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("cannot aggregate an empty list")
-    if kind == "auto":
-        kind = "binary" if all(v in (0.0, 1.0) for v in vals) else "real"
     n = len(vals)
     if kind == "binary":
         if any(v not in (0.0, 1.0) for v in vals):

@@ -78,18 +78,6 @@ _SEGMENT = 64
 
 
 @dataclass(frozen=True)
-class StationarySample:
-    """One forward draw of the stationary workload, tagged with its method."""
-
-    value: float
-    method: str = "forward-approximate"
-
-    def __post_init__(self):
-        if not (np.isfinite(self.value) and self.value >= 0.0):
-            raise ValueError(f"workload must be finite and >= 0, got {self.value}")
-
-
-@dataclass(frozen=True)
 class Model:
     """What one single-server model needs beyond the shared drivers.
 
@@ -377,40 +365,34 @@ def _advance(model: Model, src: MarkSource, lo: int, hi: int, state: tuple) -> t
     return state, counts
 
 
-def sample_stationary(model: Model, src: MarkSource,
-                      warmup: int = DEFAULT_WARMUP) -> StationarySample:
+def sample_stationary(model: Model, src: MarkSource, warmup: int = DEFAULT_WARMUP) -> float:
     """Stationary workload at epoch 0, approximately: iterated forward from 0
     over `warmup` arrivals.  Exact draws are the rows of exact_sample_rows."""
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
     (w,), _ = _advance(model, src, -warmup, 0, (0.0,))
-    return StationarySample(w)
+    return w
 
 
 def forward_samples(model: Model, src: MarkSource, count: int, warmup: int = DEFAULT_WARMUP,
-                    spacing: int = 1, with_marks: bool = False):
-    """Workload states from one forward trajectory started empty.
-
-    Records the state seen by customers warmup, warmup+spacing, ... (the
-    state before that customer's mark is applied).  With with_marks=True also
-    returns the (sigma, dpat) of the recording customers, preserving the
-    joint law needed for loss estimation.
-    """
+                    spacing: int = 1) -> np.ndarray:
+    """Workload states from one forward trajectory started empty: the states
+    seen by customers warmup, warmup+spacing, ... (before that customer's
+    mark is applied)."""
     if count < 1 or spacing < 1 or warmup < 0:
         raise ValueError("count and spacing must be >= 1, warmup >= 0")
     total = warmup + (count - 1) * spacing + 1
-    out = np.empty((3, count))  # rows: state, sigma, dpat of the recording customers
+    out = np.empty(count)
     (w,), _ = _advance(model, src, 0, warmup, (0.0,))
     a = taken = 0
-    for xi, sigma, dpat in mark_windows(src.window_arrays, warmup, total):
-        seen = [w] + model.w_path(w, xi, sigma, dpat)  # before each arrival, then after
+    for marks in mark_windows(src.window_arrays, warmup, total):
+        seen = [w] + model.w_path(w, *marks)  # before each arrival, then after
         w = seen.pop()
-        at = slice(-a % spacing, None, spacing)
-        got = seen[at]
-        out[:, taken:taken + len(got)] = got, sigma[at], dpat[at]
+        got = seen[-a % spacing::spacing]
+        out[taken:taken + len(got)] = got
         taken += len(got)
-        a += xi.size
-    return (out[0], out[1], out[2]) if with_marks else out[0]
+        a += marks.shape[1]
+    return out
 
 
 def _report(model: Model, src: MarkSource, counts, samples: int, method: str) -> LossReport:
@@ -449,24 +431,24 @@ def _replay_rows(model: Model, marks: np.ndarray, alpha_up: np.ndarray,
 def exact_loss_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
                     max_depth: int) -> list[tuple]:
     """Per-replica exact rows (replica, ym, W, yp, *row marks) at the
-    replica's own epoch (MarkSource.replica, spacing 2*max_depth), replayed
-    from its nearest renovation epoch (_batch_rows)."""
-    return _batch_rows(model, src, lo, hi, max_epochs, max_depth, 2 * max_depth, 0)
+    replica's own epoch, replayed from its nearest renovation epoch
+    (_batch_rows)."""
+    return _batch_rows(model, src, lo, hi, max_epochs, max_depth, 0)
 
 
 def exact_sample_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
-                      max_depth: int, spacing: int) -> list[tuple]:
+                      max_depth: int) -> list[tuple]:
     """Per-replica exact draws (replica, W, method, renovation epoch,
-    certificate depth) of W at replica r's epoch (MarkSource.replica at
-    `spacing`), replayed from its nearest renovation epoch strictly before it
-    (_batch_rows)."""
-    return _batch_rows(model, src, lo, hi, max_epochs, max_depth, spacing, 1)
+    certificate depth) of W at replica r's epoch, the loss row's, replayed
+    from its nearest renovation epoch strictly before it (_batch_rows)."""
+    return _batch_rows(model, src, lo, hi, max_epochs, max_depth, 1)
 
 
 def _batch_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
-                max_depth: int, spacing: int, first: int) -> list[tuple]:
-    """Exact rows of the replicas lo..hi-1, spaced `spacing` apart: loss rows
-    (first=0) or sample rows, whose renovation search starts at k = first = 1.
+                max_depth: int, first: int) -> list[tuple]:
+    """Exact rows of the replicas lo..hi-1, at the epochs where
+    recursion.screen_replicas places them: loss rows (first=0) or sample
+    rows, whose renovation search starts at k = first = 1.
 
     recursion.screen_replicas screens the model's dominating recursion over
     the replicas' windows, _BATCH replicas at a time, widening the rows it
@@ -484,7 +466,7 @@ def _batch_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int
     vals = np.empty((5, hi - lo))  # ym, w, yp, sigma, dpat
     dist, certs = np.empty((2, hi - lo), dtype=np.intp)  # renovation distance, certificate depth
     for rows, marks, alpha_up, k, depth in screen_replicas(
-            model.dominating, src, lo, hi, spacing, max_epochs, max_depth, first):
+            model.dominating, src, lo, hi, max_epochs, max_depth, first):
         i = rows - lo
         vals[:3, i] = _replay_rows(model, marks, alpha_up, np.where(depth > 0, k, 0))
         vals[3:, i] = marks[1:, :, -1]

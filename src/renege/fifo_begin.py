@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import partial
 
 from . import fifo
-from .fifo import BEGIN, DEFAULT_WARMUP, StationarySample  # noqa: F401  (public names)
+from .fifo import BEGIN, DEFAULT_WARMUP  # noqa: F401  (public names)
 
 fifo_step = BEGIN.mark_step
 sample_stationary_w = partial(fifo.sample_stationary, BEGIN)

@@ -26,7 +26,6 @@ import numpy as np
 from numpy.random import Philox
 
 _MASK64 = (1 << 64) - 1
-_COUNTER_MOD = 1 << 256
 _U53 = 2.0 ** -53
 # Blocks per Philox read of a window: 64 KB of raw words, which the heap hands
 # back for the next read instead of mapping fresh pages.  A Markov window reads
@@ -487,7 +486,9 @@ class MarkSource:
             key[0] = stream & _MASK64
             if g != at:  # re-keyed rows share one start: set it once
                 at = g
-                counter[:] = [(g % _COUNTER_MOD >> b) & _MASK64 for b in (0, 64, 128, 192)]
+                # the words of g mod 2^256: >> is arithmetic on negative ints
+                counter[:] = [g & _MASK64, (g >> 64) & _MASK64, (g >> 128) & _MASK64,
+                              (g >> 192) & _MASK64]
             bg.state = state
             yield bg
 

@@ -234,12 +234,13 @@ def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epoc
     return np.where(out < 0, -1 - k, out), depth
 
 
-def screen_replicas(spec: RecursionSpec, src: MarkSource, lo: int, hi: int, spacing: int,
-                    max_epochs: int, max_depth: int, first: int = 0, positive_ok: bool = False):
-    """Renovation screen of the replicas lo..hi-1 (MarkSource.replica at
-    `spacing`): for each, the nearest candidate epoch e - k, k =
-    first..max_epochs, e its epoch, where the spec's recursion is
-    certifiably 0.
+def screen_replicas(spec: RecursionSpec, src: MarkSource, lo: int, hi: int, max_epochs: int,
+                    max_depth: int, first: int = 0, positive_ok: bool = False):
+    """Renovation screen of the replicas lo..hi-1: for each, the nearest
+    candidate epoch e - k, k = first..max_epochs, e its epoch, where the
+    spec's recursion is certifiably 0.  This is the one place exact replicas
+    are placed, loss rows, sample draws and zero estimates alike: replica r
+    at MarkSource.replica(r, 2*max_depth).
 
     Yields (rows, marks, alpha, k, depth) for every window it fetches: the
     replica indices, their marks (3, rows, width) ending at e, the spec's
@@ -274,7 +275,7 @@ def screen_replicas(spec: RecursionSpec, src: MarkSource, lo: int, hi: int, spac
             "marginals give none (use uniform, truncated-exponential, discrete or "
             "deterministic marginals)")
     if max_depth < 1:
-        raise _stopped(src, lo, spacing, bound, max_epochs, max_depth, 0.0)
+        raise _stopped(src, lo, bound, max_epochs, max_depth, 0.0)
     for a in range(lo, hi, _BATCH):
         n = min(_BATCH, hi - a)
         # k: the renovation distance, or -1 - the candidate an undecided row's
@@ -284,7 +285,7 @@ def screen_replicas(spec: RecursionSpec, src: MarkSource, lo: int, hi: int, spac
         while todo.size:
             undecided, step, cut = [], max(1, _BATCH * _FIRST_WIDTH // width), width - first
             for part in (todo[b:b + step] for b in range(0, todo.size, step)):
-                marks = src.replica_windows((part + a).tolist(), spacing, width)
+                marks = src.replica_windows((part + a).tolist(), 2 * max_depth, width)
                 alpha = spec.alpha_array(*marks[1:])
                 kp, dp = renovation_offsets(marks[0, :, :cut], alpha[:, :cut], bound,
                                             max_epochs - first, max_depth, -1 - k[part])
@@ -302,16 +303,16 @@ def screen_replicas(spec: RecursionSpec, src: MarkSource, lo: int, hi: int, spac
             width *= 2
         if stopped.size:
             i = stopped[0]
-            raise _stopped(src, a + int(i), spacing, bound, max_epochs, max_depth,
+            raise _stopped(src, a + int(i), bound, max_epochs, max_depth,
                            float(beta[i]) if k[i] <= max_epochs else None)
 
 
-def _stopped(src: MarkSource, r: int, spacing: int, bound: float, max_epochs: int,
-             max_depth: int, beta: float | None) -> RuntimeError:
+def _stopped(src: MarkSource, r: int, bound: float, max_epochs: int, max_depth: int,
+             beta: float | None) -> RuntimeError:
     """The error of replica r, which max_depth stopped with the cumulative
     beta `beta` or, with beta None, max_epochs stopped: the message of the
     scalar walk, prefixed by the replica and its epoch e."""
-    e = src.replica(r, spacing)[1]
+    e = src.replica(r, 2 * max_depth)[1]
     if beta is None:
         return RenovationNotFoundError(
             f"replica {r} at epoch {e}: no certified zero epoch within {max_epochs} epochs of "
@@ -328,7 +329,6 @@ class ProbZero:
 
     estimate: Estimate
     exact: bool
-    replicas: int
 
 
 def prob_zero_estimate(spec: RecursionSpec, src: MarkSource, replicas: int,
@@ -350,8 +350,8 @@ def prob_zero_estimate(spec: RecursionSpec, src: MarkSource, replicas: int,
     exact = src.alpha_bound_for(spec.alpha_kind) is not None
     hits = np.zeros(replicas)
     if exact:
-        for rows, _, _, _, depth in screen_replicas(spec, src, 0, replicas, 2 * max_depth, 0,
-                                                    max_depth, positive_ok=True):
+        for rows, _, _, _, depth in screen_replicas(spec, src, 0, replicas, 0, max_depth,
+                                                    positive_ok=True):
             hits[rows] = depth > 0
     else:
         # lag terms alpha - cumulative beta in windows doubling back from the
@@ -365,7 +365,7 @@ def prob_zero_estimate(spec: RecursionSpec, src: MarkSource, replicas: int,
                 s = np.cumsum(np.concatenate((s[-1:], xi[::-1])))
                 hits[r] = not (spec.alpha_array(sigma, dpat)[::-1] - s[1:] > 0.0).any()
                 depth, take = depth + xi.size, 2 * take
-    return ProbZero(mc_aggregate(hits.tolist(), kind="binary"), exact=exact, replicas=replicas)
+    return ProbZero(mc_aggregate(hits.tolist(), kind="binary"), exact=exact)
 
 
 def coupling_time(spec: RecursionSpec, src: MarkSource, z1: float, z2: float,

@@ -83,7 +83,7 @@ def test_c03_exact_sampling_matches_forward_simulation():
     src = iid_source(Uniform(0.5, 1.5), Uniform(0.0, 0.8), Uniform(0.0, 0.4), seed=30303)
     t0 = time.perf_counter()
     exact = np.array([row[1] for row in exact_sample_rows(BEGIN, src, 0, 10_000, 10_000,
-                                                              10_000, 1)])
+                                                              10_000)])
     forward = forward_samples(src.substream(10_000_019), 10_000, warmup=100_000, spacing=10)
     dt = time.perf_counter() - t0
     d = ks_two_sample(exact, forward)
@@ -157,7 +157,7 @@ def test_c09_weak_stationarity_desk_case():
     target = {0.0: 0.5, 0.5: 0.5}
     tv = 0.5 * (sum(abs(masses[i] - target.get(v, 0.0)) for i, v in enumerate(vals.tolist()))
                 + sum(p for v, p in target.items() if v not in vals.tolist()))
-    inv = invariance_distance(mu, src, "begin")
+    inv = invariance_distance(mu, src)
     _criterion(9, tv <= 1e-3 and inv == 0.0,
                f"TV to (delta_0+delta_0.5)/2 = {tv:.2e} <= 1e-3, invariance distance {inv}")
 

@@ -12,7 +12,7 @@ PARAMETERS = {
     "binomial_se": ("p", "n"),
     "birth_death_abandonment": ("oracle",),
     "birth_death_stationary": ("oracle",),
-    "boundary_mass": ("src", "n", "p", "model"),
+    "boundary_mass": ("mu", "src", "p"),
     "cesaro_distribution": ("src", "n", "model"),
     "compare_disciplines": ("src", "horizon"),
     "coupling_time": ("spec", "src", "z1", "z2", "horizon"),
@@ -20,10 +20,10 @@ PARAMETERS = {
     "deterministic_source": ("xi", "sigma", "dpat", "seed", "stream"),
     "end_step": ("s", "mark"),
     "fifo_step": ("w", "mark"),
-    "forward_samples": ("src", "count", "warmup", "spacing", "with_marks"),
+    "forward_samples": ("src", "count", "warmup", "spacing"),
     "forward_samples_end": ("src", "count", "warmup", "spacing"),
     "iid_source": ("xi", "sigma", "dpat", "seed", "stream"),
-    "invariance_distance": ("mu", "src", "model"),
+    "invariance_distance": ("mu", "src"),
     "kolmogorov_distance": ("a", "b"),
     "ks_two_sample": ("a", "b"),
     "loss_metrics_end": ("src", "samples", "mode", "max_epochs", "max_depth", "warmup"),
@@ -37,7 +37,7 @@ PARAMETERS = {
     "simulate": ("scn",),
     "source_from_config": ("cfg",),
     "step": ("y", "mark", "spec"),
-    "tightness_report": ("src", "n", "levels"),
+    "tightness_report": ("mu", "src", "levels"),
     "wilson": ("successes", "n"),
     "workload_before_arrivals": ("records",),
 }
@@ -49,6 +49,11 @@ def test_exported_function_parameters_are_unchanged():
     assert got == PARAMETERS
 
 
+def test_aggregation_kind_is_required():
+    # no "auto" kind: each caller names binary or real data
+    kind = inspect.signature(renege.mc_aggregate).parameters["kind"]
+    assert kind.default is inspect.Parameter.empty
+
 
 # the scalar renovation search and what it served, now test oracles (tests/oracles.py)
 MOVED = ("backward_supremum", "certified_zero", "exact_triple_at", "exact_triple_end",
@@ -59,3 +64,13 @@ MOVED = ("backward_supremum", "certified_zero", "exact_triple_at", "exact_triple
 
 def test_scalar_oracles_are_not_exported():
     assert [name for name in MOVED if hasattr(renege, name)] == []
+
+
+# fields and records with one value or no reader, deleted
+REMOVED = ("StationarySample",)
+
+
+def test_removed_names_are_not_exported():
+    assert [name for name in REMOVED if hasattr(renege, name)] == []
+    assert not {"l_zero_freq", "m_zero_freq"} & set(renege.RegenReport.__dataclass_fields__)
+    assert "replicas" not in renege.ProbZero.__dataclass_fields__

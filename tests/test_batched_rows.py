@@ -105,10 +105,11 @@ def oracle_rows(model, src, lo, hi, max_epochs, max_depth):
     return rows
 
 
-def sample_oracle(model, src, lo, hi, max_epochs, max_depth, spacing):
+def sample_oracle(model, src, lo, hi, max_epochs, max_depth):
+    """Sample rows one replica at a time, at the loss rows' epochs."""
     rows = []
     for r in range(lo, hi):
-        rep, e = src.replica(r, spacing)
+        rep, e = src.replica(r, 2 * max_depth)
         smp = sample_stationary(model, rep.shift(e), max_epochs, max_depth)
         rows.append((r, smp.value, smp.method, smp.renovation_epoch, smp.certificate.depth))
     return rows
@@ -156,9 +157,9 @@ def test_markov_replicas_take_no_scalar_path(kind):
     # the default limits stop no row: every row is certified in the batch
     src = SOURCES[kind]
     rows = exact_loss_rows(END, src, 0, 120, 10_000, 10_000)
-    samples = exact_sample_rows(BEGIN, src, 0, 120, 10_000, 10_000, 20_000)
+    samples = exact_sample_rows(BEGIN, src, 0, 120, 10_000, 10_000)
     assert hexed(rows) == hexed(oracle_rows(END, src, 0, 120, 10_000, 10_000))
-    assert hexed(samples) == hexed(sample_oracle(BEGIN, src, 0, 120, 10_000, 10_000, 20_000))
+    assert hexed(samples) == hexed(sample_oracle(BEGIN, src, 0, 120, 10_000, 10_000))
 
 
 def test_shallow_replicas_stay_in_the_batch():
@@ -189,8 +190,8 @@ def test_narrow_first_windows_widen_to_the_scalar_rows(model, kind, first_width,
     monkeypatch.setattr(recursion, "_BATCH", 16)
     assert hexed(exact_loss_rows(model, src, 3, 40, 10_000, 400)) == \
         hexed(oracle_rows(model, src, 3, 40, 10_000, 400))
-    assert hexed(exact_sample_rows(model, src, 3, 40, 10_000, 400, 1000)) == \
-        hexed(sample_oracle(model, src, 3, 40, 10_000, 400, 1000))
+    assert hexed(exact_sample_rows(model, src, 3, 40, 10_000, 400)) == \
+        hexed(sample_oracle(model, src, 3, 40, 10_000, 400))
     want = [outcome(lambda: oracle_rows(model, src, 3, 40, *limits)) for limits in LIMITS]
     assert any(isinstance(w, tuple) for w in want)
     got = [outcome(lambda: exact_loss_rows(model, src, 3, 40, *limits)) for limits in LIMITS]
@@ -200,32 +201,41 @@ def test_narrow_first_windows_widen_to_the_scalar_rows(model, kind, first_width,
 @pytest.mark.parametrize("kind", sorted(SOURCES))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_sample_rows_match_the_sampler(model, kind, monkeypatch):
-    # the sampler's spacing max(2*max_depth, warmup) at warmup 1000
     model, src = MODELS[model], SOURCES[kind]
     monkeypatch.setattr(recursion, "_BATCH", 7)
-    assert hexed(exact_sample_rows(model, src, 5, 45, 10_000, 400, 1000)) == \
-        hexed(sample_oracle(model, src, 5, 45, 10_000, 400, 1000))
+    assert hexed(exact_sample_rows(model, src, 5, 45, 10_000, 400)) == \
+        hexed(sample_oracle(model, src, 5, 45, 10_000, 400))
 
 
 def test_deep_sample_replicas_match_the_sampler():
-    rows = exact_sample_rows(END, DEEP, 0, 120, 10_000, 10_000, 20_000)
-    assert hexed(rows) == hexed(sample_oracle(END, DEEP, 0, 120, 10_000, 10_000, 20_000))
+    rows = exact_sample_rows(END, DEEP, 0, 120, 10_000, 10_000)
+    assert hexed(rows) == hexed(sample_oracle(END, DEEP, 0, 120, 10_000, 10_000))
 
 
 def test_shallow_sample_replicas_stay_in_the_batch():
-    rows = exact_sample_rows(BEGIN, SOURCES["iid"], 0, 300, 10_000, 10_000, 100_000)
-    assert hexed(rows) == hexed(sample_oracle(BEGIN, SOURCES["iid"], 0, 300, 10_000, 10_000,
-                                              100_000))
+    rows = exact_sample_rows(BEGIN, SOURCES["iid"], 0, 300, 10_000, 10_000)
+    assert hexed(rows) == hexed(sample_oracle(BEGIN, SOURCES["iid"], 0, 300, 10_000, 10_000))
     assert max(-row[3] for row in rows) > 16  # searches past the first block of candidates
 
 
-def named(src, r, spacing, want):
+@pytest.mark.parametrize("kind", [k for k in sorted(SOURCES) if not SOURCES[k].is_iid])
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_sample_rows_sit_at_the_loss_rows_epochs(model, kind):
+    # one placement of the replicas of a non-iid source: replica r's exact
+    # draw is the W of its loss row, bit for bit
+    model, src = MODELS[model], SOURCES[kind]
+    loss = exact_loss_rows(model, src, 0, 80, 10_000, 400)
+    samples = exact_sample_rows(model, src, 0, 80, 10_000, 400)
+    assert [row[2].hex() for row in loss] == [row[1].hex() for row in samples]
+
+
+def named(src, r, max_depth, want):
     """The sampler's outcome for replica r alone, an error naming the replica
     and its epoch e, which the sampler's search from epoch 0 of the shifted
     source reads as 0."""
     if not isinstance(want, tuple):
         return want
-    _, e = src.replica(r, spacing)
+    _, e = src.replica(r, 2 * max_depth)
     cls, message = want
     return cls, f"replica {r} at epoch {e}: " + message.replace(" of 0;", f" of {e};")
 
@@ -241,10 +251,10 @@ def test_sample_errors_match_the_sampler(model, kind, max_epochs, max_depth, mon
     # that took the limit unchanged would accept epoch -2 where the sampler raises.
     model, src = MODELS[model], SOURCES[kind]
     monkeypatch.setattr(recursion, "_BATCH", 16)
-    limits = max_epochs, max_depth, 2 * max_depth
+    limits = max_epochs, max_depth
     each = [outcome(lambda: exact_sample_rows(model, src, r, r + 1, *limits))
             for r in range(3, 60)]
-    assert each == [named(src, r, limits[2], outcome(lambda: sample_oracle(model, src, r, r + 1,
+    assert each == [named(src, r, max_depth, outcome(lambda: sample_oracle(model, src, r, r + 1,
                                                                            *limits)))
                     for r in range(3, 60)]
     failing = [got for got in each if isinstance(got, tuple)]
@@ -522,8 +532,8 @@ def test_prob_zero_matches_the_per_replica_oracle(kind, spec, monkeypatch):
     monkeypatch.setattr(recursion, "_BATCH", 7)
     want = zero_oracle(spec, src, replicas, max_depth)
     got = [None] * replicas
-    for rows, _, _, _, depth in screen_replicas(spec, src, 0, replicas, 2 * max_depth, 0,
-                                                max_depth, positive_ok=True):
+    for rows, _, _, _, depth in screen_replicas(spec, src, 0, replicas, 0, max_depth,
+                                                positive_ok=True):
         for r, d in zip(rows.tolist(), depth.tolist()):
             got[r] = d > 0
     assert got == want

@@ -13,6 +13,8 @@ import renege
 from renege.cli import _write_csv, main, run_scenario
 from renege.marks import ConfigError
 
+from test_golden import MARKOV
+
 DET_STABLE_SOURCE = {
     "kind": "deterministic", "seed": 1,
     "xi": {"dist": "deterministic", "value": 1.0},
@@ -130,6 +132,20 @@ def test_sample_s_runs(tmp_path):
     assert main(["sample-s", "--config", _write(tmp_path, cfg),
                  "--out-dir", str(tmp_path / "out")]) == 0
     assert _summary(tmp_path / "out")["results"]["model"] == "end"
+
+
+@pytest.mark.parametrize("experiment", ["sample-w", "sample-s"])
+def test_exact_markov_draws_ignore_the_warmup(tmp_path, experiment):
+    # exact replicas of a non-iid source sit 2*max_depth apart whatever
+    # run.warmup says: the key only spaces approximate draws
+    details = []
+    for warmup in (1000, 100_000):
+        cfg = {"source": MARKOV,
+               "run": {"mode": "exact", "samples": 30, "max_depth": 300, "warmup": warmup}}
+        out = tmp_path / f"{experiment}-{warmup}"
+        assert main([experiment, "--config", _write(tmp_path, cfg), "--out-dir", str(out)]) == 0
+        details.append((out / "detail.csv").read_bytes())
+    assert details[0] == details[1]
 
 
 def test_loss_end_approximate(tmp_path):

@@ -15,19 +15,19 @@ from renege import (
 
 
 def test_mc_aggregate_binary_corners():
-    zero = mc_aggregate([0, 0, 0, 0])
+    zero = mc_aggregate([0, 0, 0, 0], kind="binary")
     assert zero.point == 0.0 and zero.kind == "wilson"
     assert zero.low == 0.0 and zero.high > 0.0
-    one = mc_aggregate([1, 1, 1, 1])
+    one = mc_aggregate([1, 1, 1, 1], kind="binary")
     assert one.point == 1.0 and one.high == 1.0 and one.low < 1.0
     with pytest.raises(ValueError):
-        mc_aggregate([])
+        mc_aggregate([], kind="binary")
 
 
 def test_mc_aggregate_fair_coin():
     rng = np.random.default_rng(8)
     draws = (rng.random(10_000) < 0.5).astype(float)
-    est = mc_aggregate(draws.tolist())
+    est = mc_aggregate(draws.tolist(), kind="binary")
     assert 0.47 <= est.point <= 0.53
     assert est.low <= 0.5 <= est.high
 

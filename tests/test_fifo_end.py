@@ -57,8 +57,8 @@ def test_sample_stationary_s_examples():
     assert smp.certificate.depth == 1
 
     soft = deterministic_source(1.0, 0.6, 0.3, seed=3)
-    assert exact_sample_rows(END, soft, 0, 1, 10_000, 10_000, 1)[0][1] == 0.0
-    assert sample_stationary_s(soft, warmup=100).value == 0.0
+    assert exact_sample_rows(END, soft, 0, 1, 10_000, 10_000)[0][1] == 0.0
+    assert sample_stationary_s(soft, warmup=100) == 0.0
 
 
 def test_loynes_agrees_with_renovation(bounded_src):
@@ -88,7 +88,7 @@ def test_sandwich_end(bounded_src):
 
 def test_exact_vs_forward_distribution_end(bounded_src):
     exact = np.array([row[1] for row in
-                      exact_sample_rows(END, bounded_src, 0, 2000, 10_000, 10_000, 1)])
+                      exact_sample_rows(END, bounded_src, 0, 2000, 10_000, 10_000)])
     forward = forward_samples_end(bounded_src.substream(977002), 2000,
                                   warmup=10_000, spacing=5)
     assert ks_two_sample(exact, forward) < 0.05

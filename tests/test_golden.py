@@ -10,6 +10,9 @@ of cesaro-iid and xval-end from the per-mark walks in renege.cesaro and
 renege.des, before they went through the shared path kernels.  That of
 loss-end-markov3-slow was recorded while exact Markov rows still resolved
 their windows one replica at a time, before the batched chain composition.
+Those of sample-w-markov and sample-s-markov were re-recorded when exact draws
+moved to the loss rows' epochs, 2*max_depth apart, from max(2*max_depth,
+warmup).
 Change a hash only when a numeric change is intended and named in CHANGES.md.
 """
 
@@ -113,12 +116,12 @@ HASHES = {
         "summary.json": "b5af80ae585e890117783a89a3c3cdc52bcc42bfdc1d049de6042f4cd5e204ca",
     },
     "sample-w-markov": {
-        "detail.csv": "84ebbbd95b8110df882789569badf0f95912741dc3fddcb2d202c08066955f1f",
-        "summary.json": "e52efbe5895d25cd0bf397910c4878cf399d27903802120ffd1497e21ea442fc",
+        "detail.csv": "e5cf6e251b9dbc1231f0b7b9b76c7382a80d882af5b3e64a3d136755b6eb05e8",
+        "summary.json": "d900cac11e4f4adce3047ed37b45d3690bd2963a44391b003c46a68b9d39a549",
     },
     "sample-s-markov": {
-        "detail.csv": "8203319e8602f0ebfe9a683d2b516cb8e819a2b491779be22e5c6172ddc7c5df",
-        "summary.json": "9106435e99f039364a84413c8670a39422938bbd49689b14ba468ad147571cfc",
+        "detail.csv": "2c19a9099ba04dd0e8e972851af1d1b1746a856df63a1515ae17a6ab88d1796e",
+        "summary.json": "06806b01b868bfe8a257970804cc52244e000eb4ac99c35d08ff78cf8e93c793",
     },
     "loss-begin-iid": {
         "detail.csv": "402a34466266493f1c5eed47978fac4ddf80c818fc119f534b624b8be0087b30",

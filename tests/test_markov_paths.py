@@ -56,9 +56,10 @@ def test_markov_exact_sampling_and_shift_equivalence():
     smp = sample_stationary(BEGIN, src, max_depth=200)
     assert smp.method == "renovation-exact" and smp.value >= 0.0
     # sampling after a shift equals sampling the shifted epoch directly: the
-    # exact row of replica 1 at spacing 40 is the draw at epoch 0 of src.shift(40)
-    shifted = sample_stationary(BEGIN, src.shift(40), max_depth=200)
-    assert exact_sample_rows(BEGIN, src, 1, 2, 10_000, 200, 40) == [
+    # exact row of replica 1 at spacing 2*max_depth = 400 is the draw at epoch
+    # 0 of src.shift(400)
+    shifted = sample_stationary(BEGIN, src.shift(400), max_depth=200)
+    assert exact_sample_rows(BEGIN, src, 1, 2, 10_000, 200) == [
         (1, shifted.value, "renovation-exact", shifted.renovation_epoch,
          shifted.certificate.depth)]
 

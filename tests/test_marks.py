@@ -273,6 +273,20 @@ def test_fetch_rows_match_philox_at_their_counters(seed, rows):
         assert np.array_equal(words, bg.random_raw(4 * count).reshape(count, 4))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(g=st.one_of(st.integers(-(2**300), -1), st.integers(2**256, 2**300)))
+@example(g=-1)
+@example(g=-(2**256))
+@example(g=2**256)
+def test_counter_words_are_those_of_the_start_mod_2_256(g):
+    # _generators takes the four 64-bit words of g by shifts and masks, with no
+    # modulo: >> is arithmetic on negative ints, so they are g mod 2^256's
+    src = iid_source(Uniform(0.0, 1.0), Uniform(0.0, 1.0), Uniform(0.0, 1.0), seed=7)
+    bg = next(src._generators([3], [g]))
+    want = [(g % 2**256 >> b) & _M64 for b in (0, 64, 128, 192)]
+    assert bg.state["state"]["counter"].tolist() == want
+
+
 def test_substreams_differ(bounded_src):
     assert bounded_src.substream(1).mark_at(0) != bounded_src.mark_at(0)
     assert bounded_src.substream(0).mark_at(0) == bounded_src.mark_at(0)
