@@ -34,10 +34,9 @@ def _model(name: str) -> Model:
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Sample points of equal mass 1/n, n = values.size."""
+    """Sample points of equal mass 1/n, n = values.size = n_steps."""
 
     values: np.ndarray
-    n_steps: int
     model: str
 
     def __post_init__(self):
@@ -45,6 +44,10 @@ class EmpiricalMeasure:
             raise ValueError("values must be nonempty")
         if np.any(self.values < 0.0):
             raise ValueError("values must be >= 0")
+
+    @property
+    def n_steps(self) -> int:
+        return self.values.size
 
     @property
     def weights(self) -> np.ndarray:
@@ -77,7 +80,7 @@ def cesaro_distribution(src: MarkSource, n: int, model: str) -> EmpiricalMeasure
     if n < 1:
         raise ValueError("n must be >= 1")
     values = np.array(_model(model).w_path(0.0, *src.window_arrays(0, n - 1)))  # w_1..w_n
-    return EmpiricalMeasure(values=values, n_steps=n, model=model)
+    return EmpiricalMeasure(values=values, model=model)
 
 
 def invariance_distance(mu: EmpiricalMeasure, src: MarkSource) -> float:
@@ -91,8 +94,7 @@ def invariance_distance(mu: EmpiricalMeasure, src: MarkSource) -> float:
     """
     marks = src.substream(_PUSH_STREAM).window_arrays(0, mu.values.size - 1)
     pushed = _model(mu.model).step_array(mu.values, *marks)
-    half = EmpiricalMeasure(values=np.concatenate([mu.values, pushed]), n_steps=mu.n_steps,
-                            model=mu.model)
+    half = EmpiricalMeasure(values=np.concatenate([mu.values, pushed]), model=mu.model)
     return kolmogorov_distance(mu, half)
 
 

@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -65,6 +66,7 @@ EXIT_CONTRACT = 4
 
 XVAL_TOLERANCE = 1e-9
 _CSV_ROWS = 256  # rows formatted at once by _write_csv
+_NEEDS_QUOTES = re.compile('[,"\r\n]')  # what csv.writer quotes
 
 # The process's one worker pool, (workers, pool), or None: _executor starts it
 # at the first pooled call and replaces it when the worker count changes;
@@ -200,38 +202,38 @@ def _write_csv(path: Path, header: list[str], columns: list, preamble: str | Non
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if preamble:
             fh.write(preamble + "\n")
-        _write_lines(fh, [header])
+        _write_lines(fh, [[h] for h in header], [header])
         for lo in range(0, len(columns[0]), _CSV_ROWS):
-            _write_lines(fh, list(zip(*(_csv_column(c[lo:lo + _CSV_ROWS]) for c in columns))))
+            cells = [_csv_column(c[lo:lo + _CSV_ROWS]) for c in columns]
+            _write_lines(fh, [c for c, _ in cells], [c for c, numeric in cells if not numeric])
 
 
-def _write_lines(fh, lines: list) -> None:
-    """Rows of text cells, all of one length, joined directly unless some
-    cell needs quoting (holds a comma, a quote or a line end) or a row has one
-    field: csv.writer writes those.  The direct join takes about two thirds
-    of csv.writer's time on des customers.csv."""
-    body = "\r\n".join(map(",".join, lines)) + "\r\n"
-    if (len(lines[0]) > 1 and '"' not in body
-            and body.count(",") == len(lines) * (len(lines[0]) - 1)
-            and body.count("\r") == body.count("\n") == len(lines)):
-        fh.write(body)
+def _write_lines(fh, columns: list, text: list) -> None:
+    """Rows of the columns' text cells, joined directly unless a row has one
+    field or some cell of the text columns needs quoting (holds a comma, a
+    quote or a line end): csv.writer writes those.  Numbers and blanks never
+    need quoting, so only the text columns are scanned.  The direct join
+    takes about two thirds of csv.writer's time on des customers.csv."""
+    rows = zip(*columns)
+    if len(columns) > 1 and not any(map(_NEEDS_QUOTES.search, map("".join, text))):
+        fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
     else:
-        csv.writer(fh).writerows(lines)
+        csv.writer(fh).writerows(rows)
 
 
-def _csv_column(col) -> list[str]:
+def _csv_column(col) -> tuple[list[str], bool]:
     """One column's cells as text: float.__repr__ for floats (numpy floats
     included, which repr would write as np.float64(...)), "" for None and str
-    for the rest."""
+    for the rest; and whether they are all floats, ints and blanks."""
     kinds = set(map(type, col))
     if kinds == {float}:
-        return list(map(float.__repr__, col))
+        return list(map(float.__repr__, col)), True
     if kinds == {int}:
-        return list(map(int.__repr__, col))
+        return list(map(int.__repr__, col)), True
     if kinds == {str}:
-        return list(col)
-    return ["" if c is None else float.__repr__(c) if isinstance(c, float) else str(c)
-            for c in col]
+        return list(col), False
+    return (["" if c is None else float.__repr__(c) if isinstance(c, float) else str(c)
+             for c in col], kinds <= {float, int, type(None)})
 
 
 def _chunks(total: int, parts: int) -> list[tuple[int, int]]:

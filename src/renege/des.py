@@ -1,42 +1,52 @@
-"""Event-driven simulation of the s-server queue with impatient customers.
+"""Simulation of the s-server FIFO queue with impatient customers.
 
 Arrivals T_0 = 0, T_{n+1} = T_n + xi_n carry service sigma_n and patience
-dpat_n.  Waiting customers go FIFO to the lowest-index free server.  In the
-begin model a customer abandons at T_n + dpat_n unless service has started
-(boundary: starting exactly at the deadline counts as served) and service,
-once started, runs to completion.  In the end model the deadline removes the
-customer even mid-service (completing exactly at the deadline counts as
-served).
+dpat_n; customer n's deadline is D_n = T_n + dpat_n.  Waiting customers go
+FIFO to a free server.  In the begin model a customer abandons the queue at
+D_n unless service has started (starting exactly at D_n counts as served),
+and service, once started, runs to completion.  In the end model the
+deadline removes the customer even mid-service (completing exactly at D_n
+counts as served).
 
-Alongside the congestion X_t the simulator tracks the largest remaining
-maximal and minimal sojourn times L_t and M_t.  Both decay at unit rate
-between arrivals, so each is [E - t]+ for a running max E of per-customer
-latest (resp. earliest) possible departure times; that form makes the
-zero-set checks {L=0} => {X=0} => {M=0} exact against event timestamps.
-Seen just before each arrival, they equal the arrival-indexed recursions
-(L from the model's dominating alpha, M from sigma ^ dpat) up to
-reassociation of the arrival times.
+simulate runs the Kiefer-Wolfowitz recursion indexed by arrivals: one loop
+over customers in arrival order holds a heap of the s servers' free times.
+With f the earliest free time the customers before n left: if f <= D_n, n
+starts at T_n if f <= T_n, else at f, and departs at start + sigma_n, or
+at D_n in the end model if that is later (aborted), and the server frees at
+the departure; otherwise n abandons the queue at D_n.  These are the
+outcomes of the event order completion < deadline < arrival, then customer
+index: servers are interchangeable, FIFO gives the earliest free times to
+the earliest customers, a server that frees at n's deadline (by a completion
+or an earlier customer's abort) still serves n, and an abandoning customer
+takes no server.
 
-Completions and deadlines wait in a heap; arrivals, already sorted by
-index, are merged in from their list and go after any heap event at the
-same instant.  Simultaneous events therefore process as completion <
-deadline < arrival, then by customer index.  A completion or deadline that
-no longer applies stays in the heap and is ignored when popped, and
-inclusion checks run when an instant's events are done (right-continuous
-convention).
+Alongside the congestion X_t the simulator reports the largest remaining
+maximal and minimal sojourn times L_t = [e_l - t]+ and M_t = [e_m - t]+,
+e_l and e_m the running maxima of the latest (D_n in the end model, D_n +
+sigma_n in the begin model) and earliest (T_n + sigma_n ^ dpat_n) possible
+departures.  Seen just before each arrival, they equal the arrival-indexed
+recursions (L from the model's dominating alpha, M from sigma ^ dpat) up to
+reassociation of the arrival times.  Every statistic is read from the
+columns with numpy: X before arrival n is n less the departures at or
+before T_n, but for the instant ones (departure = arrival) of n and later
+customers arriving at T_n, whose events come after arrival n; each emptying
+is seen by the next arrival and the first arrival finds the system empty,
+so the empty epochs are the arrivals that see X = 0.  instant_sums reads
+the integral of X and checks {L=0} => {X=0} => {M=0} at every event
+instant: each distinct arrival, departure, deadline and completion time.
 
-simulate returns the per-customer lists the event loop fills, as
-CustomerColumns; the CLI writes them to customers.csv column by column, and
-indexing or iterating them gives CustomerRecord views.
+simulate returns the per-customer lists the loop fills, as CustomerColumns;
+the CLI writes them to customers.csv column by column, and indexing or
+iterating them gives CustomerRecord views.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import deque
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from heapq import heapreplace
 
 import numpy as np
 
@@ -44,8 +54,7 @@ from .fifo import MODELS
 from .marks import MarkSource
 from .recursion import SIGMA_MIN_D, CapabilityError, ProbZero, clip, prob_zero_estimate
 
-_COMPLETION, _DEADLINE = 0, 1  # heap ties at one instant: completion first
-_WAITING, _IN_SERVICE, _DONE = 0, 1, 2
+_CHUNK = 2 ** 10  # arrivals per block of the checks on the columns
 
 # |departure - arrival| vs the mark-based sojourn bounds can differ by a few
 # ulps of absolute time; same slack as the DES/recursion cross-validation.
@@ -89,7 +98,7 @@ class CustomerRecord:
 class CustomerColumns(Sequence):
     """Per-customer columns of one simulation, read as CustomerRecord views.
 
-    The columns are the lists the event loop fills, indexed by customer;
+    The columns are the lists the recursion fills, indexed by customer;
     service_start is None for a customer who abandoned the queue.  Indexing
     builds a fresh CustomerRecord (a list of them for a slice).
     """
@@ -135,138 +144,125 @@ def simulate(scn: Scenario) -> tuple[CustomerColumns, PathStatistics]:
     """Run the scenario to the arrival horizon, then drain the system.
 
     Returns the per-customer columns plus path statistics; inclusion and
-    per-customer sojourn-bound violations are counted inline and are 0 by
-    contract.
+    per-customer sojourn-bound violations are 0 by contract.
     """
     n_cust = scn.horizon_customers
     end_model = scn.impatience == "end"
     xi, sigma, dpat = scn.source.window_arrays(0, n_cust - 1)
-    sigma_l, dpat_l = sigma.tolist(), dpat.tolist()
-    arrival = np.concatenate([[0.0], np.cumsum(xi)[:-1]]) if n_cust > 1 else np.zeros(1)
-    arrival_l = arrival.tolist()
+    t = np.zeros(n_cust)
+    np.cumsum(xi[:-1], out=t[1:])
+    arrival_l, sigma_l, dpat_l = t.tolist(), sigma.tolist(), dpat.tolist()
+    # from the marks, before they go: the sojourn bounds with their slack,
+    # e_m and e_l, and the deadlines, sorted
+    e_m = np.minimum(sigma, dpat)
+    low, high = e_m - SOJOURN_TIME_TOL, (dpat if end_model else sigma + dpat) + SOJOURN_TIME_TOL
+    e_m = np.maximum.accumulate(np.add(t, e_m, out=e_m), out=e_m)
+    deadline = t + dpat
+    e_l = np.maximum.accumulate(deadline if end_model else deadline + sigma)
+    deadline.sort()
+    del xi, sigma, dpat
 
-    status = [_WAITING] * n_cust
+    free = [-math.inf] * scn.servers  # a heap of the servers' free times
+    # allocated whole and filled in place: lists grown by appends fragment the heap
     service_start: list[float | None] = [None] * n_cust
     departure = [0.0] * n_cust
-    outcome = [""] * n_cust
-    server_of = [-1] * n_cust
-
-    free = list(range(scn.servers))  # a sorted list is a heap
-    queue: deque[int] = deque()
-    # completions and deadlines; arrivals come in index order from arrival_l
-    heap: list[tuple[float, int, int]] = []
-    heappush, heappop, popleft = heapq.heappush, heapq.heappop, queue.popleft
-
-    l_before = np.zeros(n_cust)
-    m_before = np.zeros(n_cust)
-    x_before = np.zeros(n_cust, dtype=np.int64)
-
-    e_l = -math.inf  # L_t = [e_l - t]+
-    e_m = -math.inf
-    x = 0
-    integral = 0.0
-    t_prev = 0.0
-    empty_epochs = 0
-    inclusion_violations = 0
-    sojourn_violations = 0
-    counts = {OUTCOME_SERVED: 0, OUTCOME_ABANDONED: 0, OUTCOME_ABORTED: 0}
-    nxt = 0  # next customer to arrive
-    t_arr = 0.0  # its arrival time, inf once all have arrived
-
-    while True:
-        # a heap event at the next arrival's instant goes first: completion <
-        # deadline < arrival, then index
-        if heap and heap[0][0] <= t_arr:
-            t, tie, j = heappop(heap)
-            st = status[j]
-            if tie == _COMPLETION:
-                kind = OUTCOME_SERVED if st == _IN_SERVICE else None
-            elif st == _WAITING:
-                kind = OUTCOME_ABANDONED
-            else:
-                kind = OUTCOME_ABORTED if end_model and st == _IN_SERVICE else None
-            if kind is not None:  # stale events change nothing
-                integral += x * (t - t_prev)
-                t_prev = t
-                status[j] = _DONE
-                departure[j] = t
-                outcome[j] = kind
-                counts[kind] += 1
-                x -= 1
-                if x == 0:
-                    empty_epochs += 1
-                soj = t - arrival_l[j]
-                s_j, d_j = sigma_l[j], dpat_l[j]
-                lb = s_j if s_j < d_j else d_j
-                ub = d_j if end_model else s_j + d_j
-                if soj < lb - SOJOURN_TIME_TOL or soj > ub + SOJOURN_TIME_TOL:
-                    sojourn_violations += 1
-                if kind != OUTCOME_ABANDONED:
-                    heappush(free, server_of[j])
-                    while free and queue:
-                        k = popleft()
-                        if status[k] == _WAITING:
-                            status[k] = _IN_SERVICE
-                            service_start[k] = t
-                            server_of[k] = heappop(free)
-                            heappush(heap, (t + sigma_l[k], _COMPLETION, k))
-        elif nxt < n_cust:
-            t = t_arr
-            j = nxt
-            nxt += 1
-            t_arr = arrival_l[nxt] if nxt < n_cust else math.inf
-            integral += x * (t - t_prev)
-            t_prev = t
-            lp = e_l - t
-            l_before[j] = lp if lp > 0.0 else 0.0
-            mp = e_m - t
-            m_before[j] = mp if mp > 0.0 else 0.0
-            x_before[j] = x
-            x += 1
-            s_j, d_j = sigma_l[j], dpat_l[j]
-            deadline = t + d_j
-            term_l = deadline if end_model else deadline + s_j
-            if term_l > e_l:
-                e_l = term_l
-            term_m = t + (s_j if s_j < d_j else d_j)
-            if term_m > e_m:
-                e_m = term_m
-            heappush(heap, (deadline, _DEADLINE, j))
-            # every dispatch ends with no free server or an empty queue, so
-            # with a server free the arrival is served at once
-            if free:
-                status[j] = _IN_SERVICE
-                service_start[j] = t
-                server_of[j] = heappop(free)
-                heappush(heap, (t + s_j, _COMPLETION, j))
-            else:
-                queue.append(j)
+    outcome = [OUTCOME_ABANDONED] * n_cust
+    stale = array("d")  # the completion times that an end-model abort voids
+    j = -1
+    for a, s, d in zip(arrival_l, sigma_l, dpat_l):
+        j += 1
+        due = a + d
+        f = free[0]
+        if f > due:
+            departure[j] = due
+            continue
+        st = a if f <= a else f
+        c = st + s
+        if end_model and c > due:
+            stale.append(c)
+            c = due
+            outcome[j] = OUTCOME_ABORTED
         else:
-            break
-        t_next = heap[0][0] if heap and heap[0][0] < t_arr else t_arr
-        if t_next != t:
-            # instant closed: right-continuous state at t
-            if e_l <= t and x > 0:
-                inclusion_violations += 1
-            if x == 0 and e_m > t:
-                inclusion_violations += 1
+            outcome[j] = OUTCOME_SERVED
+        heapreplace(free, c)
+        service_start[j] = st
+        departure[j] = c
 
-    horizon_time = t_prev
+    dep = np.array(departure)
+    sojourn_violations = 0
+    for k in range(0, n_cust, _CHUNK):  # in blocks, which keeps the peak down
+        w = slice(k, k + _CHUNK)
+        soj = dep[w] - t[w]
+        sojourn_violations += int(np.count_nonzero((soj < low[w]) | (soj > high[w])))
+    del low, high
+    zero = np.flatnonzero(dep == t)  # the customers who depart as they arrive
+    dep.sort()
+    integral, inclusion_violations, _ = instant_sums(t, dep, e_l, e_m, deadline,
+                                                     np.sort(np.frombuffer(stale)))
+    del deadline
+    x_before = np.arange(n_cust) - dep.searchsorted(t, "right")
+    if zero.size:  # k's instant departure comes after the arrivals at T_k up to k
+        late = np.bincount(t.searchsorted(t[zero]), minlength=n_cust + 1)
+        x_before += np.cumsum(late - np.bincount(zero + 1, minlength=n_cust + 1))[:-1]
+    for e in (e_l, e_m):  # in place: [e_{n-1} - T_n]+, seen by arrival n
+        np.subtract(e[:-1], t[1:], out=e[1:])
+        e[0] = 0.0
+        clip(e, e)
+
+    horizon_time = float(dep[-1])
+    abandoned = service_start.count(None)
     stats = PathStatistics(
         arrivals=n_cust,
-        outcome_counts=counts,
-        empty_epoch_count=empty_epochs,
+        outcome_counts={OUTCOME_SERVED: n_cust - abandoned - len(stale),
+                        OUTCOME_ABANDONED: abandoned, OUTCOME_ABORTED: len(stale)},
+        empty_epoch_count=int(np.count_nonzero(x_before == 0)),
         inclusion_violations=inclusion_violations,
         sojourn_violations=sojourn_violations,
         time_average_congestion=integral / horizon_time if horizon_time > 0.0 else 0.0,
         horizon_time=horizon_time,
-        l_zero_arrival_freq=float(np.mean(l_before == 0.0)),
-        m_zero_arrival_freq=float(np.mean(m_before == 0.0)),
-        l_before=l_before, m_before=m_before,
-        x_before=x_before,
+        l_zero_arrival_freq=np.count_nonzero(e_l == 0.0) / n_cust,
+        m_zero_arrival_freq=np.count_nonzero(e_m == 0.0) / n_cust,
+        l_before=e_l, m_before=e_m, x_before=x_before,
     )
     columns = CustomerColumns(arrival_l, sigma_l, dpat_l, service_start, departure, outcome)
     return columns, stats
+
+
+def instant_sums(t: np.ndarray, dep: np.ndarray, e_l: np.ndarray, e_m: np.ndarray,
+                 deadline: np.ndarray, stale: np.ndarray) -> tuple[float, int, int]:
+    """(integral of X, inclusion violations, instants) over the distinct
+    instants u of the sorted arrivals t, departures, deadlines and the
+    completions that aborts void (stale); e_l and e_m are by arrival, so
+    L = [e_l - u]+ and M = [e_m - u]+ right after u.  The integral sums X
+    after each arrival or departure instant times the time to the next, in
+    time order (the other events at an instant would add x * 0.0).
+    Window i spans the arrivals _CHUNK * i to _CHUNK * (i + 1), the last one
+    all later time, so no merged array of the four streams is built."""
+    integral, violations, instants, u_prev, x_prev = 0.0, 0, 0, 0.0, 0
+    streams = (t, dep, deadline, stale)
+    bounds = np.concatenate((t[::_CHUNK], [math.inf]))
+    edges = np.array([s.searchsorted(bounds) for s in streams]).T.tolist()  # of each window
+    for lo, hi in zip(edges, edges[1:]):
+        merged = np.concatenate([s[i:j] for s, i, j in zip(streams, lo, hi)])
+        if not merged.size:
+            continue
+        order = np.argsort(merged, kind="stable")  # merges the sorted runs
+        merged = merged[order]
+        last = np.concatenate((merged[1:] != merged[:-1], [True]))  # of each instant
+        u = merged[last]
+        (a0, d0), (a1, d1) = lo[:2], hi[:2]
+        arrived = a0 + np.cumsum(order < a1 - a0)[last]
+        events = a0 + d0 + np.cumsum(order < a1 - a0 + d1 - d0)[last]  # arrivals, departures
+        x = 2 * arrived - events  # arrivals less departures
+        arrived -= 1  # the last arrival at or before u
+        violations += np.count_nonzero((e_l[arrived] <= u) & (x > 0))
+        violations += np.count_nonzero((x == 0) & (e_m[arrived] > u))
+        instants += u.size
+        moved = events > np.concatenate(([a0 + d0], events[:-1]))  # an event at u
+        u, x = np.concatenate(([u_prev], u[moved])), np.concatenate(([x_prev], x[moved]))
+        integral = float(np.add.accumulate(np.concatenate(([integral], x[:-1] * np.diff(u))))[-1])
+        u_prev, x_prev = u[-1], x[-1]
+    return integral, int(violations), instants
 
 
 @dataclass

@@ -6,6 +6,8 @@ renege.fifo bound to one model, whose signatures must match these."""
 
 import inspect
 
+import numpy as np
+
 import renege
 
 PARAMETERS = {
@@ -74,3 +76,9 @@ def test_removed_names_are_not_exported():
     assert [name for name in REMOVED if hasattr(renege, name)] == []
     assert not {"l_zero_freq", "m_zero_freq"} & set(renege.RegenReport.__dataclass_fields__)
     assert "replicas" not in renege.ProbZero.__dataclass_fields__
+
+
+def test_measure_steps_are_its_points():
+    # n_steps is read from the values, not set beside them
+    assert tuple(inspect.signature(renege.EmpiricalMeasure).parameters) == ("values", "model")
+    assert renege.EmpiricalMeasure(values=np.zeros(3), model="begin").n_steps == 3

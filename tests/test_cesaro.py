@@ -45,7 +45,7 @@ def test_invariance_distance_examples():
     mu = cesaro_distribution(PERIOD2, 10, "begin")
     assert invariance_distance(mu, PERIOD2) == 0.0
 
-    delta0 = EmpiricalMeasure(values=np.zeros(4), n_steps=4, model="begin")
+    delta0 = EmpiricalMeasure(values=np.zeros(4), model="begin")
     assert invariance_distance(delta0, DOMINATED) == 0.0
     # the period-2 map sends 0 to 0.5, so delta_0 is half a cycle off
     assert invariance_distance(delta0, PERIOD2) == 0.5
@@ -58,7 +58,7 @@ def test_replica_mode_cross_check(bounded_src):
     traj = cesaro_distribution(bounded_src, n, "begin")
     values = np.array([BEGIN.w_path(0.0, *bounded_src.substream(i).window_arrays(0, i - 1))[-1]
                        for i in range(1, n + 1)])
-    repl = EmpiricalMeasure(values=values, n_steps=n, model="begin")
+    repl = EmpiricalMeasure(values=values, model="begin")
     assert kolmogorov_distance(traj, repl) < 0.25  # both estimate the same mixture
 
 
@@ -106,9 +106,9 @@ def test_boundary_mass_examples(bounded_src):
 
 def test_measure_validation():
     with pytest.raises(ValueError):
-        EmpiricalMeasure(values=np.array([-1.0]), n_steps=1, model="begin")
+        EmpiricalMeasure(values=np.array([-1.0]), model="begin")
     with pytest.raises(ValueError):
-        EmpiricalMeasure(values=np.array([]), n_steps=0, model="begin")
+        EmpiricalMeasure(values=np.array([]), model="begin")
 
 
 def _fsum_masses(values, weights):
@@ -129,7 +129,7 @@ def test_grouped_masses_equal_the_fsum_masses():
     n = 200_000
     mu = cesaro_distribution(src, n, "begin")
     pushed = BEGIN.step_array(mu.values, *src.substream(_PUSH_STREAM).window_arrays(0, n - 1))
-    half = EmpiricalMeasure(values=np.concatenate([mu.values, pushed]), n_steps=n, model="begin")
+    half = EmpiricalMeasure(values=np.concatenate([mu.values, pushed]), model="begin")
     for measure, weights in ((mu, np.full(n, 1.0 / n)),
                              (half, np.concatenate([mu.weights, mu.weights]) * 0.5)):
         assert measure.weights.tolist() == weights.tolist()
@@ -140,8 +140,8 @@ def test_grouped_masses_equal_the_fsum_masses():
 
 
 def test_kolmogorov_distance_weighted():
-    a = EmpiricalMeasure(values=np.array([0.0]), n_steps=1, model="begin")
-    b = EmpiricalMeasure(values=np.array([1.0]), n_steps=1, model="begin")
+    a = EmpiricalMeasure(values=np.array([0.0]), model="begin")
+    b = EmpiricalMeasure(values=np.array([1.0]), model="begin")
     assert kolmogorov_distance(a, b) == 1.0
     assert kolmogorov_distance(a, a) == 0.0
 

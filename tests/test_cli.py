@@ -528,6 +528,11 @@ def _columns(rows, width):
     (["x", "y"], [("q\"uote", ""), ("line\nend", "cr\rx")]),
     (["only"], [("",), (None,), (1.0,)]),
     (["a,b", "c"], [(1, 2)]),
+    # only the text column is scanned for quoting: its comma, quote and line
+    # ends come after the first _CSV_ROWS rows
+    (["t", "w", "note"],
+     [(i / 3, i * 0.5, "ok" if i < 260 else ("c,d", 'q"', "l\nm", "r\rs")[i % 4])
+      for i in range(300)]),
 ])
 def test_write_csv_matches_csv_writer(tmp_path, header, rows):
     # floats go through float.__repr__, so numpy floats read as plain floats

@@ -1,9 +1,10 @@
-"""The event loop that merges sorted arrivals with the heap against the loop
-that pushed every arrival through the heap, kept here as the oracle; and
-the read-only column view simulate returns."""
+"""The arrival-indexed recursion against the event loop that pushed every
+event through one heap, kept here as the oracle; the instant check and its
+memory; and the read-only column view simulate returns."""
 
 import heapq
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -17,8 +18,10 @@ from renege import (
     deterministic_source,
     iid_source,
     simulate,
+    source_from_config,
     workload_before_arrivals,
 )
+from renege import des
 from renege.des import (
     OUTCOME_ABANDONED,
     OUTCOME_ABORTED,
@@ -31,9 +34,11 @@ _COMPLETION, _DEADLINE, _ARRIVAL = 0, 1, 2
 _WAITING, _IN_SERVICE, _DONE = 0, 1, 2
 
 
-def heap_loop(scn):
-    """Every event through one heap, arrivals included: the event loop as it
-    was before arrivals were merged from their sorted list."""
+def heap_loop(scn, shift=0.0):
+    """Every event through one heap, arrivals included: the event-driven
+    simulation simulate must reproduce.  The inclusion checks see the running
+    maxima moved by shift, e_l lowered and e_m raised, and are counted with
+    the instants they close."""
     n_cust = scn.horizon_customers
     end_model = scn.impatience == "end"
     xi, sigma, dpat = scn.source.window_arrays(0, n_cust - 1)
@@ -63,6 +68,7 @@ def heap_loop(scn):
     t_prev = 0.0
     empty_epochs = 0
     inclusion_violations = 0
+    closes = 0
     sojourn_violations = 0
     counts = {OUTCOME_SERVED: 0, OUTCOME_ABANDONED: 0, OUTCOME_ABORTED: 0}
 
@@ -137,17 +143,18 @@ def heap_loop(scn):
                     heapq.heappush(free, server_of[j])
                     dispatch(t)
         if not heap or heap[0][0] != t:
-            if e_l <= t and x > 0:
+            closes += 1
+            if e_l - shift <= t and x > 0:
                 inclusion_violations += 1
-            if x == 0 and e_m > t:
+            if x == 0 and e_m + shift > t:
                 inclusion_violations += 1
 
     columns = {"arrival": arrival_l, "sigma": sigma_l, "dpat": dpat_l,
                "service_start": service_start, "departure": departure, "outcome": outcome}
     stats = {"counts": counts, "empty_epochs": empty_epochs,
-             "inclusion_violations": inclusion_violations,
+             "inclusion_violations": inclusion_violations, "closes": closes,
              "sojourn_violations": sojourn_violations,
-             "horizon_time": t_prev,
+             "horizon_time": t_prev, "integral": integral,
              "time_average_congestion": integral / t_prev if t_prev > 0.0 else 0.0,
              "l_before": l_before, "m_before": m_before, "x_before": x_before}
     return columns, stats
@@ -215,6 +222,82 @@ def test_merged_arrivals_match_the_heap_loop(name, model, servers, horizon):
     if servers == 1:
         assert (_hex(workload_before_arrivals(got))
                 == _hex(heap_loop_workload(want)))
+
+
+def _instant_inputs(cols, model, shift):
+    """instant_sums' arguments read from the columns, the running maxima
+    moved by shift as heap_loop moves them."""
+    a, s, d, dep = (np.array(getattr(cols, k)) for k in ("arrival", "sigma", "dpat", "departure"))
+    e_l = np.maximum.accumulate(a + d if model == "end" else a + d + s) - shift
+    e_m = np.maximum.accumulate(a + np.minimum(s, d)) + shift
+    completion = np.array(cols.service_start, dtype=float) + s
+    stale = completion[np.array(cols.outcome) == OUTCOME_ABORTED]
+    return a, np.sort(dep), e_l, e_m, np.sort(a + d), np.sort(stale)
+
+
+@pytest.mark.parametrize("servers", [1, 3])
+@pytest.mark.parametrize("model", ["begin", "end"])
+@pytest.mark.parametrize("name", ["tie-heavy", "bounded"])
+def test_instant_check_sees_every_instant_the_heap_loop_closes(name, model, servers,
+                                                              monkeypatch):
+    # moved maxima break the inclusions at some instants: the check must find
+    # exactly the oracle's breaks, over exactly its instants
+    scn = Scenario(servers=servers, impatience=model, source=SOURCES[name],
+                   horizon_customers=3000)
+    seen = []
+    check = des.instant_sums
+    monkeypatch.setattr(des, "instant_sums", lambda *args: seen.append(check(*args)) or seen[0])
+    cols, _ = simulate(scn)
+    _, ref = heap_loop(scn)
+    # what simulate itself checked
+    assert seen == [(ref["integral"], 0, ref["closes"])]
+    for shift in (0.0, 0.25):
+        _, ref = heap_loop(scn, shift)
+        integral, violations, instants = check(*_instant_inputs(cols, model, shift))
+        assert instants == ref["closes"]
+        assert violations == ref["inclusion_violations"]
+        assert (violations > 0) == (shift > 0.0)
+        assert integral.hex() == float(ref["integral"]).hex()
+
+
+@pytest.mark.parametrize("model", ["begin", "end"])
+@pytest.mark.parametrize("name", ["tie-heavy", "tie-heavy-overloaded", "deterministic-half"])
+def test_small_windows_match_the_heap_loop(name, model, monkeypatch):
+    # windows of 5 arrivals: tie blocks and empty windows on their edges
+    monkeypatch.setattr(des, "_CHUNK", 5)
+    scn = Scenario(servers=2, impatience=model, source=SOURCES[name], horizon_customers=400)
+    cols, stats = simulate(scn)
+    want, ref = heap_loop(scn)
+    assert _hex(cols.departure) == _hex(want["departure"])
+    assert stats.x_before.tolist() == ref["x_before"].tolist()
+    assert stats.time_average_congestion.hex() == float(ref["time_average_congestion"]).hex()
+    assert stats.sojourn_violations == ref["sojourn_violations"] == 0
+    integral, violations, instants = des.instant_sums(*_instant_inputs(cols, model, 0.25))
+    _, moved = heap_loop(scn, 0.25)
+    assert (integral.hex(), violations, instants) == (
+        float(ref["integral"]).hex(), moved["inclusion_violations"], moved["closes"])
+
+
+# the des benchmark workload's source: 4 servers, end model
+DES_SOURCE = {"kind": "iid", "xi": {"dist": "exponential", "rate": 3.0},
+              "sigma": {"dist": "exponential", "rate": 1.0},
+              "dpat": {"dist": "exponential", "rate": 0.5}, "seed": 20084}
+
+
+def test_simulate_peaks_no_higher_than_the_event_loop():
+    # the event loop simulate replaced peaked at 4 407 259 bytes here
+    # (tracemalloc, after a first call; Python 3.11.7, numpy 2.4.6); the
+    # columns it returns are about 2.9 MB of that
+    scn = Scenario(servers=4, impatience="end", source=source_from_config(DES_SOURCE),
+                   horizon_customers=20_000)
+    simulate(scn)
+    tracemalloc.start()
+    try:
+        simulate(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_407_259
 
 
 def test_tie_heavy_sources_do_tie():
