@@ -14,11 +14,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from functools import cache, partial
 from pathlib import Path
 
@@ -33,10 +35,10 @@ from .fifo import (
     END,
     MODELS,
     Model,
-    exact_loss_rows,
-    exact_sample_rows,
+    _batch_rows,
+    loss_counts,
     loss_probability,
-    loss_report_from_rows,
+    loss_report,
     sample_stationary,
 )
 from .marks import (
@@ -54,6 +56,7 @@ from .properties import (
     step_monotonicity_violations,
 )
 from .recursion import (
+    _BATCH,
     CapabilityError,
     DepthExhaustedError,
     RenovationNotFoundError,
@@ -65,7 +68,8 @@ EXIT_CAPABILITY = 3
 EXIT_CONTRACT = 4
 
 XVAL_TOLERANCE = 1e-9
-_CSV_ROWS = 256  # rows formatted at once by _write_csv
+_CSV_ROWS = 256  # rows formatted at once by _csv_rows
+_RANGE_ROWS = 16 * _BATCH  # the most replica rows in one range of _parallel_rows
 _NEEDS_QUOTES = re.compile('[,"\r\n]')  # what csv.writer quotes
 
 # The process's one worker pool, (workers, pool), or None: _executor starts it
@@ -150,21 +154,6 @@ def _config_sha256(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _plain(obj):
-    """Recursively strip numpy scalar types so json round-trips cleanly."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def _write_summary(out_dir: Path, experiment: str, cfg: dict, seeds: dict, results: dict) -> None:
     payload = {
         "tool": "renege",
@@ -173,10 +162,10 @@ def _write_summary(out_dir: Path, experiment: str, cfg: dict, seeds: dict, resul
         "config": cfg,
         "config_sha256": _config_sha256(cfg),
         "seeds": seeds,
-        "results": _plain(results),
+        "results": results,
     }
     # serialize first so a failure never leaves a truncated file behind
-    blob = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    blob = json.dumps(payload, sort_keys=True, indent=2, default=lambda o: o.item()) + "\n"
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         fh.write(blob)
 
@@ -194,18 +183,36 @@ def _finish(out_dir: Path, experiment: str, cfg: dict, src: MarkSource, results:
 
 
 def _write_csv(path: Path, header: list[str], columns: list, preamble: str | None = None) -> None:
-    """Write the columns' rows as csv.writer would, _CSV_ROWS rows at a time,
-    each formatted a column at a time.  There must be one column per header
-    field, all of one length: ValueError otherwise."""
+    """Write the columns' rows (_csv_rows) under the header as path
+    (_csv_file): ValueError unless each header field has one column, all of one length."""
     if len(columns) != len(header) or len(set(map(len, columns))) > 1:
         raise ValueError(f"{path.name}: every row needs {len(header)} fields")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if preamble:
-            fh.write(preamble + "\n")
-        _write_lines(fh, [[h] for h in header], [header])
-        for lo in range(0, len(columns[0]), _CSV_ROWS):
-            cells = [_csv_column(c[lo:lo + _CSV_ROWS]) for c in columns]
-            _write_lines(fh, [c for c, _ in cells], [c for c, numeric in cells if not numeric])
+    with _csv_file(path, header, preamble) as fh:
+        _csv_rows(fh, columns)
+
+
+@contextmanager
+def _csv_file(path: Path, header: list[str], preamble: str | None = None):
+    """An open file holding the preamble and the header, for the caller's rows:
+    it becomes path when the block ends, and a block that raises leaves none."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", encoding="utf-8", newline="") as fh:
+            if preamble:
+                fh.write(preamble + "\n")
+            _write_lines(fh, [[h] for h in header], [header])
+            yield fh
+        part.replace(path)
+    finally:
+        part.unlink(missing_ok=True)
+
+
+def _csv_rows(fh, columns: list) -> None:
+    """Write the columns' rows as csv.writer would, _CSV_ROWS rows at a time,
+    each formatted a column at a time."""
+    for lo in range(0, len(columns[0]), _CSV_ROWS):
+        cells = [_csv_column(c[lo:lo + _CSV_ROWS]) for c in columns]
+        _write_lines(fh, [c for c, _ in cells], [c for c, numeric in cells if not numeric])
 
 
 def _write_lines(fh, columns: list, text: list) -> None:
@@ -222,9 +229,10 @@ def _write_lines(fh, columns: list, text: list) -> None:
 
 
 def _csv_column(col) -> tuple[list[str], bool]:
-    """One column's cells as text: float.__repr__ for floats (numpy floats
-    included, which repr would write as np.float64(...)), "" for None and str
-    for the rest; and whether they are all floats, ints and blanks."""
+    """One column's cells, of a sequence or numpy array, as text: float.__repr__
+    for floats (numpy floats included, which repr would write as np.float64(...)),
+    "" for None and str for the rest; and whether they are all floats, ints and blanks."""
+    col = col.tolist() if isinstance(col, np.ndarray) else col
     kinds = set(map(type, col))
     if kinds == {float}:
         return list(map(float.__repr__, col)), True
@@ -236,28 +244,30 @@ def _csv_column(col) -> tuple[list[str], bool]:
              for c in col], kinds <= {float, int, type(None)})
 
 
-def _chunks(total: int, parts: int) -> list[tuple[int, int]]:
-    """min(total, parts) ranges covering 0..total, whose sizes differ by one at most."""
+def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
+    """_parallel_rows' ranges over 0..total, of sizes that differ by one at most:
+    one per worker, or the fewest multiple of workers within _RANGE_ROWS rows each."""
+    parts = workers * -(-total // (workers * _RANGE_ROWS))
     cuts = [total * i // parts for i in range(parts + 1)]
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
 
-def _replica_rows(kind: str, src: MarkSource, params: dict, lo: int, hi: int) -> list:
-    """Replica-indexed rows lo..hi-1."""
+def _replica_rows(kind: str, src: MarkSource, params: dict, lo: int, hi: int) -> tuple:
+    """Replica-indexed rows lo..hi-1 as detail.csv text (_csv_rows), with the
+    loss rows' indicator counts (fifo.loss_counts) or the sample rows' W."""
     model = MODELS[params["model"]]
-    limits = params["max_epochs"], params["max_depth"]
-    if kind == "loss":
-        return exact_loss_rows(model, src, lo, hi, *limits)
     if params["mode"] == "exact":
-        return exact_sample_rows(model, src, lo, hi, *limits)
-    # approximate draws of a non-iid source sit further apart than their warm-up
-    spacing = max(2 * params["max_depth"], params["warmup"])
-    rows = []
-    for r in range(lo, hi):
-        rep, e = src.replica(r, spacing)
-        w = sample_stationary(model, rep.shift(e), warmup=params["warmup"])
-        rows.append((r, w, "forward-approximate", None, None))
-    return rows
+        columns = _batch_rows(model, src, lo, hi, params["max_epochs"], params["max_depth"],
+                              int(kind == "sample"))
+    else:
+        # approximate draws of a non-iid source sit further apart than their warm-up
+        spacing = max(2 * params["max_depth"], params["warmup"])
+        w = np.array([sample_stationary(model, rep.shift(e), warmup=params["warmup"])
+                      for rep, e in (src.replica(r, spacing) for r in range(lo, hi))])
+        columns = [range(lo, hi), w, ["forward-approximate"] * w.size, *[[None] * w.size] * 2]
+    text = io.StringIO(newline="")
+    _csv_rows(text, columns)
+    return text.getvalue(), loss_counts(model, columns[1:]) if kind == "loss" else columns[1]
 
 
 def _executor(workers: int) -> ProcessPoolExecutor:
@@ -279,22 +289,23 @@ def _drop_pool() -> None:
         pool.shutdown()
 
 
-def _parallel_rows(kind: str, src: MarkSource, params: dict, total: int, workers: int) -> list:
-    """Rows 0..total-1: in one range in-process at one worker, else in
-    workers*4 even ranges over the process's pool (_executor), each handed
-    the validated source.  Exact rows run in batches of recursion._BATCH from
-    the start of each range, so a range's last batch may be part full.  A pool
-    that breaks is dropped and its error raised: the next call starts a new
-    one."""
-    if workers <= 1:
-        return _replica_rows(kind, src, params, 0, total)
-    los, his = zip(*_chunks(total, workers * 4))
+def _parallel_rows(kind: str, src: MarkSource, params: dict, total: int, workers: int,
+                  fh) -> list:
+    """Rows 0..total-1 (_replica_rows) in _ranges, in-process at one worker,
+    else over the process's pool (_executor): each range's text written to fh
+    in replica order as it arrives, and their counts or W returned in that
+    order.  A pool that breaks is dropped and its error raised."""
+    los, his = zip(*_ranges(total, workers))
+    rows = partial(_replica_rows, kind, src, params)
+    stats = []
     try:
-        chunks = _executor(workers).map(partial(_replica_rows, kind, src, params), los, his)
-        return [row for chunk in chunks for row in chunk]
+        for text, stat in (_executor(workers).map if workers > 1 else map)(rows, los, his):
+            fh.write(text)
+            stats.append(stat)
     except BrokenProcessPool:
         _drop_pool()
         raise
+    return stats
 
 
 def _single_server(cfg: dict) -> None:
@@ -321,21 +332,18 @@ def _replica_params(cfg: dict, model: Model) -> dict:
 def _exp_sample(experiment: str, model: Model, cfg, out_dir, workers, src) -> int:
     params = _replica_params(cfg, model)
     samples = params["samples"]
-    rows = _parallel_rows("sample", src, params, samples, workers)
-    values = [r[1] for r in rows]
-    est = mc_aggregate(values, kind="real") if len(values) > 1 else None
+    with _csv_file(out_dir / "detail.csv", ["replica", "value", "method", "renovation_epoch",
+                                            "certificate_depth"]) as fh:
+        values = np.concatenate(_parallel_rows("sample", src, params, samples, workers, fh))
     results = {
         "model": model.name,
-        "method": rows[0][2] if rows else None,
+        "method": "renovation-exact" if params["mode"] == "exact" else "forward-approximate",
         "samples": samples,
-        "mean": (est.as_dict() if est is not None else
+        "mean": (mc_aggregate(values, kind="real").as_dict() if samples > 1 else
                  {"point": values[0], "low": None, "high": None, "n": 1, "kind": "single"}),
-        "zero_fraction": sum(1 for v in values if v == 0.0) / samples,
-        "max_value": max(values),
+        "zero_fraction": np.count_nonzero(values == 0.0) / samples,
+        "max_value": values.max(),
     }
-    _write_csv(out_dir / "detail.csv",
-               ["replica", "value", "method", "renovation_epoch", "certificate_depth"],
-               list(zip(*rows)))
     return _finish(out_dir, experiment, cfg, src, results, replica_streams=[0, samples])
 
 
@@ -343,9 +351,9 @@ def _exp_loss(experiment: str, model: Model, cfg, out_dir, workers, src) -> int:
     params = _replica_params(cfg, model)
     samples = params["samples"]
     if params["mode"] == "exact":
-        rows = _parallel_rows("loss", src, params, samples, workers)
-        report = loss_report_from_rows(model, src, rows)
-        _write_csv(out_dir / "detail.csv", list(model.columns), list(zip(*rows)))
+        with _csv_file(out_dir / "detail.csv", model.columns) as fh:
+            stats = _parallel_rows("loss", src, params, samples, workers, fh)
+        report = loss_report(model, src, [sum(c) for c in zip(*stats)], samples, "renovation-exact")
     else:
         report = loss_probability(model, src, samples, mode="approximate",
                                   warmup=params["warmup"])
@@ -412,8 +420,7 @@ def _exp_regen(cfg, out_dir, workers, src) -> int:
     stats = report.stats
     _write_csv(out_dir / "detail.csv",
                ["index", "l_before", "m_before", "x_before"],
-               [range(stats.arrivals), stats.l_before.tolist(), stats.m_before.tolist(),
-                stats.x_before.tolist()])
+               [range(stats.arrivals), stats.l_before, stats.m_before, stats.x_before])
     return _finish(out_dir, "regen", cfg, src, results, _path_violation(stats))
 
 
@@ -457,7 +464,7 @@ def _exp_cesaro(cfg, out_dir, workers, src) -> int:
     }
     preamble = f"# n_steps={mu.n_steps} model={mu.model} seed={src.seed} stream={src.stream}"
     _write_csv(out_dir / "detail.csv", ["value", "weight"],
-               [mu.values.tolist(), mu.weights.tolist()], preamble=preamble)
+               [mu.values, mu.weights], preamble=preamble)
     return _finish(out_dir, "cesaro", cfg, src, results)
 
 

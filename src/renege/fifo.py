@@ -395,9 +395,9 @@ def forward_samples(model: Model, src: MarkSource, count: int, warmup: int = DEF
     return out
 
 
-def _report(model: Model, src: MarkSource, counts, samples: int, method: str) -> LossReport:
-    """Wilson intervals of the counts (pi, lower, upper[, never-reach]); the
-    bracket holds when pi is within 3 standard errors of its bounds."""
+def loss_report(model: Model, src: MarkSource, counts, samples: int, method: str) -> LossReport:
+    """Wilson intervals of the counts (pi, lower, upper[, never-reach]) over `samples` arrivals
+    or rows; the bracket holds when pi is within 3 standard errors of its bounds."""
     pi, lo, up, *never = (wilson(c, samples) for c in counts)
     slack = 3.0 * binomial_se(pi.point, samples)
     return LossReport(model=model.name, pi_hat=pi, lower_bound=lo, upper_bound=up,
@@ -433,7 +433,7 @@ def exact_loss_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs:
     """Per-replica exact rows (replica, ym, W, yp, *row marks) at the
     replica's own epoch, replayed from its nearest renovation epoch
     (_batch_rows)."""
-    return _batch_rows(model, src, lo, hi, max_epochs, max_depth, 0)
+    return _rows(_batch_rows(model, src, lo, hi, max_epochs, max_depth, 0))
 
 
 def exact_sample_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
@@ -441,27 +441,31 @@ def exact_sample_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epoch
     """Per-replica exact draws (replica, W, method, renovation epoch,
     certificate depth) of W at replica r's epoch, the loss row's, replayed
     from its nearest renovation epoch strictly before it (_batch_rows)."""
-    return _batch_rows(model, src, lo, hi, max_epochs, max_depth, 1)
+    return _rows(_batch_rows(model, src, lo, hi, max_epochs, max_depth, 1))
+
+
+def _rows(columns: list) -> list[tuple]:
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
 
 
 def _batch_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
-                max_depth: int, first: int) -> list[tuple]:
-    """Exact rows of the replicas lo..hi-1, at the epochs where
-    recursion.screen_replicas places them: loss rows (first=0) or sample
-    rows, whose renovation search starts at k = first = 1.
+                max_depth: int, first: int) -> list:
+    """Exact rows of the replicas lo..hi-1 as columns, at the epochs where
+    recursion.screen_replicas places them: loss rows (first=0), replica, ym, W, yp, row
+    marks, or sample rows (k from first = 1), replica, W, method, renovation epoch,
+    certificate depth; the replicas a range, the method a list, the rest numpy arrays.
 
     recursion.screen_replicas screens the model's dominating recursion over
-    the replicas' windows, _BATCH replicas at a time, widening the rows it
-    cannot yet decide, and raises the DepthExhaustedError or
-    RenovationNotFoundError of the first replica it cannot certify, its
-    message naming the replica and its epoch (a CapabilityError first when
-    the source's marginals give no bound on alpha).  Every
-    window it yields is replayed at once: the three chains in lockstep from
-    0 at each certified row's renovation epoch (_replay_rows).  The window
-    that certifies a row is the last one yielded for it, so its values are
-    final.  The screen and the replay run the IEEE operations of the scalar
-    search and step kernels on the same marks, so the rows are bit-identical
-    to one replica at a time.
+    the replicas' windows, widening the rows it cannot yet decide, and
+    raises the DepthExhaustedError or RenovationNotFoundError of the first
+    replica it cannot certify, its message naming the replica and its epoch
+    (a CapabilityError first when the source's marginals give no bound on
+    alpha).  Every window it yields is replayed at once: the three chains in
+    lockstep from 0 at each certified row's renovation epoch (_replay_rows).
+    The window that certifies a row is the last one yielded for it, so its
+    values are final.  The screen and the replay run the IEEE operations of
+    the scalar search and step kernels on the same marks, so the rows are
+    bit-identical to one replica at a time.
     """
     vals = np.empty((5, hi - lo))  # ym, w, yp, sigma, dpat
     dist, certs = np.empty((2, hi - lo), dtype=np.intp)  # renovation distance, certificate depth
@@ -471,20 +475,16 @@ def _batch_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int
         vals[:3, i] = _replay_rows(model, marks, alpha_up, np.where(depth > 0, k, 0))
         vals[3:, i] = marks[1:, :, -1]
         dist[i], certs[i] = k, depth
-    ym, w, yp, sigma, dpat = vals.tolist()
+    ym, w, yp, sigma, dpat = vals
     if first:
-        return list(zip(range(lo, hi), w, ["renovation-exact"] * (hi - lo),
-                        (-dist).tolist(), certs.tolist()))
-    return [(r, ym[i], w[i], yp[i], *model.row_marks(sigma[i], dpat[i]))
-            for i, r in enumerate(range(lo, hi))]
+        return [range(lo, hi), w, ["renovation-exact"] * (hi - lo), -dist, certs]
+    return [range(lo, hi), ym, w, yp, *model.row_marks(sigma, dpat)]
 
 
-def loss_report_from_rows(model: Model, src: MarkSource, rows) -> LossReport:
-    """Aggregate exact per-replica rows into the model's loss report: the
-    model's indicators, each counted over the rows' columns at once."""
-    columns = map(np.array, list(zip(*rows))[1:])
-    counts = [int(np.count_nonzero(c)) for c in model.exceeds(*columns)]
-    return _report(model, src, counts, len(rows), "renovation-exact")
+def loss_counts(model: Model, columns) -> list[int]:
+    """How many exact loss rows, given by their columns after the replica
+    (ym, w, yp, *row marks), meet each of the model's indicators."""
+    return [int(np.count_nonzero(c)) for c in model.exceeds(*columns)]
 
 
 def loss_probability(model: Model, src: MarkSource, samples: int, mode: str = "exact",
@@ -501,15 +501,16 @@ def loss_probability(model: Model, src: MarkSource, samples: int, mode: str = "e
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if mode == "exact":
-        return loss_report_from_rows(
-            model, src, exact_loss_rows(model, src, 0, samples, max_epochs, max_depth))
+        columns = _batch_rows(model, src, 0, samples, max_epochs, max_depth, 0)
+        return loss_report(model, src, loss_counts(model, columns[1:]), samples,
+                           "renovation-exact")
     if mode != "approximate":
         raise ValueError(f"unknown mode {mode!r}")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
     state, _ = _advance(model, src, 0, warmup, (0.0, 0.0, 0.0))
     _, counts = _advance(model, src, warmup, warmup + samples, state)
-    return _report(model, src, counts, samples, "forward-approximate")
+    return loss_report(model, src, counts, samples, "forward-approximate")
 
 
 def compare_disciplines(src: MarkSource, horizon: int) -> int:

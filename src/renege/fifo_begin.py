@@ -28,5 +28,4 @@ fifo_step = BEGIN.mark_step
 sample_stationary_w = partial(fifo.sample_stationary, BEGIN)
 forward_samples = partial(fifo.forward_samples, BEGIN)
 exact_loss_rows = partial(fifo.exact_loss_rows, BEGIN)
-loss_report_from_rows = partial(fifo.loss_report_from_rows, BEGIN)
 loss_probability_begin = partial(fifo.loss_probability, BEGIN)

@@ -25,11 +25,11 @@ from functools import partial
 
 from . import fifo
 from .fifo import DEFAULT_WARMUP, END, compare_disciplines  # noqa: F401  (public names)
-from .marks import MarkSource, MarkTriple
+from .marks import MarkTriple
 
 sample_stationary_s = partial(fifo.sample_stationary, END)
+forward_samples_end = partial(fifo.forward_samples, END)
 exact_loss_rows_end = partial(fifo.exact_loss_rows, END)
-loss_report_from_rows_end = partial(fifo.loss_report_from_rows, END)
 loss_metrics_end = partial(fifo.loss_probability, END)
 
 
@@ -37,9 +37,3 @@ def end_step(s: float, mark: MarkTriple) -> float:
     """One arrival of the end-impatience workload; nondecreasing and
     1-Lipschitz in s."""
     return END.mark_step(s, mark)
-
-
-def forward_samples_end(src: MarkSource, count: int, warmup: int = DEFAULT_WARMUP,
-                        spacing: int = 1):
-    """End-model analog of fifo_begin.forward_samples (values only)."""
-    return fifo.forward_samples(END, src, count, warmup, spacing)

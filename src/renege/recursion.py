@@ -36,12 +36,12 @@ _FIRST_FILL = 128
 _SEARCH_EPOCHS = 4
 _SEARCH_LAGS = 4
 _SEARCH_CELLS = 1 << 15
-# Replicas per lockstep batch of screen_replicas, and the marks of each one's
-# first window; a re-screen at width w takes _BATCH * _FIRST_WIDTH // w
-# replicas at a time.  On the benchmark sources the renovation distance has
-# mean 2 (Markov) and 15 (heavy iid).  A batch of exact loss rows peaks near
-# 1.0 MB on either source (end model) and 1.75 MB on the heavy iid one (begin
-# model, with its re-screens), by tracemalloc.
+# Replicas per part of screen_replicas' first pass, and the marks of each
+# one's first window; a re-screen at width w takes a range's undecided
+# replicas _BATCH * _FIRST_WIDTH // w at a time.  The renovation distance has
+# mean 2 (Markov) and 15 (heavy iid) on the benchmark sources.  A batch of exact
+# loss rows peaks near 1.0 MB on either (end model) and 1.75 MB on the heavy
+# iid one (begin model, with its re-screens), by tracemalloc.
 _BATCH = 512
 _FIRST_WIDTH = 32
 
@@ -251,18 +251,18 @@ def screen_replicas(spec: RecursionSpec, src: MarkSource, lo: int, hi: int, max_
     whose every candidate is positive (k = max_epochs + 1) is an answer, not
     a stopped row.
 
-    _BATCH replicas at a time start from windows of _FIRST_WIDTH marks.  The
-    rows a window leaves undecided are fetched again and re-screened together
-    at twice the width, from the candidate where each one's walk ran out of
-    marks, in sub-batches of at most _BATCH * _FIRST_WIDTH marks, until every
-    row is certified or stopped.  No row after the first stopped one is
-    widened further, and at the end of the batch that row's error is raised
-    (_stopped): so the rows of a batch that completes are all certified, each
-    by the last window yielded for it, and the first error is the first
-    stopped replica's.  A source whose marginals give no a.s. bound on alpha
-    raises CapabilityError before any fetch.  The marks are a pure function
-    of the replica index, so rows computed in any order or process agree bit
-    for bit.
+    The first pass fetches windows of _FIRST_WIDTH marks, _BATCH replicas at
+    a time.  The rows it leaves undecided, from every batch of the range, are
+    re-screened together at each doubled width, from the candidate where
+    each one's walk ran out of marks, in parts of at most _BATCH *
+    _FIRST_WIDTH marks, until every row is certified or stopped.  No part
+    after the first stopped row is fetched, and once the rows before it are
+    decided its error is raised (_stopped): so every row of a range that
+    completes is certified, by the last window yielded for it, and the error
+    is the first stopped replica's.  A source whose marginals give no a.s.
+    bound on alpha raises CapabilityError before any fetch.  The marks are a
+    pure function of the replica index, so rows computed in any order, range
+    or process agree bit for bit.
     """
     if lo >= hi:
         return
@@ -276,35 +276,34 @@ def screen_replicas(spec: RecursionSpec, src: MarkSource, lo: int, hi: int, max_
             "deterministic marginals)")
     if max_depth < 1:
         raise _stopped(src, lo, bound, max_epochs, max_depth, 0.0)
-    for a in range(lo, hi, _BATCH):
-        n = min(_BATCH, hi - a)
-        # k: the renovation distance, or -1 - the candidate an undecided row's
-        # walk is at; beta: the cumulative beta of the rows max_depth stops
-        k, depth, beta = np.full(n, -1), np.zeros(n, dtype=np.intp), np.zeros(n)
-        todo, width = np.arange(n), _FIRST_WIDTH
-        while todo.size:
-            undecided, step, cut = [], max(1, _BATCH * _FIRST_WIDTH // width), width - first
-            for part in (todo[b:b + step] for b in range(0, todo.size, step)):
-                marks = src.replica_windows((part + a).tolist(), 2 * max_depth, width)
-                alpha = spec.alpha_array(*marks[1:])
-                kp, dp = renovation_offsets(marks[0, :, :cut], alpha[:, :cut], bound,
-                                            max_epochs - first, max_depth, -1 - k[part])
-                k[part] = np.where(kp < 0, kp, kp + first)
-                depth[part] = dp
-                for i in np.flatnonzero((dp == 0) & (0 <= kp) & (kp <= max_epochs - first)):
-                    c = width - 1 - k[part[i]]  # the stopped candidate's column
-                    beta[part[i]] = np.add.accumulate(marks[0, i, c - max_depth:c][::-1])[-1]
-                yield part + a, marks, alpha, k[part], dp
-                undecided.append(part[kp < 0])
-            todo = np.concatenate(undecided)
-            stopped = np.flatnonzero((k >= 0) & (depth == 0)
-                                     & ((k <= max_epochs) | (not positive_ok)))
-            todo = todo[todo < stopped[0]] if stopped.size else todo
-            width *= 2
-        if stopped.size:
-            i = stopped[0]
-            raise _stopped(src, a + int(i), bound, max_epochs, max_depth,
-                           float(beta[i]) if k[i] <= max_epochs else None)
+    # k: the renovation distance, or -1 - the candidate an undecided row's walk
+    # is at; stop: the first stopped row so far, with its error
+    k, todo, width = np.full(hi - lo, -1), np.arange(hi - lo), _FIRST_WIDTH
+    stop, error = hi - lo, None
+    while todo.size:
+        undecided, step, cut = [], max(1, _BATCH * _FIRST_WIDTH // width), width - first
+        for part in (todo[b:b + step] for b in range(0, todo.size, step)):
+            marks = src.replica_windows((part + lo).tolist(), 2 * max_depth, width)
+            alpha = spec.alpha_array(*marks[1:])
+            kp, dp = renovation_offsets(marks[0, :, :cut], alpha[:, :cut], bound,
+                                        max_epochs - first, max_depth, -1 - k[part])
+            k[part] = np.where(kp < 0, kp, kp + first)
+            yield part + lo, marks, alpha, k[part], dp
+            undecided.append(part[kp < 0])
+            stopped = np.flatnonzero((dp == 0) & (0 <= kp)
+                                     & ((kp <= max_epochs - first) | (not positive_ok)))
+            if stopped.size:  # todo is sorted: every later part is after this row
+                i = stopped[0]
+                stop, c = part[i], width - 1 - k[part[i]]  # c: the stopped candidate's column
+                beta = (float(np.add.accumulate(marks[0, i, c - max_depth:c][::-1])[-1])
+                        if kp[i] <= max_epochs - first else None)
+                error = _stopped(src, lo + int(stop), bound, max_epochs, max_depth, beta)
+                break
+        todo = np.concatenate(undecided)
+        todo = todo[todo < stop]
+        width *= 2
+    if error is not None:
+        raise error
 
 
 def _stopped(src: MarkSource, r: int, bound: float, max_epochs: int, max_depth: int,

@@ -45,7 +45,8 @@ from renege.fifo import (
     MODELS,
     exact_loss_rows,
     exact_sample_rows,
-    loss_report_from_rows,
+    loss_counts,
+    loss_probability,
 )
 from renege.recursion import renovation_offsets, screen_replicas
 
@@ -150,6 +151,31 @@ def test_deep_replicas_match_the_scalar_path():
     # undecided replicas are re-screened as a batch, several times over
     rows = exact_loss_rows(END, DEEP, 0, 120, 10_000, 10_000)
     assert hexed(rows) == hexed(oracle_rows(END, DEEP, 0, 120, 10_000, 10_000))
+
+
+def test_one_rescreen_cascade_per_range():
+    # the first pass takes _BATCH replicas a window; then the undecided rows of
+    # every batch of the range are re-screened together, so each wider width
+    # takes only as many windows as those rows fill
+    n = 4 * recursion._BATCH + 37
+    windows, undecided = {}, {}
+    for rows, marks, _, k, _ in screen_replicas(END.dominating, DEEP, 0, n, 10_000, 10_000):
+        width = marks.shape[2]
+        windows[width] = windows.get(width, 0) + 1
+        undecided[width] = undecided.get(width, 0) + int(np.count_nonzero(k < 0))
+    widths = sorted(windows)
+    assert widths[0] == recursion._FIRST_WIDTH and len(widths) >= 4
+    assert windows[widths[0]] == -(-n // recursion._BATCH)
+    for narrow, wide in zip(widths, widths[1:]):
+        part = recursion._BATCH * recursion._FIRST_WIDTH // wide
+        assert wide == 2 * narrow and windows[wide] == -(-undecided[narrow] // part)
+    assert undecided[widths[-1]] == 0
+    rows = exact_loss_rows(END, DEEP, 0, n, 10_000, 10_000)
+    assert hexed(rows) == hexed(oracle_rows(END, DEEP, 0, n, 10_000, 10_000))
+    batches = [row for a in range(0, n, recursion._BATCH)
+               for row in exact_loss_rows(END, DEEP, a, min(a + recursion._BATCH, n),
+                                          10_000, 10_000)]
+    assert hexed(batches) == hexed(rows)
 
 
 @pytest.mark.parametrize("kind", ["deep-markov", "slow-markov"])
@@ -265,17 +291,20 @@ def test_sample_errors_match_the_sampler(model, kind, max_epochs, max_depth, mon
 @pytest.mark.parametrize("kind", ["iid", "markov", "deep"])
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_loss_counts_match_the_per_row_sums(model, kind, monkeypatch):
-    # the report counts each indicator over the rows' columns; the per-row
-    # sums give the same integers, the end model's never-reach count included
+    # loss_counts counts each indicator over the rows' columns at once; the
+    # per-row sums give the same integers, the end model's never-reach count
+    # included, and the exact loss report is made of them
     model, src = MODELS[model], SOURCES[kind]
     rows = exact_loss_rows(model, src, 0, 300, 10_000, 400)
     sums = [sum(col) for col in zip(*(model.exceeds(*row[1:]) for row in rows))]
     assert len(sums) == len(model.columns) - 2 and 0 < min(sums) and max(sums) < len(rows)
-    counts, report = [], fifo._report
-    monkeypatch.setattr(fifo, "_report", lambda *args: counts.append(args[2]) or report(*args))
-    assert loss_report_from_rows(model, src, rows) == report(model, src, sums, len(rows),
-                                                             "renovation-exact")
-    assert counts == [sums] and {type(c) for c in counts[0]} == {int}
+    counts = loss_counts(model, map(np.array, list(zip(*rows))[1:]))
+    assert counts == sums and {type(c) for c in counts} == {int}
+    seen, report = [], fifo.loss_report
+    monkeypatch.setattr(fifo, "loss_report", lambda *args: seen.append(args[2]) or report(*args))
+    assert loss_probability(model, src, 300, max_depth=400) == report(model, src, sums, 300,
+                                                                      "renovation-exact")
+    assert seen == [sums]
 
 
 def test_unbounded_marginals_raise_capability_error():

@@ -7,6 +7,7 @@ workers end with the interpreter.  Every worker count, in any order of
 calls, writes the files of --workers 1.
 """
 
+import io
 import json
 import multiprocessing
 import os
@@ -90,7 +91,7 @@ def test_a_broken_pool_is_replaced(tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(cli, "_replica_rows", _die)
         with pytest.raises(BrokenProcessPool):
-            cli._parallel_rows("loss", None, {}, 8, 2)
+            cli._parallel_rows("loss", None, {}, 8, 2, io.StringIO())
     assert cli._pool is None and _alive(broken) == []
     assert _run(tmp_path, 2, "after") == want
     assert len(_workers()) == 2 and not _workers() & broken
