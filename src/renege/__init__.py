@@ -4,9 +4,8 @@ Single- and multi-server queues where customers either abandon the queue at
 a deadline (begin-of-service impatience) or leave even mid-service (end-of-
 service impatience): workload recursions at arrival epochs, exact stationary
 sampling by replaying from renovation epochs of a dominating monotone
-recursion, loss-probability estimation with computable bounds, an
-event-driven simulator for cross-validation, and birth-death oracles for the
-memoryless special cases.
+recursion, loss-probability estimation with computable bounds, and an
+s-server simulator for cross-validation.
 """
 
 __version__ = "0.1.0"
@@ -35,7 +34,6 @@ from .recursion import (
     ProbZero,
     RecursionSpec,
     RenovationNotFoundError,
-    coupling_time,
     prob_zero_estimate,
     step,
 )
@@ -46,7 +44,6 @@ from .fifo_begin import (
     sample_stationary_w,
 )
 from .fifo_end import (
-    compare_disciplines,
     end_step,
     forward_samples_end,
     loss_metrics_end,
@@ -74,12 +71,7 @@ from .cesaro import (
 from .estimation import (
     Estimate,
     LossReport,
-    OracleSpec,
-    TruncationError,
-    birth_death_abandonment,
-    birth_death_stationary,
     binomial_se,
-    ks_two_sample,
     mc_aggregate,
     wilson,
 )

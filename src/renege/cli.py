@@ -18,6 +18,7 @@ import io
 import json
 import re
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -289,17 +290,37 @@ def _drop_pool() -> None:
         pool.shutdown()
 
 
+def _pooled(fn, ranges: list, workers: int):
+    """fn(lo, hi) of each range, in order, run on the process's pool
+    (_executor) with at most 2 * workers ranges submitted and not yet
+    returned: Executor.map would submit them all, and the results of later
+    ranges would wait in memory until the earlier ones are written.  Ranges
+    not yet started are cancelled when the caller stops early."""
+    pool, pending = _executor(workers), deque()
+    try:
+        for lo, hi in ranges:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, lo, hi))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def _parallel_rows(kind: str, src: MarkSource, params: dict, total: int, workers: int,
                   fh) -> list:
     """Rows 0..total-1 (_replica_rows) in _ranges, in-process at one worker,
-    else over the process's pool (_executor): each range's text written to fh
+    else over the process's pool (_pooled): each range's text written to fh
     in replica order as it arrives, and their counts or W returned in that
     order.  A pool that breaks is dropped and its error raised."""
-    los, his = zip(*_ranges(total, workers))
+    ranges = _ranges(total, workers)
     rows = partial(_replica_rows, kind, src, params)
     stats = []
     try:
-        for text, stat in (_executor(workers).map if workers > 1 else map)(rows, los, his):
+        for text, stat in (_pooled(rows, ranges, workers) if workers > 1
+                           else (rows(lo, hi) for lo, hi in ranges)):
             fh.write(text)
             stats.append(stat)
     except BrokenProcessPool:

@@ -1,19 +1,12 @@
-"""Monte Carlo aggregation, the two-sample KS statistic, and birth-death oracles.
-
-The birth-death chain here is the independent ground truth for the memoryless
-single-server scenarios: number-in-system moves up at the arrival rate and
-down at mu + (n-1)*gamma in state n (one customer in service, n-1 waiting and
-each quitting at rate gamma).  The per-arrival abandonment fraction of that
-chain equals the stationary loss probability of the matching workload
-recursion, which is what the acceptance checks exercise.
+"""Monte Carlo intervals and the loss report: Wilson intervals for binary
+outcomes, t intervals for real ones, and the loss-probability estimates with
+their dominated and dominating bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 _Z95 = 1.959963984540054
 
@@ -75,79 +68,6 @@ def mc_aggregate(values, kind: str) -> Estimate:
     from scipy import stats  # about 1 s to import; only real-valued intervals need it
     half = float(stats.t.ppf(0.975, n - 1)) * math.sqrt(var / n)
     return Estimate(point=mean, low=mean - half, high=mean + half, n=n, kind="t")
-
-
-def ks_two_sample(a, b) -> float:
-    """sup_x |F_a(x) - F_b(x)| over the pooled sample points."""
-    xa = np.sort(np.asarray(a, dtype=float))
-    xb = np.sort(np.asarray(b, dtype=float))
-    if xa.size == 0 or xb.size == 0:
-        raise ValueError("both samples must be nonempty")
-    pooled = np.concatenate([xa, xb])
-    fa = np.searchsorted(xa, pooled, side="right") / xa.size
-    fb = np.searchsorted(xb, pooled, side="right") / xb.size
-    return float(np.abs(fa - fb).max())
-
-
-@dataclass(frozen=True)
-class OracleSpec:
-    """Birth-death ground truth parameters: arrivals lam, service mu,
-    per-waiting-customer abandonment rate gamma (0 means no abandonment)."""
-
-    lam: float
-    mu: float
-    gamma: float = 0.0
-    tail_tol: float = 1e-12
-    max_states: int = 1 << 22
-
-    def __post_init__(self):
-        if not (self.lam > 0.0 and self.mu > 0.0):
-            raise ValueError("lam and mu must be > 0")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
-
-
-class TruncationError(RuntimeError):
-    """The birth-death chain's tail mass cannot be brought under tail_tol."""
-
-
-def birth_death_stationary(oracle: OracleSpec) -> np.ndarray:
-    """Stationary distribution of number-in-system, truncated so the neglected
-    geometric tail is below tail_tol."""
-    lam, mu, gamma = oracle.lam, oracle.mu, oracle.gamma
-    weights = [1.0]
-    n = 0
-    while True:
-        n += 1
-        rate = mu + (n - 1) * gamma
-        weights.append(weights[-1] * lam / rate)
-        ratio = lam / (mu + n * gamma)
-        if ratio < 1.0:
-            tail = weights[-1] * ratio / (1.0 - ratio)
-            if tail < oracle.tail_tol * math.fsum(weights):
-                break
-        if n >= oracle.max_states:
-            raise TruncationError(
-                f"no usable truncation within {oracle.max_states} states "
-                f"(lam={lam}, mu={mu}, gamma={gamma}); the chain may have no stationary law")
-    w = np.asarray(weights)
-    return w / math.fsum(weights)
-
-
-def birth_death_abandonment(oracle: OracleSpec) -> tuple[float, float]:
-    """(abandonment probability, M/M/1/1 blocking probability).
-
-    Abandonment is the stationary rate sum_n pi_n (n-1) gamma divided by lam:
-    the long-run fraction of arrivals whose patience ends while waiting.  The
-    second value is the zero-patience corner: blocking of the two-state loss
-    system with the same lam and mu, i.e. rho/(1+rho).
-    """
-    pi = birth_death_stationary(oracle)
-    n = np.arange(pi.size)
-    loss = float(math.fsum(pi[2:] * (n[2:] - 1)) * oracle.gamma / oracle.lam)
-    rho = oracle.lam / oracle.mu
-    blocking = rho / (1.0 + rho)
-    return loss, blocking
 
 
 @dataclass(frozen=True)

@@ -385,7 +385,7 @@ def forward_samples(model: Model, src: MarkSource, count: int, warmup: int = DEF
     out = np.empty(count)
     (w,), _ = _advance(model, src, 0, warmup, (0.0,))
     a = taken = 0
-    for marks in mark_windows(src.window_arrays, warmup, total):
+    for marks in mark_windows(src.window_arrays, warmup, total, _WINDOW):
         seen = [w] + model.w_path(w, *marks)  # before each arrival, then after
         w = seen.pop()
         got = seen[-a % spacing::spacing]
@@ -511,19 +511,3 @@ def loss_probability(model: Model, src: MarkSource, samples: int, mode: str = "e
     state, _ = _advance(model, src, 0, warmup, (0.0, 0.0, 0.0))
     _, counts = _advance(model, src, warmup, warmup + samples, state)
     return loss_report(model, src, counts, samples, "forward-approximate")
-
-
-def compare_disciplines(src: MarkSource, horizon: int) -> int:
-    """Count indices n <= horizon where the end-model workload exceeds the
-    begin-model workload on the same marks from the same empty start.
-    The contract is 0: aborting service at the deadline never leaves more
-    work than running every admitted service to completion."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    s = w = 0.0
-    violations = 0
-    for marks in mark_windows(src.window_arrays, 0, horizon):
-        s_path, w_path = _w_path_end(s, *marks), _w_path_begin(w, *marks)
-        violations += int(np.count_nonzero(np.greater(s_path, w_path)))
-        s, w = s_path[-1], w_path[-1]
-    return violations

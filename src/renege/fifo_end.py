@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import partial
 
 from . import fifo
-from .fifo import DEFAULT_WARMUP, END, compare_disciplines  # noqa: F401  (public names)
+from .fifo import DEFAULT_WARMUP, END  # noqa: F401  (public names)
 from .marks import MarkTriple
 
 sample_stationary_s = partial(fifo.sample_stationary, END)

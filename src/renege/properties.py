@@ -13,7 +13,7 @@ import numpy as np
 
 from .des import Scenario, simulate
 from .fifo import BEGIN, END
-from .marks import MarkTriple, Uniform, iid_source
+from .marks import Uniform, iid_source
 from .recursion import clip, step_array
 
 
@@ -81,17 +81,6 @@ def end_case_table_mismatches(count: int = 100_000, seed: int = 20240813) -> int
     x, s, d, _ = _tuples(count, seed)
     case = np.where((s <= d) & (x <= d - s), x + s, np.where(x <= d, d, x))
     return int(np.sum(case != END.inner(x, s, d)))
-
-
-def fifo_nonmonotonicity_witness() -> tuple[float, float, float, float]:
-    """States x < y with fifo_step(x) > fifo_step(y) for one mark.
-
-    Crossing the patience boundary drops the service term: serving at x = d
-    loads d + sigma while y just above d keeps only y.
-    """
-    mark = MarkTriple(xi=0.5, sigma=1.0, dpat=1.0)
-    x, y = 1.0, 1.25
-    return x, y, BEGIN.mark_step(x, mark), BEGIN.mark_step(y, mark)
 
 
 def des_inclusion_suite(seed: int = 20240814, customers: int = 4000) -> dict[str, int]:

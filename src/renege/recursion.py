@@ -12,9 +12,7 @@ marginals give (MarkSource.alpha_bound_for): every deeper term is then <= 0.
 One screen decides it, renovation_offsets, for a batch of replica windows in
 lockstep, and one loop, screen_replicas, runs it over replicas fetched at
 doubling widths; the exact rows of renege.fifo and the exact
-prob_zero_estimate are what it yields.  Forward iterates started from
-different states coalesce at the atom 0; coupling_time detects that and
-checks absorption.
+prob_zero_estimate are what it yields.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import numpy as np
 from .estimation import Estimate, mc_aggregate
 from .marks import CapabilityError, MarkSource, MarkTriple
 
-_FORWARD_CHUNK = 1 << 14  # marks per window of a forward pass
 # Marks in a MarkWindowCache's first fill.
 _FIRST_FILL = 128
 # A renovation screen first takes this many candidate epochs, each over this
@@ -119,7 +116,7 @@ class MarkWindowCache:
         return tuple(self._marks[:, lo - self._lo:hi - self._lo + 1])
 
 
-def mark_windows(fetch, lo: int, hi: int, size: int = _FORWARD_CHUNK):
+def mark_windows(fetch, lo: int, hi: int, size: int):
     """(xi, sigma, dpat) over indices lo..hi-1, `size` marks at a time, read
     with fetch(lo, hi), a MarkSource's window_arrays."""
     for a in range(lo, hi, size):
@@ -365,35 +362,3 @@ def prob_zero_estimate(spec: RecursionSpec, src: MarkSource, replicas: int,
                 hits[r] = not (spec.alpha_array(sigma, dpat)[::-1] - s[1:] > 0.0).any()
                 depth, take = depth + xi.size, 2 * take
     return ProbZero(mc_aggregate(hits.tolist(), kind="binary"), exact=exact)
-
-
-def coupling_time(spec: RecursionSpec, src: MarkSource, z1: float, z2: float,
-                  horizon: int) -> int | None:
-    """Smallest n <= horizon at which forward iterates from z1 and z2 coincide.
-
-    Both iterates consume the same marks (indices 0, 1, ...).  Once equal the
-    iterates are verified to stay equal up to the horizon; None means the
-    iterates did not couple within the horizon.  Equality is exact floating
-    equality: coalescence happens at the atom 0 and the iterates then traverse
-    identical arithmetic.
-    """
-    if z1 < 0.0 or z2 < 0.0:
-        raise ValueError("initial states must be >= 0")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    a, b = z1, z2
-    met: int | None = 0 if a == b else None
-    n = 0  # steps taken before the window
-    for xi, sigma, dpat in mark_windows(src.window_arrays, 0, horizon):
-        alpha = spec.alpha_array(sigma, dpat)
-        pa, pb = y_path(a, alpha, xi), y_path(b, alpha, xi)
-        equal = np.equal(pa, pb)
-        if met is None and equal.any():
-            met = n + 1 + int(equal.argmax())
-        apart = np.flatnonzero(~equal) + n + 1  # the steps after which they differ
-        if met is not None and apart.size and apart[-1] > met:
-            raise RuntimeError(
-                f"iterates separated at step {apart[apart > met][0]} after coupling at {met}")
-        a, b = pa[-1], pb[-1]
-        n += xi.size
-    return met

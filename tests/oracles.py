@@ -16,27 +16,41 @@ the scalar walks it replaced, kept to check it:
 
 They read marks through recursion.MarkWindowCache and replay with the scalar
 kernels of the models (Model.scalar_window, Model.w_path).
+
+Below them are the checks and ground truths no renege run needs, only the
+tests:
+
+- coalescence of forward iterates at the atom 0 (coupling_time) and the
+  begin/end comparison on common marks (compare_disciplines);
+- the fifo step's non-monotonicity witness;
+- the birth-death chain of the memoryless single-server scenarios
+  (OracleSpec, birth_death_stationary, birth_death_abandonment);
+- the two-sample Kolmogorov-Smirnov statistic (ks_two_sample).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from renege.fifo import END, Model
-from renege.marks import CapabilityError, MarkSource
+from renege.fifo import BEGIN, END, Model
+from renege.marks import CapabilityError, MarkSource, MarkTriple
 from renege.recursion import (
     _FIRST_FILL,
     DepthExhaustedError,
     MarkWindowCache,
     RecursionSpec,
     RenovationNotFoundError,
+    mark_windows,
     renovation_offsets,
+    y_path,
 )
 
 _FIRST_LAGS = 16  # the first chunk of lags a backward walk reads
 _CHUNK = 512  # the longest chunk of lags a backward walk reads at once
+_WINDOW = 1 << 14  # marks per window of a forward walk
 
 
 def model_step(model: Model, w: float, x: float, s: float, d: float) -> float:
@@ -312,3 +326,141 @@ def loynes_minimal(src: MarkSource, epoch: int = 0, max_depth: int = 1000,
             return LoynesResult(cur, k, True)
         prev = cur
     return LoynesResult(prev, max_depth, False)
+
+
+def coupling_time(spec: RecursionSpec, src: MarkSource, z1: float, z2: float,
+                  horizon: int) -> int | None:
+    """Smallest n <= horizon at which forward iterates from z1 and z2 coincide.
+
+    Both iterates consume the same marks (indices 0, 1, ...).  Once equal the
+    iterates are verified to stay equal up to the horizon; None means the
+    iterates did not couple within the horizon.  Equality is exact floating
+    equality: coalescence happens at the atom 0 and the iterates then traverse
+    identical arithmetic.
+    """
+    if z1 < 0.0 or z2 < 0.0:
+        raise ValueError("initial states must be >= 0")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    a, b = z1, z2
+    met: int | None = 0 if a == b else None
+    n = 0  # steps taken before the window
+    for xi, sigma, dpat in mark_windows(src.window_arrays, 0, horizon, _WINDOW):
+        alpha = spec.alpha_array(sigma, dpat)
+        pa, pb = y_path(a, alpha, xi), y_path(b, alpha, xi)
+        equal = np.equal(pa, pb)
+        if met is None and equal.any():
+            met = n + 1 + int(equal.argmax())
+        apart = np.flatnonzero(~equal) + n + 1  # the steps after which they differ
+        if met is not None and apart.size and apart[-1] > met:
+            raise RuntimeError(
+                f"iterates separated at step {apart[apart > met][0]} after coupling at {met}")
+        a, b = pa[-1], pb[-1]
+        n += xi.size
+    return met
+
+
+def compare_disciplines(src: MarkSource, horizon: int) -> int:
+    """Count indices n <= horizon where the end-model workload exceeds the
+    begin-model workload on the same marks from the same empty start.
+    The contract is 0: aborting service at the deadline never leaves more
+    work than running every admitted service to completion."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    s = w = 0.0
+    violations = 0
+    for marks in mark_windows(src.window_arrays, 0, horizon, _WINDOW):
+        s_path, w_path = END.w_path(s, *marks), BEGIN.w_path(w, *marks)
+        violations += int(np.count_nonzero(np.greater(s_path, w_path)))
+        s, w = s_path[-1], w_path[-1]
+    return violations
+
+
+def fifo_nonmonotonicity_witness() -> tuple[float, float, float, float]:
+    """States x < y with fifo_step(x) > fifo_step(y) for one mark.
+
+    Crossing the patience boundary drops the service term: serving at x = d
+    loads d + sigma while y just above d keeps only y.
+    """
+    mark = MarkTriple(xi=0.5, sigma=1.0, dpat=1.0)
+    x, y = 1.0, 1.25
+    return x, y, BEGIN.mark_step(x, mark), BEGIN.mark_step(y, mark)
+
+
+@dataclass(frozen=True)
+class OracleSpec:
+    """Birth-death ground truth parameters: arrivals lam, service mu,
+    per-waiting-customer abandonment rate gamma (0 means no abandonment).
+
+    Number-in-system moves up at lam and down at mu + (n-1)*gamma in state n
+    (one customer in service, n-1 waiting and each quitting at rate gamma).
+    The per-arrival abandonment fraction of that chain equals the stationary
+    loss probability of the matching workload recursion.
+    """
+
+    lam: float
+    mu: float
+    gamma: float = 0.0
+    tail_tol: float = 1e-12
+    max_states: int = 1 << 22
+
+    def __post_init__(self):
+        if not (self.lam > 0.0 and self.mu > 0.0):
+            raise ValueError("lam and mu must be > 0")
+        if self.gamma < 0.0:
+            raise ValueError("gamma must be >= 0")
+
+
+class TruncationError(RuntimeError):
+    """The birth-death chain's tail mass cannot be brought under tail_tol."""
+
+
+def birth_death_stationary(oracle: OracleSpec) -> np.ndarray:
+    """Stationary distribution of number-in-system, truncated so the neglected
+    geometric tail is below tail_tol."""
+    lam, mu, gamma = oracle.lam, oracle.mu, oracle.gamma
+    weights = [1.0]
+    n = 0
+    while True:
+        n += 1
+        rate = mu + (n - 1) * gamma
+        weights.append(weights[-1] * lam / rate)
+        ratio = lam / (mu + n * gamma)
+        if ratio < 1.0:
+            tail = weights[-1] * ratio / (1.0 - ratio)
+            if tail < oracle.tail_tol * math.fsum(weights):
+                break
+        if n >= oracle.max_states:
+            raise TruncationError(
+                f"no usable truncation within {oracle.max_states} states "
+                f"(lam={lam}, mu={mu}, gamma={gamma}); the chain may have no stationary law")
+    w = np.asarray(weights)
+    return w / math.fsum(weights)
+
+
+def birth_death_abandonment(oracle: OracleSpec) -> tuple[float, float]:
+    """(abandonment probability, M/M/1/1 blocking probability).
+
+    Abandonment is the stationary rate sum_n pi_n (n-1) gamma divided by lam:
+    the long-run fraction of arrivals whose patience ends while waiting.  The
+    second value is the zero-patience corner: blocking of the two-state loss
+    system with the same lam and mu, i.e. rho/(1+rho).
+    """
+    pi = birth_death_stationary(oracle)
+    n = np.arange(pi.size)
+    loss = float(math.fsum(pi[2:] * (n[2:] - 1)) * oracle.gamma / oracle.lam)
+    rho = oracle.lam / oracle.mu
+    blocking = rho / (1.0 + rho)
+    return loss, blocking
+
+
+def ks_two_sample(a, b) -> float:
+    """sup_x |F_a(x) - F_b(x)| over the pooled sample points."""
+    xa = np.sort(np.asarray(a, dtype=float))
+    xb = np.sort(np.asarray(b, dtype=float))
+    if xa.size == 0 or xb.size == 0:
+        raise ValueError("both samples must be nonempty")
+    pooled = np.concatenate([xa, xb])
+    fa = np.searchsorted(xa, pooled, side="right") / xa.size
+    fb = np.searchsorted(xb, pooled, side="right") / xb.size
+    return float(np.abs(fa - fb).max())

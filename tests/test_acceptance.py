@@ -11,20 +11,15 @@ import numpy as np
 from renege import (
     Deterministic,
     Exponential,
-    OracleSpec,
     SIGMA_PLUS_D,
     Scenario,
     Uniform,
     binomial_se,
-    birth_death_abandonment,
     cesaro_distribution,
-    compare_disciplines,
-    coupling_time,
     cross_validate_recursion,
     forward_samples,
     iid_source,
     invariance_distance,
-    ks_two_sample,
     loss_metrics_end,
     loss_probability_begin,
     prob_zero_estimate,
@@ -33,7 +28,14 @@ from renege import (
 from renege.fifo import BEGIN, END, exact_sample_rows
 from renege.properties import pointwise_inequality_suite
 
-from oracles import sandwich_check
+from oracles import (
+    OracleSpec,
+    birth_death_abandonment,
+    compare_disciplines,
+    coupling_time,
+    ks_two_sample,
+    sandwich_check,
+)
 
 
 def _criterion(n: int, ok: bool, detail: str) -> None:

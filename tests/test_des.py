@@ -174,7 +174,9 @@ def test_des_abandonment_matches_birth_death_oracle():
     # independent of the recursion path: the simulator's abandonment fraction
     # against the memoryless birth-death ground truth, plus Little's law
     import math
-    from renege import Exponential, OracleSpec, birth_death_abandonment
+    from renege import Exponential
+
+    from oracles import OracleSpec, birth_death_abandonment
     lam, mu, gamma = 0.8, 1.0, 0.5
     oracle, _ = birth_death_abandonment(OracleSpec(lam, mu, gamma))
     src = iid_source(Exponential(lam), Exponential(mu), Exponential(gamma), seed=2024)

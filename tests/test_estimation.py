@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from renege import (
+from renege import mc_aggregate, wilson
+
+from oracles import (
     OracleSpec,
     TruncationError,
     birth_death_abandonment,
     birth_death_stationary,
     ks_two_sample,
-    mc_aggregate,
-    wilson,
 )
 
 

@@ -11,7 +11,6 @@ from renege import (
     fifo_step,
     forward_samples,
     iid_source,
-    ks_two_sample,
     loss_probability_begin,
     sample_stationary_w,
 )
@@ -21,7 +20,7 @@ from renege.fifo_begin import exact_loss_rows
 from renege.recursion import MarkWindowCache
 
 import oracles
-from oracles import backward_supremum, exact_triple, sandwich_check
+from oracles import backward_supremum, exact_triple, ks_two_sample, sandwich_check
 
 DET_STABLE = deterministic_source(1.0, 0.6, 0.3, seed=2)
 

@@ -4,12 +4,10 @@ import pytest
 from renege import (
     MarkTriple,
     binomial_se,
-    compare_disciplines,
     deterministic_source,
     end_step,
     forward_samples_end,
     iid_source,
-    ks_two_sample,
     loss_metrics_end,
     loss_probability_begin,
     sample_stationary_s,
@@ -19,7 +17,14 @@ from renege.fifo import END, exact_sample_rows
 from renege.fifo_end import exact_loss_rows_end
 from renege.recursion import MarkWindowCache
 
-from oracles import exact_triple, loynes_minimal, sample_stationary, sandwich_check
+from oracles import (
+    compare_disciplines,
+    exact_triple,
+    ks_two_sample,
+    loynes_minimal,
+    sample_stationary,
+    sandwich_check,
+)
 
 
 def test_end_step_examples():

@@ -94,6 +94,9 @@ CASES = {
         "mode": "approximate", "samples": 12, "warmup": 40000}}),
     "regen-markov": ("regen", {"source": MARKOV3, "model": {"servers": 1, "impatience": "begin"},
                                "run": {"customers": 1500, "replicas": 30, "max_depth": 300}}),
+    # unbounded source: prob_zero_estimate takes the truncated walk
+    "regen-iid": ("regen", {"source": EXPO, "model": {"servers": 1, "impatience": "begin"},
+                            "run": {"customers": 3000, "replicas": 40, "max_depth": 200}}),
     "des-markov": ("des", {"source": MARKOV, "model": {"servers": 2, "impatience": "end"},
                            "run": {"customers": 2000}}),
     "des-iid": ("des", {"source": EXPO, "model": {"servers": 4, "impatience": "begin"},
@@ -166,6 +169,10 @@ HASHES = {
     "regen-markov": {
         "detail.csv": "b5f26611c78c848d2d84d42ea94233d5005851b43655a001a7c854e7537d80b8",
         "summary.json": "243174bf57248ba65d8cf745bbdcc0af9f0f9c780222e0e7588bebb12d725f62",
+    },
+    "regen-iid": {
+        "detail.csv": "d1075158e3d510e03ec7de447ec737f8a3184be29fa9d3ae3cc3ae7537a11acf",
+        "summary.json": "bdade27c7ae4392b0c64f5b2a7547fe4ad2e831622e6b05d88819384bbe0b27c",
     },
     "des-markov": {
         "customers.csv": "4259a7d444ad9c86f6a887bff1fc22c770e4bc88e0c1e0aa50b689b9861788da",

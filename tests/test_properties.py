@@ -1,10 +1,11 @@
 from renege.properties import (
     des_inclusion_suite,
     end_case_table_mismatches,
-    fifo_nonmonotonicity_witness,
     pointwise_inequality_suite,
     step_monotonicity_violations,
 )
+
+from oracles import fifo_nonmonotonicity_witness
 
 
 def test_pointwise_inequalities_zero_violations():

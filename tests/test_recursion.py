@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renege import recursion
 from renege import (
     D_ONLY,
     SIGMA_MIN_D,
@@ -15,7 +14,6 @@ from renege import (
     MarkTriple,
     RecursionSpec,
     Uniform,
-    coupling_time,
     deterministic_source,
     iid_source,
     mc_aggregate,
@@ -24,7 +22,8 @@ from renege import (
 )
 from renege.recursion import y_path
 
-from oracles import backward_supremum, loynes_backward
+import oracles
+from oracles import backward_supremum, coupling_time, loynes_backward
 
 DET_SUB = deterministic_source(1.0, 0.6, 0.3, seed=2)   # sigma+dpat = 0.9 < xi
 DET_SUPER = deterministic_source(1.0, 1.4, 0.3, seed=2)  # sigma+dpat = 1.7 > xi
@@ -209,15 +208,15 @@ def test_coupling_time_across_mark_windows():
     # the one from 0 at step 20000, in the second window of marks; equality is
     # then checked through a third
     src = deterministic_source(1.0, 0.25, 0.25, seed=5)
-    assert recursion._FORWARD_CHUNK < 20_000
-    assert coupling_time(SIGMA_PLUS_D, src, 20_000.0, 0.0, 3 * recursion._FORWARD_CHUNK) == 20_000
+    assert oracles._WINDOW < 20_000
+    assert coupling_time(SIGMA_PLUS_D, src, 20_000.0, 0.0, 3 * oracles._WINDOW) == 20_000
     assert coupling_time(SIGMA_PLUS_D, src, 0.0, 20_000.0, 19_999) is None
-    assert coupling_time(SIGMA_PLUS_D, src, 3.0, 3.0, 2 * recursion._FORWARD_CHUNK + 1) == 0
+    assert coupling_time(SIGMA_PLUS_D, src, 3.0, 3.0, 2 * oracles._WINDOW + 1) == 0
 
 
 def test_coupling_time_reports_separation(monkeypatch):
     paths = iter([[1.0, 0.0, 0.0], [2.0, 0.0, 1.0]])
-    monkeypatch.setattr(recursion, "y_path", lambda y, alpha, xi: next(paths))
+    monkeypatch.setattr(oracles, "y_path", lambda y, alpha, xi: next(paths))
     with pytest.raises(RuntimeError, match="separated at step 3 after coupling at 2"):
         coupling_time(SIGMA_PLUS_D, DET_SUB, 0.0, 5.0, 3)
 

@@ -14,6 +14,7 @@ wherever the range boundaries fall.
 import io
 import json
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -67,14 +68,17 @@ def test_sampled_replicas_keep_an_even_split(total):
 
 
 class _InProcessPool:
-    """Stands in for the process's pool (cli._executor): runs the ranges
-    here, records them."""
+    """Stands in for the process's pool (cli._executor): runs each range here
+    as it is submitted, records them."""
 
-    ranges = []
+    def __init__(self):
+        self.ranges = []
 
-    def map(self, fn, los, his):
-        self.ranges[:] = list(zip(los, his))
-        return map(fn, los, his)
+    def submit(self, fn, lo, hi):
+        self.ranges.append((lo, hi))
+        future = Future()
+        future.set_result(fn(lo, hi))
+        return future
 
 
 @pytest.mark.parametrize("kind, mode", [("loss", "exact"), ("sample", "exact"),
@@ -83,13 +87,13 @@ def test_pool_ranges_by_row_kind(monkeypatch, kind, mode):
     # exact rows, loss or sample, and approximate sampled replicas all take
     # one range per worker: 300 rows at 4 workers are 4 ranges of 75, their
     # text written in replica order
-    monkeypatch.setattr(cli, "_executor", lambda workers: _InProcessPool())
+    pool = _InProcessPool()
+    monkeypatch.setattr(cli, "_executor", lambda workers: pool)
     monkeypatch.setattr(cli, "_replica_rows",
                         lambda kind, src, params, lo, hi: (f"{lo}-{hi};", hi - lo))
     fh = io.StringIO()
     assert cli._parallel_rows(kind, None, {"mode": mode}, 300, 4, fh) == [75] * 4
-    assert _InProcessPool.ranges == _ranges(300, 4) == [(0, 75), (75, 150), (150, 225),
-                                                        (225, 300)]
+    assert pool.ranges == _ranges(300, 4) == [(0, 75), (75, 150), (150, 225), (225, 300)]
     assert fh.getvalue() == "0-75;75-150;150-225;225-300;"
 
 

@@ -13,7 +13,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -78,6 +78,45 @@ def test_a_new_worker_count_replaces_the_pool(tmp_path, monkeypatch):
         assert len(seen[-1]) == workers and cli._pool[0] == workers
     assert not (seen[0] & seen[1] or seen[1] & seen[2] or seen[0] & seen[2])
     assert started == [set()] * 3 and _alive(seen[0] | seen[1]) == []
+
+
+class _Returned(Future):
+    """A finished future that tells its executor when its result is taken."""
+
+    def __init__(self, spy, value):
+        super().__init__()
+        self.spy = spy
+        self.set_result(value)
+
+    def result(self, timeout=None):
+        self.spy.outstanding -= 1
+        return super().result(timeout)
+
+
+class _Spy(Executor):
+    """An executor that runs each range in-process as it is submitted and
+    counts the ranges submitted and not yet returned to the caller."""
+
+    def __init__(self):
+        self.outstanding = self.peak = self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        self.outstanding += 1
+        self.peak = max(self.peak, self.outstanding)
+        return _Returned(self, fn(*args))
+
+
+def test_ranges_in_flight_are_capped(tmp_path, monkeypatch):
+    # 300 rows in ranges of at most 50: six ranges at --workers 2, of which at
+    # most four are submitted and not yet written; the file is --workers 1's
+    want = _run(tmp_path, 1, "w1")
+    spy = _Spy()
+    monkeypatch.setattr(cli, "_RANGE_ROWS", 50)
+    monkeypatch.setattr(cli, "_executor", lambda workers: spy)
+    assert _run(tmp_path, 2, "w2") == want
+    assert spy.submitted == 6 and spy.outstanding == 0
+    assert spy.peak == 2 * 2
 
 
 def _die(kind, src, params, lo, hi):
