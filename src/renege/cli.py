@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .cesaro import boundary_mass, cesaro_distribution, invariance_distance, tightness_report
-from .des import Scenario, cross_validate_recursion, regeneration_stats, simulate
+from .des import SOJOURN_TIME_TOL, Scenario, cross_validate_recursion, regeneration_stats, simulate
 from .estimation import mc_aggregate
 from .fifo import (
     BEGIN,
@@ -68,7 +68,6 @@ EXIT_CONFIG = 2
 EXIT_CAPABILITY = 3
 EXIT_CONTRACT = 4
 
-XVAL_TOLERANCE = 1e-9
 _CSV_ROWS = 256  # rows formatted at once by _csv_rows
 _RANGE_ROWS = 16 * _BATCH  # the most replica rows in one range of _parallel_rows
 _NEEDS_QUOTES = re.compile('[,"\r\n]')  # what csv.writer quotes
@@ -338,8 +337,13 @@ def _single_server(cfg: dict) -> None:
 
 
 def _replica_params(cfg: dict, model: Model) -> dict:
-    """Run parameters of the sample and loss experiments."""
+    """Run parameters of the sample and loss experiments, whose model.impatience,
+    when given, must be the experiment's model."""
     _single_server(cfg)
+    impatience = _get(cfg, "model", "impatience", model.name, str)
+    if impatience != model.name:
+        raise ConfigError(f"model.impatience is {impatience!r}, but this experiment runs "
+                          f"the {model.name!r} model")
     return {
         "model": model.name,
         "mode": _mode(cfg),
@@ -492,11 +496,11 @@ def _exp_cesaro(cfg, out_dir, workers, src) -> int:
 def _exp_xval(cfg, out_dir, workers, src) -> int:
     scn = _scenario(cfg, src)
     disc = cross_validate_recursion(scn)
-    ok = disc <= XVAL_TOLERANCE
+    ok = disc <= SOJOURN_TIME_TOL
     return _finish(out_dir, "xval", cfg, src,
                    {"model": scn.impatience, "customers": scn.horizon_customers,
-                    "max_discrepancy": disc, "tolerance": XVAL_TOLERANCE, "contract_ok": ok},
-                   None if ok else f"DES/recursion discrepancy {disc:g} > {XVAL_TOLERANCE:g}")
+                    "max_discrepancy": disc, "tolerance": SOJOURN_TIME_TOL, "contract_ok": ok},
+                   None if ok else f"DES/recursion discrepancy {disc:g} > {SOJOURN_TIME_TOL:g}")
 
 
 def _exp_props(cfg, out_dir, workers, src) -> int:

@@ -57,7 +57,7 @@ from .recursion import SIGMA_MIN_D, CapabilityError, ProbZero, clip, prob_zero_e
 _CHUNK = 2 ** 10  # arrivals per block of the checks on the columns
 
 # |departure - arrival| vs the mark-based sojourn bounds can differ by a few
-# ulps of absolute time; same slack as the DES/recursion cross-validation.
+# ulps of absolute time; the DES/recursion cross-validation allows the same.
 SOJOURN_TIME_TOL = 1e-9
 
 OUTCOME_SERVED = "served"
@@ -77,7 +77,7 @@ class Scenario:
     def __post_init__(self):
         if self.servers < 1:
             raise ValueError("servers must be >= 1")
-        if self.impatience not in ("begin", "end"):
+        if self.impatience not in MODELS:
             raise ValueError(f"impatience must be 'begin' or 'end', got {self.impatience!r}")
         if self.horizon_customers < 1:
             raise ValueError("horizon_customers must be >= 1")

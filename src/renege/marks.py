@@ -70,10 +70,6 @@ class Deterministic:
             raise ConfigError(f"deterministic value must be finite and >= 0, got {self.value}")
 
     @property
-    def mean(self) -> float:
-        return self.value
-
-    @property
     def upper_bound(self) -> float:
         return self.value
 
@@ -95,10 +91,6 @@ class Uniform:
             raise ConfigError(f"uniform requires 0 <= low <= high, got [{self.low}, {self.high}]")
 
     @property
-    def mean(self) -> float:
-        return 0.5 * (self.low + self.high)
-
-    @property
     def upper_bound(self) -> float:
         return self.high
 
@@ -115,10 +107,6 @@ class Exponential:
     def __post_init__(self):
         if not (math.isfinite(self.rate) and self.rate > 0.0):
             raise ConfigError(f"exponential rate must be finite and > 0, got {self.rate}")
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.rate
 
     @property
     def upper_bound(self) -> None:
@@ -140,12 +128,6 @@ class TruncatedExponential:
             raise ConfigError(f"truncated-exponential rate must be > 0, got {self.rate}")
         if not (math.isfinite(self.cap) and self.cap > 0.0):
             raise ConfigError(f"truncated-exponential cap must be > 0, got {self.cap}")
-
-    @property
-    def mean(self) -> float:
-        # E[X | X <= cap] for X ~ Exp(rate)
-        rc = self.rate * self.cap
-        return 1.0 / self.rate - self.cap * math.exp(-rc) / (-math.expm1(-rc))
 
     @property
     def upper_bound(self) -> float:
@@ -173,10 +155,6 @@ class Discrete:
             raise ConfigError("discrete probs must be >= 0")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ConfigError(f"discrete probs must sum to 1, got {sum(self.probs)}")
-
-    @property
-    def mean(self) -> float:
-        return math.fsum(a * p for a, p in zip(self.atoms, self.probs))
 
     @property
     def upper_bound(self) -> float:
@@ -323,7 +301,9 @@ class MarkSource:
                         raise ConfigError("deterministic source requires deterministic marginals")
         else:
             self._validate_transition()
-        if not self.mean_xi > 0.0:
+        # a marginal's mean is positive exactly when its support bound is not 0
+        if not any(p > 0.0 and st.xi.upper_bound != 0.0
+                   for p, st in zip(self.stationary_state_probs, self.states)):
             raise ConfigError("source must have E[xi] > 0")
 
     def _validate_transition(self):
@@ -623,29 +603,6 @@ class MarkSource:
     @property
     def is_iid(self) -> bool:
         return self.kind in ("deterministic", "iid")
-
-    @cached_property
-    def mean_xi(self) -> float:
-        pi = self.stationary_state_probs
-        return float(sum(p * st.xi.mean for p, st in zip(pi, self.states)))
-
-    def alpha_bound_for(self, alpha_kind: str) -> float | None:
-        """A.s. upper bound on the chosen alpha mark, or None if unbounded."""
-        out = 0.0
-        for st in self.states:
-            sb, db = st.sigma.upper_bound, st.dpat.upper_bound
-            if alpha_kind == "sigma_plus_d":
-                b = None if sb is None or db is None else sb + db
-            elif alpha_kind == "sigma_min_d":  # bounded as soon as either factor is
-                b = db if sb is None else sb if db is None else min(sb, db)
-            elif alpha_kind == "d_only":
-                b = db
-            else:
-                raise ValueError(f"no derived bound for alpha kind {alpha_kind!r}")
-            if b is None:
-                return None
-            out = max(out, b)
-        return out
 
 
 def deterministic_source(xi: float, sigma: float, dpat: float,

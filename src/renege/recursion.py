@@ -7,8 +7,8 @@ solution is the clipped backward supremum
     Y = [ sup_{j>=1} ( alpha_{-j} - sum_{i=1..j} beta_{-i} ) ]+
 
 and Y = 0 at an epoch (a renovation) is decided exactly by cutting the tail
-once the cumulative beta reaches an a.s. bound on alpha, which the source's
-marginals give (MarkSource.alpha_bound_for): every deeper term is then <= 0.
+once the cumulative beta reaches an a.s. bound on alpha, which the spec reads
+off the source's marginals (RecursionSpec.bound): every deeper term is then <= 0.
 One screen decides it, renovation_offsets, for a batch of replica windows in
 lockstep, and one loop, screen_replicas, runs it over replicas fetched at
 doubling widths; the exact rows of renege.fifo and the exact
@@ -56,7 +56,7 @@ class RecursionSpec:
     """Choice of the dominating recursion: which mark functional plays alpha,
     sigma + dpat, sigma ^ dpat or dpat alone.  beta is always the
     interarrival xi; the a.s. bound on alpha that exact evaluation needs is
-    the source's MarkSource.alpha_bound_for(alpha_kind)."""
+    bound(src)."""
 
     alpha_kind: str  # "sigma_plus_d" | "sigma_min_d" | "d_only"
 
@@ -76,6 +76,15 @@ class RecursionSpec:
             return dpat
         out[...] = dpat
         return out
+
+    def bound(self, src: MarkSource) -> float | None:
+        """A.s. bound on alpha over the source: alpha_array of each state's
+        support bounds of sigma and dpat, an unbounded one counted as inf,
+        maximized over the states and 0.0; None when that is inf."""
+        ub = np.array([[np.inf if m.upper_bound is None else m.upper_bound
+                        for m in (st.sigma, st.dpat)] for st in src.states])
+        b = float(self.alpha_array(ub[:, 0], ub[:, 1]).max(initial=0.0))
+        return None if b == np.inf else b
 
 
 SIGMA_PLUS_D = RecursionSpec("sigma_plus_d")
@@ -124,12 +133,12 @@ def mark_windows(fetch, lo: int, hi: int, size: int):
 
 
 def step(y: float, mark: MarkTriple, spec: RecursionSpec) -> float:
-    """One forward step [max(y, alpha) - beta]+; nondecreasing, 1-Lipschitz in y."""
+    """One forward step [max(y, alpha) - beta]+, y_path over the one mark;
+    nondecreasing, 1-Lipschitz in y."""
     if y < 0.0:
         raise ValueError(f"state must be >= 0, got {y}")
-    alpha = float(spec.alpha_array(*np.array([[mark.sigma], [mark.dpat]]))[0])
-    v = max(y, alpha) - mark.xi
-    return v if v > 0.0 else 0.0
+    xi, sigma, dpat = np.array([[mark.xi], [mark.sigma], [mark.dpat]])
+    return y_path(y, spec.alpha_array(sigma, dpat), xi)[0]
 
 
 def clip(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -265,7 +274,7 @@ def screen_replicas(spec: RecursionSpec, src: MarkSource, lo: int, hi: int, max_
         return
     if max_epochs < first:
         raise ValueError(f"max_epochs must be >= {first}")
-    bound = src.alpha_bound_for(spec.alpha_kind)
+    bound = spec.bound(src)
     if bound is None:
         raise CapabilityError(
             f"exact mode needs an a.s. bound on alpha ({spec.alpha_kind}), and the source's "
@@ -343,7 +352,7 @@ def prob_zero_estimate(spec: RecursionSpec, src: MarkSource, replicas: int,
         raise ValueError("replicas must be >= 1")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    exact = src.alpha_bound_for(spec.alpha_kind) is not None
+    exact = spec.bound(src) is not None
     hits = np.zeros(replicas)
     if exact:
         for rows, _, _, _, depth in screen_replicas(spec, src, 0, replicas, 0, max_depth,

@@ -25,7 +25,9 @@ tests:
 - the fifo step's non-monotonicity witness;
 - the birth-death chain of the memoryless single-server scenarios
   (OracleSpec, birth_death_stationary, birth_death_abandonment);
-- the two-sample Kolmogorov-Smirnov statistic (ks_two_sample).
+- the two-sample Kolmogorov-Smirnov statistic (ks_two_sample);
+- the states of a fake source (declared_states), whose marginals give a spec
+  the alpha bound the fake names, whether its marks keep it or not.
 """
 
 from __future__ import annotations
@@ -36,7 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from renege.fifo import BEGIN, END, Model
-from renege.marks import CapabilityError, MarkSource, MarkTriple
+from renege.marks import (
+    CapabilityError,
+    Deterministic,
+    Exponential,
+    MarkSource,
+    MarkTriple,
+    StateMarginals,
+)
 from renege.recursion import (
     _FIRST_FILL,
     DepthExhaustedError,
@@ -51,6 +60,15 @@ from renege.recursion import (
 _FIRST_LAGS = 16  # the first chunk of lags a backward walk reads
 _CHUNK = 512  # the longest chunk of lags a backward walk reads at once
 _WINDOW = 1 << 14  # marks per window of a forward walk
+
+
+def declared_states(spec: RecursionSpec, bound: float | None) -> tuple[StateMarginals]:
+    """One state whose marginals give spec.bound the value `bound` (None: no
+    bound): dpat bounded by it, sigma 0 (unbounded for sigma ^ dpat)."""
+    if bound is None:
+        return (StateMarginals(Deterministic(1.0), Exponential(1.0), Exponential(1.0)),)
+    sigma = Exponential(1.0) if spec.alpha_kind == "sigma_min_d" else Deterministic(0.0)
+    return (StateMarginals(Deterministic(1.0), sigma, Deterministic(bound)),)
 
 
 def model_step(model: Model, w: float, x: float, s: float, d: float) -> float:
@@ -149,7 +167,7 @@ def backward_supremum(spec: RecursionSpec, src: MarkSource, epoch: int, max_dept
         terms, _ = _lag_terms(spec, src, epoch, max_depth, cache)
         v = float(terms.max())
         return RecursionValue(v if v > 0.0 else 0.0, exact=False, truncation_depth=max_depth)
-    bound = src.alpha_bound_for(spec.alpha_kind)
+    bound = spec.bound(src)
     if bound is None:
         raise CapabilityError(
             f"exact evaluation needs an a.s. bound on alpha ({spec.alpha_kind}); "
@@ -193,7 +211,7 @@ def certified_zero(spec: RecursionSpec, src: MarkSource, epoch: int, max_depth: 
     positive (a positive lag term classifies the epoch exactly as
     backward_supremum would, with the same arithmetic, but stops early).
     """
-    bound = src.alpha_bound_for(spec.alpha_kind)
+    bound = spec.bound(src)
     if bound is None:
         raise CapabilityError(
             f"zero certificates need an a.s. bound on alpha ({spec.alpha_kind})")
@@ -219,7 +237,7 @@ def renovation_search(spec: RecursionSpec, src: MarkSource, epoch: int, max_epoc
     """
     if cache is None:
         cache = MarkWindowCache(src)
-    bound = src.alpha_bound_for(spec.alpha_kind)
+    bound = spec.bound(src)
     if first <= max_epochs and (bound is None or max_depth < 1):
         certified_zero(spec, src, epoch - first, max_depth, cache)  # raises either error
     k, width = -1, _FIRST_FILL

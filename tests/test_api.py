@@ -112,6 +112,18 @@ def test_removed_names_are_not_exported():
     assert "replicas" not in renege.ProbZero.__dataclass_fields__
 
 
+def test_alpha_has_one_owner():
+    # RecursionSpec alone turns an alpha kind into marks and into its a.s.
+    # bound; E[xi] > 0 is read off the support bounds, so no mean is kept
+    assert [k for k in ("sigma_plus_d", "sigma_min_d", "d_only")
+            if k in inspect.getsource(renege.marks)] == []
+    assert [name for name in ("alpha_bound_for", "mean_xi")
+            if hasattr(renege.MarkSource, name)] == []
+    assert [m.__name__ for m in (renege.Deterministic, renege.Uniform, renege.Exponential,
+                                 renege.TruncatedExponential, renege.Discrete)
+            if hasattr(m, "mean")] == []
+
+
 def test_measure_steps_are_its_points():
     # n_steps is read from the values, not set beside them
     assert tuple(inspect.signature(renege.EmpiricalMeasure).parameters) == ("values", "model")

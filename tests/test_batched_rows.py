@@ -53,6 +53,7 @@ from renege.recursion import renovation_offsets, screen_replicas
 from oracles import (
     backward_supremum,
     certified_zero,
+    declared_states,
     exact_triple,
     loynes_backward,
     sample_stationary,
@@ -411,15 +412,12 @@ class WindowSource:
 
     def __init__(self, xi, alpha, bound):
         self.marks = np.stack([xi, np.zeros_like(xi), alpha])
-        self.bound = bound
+        self.states = declared_states(D_ONLY, bound)
 
     def window_arrays(self, lo, hi):
         out = np.full((3, hi - lo + 1), np.nan)
         out[:, max(-lo, 0):] = self.marks[:, max(lo, 0):hi + 1]
         return out
-
-    def alpha_bound_for(self, kind):
-        return self.bound
 
 
 # coarse values make positive terms and reached bounds tie at one lag
@@ -484,7 +482,7 @@ def test_screen_answers_do_not_depend_on_the_pass_shape(kind, spec, limits, monk
     # the first pass, its doublings or the slices of replicas
     src, (max_epochs, max_depth) = SOURCES[kind], limits
     marks = src.replica_windows(range(40), 300, 96)
-    alpha, bound = spec.alpha_array(*marks[1:]), src.alpha_bound_for(spec.alpha_kind)
+    alpha, bound = spec.alpha_array(*marks[1:]), spec.bound(src)
     start = np.arange(40) % 6
     want = [window_oracle(x.tolist(), a.tolist(), bound, max_epochs, max_depth, s)
             for x, a, s in zip(marks[0], alpha, start.tolist())]

@@ -74,7 +74,7 @@ def test_tightness_quantiles_ordered(bounded_src):
     assert dom.w_quantiles == dom.l_quantiles == (0.0,) * len(dom.levels)
     # with xi >= 0.5 a.s. and sigma+dpat <= 1.2 a.s., the dominating value is
     # capped at 1.2 - 0.5, which caps every workload quantile too
-    cap = bounded_src.alpha_bound_for("sigma_plus_d") - 0.5
+    cap = BEGIN.dominating.bound(bounded_src) - 0.5
     assert max(rep.w_quantiles) <= cap and max(rep.l_quantiles) <= cap
 
 

@@ -213,6 +213,37 @@ def test_single_server_experiments_refuse_more_servers(tmp_path, capsys, experim
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("experiment,impatience", [("sample-w", "sideways"),
+                                                   ("sample-s", "begin"),
+                                                   ("loss-begin", "end"),
+                                                   ("loss-end", "begin")])
+def test_single_model_experiments_refuse_another_impatience(tmp_path, capsys, experiment,
+                                                            impatience):
+    cfg = {"source": BOUNDED_SOURCE, "model": {"impatience": impatience},
+           "run": {"mode": "exact", "samples": 5}}
+    out = tmp_path / "out"
+    assert main([experiment, "--config", _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
+    assert "model.impatience" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment,impatience", [("sample-w", "begin"), ("sample-s", "end"),
+                                                   ("loss-begin", "begin"),
+                                                   ("loss-end", "end")])
+def test_single_model_experiments_accept_their_own_impatience(tmp_path, experiment,
+                                                              impatience):
+    run = {"mode": "exact", "samples": 5}
+    details = []
+    for i, cfg in enumerate(({"source": BOUNDED_SOURCE, "run": run},
+                             {"source": BOUNDED_SOURCE, "model": {"impatience": impatience},
+                              "run": run})):
+        out = tmp_path / f"out{i}"
+        assert main([experiment, "--config", _write(tmp_path, cfg, f"c{i}.json"),
+                     "--out-dir", str(out)]) == 0
+        details.append((out / "detail.csv").read_bytes())
+    assert details[0] == details[1]
+
+
 def test_xval_contract(tmp_path):
     # 5000 begin-model customers produce a nonzero (reassociation-level)
     # discrepancy, exercising the numpy-to-JSON path in the summary

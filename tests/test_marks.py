@@ -7,6 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renege import (
+    D_ONLY,
+    SIGMA_MIN_D,
+    SIGMA_PLUS_D,
     ConfigError,
     Deterministic,
     Discrete,
@@ -72,26 +75,48 @@ def test_bound_enforcement():
     _, sigma, dpat = src.window_arrays(0, 50_000)
     assert sigma.max() <= 0.7
     assert dpat.max() <= 0.4
-    assert src.alpha_bound_for("sigma_plus_d") == 0.7 + 0.4
-    assert src.alpha_bound_for("sigma_min_d") == 0.4
-    assert src.alpha_bound_for("d_only") == 0.4
+    assert SIGMA_PLUS_D.bound(src) == 0.7 + 0.4
+    assert SIGMA_MIN_D.bound(src) == 0.4
+    assert D_ONLY.bound(src) == 0.4
 
 
 def test_unbounded_alpha_has_no_bound():
     src = iid_source(Uniform(0.5, 1.5), Exponential(1.0), Uniform(0.0, 0.4), seed=3)
-    assert src.alpha_bound_for("sigma_plus_d") is None
-    assert src.alpha_bound_for("sigma_min_d") == 0.4  # min is bounded by either factor
+    assert SIGMA_PLUS_D.bound(src) is None
+    assert SIGMA_MIN_D.bound(src) == 0.4  # min is bounded by either factor
 
 
 def test_constructor_rejects_zero_mean_xi():
     with pytest.raises(ConfigError):
         deterministic_source(0.0, 1.0, 1.0, seed=1)
+    # xi = 0 a.s.: the discrete's positive atom has mass 0
+    for xi in (Deterministic(0.0), Uniform(0.0, 0.0), Discrete((0.0, 2.0), (1.0, 0.0))):
+        with pytest.raises(ConfigError, match=r"E\[xi\] > 0"):
+            iid_source(xi, Uniform(0, 1), Uniform(0, 1), seed=8)
 
 
 def test_batch_arrivals_allowed_with_positive_mean():
     src = iid_source(Discrete((0.0, 2.0), (0.3, 0.7)), Uniform(0, 1), Uniform(0, 1), seed=8)
     xi = src.window_arrays(0, 20_000)[0]
-    assert (xi == 0.0).any() and src.mean_xi == pytest.approx(1.4)
+    assert (xi == 0.0).any()
+    assert xi.mean() == pytest.approx(1.4, abs=5 * xi.std() / math.sqrt(xi.size))
+
+
+def test_xi_of_a_tiny_truncated_exponential_rate_is_accepted():
+    # E[xi | xi <= 1] is about 0.5 at rate 1e-20; its closed form
+    # 1/rate - cap e^{-rate cap} / (1 - e^{-rate cap}) cancels to 0.0 there
+    src = iid_source(TruncatedExponential(1e-20, 1.0), Uniform(0, 1), Uniform(0, 1), seed=8)
+    xi = src.window_arrays(0, 100_000)[0]
+    assert xi.mean() == pytest.approx(0.5, abs=5 * xi.std() / math.sqrt(xi.size))
+
+
+def test_positive_xi_only_in_a_transient_state_is_rejected():
+    # the chain leaves state 1 at once and never returns: pi = (1, 0)
+    busy = StateMarginals(Deterministic(0.0), Uniform(0, 1), Uniform(0, 1))
+    idle = StateMarginals(Deterministic(1.0), Uniform(0, 1), Uniform(0, 1))
+    with pytest.raises(ConfigError, match=r"E\[xi\] > 0"):
+        markov_source(((1.0, 0.0), (1.0, 0.0)), (busy, idle), seed=1)
+    assert markov_source(((0.5, 0.5), (1.0, 0.0)), (busy, idle), seed=1).kind == "markov"
 
 
 def test_marginal_validation():
@@ -108,10 +133,13 @@ def test_marginal_validation():
 
 
 def test_truncated_exponential_mean_matches_samples():
-    m = TruncatedExponential(2.0, 1.5)
-    src = iid_source(Deterministic(1.0), m, Deterministic(0.0), seed=21)
+    rate, cap = 2.0, 1.5
+    src = iid_source(Deterministic(1.0), TruncatedExponential(rate, cap), Deterministic(0.0),
+                     seed=21)
     sigma = src.window_arrays(0, 200_000)[1]
-    assert sigma.mean() == pytest.approx(m.mean, abs=5 * sigma.std() / math.sqrt(sigma.size))
+    # E[X | X <= cap] for X ~ Exp(rate), accurate at rate * cap = 3
+    mean = 1.0 / rate - cap * math.exp(-rate * cap) / -math.expm1(-rate * cap)
+    assert sigma.mean() == pytest.approx(mean, abs=5 * sigma.std() / math.sqrt(sigma.size))
 
 
 _U_EDGES = np.array([0.0, 1.0 - 2.0 ** -53])
@@ -199,8 +227,14 @@ def test_markov_shift_and_stationary_frequencies():
 
 
 def test_markov_mean_xi_is_stationary_average():
+    # the state means of xi, 0.4 and 1.5, weighted by the stationary law
     src = _two_state_markov()
-    assert src.mean_xi == pytest.approx(0.8 * 0.4 + 0.2 * 1.5, abs=1e-12)
+    mean = float(src.stationary_state_probs @ [0.4, 1.5])
+    assert mean == pytest.approx(0.8 * 0.4 + 0.2 * 1.5, abs=1e-12)
+    n = 60_000
+    xi = src.window_arrays(0, n - 1)[0]
+    # correlated draws: generous 10 se
+    assert abs(xi.mean() - mean) <= 10 * xi.std() / math.sqrt(n)
 
 
 def test_source_from_config_roundtrip():
@@ -212,7 +246,7 @@ def test_source_from_config_roundtrip():
     }
     src = source_from_config(cfg)
     assert src.kind == "iid" and src.seed == 4 and src.stream == 2
-    assert src.alpha_bound_for("sigma_plus_d") == pytest.approx(1.2)
+    assert SIGMA_PLUS_D.bound(src) == pytest.approx(1.2)
     with pytest.raises(ConfigError):
         source_from_config({"kind": "iid", "seed": 1})
     with pytest.raises(ConfigError):
@@ -230,7 +264,7 @@ def test_source_from_config_roundtrip():
         ],
     }
     msrc = source_from_config(mk)
-    assert msrc.kind == "markov" and msrc.alpha_bound_for("d_only") == 0.4
+    assert msrc.kind == "markov" and D_ONLY.bound(msrc) == 0.4
 
 
 @pytest.mark.parametrize("seed,stream,g0,count", [
@@ -303,4 +337,3 @@ def test_shift_and_substream_copy_the_validated_source():
         # the copy carries the cached properties instead of computing them again
         assert moved.__dict__["stationary_state_probs"] is probs
         assert moved.__dict__["_doeblin_parts"] is parts
-        assert moved.__dict__["mean_xi"] == src.mean_xi

@@ -10,12 +10,16 @@ from renege import (
     CapabilityError,
     DepthExhaustedError,
     Deterministic,
+    Discrete,
     Exponential,
     MarkTriple,
     RecursionSpec,
+    StateMarginals,
+    TruncatedExponential,
     Uniform,
     deterministic_source,
     iid_source,
+    markov_source,
     mc_aggregate,
     prob_zero_estimate,
     step,
@@ -23,7 +27,7 @@ from renege import (
 from renege.recursion import y_path
 
 import oracles
-from oracles import backward_supremum, coupling_time, loynes_backward
+from oracles import backward_supremum, coupling_time, declared_states, loynes_backward
 
 DET_SUB = deterministic_source(1.0, 0.6, 0.3, seed=2)   # sigma+dpat = 0.9 < xi
 DET_SUPER = deterministic_source(1.0, 1.4, 0.3, seed=2)  # sigma+dpat = 1.7 > xi
@@ -35,7 +39,7 @@ class SequenceSource:
     def __init__(self, dvals: dict[int, float], xi: float = 2.0, bound: float = 10.0):
         self.dvals = dict(dvals)
         self.xi = xi
-        self.bound = bound
+        self.states = declared_states(D_ONLY, bound)  # the spec of every test below
         self.is_iid = False
         self.seed = 0
         self.stream = 0
@@ -46,9 +50,6 @@ class SequenceSource:
         sigma = np.zeros(n)
         dpat = np.array([self.dvals.get(i, 0.0) for i in range(lo, hi + 1)])
         return np.stack((xi, sigma, dpat))
-
-    def alpha_bound_for(self, kind):
-        return self.bound
 
     def replica(self, r, spacing):
         return self, r * spacing
@@ -69,6 +70,63 @@ def test_step_alpha_kinds():
     assert step(0.0, m, D_ONLY) == 0.0
     with pytest.raises(ValueError, match="unknown alpha kind"):
         RecursionSpec("custom")
+
+
+# each marginal kind as sigma under dpat ~ U(0, 0.5), then as dpat under
+# sigma ~ U(0, 0.5), with the alpha bound of (SIGMA_PLUS_D, SIGMA_MIN_D, D_ONLY):
+# a Discrete is bounded by its largest atom of positive mass
+KINDS = {
+    "deterministic": Deterministic(0.75),
+    "deterministic-0": Deterministic(0.0),
+    "uniform": Uniform(0.25, 2.0),
+    "exponential": Exponential(1.0),
+    "truncated-exponential": TruncatedExponential(2.0, 0.25),
+    "discrete": Discrete((0.125, 1.0, 4.0), (0.5, 0.5, 0.0)),
+}
+AS_SIGMA = {
+    "deterministic": (1.25, 0.5, 0.5),
+    "deterministic-0": (0.5, 0.0, 0.5),
+    "uniform": (2.5, 0.5, 0.5),
+    "exponential": (None, 0.5, 0.5),
+    "truncated-exponential": (0.75, 0.25, 0.5),
+    "discrete": (1.5, 0.5, 0.5),
+}
+AS_DPAT = {
+    "deterministic": (1.25, 0.5, 0.75),
+    "deterministic-0": (0.5, 0.0, 0.0),
+    "uniform": (2.5, 0.5, 2.0),
+    "exponential": (None, 0.5, None),
+    "truncated-exponential": (0.75, 0.25, 0.25),
+    "discrete": (1.5, 0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_alpha_bound_of_each_marginal_kind(kind):
+    half = Uniform(0.0, 0.5)
+    for src, want in ((iid_source(Deterministic(1.0), KINDS[kind], half, seed=1), AS_SIGMA),
+                      (iid_source(Deterministic(1.0), half, KINDS[kind], seed=1), AS_DPAT)):
+        assert tuple(spec.bound(src) for spec in (SIGMA_PLUS_D, SIGMA_MIN_D, D_ONLY)) \
+            == want[kind]
+        # the marks never exceed it
+        xi, sigma, dpat = src.window_arrays(0, 4095)
+        for spec, b in zip((SIGMA_PLUS_D, SIGMA_MIN_D, D_ONLY), want[kind]):
+            assert b is None or spec.alpha_array(sigma, dpat).max() <= b
+
+
+def test_alpha_bound_is_the_max_over_the_states():
+    low = StateMarginals(Deterministic(1.0), Uniform(0.0, 0.5), Deterministic(0.75))
+    high = StateMarginals(Deterministic(2.0), Deterministic(2.0), Uniform(0.0, 0.25))
+    open_ = StateMarginals(Deterministic(1.0), Exponential(1.0), Deterministic(0.0))
+    chain = ((0.5, 0.5), (0.5, 0.5))
+    src = markov_source(chain, (low, high), seed=1)
+    assert (SIGMA_PLUS_D.bound(src), SIGMA_MIN_D.bound(src), D_ONLY.bound(src)) \
+        == (2.25, 0.5, 0.75)
+    # one state's unbounded sigma leaves sigma + dpat unbounded, and the
+    # other two bounded by that state's dpat 0
+    src = markov_source(chain, (low, open_), seed=1)
+    assert (SIGMA_PLUS_D.bound(src), SIGMA_MIN_D.bound(src), D_ONLY.bound(src)) \
+        == (None, 0.5, 0.75)
 
 
 def test_loynes_backward_deterministic():
@@ -116,7 +174,7 @@ def test_backward_supremum_certificate_terms_are_nonpositive(bounded_src):
         xi, sigma, dpat = bounded_src.window_arrays(epoch - depth, epoch - 1)
         terms = (sigma + dpat)[::-1] - np.cumsum(xi[::-1])
         assert terms.max() <= 0.0
-        assert np.cumsum(xi[::-1])[-1] >= bounded_src.alpha_bound_for("sigma_plus_d") \
+        assert np.cumsum(xi[::-1])[-1] >= SIGMA_PLUS_D.bound(bounded_src) \
             + rv.certificate.residual_bound
         # the backward scheme has converged exactly by the certificate depth
         assert loynes_backward(SIGMA_PLUS_D, bounded_src, epoch, depth)[-1] == rv.value

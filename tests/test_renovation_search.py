@@ -28,26 +28,25 @@ from renege import (
 )
 from renege.recursion import MarkWindowCache
 
-from oracles import certified_zero, renovation_search
+from oracles import certified_zero, declared_states, renovation_search
 
 SPECS = {"sigma_plus_d": SIGMA_PLUS_D, "sigma_min_d": SIGMA_MIN_D, "d_only": D_ONLY}
 
 
 class TableSource:
-    """Marks set per index over a default triple, with a declared alpha bound
-    that need not hold (so a positive term and s >= bound can meet)."""
+    """Marks set per index over a default triple, with states declaring the
+    spec's alpha bound, which need not hold (so a positive term and s >= bound
+    can meet)."""
 
-    def __init__(self, marks: dict[int, tuple], default=(0.0, 0.0, 0.0), bound=1.0):
+    def __init__(self, marks: dict[int, tuple], default=(0.0, 0.0, 0.0), bound=1.0,
+                 spec=D_ONLY):
         self.marks = dict(marks)
         self.default = default
-        self.bound = bound
+        self.states = declared_states(spec, bound)
 
     def window_arrays(self, lo, hi):
         rows = np.array([self.marks.get(i, self.default) for i in range(lo, hi + 1)], dtype=float)
         return rows.T.copy()
-
-    def alpha_bound_for(self, kind):
-        return self.bound
 
 
 def scalar_search(spec, src, epoch, max_epochs, max_depth, first=0):
@@ -150,7 +149,8 @@ _LEVELS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0])
          spec="d_only", epoch=0, max_epochs=5, max_depth=5, first=0)
 def test_table_sources_match_scalar_loop(marks, default, bound, spec, epoch, max_epochs,
                                          max_depth, first):
-    src = TableSource({epoch - 1 - i: m for i, m in enumerate(marks)}, default, bound)
+    src = TableSource({epoch - 1 - i: m for i, m in enumerate(marks)}, default, bound,
+                      SPECS[spec])
     assert_same(SPECS[spec], src, epoch, max_epochs, max_depth, first)
 
 

@@ -167,7 +167,7 @@ def test_stopped_replicas_of_the_deep_iid_source():
     src = source_from_config(DEEP_IID)
     marks = src.replica_windows(range(1100), 32, _FIRST_WIDTH)
     k, depth = renovation_offsets(marks[0], END.dominating.alpha_array(*marks[1:]),
-                                  src.alpha_bound_for("d_only"), 10_000, 16)
+                                  END.dominating.bound(src), 10_000, 16)
     assert np.flatnonzero((k >= 0) & (depth == 0)).tolist() == [1050]
     assert k[450] < 0 and k[468] < 0
     failing = []
