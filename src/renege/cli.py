@@ -36,7 +36,7 @@ from .fifo import (
     END,
     MODELS,
     Model,
-    _batch_rows,
+    exact_rows,
     loss_counts,
     loss_probability,
     loss_report,
@@ -56,12 +56,7 @@ from .properties import (
     pointwise_inequality_suite,
     step_monotonicity_violations,
 )
-from .recursion import (
-    _BATCH,
-    CapabilityError,
-    DepthExhaustedError,
-    RenovationNotFoundError,
-)
+from .recursion import CapabilityError, DepthExhaustedError, RenovationNotFoundError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,7 +64,7 @@ EXIT_CAPABILITY = 3
 EXIT_CONTRACT = 4
 
 _CSV_ROWS = 256  # rows formatted at once by _csv_rows
-_RANGE_ROWS = 16 * _BATCH  # the most replica rows in one range of _parallel_rows
+_RANGE_ROWS = 8192  # the most replica rows in one range of _parallel_rows
 _NEEDS_QUOTES = re.compile('[,"\r\n]')  # what csv.writer quotes
 
 # The process's one worker pool, (workers, pool), or None: _executor starts it
@@ -77,13 +72,21 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]')  # what csv.writer quotes
 # concurrent.futures joins its workers at interpreter exit.
 _pool: tuple[int, ProcessPoolExecutor] | None = None
 
-# Keys of each config section: every key some experiment reads.
+# Keys of the model and run sections that each experiment reads: any other is
+# refused, though another experiment may read it.
+_MODEL_KEYS = ("servers", "impatience")
+_REPLICA_KEYS = {"model": _MODEL_KEYS,
+                 "run": ("mode", "samples", "max_epochs", "max_depth", "warmup")}
+_DES_KEYS = {"model": _MODEL_KEYS, "run": ("customers",)}
 SECTION_KEYS = {
-    "model": ("servers", "impatience"),
-    "run": ("mode", "samples", "max_epochs", "max_depth", "warmup", "replicas", "customers",
-            "steps", "boundary_p", "quantiles", "tuples", "prop_seed"),
+    **dict.fromkeys(("sample-w", "sample-s", "loss-begin", "loss-end"), _REPLICA_KEYS),
+    "regen": {"model": _MODEL_KEYS, "run": ("customers", "replicas", "max_depth")},
+    "des": _DES_KEYS,
+    "xval": _DES_KEYS,
+    "cesaro": {"model": _MODEL_KEYS, "run": ("steps", "boundary_p", "quantiles")},
+    "props": {"model": (), "run": ("tuples", "prop_seed")},
 }
-CONFIG_KEYS = ("experiment", "source", *SECTION_KEYS)
+CONFIG_KEYS = ("experiment", "source", "model", "run")
 
 
 def _load_config(path: str) -> dict:
@@ -99,13 +102,13 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _check_config_keys(cfg: dict) -> None:
+def _check_config_keys(cfg: dict, experiment: str) -> None:
     check_keys(cfg, CONFIG_KEYS, "top-level config")
-    for section, keys in SECTION_KEYS.items():
+    for section, keys in SECTION_KEYS[experiment].items():
         block = cfg.get(section, {})
         if not isinstance(block, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        check_keys(block, keys, f"config section {section!r}")
+        check_keys(block, keys, f"{experiment} config section {section!r}")
 
 
 def _get(cfg: dict, section: str, key: str, default, caster, minimum: int | None = None):
@@ -257,8 +260,8 @@ def _replica_rows(kind: str, src: MarkSource, params: dict, lo: int, hi: int) ->
     loss rows' indicator counts (fifo.loss_counts) or the sample rows' W."""
     model = MODELS[params["model"]]
     if params["mode"] == "exact":
-        columns = _batch_rows(model, src, lo, hi, params["max_epochs"], params["max_depth"],
-                              int(kind == "sample"))
+        columns = exact_rows(model, src, lo, hi, params["max_epochs"], params["max_depth"],
+                             int(kind == "sample"))
     else:
         # approximate draws of a non-iid source sit further apart than their warm-up
         spacing = max(2 * params["max_depth"], params["warmup"])
@@ -541,7 +544,7 @@ def run_scenario(cfg: dict, experiment: str, out_dir: str | Path, workers: int =
     declared = cfg.get("experiment")
     if declared is not None and declared != experiment:
         raise ConfigError(f"config declares experiment {declared!r} but {experiment!r} was invoked")
-    _check_config_keys(cfg)
+    _check_config_keys(cfg, experiment)
     src = _build_source(cfg, seed_override)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,8 @@ deadline removes the customer even mid-service (completing exactly at D_n
 counts as served).
 
 simulate runs the Kiefer-Wolfowitz recursion indexed by arrivals: one loop
-over customers in arrival order holds a heap of the s servers' free times.
+over customers in arrival order holds a heap of the s servers' free times
+(of min(s, customers) of them: no more are ever busy).
 With f the earliest free time the customers before n left: if f <= D_n, n
 starts at T_n if f <= T_n, else at f, and departs at start + sigma_n, or
 at D_n in the end model if that is later (aborted), and the server frees at
@@ -162,7 +163,7 @@ def simulate(scn: Scenario) -> tuple[CustomerColumns, PathStatistics]:
     deadline.sort()
     del xi, sigma, dpat
 
-    free = [-math.inf] * scn.servers  # a heap of the servers' free times
+    free = [-math.inf] * min(scn.servers, n_cust)  # a heap of the servers' free times
     # allocated whole and filled in place: lists grown by appends fragment the heap
     service_start: list[float | None] = [None] * n_cust
     departure = [0.0] * n_cust

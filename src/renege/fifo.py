@@ -18,10 +18,10 @@ advances (ym, w, yp) over a window of marks and counts its exceedances, one
 that lists W alone along a window (whose one-mark case is the scalar step),
 and the layout of the exact loss rows.
 
-Exact rows, loss rows and sample draws alike, come from one engine,
-_batch_rows: the renovation screen of recursion.screen_replicas finds each
-replica's nearest certified zero of the dominating recursion, and every
-window it yields is replayed in lockstep from there (_replay_rows).  A
+Exact rows, loss rows and sample draws alike, come as columns from one
+function, exact_rows: the renovation screen of recursion.screen_replicas
+finds each replica's nearest certified zero of the dominating recursion, and
+every window it yields is replayed in lockstep from there (_replay_rows).  A
 replica the screen cannot certify within max_epochs and max_depth raises
 its error, naming the replica and its epoch.
 
@@ -104,9 +104,9 @@ class Model:
     columns: tuple[str, ...]  # detail.csv header of the exact loss rows
 
     def mark_step(self, w: float, mark: MarkTriple) -> float:
-        """One arrival with the given marks; the workload must be >= 0."""
-        if w < 0.0:
-            raise ValueError(f"workload must be >= 0, got {w}")
+        """One arrival with the given marks; the workload must be finite and >= 0."""
+        if not 0.0 <= w < np.inf:
+            raise ValueError(f"workload must be finite and >= 0, got {w}")
         return self.w_path(w, *np.array([[mark.xi], [mark.sigma], [mark.dpat]]))[0]
 
     def step_array(self, w, xi, sigma, dpat):
@@ -367,7 +367,7 @@ def _advance(model: Model, src: MarkSource, lo: int, hi: int, state: tuple) -> t
 
 def sample_stationary(model: Model, src: MarkSource, warmup: int = DEFAULT_WARMUP) -> float:
     """Stationary workload at epoch 0, approximately: iterated forward from 0
-    over `warmup` arrivals.  Exact draws are the rows of exact_sample_rows."""
+    over `warmup` arrivals.  Exact draws are the sample rows of exact_rows."""
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
     (w,), _ = _advance(model, src, -warmup, 0, (0.0,))
@@ -428,28 +428,8 @@ def _replay_rows(model: Model, marks: np.ndarray, alpha_up: np.ndarray,
     return y
 
 
-def exact_loss_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
-                    max_depth: int) -> list[tuple]:
-    """Per-replica exact rows (replica, ym, W, yp, *row marks) at the
-    replica's own epoch, replayed from its nearest renovation epoch
-    (_batch_rows)."""
-    return _rows(_batch_rows(model, src, lo, hi, max_epochs, max_depth, 0))
-
-
-def exact_sample_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
-                      max_depth: int) -> list[tuple]:
-    """Per-replica exact draws (replica, W, method, renovation epoch,
-    certificate depth) of W at replica r's epoch, the loss row's, replayed
-    from its nearest renovation epoch strictly before it (_batch_rows)."""
-    return _rows(_batch_rows(model, src, lo, hi, max_epochs, max_depth, 1))
-
-
-def _rows(columns: list) -> list[tuple]:
-    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
-
-
-def _batch_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
-                max_depth: int, first: int) -> list:
+def exact_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
+               max_depth: int, first: int) -> list:
     """Exact rows of the replicas lo..hi-1 as columns, at the epochs where
     recursion.screen_replicas places them: loss rows (first=0), replica, ym, W, yp, row
     marks, or sample rows (k from first = 1), replica, W, method, renovation epoch,
@@ -501,7 +481,7 @@ def loss_probability(model: Model, src: MarkSource, samples: int, mode: str = "e
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if mode == "exact":
-        columns = _batch_rows(model, src, 0, samples, max_epochs, max_depth, 0)
+        columns = exact_rows(model, src, 0, samples, max_epochs, max_depth, 0)
         return loss_report(model, src, loss_counts(model, columns[1:]), samples,
                            "renovation-exact")
     if mode != "approximate":

@@ -14,7 +14,8 @@ dominates from below, giving computable bounds on the loss probability
 P(W > D).
 
 The drivers are the model-generic ones of renege.fifo bound to fifo.BEGIN;
-exact loss rows are (replica, Y(sigma^dpat), W, Y(sigma+dpat), D).
+the columns of its exact loss rows (fifo.exact_rows) are replica,
+Y(sigma^dpat), W, Y(sigma+dpat) and D.
 """
 
 from __future__ import annotations
@@ -27,5 +28,4 @@ from .fifo import BEGIN, DEFAULT_WARMUP  # noqa: F401  (public names)
 fifo_step = BEGIN.mark_step
 sample_stationary_w = partial(fifo.sample_stationary, BEGIN)
 forward_samples = partial(fifo.forward_samples, BEGIN)
-exact_loss_rows = partial(fifo.exact_loss_rows, BEGIN)
 loss_probability_begin = partial(fifo.loss_probability, BEGIN)

@@ -13,10 +13,11 @@ in S, so both the plain backward scheme and renovation via the dominating
 recursion with alpha = dpat apply; the tests cross-check the two.
 
 The drivers are the model-generic ones of renege.fifo bound to fifo.END.
-Exact loss rows are (replica, Y(sigma^dpat), S, Y(dpat), sigma, D); the loss
-report's pi_hat estimates P(S > D - sigma), the observing customer's service
-cannot complete by its deadline, and pi_never_reach estimates P(S > D), it
-never reaches the server at all.
+The columns of its exact loss rows (fifo.exact_rows) are replica,
+Y(sigma^dpat), S, Y(dpat), sigma and D; the loss report's pi_hat estimates
+P(S > D - sigma), the observing customer's service cannot complete by its
+deadline, and pi_never_reach estimates P(S > D), it never reaches the server
+at all.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .marks import MarkTriple
 
 sample_stationary_s = partial(fifo.sample_stationary, END)
 forward_samples_end = partial(fifo.forward_samples, END)
-exact_loss_rows_end = partial(fifo.exact_loss_rows, END)
 loss_metrics_end = partial(fifo.loss_probability, END)
 
 

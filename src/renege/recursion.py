@@ -135,8 +135,8 @@ def mark_windows(fetch, lo: int, hi: int, size: int):
 def step(y: float, mark: MarkTriple, spec: RecursionSpec) -> float:
     """One forward step [max(y, alpha) - beta]+, y_path over the one mark;
     nondecreasing, 1-Lipschitz in y."""
-    if y < 0.0:
-        raise ValueError(f"state must be >= 0, got {y}")
+    if not 0.0 <= y < np.inf:
+        raise ValueError(f"state must be finite and >= 0, got {y}")
     xi, sigma, dpat = np.array([[mark.xi], [mark.sigma], [mark.dpat]])
     return y_path(y, spec.alpha_array(sigma, dpat), xi)[0]
 

@@ -26,6 +26,9 @@ tests:
 - the birth-death chain of the memoryless single-server scenarios
   (OracleSpec, birth_death_stationary, birth_death_abandonment);
 - the two-sample Kolmogorov-Smirnov statistic (ks_two_sample);
+- fifo.exact_rows' columns read as one tuple per row (exact_loss_rows,
+  exact_sample_rows, and the loss rows bound to each model,
+  exact_loss_rows_begin and exact_loss_rows_end);
 - the states of a fake source (declared_states), whose marginals give a spec
   the alpha bound the fake names, whether its marks keep it or not.
 """
@@ -34,10 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from renege.fifo import BEGIN, END, Model
+from renege.fifo import BEGIN, END, Model, exact_rows
 from renege.marks import (
     CapabilityError,
     Deterministic,
@@ -309,6 +313,27 @@ def sandwich_check(model: Model, src: MarkSource, epochs, max_depth: int,
         ym, w, yp = exact_triple(model, src, e, max_epochs, max_depth, cache)
         violations += (ym > w) + (w > yp)
     return violations
+
+
+def exact_loss_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
+                    max_depth: int) -> list[tuple]:
+    """fifo.exact_rows' loss rows, (replica, ym, W, yp, *row marks) each."""
+    return _rows(exact_rows(model, src, lo, hi, max_epochs, max_depth, 0))
+
+
+def exact_sample_rows(model: Model, src: MarkSource, lo: int, hi: int, max_epochs: int,
+                      max_depth: int) -> list[tuple]:
+    """fifo.exact_rows' sample rows, (replica, W, method, renovation epoch,
+    certificate depth) each."""
+    return _rows(exact_rows(model, src, lo, hi, max_epochs, max_depth, 1))
+
+
+def _rows(columns: list) -> list[tuple]:
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+
+
+exact_loss_rows_begin = partial(exact_loss_rows, BEGIN)
+exact_loss_rows_end = partial(exact_loss_rows, END)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from renege import (
     prob_zero_estimate,
     simulate,
 )
-from renege.fifo import BEGIN, END, exact_sample_rows
+from renege.fifo import BEGIN, END
 from renege.properties import pointwise_inequality_suite
 
 from oracles import (
@@ -33,6 +33,7 @@ from oracles import (
     birth_death_abandonment,
     compare_disciplines,
     coupling_time,
+    exact_sample_rows,
     ks_two_sample,
     sandwich_check,
 )

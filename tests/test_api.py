@@ -4,6 +4,7 @@ Callers, and tools that bind arguments by name (epoch, mode, warmup,
 samples), rely on them; many exports are the model-generic drivers of
 renege.fifo bound to one model, whose signatures must match these."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -81,13 +82,14 @@ def test_aggregation_kind_is_required():
 # now test oracles (tests/oracles.py): the scalar renovation search and what it
 # served; then the checks and ground truths only tests called (coalescence, the
 # begin/end comparison, the non-monotonicity witness, the birth-death chain and
-# the two-sample KS statistic)
+# the two-sample KS statistic); and the tuple views of fifo.exact_rows' columns
 MOVED = ("backward_supremum", "certified_zero", "exact_triple_at", "exact_triple_end",
          "find_renovation_epoch", "find_renovation_epoch_end", "loynes_backward",
          "loynes_minimal", "LoynesResult", "MarkWindowCache", "RecursionValue",
          "renovation_search", "sandwich_check", "sandwich_check_end", "ZeroCertificate",
          "coupling_time", "compare_disciplines", "fifo_nonmonotonicity_witness", "OracleSpec",
-         "TruncationError", "birth_death_stationary", "birth_death_abandonment", "ks_two_sample")
+         "TruncationError", "birth_death_stationary", "birth_death_abandonment", "ks_two_sample",
+         "exact_loss_rows", "exact_sample_rows", "exact_loss_rows_end")
 
 
 def test_scalar_oracles_are_not_exported():
@@ -100,6 +102,16 @@ def test_moved_names_are_not_defined_in_the_package():
                for m in pkgutil.iter_modules(renege.__path__)]
     assert [(m.__name__, name) for m in modules for name in MOVED
             if hasattr(m, name)] == [("renege.recursion", "MarkWindowCache")]
+
+
+def test_exact_rows_is_the_one_exact_row_function():
+    # its columns are the API: the CLI reaches the engine by no private name
+    assert sorted(n for n in vars(renege.fifo) if n.endswith("_rows")) == [
+        "_replay_rows", "exact_rows"]
+    tree = ast.parse(inspect.getsource(importlib.import_module("renege.cli")))
+    assert [(node.module, a.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in ("fifo", "recursion")
+            for a in node.names if a.name.startswith("_")] == []
 
 
 # fields and records with one value or no reader, deleted

@@ -43,8 +43,6 @@ from renege.fifo import (
     BEGIN,
     END,
     MODELS,
-    exact_loss_rows,
-    exact_sample_rows,
     loss_counts,
     loss_probability,
 )
@@ -54,6 +52,8 @@ from oracles import (
     backward_supremum,
     certified_zero,
     declared_states,
+    exact_loss_rows,
+    exact_sample_rows,
     exact_triple,
     loynes_backward,
     sample_stationary,

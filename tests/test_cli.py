@@ -367,6 +367,27 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys, where):
     assert not out.exists()
 
 
+# (experiment, its run section, the section and name of a key only other
+# experiments read): one case per family of experiments that read the same keys
+@pytest.mark.parametrize("experiment, run, section, key", [
+    ("loss-begin", {"mode": "exact", "samples": 5}, "run", "replicas"),
+    ("regen", {"customers": 100, "replicas": 5}, "run", "samples"),
+    ("des", {"customers": 100}, "run", "max_depth"),
+    ("cesaro", {"steps": 10}, "run", "customers"),
+    ("props", {"tuples": 10}, "model", "servers"),
+], ids=["sample-loss", "regen", "des-xval", "cesaro", "props"])
+def test_keys_the_experiment_does_not_read_exit_2(tmp_path, capsys, experiment, run, section,
+                                                  key):
+    cfg = {"source": BOUNDED_SOURCE, "run": run}
+    cfg[section] = {**cfg.get(section, {}), key: 5}
+    out = tmp_path / "out"
+    code = main([experiment, "--config", _write(tmp_path, cfg), "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown" in err and f"keys [{key!r}]" in err
+    assert not out.exists()
+
+
 DISCRETE = {"dist": "discrete", "atoms": [0.1, 0.3], "probs": [0.5, 0.5]}
 
 
@@ -449,8 +470,9 @@ def test_section_keys_cover_every_key_the_cli_reads():
     import renege.cli as cli
     read = re.findall(r'_get\(cfg, "(\w+)", "(\w+)"', inspect.getsource(cli))
     assert read
-    assert {(sec, key) for sec, key in read} == {
-        (sec, key) for sec, keys in cli.SECTION_KEYS.items() for key in keys}
+    assert set(cli.SECTION_KEYS) == set(cli.EXPERIMENTS)
+    assert set(read) == {(sec, key) for sections in cli.SECTION_KEYS.values()
+                         for sec, keys in sections.items() for key in keys}
 
 
 @pytest.mark.parametrize("experiment,run,args", [

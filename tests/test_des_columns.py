@@ -300,6 +300,28 @@ def test_simulate_peaks_no_higher_than_the_event_loop():
     assert peak <= 4_407_259
 
 
+def test_servers_past_the_customers_cost_no_memory():
+    # at most `customers` servers are ever busy: 10^6 servers for 1000
+    # customers peaked at 8.4 MB with a free time per server, 0.43 MB at 1000
+    # (tracemalloc, after a first call), with the same outputs
+    runs = []
+    for servers in (10**6, 1000):
+        scn = Scenario(servers=servers, impatience="end", source=source_from_config(DES_SOURCE),
+                       horizon_customers=1000)
+        simulate(scn)
+        tracemalloc.start()
+        try:
+            cust, stats = simulate(scn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
+        runs.append(([_hex(c) if c is not cust.outcome else c for c in vars(cust).values()],
+                     repr(stats), [_hex(getattr(stats, k)) for k in ("l_before", "m_before")],
+                     stats.x_before.tolist()))
+    assert runs[0] == runs[1]
+
+
 def test_tie_heavy_sources_do_tie():
     # the cases above only test the tie order if events really coincide
     got, _ = simulate(Scenario(servers=1, impatience="end", source=SOURCES["tie-heavy"],

@@ -15,12 +15,18 @@ from renege import (
     sample_stationary_w,
 )
 from renege import fifo
-from renege.fifo import BEGIN, exact_sample_rows
-from renege.fifo_begin import exact_loss_rows
+from renege.fifo import BEGIN
 from renege.recursion import MarkWindowCache
 
 import oracles
-from oracles import backward_supremum, exact_triple, ks_two_sample, sandwich_check
+from oracles import (
+    backward_supremum,
+    exact_sample_rows,
+    exact_triple,
+    ks_two_sample,
+    sandwich_check,
+)
+from oracles import exact_loss_rows_begin as exact_loss_rows
 
 DET_STABLE = deterministic_source(1.0, 0.6, 0.3, seed=2)
 
@@ -31,8 +37,9 @@ def test_fifo_step_examples():
     assert fifo_step(0.0, MarkTriple(1.0, 0.5, 7.0)) == 0.0
     # boundary: w exactly equal to the patience counts as served
     assert fifo_step(2.0, MarkTriple(0.0, 1.0, 2.0)) == 3.0
-    with pytest.raises(ValueError):
-        fifo_step(-1e-9, MarkTriple(1.0, 1.0, 1.0))
+    for w in (-1e-9, np.nan, np.inf):  # a state that is not finite and >= 0
+        with pytest.raises(ValueError):
+            fifo_step(w, MarkTriple(1.0, 1.0, 1.0))
 
 
 def find_renovation_epoch(src, max_epochs, max_depth, cache=None):

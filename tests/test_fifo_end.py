@@ -13,12 +13,13 @@ from renege import (
     sample_stationary_s,
 )
 from renege import fifo
-from renege.fifo import END, exact_sample_rows
-from renege.fifo_end import exact_loss_rows_end
+from renege.fifo import END
 from renege.recursion import MarkWindowCache
 
 from oracles import (
     compare_disciplines,
+    exact_loss_rows_end,
+    exact_sample_rows,
     exact_triple,
     ks_two_sample,
     loynes_minimal,
@@ -31,8 +32,9 @@ def test_end_step_examples():
     assert end_step(3.0, MarkTriple(1.0, 4.0, 5.0)) == 4.0
     assert end_step(6.0, MarkTriple(2.0, 1.0, 5.0)) == 4.0
     assert end_step(0.0, MarkTriple(1.0, 0.5, 0.3)) == 0.0  # sigma^dpat <= xi
-    with pytest.raises(ValueError):
-        end_step(-0.5, MarkTriple(1.0, 1.0, 1.0))
+    for s in (-0.5, np.nan, np.inf):  # a state that is not finite and >= 0
+        with pytest.raises(ValueError):
+            end_step(s, MarkTriple(1.0, 1.0, 1.0))
 
 
 def test_end_step_case_table_cases():

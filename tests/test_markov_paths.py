@@ -14,9 +14,9 @@ from renege import (
     regeneration_stats,
 )
 from renege.cli import main
-from renege.fifo import BEGIN, exact_sample_rows
+from renege.fifo import BEGIN
 
-from oracles import sample_stationary
+from oracles import exact_sample_rows, sample_stationary
 
 MARKOV_CFG = {
     "kind": "markov", "seed": 909,

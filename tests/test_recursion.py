@@ -59,8 +59,10 @@ def test_step_examples():
     assert step(2.0, MarkTriple(3.0, 0.0, 6.0), D_ONLY) == 3.0
     assert step(0.0, MarkTriple(5.0, 0.0, 0.0), D_ONLY) == 0.0
     assert step(5.0, MarkTriple(7.0, 0.0, 1.0), D_ONLY) == 0.0
-    with pytest.raises(ValueError):
-        step(-0.1, MarkTriple(1.0, 1.0, 1.0), D_ONLY)
+    for y in (-0.1, np.nan, np.inf):  # a state that is not finite and >= 0
+        for spec in (D_ONLY, SIGMA_PLUS_D):
+            with pytest.raises(ValueError):
+                step(y, MarkTriple(1.0, 1.0, 1.0), spec)
 
 
 def test_step_alpha_kinds():

@@ -22,9 +22,10 @@ import pytest
 from renege import DepthExhaustedError, source_from_config
 from renege import cli
 from renege.cli import _ranges, main
-from renege.fifo import END, exact_loss_rows
+from renege.fifo import END
 from renege.recursion import _BATCH, _FIRST_WIDTH, renovation_offsets
 
+from oracles import exact_loss_rows
 from test_batched_rows import oracle_rows
 
 
