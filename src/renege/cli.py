@@ -29,7 +29,13 @@ import numpy as np
 
 from . import __version__
 from .cesaro import boundary_mass, cesaro_distribution, invariance_distance, tightness_report
-from .des import SOJOURN_TIME_TOL, Scenario, cross_validate_recursion, regeneration_stats, simulate
+from .des import (
+    SOJOURN_TIME_TOL,
+    Scenario,
+    cross_validate_recursion,
+    regeneration_stats,
+    simulate_blocks,
+)
 from .estimation import mc_aggregate
 from .fifo import (
     BEGIN,
@@ -435,8 +441,10 @@ def _exp_regen(cfg, out_dir, workers, src) -> int:
     scn = _scenario(cfg, src)
     replicas = _get(cfg, "run", "replicas", 200, strict_int, 1)
     max_depth = _get(cfg, "run", "max_depth", 10_000, strict_int, 1)
-    sim = simulate(scn)
-    report = regeneration_stats(scn, sim, replicas=replicas, max_depth=max_depth)
+    with _csv_file(out_dir / "detail.csv", ["index", "l_before", "m_before", "x_before"]) as fh:
+        stats = simulate_blocks(scn, lambda b: _csv_rows(fh, [
+            range(b.start, b.start + b.x_before.size), b.l_before, b.m_before, b.x_before]))
+        report = regeneration_stats(scn, (None, stats), replicas=replicas, max_depth=max_depth)
     results = _path_stats_results(report.stats)
     results.update({
         "sufficient_alpha": report.sufficient_alpha,
@@ -445,21 +453,31 @@ def _exp_regen(cfg, out_dir, workers, src) -> int:
         "p_zero_necessary": {**report.p_zero_necessary.estimate.as_dict(),
                              "exact": report.p_zero_necessary.exact},
     })
-    stats = report.stats
-    _write_csv(out_dir / "detail.csv",
-               ["index", "l_before", "m_before", "x_before"],
-               [range(stats.arrivals), stats.l_before, stats.m_before, stats.x_before])
-    return _finish(out_dir, "regen", cfg, src, results, _path_violation(stats))
+    return _finish(out_dir, "regen", cfg, src, results, _path_violation(report.stats))
+
+
+def _customer_rows(fh, block) -> None:
+    """customers.csv rows of a simulate_blocks block."""
+    cust = block.customers
+    _csv_rows(fh, [range(block.start, block.start + len(cust)), cust.arrival, cust.sigma,
+                   cust.dpat, cust.service_start, cust.departure, cust.outcome])
 
 
 def _exp_des(cfg, out_dir, workers, src) -> int:
     scn = _scenario(cfg, src)
-    cust, stats = simulate(scn)
-    _write_csv(out_dir / "customers.csv",
-               ["index", "arrival", "sigma", "dpat", "service_start", "departure", "outcome"],
-               [range(len(cust)), cust.arrival, cust.sigma, cust.dpat, cust.service_start,
-                cust.departure, cust.outcome])
+    with _csv_file(out_dir / "customers.csv", ["index", "arrival", "sigma", "dpat",
+                                               "service_start", "departure", "outcome"]) as fh:
+        stats = simulate_blocks(scn, partial(_customer_rows, fh))
     return _finish(out_dir, "des", cfg, src, _path_stats_results(stats), _path_violation(stats))
+
+
+def _steps(cfg: dict) -> int:
+    """cesaro's run.steps, the length of arrays it holds whole: one numpy
+    cannot index is refused."""
+    n = _get(cfg, "run", "steps", 10_000, strict_int, 1)
+    if n > np.iinfo(np.intp).max:
+        raise ConfigError(f"config key run.steps must be <= {np.iinfo(np.intp).max}, got {n}")
+    return n
 
 
 def _exp_cesaro(cfg, out_dir, workers, src) -> int:
@@ -467,7 +485,7 @@ def _exp_cesaro(cfg, out_dir, workers, src) -> int:
     model = _get(cfg, "model", "impatience", "begin", str)
     if model not in MODELS:
         raise ConfigError(f"model.impatience must be 'begin' or 'end', got {model!r}")
-    n = _get(cfg, "run", "steps", 10_000, strict_int, 1)
+    n = _steps(cfg)
     p = _get(cfg, "run", "boundary_p", 10, strict_int, 1)
     levels = _get(cfg, "run", "quantiles", [0.5, 0.9, 0.99, 0.999], _levels)
     mu = cesaro_distribution(src, n, model)
@@ -546,6 +564,8 @@ def run_scenario(cfg: dict, experiment: str, out_dir: str | Path, workers: int =
         raise ConfigError(f"config declares experiment {declared!r} but {experiment!r} was invoked")
     _check_config_keys(cfg, experiment)
     src = _build_source(cfg, seed_override)
+    if experiment == "cesaro":
+        _steps(cfg)  # before the out dir is made
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return EXPERIMENTS[experiment](cfg, out, workers, src)

@@ -8,9 +8,9 @@ and service, once started, runs to completion.  In the end model the
 deadline removes the customer even mid-service (completing exactly at D_n
 counts as served).
 
-simulate runs the Kiefer-Wolfowitz recursion indexed by arrivals: one loop
-over customers in arrival order holds a heap of the s servers' free times
-(of min(s, customers) of them: no more are ever busy).
+simulate_blocks runs the Kiefer-Wolfowitz recursion indexed by arrivals: one
+loop over customers in arrival order holds a heap of the s servers' free
+times (of min(s, customers) of them: no more are ever busy).
 With f the earliest free time the customers before n left: if f <= D_n, n
 starts at T_n if f <= T_n, else at f, and departs at start + sigma_n, or
 at D_n in the end model if that is later (aborted), and the server frees at
@@ -36,17 +36,30 @@ so the empty epochs are the arrivals that see X = 0.  instant_sums reads
 the integral of X and checks {L=0} => {X=0} => {M=0} at every event
 instant: each distinct arrival, departure, deadline and completion time.
 
-simulate returns the per-customer lists the loop fills, as CustomerColumns;
-the CLI writes them to customers.csv column by column, and indexing or
-iterating them gives CustomerRecord views.
+The loop runs in blocks of _BLOCK arrivals, each handed to the caller as a
+PathBlock (the block's CustomerColumns and series) and dropped before the
+next, so a run holds one block whatever its horizon: the CLI writes
+customers.csv and regen's detail.csv block by block, and xval compares W
+block by block.  Between blocks the run carries only _Carry: the heap of
+free times, the next arrival time (the next block's times are
+np.cumsum([t_last, *xi]), summed in the same sequence as over the whole
+horizon), the running maxima e_l and e_m, the counters, and the events the
+instant check has not reached: the departures, deadlines and voided
+completions at or after the next block's first arrival, whose customers are
+still in the system, and the block's arrivals tied with it.  So its memory
+is bounded by the congestion, not the horizon.  instant_sums keeps its
+windows of _CHUNK arrivals and sums the integral in time order across
+blocks, so the statistics keep their bits.  simulate joins the blocks into
+whole-horizon CustomerColumns (indexing or iterating them gives
+CustomerRecord views) and series.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field, replace
 from heapq import heapreplace
 
 import numpy as np
@@ -55,7 +68,11 @@ from .fifo import MODELS
 from .marks import MarkSource
 from .recursion import SIGMA_MIN_D, CapabilityError, ProbZero, clip, prob_zero_estimate
 
-_CHUNK = 2 ** 10  # arrivals per block of the checks on the columns
+_CHUNK = 2 ** 10  # arrivals per window of the checks on the columns
+# Arrivals per block of simulate_blocks: what a run holds at once.  Blocks of
+# 16 * _CHUNK peaked about 2 MB higher in RSS on the des benchmark workload
+# (100k customers, 2-core host), and ran no faster in CPU time.
+_BLOCK = 4 * _CHUNK
 
 # |departure - arrival| vs the mark-based sojourn bounds can differ by a few
 # ulps of absolute time; the DES/recursion cross-validation allows the same.
@@ -141,33 +158,103 @@ class PathStatistics:
     x_before: np.ndarray = field(repr=False, default=None)
 
 
-def simulate(scn: Scenario) -> tuple[CustomerColumns, PathStatistics]:
-    """Run the scenario to the arrival horizon, then drain the system.
+@dataclass(frozen=True)
+class PathBlock:
+    """Customers start.. of a path, with the series seen just before each of
+    their arrivals."""
 
-    Returns the per-customer columns plus path statistics; inclusion and
-    per-customer sojourn-bound violations are 0 by contract.
-    """
+    start: int
+    customers: CustomerColumns
+    l_before: np.ndarray
+    m_before: np.ndarray
+    x_before: np.ndarray
+
+
+@dataclass
+class _Carry:
+    """What simulate_blocks keeps from one block to the next."""
+
+    free: list[float]  # a heap of the servers' free times
+    t_next: float = 0.0  # the next block's first arrival time
+    e_l: float = -math.inf  # the running maxima
+    e_m: float = -math.inf
+    # what the instant check has not reached, each sorted: arrivals at the
+    # next block's first arrival time (with their e_l and e_m), and the
+    # departures, deadlines and voided completions at or after it
+    pending: tuple[np.ndarray, ...] = (np.empty(0),) * 6
+    # the integral so far, the last arrival or departure instant checked, X
+    # right after it, and the departures checked
+    integral: float = 0.0
+    u_last: float = 0.0
+    x_last: int = 0
+    departed: int = 0
+    counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        (OUTCOME_SERVED, OUTCOME_ABANDONED, OUTCOME_ABORTED), 0))
+    empty_epochs: int = 0
+    inclusion_violations: int = 0
+    sojourn_violations: int = 0
+    l_zero: int = 0
+    m_zero: int = 0
+    horizon_time: float = 0.0  # the latest departure so far
+
+
+def simulate_blocks(scn: Scenario, each: Callable[[PathBlock], object]) -> PathStatistics:
+    """Run the scenario to the arrival horizon, then drain the system, in
+    blocks of _BLOCK arrivals, each handed to `each` when its customers are
+    done and dropped after; returns the path statistics, without the
+    per-arrival series, which are the blocks'.  Between blocks the run keeps
+    only _Carry, whose events are those of customers still in the system,
+    so its memory is bounded by the congestion, not the horizon."""
     n_cust = scn.horizon_customers
+    carry = _Carry(free=[-math.inf] * min(scn.servers, n_cust))
+    for k0 in range(0, n_cust, _BLOCK):
+        each(_block(scn, carry, k0, min(k0 + _BLOCK, n_cust)))
+    horizon_time = carry.horizon_time
+    return PathStatistics(
+        arrivals=n_cust,
+        outcome_counts=carry.counts,
+        empty_epoch_count=carry.empty_epochs,
+        inclusion_violations=carry.inclusion_violations,
+        sojourn_violations=carry.sojourn_violations,
+        time_average_congestion=carry.integral / horizon_time if horizon_time > 0.0 else 0.0,
+        horizon_time=horizon_time,
+        l_zero_arrival_freq=carry.l_zero / n_cust,
+        m_zero_arrival_freq=carry.m_zero / n_cust,
+    )
+
+
+def _block(scn: Scenario, carry: _Carry, k0: int, k1: int) -> PathBlock:
+    """Customers k0..k1-1 of simulate_blocks' run, carry updated past them."""
+    m = k1 - k0
     end_model = scn.impatience == "end"
-    xi, sigma, dpat = scn.source.window_arrays(0, n_cust - 1)
-    t = np.zeros(n_cust)
-    np.cumsum(xi[:-1], out=t[1:])
+    xi, sigma, dpat = scn.source.window_arrays(k0, k1 - 1)
+    # np.cumsum sums in sequence from the carried time, as over the whole horizon
+    t = np.concatenate(([carry.t_next], xi))
+    np.cumsum(t, out=t)
+    carry.t_next, t = float(t[-1]), t[:-1]
     arrival_l, sigma_l, dpat_l = t.tolist(), sigma.tolist(), dpat.tolist()
-    # from the marks, before they go: the sojourn bounds with their slack,
-    # e_m and e_l, and the deadlines, sorted
-    e_m = np.minimum(sigma, dpat)
-    low, high = e_m - SOJOURN_TIME_TOL, (dpat if end_model else sigma + dpat) + SOJOURN_TIME_TOL
-    e_m = np.maximum.accumulate(np.add(t, e_m, out=e_m), out=e_m)
+    # from the marks: the sojourn bounds with their slack, the deadlines, and
+    # the running maxima e_m and e_l by arrival after the carried ones
+    e_m, e_l = np.empty((2, m + 1))
+    e_m[0], e_l[0] = carry.e_m, carry.e_l
+    low = np.minimum(sigma, dpat, out=e_m[1:]) - SOJOURN_TIME_TOL
+    high = (dpat if end_model else sigma + dpat) + SOJOURN_TIME_TOL
+    np.add(t, e_m[1:], out=e_m[1:])
     deadline = t + dpat
-    e_l = np.maximum.accumulate(deadline if end_model else deadline + sigma)
-    deadline.sort()
+    if end_model:
+        e_l[1:] = deadline
+    else:
+        np.add(deadline, sigma, out=e_l[1:])
+    for e in (e_m, e_l):
+        np.maximum.accumulate(e, out=e)
+    carry.e_m, carry.e_l = e_m[-1], e_l[-1]
     del xi, sigma, dpat
 
-    free = [-math.inf] * min(scn.servers, n_cust)  # a heap of the servers' free times
+    free = carry.free
     # allocated whole and filled in place: lists grown by appends fragment the heap
-    service_start: list[float | None] = [None] * n_cust
-    departure = [0.0] * n_cust
-    outcome = [OUTCOME_ABANDONED] * n_cust
+    service_start: list[float | None] = [None] * m
+    departure = [0.0] * m
+    outcome = [OUTCOME_ABANDONED] * m
     stale = array("d")  # the completion times that an end-model abort voids
     j = -1
     for a, s, d in zip(arrival_l, sigma_l, dpat_l):
@@ -190,58 +277,99 @@ def simulate(scn: Scenario) -> tuple[CustomerColumns, PathStatistics]:
         departure[j] = c
 
     dep = np.array(departure)
-    sojourn_violations = 0
-    for k in range(0, n_cust, _CHUNK):  # in blocks, which keeps the peak down
+    for k in range(0, m, _CHUNK):  # in windows, which keeps the peak down
         w = slice(k, k + _CHUNK)
         soj = dep[w] - t[w]
-        sojourn_violations += int(np.count_nonzero((soj < low[w]) | (soj > high[w])))
+        carry.sojourn_violations += int(np.count_nonzero((soj < low[w]) | (soj > high[w])))
     del low, high
     zero = np.flatnonzero(dep == t)  # the customers who depart as they arrive
-    dep.sort()
-    integral, inclusion_violations, _ = instant_sums(t, dep, e_l, e_m, deadline,
-                                                     np.sort(np.frombuffer(stale)))
-    del deadline
-    x_before = np.arange(n_cust) - dep.searchsorted(t, "right")
-    if zero.size:  # k's instant departure comes after the arrivals at T_k up to k
-        late = np.bincount(t.searchsorted(t[zero]), minlength=n_cust + 1)
-        x_before += np.cumsum(late - np.bincount(zero + 1, minlength=n_cust + 1))[:-1]
+    # the block's events after those pending, sorted
+    arr, arr_l, arr_m, dep_s, due_s, stale_s = (
+        np.concatenate((old, new)) if old.size else new for old, new in
+        zip(carry.pending, (t, e_l[1:], e_m[1:], dep, deadline, np.array(stale))))
+    del dep, deadline
+    for events in (dep_s, due_s, stale_s):
+        events.sort()
+    # the instants before the next block's first arrival; the last block's, all
+    end = carry.t_next if k1 < scn.horizon_customers else math.inf
+    carry.integral, violations, _ = instant_sums(arr, dep_s, arr_l, arr_m, due_s, stale_s, end,
+                                                 (carry.integral, carry.u_last, carry.x_last))
+    carry.inclusion_violations += violations
+    checked_a, checked_d = arr.searchsorted(end), dep_s.searchsorted(end)
+    if checked_a:
+        carry.u_last = max(carry.u_last, arr[checked_a - 1])
+    if checked_d:
+        carry.u_last = max(carry.u_last, dep_s[checked_d - 1])
+    carry.x_last += checked_a - checked_d
+    carry.pending = tuple(a[i:].copy() for a, i in (
+        (arr, checked_a), (arr_l, checked_a), (arr_m, checked_a), (dep_s, checked_d),
+        (due_s, due_s.searchsorted(end)), (stale_s, stale_s.searchsorted(end))))
+    carry.horizon_time = max(carry.horizon_time, float(dep_s[-1]))
+    # X before arrival n: n less the departures of earlier customers at or
+    # before T_n (those before this block's first arrival are carry.departed);
+    # a later customer k of the block departs by T_n only at T_k = T_n, an
+    # instant departure that comes after arrival n
+    x_before = np.arange(k0 - carry.departed, k1 - carry.departed) - dep_s.searchsorted(t, "right")
+    if zero.size:
+        late = np.bincount(t.searchsorted(t[zero]), minlength=m + 1)
+        x_before += np.cumsum(late - np.bincount(zero + 1, minlength=m + 1))[:-1]
+    carry.departed += checked_d
+    del arr, arr_l, arr_m, dep_s, due_s, stale_s
     for e in (e_l, e_m):  # in place: [e_{n-1} - T_n]+, seen by arrival n
-        np.subtract(e[:-1], t[1:], out=e[1:])
-        e[0] = 0.0
-        clip(e, e)
+        clip(np.subtract(e[:-1], t, out=e[:-1]), e[:-1])
 
-    horizon_time = float(dep[-1])
     abandoned = service_start.count(None)
-    stats = PathStatistics(
-        arrivals=n_cust,
-        outcome_counts={OUTCOME_SERVED: n_cust - abandoned - len(stale),
-                        OUTCOME_ABANDONED: abandoned, OUTCOME_ABORTED: len(stale)},
-        empty_epoch_count=int(np.count_nonzero(x_before == 0)),
-        inclusion_violations=inclusion_violations,
-        sojourn_violations=sojourn_violations,
-        time_average_congestion=integral / horizon_time if horizon_time > 0.0 else 0.0,
-        horizon_time=horizon_time,
-        l_zero_arrival_freq=np.count_nonzero(e_l == 0.0) / n_cust,
-        m_zero_arrival_freq=np.count_nonzero(e_m == 0.0) / n_cust,
-        l_before=e_l, m_before=e_m, x_before=x_before,
-    )
-    columns = CustomerColumns(arrival_l, sigma_l, dpat_l, service_start, departure, outcome)
-    return columns, stats
+    carry.counts[OUTCOME_SERVED] += m - abandoned - len(stale)
+    carry.counts[OUTCOME_ABANDONED] += abandoned
+    carry.counts[OUTCOME_ABORTED] += len(stale)
+    carry.empty_epochs += int(np.count_nonzero(x_before == 0))
+    carry.l_zero += np.count_nonzero(e_l[:-1] == 0.0)
+    carry.m_zero += np.count_nonzero(e_m[:-1] == 0.0)
+    return PathBlock(k0, CustomerColumns(arrival_l, sigma_l, dpat_l, service_start, departure,
+                                         outcome), e_l[:-1], e_m[:-1], x_before)
+
+
+def simulate(scn: Scenario) -> tuple[CustomerColumns, PathStatistics]:
+    """Run the scenario to the arrival horizon, then drain the system.
+
+    Returns the per-customer columns plus path statistics, with the
+    per-arrival series, over the whole horizon: simulate_blocks' blocks
+    joined.  Inclusion and per-customer sojourn-bound violations are 0 by
+    contract.
+    """
+    first, series = [], ([], [], [])
+
+    def join(block: PathBlock) -> None:  # onto the first block's columns
+        if first:
+            for whole, part in zip(vars(first[0]).values(), vars(block.customers).values()):
+                whole.extend(part)
+        else:
+            first.append(block.customers)
+        for whole, part in zip(series, (block.l_before, block.m_before, block.x_before)):
+            whole.append(part)
+
+    stats = simulate_blocks(scn, join)
+    l_before, m_before, x_before = map(np.concatenate, series)
+    return first[0], replace(stats, l_before=l_before, m_before=m_before, x_before=x_before)
 
 
 def instant_sums(t: np.ndarray, dep: np.ndarray, e_l: np.ndarray, e_m: np.ndarray,
-                 deadline: np.ndarray, stale: np.ndarray) -> tuple[float, int, int]:
+                 deadline: np.ndarray, stale: np.ndarray, end: float = math.inf,
+                 start: tuple[float, float, int] = (0.0, 0.0, 0)) -> tuple[float, int, int]:
     """(integral of X, inclusion violations, instants) over the distinct
-    instants u of the sorted arrivals t, departures, deadlines and the
-    completions that aborts void (stale); e_l and e_m are by arrival, so
-    L = [e_l - u]+ and M = [e_m - u]+ right after u.  The integral sums X
-    after each arrival or departure instant times the time to the next, in
-    time order (the other events at an instant would add x * 0.0).
+    instants u before `end` of the sorted arrivals t, departures, deadlines
+    and the completions that aborts void (stale); e_l and e_m are by
+    arrival, so L = [e_l - u]+ and M = [e_m - u]+ right after u.  The
+    integral sums X after each arrival or departure instant times the time
+    to the next, in time order (the other events at an instant would add
+    x * 0.0), from start's integral, last such instant and X right after it
+    (those of the instants before t[0], none by default).
     Window i spans the arrivals _CHUNK * i to _CHUNK * (i + 1), the last one
-    all later time, so no merged array of the four streams is built."""
-    integral, violations, instants, u_prev, x_prev = 0.0, 0, 0, 0.0, 0
+    the time up to `end`, so no merged array of the four streams is built."""
+    integral, u_prev, x_prev = start
+    x_start, violations, instants = x_prev, 0, 0
     streams = (t, dep, deadline, stale)
-    bounds = np.concatenate((t[::_CHUNK], [math.inf]))
+    bounds = np.concatenate((t[::_CHUNK], [end]))
     edges = np.array([s.searchsorted(bounds) for s in streams]).T.tolist()  # of each window
     for lo, hi in zip(edges, edges[1:]):
         merged = np.concatenate([s[i:j] for s, i, j in zip(streams, lo, hi)])
@@ -254,7 +382,7 @@ def instant_sums(t: np.ndarray, dep: np.ndarray, e_l: np.ndarray, e_m: np.ndarra
         (a0, d0), (a1, d1) = lo[:2], hi[:2]
         arrived = a0 + np.cumsum(order < a1 - a0)[last]
         events = a0 + d0 + np.cumsum(order < a1 - a0 + d1 - d0)[last]  # arrivals, departures
-        x = 2 * arrived - events  # arrivals less departures
+        x = x_start + 2 * arrived - events  # arrivals less departures
         arrived -= 1  # the last arrival at or before u
         violations += np.count_nonzero((e_l[arrived] <= u) & (x > 0))
         violations += np.count_nonzero((x == 0) & (e_m[arrived] > u))
@@ -280,7 +408,8 @@ class RegenReport:
 
 def regeneration_stats(scn: Scenario, sim: tuple[CustomerColumns, PathStatistics] | None = None,
                        replicas: int = 200, max_depth: int = 10_000) -> RegenReport:
-    """Side-by-side regenerativity report for a completed simulation.
+    """Side-by-side regenerativity report for a completed simulation, of which
+    only the statistics are read: sim[1] (simulate, when sim is None).
 
     The sufficient condition estimates P(Y=0) for alpha = sigma+dpat (begin)
     or dpat (end); the necessary one uses alpha = sigma^dpat.  Exactness of
@@ -304,23 +433,40 @@ def workload_before_arrivals(records: CustomerColumns) -> np.ndarray:
     in arrival order, so the committed work at T_n- is the latest departure
     among engaged (served or aborted) earlier customers minus T_n, clipped.
     """
+    return _work_before(records, -math.inf)[0]
+
+
+def _work_before(records: CustomerColumns, latest: float) -> tuple[np.ndarray, float]:
+    """workload_before_arrivals of records that follow customers whose latest
+    engaged departure is `latest`; and the latest one after the records."""
     # service_start is None (nan here) exactly for customers who abandoned
     engaged = ~np.isnan(np.array(records.service_start, dtype=float))
-    latest = np.maximum.accumulate(np.where(engaged, records.departure, -math.inf))
-    v = np.concatenate([[-math.inf], latest[:-1]]) - np.array(records.arrival)
-    return clip(v, v)
+    ends = np.maximum.accumulate(np.concatenate(
+        ([latest], np.where(engaged, records.departure, -math.inf))))
+    v = ends[:-1] - np.array(records.arrival)
+    return clip(v, v), float(ends[-1])
 
 
 def cross_validate_recursion(scn: Scenario) -> float:
     """Max |DES workload before arrival - arrival recursion| over the horizon.
 
     Single server only; the contract is <= 1e-9 (pure float reassociation
-    between event-time and mark-time arithmetic).
+    between event-time and mark-time arithmetic).  Compared block by block
+    (simulate_blocks), the recursion carried from one block to the next.
     """
     if scn.servers != 1:
         raise CapabilityError("workload cross-validation is defined for a single server")
-    records, _ = simulate(scn)
-    # W before each arrival: 0 before the first, then after arrivals 0..n-2
-    marks = (m[:-1] for m in scn.source.window_arrays(0, scn.horizon_customers - 1))
-    w = [0.0] + MODELS[scn.impatience].w_path(0.0, *marks)
-    return float(np.max(np.abs(workload_before_arrivals(records) - w)))
+    w_path = MODELS[scn.impatience].w_path
+    disc, w, latest = -math.inf, 0.0, -math.inf
+
+    def compare(block: PathBlock) -> None:
+        nonlocal disc, w, latest
+        # W before each of the block's arrivals: w, then after each but the last
+        stop = block.start + len(block.customers)
+        path = [w] + w_path(w, *scn.source.window_arrays(block.start, stop - 1))
+        w = path.pop()
+        des_w, latest = _work_before(block.customers, latest)
+        disc = np.maximum(disc, np.max(np.abs(des_w - path)))  # NaN stays NaN
+
+    simulate_blocks(scn, compare)
+    return float(disc)

@@ -645,6 +645,10 @@ def source_from_config(cfg: dict) -> MarkSource:
     kind = cfg.get("kind")
     seed = _cast(cfg.get("seed", 0), strict_int, "source key 'seed'")
     stream = _cast(cfg.get("stream", 0), strict_int, "source key 'stream'")
+    # a Philox key word holds 64 bits: outside them, seed s and s + 2^64 alias
+    for key, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= value <= _MASK64:
+            raise ConfigError(f"source key {key!r} must lie in [0, 2^64), got {value}")
     if kind in ("deterministic", "iid"):
         st = _marginals_from_config(cfg, _SOURCE_KEYS + _TRIPLE_KEYS, "source")
         return MarkSource(kind=kind, states=(st,), transition=None, seed=seed, stream=stream)

@@ -326,6 +326,41 @@ def test_seed_override(tmp_path):
     assert (tmp_path / "a" / "detail.csv").read_bytes() != (tmp_path / "b" / "detail.csv").read_bytes()
 
 
+# (key, value, through --seed-override): a Philox key word is 64 bits, and
+# seed 0 and seed 2^64 used to write the same files
+@pytest.mark.parametrize("key, value, override", [
+    ("seed", 2 ** 64, False), ("seed", -1, False), ("stream", 2 ** 64, False),
+    ("stream", -1, False), ("seed", 2 ** 64, True), ("seed", -1, True),
+])
+def test_seeds_and_streams_past_64_bits_exit_2(tmp_path, capsys, key, value, override):
+    cfg = {"source": dict(BOUNDED_SOURCE), "model": {"servers": 1}, "run": {"customers": 50}}
+    extra = ["--seed-override", str(value)] if override else []
+    if not override:
+        cfg["source"][key] = value
+    out = tmp_path / "out"
+    code = main(["des", "--config", _write(tmp_path, cfg), *extra, "--out-dir", str(out)])
+    assert code == 2
+    assert f"source key {key!r} must lie in [0, 2^64), got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seeds_and_streams_at_the_64_bit_edges_run(tmp_path):
+    cfg = {"source": dict(BOUNDED_SOURCE, seed=2 ** 64 - 1, stream=2 ** 64 - 1),
+           "run": {"customers": 50}}
+    assert main(["des", "--config", _write(tmp_path, cfg), "--out-dir", str(tmp_path / "a"),
+                 "--seed-override", "0"]) == 0
+    assert _summary(tmp_path / "a")["seeds"] == {"seed": 0, "stream": 2 ** 64 - 1}
+
+
+def test_cesaro_steps_past_intp_exit_2(tmp_path, capsys):
+    # numpy cannot size an array of 10^30 steps: refused before the out dir
+    cfg = {"source": BOUNDED_SOURCE, "run": {"steps": 10 ** 30}}
+    out = tmp_path / "out"
+    assert main(["cesaro", "--config", _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
+    assert "run.steps must be <= 9223372036854775807" in capsys.readouterr().err
+    assert not out.exists()
+
+
 MARKOV_SOURCE = {
     "kind": "markov", "seed": 3, "transition": [[0.9, 0.1], [0.3, 0.7]],
     "states": [{"xi": {"dist": "uniform", "low": 0.5, "high": 1.5},

@@ -12,7 +12,9 @@ loss-end-markov3-slow was recorded while exact Markov rows still resolved
 their windows one replica at a time, before the batched chain composition.
 Those of sample-w-markov and sample-s-markov were re-recorded when exact draws
 moved to the loss rows' epochs, 2*max_depth apart, from max(2*max_depth,
-warmup).
+warmup).  Those of des-long, des-long-markov, regen-long and xval-long, at
+40 001 customers (ten DES blocks, the last one partial), were
+recorded while the DES still simulated the whole horizon at once.
 Change a hash only when a numeric change is intended and named in CHANGES.md.
 """
 
@@ -66,6 +68,12 @@ HEAVY = {"kind": "iid", "seed": 4406, "xi": {"dist": "exponential", "rate": 1.0}
          "sigma": {"dist": "exponential", "rate": 1.0},
          "dpat": {"dist": "exponential", "rate": 0.2}}
 
+# the des benchmark workload's source
+DES_WORKLOAD = {"kind": "iid", "seed": 20084, "xi": {"dist": "exponential", "rate": 3.0},
+                "sigma": {"dist": "exponential", "rate": 1.0},
+                "dpat": {"dist": "exponential", "rate": 0.5}}
+LONG = 40_001  # customers: past one DES block, and not a multiple of one
+
 # name -> (subcommand, config)
 CASES = {
     "sample-w-iid": ("sample-w", {"source": BOUNDED, "run": {"mode": "exact", "samples": 40}}),
@@ -101,6 +109,14 @@ CASES = {
                            "run": {"customers": 2000}}),
     "des-iid": ("des", {"source": EXPO, "model": {"servers": 4, "impatience": "begin"},
                         "run": {"customers": 2000}}),
+    "des-long": ("des", {"source": DES_WORKLOAD, "model": {"servers": 4, "impatience": "end"},
+                         "run": {"customers": LONG}}),
+    "des-long-markov": ("des", {"source": MARKOV, "model": {"servers": 2, "impatience": "begin"},
+                                "run": {"customers": LONG}}),
+    "regen-long": ("regen", {"source": EXPO, "model": {"servers": 1, "impatience": "begin"},
+                             "run": {"customers": LONG, "replicas": 40, "max_depth": 200}}),
+    "xval-long": ("xval", {"source": EXPO, "model": {"servers": 1, "impatience": "end"},
+                           "run": {"customers": LONG}}),
     "cesaro-markov": ("cesaro", {"source": MARKOV, "model": {"impatience": "end"},
                                  "run": {"steps": 3000, "boundary_p": 5}}),
     "cesaro-iid": ("cesaro", {"source": BOUNDED, "model": {"impatience": "begin"},
@@ -181,6 +197,21 @@ HASHES = {
     "des-iid": {
         "customers.csv": "cd71b14b91c0e1a990bfacbddbfdc2e2f197f8cebc704fbdfc143111f89e566a",
         "summary.json": "ed765e28b4f56b974142976973cefdb6de3f5db968cdae74032334fdbd95a89b",
+    },
+    "des-long": {
+        "customers.csv": "1c9b5219ef7c2af1027ccdf48182250be5e98acfac57350da36dc66936f5de1a",
+        "summary.json": "ada6e0e06666ee883bebf59092ea4930f610440efe06d91545ff390d826eaae6",
+    },
+    "des-long-markov": {
+        "customers.csv": "28719bccc1b44f1b9cf03eb03e3e75bdab3a22091d54e95c875f39e5c28affe4",
+        "summary.json": "970e44c0b5b8cc2e0fe8dcdef10dc84de107df20f06ad70c55aa35ebb1d353e9",
+    },
+    "regen-long": {
+        "detail.csv": "344bed7ba24eaeac23b94ad2f1504d56ecf1e06230e129b1a1dea554775d96db",
+        "summary.json": "bb1d76cf23373a8b9511bb13ca3017a6568f4fc227a82944c8deb4a2dc8f478d",
+    },
+    "xval-long": {
+        "summary.json": "30dc575b3701a2458d80f0e449950f80eb6c7a602f51d5cc41c1faafe88dca27",
     },
     "cesaro-markov": {
         "detail.csv": "660de17854812fe9c923490206b73b5766022158786bdf8804b559ea722bfe2a",
