@@ -30,11 +30,14 @@ import numpy as np
 from . import __version__
 from .cesaro import boundary_mass, cesaro_distribution, invariance_distance, tightness_report
 from .des import (
-    SOJOURN_TIME_TOL,
+    OUTCOME_ABANDONED,
+    OUTCOME_ABORTED,
+    OUTCOME_SERVED,
     Scenario,
-    cross_validate_recursion,
+    recursion_discrepancy,
     regeneration_stats,
     simulate_blocks,
+    time_tolerance,
 )
 from .estimation import mc_aggregate
 from .fifo import (
@@ -72,6 +75,11 @@ EXIT_CONTRACT = 4
 _CSV_ROWS = 256  # rows formatted at once by _csv_rows
 _RANGE_ROWS = 8192  # the most replica rows in one range of _parallel_rows
 _NEEDS_QUOTES = re.compile('[,"\r\n]')  # what csv.writer quotes
+# customers.csv's outcome cells, which _customer_rows writes unscanned
+_OUTCOMES = (OUTCOME_SERVED, OUTCOME_ABANDONED, OUTCOME_ABORTED)
+assert not any(map(_NEEDS_QUOTES.search, _OUTCOMES)), "an outcome csv.writer would quote"
+# the cell text of each array dtype _csv_column formats without a type scan
+_ARRAY_TEXT = {np.dtype(np.float64): float.__repr__, np.dtype(np.int64): int.__repr__}
 
 # The process's one worker pool, (workers, pool), or None: _executor starts it
 # at the first pooled call and replaces it when the worker count changes;
@@ -240,8 +248,18 @@ def _write_lines(fh, columns: list, text: list) -> None:
 def _csv_column(col) -> tuple[list[str], bool]:
     """One column's cells, of a sequence or numpy array, as text: float.__repr__
     for floats (numpy floats included, which repr would write as np.float64(...)),
-    "" for None and str for the rest; and whether they are all floats, ints and blanks."""
-    col = col.tolist() if isinstance(col, np.ndarray) else col
+    "" for None and str for the rest; and whether they are all floats, ints and blanks.
+    A float64 or int64 array is numeric by its dtype, unscanned, and one whose
+    values all have the same bits (compared as int64, so 0.0 and -0.0 differ)
+    is one cell's text repeated."""
+    if isinstance(col, np.ndarray):
+        fmt = _ARRAY_TEXT.get(col.dtype)
+        if fmt is not None:
+            bits = col.view(np.int64)
+            if bits.size and (bits == bits[0]).all():
+                return [fmt(col[0].item())] * bits.size, True
+            return list(map(fmt, col.tolist())), True
+        col = col.tolist()
     kinds = set(map(type, col))
     if kinds == {float}:
         return list(map(float.__repr__, col)), True
@@ -457,10 +475,23 @@ def _exp_regen(cfg, out_dir, workers, src) -> int:
 
 
 def _customer_rows(fh, block) -> None:
-    """customers.csv rows of a simulate_blocks block."""
-    cust = block.customers
-    _csv_rows(fh, [range(block.start, block.start + len(cust)), cust.arrival, cust.sigma,
-                   cust.dpat, cust.service_start, cust.departure, cust.outcome])
+    """customers.csv rows of a simulate_blocks block, as _csv_rows would write
+    them, _CSV_ROWS at a time, each column formatted by the type
+    simulate_blocks gives it, unscanned: the outcomes are _OUTCOMES, and
+    service_start is a float or None.  A customer who starts on arrival has
+    the arrival's own float as service_start, which takes the arrival's
+    text; any other start, an equal one included, is formatted."""
+    cust, start, fr = block.customers, block.start, float.__repr__
+    for lo in range(0, len(cust), _CSV_ROWS):
+        hi = min(lo + _CSV_ROWS, len(cust))
+        arrival = cust.arrival[lo:hi]
+        arrival_text = list(map(fr, arrival))
+        starts = [text if s is a else "" if s is None else fr(s)
+                  for s, a, text in zip(cust.service_start[lo:hi], arrival, arrival_text)]
+        rows = zip(map(int.__repr__, range(start + lo, start + hi)), arrival_text,
+                   map(fr, cust.sigma[lo:hi]), map(fr, cust.dpat[lo:hi]), starts,
+                   map(fr, cust.departure[lo:hi]), cust.outcome[lo:hi])
+        fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def _exp_des(cfg, out_dir, workers, src) -> int:
@@ -516,12 +547,13 @@ def _exp_cesaro(cfg, out_dir, workers, src) -> int:
 
 def _exp_xval(cfg, out_dir, workers, src) -> int:
     scn = _scenario(cfg, src)
-    disc = cross_validate_recursion(scn)
-    ok = disc <= SOJOURN_TIME_TOL
+    disc, horizon = recursion_discrepancy(scn)
+    tol = float(time_tolerance(horizon))
+    ok = disc <= tol
     return _finish(out_dir, "xval", cfg, src,
                    {"model": scn.impatience, "customers": scn.horizon_customers,
-                    "max_discrepancy": disc, "tolerance": SOJOURN_TIME_TOL, "contract_ok": ok},
-                   None if ok else f"DES/recursion discrepancy {disc:g} > {SOJOURN_TIME_TOL:g}")
+                    "max_discrepancy": disc, "tolerance": tol, "contract_ok": ok},
+                   None if ok else f"DES/recursion discrepancy {disc:g} > {tol:g}")
 
 
 def _exp_props(cfg, out_dir, workers, src) -> int:

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 
 import renege
-from renege.cli import _write_csv, main, run_scenario
+from renege import Scenario, des, simulate, source_from_config
+from renege.cli import _csv_column, _customer_rows, _write_csv, main, run_scenario
 from renege.marks import ConfigError
 
 from test_golden import MARKOV
@@ -653,3 +656,107 @@ def test_write_csv_rejects_columns_before_writing(tmp_path, columns):
     with pytest.raises(ValueError, match="every row needs 2 fields"):
         _write_csv(tmp_path / "got.csv", ["a", "b"], columns)
     assert not (tmp_path / "got.csv").exists()
+
+
+def _general_text(col):
+    """_csv_column's text of the array's values as a list: the type-scanned path."""
+    return _csv_column(col.tolist())
+
+
+_RNG = np.random.default_rng(2701)
+_FLOAT_COLUMNS = {
+    "random": _RNG.standard_normal(700) * 10.0 ** _RNG.integers(-300, 300, 700),
+    "signed-zeros": np.array([0.0, -0.0, -0.0, 0.0, -0.0]),
+    "all-negative-zero": np.full(300, -0.0),
+    "all-zero": np.zeros(300),
+    "non-finite": np.array([np.nan, np.inf, -np.inf, 1.0, -np.nan]),
+    "all-nan": np.full(3, np.nan),
+    "subnormal": np.array([5e-324, -5e-324, 2.2250738585072009e-308, 1e-310]),
+    "one": np.array([0.1]),
+    "empty": np.empty(0),
+    "all-equal": np.full(300, 1 / 3),
+    "strided": np.arange(20.0)[::3],
+}
+_INT_COLUMNS = {
+    "random": _RNG.integers(-2 ** 63, 2 ** 63 - 1, 700, dtype=np.int64, endpoint=True),
+    "one": np.array([-7], dtype=np.int64),
+    "empty": np.empty(0, dtype=np.int64),
+    "all-equal": np.full(300, 2 ** 62, dtype=np.int64),
+    "all-zero": np.zeros(300, dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("col", [*_FLOAT_COLUMNS.values(), *_INT_COLUMNS.values()],
+                         ids=[f"float64-{k}" for k in _FLOAT_COLUMNS] +
+                             [f"int64-{k}" for k in _INT_COLUMNS])
+def test_typed_array_columns_keep_their_text(col):
+    # float64 and int64 arrays skip the type scan, and all-equal ones repeat
+    # one cell: the text is that of the values as a list, and repr's
+    got = _csv_column(col)
+    assert got == _general_text(col)
+    assert got == ([repr(v) for v in col.tolist()], True)
+
+
+def test_constant_columns_keep_zero_signs_apart():
+    # 0.0 == -0.0, but their bits differ: no column mixing them is one cell repeated
+    for col in (np.array([0.0] + [-0.0] * 299), np.array([-0.0] * 299 + [0.0])):
+        assert _csv_column(col) == _general_text(col)
+        assert set(_csv_column(col)[0]) == {"0.0", "-0.0"}
+
+
+def _customers_reference(path, cols):
+    """customers.csv by csv.writer from simulate's columns, floats as repr."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "arrival", "sigma", "dpat", "service_start", "departure",
+                         "outcome"])
+        writer.writerows(zip(range(len(cols)), *([repr(c) if isinstance(c, float) else c
+                                                  for c in col] for col in vars(cols).values())))
+
+
+_EXP = {"kind": "iid", "seed": 9, "xi": {"dist": "exponential", "rate": 3.0},
+        "sigma": {"dist": "exponential", "rate": 1.0},
+        "dpat": {"dist": "exponential", "rate": 0.5}}
+# services of -0.0, so every customer starts and departs on arrival,
+# patience of 0 tying deadlines to arrivals, and arrivals tied with each other
+_ZERO_SERVICE = {"kind": "iid", "seed": 10,
+                 "xi": {"dist": "discrete", "atoms": [0.0, 0.5], "probs": [0.5, 0.5]},
+                 "sigma": {"dist": "deterministic", "value": -0.0},
+                 "dpat": {"dist": "discrete", "atoms": [0.0, 0.5], "probs": [0.5, 0.5]}}
+
+
+@pytest.mark.parametrize("servers", [1, 2, 4])
+@pytest.mark.parametrize("model", ["begin", "end"])
+@pytest.mark.parametrize("source", [_EXP, _ZERO_SERVICE], ids=["exponential", "zero-service"])
+def test_customers_csv_matches_csv_writer(tmp_path, source, model, servers):
+    # 40 001 customers: ten blocks of simulate_blocks, the last partial, and
+    # slices of _CSV_ROWS rows that straddle them
+    cfg = {"source": source, "model": {"servers": servers, "impatience": model},
+           "run": {"customers": 40_001}}
+    assert main(["des", "--config", _write(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    cols, _ = simulate(Scenario(servers=servers, impatience=model,
+                                source=source_from_config(source), horizon_customers=40_001))
+    _customers_reference(tmp_path / "want.csv", cols)
+    assert (tmp_path / "out" / "customers.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
+
+
+def test_customer_rows_format_starts_that_are_not_the_arrival():
+    # a start equal to its arrival but another float object is formatted, to
+    # the same text as the arrival's reused one
+    blocks = []
+    des.simulate_blocks(Scenario(servers=2, impatience="end", source=source_from_config(_EXP),
+                                 horizon_customers=600), blocks.append)
+    block = blocks[0]
+    copies = [None if s is None else float.fromhex(s.hex())
+              for s in block.customers.service_start]
+    assert sum(s is a for s, a in zip(block.customers.service_start,
+                                      block.customers.arrival)) > 100
+    moved = dataclasses.replace(block, customers=dataclasses.replace(block.customers,
+                                                                     service_start=copies))
+    assert not any(s is a for s, a in zip(copies, block.customers.arrival))
+    text = [io.StringIO(newline="") for _ in range(2)]
+    _customer_rows(text[0], block)
+    _customer_rows(text[1], moved)
+    assert text[0].getvalue() == text[1].getvalue()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,9 @@ from renege import (
     step,
     workload_before_arrivals,
 )
+from renege import des
+from renege.cli import main
+from renege.des import SOJOURN_TIME_TOL, time_tolerance
 
 BOUNDED = iid_source(Uniform(0.5, 1.5), Uniform(0.0, 0.8), Uniform(0.0, 0.4), seed=515151)
 # short interarrivals: the dominated chain M (alpha = sigma ^ dpat) leaves 0 too
@@ -196,3 +201,57 @@ def test_scenario_validation(bounded_src):
         Scenario(servers=1, impatience="nope", source=bounded_src, horizon_customers=5)
     with pytest.raises(ValueError):
         Scenario(servers=1, impatience="end", source=bounded_src, horizon_customers=0)
+
+
+def test_time_tolerance_scales_past_two_to_the_17():
+    # below 2^17 the tolerance is 1e-9 itself, so no earlier file changes
+    for t in (0.0, 5e-324, 1.0, 4402.5, np.nextafter(2.0 ** 17, 0.0)):
+        assert time_tolerance(t) == SOJOURN_TIME_TOL
+    for t in (2.0 ** 17, 1e6, 6.6e7, 1e15):
+        assert SOJOURN_TIME_TOL < time_tolerance(t) == 64 * np.spacing(t) <= 2 ** -46 * t
+    assert time_tolerance(np.array([1.0, 2.0 ** 20])).tolist() == [1e-9, 2.0 ** -26]
+
+
+# the des benchmark workload's source with every time 10^4 times longer: at
+# 20 000 customers the horizon is near 6.6e7, where an absolute 1e-9 is
+# below the spacing of the times (1.5e-8)
+SCALED = {"kind": "iid", "seed": 20084, "xi": {"dist": "exponential", "rate": 3e-4},
+          "sigma": {"dist": "exponential", "rate": 1e-4},
+          "dpat": {"dist": "exponential", "rate": 5e-5}}
+
+
+def _scaled_run(tmp_path, experiment, servers):
+    cfg = tmp_path / f"{experiment}.json"
+    cfg.write_text(json.dumps({"source": SCALED, "model": {"servers": servers,
+                                                           "impatience": "end"},
+                               "run": {"customers": 20_000}}))
+    out = tmp_path / experiment
+    code = main([experiment, "--config", str(cfg), "--out-dir", str(out)])
+    return code, json.loads((out / "summary.json").read_text())["results"]
+
+
+def test_long_times_keep_the_sojourn_and_xval_contracts(tmp_path):
+    # with the absolute 1e-9 both broke: 5994 sojourn violations at 4
+    # servers, and a discrepancy of 3.8e-8 at one
+    code, res = _scaled_run(tmp_path, "des", 4)
+    assert code == 0 and res["sojourn_violations"] == res["inclusion_violations"] == 0
+    code, res = _scaled_run(tmp_path, "xval", 1)
+    assert code == 0 and res["contract_ok"] is True
+    assert 1e-8 < res["max_discrepancy"] <= res["tolerance"] == time_tolerance(6.6e7) < 1e-6
+
+
+def test_a_real_discrepancy_on_long_times_is_flagged(tmp_path, monkeypatch, capsys):
+    # the DES workload off by 1e-6 times its arrival time at one customer of
+    # each block
+    work_before = des._work_before
+
+    def off(records, latest):
+        w, latest = work_before(records, latest)
+        w[len(w) // 2] += 1e-6 * records.arrival[len(w) // 2]
+        return w, latest
+
+    monkeypatch.setattr(des, "_work_before", off)
+    code, res = _scaled_run(tmp_path, "xval", 1)
+    assert code == 4 and res["contract_ok"] is False
+    assert res["max_discrepancy"] > 1e-6 * 6e7 / 2 > res["tolerance"]
+    assert "DES/recursion discrepancy" in capsys.readouterr().err

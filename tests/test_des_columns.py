@@ -467,3 +467,23 @@ def test_columns_read_as_customer_records():
     assert not hasattr(cols, "__setitem__")
     with pytest.raises(AttributeError):
         cols.arrival = []
+
+
+@pytest.mark.parametrize("servers", [1, 3])
+@pytest.mark.parametrize("model", ["begin", "end"])
+@pytest.mark.parametrize("name", ["tie-heavy", "bounded", "deterministic-half", "des"])
+def test_starts_on_arrival_are_the_arrival_floats(name, model, servers):
+    # customers.csv reuses the arrival's text for a service_start that is the
+    # arrival's float (cli._customer_rows): every customer who starts on
+    # arrival must carry that very object, or the writer formats it again
+    src = source_from_config({**DES_SOURCE, "seed": 3}) if name == "des" else SOURCES[name]
+    blocks = []
+    des.simulate_blocks(Scenario(servers=servers, impatience=model, source=src,
+                                 horizon_customers=10_000), blocks.append)
+    on_arrival = 0
+    for block in blocks:
+        for a, s in zip(block.customers.arrival, block.customers.service_start):
+            if s == a:
+                assert s is a
+                on_arrival += 1
+    assert on_arrival > 100
