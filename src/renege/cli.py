@@ -12,11 +12,9 @@ replay to bit-identical files regardless of --workers.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import io
 import json
-import re
 import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -30,9 +28,6 @@ import numpy as np
 from . import __version__
 from .cesaro import boundary_mass, cesaro_distribution, invariance_distance, tightness_report
 from .des import (
-    OUTCOME_ABANDONED,
-    OUTCOME_ABORTED,
-    OUTCOME_SERVED,
     Scenario,
     recursion_discrepancy,
     regeneration_stats,
@@ -74,12 +69,12 @@ EXIT_CONTRACT = 4
 
 _CSV_ROWS = 256  # rows formatted at once by _csv_rows
 _RANGE_ROWS = 8192  # the most replica rows in one range of _parallel_rows
-_NEEDS_QUOTES = re.compile('[,"\r\n]')  # what csv.writer quotes
-# customers.csv's outcome cells, which _customer_rows writes unscanned
-_OUTCOMES = (OUTCOME_SERVED, OUTCOME_ABANDONED, OUTCOME_ABORTED)
-assert not any(map(_NEEDS_QUOTES.search, _OUTCOMES)), "an outcome csv.writer would quote"
-# the cell text of each array dtype _csv_column formats without a type scan
+# the cell text of each array dtype _cells formats
 _ARRAY_TEXT = {np.dtype(np.float64): float.__repr__, np.dtype(np.int64): int.__repr__}
+# run integers numpy takes as an array size or an index, refused past the
+# largest it can index (_get), before the out dir is made (run_scenario)
+_NUMPY_COUNTS = frozenset(("max_epochs", "replicas", "steps", "tuples"))
+_INDEX_MAX = int(np.iinfo(np.intp).max)
 
 # The process's one worker pool, (workers, pool), or None: _executor starts it
 # at the first pooled call and replaces it when the worker count changes;
@@ -127,7 +122,7 @@ def _check_config_keys(cfg: dict, experiment: str) -> None:
 
 def _get(cfg: dict, section: str, key: str, default, caster, minimum: int | None = None):
     """Config value section.key cast by caster; an integer read with a minimum
-    must be at least that."""
+    must be at least that, and one of _NUMPY_COUNTS at most _INDEX_MAX."""
     block = cfg.get(section, {})
     if key not in block:
         if default is None:
@@ -139,6 +134,8 @@ def _get(cfg: dict, section: str, key: str, default, caster, minimum: int | None
         raise ConfigError(f"config key {section}.{key} is invalid: {exc}") from exc
     if minimum is not None and value < minimum:
         raise ConfigError(f"config key {section}.{key} must be >= {minimum}, got {value}")
+    if key in _NUMPY_COUNTS and value > _INDEX_MAX:
+        raise ConfigError(f"config key {section}.{key} must be <= {_INDEX_MAX}, got {value}")
     return value
 
 
@@ -199,15 +196,6 @@ def _finish(out_dir: Path, experiment: str, cfg: dict, src: MarkSource, results:
     return EXIT_OK
 
 
-def _write_csv(path: Path, header: list[str], columns: list, preamble: str | None = None) -> None:
-    """Write the columns' rows (_csv_rows) under the header as path
-    (_csv_file): ValueError unless each header field has one column, all of one length."""
-    if len(columns) != len(header) or len(set(map(len, columns))) > 1:
-        raise ValueError(f"{path.name}: every row needs {len(header)} fields")
-    with _csv_file(path, header, preamble) as fh:
-        _csv_rows(fh, columns)
-
-
 @contextmanager
 def _csv_file(path: Path, header: list[str], preamble: str | None = None):
     """An open file holding the preamble and the header, for the caller's rows:
@@ -217,7 +205,7 @@ def _csv_file(path: Path, header: list[str], preamble: str | None = None):
         with open(part, "w", encoding="utf-8", newline="") as fh:
             if preamble:
                 fh.write(preamble + "\n")
-            _write_lines(fh, [[h] for h in header], [header])
+            _write_lines(fh, [[h] for h in header])
             yield fh
         part.replace(path)
     finally:
@@ -225,58 +213,45 @@ def _csv_file(path: Path, header: list[str], preamble: str | None = None):
 
 
 def _csv_rows(fh, columns: list) -> None:
-    """Write the columns' rows as csv.writer would, _CSV_ROWS rows at a time,
-    each formatted a column at a time."""
+    """Write the columns' rows, _CSV_ROWS rows at a time, each formatted a
+    column at a time by the one cell rule (_cells)."""
     for lo in range(0, len(columns[0]), _CSV_ROWS):
-        cells = [_csv_column(c[lo:lo + _CSV_ROWS]) for c in columns]
-        _write_lines(fh, [c for c, _ in cells], [c for c, numeric in cells if not numeric])
+        _write_lines(fh, [_cells(c[lo:lo + _CSV_ROWS]) for c in columns])
 
 
-def _write_lines(fh, columns: list, text: list) -> None:
-    """Rows of the columns' text cells, joined directly unless a row has one
-    field or some cell of the text columns needs quoting (holds a comma, a
-    quote or a line end): csv.writer writes those.  Numbers and blanks never
-    need quoting, so only the text columns are scanned.  The direct join
-    takes about two thirds of csv.writer's time on des customers.csv."""
-    rows = zip(*columns)
-    if len(columns) > 1 and not any(map(_NEEDS_QUOTES.search, map("".join, text))):
-        fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
-    else:
-        csv.writer(fh).writerows(rows)
+def _write_lines(fh, columns: list) -> None:
+    """Rows of the columns' cells, joined by commas and ended by \\r\\n, as
+    csv.writer writes cells that need no quoting: no cell the program writes
+    holds a comma, a quote or a line end."""
+    fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
-def _csv_column(col) -> tuple[list[str], bool]:
-    """One column's cells, of a sequence or numpy array, as text: float.__repr__
-    for floats (numpy floats included, which repr would write as np.float64(...)),
-    "" for None and str for the rest; and whether they are all floats, ints and blanks.
-    A float64 or int64 array is numeric by its dtype, unscanned, and one whose
-    values all have the same bits (compared as int64, so 0.0 and -0.0 differ)
-    is one cell's text repeated."""
-    if isinstance(col, np.ndarray):
-        fmt = _ARRAY_TEXT.get(col.dtype)
-        if fmt is not None:
-            bits = col.view(np.int64)
-            if bits.size and (bits == bits[0]).all():
-                return [fmt(col[0].item())] * bits.size, True
-            return list(map(fmt, col.tolist())), True
-        col = col.tolist()
-    kinds = set(map(type, col))
-    if kinds == {float}:
-        return list(map(float.__repr__, col)), True
-    if kinds == {int}:
-        return list(map(int.__repr__, col)), True
-    if kinds == {str}:
-        return list(col), False
-    return (["" if c is None else float.__repr__(c) if isinstance(c, float) else str(c)
-             for c in col], kinds <= {float, int, type(None)})
+def _cells(col) -> list[str]:
+    """One column's cells as text, by the kind of column, with no per-cell type
+    check: a float64 or int64 array by its dtype (float.__repr__ or
+    int.__repr__), one whose values all have the same bits (compared as int64,
+    so 0.0 and -0.0 differ) as one cell's text repeated; a range by
+    int.__repr__; and a list as the program's own text cells."""
+    if isinstance(col, list):
+        return col
+    if isinstance(col, range):
+        return list(map(int.__repr__, col))
+    fmt = _ARRAY_TEXT[col.dtype]
+    bits = col.view(np.int64)
+    if bits.size and (bits == bits[0]).all():
+        return [fmt(col[0].item())] * bits.size
+    return list(map(fmt, col.tolist()))
 
 
-def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    """_parallel_rows' ranges over 0..total, of sizes that differ by one at most:
-    one per worker, or the fewest multiple of workers within _RANGE_ROWS rows each."""
+def _ranges(total: int, workers: int):
+    """_parallel_rows' ranges over 0..total, of sizes that differ by one at most,
+    yielded one at a time: one per worker, or the fewest multiple of workers
+    within _RANGE_ROWS rows each."""
     parts = workers * -(-total // (workers * _RANGE_ROWS))
-    cuts = [total * i // parts for i in range(parts + 1)]
-    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    for i in range(parts):
+        lo, hi = total * i // parts, total * (i + 1) // parts
+        if lo < hi:
+            yield lo, hi
 
 
 def _replica_rows(kind: str, src: MarkSource, params: dict, lo: int, hi: int) -> tuple:
@@ -291,7 +266,7 @@ def _replica_rows(kind: str, src: MarkSource, params: dict, lo: int, hi: int) ->
         spacing = max(2 * params["max_depth"], params["warmup"])
         w = np.array([sample_stationary(model, rep.shift(e), warmup=params["warmup"])
                       for rep, e in (src.replica(r, spacing) for r in range(lo, hi))])
-        columns = [range(lo, hi), w, ["forward-approximate"] * w.size, *[[None] * w.size] * 2]
+        columns = [range(lo, hi), w, ["forward-approximate"] * w.size, *[[""] * w.size] * 2]
     text = io.StringIO(newline="")
     _csv_rows(text, columns)
     return text.getvalue(), loss_counts(model, columns[1:]) if kind == "loss" else columns[1]
@@ -316,7 +291,7 @@ def _drop_pool() -> None:
         pool.shutdown()
 
 
-def _pooled(fn, ranges: list, workers: int):
+def _pooled(fn, ranges, workers: int):
     """fn(lo, hi) of each range, in order, run on the process's pool
     (_executor) with at most 2 * workers ranges submitted and not yet
     returned: Executor.map would submit them all, and the results of later
@@ -335,24 +310,27 @@ def _pooled(fn, ranges: list, workers: int):
             future.cancel()
 
 
-def _parallel_rows(kind: str, src: MarkSource, params: dict, total: int, workers: int,
-                  fh) -> list:
+def _parallel_rows(kind: str, src: MarkSource, params: dict, total: int, workers: int, fh):
     """Rows 0..total-1 (_replica_rows) in _ranges, in-process at one worker,
     else over the process's pool (_pooled): each range's text written to fh
-    in replica order as it arrives, and their counts or W returned in that
-    order.  A pool that breaks is dropped and its error raised."""
+    in replica order as it arrives.  Returns the loss rows' indicator counts,
+    summed as they arrive, or the sample rows' W in replica order.  A pool
+    that breaks is dropped and its error raised."""
     ranges = _ranges(total, workers)
     rows = partial(_replica_rows, kind, src, params)
-    stats = []
+    counts, values = None, []
     try:
         for text, stat in (_pooled(rows, ranges, workers) if workers > 1
                            else (rows(lo, hi) for lo, hi in ranges)):
             fh.write(text)
-            stats.append(stat)
+            if kind == "loss":
+                counts = stat if counts is None else [a + b for a, b in zip(counts, stat)]
+            else:
+                values.append(stat)
     except BrokenProcessPool:
         _drop_pool()
         raise
-    return stats
+    return counts if kind == "loss" else np.concatenate(values)
 
 
 def _single_server(cfg: dict) -> None:
@@ -386,7 +364,7 @@ def _exp_sample(experiment: str, model: Model, cfg, out_dir, workers, src) -> in
     samples = params["samples"]
     with _csv_file(out_dir / "detail.csv", ["replica", "value", "method", "renovation_epoch",
                                             "certificate_depth"]) as fh:
-        values = np.concatenate(_parallel_rows("sample", src, params, samples, workers, fh))
+        values = _parallel_rows("sample", src, params, samples, workers, fh)
     results = {
         "model": model.name,
         "method": "renovation-exact" if params["mode"] == "exact" else "forward-approximate",
@@ -404,8 +382,8 @@ def _exp_loss(experiment: str, model: Model, cfg, out_dir, workers, src) -> int:
     samples = params["samples"]
     if params["mode"] == "exact":
         with _csv_file(out_dir / "detail.csv", model.columns) as fh:
-            stats = _parallel_rows("loss", src, params, samples, workers, fh)
-        report = loss_report(model, src, [sum(c) for c in zip(*stats)], samples, "renovation-exact")
+            counts = _parallel_rows("loss", src, params, samples, workers, fh)
+        report = loss_report(model, src, counts, samples, "renovation-exact")
     else:
         report = loss_probability(model, src, samples, mode="approximate",
                                   warmup=params["warmup"])
@@ -462,7 +440,7 @@ def _exp_regen(cfg, out_dir, workers, src) -> int:
     with _csv_file(out_dir / "detail.csv", ["index", "l_before", "m_before", "x_before"]) as fh:
         stats = simulate_blocks(scn, lambda b: _csv_rows(fh, [
             range(b.start, b.start + b.x_before.size), b.l_before, b.m_before, b.x_before]))
-        report = regeneration_stats(scn, (None, stats), replicas=replicas, max_depth=max_depth)
+        report = regeneration_stats(scn, stats, replicas=replicas, max_depth=max_depth)
     results = _path_stats_results(report.stats)
     results.update({
         "sufficient_alpha": report.sufficient_alpha,
@@ -475,12 +453,12 @@ def _exp_regen(cfg, out_dir, workers, src) -> int:
 
 
 def _customer_rows(fh, block) -> None:
-    """customers.csv rows of a simulate_blocks block, as _csv_rows would write
-    them, _CSV_ROWS at a time, each column formatted by the type
-    simulate_blocks gives it, unscanned: the outcomes are _OUTCOMES, and
-    service_start is a float or None.  A customer who starts on arrival has
-    the arrival's own float as service_start, which takes the arrival's
-    text; any other start, an equal one included, is formatted."""
+    """customers.csv rows of a simulate_blocks block, _CSV_ROWS at a time,
+    each column formatted by the type simulate_blocks gives it: floats by
+    float.__repr__, the outcomes as the program's own text, and
+    service_start, a float or None, blank for None.  A customer who starts
+    on arrival has the arrival's own float as service_start, which takes
+    the arrival's text; any other start, an equal one included, is formatted."""
     cust, start, fr = block.customers, block.start, float.__repr__
     for lo in range(0, len(cust), _CSV_ROWS):
         hi = min(lo + _CSV_ROWS, len(cust))
@@ -488,10 +466,9 @@ def _customer_rows(fh, block) -> None:
         arrival_text = list(map(fr, arrival))
         starts = [text if s is a else "" if s is None else fr(s)
                   for s, a, text in zip(cust.service_start[lo:hi], arrival, arrival_text)]
-        rows = zip(map(int.__repr__, range(start + lo, start + hi)), arrival_text,
-                   map(fr, cust.sigma[lo:hi]), map(fr, cust.dpat[lo:hi]), starts,
-                   map(fr, cust.departure[lo:hi]), cust.outcome[lo:hi])
-        fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+        _write_lines(fh, [map(int.__repr__, range(start + lo, start + hi)), arrival_text,
+                          map(fr, cust.sigma[lo:hi]), map(fr, cust.dpat[lo:hi]), starts,
+                          map(fr, cust.departure[lo:hi]), cust.outcome[lo:hi]])
 
 
 def _exp_des(cfg, out_dir, workers, src) -> int:
@@ -502,21 +479,12 @@ def _exp_des(cfg, out_dir, workers, src) -> int:
     return _finish(out_dir, "des", cfg, src, _path_stats_results(stats), _path_violation(stats))
 
 
-def _steps(cfg: dict) -> int:
-    """cesaro's run.steps, the length of arrays it holds whole: one numpy
-    cannot index is refused."""
-    n = _get(cfg, "run", "steps", 10_000, strict_int, 1)
-    if n > np.iinfo(np.intp).max:
-        raise ConfigError(f"config key run.steps must be <= {np.iinfo(np.intp).max}, got {n}")
-    return n
-
-
 def _exp_cesaro(cfg, out_dir, workers, src) -> int:
     _single_server(cfg)
     model = _get(cfg, "model", "impatience", "begin", str)
     if model not in MODELS:
         raise ConfigError(f"model.impatience must be 'begin' or 'end', got {model!r}")
-    n = _steps(cfg)
+    n = _get(cfg, "run", "steps", 10_000, strict_int, 1)
     p = _get(cfg, "run", "boundary_p", 10, strict_int, 1)
     levels = _get(cfg, "run", "quantiles", [0.5, 0.9, 0.99, 0.999], _levels)
     mu = cesaro_distribution(src, n, model)
@@ -540,8 +508,8 @@ def _exp_cesaro(cfg, out_dir, workers, src) -> int:
         },
     }
     preamble = f"# n_steps={mu.n_steps} model={mu.model} seed={src.seed} stream={src.stream}"
-    _write_csv(out_dir / "detail.csv", ["value", "weight"],
-               [mu.values, mu.weights], preamble=preamble)
+    with _csv_file(out_dir / "detail.csv", ["value", "weight"], preamble) as fh:
+        _csv_rows(fh, [mu.values, mu.weights])
     return _finish(out_dir, "cesaro", cfg, src, results)
 
 
@@ -596,8 +564,8 @@ def run_scenario(cfg: dict, experiment: str, out_dir: str | Path, workers: int =
         raise ConfigError(f"config declares experiment {declared!r} but {experiment!r} was invoked")
     _check_config_keys(cfg, experiment)
     src = _build_source(cfg, seed_override)
-    if experiment == "cesaro":
-        _steps(cfg)  # before the out dir is made
+    for key in _NUMPY_COUNTS.intersection(SECTION_KEYS[experiment]["run"]):
+        _get(cfg, "run", key, 1, strict_int, 1)  # before the out dir is made
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return EXPERIMENTS[experiment](cfg, out, workers, src)

@@ -427,19 +427,18 @@ class RegenReport:
     p_zero_necessary: ProbZero
 
 
-def regeneration_stats(scn: Scenario, sim: tuple[CustomerColumns, PathStatistics] | None = None,
+def regeneration_stats(scn: Scenario, stats: PathStatistics | None = None,
                        replicas: int = 200, max_depth: int = 10_000) -> RegenReport:
-    """Side-by-side regenerativity report for a completed simulation, of which
-    only the statistics are read: sim[1] (simulate, when sim is None).
+    """Side-by-side regenerativity report for the path statistics of a
+    completed simulation of scn (simulate's, when stats is None).
 
     The sufficient condition estimates P(Y=0) for alpha = sigma+dpat (begin)
     or dpat (end); the necessary one uses alpha = sigma^dpat.  Exactness of
     those estimates follows source bounds; the path statistics are reported
     as observed, with no contract tying them to the conditions.
     """
-    if sim is None:
-        sim = simulate(scn)
-    _, stats = sim
+    if stats is None:
+        stats = simulate(scn)[1]
     suff_spec = MODELS[scn.impatience].dominating
     p_suff = prob_zero_estimate(suff_spec, scn.source, replicas, max_depth)
     p_nec = prob_zero_estimate(SIGMA_MIN_D, scn.source, replicas, max_depth)

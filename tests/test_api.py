@@ -55,7 +55,7 @@ PARAMETERS = {
     "markov_source": ("transition", "states", "seed", "stream"),
     "mc_aggregate": ("values", "kind"),
     "prob_zero_estimate": ("spec", "src", "replicas", "max_depth"),
-    "regeneration_stats": ("scn", "sim", "replicas", "max_depth"),
+    "regeneration_stats": ("scn", "stats", "replicas", "max_depth"),
     "sample_stationary_s": ("src", "warmup"),
     "sample_stationary_w": ("src", "warmup"),
     "simulate": ("scn",),

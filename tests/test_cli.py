@@ -13,7 +13,7 @@ import pytest
 
 import renege
 from renege import Scenario, des, simulate, source_from_config
-from renege.cli import _csv_column, _customer_rows, _write_csv, main, run_scenario
+from renege.cli import _cells, _customer_rows, main, run_scenario
 from renege.marks import ConfigError
 
 from test_golden import MARKOV
@@ -364,6 +364,40 @@ def test_cesaro_steps_past_intp_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+_EXP = {"kind": "iid", "seed": 9, "xi": {"dist": "exponential", "rate": 3.0},
+        "sigma": {"dist": "exponential", "rate": 1.0},
+        "dpat": {"dist": "exponential", "rate": 0.5}}
+
+
+@pytest.mark.parametrize("experiment, source, run, key, value", [
+    ("props", BOUNDED_SOURCE, {}, "tuples", 10 ** 30),
+    ("regen", BOUNDED_SOURCE, {"customers": 50}, "replicas", 10 ** 30),
+    ("regen", _EXP, {"customers": 50}, "replicas", 10 ** 30),
+    ("loss-begin", BOUNDED_SOURCE, {"mode": "exact", "samples": 5}, "max_epochs", 10 ** 30),
+    ("sample-s", BOUNDED_SOURCE, {"mode": "exact", "samples": 5}, "max_epochs", 2 ** 63),
+], ids=["props-tuples", "regen-replicas-bounded", "regen-replicas-exponential",
+        "loss-begin-max-epochs", "sample-s-max-epochs-2^63"])
+def test_counts_numpy_cannot_index_exit_2(tmp_path, capsys, experiment, source, run, key,
+                                          value):
+    # numpy sizes arrays by tuples and replicas and takes max_epochs as a C
+    # long: each count past the largest numpy index is refused before the out
+    # dir is made, by the rule cesaro's run.steps follows.  These ran into a
+    # numpy ValueError or OverflowError, raised out of main (exit 1)
+    out = tmp_path / "out"
+    cfg = {"source": source, "run": {**run, key: value}}
+    assert main([experiment, "--config", _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
+    assert f"run.{key} must be <= 9223372036854775807, got {value}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_max_epochs_at_the_largest_numpy_index_runs(tmp_path):
+    cfg = {"source": BOUNDED_SOURCE,
+           "run": {"mode": "exact", "samples": 5, "max_epochs": 2 ** 63 - 1}}
+    assert main(["loss-begin", "--config", _write(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+
+
 MARKOV_SOURCE = {
     "kind": "markov", "seed": 3, "transition": [[0.9, 0.1], [0.3, 0.7]],
     "states": [{"xi": {"dist": "uniform", "low": 0.5, "high": 1.5},
@@ -595,49 +629,6 @@ def test_near_degenerate_chain_exits_3(tmp_path, capsys, workers):
     assert "before index -31;" in err
 
 
-def _csv_writer_reference(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([repr(float(c)) if isinstance(c, float) else c for c in row]
-                         for row in rows)
-
-
-def _columns(rows, width):
-    """The rows as columns, at least width of them; a ragged row leaves its
-    columns of unequal length."""
-    width = max([width, *map(len, rows)])
-    return [[row[k] for row in rows if k < len(row)] for k in range(width)]
-
-
-@pytest.mark.parametrize("header, rows", [
-    (["a", "b"], []),
-    (["index", "value", "epoch", "outcome"],
-     [(i, i / 7, None if i % 3 else -i, "served") for i in range(3000)]),
-    (["x", "y"], [(-0.0, float("inf")), (float("nan"), 1e-300), (True, 2 ** 70)]),
-    (["x", "y"], [(np.float64(0.1), np.int64(3)), (1.5, "has,comma")]),
-    (["x", "y"], [("q\"uote", ""), ("line\nend", "cr\rx")]),
-    (["only"], [("",), (None,), (1.0,)]),
-    (["a,b", "c"], [(1, 2)]),
-    # only the text column is scanned for quoting: its comma, quote and line
-    # ends come after the first _CSV_ROWS rows
-    (["t", "w", "note"],
-     [(i / 3, i * 0.5, "ok" if i < 260 else ("c,d", 'q"', "l\nm", "r\rs")[i % 4])
-      for i in range(300)]),
-])
-def test_write_csv_matches_csv_writer(tmp_path, header, rows):
-    # floats go through float.__repr__, so numpy floats read as plain floats
-    _write_csv(tmp_path / "got.csv", header, _columns(rows, len(header)))
-    _csv_writer_reference(tmp_path / "want.csv", header, rows)
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-
-
-@pytest.mark.parametrize("rows", [[(1, 2), (3,)], [(1, 2, 3)], [(1, 2)] * 300 + [(1, 2, 3)]])
-def test_write_csv_rejects_rows_unlike_the_header(tmp_path, rows):
-    with pytest.raises(ValueError, match="every row needs 2 fields"):
-        _write_csv(tmp_path / "got.csv", ["a", "b"], _columns(rows, 2))
-
-
 def test_cli_import_loads_numpy_random_but_not_scipy():
     # scipy.stats takes about a second to import and only t intervals use
     # it; numpy.random is needed by every mark fetch, so it must not be left
@@ -649,18 +640,6 @@ def test_cli_import_loads_numpy_random_but_not_scipy():
     out = subprocess.run([sys.executable, "-c", code],
                          capture_output=True, text=True, env=env, timeout=60, check=True)
     assert out.stdout.split() == ["False", "True"]
-
-
-@pytest.mark.parametrize("columns", [[[1, 2], [3]], [[1], [2], [3]], [[1, 2]]])
-def test_write_csv_rejects_columns_before_writing(tmp_path, columns):
-    with pytest.raises(ValueError, match="every row needs 2 fields"):
-        _write_csv(tmp_path / "got.csv", ["a", "b"], columns)
-    assert not (tmp_path / "got.csv").exists()
-
-
-def _general_text(col):
-    """_csv_column's text of the array's values as a list: the type-scanned path."""
-    return _csv_column(col.tolist())
 
 
 _RNG = np.random.default_rng(2701)
@@ -686,22 +665,31 @@ _INT_COLUMNS = {
 }
 
 
-@pytest.mark.parametrize("col", [*_FLOAT_COLUMNS.values(), *_INT_COLUMNS.values()],
+_OTHER_COLUMNS = {
+    "range": range(2 ** 62 - 3, 2 ** 62 + 300),
+    "empty-range": range(5, 5),
+    "text": ["renovation-exact"] * 300,
+    "blanks": [""] * 3,
+}
+
+
+@pytest.mark.parametrize("col", [*_FLOAT_COLUMNS.values(), *_INT_COLUMNS.values(),
+                                 *_OTHER_COLUMNS.values()],
                          ids=[f"float64-{k}" for k in _FLOAT_COLUMNS] +
-                             [f"int64-{k}" for k in _INT_COLUMNS])
+                             [f"int64-{k}" for k in _INT_COLUMNS] + list(_OTHER_COLUMNS))
 def test_typed_array_columns_keep_their_text(col):
-    # float64 and int64 arrays skip the type scan, and all-equal ones repeat
-    # one cell: the text is that of the values as a list, and repr's
-    got = _csv_column(col)
-    assert got == _general_text(col)
-    assert got == ([repr(v) for v in col.tolist()], True)
+    # float64 and int64 arrays are formatted by their dtype, all-equal ones
+    # as one cell repeated, ranges as ints and text lists as they are: the
+    # text is repr's of each value, or the text itself
+    values = col.tolist() if isinstance(col, np.ndarray) else col
+    assert _cells(col) == [v if isinstance(v, str) else repr(v) for v in values]
 
 
 def test_constant_columns_keep_zero_signs_apart():
     # 0.0 == -0.0, but their bits differ: no column mixing them is one cell repeated
     for col in (np.array([0.0] + [-0.0] * 299), np.array([-0.0] * 299 + [0.0])):
-        assert _csv_column(col) == _general_text(col)
-        assert set(_csv_column(col)[0]) == {"0.0", "-0.0"}
+        assert _cells(col) == [repr(v) for v in col.tolist()]
+        assert set(_cells(col)) == {"0.0", "-0.0"}
 
 
 def _customers_reference(path, cols):
@@ -714,9 +702,6 @@ def _customers_reference(path, cols):
                                                   for c in col] for col in vars(cols).values())))
 
 
-_EXP = {"kind": "iid", "seed": 9, "xi": {"dist": "exponential", "rate": 3.0},
-        "sigma": {"dist": "exponential", "rate": 1.0},
-        "dpat": {"dist": "exponential", "rate": 0.5}}
 # services of -0.0, so every customer starts and departs on arrival,
 # patience of 0 tying deadlines to arrivals, and arrivals tied with each other
 _ZERO_SERVICE = {"kind": "iid", "seed": 10,

@@ -80,7 +80,12 @@ def test_overloaded_deterministic_regenerates_without_sufficient_condition():
 
 def test_regeneration_report_end_model(bounded_src):
     scn = Scenario(servers=2, impatience="end", source=bounded_src, horizon_customers=2000)
-    report = regeneration_stats(scn, replicas=50, max_depth=1000)
+    _, stats = simulate(scn)
+    report = regeneration_stats(scn, stats, replicas=50, max_depth=1000)
+    assert report.stats is stats  # the statistics given are reported, not re-simulated
+    again = regeneration_stats(scn, replicas=50, max_depth=1000)
+    assert (report.p_zero_sufficient, report.p_zero_necessary) == \
+        (again.p_zero_sufficient, again.p_zero_necessary)
     assert report.sufficient_alpha == "d_only"
     assert report.p_zero_sufficient.exact and report.p_zero_necessary.exact
     assert report.stats.inclusion_violations == 0

@@ -18,7 +18,9 @@ recorded while the DES still simulated the whole horizon at once.
 Change a hash only when a numeric change is intended and named in CHANGES.md.
 """
 
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -247,3 +249,21 @@ def run_case(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_outputs(name, tmp_path):
     assert run_case(name, tmp_path) == HASHES[name]
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CASES)
+                                  if any(f.endswith(".csv") for f in HASHES[n])])
+def test_golden_csv_files_need_no_quoting(name, tmp_path):
+    # the CSV writer joins cells with no quoting scan: every file reads back
+    # through csv.reader to the cells of a plain split, a leading "#"
+    # preamble line (cesaro's) ended by \n and every other line by \r\n
+    run_case(name, tmp_path)
+    for path in sorted((tmp_path / name).glob("*.csv")):
+        text = path.read_bytes().decode("utf-8")
+        preamble, body = text.split("\n", 1) if text.startswith("#") else (None, text)
+        lines = body.split("\r\n")
+        assert lines.pop() == "" and '"' not in text
+        split = [line.split(",") for line in lines]
+        assert len({len(row) for row in split}) == 1 and len(split[0]) >= 2
+        assert list(csv.reader(io.StringIO(text, newline=""))) == \
+            [[preamble]] * (preamble is not None) + split

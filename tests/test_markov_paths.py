@@ -12,6 +12,7 @@ from renege import (
     loss_probability_begin,
     markov_source,
     regeneration_stats,
+    simulate,
 )
 from renege.cli import main
 from renege.fifo import BEGIN
@@ -67,7 +68,9 @@ def test_markov_exact_sampling_and_shift_equivalence():
 def test_markov_regen_report():
     scn = Scenario(servers=1, impatience="begin", source=_markov_src(),
                    horizon_customers=1500)
-    report = regeneration_stats(scn, replicas=30, max_depth=200)
+    _, stats = simulate(scn)
+    report = regeneration_stats(scn, stats, replicas=30, max_depth=200)
+    assert report.stats is stats
     assert report.p_zero_sufficient.exact
     assert report.stats.inclusion_violations == 0
     assert 0.0 <= report.p_zero_sufficient.estimate.point <= 1.0

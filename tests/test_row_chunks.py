@@ -15,6 +15,7 @@ import io
 import json
 import tracemalloc
 from concurrent.futures import Future
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from test_batched_rows import oracle_rows
 def test_chunks_cover_the_rows_at_batch_multiples(total, workers):
     # the ranges are even, not cut at multiples of _BATCH: 600 rows at
     # --workers 2 are two ranges of 300, not one of 512 and one of 88
-    chunks = _ranges(total, workers)
+    chunks = list(_ranges(total, workers))
     assert chunks[0][0] == 0 and chunks[-1][1] == total
     assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
     sizes = [hi - lo for lo, hi in chunks]
@@ -43,14 +44,14 @@ def test_chunks_cover_the_rows_at_batch_multiples(total, workers):
 
 
 def test_exact_iid_pool_takes_one_range_per_worker():
-    assert _ranges(4000, 2) == [(0, 2000), (2000, 4000)]
-    assert _ranges(4000, 3) == [(0, 1333), (1333, 2666), (2666, 4000)]
+    assert list(_ranges(4000, 2)) == [(0, 2000), (2000, 4000)]
+    assert list(_ranges(4000, 3)) == [(0, 1333), (1333, 2666), (2666, 4000)]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("total", [cli._RANGE_ROWS + 1, 5 * cli._RANGE_ROWS - 7, 40_000])
 def test_long_runs_take_a_multiple_of_the_workers_in_capped_ranges(total, workers):
-    ranges = _ranges(total, workers)
+    ranges = list(_ranges(total, workers))
     sizes = [hi - lo for lo, hi in ranges]
     assert ranges[0][0] == 0 and ranges[-1][1] == total and sum(sizes) == total
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
@@ -62,7 +63,7 @@ def test_long_runs_take_a_multiple_of_the_workers_in_capped_ranges(total, worker
 @pytest.mark.parametrize("total", [1, 7, 128, 300])
 def test_sampled_replicas_keep_an_even_split(total):
     # approximate sampled replicas run one at a time in the same ranges
-    chunks = _ranges(total, 4)
+    chunks = list(_ranges(total, 4))
     assert len(chunks) == min(total, 4)
     assert chunks[0][0] == 0 and chunks[-1][1] == total
     assert max(hi - lo for lo, hi in chunks) == -(-total // 4)
@@ -82,20 +83,61 @@ class _InProcessPool:
         return future
 
 
+def _fake_rows(kind, src, params, lo, hi):
+    """A range's text and its loss counts or sample W, as cli._replica_rows gives them."""
+    return f"{lo}-{hi};", [hi - lo, lo] if kind == "loss" else np.arange(lo, hi, dtype=float)
+
+
 @pytest.mark.parametrize("kind, mode", [("loss", "exact"), ("sample", "exact"),
                                         ("sample", "approximate")])
 def test_pool_ranges_by_row_kind(monkeypatch, kind, mode):
     # exact rows, loss or sample, and approximate sampled replicas all take
     # one range per worker: 300 rows at 4 workers are 4 ranges of 75, their
-    # text written in replica order
+    # text written in replica order, the loss counts summed and the W joined
     pool = _InProcessPool()
     monkeypatch.setattr(cli, "_executor", lambda workers: pool)
-    monkeypatch.setattr(cli, "_replica_rows",
-                        lambda kind, src, params, lo, hi: (f"{lo}-{hi};", hi - lo))
+    monkeypatch.setattr(cli, "_replica_rows", _fake_rows)
     fh = io.StringIO()
-    assert cli._parallel_rows(kind, None, {"mode": mode}, 300, 4, fh) == [75] * 4
-    assert pool.ranges == _ranges(300, 4) == [(0, 75), (75, 150), (150, 225), (225, 300)]
+    got = cli._parallel_rows(kind, None, {"mode": mode}, 300, 4, fh)
+    if kind == "loss":
+        assert got == [300, 0 + 75 + 150 + 225]
+    else:
+        assert got.tolist() == list(range(300))
+    assert pool.ranges == list(_ranges(300, 4)) == [(0, 75), (75, 150), (150, 225), (225, 300)]
     assert fh.getvalue() == "0-75;75-150;150-225;225-300;"
+
+
+def test_ranges_come_one_at_a_time():
+    # 2^62 rows at --workers 2 are 2^49 ranges of 8192: the first is there
+    # at once, in memory that does not grow with the rows.  Built as a list
+    # first, 10^10 rows took 1 220 704 ranges, 132 MiB and 4.3 s
+    tracemalloc.start()
+    try:
+        ranges = _ranges(2 ** 62, 2)
+        assert next(ranges) == (0, cli._RANGE_ROWS) and next(ranges)[0] == cli._RANGE_ROWS
+        assert tracemalloc.get_traced_memory()[1] < 10_000
+    finally:
+        tracemalloc.stop()
+
+
+def test_loss_counts_are_summed_as_the_ranges_arrive(monkeypatch):
+    # one running sum, not one count list per range: 2000 ranges at
+    # --workers 1 hold no more than 20 do but for a small slack.  Kept per
+    # range, the 2000 peaked 336 036 bytes above the 20 (tracemalloc)
+    monkeypatch.setattr(cli, "_RANGE_ROWS", 1)
+    monkeypatch.setattr(cli, "_replica_rows", _fake_rows)
+
+    def peak(total):
+        tracemalloc.start()
+        try:
+            sink = SimpleNamespace(write=len)  # drops the text
+            assert cli._parallel_rows("loss", None, {}, total, 1, sink) == \
+                [total, total * (total - 1) // 2]
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) - peak(20) < 20_000
 
 
 def _u(low, high):
