@@ -24,6 +24,7 @@ from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .cesaro import boundary_mass, cesaro_distribution, invariance_distance, tightness_report
@@ -67,13 +68,12 @@ EXIT_CONFIG = 2
 EXIT_CAPABILITY = 3
 EXIT_CONTRACT = 4
 
-_CSV_ROWS = 256  # rows formatted at once by _csv_rows
+_CSV_ROWS = 1024  # rows formatted at once by _csv_rows and _customer_rows
 _RANGE_ROWS = 8192  # the most replica rows in one range of _parallel_rows
-# the cell text of each array dtype _cells formats
-_ARRAY_TEXT = {np.dtype(np.float64): float.__repr__, np.dtype(np.int64): int.__repr__}
-# run integers numpy takes as an array size or an index, refused past the
-# largest it can index (_get), before the out dir is made (run_scenario)
-_NUMPY_COUNTS = frozenset(("max_epochs", "replicas", "steps", "tuples"))
+# run integers numpy takes as an array size or an index, each with the bytes
+# one unit takes in its largest array: refused past the largest count whose
+# array numpy can size (_get), before the out dir is made (run_scenario)
+_NUMPY_COUNTS = {"max_epochs": 1, "replicas": 8, "steps": 24, "tuples": 8}
 _INDEX_MAX = int(np.iinfo(np.intp).max)
 
 # The process's one worker pool, (workers, pool), or None: _executor starts it
@@ -122,7 +122,8 @@ def _check_config_keys(cfg: dict, experiment: str) -> None:
 
 def _get(cfg: dict, section: str, key: str, default, caster, minimum: int | None = None):
     """Config value section.key cast by caster; an integer read with a minimum
-    must be at least that, and one of _NUMPY_COUNTS at most _INDEX_MAX."""
+    must be at least that, and one of _NUMPY_COUNTS at most the count whose
+    array takes _INDEX_MAX bytes."""
     block = cfg.get(section, {})
     if key not in block:
         if default is None:
@@ -134,8 +135,8 @@ def _get(cfg: dict, section: str, key: str, default, caster, minimum: int | None
         raise ConfigError(f"config key {section}.{key} is invalid: {exc}") from exc
     if minimum is not None and value < minimum:
         raise ConfigError(f"config key {section}.{key} must be >= {minimum}, got {value}")
-    if key in _NUMPY_COUNTS and value > _INDEX_MAX:
-        raise ConfigError(f"config key {section}.{key} must be <= {_INDEX_MAX}, got {value}")
+    if key in _NUMPY_COUNTS and value > (most := _INDEX_MAX // _NUMPY_COUNTS[key]):
+        raise ConfigError(f"config key {section}.{key} must be <= {most}, got {value}")
     return value
 
 
@@ -228,19 +229,40 @@ def _write_lines(fh, columns: list) -> None:
 
 def _cells(col) -> list[str]:
     """One column's cells as text, by the kind of column, with no per-cell type
-    check: a float64 or int64 array by its dtype (float.__repr__ or
-    int.__repr__), one whose values all have the same bits (compared as int64,
-    so 0.0 and -0.0 differ) as one cell's text repeated; a range by
+    check: a float64 array by _float_cells, an int64 array by orjson's integers
+    (int.__repr__'s text), one whose values all have the same bits (compared
+    as int64, so 0.0 and -0.0 differ) as one cell's text repeated; a range by
     int.__repr__; and a list as the program's own text cells."""
     if isinstance(col, list):
         return col
     if isinstance(col, range):
         return list(map(int.__repr__, col))
-    fmt = _ARRAY_TEXT[col.dtype]
     bits = col.view(np.int64)
-    if bits.size and (bits == bits[0]).all():
-        return [fmt(col[0].item())] * bits.size
-    return list(map(fmt, col.tolist()))
+    same = bits.size > 1 and (bits == bits[0]).all()
+    cells = (_float_cells if col.dtype == np.float64 else _json_cells)(col[:1] if same else col)
+    return cells * col.size if same else cells
+
+
+def _json_cells(a: np.ndarray) -> list[str]:
+    """orjson's text of each value of a float64 or int64 array, from one
+    dumps call over the whole array."""
+    text = orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY)
+    return text[1:-1].decode().split(",") if a.size else []
+
+
+def _float_cells(values) -> list[str]:
+    """float.__repr__ of each value of a float64 array or a list of floats,
+    blank for None: orjson's Ryu text, which is repr's shortest round-trip
+    digits, and repr again for the cells where orjson's layout differs:
+    non-finite values (orjson's null) and nonzero ones outside
+    1e-4 <= |x| < 1e16 (orjson's 0.00001 and 1e16 for 1e-05 and 1e+16)."""
+    a = np.asarray(values, dtype=np.float64)  # None is nan here
+    cells = _json_cells(a)
+    mag = np.abs(a)
+    odd = np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (a != 0.0))
+    for i, v in zip(odd.tolist(), a[odd].tolist()):
+        cells[i] = "" if v != v and values[i] is None else float.__repr__(v)
+    return cells
 
 
 def _ranges(total: int, workers: int):
@@ -453,22 +475,15 @@ def _exp_regen(cfg, out_dir, workers, src) -> int:
 
 
 def _customer_rows(fh, block) -> None:
-    """customers.csv rows of a simulate_blocks block, _CSV_ROWS at a time,
-    each column formatted by the type simulate_blocks gives it: floats by
-    float.__repr__, the outcomes as the program's own text, and
-    service_start, a float or None, blank for None.  A customer who starts
-    on arrival has the arrival's own float as service_start, which takes
-    the arrival's text; any other start, an equal one included, is formatted."""
-    cust, start, fr = block.customers, block.start, float.__repr__
+    """customers.csv rows of a simulate_blocks block, _CSV_ROWS at a time:
+    the index, the times by _float_cells (service_start blank for None) and
+    the outcomes as the program's own text."""
+    cust = block.customers
+    times = cust.arrival, cust.sigma, cust.dpat, cust.service_start, cust.departure
     for lo in range(0, len(cust), _CSV_ROWS):
         hi = min(lo + _CSV_ROWS, len(cust))
-        arrival = cust.arrival[lo:hi]
-        arrival_text = list(map(fr, arrival))
-        starts = [text if s is a else "" if s is None else fr(s)
-                  for s, a, text in zip(cust.service_start[lo:hi], arrival, arrival_text)]
-        _write_lines(fh, [map(int.__repr__, range(start + lo, start + hi)), arrival_text,
-                          map(fr, cust.sigma[lo:hi]), map(fr, cust.dpat[lo:hi]), starts,
-                          map(fr, cust.departure[lo:hi]), cust.outcome[lo:hi]])
+        _write_lines(fh, [map(int.__repr__, range(block.start + lo, block.start + hi)),
+                          *(_float_cells(c[lo:hi]) for c in times), cust.outcome[lo:hi]])
 
 
 def _exp_des(cfg, out_dir, workers, src) -> int:
@@ -564,7 +579,7 @@ def run_scenario(cfg: dict, experiment: str, out_dir: str | Path, workers: int =
         raise ConfigError(f"config declares experiment {declared!r} but {experiment!r} was invoked")
     _check_config_keys(cfg, experiment)
     src = _build_source(cfg, seed_override)
-    for key in _NUMPY_COUNTS.intersection(SECTION_KEYS[experiment]["run"]):
+    for key in _NUMPY_COUNTS.keys() & SECTION_KEYS[experiment]["run"]:
         _get(cfg, "run", key, 1, strict_int, 1)  # before the out dir is made
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renege
 from renege import Scenario, des, simulate, source_from_config
-from renege.cli import _cells, _customer_rows, main, run_scenario
+from renege.cli import _cells, _customer_rows, _float_cells, main, run_scenario
 from renege.marks import ConfigError
 
 from test_golden import MARKOV
@@ -360,7 +362,7 @@ def test_cesaro_steps_past_intp_exit_2(tmp_path, capsys):
     cfg = {"source": BOUNDED_SOURCE, "run": {"steps": 10 ** 30}}
     out = tmp_path / "out"
     assert main(["cesaro", "--config", _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
-    assert "run.steps must be <= 9223372036854775807" in capsys.readouterr().err
+    assert "run.steps must be <= 384307168202282325" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -375,19 +377,26 @@ _EXP = {"kind": "iid", "seed": 9, "xi": {"dist": "exponential", "rate": 3.0},
     ("regen", _EXP, {"customers": 50}, "replicas", 10 ** 30),
     ("loss-begin", BOUNDED_SOURCE, {"mode": "exact", "samples": 5}, "max_epochs", 10 ** 30),
     ("sample-s", BOUNDED_SOURCE, {"mode": "exact", "samples": 5}, "max_epochs", 2 ** 63),
+    ("props", BOUNDED_SOURCE, {}, "tuples", 2 ** 63 - 1),
+    ("regen", BOUNDED_SOURCE, {"customers": 50}, "replicas", 2 ** 63 - 1),
+    ("cesaro", BOUNDED_SOURCE, {}, "steps", 2 ** 63 - 1),
 ], ids=["props-tuples", "regen-replicas-bounded", "regen-replicas-exponential",
-        "loss-begin-max-epochs", "sample-s-max-epochs-2^63"])
+        "loss-begin-max-epochs", "sample-s-max-epochs-2^63", "props-tuples-2^63-1",
+        "regen-replicas-2^63-1", "cesaro-steps-2^63-1"])
 def test_counts_numpy_cannot_index_exit_2(tmp_path, capsys, experiment, source, run, key,
                                           value):
-    # numpy sizes arrays by tuples and replicas and takes max_epochs as a C
-    # long: each count past the largest numpy index is refused before the out
-    # dir is made, by the rule cesaro's run.steps follows.  These ran into a
-    # numpy ValueError or OverflowError, raised out of main (exit 1)
+    # numpy sizes arrays by tuples, replicas and steps, and takes max_epochs as
+    # a C long: a count whose largest array would pass the largest numpy index
+    # in bytes (8 a tuple or a replica, 3 float64 rows a step, 1 an epoch) is
+    # refused before the out dir is made.  These ran into a numpy ValueError
+    # or OverflowError, raised out of main (exit 1), at 2^63 - 1 after cesaro
+    # had made its out dir
+    most = {"tuples": 2 ** 60 - 1, "replicas": 2 ** 60 - 1, "steps": (2 ** 63 - 1) // 24,
+            "max_epochs": 2 ** 63 - 1}[key]
     out = tmp_path / "out"
     cfg = {"source": source, "run": {**run, key: value}}
     assert main([experiment, "--config", _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
-    assert f"run.{key} must be <= 9223372036854775807, got {value}" in \
-        capsys.readouterr().err
+    assert f"run.{key} must be <= {most}, got {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -692,6 +701,64 @@ def test_constant_columns_keep_zero_signs_apart():
         assert set(_cells(col)) == {"0.0", "-0.0"}
 
 
+_BOUNDARIES = [1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 1e16,
+               np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), 5e-324,
+               np.finfo(np.float64).max, np.finfo(np.float64).tiny, 1e-5, 2.5e-5, 1e-7,
+               1e21, 1e22, 1.2345678901234568e17, 9999999999999998.0, 0.1, 1 / 3]
+
+
+def _reprs(values):
+    return [repr(float(v)) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), max_size=40))
+def test_float_cells_are_repr(values):
+    # every float hypothesis draws, NaN, ±inf, ±0.0 and subnormals among them,
+    # as a list and as a float64 array
+    assert _float_cells(values) == _reprs(values)
+    assert _float_cells(np.array(values, dtype=np.float64)) == _reprs(values)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_float_cells_at_the_layout_boundaries(sign):
+    # orjson writes 0.00001 and 1e16 where repr writes 1e-05 and 1e+16: at and
+    # next to each edge of 1e-4 <= |x| < 1e16 the cell is repr's
+    values = [sign * v for v in _BOUNDARIES]
+    assert _float_cells(values) == _reprs(values)
+    assert [_float_cells([v]) for v in values] == [[r] for r in _reprs(values)]
+
+
+def test_float_cells_of_arrays_and_lists_of_any_shape():
+    assert _float_cells([]) == _float_cells(np.empty(0)) == []
+    assert _float_cells([0.5]) == _float_cells(np.array([0.5])) == ["0.5"]
+    strided = np.linspace(-3.0, 7.0, 301)[::7]
+    assert not strided.flags.c_contiguous
+    assert _float_cells(strided) == _reprs(strided)
+    assert _float_cells(strided.tolist()) == _reprs(strided)
+
+
+def test_float_cells_blank_none_and_write_nan():
+    # blank is decided from the values: None is blank, NaN (orjson's null
+    # as well) is repr's nan
+    values = [None, 1.5, math.nan, None, -math.inf, 2e-9, None]
+    assert _float_cells(values) == ["", "1.5", "nan", "", "-inf", "2e-09", ""]
+
+
+def test_float_cells_match_repr_on_a_million_bit_patterns():
+    # random 64-bit patterns, all but every 16th with the exponent redrawn over
+    # 2^-20 .. 2^60, across both edges of orjson's layout; the raw ones are
+    # mostly far outside it, NaN payloads, infinities and subnormals among them
+    rng = np.random.default_rng(29)
+    bits = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+    exponent = rng.integers(1023 - 20, 1023 + 60, bits.size, dtype=np.uint64)
+    drawn = np.arange(bits.size) % 16 != 0
+    bits[drawn] = (bits[drawn] & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (exponent[drawn] <<
+                                                                      np.uint64(52))
+    values = bits.view(np.float64)
+    assert _float_cells(values) == list(map(float.__repr__, values.tolist()))
+
+
 def _customers_reference(path, cols):
     """customers.csv by csv.writer from simulate's columns, floats as repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -728,8 +795,8 @@ def test_customers_csv_matches_csv_writer(tmp_path, source, model, servers):
 
 
 def test_customer_rows_format_starts_that_are_not_the_arrival():
-    # a start equal to its arrival but another float object is formatted, to
-    # the same text as the arrival's reused one
+    # a start equal to its arrival but another float object is formatted to
+    # the same text: the cells depend on the values alone
     blocks = []
     des.simulate_blocks(Scenario(servers=2, impatience="end", source=source_from_config(_EXP),
                                  horizon_customers=600), blocks.append)

@@ -473,9 +473,9 @@ def test_columns_read_as_customer_records():
 @pytest.mark.parametrize("model", ["begin", "end"])
 @pytest.mark.parametrize("name", ["tie-heavy", "bounded", "deterministic-half", "des"])
 def test_starts_on_arrival_are_the_arrival_floats(name, model, servers):
-    # customers.csv reuses the arrival's text for a service_start that is the
-    # arrival's float (cli._customer_rows): every customer who starts on
-    # arrival must carry that very object, or the writer formats it again
+    # a customer who starts on arrival carries the arrival's own float as
+    # service_start, taken from the arrival and not recomputed, so the two
+    # are equal to the last bit
     src = source_from_config({**DES_SOURCE, "seed": 3}) if name == "des" else SOURCES[name]
     blocks = []
     des.simulate_blocks(Scenario(servers=servers, impatience=model, source=src,
