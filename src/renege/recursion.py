@@ -26,18 +26,19 @@ from .marks import CapabilityError, MarkSource, MarkTriple
 
 # Marks in a MarkWindowCache's first fill.
 _FIRST_FILL = 128
-# A renovation screen first takes this many candidate epochs, each over this
-# many lags, and doubles either as needed: from 4 x 4, a 512 x 32 Markov batch
-# (mean renovation distance 2) screens 3-4x faster than from 16 x 16.  A pass
-# takes at most _SEARCH_CELLS terms, of about 40 bytes each, per replica slice.
-_SEARCH_EPOCHS = 4
-_SEARCH_LAGS = 4
+# A renovation screen walks the candidate epochs lag 1 leaves open, first this
+# many, each over this many lags, doubling either as needed: from 2 x 8, the
+# exact-iid source screens 10 % faster than from 1 x 4, Markov windows 20 %
+# faster than from 4 x 8.  A pass takes at most _SEARCH_CELLS terms, of about
+# 40 bytes each, per replica slice; the open-candidate table at most as much.
+_SEARCH_EPOCHS = 2
+_SEARCH_LAGS = 8
 _SEARCH_CELLS = 1 << 15
 # Replicas per part of screen_replicas' first pass, and the marks of each
 # one's first window; a re-screen at width w takes a range's undecided
 # replicas _BATCH * _FIRST_WIDTH // w at a time.  The renovation distance has
 # mean 2 (Markov) and 15 (heavy iid) on the benchmark sources.  A batch of exact
-# loss rows peaks near 1.0 MB on either (end model) and 1.75 MB on the heavy
+# loss rows peaks near 1.0 MB on either (end model) and 1.2 MB on the heavy
 # iid one (begin model, with its re-screens), by tracemalloc.
 _BATCH = 512
 _FIRST_WIDTH = 32
@@ -185,23 +186,44 @@ def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epoc
     k's walk needs marks before the window, where a wider window's walk may
     start.
 
-    Each pass gathers lags x candidates from each replica's next candidate
-    k on.  np.add.accumulate sums beta down the lags in sequence,
+    np.add.accumulate sums beta down each candidate's lags in sequence,
     bit-identical to a scalar running sum s = s + beta, and a candidate is
     positive when the first lag with a positive term or with s >= bound has
-    a positive term; that lag is the certificate depth otherwise.  A replica
-    whose candidates were all positive moves on by the block, doubled for
-    the next pass, and one whose first open candidate is undecided doubles
-    the lags; neither grows past the lags left in the window for the
-    nearest candidate still open.  A pass covers at most _SEARCH_CELLS
-    (replica, lag, candidate) cells at a time, or one replica's lags.
+    a positive term; that lag is the certificate depth otherwise.  Most
+    candidates are positive at lag 1 (alpha - xi > 0.0 one column before
+    them), which one elementwise test over the window finds.  A flat table
+    lists each replica's other, open candidates: the _FIRST_WIDTH nearest,
+    twice as many when a replica runs past them; those past its reach, and
+    past the window (no lag in it), are all listed.  Each pass gathers lags
+    x listed candidates from each replica's next one on.  A replica whose
+    candidates were all positive moves on by the block, doubled for the
+    next pass, and one whose first open candidate is undecided doubles the
+    lags; neither grows past the lags left in the window for the nearest
+    candidate still open.  A pass covers at most _SEARCH_CELLS (replica,
+    lag, candidate) cells at a time, or one replica's lags.
     """
     replicas, width = xi.shape
     k = np.zeros(replicas, dtype=np.intp) + start
     out, depth = np.where(k > max_epochs, max_epochs + 1, -1), np.zeros(replicas, dtype=np.intp)
     todo = np.flatnonzero(out < 0) if width > 1 else np.arange(0)  # one mark has no lag to walk
+    # row i's listed candidates: tab[pos[i]:end[i]], then every one from reach[i] on
+    limit = min(width - 1, max_epochs + 1)  # the candidates with a lag 1, in range
+    (pos, end, reach), span = np.zeros((3, replicas), dtype=np.intp), 0
     epochs, lags, more_epochs, more_lags = _SEARCH_EPOCHS, _SEARCH_LAGS, False, False
     while todo.size:
+        if ((pos[todo] >= end[todo]) & (reach[todo] < limit)).any():
+            # list the open candidates lo..hi-1 of the rows todo (candidate c's
+            # lag 1 is column width - 2 - c): tab[f] is lo + f % w of todo[f // w]
+            span, lo = 2 * span or _FIRST_WIDTH, int(k[todo].min())
+            hi = max(lo, min(limit, lo + span))
+            w, cols = max(hi - lo, 1), slice(width - 1 - hi, width - 1 - lo)
+            r = todo if todo.size < replicas else slice(None)  # every row: no copies
+            tab = np.flatnonzero(~(alpha[r, cols] - xi[r, cols] > 0.0)[:, ::-1])
+            row = np.arange(todo.size) * w
+            pos[todo], end[todo] = np.searchsorted(tab, (row + np.minimum(k[todo] - lo, w),
+                                                         row + w))
+            # one spare entry: np.take cannot clip into an empty table
+            tab, reach[todo] = np.append(tab % w + lo, 0), np.maximum(k[todo], hi)
         # no open candidate has more lags in the window than the nearest one
         room = width - 1 - int(k[todo].min())
         lags = max(1, min(2 * lags if more_lags else lags, max_depth, room))
@@ -212,27 +234,30 @@ def renovation_offsets(xi: np.ndarray, alpha: np.ndarray, bound: float, max_epoc
         for a in range(0, todo.size, part):
             rows, cand = todo[a:a + part], np.arange(epochs)
             i = np.arange(rows.size)
-            kr = k[rows]
-            # [i, j-1, c] is lag j of replica i's candidate epoch - k - c
-            at = (width - 1 - kr)[:, None, None] - np.arange(1, lags + 1)[:, None] - cand
+            # kc[i, c]: replica i's next listed candidates, c = 0..epochs
+            at = pos[rows][:, None] + np.arange(epochs + 1)
+            past = at - end[rows][:, None]
+            kc = np.where(past < 0, np.take(tab, at, mode="clip"), reach[rows][:, None] + past)
+            # [i, j-1, c] is lag j of replica i's candidate epoch - kc[i, c]
+            at = (width - 1 - kc[:, None, :epochs]) - np.arange(1, lags + 1)[:, None]
             inside = at >= 0
             at = np.where(inside, at, 0) + (rows * width)[:, None, None]
             s = np.add.accumulate(xi.ravel()[at], axis=1)
             positive = (alpha.ravel()[at] - s > 0.0) & inside
             decided = positive | ((s >= bound) & inside)
             first = decided.argmax(axis=1)
-            in_range = (kr[:, None] + cand) <= max_epochs
-            is_pos = positive[i[:, None], first, cand] & in_range
+            is_pos = positive[i[:, None], first, cand] & (kc[:, :epochs] <= max_epochs)
             has_open = ~is_pos.all(axis=1)
             c0 = (~is_pos).argmax(axis=1)  # the first open candidate
-            k0 = kr + c0
+            k0 = kc[i, c0]
             cert = has_open & (k0 <= max_epochs) & decided[i, first[i, c0], c0]
             room = width - 1 - k0  # the lags of candidate k0 in the window
             found = cert | has_open & ((k0 > max_epochs) | (np.minimum(lags, room) >= max_depth))
             out[rows[found]] = k0[found]
             depth[rows[cert]] = first[i, c0][cert] + 1
             widen = has_open & ~found & (lags < room)
-            k[rows] = np.where(has_open, k0, kr + epochs)
+            step = np.where(has_open, c0, epochs)
+            k[rows], pos[rows] = kc[i, step], pos[rows] + step
             more_lags |= bool(widen.any())
             more_epochs |= not has_open.all()
             nxt.append(rows[widen | ~has_open])

@@ -16,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renege import (
@@ -429,6 +429,33 @@ grid = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
                      min_size=1, max_size=5),
        bound=st.sampled_from([0.5, 1.0, 2.0, 3.0]), max_epochs=st.integers(0, 120),
        max_depth=st.integers(1, 120), start=st.integers(0, 40))
+# the screen walks only the candidates whose lag-1 term alpha - xi (one column
+# before the candidate) is not > 0.0: a lag-1 term of exactly 0.0 goes on to lag 2
+@example(rows=[[(1.0, 0.0), (0.5, 0.5), (0.0, 0.0)]], bound=1.0, max_epochs=10, max_depth=10,
+         start=0)
+# candidate 0 positive at lag 1, candidate 1 certified there by xi >= bound
+@example(rows=[[(0.0, 0.0), (1.0, 0.0), (0.25, 1.0), (0.0, 0.0)]], bound=1.0, max_epochs=10,
+         max_depth=10, start=0)
+# +-0.0 marks at lag 1 and 2: neither term is positive, and the sums stay at zero
+@example(rows=[[(1.5, 0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)]], bound=1.0, max_epochs=10,
+         max_depth=10, start=0)
+# candidates 0 and 2 positive at lag 1, 1 at lag 2, 3 certified at lag 2
+@example(rows=[[(0.5, 0.0), (1.5, 0.0), (0.25, 0.0), (0.25, 1.5), (0.25, 0.0), (0.25, 1.0),
+                (0.0, 0.0)]], bound=1.0, max_epochs=10, max_depth=10, start=0)
+# a re-screen start on a candidate positive at lag 1
+@example(rows=[[(1.5, 0.0), (0.25, 1.0), (0.25, 1.0), (0.0, 0.0)]], bound=1.0, max_epochs=10,
+         max_depth=10, start=1)
+# max_epochs 1 between the open candidates 0 and 3: max_epochs + 1, not 3
+@example(rows=[[(0.0, 0.0), (1.5, 0.0), (0.25, 1.0), (0.25, 1.0), (0.25, 0.0), (0.0, 0.0)]],
+         bound=1.0, max_epochs=1, max_depth=10, start=0)
+# windows of one and two marks
+@example(rows=[[(1.0, 0.0)]], bound=1.0, max_epochs=10, max_depth=10, start=0)
+@example(rows=[[(1.0, 0.0), (0.0, 0.0)], [(0.25, 1.0), (0.0, 0.0)]], bound=1.0, max_epochs=10,
+         max_depth=10, start=0)
+# max_epochs at the largest int64: a window's edge or a certificate ends every walk
+@example(rows=[[(0.5, 0.0), (0.25, 1.0), (0.0, 0.0)], [(1.0, 0.0), (0.0, 0.0), (0.0, 0.0)],
+               [(0.25, 1.0), (0.25, 1.0), (0.0, 0.0)]], bound=1.0, max_epochs=2**63 - 1,
+         max_depth=10, start=0)
 def test_screen_matches_the_per_candidate_walk(rows, bound, max_epochs, max_depth, start):
     # a re-screen starts where a narrower window's walk needed more marks; a
     # start past max_epochs leaves no candidate

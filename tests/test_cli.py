@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -405,6 +406,48 @@ def test_max_epochs_at_the_largest_numpy_index_runs(tmp_path):
            "run": {"mode": "exact", "samples": 5, "max_epochs": 2 ** 63 - 1}}
     assert main(["loss-begin", "--config", _write(tmp_path, cfg),
                  "--out-dir", str(tmp_path / "out")]) == 0
+
+
+# the exact-iid and exact-markov benchmark configs, each with the experiments
+# that screen it: loss rows (first candidate 0) and sample draws (first 1)
+SCREENED = {
+    "exact-iid": ({"kind": "iid", "seed": 20081,
+                   "xi": {"dist": "uniform", "low": 0.2, "high": 1.0},
+                   "sigma": {"dist": "truncated-exponential", "rate": 1.5, "cap": 2.0},
+                   "dpat": {"dist": "uniform", "low": 0.0, "high": 1.5}},
+                  {"servers": 1, "impatience": "begin"}, ("loss-begin", "sample-w")),
+    "exact-markov": ({"kind": "markov", "seed": 20082, "transition": [[0.9, 0.1], [0.3, 0.7]],
+                      "states": [{"xi": {"dist": "uniform", "low": 0.5, "high": 1.5},
+                                  "sigma": {"dist": "uniform", "low": 0.0, "high": 0.8},
+                                  "dpat": {"dist": "uniform", "low": 0.0, "high": 1.0}},
+                                 {"xi": {"dist": "uniform", "low": 0.1, "high": 0.7},
+                                  "sigma": {"dist": "truncated-exponential", "rate": 1.0,
+                                            "cap": 3.0},
+                                  "dpat": {"dist": "uniform", "low": 0.5, "high": 3.0}}]},
+                     {"servers": 1, "impatience": "end"}, ("loss-end", "sample-s")),
+}
+SCREEN_LIMITS = [0, -1, 1, 2, 2.5, "3", math.nan, 2**63 - 1, 2**64, 10**30]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(config=st.sampled_from(sorted(SCREENED)), second=st.booleans(),
+       key=st.sampled_from(["max_epochs", "max_depth"]), value=st.sampled_from(SCREEN_LIMITS),
+       samples=st.integers(1, 50))
+def test_screen_limits_exit_cleanly(tmp_path_factory, config, second, key, value, samples):
+    # any run.max_epochs or run.max_depth: a run, a config error (2) or a
+    # stopped screen (3), never a traceback, and no file left on an error
+    source, model, experiments = SCREENED[config]
+    tmp = tmp_path_factory.mktemp("limits")
+    cfg = {"source": source, "model": model,
+           "run": {"mode": "exact", "samples": samples, key: value}}
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([experiments[second], "--config", _write(tmp, cfg),
+                     "--out-dir", str(tmp / "out")])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert not [p for p in tmp.joinpath("out").rglob("*") if not p.is_dir()]
 
 
 MARKOV_SOURCE = {

@@ -118,6 +118,34 @@ CASES = {
                                       0, 3, 150, 0, "DepthExhaustedError"),
     "zero-max-depth": (TableSource({}), 0, 5, 0, 0, "DepthExhaustedError"),
     "no-candidates": (TableSource({}), 0, 0, 5, 1, "RenovationNotFoundError"),
+    # the screen skips the candidates whose lag-1 term alpha - xi is > 0.0:
+    # a term of exactly 0.0 (alpha == xi) is not positive, so the walk goes on
+    "lag1-zero-term": (TableSource({-1: (1.0, 0.0, 1.0), -2: (1.5, 0.0, 0.0)}, bound=2.0),
+                       0, 10, 10, 0, (0, 2, (-0.5).hex())),
+    # epoch 0 is positive at lag 1; epoch -1's first xi reaches the bound
+    "lag1-reaches-bound": (TableSource({-1: (0.5, 0.0, 2.0), -2: (4.0, 0.0, 0.5)}, bound=3.0),
+                           0, 10, 10, 0, (-1, 1, (-1.0).hex())),
+    # 0.0 - -0.0 and -0.0 - 0.0 are not positive; the sums stay at zero
+    "lag1-signed-zeros": (TableSource({-1: (-0.0, 0.0, 0.0), -2: (0.0, 0.0, -0.0),
+                                       -3: (2.0, 0.0, 0.0)}), 0, 10, 10, 0, (0, 3, (-1.0).hex())),
+    # epochs 0 and -2 are positive at lag 1, epoch -1 at lag 2; -3 certifies at lag 2
+    "lag1-interleaved": (TableSource({-1: (1.0, 0.0, 2.0), -2: (1.0, 0.0, 0.5),
+                                      -3: (1.0, 0.0, 3.0), -4: (1.0, 0.0, 0.0),
+                                      -5: (5.0, 0.0, 0.0)}, bound=5.0),
+                         0, 10, 10, 0, (-3, 2, (-1.0).hex())),
+    # max_epochs 2 falls between epoch -1, open at lag 1, and -4, the next open one
+    "max-epochs-between-open": (TableSource({-2: (1.0, 0.0, 0.5), -3: (1.0, 0.0, 3.0),
+                                             -4: (1.0, 0.0, 2.0), -5: (10.0, 0.0, 0.0)},
+                                            default=(1.0, 0.0, 2.0), bound=5.0),
+                                0, 2, 10, 0, "RenovationNotFoundError"),
+    # the first window of 128 marks leaves candidate 127 without a lag: the
+    # wider window's screen starts there, on a candidate positive at lag 1
+    "rescreen-from-lag1-positive": (TableSource({-129: (10.0, 0.0, 0.0)},
+                                                default=(1.0, 0.0, 2.0), bound=5.0),
+                                    0, 1000, 10, 0, (-128, 1, (-5.0).hex())),
+    "max-epochs-at-int64-max": (TableSource({-41: (10.0, 0.0, 0.0)}, default=(1.0, 0.0, 2.0),
+                                            bound=5.0), 0, 2**63 - 1, 10, 1,
+                                (-40, 1, (-5.0).hex())),
 }
 
 
