@@ -4,9 +4,15 @@ Every run takes a JSON scenario config (--config), writes summary.json plus
 CSV detail files into --out-dir, and exits 0 on success, 2 on config errors,
 3 on capability errors (an exact mode without the bound it needs, no
 renovation epoch in range, or a Markov chain with no regeneration within
-reach), 4 on contract violations.  Summaries carry the config hash, seeds,
-and method tags, and contain nothing run-dependent, so identical configs
-replay to bit-identical files regardless of --workers.
+reach), 4 on contract violations.  What each experiment takes from the
+config's model and run sections is one table, SCHEMA: each key's caster,
+default, minimum, choices and numpy byte unit.  run_scenario checks the key
+names, then the source, then every value against it, and only then makes the
+out dir, so a config error leaves no path behind; the experiments read the
+checked values, and the config itself is only echoed into summary.json.
+Summaries carry the config hash, seeds, and method tags, and contain nothing
+run-dependent, so identical configs replay to bit-identical files regardless
+of --workers.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from functools import cache, partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import orjson
@@ -50,6 +57,7 @@ from .fifo import (
 from .marks import (
     ConfigError,
     MarkSource,
+    _cast,
     check_keys,
     source_from_config,
     strict_float,
@@ -70,10 +78,6 @@ EXIT_CONTRACT = 4
 
 _CSV_ROWS = 1024  # rows formatted at once by _csv_rows and _customer_rows
 _RANGE_ROWS = 8192  # the most replica rows in one range of _parallel_rows
-# run integers numpy takes as an array size or an index, each with the bytes
-# one unit takes in its largest array: refused past the largest count whose
-# array numpy can size (_get), before the out dir is made (run_scenario)
-_NUMPY_COUNTS = {"max_epochs": 1, "replicas": 8, "steps": 24, "tuples": 8}
 _INDEX_MAX = int(np.iinfo(np.intp).max)
 
 # The process's one worker pool, (workers, pool), or None: _executor starts it
@@ -81,19 +85,67 @@ _INDEX_MAX = int(np.iinfo(np.intp).max)
 # concurrent.futures joins its workers at interpreter exit.
 _pool: tuple[int, ProcessPoolExecutor] | None = None
 
-# Keys of the model and run sections that each experiment reads: any other is
-# refused, though another experiment may read it.
-_MODEL_KEYS = ("servers", "impatience")
-_REPLICA_KEYS = {"model": _MODEL_KEYS,
-                 "run": ("mode", "samples", "max_epochs", "max_depth", "warmup")}
-_DES_KEYS = {"model": _MODEL_KEYS, "run": ("customers",)}
-SECTION_KEYS = {
-    **dict.fromkeys(("sample-w", "sample-s", "loss-begin", "loss-end"), _REPLICA_KEYS),
-    "regen": {"model": _MODEL_KEYS, "run": ("customers", "replicas", "max_depth")},
-    "des": _DES_KEYS,
-    "xval": _DES_KEYS,
-    "cesaro": {"model": _MODEL_KEYS, "run": ("steps", "boundary_p", "quantiles")},
-    "props": {"model": (), "run": ("tuples", "prop_seed")},
+
+def _levels(values) -> tuple[float, ...]:
+    """Quantile levels as floats, each in [0, 1]."""
+    levels = tuple(strict_float(v) for v in values)
+    if not all(0.0 <= q <= 1.0 for q in levels):
+        raise ValueError(f"quantile levels must lie in [0, 1], got {list(levels)}")
+    return levels
+
+
+class _Key(NamedTuple):
+    """One model or run key of an experiment (SCHEMA): caster(value), or the
+    default when the config leaves the key out, must be at least minimum, one
+    of choices when they are given, and at most the count whose largest
+    numpy array, at unit bytes a count, takes _INDEX_MAX bytes."""
+
+    caster: Callable
+    default: object
+    minimum: int | None = None
+    unit: int | None = None
+    choices: tuple = ()
+
+
+_SERVERS = _Key(strict_int, 1, 1)
+_ONE_SERVER = _Key(strict_int, 1, 1, choices=(1,))  # the single-server recursions
+_IMPATIENCE = _Key(str, BEGIN.name, choices=tuple(MODELS))
+_CUSTOMERS = _Key(strict_int, 10_000, 1)
+_MAX_DEPTH = _Key(strict_int, 10_000, 1)
+
+
+def _replica_keys(model: Model) -> dict:
+    """The keys of the sample and loss experiments, which run one server and
+    their own model."""
+    return {"model": {"servers": _ONE_SERVER,
+                      "impatience": _Key(str, model.name, choices=(model.name,))},
+            "run": {"mode": _Key(str, "exact", choices=("exact", "approximate")),
+                    "samples": _Key(strict_int, 1000, 1),
+                    "max_epochs": _Key(strict_int, 10_000, 1, unit=1),  # taken as a C long
+                    "max_depth": _MAX_DEPTH,
+                    "warmup": _Key(strict_int, 100_000, 0)}}
+
+
+# The model and run keys each experiment takes: any other is refused, though
+# another experiment may take it.
+SCHEMA = {
+    "sample-w": _replica_keys(BEGIN),
+    "sample-s": _replica_keys(END),
+    "loss-begin": _replica_keys(BEGIN),
+    "loss-end": _replica_keys(END),
+    "regen": {"model": {"servers": _SERVERS, "impatience": _IMPATIENCE},
+              "run": {"customers": _CUSTOMERS, "replicas": _Key(strict_int, 200, 1, unit=8),
+                      "max_depth": _MAX_DEPTH}},
+    "des": {"model": {"servers": _SERVERS, "impatience": _IMPATIENCE},
+            "run": {"customers": _CUSTOMERS}},
+    "xval": {"model": {"servers": _ONE_SERVER, "impatience": _IMPATIENCE},
+             "run": {"customers": _CUSTOMERS}},
+    "cesaro": {"model": {"servers": _ONE_SERVER, "impatience": _IMPATIENCE},
+               "run": {"steps": _Key(strict_int, 10_000, 1, unit=24),  # three float64 rows
+                       "boundary_p": _Key(strict_int, 10, 1),
+                       "quantiles": _Key(_levels, (0.5, 0.9, 0.99, 0.999))}},
+    "props": {"model": {}, "run": {"tuples": _Key(strict_int, 100_000, 1, unit=8),
+                                   "prop_seed": _Key(strict_int, 20240811, 0)}},
 }
 CONFIG_KEYS = ("experiment", "source", "model", "run")
 
@@ -113,39 +165,31 @@ def _load_config(path: str) -> dict:
 
 def _check_config_keys(cfg: dict, experiment: str) -> None:
     check_keys(cfg, CONFIG_KEYS, "top-level config")
-    for section, keys in SECTION_KEYS[experiment].items():
+    for section, keys in SCHEMA[experiment].items():
         block = cfg.get(section, {})
         if not isinstance(block, dict):
             raise ConfigError(f"config section {section!r} must be an object")
         check_keys(block, keys, f"{experiment} config section {section!r}")
 
 
-def _get(cfg: dict, section: str, key: str, default, caster, minimum: int | None = None):
-    """Config value section.key cast by caster; an integer read with a minimum
-    must be at least that, and one of _NUMPY_COUNTS at most the count whose
-    array takes _INDEX_MAX bytes."""
-    block = cfg.get(section, {})
-    if key not in block:
-        if default is None:
-            raise ConfigError(f"config is missing required key {section}.{key}")
-        return default
-    try:
-        value = caster(block[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {section}.{key} is invalid: {exc}") from exc
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"config key {section}.{key} must be >= {minimum}, got {value}")
-    if key in _NUMPY_COUNTS and value > (most := _INDEX_MAX // _NUMPY_COUNTS[key]):
-        raise ConfigError(f"config key {section}.{key} must be <= {most}, got {value}")
-    return value
-
-
-def _levels(values) -> list[float]:
-    """Quantile levels as floats, each in [0, 1]."""
-    levels = [strict_float(v) for v in values]
-    if not all(0.0 <= q <= 1.0 for q in levels):
-        raise ValueError(f"quantile levels must lie in [0, 1], got {levels}")
-    return levels
+def _params(cfg: dict, experiment: str) -> dict:
+    """The experiment's model and run values by key name, each read from the
+    config, or its default, and checked by its SCHEMA entry."""
+    params = {}
+    for section, keys in SCHEMA[experiment].items():
+        block = cfg.get(section, {})
+        for key, (caster, default, minimum, unit, choices) in keys.items():
+            name = f"config key {section}.{key}"
+            value = _cast(block[key], caster, name) if key in block else default
+            if minimum is not None and value < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+            if unit is not None and value > (most := _INDEX_MAX // unit):
+                raise ConfigError(f"{name} must be <= {most}, got {value}")
+            if choices and value not in choices:
+                raise ConfigError(f"{name} must be one of {list(choices)} for {experiment}, "
+                                  f"got {value!r}")
+            params[key] = value
+    return params
 
 
 def _build_source(cfg: dict, seed_override: int | None) -> MarkSource:
@@ -155,13 +199,6 @@ def _build_source(cfg: dict, seed_override: int | None) -> MarkSource:
     if seed_override is not None:
         scfg["seed"] = seed_override
     return source_from_config(scfg)
-
-
-def _mode(cfg: dict) -> str:
-    mode = _get(cfg, "run", "mode", "exact", str)
-    if mode not in ("exact", "approximate"):
-        raise ConfigError(f"run.mode must be 'exact' or 'approximate', got {mode!r}")
-    return mode
 
 
 def _config_sha256(cfg: dict) -> str:
@@ -279,7 +316,7 @@ def _ranges(total: int, workers: int):
 def _replica_rows(kind: str, src: MarkSource, params: dict, lo: int, hi: int) -> tuple:
     """Replica-indexed rows lo..hi-1 as detail.csv text (_csv_rows), with the
     loss rows' indicator counts (fifo.loss_counts) or the sample rows' W."""
-    model = MODELS[params["model"]]
+    model = MODELS[params["impatience"]]
     if params["mode"] == "exact":
         columns = exact_rows(model, src, lo, hi, params["max_epochs"], params["max_depth"],
                              int(kind == "sample"))
@@ -333,11 +370,13 @@ def _pooled(fn, ranges, workers: int):
 
 
 def _parallel_rows(kind: str, src: MarkSource, params: dict, total: int, workers: int, fh):
-    """Rows 0..total-1 (_replica_rows) in _ranges, in-process at one worker,
-    else over the process's pool (_pooled): each range's text written to fh
-    in replica order as it arrives.  Returns the loss rows' indicator counts,
-    summed as they arrive, or the sample rows' W in replica order.  A pool
-    that breaks is dropped and its error raised."""
+    """Rows 0..total-1 (_replica_rows) in _ranges, over at most one worker a
+    row: in-process at one worker, else over the process's pool (_pooled),
+    each range's text written to fh in replica order as it arrives.  Returns
+    the loss rows' indicator counts, summed as they arrive, or the sample
+    rows' W in replica order.  A pool that breaks is dropped and its error
+    raised."""
+    workers = min(workers, total)
     ranges = _ranges(total, workers)
     rows = partial(_replica_rows, kind, src, params)
     counts, values = None, []
@@ -355,40 +394,13 @@ def _parallel_rows(kind: str, src: MarkSource, params: dict, total: int, workers
     return counts if kind == "loss" else np.concatenate(values)
 
 
-def _single_server(cfg: dict) -> None:
-    """Refuse model.servers other than 1: the experiment runs the
-    single-server recursions."""
-    servers = _get(cfg, "model", "servers", 1, strict_int)
-    if servers != 1:
-        raise ConfigError(f"model.servers must be 1 for this experiment, got {servers}")
-
-
-def _replica_params(cfg: dict, model: Model) -> dict:
-    """Run parameters of the sample and loss experiments, whose model.impatience,
-    when given, must be the experiment's model."""
-    _single_server(cfg)
-    impatience = _get(cfg, "model", "impatience", model.name, str)
-    if impatience != model.name:
-        raise ConfigError(f"model.impatience is {impatience!r}, but this experiment runs "
-                          f"the {model.name!r} model")
-    return {
-        "model": model.name,
-        "mode": _mode(cfg),
-        "samples": _get(cfg, "run", "samples", 1000, strict_int, 1),
-        "max_epochs": _get(cfg, "run", "max_epochs", 10_000, strict_int, 1),
-        "max_depth": _get(cfg, "run", "max_depth", 10_000, strict_int, 1),
-        "warmup": _get(cfg, "run", "warmup", 100_000, strict_int, 0),
-    }
-
-
-def _exp_sample(experiment: str, model: Model, cfg, out_dir, workers, src) -> int:
-    params = _replica_params(cfg, model)
+def _exp_sample(experiment: str, cfg, params, out_dir, workers, src) -> int:
     samples = params["samples"]
     with _csv_file(out_dir / "detail.csv", ["replica", "value", "method", "renovation_epoch",
                                             "certificate_depth"]) as fh:
         values = _parallel_rows("sample", src, params, samples, workers, fh)
     results = {
-        "model": model.name,
+        "model": params["impatience"],
         "method": "renovation-exact" if params["mode"] == "exact" else "forward-approximate",
         "samples": samples,
         "mean": (mc_aggregate(values, kind="real").as_dict() if samples > 1 else
@@ -399,9 +411,8 @@ def _exp_sample(experiment: str, model: Model, cfg, out_dir, workers, src) -> in
     return _finish(out_dir, experiment, cfg, src, results, replica_streams=[0, samples])
 
 
-def _exp_loss(experiment: str, model: Model, cfg, out_dir, workers, src) -> int:
-    params = _replica_params(cfg, model)
-    samples = params["samples"]
+def _exp_loss(experiment: str, cfg, params, out_dir, workers, src) -> int:
+    model, samples = MODELS[params["impatience"]], params["samples"]
     if params["mode"] == "exact":
         with _csv_file(out_dir / "detail.csv", model.columns) as fh:
             counts = _parallel_rows("loss", src, params, samples, workers, fh)
@@ -424,15 +435,9 @@ def _exp_loss(experiment: str, model: Model, cfg, out_dir, workers, src) -> int:
                    None if report.bracket_ok else "loss estimate escapes its bounds")
 
 
-def _scenario(cfg, src) -> Scenario:
-    servers = _get(cfg, "model", "servers", 1, strict_int)
-    impatience = _get(cfg, "model", "impatience", "begin", str)
-    customers = _get(cfg, "run", "customers", 10_000, strict_int)
-    try:
-        return Scenario(servers=servers, impatience=impatience, source=src,
-                        horizon_customers=customers)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _scenario(params: dict, src) -> Scenario:
+    return Scenario(servers=params["servers"], impatience=params["impatience"], source=src,
+                    horizon_customers=params["customers"])
 
 
 def _path_stats_results(stats) -> dict:
@@ -455,14 +460,13 @@ def _path_violation(stats) -> str | None:
     return None
 
 
-def _exp_regen(cfg, out_dir, workers, src) -> int:
-    scn = _scenario(cfg, src)
-    replicas = _get(cfg, "run", "replicas", 200, strict_int, 1)
-    max_depth = _get(cfg, "run", "max_depth", 10_000, strict_int, 1)
+def _exp_regen(cfg, params, out_dir, workers, src) -> int:
+    scn = _scenario(params, src)
     with _csv_file(out_dir / "detail.csv", ["index", "l_before", "m_before", "x_before"]) as fh:
         stats = simulate_blocks(scn, lambda b: _csv_rows(fh, [
             range(b.start, b.start + b.x_before.size), b.l_before, b.m_before, b.x_before]))
-        report = regeneration_stats(scn, stats, replicas=replicas, max_depth=max_depth)
+        report = regeneration_stats(scn, stats, replicas=params["replicas"],
+                                    max_depth=params["max_depth"])
     results = _path_stats_results(report.stats)
     results.update({
         "sufficient_alpha": report.sufficient_alpha,
@@ -486,28 +490,22 @@ def _customer_rows(fh, block) -> None:
                           *(_float_cells(c[lo:hi]) for c in times), cust.outcome[lo:hi]])
 
 
-def _exp_des(cfg, out_dir, workers, src) -> int:
-    scn = _scenario(cfg, src)
+def _exp_des(cfg, params, out_dir, workers, src) -> int:
+    scn = _scenario(params, src)
     with _csv_file(out_dir / "customers.csv", ["index", "arrival", "sigma", "dpat",
                                                "service_start", "departure", "outcome"]) as fh:
         stats = simulate_blocks(scn, partial(_customer_rows, fh))
     return _finish(out_dir, "des", cfg, src, _path_stats_results(stats), _path_violation(stats))
 
 
-def _exp_cesaro(cfg, out_dir, workers, src) -> int:
-    _single_server(cfg)
-    model = _get(cfg, "model", "impatience", "begin", str)
-    if model not in MODELS:
-        raise ConfigError(f"model.impatience must be 'begin' or 'end', got {model!r}")
-    n = _get(cfg, "run", "steps", 10_000, strict_int, 1)
-    p = _get(cfg, "run", "boundary_p", 10, strict_int, 1)
-    levels = _get(cfg, "run", "quantiles", [0.5, 0.9, 0.99, 0.999], _levels)
+def _exp_cesaro(cfg, params, out_dir, workers, src) -> int:
+    model, n, p = params["impatience"], params["steps"], params["boundary_p"]
     mu = cesaro_distribution(src, n, model)
     inv = invariance_distance(mu, src)
     bmass = boundary_mass(mu, src, p)
     # the tightness block is the begin model's, whatever the run's model
     begin = mu if model == BEGIN.name else cesaro_distribution(src, n, BEGIN.name)
-    tight = tightness_report(begin, src, tuple(levels))
+    tight = tightness_report(begin, src, params["quantiles"])
     results = {
         "model": model,
         "mode": "trajectory",
@@ -528,8 +526,8 @@ def _exp_cesaro(cfg, out_dir, workers, src) -> int:
     return _finish(out_dir, "cesaro", cfg, src, results)
 
 
-def _exp_xval(cfg, out_dir, workers, src) -> int:
-    scn = _scenario(cfg, src)
+def _exp_xval(cfg, params, out_dir, workers, src) -> int:
+    scn = _scenario(params, src)
     disc, horizon = recursion_discrepancy(scn)
     tol = float(time_tolerance(horizon))
     ok = disc <= tol
@@ -539,9 +537,8 @@ def _exp_xval(cfg, out_dir, workers, src) -> int:
                    None if ok else f"DES/recursion discrepancy {disc:g} > {tol:g}")
 
 
-def _exp_props(cfg, out_dir, workers, src) -> int:
-    count = _get(cfg, "run", "tuples", 100_000, strict_int, 1)
-    seed = _get(cfg, "run", "prop_seed", 20240811, strict_int, 0)
+def _exp_props(cfg, params, out_dir, workers, src) -> int:
+    count, seed = params["tuples"], params["prop_seed"]
     suite = pointwise_inequality_suite(count, seed)
     suite["step_monotonicity"] = step_monotonicity_violations(count, seed + 1)
     suite["end_case_table"] = end_case_table_mismatches(count, seed + 2)
@@ -555,10 +552,10 @@ def _exp_props(cfg, out_dir, workers, src) -> int:
 
 
 EXPERIMENTS = {
-    "sample-w": partial(_exp_sample, "sample-w", BEGIN),
-    "sample-s": partial(_exp_sample, "sample-s", END),
-    "loss-begin": partial(_exp_loss, "loss-begin", BEGIN),
-    "loss-end": partial(_exp_loss, "loss-end", END),
+    "sample-w": partial(_exp_sample, "sample-w"),
+    "sample-s": partial(_exp_sample, "sample-s"),
+    "loss-begin": partial(_exp_loss, "loss-begin"),
+    "loss-end": partial(_exp_loss, "loss-end"),
     "regen": _exp_regen,
     "des": _exp_des,
     "cesaro": _exp_cesaro,
@@ -569,7 +566,8 @@ EXPERIMENTS = {
 
 def run_scenario(cfg: dict, experiment: str, out_dir: str | Path, workers: int = 1,
                  seed_override: int | None = None) -> int:
-    """Execute one experiment; returns the process exit status."""
+    """Execute one experiment; returns the process exit status.  Every config
+    error is raised before the out dir is made."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     if workers < 1:
@@ -579,11 +577,10 @@ def run_scenario(cfg: dict, experiment: str, out_dir: str | Path, workers: int =
         raise ConfigError(f"config declares experiment {declared!r} but {experiment!r} was invoked")
     _check_config_keys(cfg, experiment)
     src = _build_source(cfg, seed_override)
-    for key in _NUMPY_COUNTS.keys() & SECTION_KEYS[experiment]["run"]:
-        _get(cfg, "run", key, 1, strict_int, 1)  # before the out dir is made
+    params = _params(cfg, experiment)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return EXPERIMENTS[experiment](cfg, out, workers, src)
+    return EXPERIMENTS[experiment](cfg, params, out, workers, src)
 
 
 @cache

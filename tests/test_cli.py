@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renege
-from renege import Scenario, des, simulate, source_from_config
+from renege import Scenario, cli, des, simulate, source_from_config
 from renege.cli import _cells, _customer_rows, _float_cells, main, run_scenario
 from renege.marks import ConfigError
 
-from test_golden import MARKOV
+from test_golden import CASES, MARKOV
 
 DET_STABLE_SOURCE = {
     "kind": "deterministic", "seed": 1,
@@ -230,7 +230,7 @@ def test_single_model_experiments_refuse_another_impatience(tmp_path, capsys, ex
     out = tmp_path / "out"
     assert main([experiment, "--config", _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
     assert "model.impatience" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment,impatience", [("sample-w", "begin"), ("sample-s", "end"),
@@ -450,6 +450,68 @@ def test_screen_limits_exit_cleanly(tmp_path_factory, config, second, key, value
         assert not [p for p in tmp.joinpath("out").rglob("*") if not p.is_dir()]
 
 
+# run keys that size a run: each golden config's value is capped at 2000, and
+# none is left out, whose default is a longer run
+_SIZES = {"samples", "warmup", "customers", "steps", "tuples", "replicas"}
+_MISSING = object()
+# a wrong type, NaN, infinities, an integer past any float, a negative, zero;
+# 2^64 and 10^30 only where the key's entry refuses them (a valid huge count
+# is a long run)
+_BAD = ["x", True, None, [1], {"a": 1}, math.nan, math.inf, -math.inf, 10 ** 400, -1, -2.5, 0]
+_HUGE = [2 ** 64, 10 ** 30]
+
+
+def _fuzz_cases() -> list:
+    """(golden case, section, key, value) for each model and run key of the
+    case's experiment (cli.SCHEMA) and each value it should meet, a key the
+    experiment does not take, and each key the golden config sets left out."""
+    cases = []
+    for name, (experiment, cfg) in sorted(CASES.items()):
+        for section, keys in cli.SCHEMA[experiment].items():
+            cases.append((name, section, "bogus", 1))
+            for key, entry in keys.items():
+                refuses_huge = entry.unit or entry.choices or entry.caster is cli._levels
+                cases += [(name, section, key, v) for v in _BAD + _HUGE * bool(refuses_huge)]
+                if key in cfg.get(section, {}) and key not in _SIZES:
+                    cases.append((name, section, key, _MISSING))
+    return cases
+
+
+FUZZ_CASES = _fuzz_cases()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(case=st.sampled_from(FUZZ_CASES), workers=st.sampled_from([1, 2]))
+def test_one_wrong_config_field_exits_cleanly(tmp_path_factory, case, workers):
+    # one field of a golden config changed or left out: a run, a config error
+    # (2) that leaves no out dir, a stopped run (3) that leaves no file, or a
+    # broken contract (4) with only the summary and its CSVs, never a traceback
+    name, section, key, value = case
+    experiment, golden = CASES[name]
+    cfg = json.loads(json.dumps(golden))
+    cfg["run"] = {k: min(v, 2000) if k in _SIZES else v for k, v in cfg["run"].items()}
+    block = cfg.setdefault(section, {})
+    if value is _MISSING:
+        del block[key]
+    else:
+        block[key] = value
+    tmp = tmp_path_factory.mktemp("fuzz")
+    out = tmp / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([experiment, "--config", _write(tmp, cfg), "--out-dir", str(out),
+                     "--workers", str(workers)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert not out.exists()
+    elif code == 3:
+        assert not [p for p in out.rglob("*") if not p.is_dir()]
+    elif code == 4:
+        assert {p.name for p in out.iterdir()} <= {"summary.json", "detail.csv",
+                                                   "customers.csv"}
+
+
 MARKOV_SOURCE = {
     "kind": "markov", "seed": 3, "transition": [[0.9, 0.1], [0.3, 0.7]],
     "states": [{"xi": {"dist": "uniform", "low": 0.5, "high": 1.5},
@@ -587,16 +649,87 @@ def test_config_section_must_be_an_object(tmp_path):
                  "--out-dir", str(tmp_path / "out")]) == 2
 
 
-def test_section_keys_cover_every_key_the_cli_reads():
-    import inspect
-    import re
+# the model and run keys each experiment takes (cli.SCHEMA)
+_REPLICA_KEYS = ({"servers", "impatience"}, {"mode", "samples", "max_epochs", "max_depth",
+                                             "warmup"})
+TAKES = {
+    **dict.fromkeys(("sample-w", "sample-s", "loss-begin", "loss-end"), _REPLICA_KEYS),
+    "regen": ({"servers", "impatience"}, {"customers", "replicas", "max_depth"}),
+    "des": ({"servers", "impatience"}, {"customers"}),
+    "xval": ({"servers", "impatience"}, {"customers"}),
+    "cesaro": ({"servers", "impatience"}, {"steps", "boundary_p", "quantiles"}),
+    "props": (set(), {"tuples", "prop_seed"}),
+}
 
-    import renege.cli as cli
-    read = re.findall(r'_get\(cfg, "(\w+)", "(\w+)"', inspect.getsource(cli))
-    assert read
-    assert set(cli.SECTION_KEYS) == set(cli.EXPERIMENTS)
-    assert set(read) == {(sec, key) for sections in cli.SECTION_KEYS.values()
-                         for sec, keys in sections.items() for key in keys}
+
+def test_each_experiment_takes_its_model_and_run_keys():
+    assert set(cli.SCHEMA) == set(cli.EXPERIMENTS)
+    assert {name: (set(keys["model"]), set(keys["run"]))
+            for name, keys in cli.SCHEMA.items()} == TAKES
+
+
+def test_readme_config_table_matches_the_schema():
+    # each row of the README's key table: the key, the experiments taking it
+    # with that default and minimum, and the default as JSON
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for line in map(str.strip, readme.splitlines()):
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith(("| `model.", "| `run.")):
+            section, key = cells[0].strip("`").split(".")
+            for experiment in cells[1].replace("`", "").split(", "):
+                table[experiment, section, key] = (json.loads(cells[2].strip("`")),
+                                                   int(cells[3]) if cells[3] else None)
+    schema = {(experiment, section, key): (list(e.default) if isinstance(e.default, tuple)
+                                           else e.default, e.minimum)
+              for experiment, sections in cli.SCHEMA.items()
+              for section, keys in sections.items() for key, e in keys.items()}
+    assert table == schema
+
+
+# configs refused with exit 2 after the out dir was made, which was left
+# behind empty (and xval at two servers, refused with exit 3 after it)
+LATE_REFUSALS = [
+    ("loss-begin", "run", "max_depth", 0),
+    ("loss-begin", "run", "mode", "fast"),
+    ("loss-begin", "run", "samples", 0),
+    ("loss-begin", "model", "servers", 2),
+    ("sample-w", "run", "warmup", -1),
+    ("regen", "run", "max_depth", 0),
+    ("des", "model", "servers", 0),
+    ("des", "model", "impatience", "sideways"),
+    ("des", "run", "customers", 0),
+    ("des", "run", "customers", -5),
+    ("cesaro", "run", "boundary_p", 0),
+    ("cesaro", "model", "impatience", "x"),
+    ("cesaro", "run", "quantiles", [2.0]),
+    ("props", "run", "prop_seed", -1),
+    ("xval", "model", "servers", 2),
+]
+
+
+@pytest.mark.parametrize("experiment, section, key, value", LATE_REFUSALS,
+                         ids=[f"{e}-{k}-{v}" for e, _, k, v in LATE_REFUSALS])
+def test_refused_values_leave_no_out_dir(tmp_path, capsys, experiment, section, key, value):
+    cfg = {"source": BOUNDED_SOURCE, "model": {}, "run": {}}
+    cfg[section][key] = value
+    out = tmp_path / "out"
+    assert main([experiment, "--config", _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
+    assert f"config key {section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["des", "regen", "xval"])
+@pytest.mark.parametrize("section, key", [("run", "customers"), ("model", "servers")])
+def test_counts_below_one_name_their_key(tmp_path, capsys, experiment, section, key):
+    # these read "horizon_customers must be >= 1" and "servers must be >= 1",
+    # from des.Scenario, naming no key of the config
+    cfg = {"source": BOUNDED_SOURCE, "model": {}, "run": {}}
+    cfg[section][key] = 0
+    out = tmp_path / "out"
+    assert main([experiment, "--config", _write(tmp_path, cfg), "--out-dir", str(out)]) == 2
+    assert f"config key {section}.{key} must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment,run,args", [
@@ -641,6 +774,9 @@ def test_out_of_range_run_integers_exit_2(tmp_path, capsys, experiment, run, arg
     ("cesaro", "run", "boundary_p", True),
     ("props", "run", "tuples", 10.5),
     ("props", "run", "prop_seed", "7"),
+    # past any float: strict_int's float() raised OverflowError, out of main
+    pytest.param("loss-begin", "run", "samples", 10 ** 400, id="loss-begin-run-samples-10^400"),
+    pytest.param("des", "model", "servers", -10 ** 400, id="des-model-servers--10^400"),
 ])
 def test_non_integer_config_integers_exit_2(tmp_path, capsys, experiment, section, key, value):
     run = {"mode": "approximate", "samples": 5} if key == "warmup" else {}

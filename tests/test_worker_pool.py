@@ -119,6 +119,36 @@ def test_ranges_in_flight_are_capped(tmp_path, monkeypatch):
     assert spy.peak == 2 * 2
 
 
+def test_workers_past_the_rows_start_one_worker_a_row(tmp_path, monkeypatch):
+    # --workers 100000 on 5 rows: a pool of 5 workers, a range of one row
+    # each, and the files of --workers 1.  The pool used to be asked for all
+    # 100000 workers, which fork together at its first submit.  The pool here
+    # only records its size and runs each range in-process
+    sizes, ranges = [], []
+
+    class Inline(Executor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            ranges.append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Inline)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CONFIG, "run": {"mode": "exact", "samples": 5}}))
+    files = []
+    for workers in (1, 100_000):
+        out = tmp_path / f"w{workers}"
+        assert main(["loss-begin", "--config", str(path), "--workers", str(workers),
+                     "--out-dir", str(out)]) == 0
+        files.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert sizes == [5] and ranges == [(r, r + 1) for r in range(5)]
+    assert files[0] == files[1]
+
+
 def _die(kind, src, params, lo, hi):
     os._exit(1)
 
