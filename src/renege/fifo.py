@@ -37,7 +37,7 @@ on its path from 0, and the later segments keep their lockstep results.
 The scalar kernels also run the first segment (twice, to see whether it
 couples; a window whose first segment does not is left to them), windows
 too short to cut and the tail of a window, and they are the engine's test
-oracle.  _advance holds one window's marks and lockstep arrays for a run.
+oracle.  _advance writes each window's marks once, into one segment-major block.
 
 Every lockstep step, of the coupled engine and of the replay of exact loss
 and sample rows, is one in-place kernel, _step, writing into preallocated
@@ -48,7 +48,6 @@ inner form for W, then one subtraction of xi and one clip over all the chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from operator import add
 from typing import Callable
 
@@ -67,13 +66,13 @@ from .recursion import (
 )
 
 DEFAULT_WARMUP = 100_000
-# Marks per window of a coupled forward run, and per segment of a window.  A
-# run holds one window's arrays, 3.2 MB, for all its windows: the marks and
-# their segment-major copies (0.8 MB each), the alphas (0.5 MB), the recorded
-# paths (0.8 MB) and the end model's thresholds (0.26 MB).  Windows of 2^16
-# marks ran 5-15 % faster for 3 MB more peak RSS (in-process, 2 cores).  On
-# the M/M/1+M forward workload every segment couples, within 56 steps at most.
-_WINDOW = 1 << 15
+# Marks per window of a coupled forward run, and per segment.  A run holds one
+# window's arrays for all its windows, 72 bytes a mark for three chains, 4.7 MB:
+# the segment-major marks and the recorded paths (24 each), the alphas (16) and
+# the end model's thresholds (8).  Against 2^15-mark windows and 96 bytes a mark,
+# the forward workload ran 22 % faster at the same peak RSS (benchmarks/run.py,
+# 2 cores); 2^17 takes 4.7 MB more.  M/M/1+M segments couple within 56 steps.
+_WINDOW = 1 << 16
 _SEGMENT = 64
 
 
@@ -251,42 +250,48 @@ def _step(model: Model, y: np.ndarray, alphas, x, s, d, out: np.ndarray,
 
 def _workspace(chains: int, k: int) -> tuple:
     """_lockstep's arrays for k segments (or fewer) of the given chains."""
-    rows = np.empty((6 if chains == 3 else 4, _SEGMENT, k))  # x, s, d, thresh[, two alphas]
-    return (*rows[:4], rows[4:], np.empty((_SEGMENT + 1, chains, k)), *np.empty((2, chains, k)))
+    rows = np.empty((3 if chains == 3 else 1, _SEGMENT, k))  # thresh[, two alphas]
+    return (rows[0], rows[1:], np.empty((_SEGMENT + 1, chains, k)), *np.empty((2, chains, k)))
 
 
-def _coupled(model: Model, state: tuple, xi, sigma, dpat, work: tuple = ()) -> tuple:
-    """(state, counts) after the window xi, sigma, dpat, for the chains in
+def _in_order(block: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Marks a..b-1 of a segment-major block (see _coupled) in index order."""
+    i = a // _SEGMENT
+    segs = block[:, :, i:-(-b // _SEGMENT)].transpose(0, 2, 1).reshape(3, -1)
+    return segs[:, a - i * _SEGMENT:b - i * _SEGMENT]
+
+
+def _coupled(model: Model, state: tuple, block: np.ndarray, n: int, work: tuple = ()) -> tuple:
+    """(state, counts) after the first n marks of a window, for the chains in
     `state`: (ym, w, yp) with the exceedance counts of Model.scalar_window,
     or (w,) alone with no counts.  Bit-identical to the scalar kernels.
 
-    The window is cut into segments of _SEGMENT arrivals.  Segment 0 runs
-    through the scalar kernels from `state` and from 0; when the two ends
-    differ it has not coupled, a sign of heavy traffic in which the later
-    segments would mostly not couple either, and the scalar kernels run the
-    rest of the window.  Otherwise the later whole segments go to _lockstep,
-    and the scalar kernels run the tail.
+    `block` holds the window segment-major: [:, j, i] is mark i * _SEGMENT + j,
+    in segment i of _SEGMENT arrivals.  Segment 0 runs through the scalar
+    kernels from `state` and from 0; when the two ends differ it has not
+    coupled, a sign of heavy traffic in which the later segments would mostly
+    not couple either, and the scalar kernels run the rest of the window.
+    Otherwise the later whole segments go to _lockstep, and the scalar
+    kernels run the tail.
     """
-    k = xi.size // _SEGMENT - 1  # whole segments after segment 0
+    k = n // _SEGMENT - 1  # whole segments after segment 0
     if k < 1:  # no segment to guess a start for
-        return _scalar(model, state, xi, sigma, dpat)
-    head = slice(_SEGMENT)
-    zero, _ = _scalar(model, (0.0,) * len(state), xi[head], sigma[head], dpat[head])
-    state, counts = _scalar(model, state, xi[head], sigma[head], dpat[head])
+        return _scalar(model, state, *_in_order(block, 0, n))
+    zero, _ = _scalar(model, (0.0,) * len(state), *block[:, :, 0])
+    state, counts = _scalar(model, state, *block[:, :, 0])
     a = _SEGMENT  # marks taken
     if state == zero:
-        body = slice(a, a + k * _SEGMENT)
-        state, more = _lockstep(model, state, xi[body], sigma[body], dpat[body], work)
+        state, more = _lockstep(model, state, block[:, :, 1:k + 1], work)
         counts = tuple(map(add, counts, more))
         a += k * _SEGMENT
-    state, rest = _scalar(model, state, xi[a:], sigma[a:], dpat[a:])
+    state, rest = _scalar(model, state, *_in_order(block, a, n))
     return state, tuple(map(add, counts, rest))
 
 
-def _lockstep(model: Model, state: tuple, xi, sigma, dpat, work: tuple = ()) -> tuple:
-    """(state, counts) of _coupled over the K whole segments of xi, sigma,
-    dpat, the first starting from its true `state`, in the arrays of `work`
-    (a _workspace, or fresh ones).
+def _lockstep(model: Model, state: tuple, marks: np.ndarray, work: tuple = ()) -> tuple:
+    """(state, counts) of _coupled over the K whole segments of `marks`
+    (3, _SEGMENT, K), segment-major, the first starting from its true
+    `state`, in the arrays of `work` (a _workspace, or fresh ones).
 
     Equal states take equal steps, so a path that meets another on the same
     marks retraces it from there on.  (a) Every segment runs from 0 at once,
@@ -303,13 +308,11 @@ def _lockstep(model: Model, state: tuple, xi, sigma, dpat, work: tuple = ()) -> 
     after it, until one ends on its recorded end; the later segments keep
     their lockstep paths.
     """
-    k, c = xi.size // _SEGMENT, len(state)
+    k, c = marks.shape[2], len(state)
     # [j, i] is arrival j of segment i, [a, j, i] in alphas (three chains only);
     # [j, c, i]: chain c of segment i before arrival j, and after the last at j = _SEGMENT
-    x, s, d, thresh, alphas, recorded, y, zero_ends = (
-        a[..., :k] for a in (work or _workspace(c, k)))
-    for v, seg in zip((xi, sigma, dpat), (x, s, d)):
-        seg[...] = v.reshape(k, _SEGMENT).T
+    x, s, d = marks
+    thresh, alphas, recorded, y, zero_ends = (a[..., :k] for a in (work or _workspace(c, k)))
     if c == 3:
         SIGMA_MIN_D.alpha_array(s, d, alphas[0])
         model.dominating.alpha_array(s, d, alphas[1])
@@ -335,8 +338,7 @@ def _lockstep(model: Model, state: tuple, xi, sigma, dpat, work: tuple = ()) -> 
         end = tuple(ends[:, i].tolist())
         for t in range(i + 1, k):
             taken[t] = False
-            at = slice(t * _SEGMENT, (t + 1) * _SEGMENT)
-            end, more = _scalar(model, end, xi[at], sigma[at], dpat[at])
+            end, more = _scalar(model, end, *marks[:, :, t])
             redone.append(more)
             if end == tuple(zero_ends[:, t].tolist()):
                 break
@@ -353,14 +355,19 @@ def _advance(model: Model, src: MarkSource, lo: int, hi: int, state: tuple) -> t
     """(state, counts) at hi from `state` at lo, run by _coupled a window at a
     time: the chains (ym, w, yp) with the exceedance counts of the arrivals
     lo..hi-1, or (w,) alone with none (counts None when there are no
-    arrivals).  The marks and the lockstep arrays of every window are held in
-    buffers allocated once per call."""
+    arrivals).  Each window's marks are written once, in whole segments (the
+    marks from hi on complete the last one, unrun), into one segment-major
+    block, held with the lockstep arrays for all the windows of the call."""
     n = min(max(hi - lo, 0), _WINDOW)
-    fetch = partial(src.window_arrays, out=np.empty((3, n)))
+    block = np.empty((3, _SEGMENT, -(-n // _SEGMENT)))
     work = _workspace(len(state), max(n // _SEGMENT - 1, 0))  # the segments after _coupled's first
     counts = None
-    for marks in mark_windows(fetch, lo, hi, _WINDOW):
-        state, c = _coupled(model, state, *marks, work)
+    def into(b, size):  # the segments from mark b of the window on, in index order
+        return block[:, :, b // _SEGMENT:(b + size) // _SEGMENT].transpose(0, 2, 1)
+    for a in range(lo, hi, _WINDOW):
+        m = min(_WINDOW, hi - a)
+        src.fill_window(a, a + -(-m // _SEGMENT) * _SEGMENT - 1, into)
+        state, c = _coupled(model, state, block, m, work)
         counts = c if counts is None else tuple(map(add, counts, c))
     return state, counts
 

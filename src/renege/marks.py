@@ -27,12 +27,11 @@ from numpy.random import Philox
 
 _MASK64 = (1 << 64) - 1
 _U53 = 2.0 ** -53
-# Blocks per Philox read of a window: 64 KB of raw words, which the heap hands
-# back for the next read instead of mapping fresh pages.  A Markov window reads
-# 4x as many: its chain composition costs per call, and an approximate
-# end-model run on a two-state source was 15-20 % slower with one _CHUNK
-# (in-process).
-_CHUNK = 1 << 11
+# Blocks per Philox read of a window, iid or Markov: 256 KB of raw words.  A
+# Markov chunk's chain composition costs per call; a forward run fills a
+# window of 2^16 marks in 8 reads, and was about 9 % faster than with 2^11
+# blocks (benchmarks/run.py --workload forward, 2 cores).
+_CHUNK = 1 << 13
 # Blocks fetched before a Markov window to find the regeneration its first
 # state descends from, doubled until one turns up (replica windows: _lookback).
 _CHAIN_LOOKBACK = 64
@@ -487,31 +486,34 @@ class MarkSource:
         """Raw Philox words of indices g0..g0+count-1 (see _fetch)."""
         return self._fetch((self.stream,), (g0,), count)[0]
 
-    def window_arrays(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Marks (3, n), rows xi, sigma, dpat, of the n indices lo..hi
-        inclusive; into the first n columns of `out` when given.  A window is
-        read in chunks (_CHUNK), so its temporaries are a chunk's: the words
-        are shifted in place, a Markov chunk's chain states are composed on from
-        the state before it (found once per window by _chain_before), and each
-        used column is scaled into a contiguous row before its quantile (numpy
-        may take other code paths for strided input)."""
+    def window_arrays(self, lo: int, hi: int) -> np.ndarray:
+        """Marks (3, n), rows xi, sigma, dpat, of the n indices lo..hi inclusive."""
         if lo > hi:
             raise ValueError(f"window requires lo <= hi, got [{lo}, {hi}]")
+        out = np.empty((3, hi - lo + 1))
+        self.fill_window(lo, hi, lambda a, m: out[:, a:a + m])
+        return out
+
+    def fill_window(self, lo: int, hi: int, into) -> None:
+        """Writes the marks of lo..hi inclusive (lo <= hi), _CHUNK indices at a
+        time, the m from index lo + a on into into(a, m): an array (3, ...) whose
+        rows xi, sigma, dpat take m marks each in C order.  So a window's
+        temporaries are a chunk's: its words, shifted in place; a Markov chunk's
+        chain states, composed on from the state before it (found once per
+        window by _chain_before); its used columns, each scaled into a contiguous
+        array before its quantile (numpy may take other code paths for strided input)."""
         g0 = self.origin + lo
-        count = hi - lo + 1
-        out = np.empty((3, count)) if out is None else out[:, :count]
         state, before = None, self._chain_before(g0) if self.kind == "markov" else None
         bg = next(self._generators((self.stream,), (g0,)))
-        chunk = _CHUNK if before is None else 4 * _CHUNK
-        for a in range(0, count, chunk):
-            raw = bg.random_raw(4 * min(chunk, count - a)).reshape(-1, 4)
+        for a in range(0, hi - lo + 1, _CHUNK):
+            out = into(a, min(_CHUNK, hi - lo + 1 - a))
+            raw = bg.random_raw(4 * out[0].size).reshape(*out.shape[1:], 4)
             np.right_shift(raw, 11, out=raw)
             if before is not None:
-                state = self._compose_states(np.multiply(raw[None, :, 0], _U53), before)[0]
-                before = state[-1]
-            self._quantiles([np.multiply(raw[:, j], _U53) for j in (1, 2, 3)], state,
-                            out[:, a:a + len(raw)])
-        return out
+                chain = np.multiply(raw[..., 0], _U53).reshape(1, -1)
+                state = self._compose_states(chain, before).reshape(out.shape[1:])
+                before = state.flat[-1]
+            self._quantiles([np.multiply(raw[..., j], _U53) for j in (1, 2, 3)], state, out)
 
     def _quantiles(self, u, state=None, out=None) -> np.ndarray:
         """Marks (3, *shape), into `out` when given, from the uniforms u[0..2] of

@@ -30,7 +30,8 @@ tests:
   exact_sample_rows, and the loss rows bound to each model,
   exact_loss_rows_begin and exact_loss_rows_end);
 - the states of a fake source (declared_states), whose marginals give a spec
-  the alpha bound the fake names, whether its marks keep it or not.
+  the alpha bound the fake names, whether its marks keep it or not;
+- fifo._coupled over marks in index order (coupled).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from renege.fifo import BEGIN, END, Model, exact_rows
+from renege.fifo import _SEGMENT, BEGIN, END, Model, _coupled, exact_rows
 from renege.marks import (
     CapabilityError,
     Deterministic,
@@ -507,3 +508,14 @@ def ks_two_sample(a, b) -> float:
     fa = np.searchsorted(xa, pooled, side="right") / xa.size
     fb = np.searchsorted(xb, pooled, side="right") / xb.size
     return float(np.abs(fa - fb).max())
+
+
+def coupled(model: Model, state: tuple, xi, sigma, dpat) -> tuple:
+    """fifo._coupled over the marks xi, sigma, dpat in index order, laid out
+    segment-major as fifo._advance holds them, the last segment completed by
+    NaN marks that must not be run."""
+    n = xi.size
+    marks = np.full((3, -(-n // _SEGMENT) * _SEGMENT), np.nan)
+    marks[:, :n] = xi, sigma, dpat
+    block = np.ascontiguousarray(marks.reshape(3, -1, _SEGMENT).transpose(0, 2, 1))
+    return _coupled(model, state, block, n)

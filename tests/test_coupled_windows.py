@@ -22,7 +22,7 @@ from renege.cli import source_from_config
 from renege.fifo import BEGIN, END, MODELS
 from renege.marks import deterministic_source
 
-from oracles import model_step
+from oracles import coupled, model_step
 
 L = fifo._SEGMENT
 
@@ -51,12 +51,12 @@ STARTS = [(0.0, 0.0, 0.0), (0.25, 1.5, 4.0), (0.0, 7.0, 30.0)]
 def _same(model, state, xi, sigma, dpat):
     """The engine, for the three chains and for W alone, equals the scalar
     kernels."""
-    got, got_counts = fifo._coupled(model, state, xi, sigma, dpat)
+    got, got_counts = coupled(model, state, xi, sigma, dpat)
     *want, want_counts = model.scalar_window(*state, xi, sigma, dpat)
     assert [v.hex() for v in got] == [v.hex() for v in want]
     assert got_counts == want_counts
     assert all(type(c) is int for c in got_counts)
-    (w,), counts = fifo._coupled(model, (state[1],), xi, sigma, dpat)
+    (w,), counts = coupled(model, (state[1],), xi, sigma, dpat)
     want_w = model.w_path(state[1], xi, sigma, dpat)[-1] if xi.size else state[1]
     assert (w.hex(), counts) == (want_w.hex(), ())
 
@@ -80,7 +80,8 @@ def rests(monkeypatch):
 @pytest.mark.parametrize("kind", sorted(SOURCES))
 @pytest.mark.parametrize("model", sorted(MODELS))
 @pytest.mark.parametrize("state", STARTS)
-@pytest.mark.parametrize("n", [1, L - 1, 2 * L - 1, 2 * L, 5 * L + 3, 300 * L + 17, fifo._WINDOW])
+@pytest.mark.parametrize("n", [1, L - 1, 2 * L - 1, 2 * L, 5 * L + 3, 300 * L + 17, 1 << 15,
+                               fifo._WINDOW])
 def test_engine_matches_scalar_kernels(kind, model, state, n):
     src = source_from_config(SOURCES[kind])
     _same(MODELS[model], state, *src.window_arrays(-n // 3, n - 1 - n // 3))

@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renege import SIGMA_MIN_D, MarkTriple, step
-from renege.fifo import BEGIN, END, MODELS, _coupled
+from renege.fifo import BEGIN, END, MODELS
 from renege.recursion import clip, step_array
 
-from oracles import model_step
+from oracles import coupled, model_step
 
 values = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]),
                    st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False))
@@ -58,7 +58,7 @@ def test_window_kernel_matches_scalar_steps(model, mark_list, kinds, frees, sigm
     state = tuple(_start(k, x, s, d, f) for k, f in zip(kinds, frees))
     want_state, want_counts = _reference(model, state, mark_list)
     xi, sigma, dpat = (np.array(c) for c in zip(*mark_list))
-    got_state, got_counts = _coupled(model, state, xi, sigma, dpat)
+    got_state, got_counts = coupled(model, state, xi, sigma, dpat)
     assert [v.hex() for v in got_state] == [v.hex() for v in want_state]
     assert got_counts == want_counts
 
@@ -69,11 +69,11 @@ def test_kernel_thresholds_at_the_boundary():
     d = 1.0
     one = np.array([0.0]), np.array([0.5]), np.array([d])
     above = math.nextafter(d, math.inf)
-    assert _coupled(BEGIN, (0.0, d, 0.0), *one)[1] == (0, 0, 0)
-    assert _coupled(BEGIN, (0.0, above, 0.0), *one)[1] == (1, 0, 0)
-    assert _coupled(END, (0.0, d, 0.0), *one)[1] == (1, 0, 0, 0)
-    assert _coupled(END, (0.0, 0.5, 0.0), *one)[1] == (0, 0, 0, 0)  # w == d - sigma completes
-    assert _coupled(END, (0.0, above, 0.0), *one)[1] == (1, 0, 0, 1)
+    assert coupled(BEGIN, (0.0, d, 0.0), *one)[1] == (0, 0, 0)
+    assert coupled(BEGIN, (0.0, above, 0.0), *one)[1] == (1, 0, 0)
+    assert coupled(END, (0.0, d, 0.0), *one)[1] == (1, 0, 0, 0)
+    assert coupled(END, (0.0, 0.5, 0.0), *one)[1] == (0, 0, 0, 0)  # w == d - sigma completes
+    assert coupled(END, (0.0, above, 0.0), *one)[1] == (1, 0, 0, 1)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -95,7 +95,7 @@ CASES = {
         "mode": "exact", "samples": 150, "max_depth": 400}}),
     "loss-end-approx-markov": ("loss-end", {"source": MARKOV, "run": {
         "mode": "approximate", "samples": 20000, "warmup": 1000}}),
-    # seven coupled windows: two of warm-up, five of samples
+    # four coupled windows: one of warm-up, three of samples
     "loss-end-approx-iid": ("loss-end", {"source": EXPO, "run": {
         "mode": "approximate", "samples": 150000, "warmup": 50000}}),
     "loss-begin-approx-heavy": ("loss-begin", {"source": HEAVY, "run": {

@@ -16,12 +16,35 @@ from hypothesis import strategies as st
 
 from renege import SIGMA_MIN_D, MarkTriple, step
 from renege import fifo
+from renege.cli import source_from_config
 from renege.fifo import MODELS
+from renege.marks import _CHUNK
 from renege.recursion import clip, step_array
 
-from oracles import model_step
+from oracles import coupled, model_step
 
 L = fifo._SEGMENT
+W = fifo._WINDOW
+
+
+def _e(rate):
+    return {"dist": "exponential", "rate": rate}
+
+
+def _u(low, high):
+    return {"dist": "uniform", "low": low, "high": high}
+
+
+SOURCES = {
+    # the forward workload's M/M/1+M source: every segment couples
+    "forward": {"kind": "iid", "seed": 20083, "xi": _e(0.9), "sigma": _e(1.0), "dpat": _e(0.5)},
+    # delta 0.2: the chain state at a chunk's first index is mostly carried over
+    "markov": {"kind": "markov", "seed": 31, "transition": [[0.1, 0.9], [0.9, 0.1]],
+               "states": [{"xi": _u(0.5, 1.5), "sigma": _u(0.0, 0.8), "dpat": _u(0.0, 1.0)},
+                          {"xi": _u(0.1, 0.7), "sigma": _u(0.0, 3.0), "dpat": _u(0.5, 3.0)}]},
+    # tests/test_golden.py's near-critical HEAVY source
+    "heavy": {"kind": "iid", "seed": 4406, "xi": _e(1.0), "sigma": _e(1.0), "dpat": _e(0.2)},
+}
 
 
 # The np.where forms the kernel replaced, kept as oracles.
@@ -131,11 +154,11 @@ def test_segments_with_signed_zeros_and_ties(model, n, state):
     rng = np.random.default_rng(n)
     xi, sigma, dpat = rng.choice(GRID, (3, n))
     dpat[::5] = sigma[::5]
-    got, got_counts = fifo._coupled(model, state, xi, sigma, dpat)
+    got, got_counts = coupled(model, state, xi, sigma, dpat)
     *want, want_counts = model.scalar_window(*state, xi, sigma, dpat)
     assert _hex(got) == _hex(want)
     assert got_counts == want_counts
-    (w,), _ = fifo._coupled(model, (state[1],), xi, sigma, dpat)
+    (w,), _ = coupled(model, (state[1],), xi, sigma, dpat)
     assert w.hex() == model.w_path(state[1], xi, sigma, dpat)[-1].hex()
 
 
@@ -158,3 +181,33 @@ def test_replay_rows_with_masked_rows(model, seed):
         start = width - 1 - max(int(k[r]), 0)
         *want, _ = model.scalar_window(0.0, 0.0, 0.0, *marks[:, r, start:width - 1])
         assert _hex(got[:, r]) == _hex(want)
+
+
+@pytest.mark.parametrize("kind", sorted(SOURCES))
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("n", [1, L - 1, L, 2 * L - 1, 2 * L, 2 * L + 1, _CHUNK - 1, _CHUNK + 1,
+                               W - 1, W + 1])
+def test_advance_at_segment_chunk_and_window_boundaries(kind, model, n, monkeypatch):
+    # fifo._advance, over its segment-major block, against the scalar kernels
+    # on window_arrays' marks: the three chains from 0, whose segment 0
+    # couples, and from a backlog it does not drain, and W alone
+    model, src = MODELS[model], source_from_config(SOURCES[kind])
+    lo = -n // 3
+    xi, sigma, dpat = src.window_arrays(lo, lo + n - 1)
+    locksteps = []
+    lockstep = fifo._lockstep
+
+    def spy(model, state, marks, work=()):
+        locksteps.append(marks.shape[2])
+        return lockstep(model, state, marks, work)
+
+    monkeypatch.setattr(fifo, "_lockstep", spy)
+    for state, segments in (((0.0, 0.0, 0.0), [min(n, W) // L - 1]), ((0.0, 500.0, 900.0), [])):
+        locksteps.clear()
+        got, got_counts = fifo._advance(model, src, lo, lo + n, state)
+        *want, want_counts = model.scalar_window(*state, xi, sigma, dpat)
+        assert _hex(got) == _hex(want)
+        assert got_counts == want_counts
+        assert locksteps == [k for k in segments if k > 0]
+        (w,), counts = fifo._advance(model, src, lo, lo + n, state[1:2])
+        assert (w.hex(), counts) == (model.w_path(state[1], xi, sigma, dpat)[-1].hex(), ())

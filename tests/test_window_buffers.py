@@ -1,13 +1,16 @@
 """Forward windows in reused buffers, bit for bit against fresh arrays.
 
-MarkSource.window_arrays reads a window in chunks of marks._CHUNK Philox
+MarkSource.fill_window reads a window in chunks of marks._CHUNK Philox
 blocks (a Markov chunk composing its chain states from the state before it)
-and writes the marks into `out` when given; fifo._advance holds one marks
-buffer and one set of lockstep arrays for all the windows of a call.  Every
-case compares by float.hex: window_arrays(out=...) against its own fresh
-result and against whole-window oracles, and _advance against the scalar
-window kernels on the same marks.
+and writes each chunk's marks where the caller says: the columns of one
+index-order array for window_arrays, the segments of one segment-major block
+for fifo._advance, which holds that block and one set of lockstep arrays for
+all the windows of a call.  Every case compares by float.hex: both layouts
+against window_arrays and against whole-window oracles, and _advance against
+the scalar window kernels on the same marks.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +42,12 @@ MARGINALS = {
     "truncated-exponential": TruncatedExponential(1.5, 2.0),
     "discrete": Discrete((0.0, 0.5, 2.0), (0.25, 0.25, 0.5)),
 }
-LENGTHS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5, W]
+# the segment, chunk and window boundaries, and those of 2^11-block chunks and
+# 2^15-mark windows, which read the same marks
+OLD_CHUNK = 1 << 11
+LENGTHS = [1, L - 1, L, 2 * L - 1, 2 * L, 2 * L + 1, OLD_CHUNK - 1, OLD_CHUNK, OLD_CHUNK + 1,
+           3 * OLD_CHUNK + 5, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5, 1 << 15,
+           W - 1, W, W + 1]
 # the workload of benchmarks/workloads.py "forward": M/M/1+M, lambda 0.9, mu 1, gamma 0.5
 FORWARD = {"kind": "iid", "seed": 20083, "xi": {"dist": "exponential", "rate": 0.9},
            "sigma": {"dist": "exponential", "rate": 1.0},
@@ -60,13 +68,23 @@ def _whole_window(src, lo, hi):
 
 
 def _into_buffer(src, lo, hi, spare=7):
-    """window_arrays into a NaN-filled buffer wider than the window: the marks
-    must land in its first columns, returned as a view, the rest untouched."""
+    """fill_window into a NaN-filled buffer wider than the window: the marks
+    must land in its first columns, the rest untouched."""
     buf = np.full((3, hi - lo + 1 + spare), np.nan)
-    got = src.window_arrays(lo, hi, out=buf)
-    assert got.shape == (3, hi - lo + 1) and np.shares_memory(got, buf)
+    src.fill_window(lo, hi, lambda a, m: buf[:, a:a + m])
     assert np.isnan(buf[:, hi - lo + 1:]).all()
-    return got
+    return buf[:, :hi - lo + 1]
+
+
+def _into_block(src, lo, hi):
+    """fill_window into a NaN-filled segment-major block, as fifo._advance
+    reads a window: in whole segments, [:, j, i] holding mark i * L + j."""
+    n = hi - lo + 1
+    block = np.full((3, L, -(-n // L)), np.nan)
+    src.fill_window(lo, lo + block.shape[2] * L - 1,
+                    lambda a, m: block[:, :, a // L:(a + m) // L].transpose(0, 2, 1))
+    assert not np.isnan(block).any()
+    return block.transpose(0, 2, 1).reshape(3, -1)[:, :n]
 
 
 @pytest.mark.parametrize("name", sorted(MARGINALS))
@@ -78,9 +96,11 @@ def test_iid_chunks_match_whole_window(name, n):
         want = _hex(_whole_window(src, lo, lo + n - 1))
         assert _hex(src.window_arrays(lo, lo + n - 1)) == want
         assert _hex(_into_buffer(src, lo, lo + n - 1)) == want
+        assert _hex(_into_block(src, lo, lo + n - 1)) == want
 
 
-@pytest.mark.parametrize("origin", [-3, -_CHUNK - 1, 2 ** 256 - 2 * _CHUNK + 1])
+@pytest.mark.parametrize("origin", [-3, -OLD_CHUNK - 1, -_CHUNK - 1, 2 ** 256 - 2 * OLD_CHUNK + 1,
+                                    2 ** 256 - 2 * _CHUNK + 1])
 def test_iid_chunks_across_the_counter_wrap(origin):
     # the window crosses index 2^256 = 0 of the Philox counter in mid-chunk:
     # the counter carries on, as a fresh read positioned after the wrap shows
@@ -89,6 +109,7 @@ def test_iid_chunks_across_the_counter_wrap(origin):
     n = 3 * _CHUNK + 5
     whole = _into_buffer(src, 0, n - 1)
     assert _hex(whole) == _hex(_whole_window(src, 0, n - 1))
+    assert _hex(_into_block(src, 0, n - 1)) == _hex(whole)
     wrap = (-origin) % 2 ** 256
     parts = np.hstack([src.window_arrays(0, wrap - 1), src.window_arrays(wrap, n - 1)])
     assert _hex(whole) == _hex(parts)
@@ -117,29 +138,40 @@ def _whole_markov_window(src, lo, hi):
     # delta 0.02: the first lookback of a window often holds no regeneration
     (((0.01, 0.99), (0.99, 0.01)), {True, False})])
 def test_markov_windows_into_buffer(transition, found):
-    # chunk by chunk, the chain states carry over from one chunk to the next
+    # chunk by chunk, the chain states carry over from one chunk to the next,
+    # also where the first index of a chunk is no regeneration
     src = markov_source(transition, (_FAST, _SLOW), seed=19)
-    regen = set()
+    regen, carried = set(), set()
     for lo in range(-5000, 5000, 1234):
-        for n in (1, 150, 4 * _CHUNK + 1, 8 * _CHUNK + 5):  # a Markov chunk is 4 * _CHUNK
+        for n in (1, 150, _CHUNK + 1, 2 * _CHUNK + 5):
             want = _hex(src.window_arrays(lo, lo + n - 1))
             assert _hex(_into_buffer(src, lo, lo + n - 1)) == want
+            assert _hex(_into_block(src, lo, lo + n - 1)) == want
             whole = _whole_markov_window(src, lo, lo + n - 1)
             assert whole is None or _hex(whole) == want
         regen.add(whole is not None)
-    assert regen == found
+        chain = (src._blocks(src.origin + lo + _CHUNK, 1)[0, 0] >> np.uint64(11)) * _U53
+        carried.add(bool(chain >= src._doeblin_parts[0]))
+    assert regen == found and True in carried
 
 
 class ArraySource:
-    """Marks (3, n) of indices 0..n-1 read from a fixed array."""
+    """Marks (3, n) of indices 0..n-1 read from a fixed array, NaN past its
+    end (fifo._advance reads a window's last segment whole, but runs none of
+    the marks from hi on)."""
 
     def __init__(self, marks):
         self.marks = marks
 
-    def window_arrays(self, lo, hi, out=None):
-        out = np.empty((3, hi - lo + 1)) if out is None else out[:, :hi - lo + 1]
-        out[...] = self.marks[:, lo:hi + 1]
+    def window_arrays(self, lo, hi):
+        out = np.full((3, hi - lo + 1), np.nan)
+        got = self.marks[:, lo:hi + 1]
+        out[:, :got.shape[1]] = got
         return out
+
+    def fill_window(self, lo, hi, into):
+        out = into(0, hi - lo + 1)
+        out[...] = self.window_arrays(lo, hi).reshape(out.shape)
 
 
 def _scalar_run(model, state, marks):
@@ -216,6 +248,25 @@ def test_successive_advances_match_fresh_runs(model):
         (state, counts) = _scalar_run(model, (0.0, 0.0, 0.0), marks)
         assert (_hex(got[0]), got[1]) == (_hex(state), counts)
     assert first[0] == first[-1]
+
+
+def test_advance_holds_one_block_of_marks():
+    # three chains over three windows and a tail: the segment-major block, the
+    # lockstep workspace (thresholds, two alphas, the recorded paths, two rows
+    # of ends) and one chunk's temporaries: its raw words, the three uniform
+    # rows and the three arrays a quantile may hold at once.  A bound of 5.4 MB:
+    # the index-order marks and their lockstep copy took 6.6 MB at 2^16 marks
+    src = source_from_config(FORWARD)
+    state, _ = fifo._advance(BEGIN, src, 0, W, (0.0, 0.0, 0.0))
+    k = W // L - 1
+    bound = 8 * (3 * W + 3 * L * k + (L + 1) * 3 * k + 2 * 3 * k + (4 + 3 + 3) * _CHUNK)
+    tracemalloc.start()
+    try:
+        fifo._advance(BEGIN, src, W, 4 * W + 17, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_advance_takes_few_page_faults():
