@@ -50,7 +50,6 @@ from .fifo_end import (
     sample_stationary_s,
 )
 from .des import (
-    CustomerRecord,
     PathStatistics,
     RegenReport,
     Scenario,

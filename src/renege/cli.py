@@ -482,12 +482,11 @@ def _customer_rows(fh, block) -> None:
     """customers.csv rows of a simulate_blocks block, _CSV_ROWS at a time:
     the index, the times by _float_cells (service_start blank for None) and
     the outcomes as the program's own text."""
-    cust = block.customers
-    times = cust.arrival, cust.sigma, cust.dpat, cust.service_start, cust.departure
-    for lo in range(0, len(cust), _CSV_ROWS):
-        hi = min(lo + _CSV_ROWS, len(cust))
+    times = block.arrival, block.sigma, block.dpat, block.service_start, block.departure
+    for lo in range(0, block.arrival.size, _CSV_ROWS):
+        hi = min(lo + _CSV_ROWS, block.arrival.size)
         _write_lines(fh, [map(int.__repr__, range(block.start + lo, block.start + hi)),
-                          *(_float_cells(c[lo:hi]) for c in times), cust.outcome[lo:hi]])
+                          *(_float_cells(c[lo:hi]) for c in times), block.outcome[lo:hi]])
 
 
 def _exp_des(cfg, params, out_dir, workers, src) -> int:

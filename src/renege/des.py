@@ -37,11 +37,11 @@ the integral of X and checks {L=0} => {X=0} => {M=0} at every event
 instant: each distinct arrival, departure, deadline and completion time.
 
 The loop runs in blocks of _BLOCK arrivals, each handed to the caller as a
-PathBlock (the block's CustomerColumns and series) and dropped before the
-next, so a run holds one block whatever its horizon: the CLI writes
-customers.csv and regen's detail.csv block by block, and xval compares W
-block by block.  Between blocks the run carries only _Carry: the heap of
-free times, the next arrival time (the next block's times are
+PathBlock (the block's customers as plain columns, and its series) and
+dropped before the next, so a run holds one block whatever its horizon: the
+CLI writes customers.csv and regen's detail.csv block by block, and xval
+compares W block by block.  Between blocks the run carries only _Carry: the
+heap of free times, the next arrival time (the next block's times are
 np.cumsum([t_last, *xi]), summed in the same sequence as over the whole
 horizon), the running maxima e_l and e_m, the counters, and the events the
 instant check has not reached: the departures, deadlines and voided
@@ -49,18 +49,19 @@ completions at or after the next block's first arrival, whose customers are
 still in the system, and the block's arrivals tied with it.  So its memory
 is bounded by the congestion, not the horizon.  instant_sums keeps its
 windows of _CHUNK arrivals and sums the integral in time order across
-blocks, so the statistics keep their bits.  simulate joins the blocks into
-whole-horizon CustomerColumns (indexing or iterating them gives
-CustomerRecord views) and series.
+blocks, so the statistics keep their bits.  The statistics need no block
+kept (regeneration_stats and the inclusion suite drop each one); simulate
+joins them into one PathBlock of the whole horizon.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from heapq import heapreplace
+from itertools import chain
 
 import numpy as np
 
@@ -121,46 +122,6 @@ class Scenario:
 
 
 @dataclass
-class CustomerRecord:
-    index: int
-    arrival: float
-    sigma: float
-    dpat: float
-    service_start: float | None
-    departure: float
-    outcome: str
-
-
-@dataclass(frozen=True, repr=False)
-class CustomerColumns(Sequence):
-    """Per-customer columns of one simulation, read as CustomerRecord views.
-
-    The columns are the lists the recursion fills, indexed by customer;
-    service_start is None for a customer who abandoned the queue.  Indexing
-    builds a fresh CustomerRecord (a list of them for a slice).
-    """
-
-    arrival: list[float]
-    sigma: list[float]
-    dpat: list[float]
-    service_start: list[float | None]
-    departure: list[float]
-    outcome: list[str]
-
-    def __len__(self) -> int:
-        return len(self.arrival)
-
-    def __iter__(self):
-        return map(CustomerRecord, range(len(self)), *vars(self).values())
-
-    def __getitem__(self, i):
-        k = range(len(self))[i]  # IndexError out of range, a range for a slice
-        if isinstance(k, range):
-            return [self[j] for j in k]
-        return CustomerRecord(k, *(col[k] for col in vars(self).values()))
-
-
-@dataclass
 class PathStatistics:
     arrivals: int
     outcome_counts: dict[str, int]
@@ -171,19 +132,23 @@ class PathStatistics:
     horizon_time: float
     l_zero_arrival_freq: float
     m_zero_arrival_freq: float
-    # per-arrival series, values seen just before each arrival
-    l_before: np.ndarray = field(repr=False, default=None)
-    m_before: np.ndarray = field(repr=False, default=None)
-    x_before: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
 class PathBlock:
-    """Customers start.. of a path, with the series seen just before each of
-    their arrivals."""
+    """Customers start.. of a path, by customer: the arrival times and marks,
+    service_start (None for a customer who abandoned the queue), the
+    departures and the outcomes, and the series seen just before each
+    arrival.  The times, marks and series are numpy arrays, service_start and
+    outcome lists."""
 
     start: int
-    customers: CustomerColumns
+    arrival: np.ndarray
+    sigma: np.ndarray
+    dpat: np.ndarray
+    service_start: list[float | None]
+    departure: np.ndarray
+    outcome: list[str]
     l_before: np.ndarray
     m_before: np.ndarray
     x_before: np.ndarray
@@ -220,10 +185,10 @@ class _Carry:
 def simulate_blocks(scn: Scenario, each: Callable[[PathBlock], object]) -> PathStatistics:
     """Run the scenario to the arrival horizon, then drain the system, in
     blocks of _BLOCK arrivals, each handed to `each` when its customers are
-    done and dropped after; returns the path statistics, without the
-    per-arrival series, which are the blocks'.  Between blocks the run keeps
-    only _Carry, whose events are those of customers still in the system,
-    so its memory is bounded by the congestion, not the horizon."""
+    done and dropped after; returns the path statistics (the per-arrival
+    series are the blocks').  Between blocks the run keeps only _Carry,
+    whose events are those of customers still in the system, so its memory
+    is bounded by the congestion, not the horizon."""
     n_cust = scn.horizon_customers
     carry = _Carry(free=[-math.inf] * min(scn.servers, n_cust))
     for k0 in range(0, n_cust, _BLOCK):
@@ -268,7 +233,7 @@ def _block(scn: Scenario, carry: _Carry, k0: int, k1: int) -> PathBlock:
     for e in (e_m, e_l):
         np.maximum.accumulate(e, out=e)
     carry.e_m, carry.e_l = e_m[-1], e_l[-1]
-    del xi, sigma, dpat
+    del xi
 
     free = carry.free
     # allocated whole and filled in place: lists grown by appends fragment the heap
@@ -297,6 +262,7 @@ def _block(scn: Scenario, carry: _Carry, k0: int, k1: int) -> PathBlock:
         departure[j] = c
 
     dep = np.array(departure)
+    del arrival_l, sigma_l, dpat_l, departure
     for k in range(0, m, _CHUNK):  # in windows, which keeps the peak down
         w = slice(k, k + _CHUNK)
         soj, tol = dep[w] - t[w], time_tolerance(dep[w])
@@ -308,8 +274,9 @@ def _block(scn: Scenario, carry: _Carry, k0: int, k1: int) -> PathBlock:
     arr, arr_l, arr_m, dep_s, due_s, stale_s = (
         np.concatenate((old, new)) if old.size else new for old, new in
         zip(carry.pending, (t, e_l[1:], e_m[1:], dep, deadline, np.array(stale))))
-    del dep, deadline
-    for events in (dep_s, due_s, stale_s):
+    del deadline
+    dep_s = np.sort(dep_s)  # a copy: with none pending dep_s is dep, kept by customer
+    for events in (due_s, stale_s):
         events.sort()
     # the instants before the next block's first arrival; the last block's, all
     end = carry.t_next if k1 < scn.horizon_customers else math.inf
@@ -346,32 +313,22 @@ def _block(scn: Scenario, carry: _Carry, k0: int, k1: int) -> PathBlock:
     carry.empty_epochs += int(np.count_nonzero(x_before == 0))
     carry.l_zero += np.count_nonzero(e_l[:-1] == 0.0)
     carry.m_zero += np.count_nonzero(e_m[:-1] == 0.0)
-    return PathBlock(k0, CustomerColumns(arrival_l, sigma_l, dpat_l, service_start, departure,
-                                         outcome), e_l[:-1], e_m[:-1], x_before)
+    return PathBlock(k0, t, sigma, dpat, service_start, dep, outcome, e_l[:-1], e_m[:-1],
+                     x_before)
 
 
-def simulate(scn: Scenario) -> tuple[CustomerColumns, PathStatistics]:
+def simulate(scn: Scenario) -> tuple[PathBlock, PathStatistics]:
     """Run the scenario to the arrival horizon, then drain the system.
 
-    Returns the per-customer columns plus path statistics, with the
-    per-arrival series, over the whole horizon: simulate_blocks' blocks
-    joined.  Inclusion and per-customer sojourn-bound violations are 0 by
-    contract.
+    Returns simulate_blocks' blocks joined into one PathBlock from customer
+    0, and the path statistics.  Inclusion and per-customer sojourn-bound
+    violations are 0 by contract.
     """
-    first, series = [], ([], [], [])
-
-    def join(block: PathBlock) -> None:  # onto the first block's columns
-        if first:
-            for whole, part in zip(vars(first[0]).values(), vars(block.customers).values()):
-                whole.extend(part)
-        else:
-            first.append(block.customers)
-        for whole, part in zip(series, (block.l_before, block.m_before, block.x_before)):
-            whole.append(part)
-
-    stats = simulate_blocks(scn, join)
-    l_before, m_before, x_before = map(np.concatenate, series)
-    return first[0], replace(stats, l_before=l_before, m_before=m_before, x_before=x_before)
+    blocks = []
+    stats = simulate_blocks(scn, blocks.append)
+    columns = zip(*(list(vars(b).values())[1:] for b in blocks))  # each field but start
+    return PathBlock(0, *(np.concatenate(c) if isinstance(c[0], np.ndarray)
+                          else list(chain.from_iterable(c)) for c in columns)), stats
 
 
 def instant_sums(t: np.ndarray, dep: np.ndarray, e_l: np.ndarray, e_m: np.ndarray,
@@ -430,7 +387,8 @@ class RegenReport:
 def regeneration_stats(scn: Scenario, stats: PathStatistics | None = None,
                        replicas: int = 200, max_depth: int = 10_000) -> RegenReport:
     """Side-by-side regenerativity report for the path statistics of a
-    completed simulation of scn (simulate's, when stats is None).
+    completed simulation of scn (simulate_blocks', run here with every block
+    dropped, when stats is None).
 
     The sufficient condition estimates P(Y=0) for alpha = sigma+dpat (begin)
     or dpat (end); the necessary one uses alpha = sigma^dpat.  Exactness of
@@ -438,7 +396,7 @@ def regeneration_stats(scn: Scenario, stats: PathStatistics | None = None,
     as observed, with no contract tying them to the conditions.
     """
     if stats is None:
-        stats = simulate(scn)[1]
+        stats = simulate_blocks(scn, lambda block: None)
     suff_spec = MODELS[scn.impatience].dominating
     p_suff = prob_zero_estimate(suff_spec, scn.source, replicas, max_depth)
     p_nec = prob_zero_estimate(SIGMA_MIN_D, scn.source, replicas, max_depth)
@@ -446,8 +404,8 @@ def regeneration_stats(scn: Scenario, stats: PathStatistics | None = None,
                        p_zero_sufficient=p_suff, p_zero_necessary=p_nec)
 
 
-def workload_before_arrivals(records: CustomerColumns) -> np.ndarray:
-    """Workload just before each arrival, reconstructed from the records.
+def workload_before_arrivals(records: PathBlock) -> np.ndarray:
+    """Workload just before each arrival, reconstructed from a block's columns.
 
     With one FIFO server the customers that reach it occupy it back to back
     in arrival order, so the committed work at T_n- is the latest departure
@@ -456,14 +414,14 @@ def workload_before_arrivals(records: CustomerColumns) -> np.ndarray:
     return _work_before(records, -math.inf)[0]
 
 
-def _work_before(records: CustomerColumns, latest: float) -> tuple[np.ndarray, float]:
+def _work_before(records: PathBlock, latest: float) -> tuple[np.ndarray, float]:
     """workload_before_arrivals of records that follow customers whose latest
     engaged departure is `latest`; and the latest one after the records."""
     # service_start is None (nan here) exactly for customers who abandoned
     engaged = ~np.isnan(np.array(records.service_start, dtype=float))
     ends = np.maximum.accumulate(np.concatenate(
         ([latest], np.where(engaged, records.departure, -math.inf))))
-    v = ends[:-1] - np.array(records.arrival)
+    v = ends[:-1] - records.arrival
     return clip(v, v), float(ends[-1])
 
 
@@ -491,10 +449,10 @@ def recursion_discrepancy(scn: Scenario) -> tuple[float, float]:
     def compare(block: PathBlock) -> None:
         nonlocal disc, w, latest
         # W before each of the block's arrivals: w, then after each but the last
-        stop = block.start + len(block.customers)
+        stop = block.start + block.arrival.size
         path = [w] + w_path(w, *scn.source.window_arrays(block.start, stop - 1))
         w = path.pop()
-        des_w, latest = _work_before(block.customers, latest)
+        des_w, latest = _work_before(block, latest)
         disc = np.maximum(disc, np.max(np.abs(des_w - path)))  # NaN stays NaN
 
     stats = simulate_blocks(scn, compare)

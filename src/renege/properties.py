@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .des import Scenario, simulate
+from .des import Scenario, simulate_blocks
 from .fifo import BEGIN, END
 from .marks import Uniform, iid_source
 from .recursion import clip, step_array
@@ -90,8 +90,8 @@ def des_inclusion_suite(seed: int = 20240814, customers: int = 4000) -> dict[str
         for servers in (1, 2, 4):
             src = iid_source(Uniform(0.0, 2.0), Uniform(0.0, 1.6), Uniform(0.0, 1.0),
                              seed=seed, stream=servers)
-            _, stats = simulate(Scenario(servers=servers, impatience=model,
-                                         source=src, horizon_customers=customers))
+            stats = simulate_blocks(Scenario(servers=servers, impatience=model, source=src,
+                                             horizon_customers=customers), lambda block: None)
             out[f"{model}_s{servers}_inclusion"] = stats.inclusion_violations
             out[f"{model}_s{servers}_sojourn"] = stats.sojourn_violations
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import Estimate, mc_aggregate
+from .estimation import Estimate, wilson
 from .marks import CapabilityError, MarkSource, MarkTriple
 
 # Marks in a MarkWindowCache's first fill.
@@ -378,21 +378,23 @@ def prob_zero_estimate(spec: RecursionSpec, src: MarkSource, replicas: int,
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     exact = spec.bound(src) is not None
-    hits = np.zeros(replicas)
+    hits = 0
     if exact:
-        for rows, _, _, _, depth in screen_replicas(spec, src, 0, replicas, 0, max_depth,
-                                                    positive_ok=True):
-            hits[rows] = depth > 0
+        # a row is undecided, depth 0, in every window yielded for it but its last
+        for _, _, _, _, depth in screen_replicas(spec, src, 0, replicas, 0, max_depth,
+                                                 positive_ok=True):
+            hits += int(np.count_nonzero(depth))
     else:
         # lag terms alpha - cumulative beta in windows doubling back from the
         # epoch, up to the first positive one; np.cumsum over [carry, *window]
         # sums in sequence, as one np.cumsum over all the lags would
         for r in range(replicas):
             rep, e = src.replica(r, 2 * max_depth)
-            s, depth, take, hits[r] = np.zeros(1), 0, _FIRST_WIDTH, True
-            while hits[r] and depth < max_depth:
+            s, depth, take, hit = np.zeros(1), 0, _FIRST_WIDTH, True
+            while hit and depth < max_depth:
                 xi, sigma, dpat = rep.window_arrays(e - min(depth + take, max_depth), e - depth - 1)
                 s = np.cumsum(np.concatenate((s[-1:], xi[::-1])))
-                hits[r] = not (spec.alpha_array(sigma, dpat)[::-1] - s[1:] > 0.0).any()
+                hit = not (spec.alpha_array(sigma, dpat)[::-1] - s[1:] > 0.0).any()
                 depth, take = depth + xi.size, 2 * take
-    return ProbZero(mc_aggregate(hits.tolist(), kind="binary"), exact=exact)
+            hits += hit
+    return ProbZero(wilson(hits, replicas), exact=exact)

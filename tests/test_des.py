@@ -32,14 +32,13 @@ BUSY = iid_source(Uniform(0.1, 1.0), Uniform(0.0, 0.8), Uniform(0.0, 0.6), seed=
 def test_hand_timeline_stable_single_server():
     src = deterministic_source(1.0, 0.6, 0.3, seed=1)
     scn = Scenario(servers=1, impatience="begin", source=src, horizon_customers=20)
-    records, stats = simulate(scn)
+    block, stats = simulate(scn)
     assert stats.outcome_counts["served"] == 20
     assert stats.outcome_counts["abandoned_queue"] == 0
     assert stats.empty_epoch_count == 20  # every service completion empties
     assert stats.inclusion_violations == 0 and stats.sojourn_violations == 0
-    for r in records:
-        assert r.service_start == r.arrival
-        assert r.departure == pytest.approx(r.arrival + 0.6)
+    assert block.service_start == block.arrival.tolist()
+    assert block.departure == pytest.approx(block.arrival + 0.6)
     # X alternates 1 during service, 0 for the rest of each cycle
     assert stats.time_average_congestion == pytest.approx(0.6, abs=0.02)
     assert stats.l_zero_arrival_freq == 1.0  # 0.9 decays out within each cycle
@@ -48,23 +47,21 @@ def test_hand_timeline_stable_single_server():
 def test_hand_timeline_end_model_aborts():
     src = deterministic_source(1.0, 1.5, 0.2, seed=1)
     scn = Scenario(servers=1, impatience="end", source=src, horizon_customers=15)
-    records, stats = simulate(scn)
+    block, stats = simulate(scn)
     assert stats.outcome_counts["aborted_in_service"] == 15
     assert stats.outcome_counts["served"] == 0
-    for r in records:
-        assert r.service_start == r.arrival  # server always free at arrivals
-        assert r.departure == pytest.approx(r.arrival + 0.2)
+    assert block.service_start == block.arrival.tolist()  # server always free at arrivals
+    assert block.departure == pytest.approx(block.arrival + 0.2)
     assert stats.inclusion_violations == 0 and stats.sojourn_violations == 0
 
 
 def test_hand_timeline_two_servers_alternate():
     src = deterministic_source(1.0, 1.5, 10.0, seed=1)
     scn = Scenario(servers=2, impatience="begin", source=src, horizon_customers=12)
-    records, stats = simulate(scn)
+    block, stats = simulate(scn)
     assert stats.outcome_counts["served"] == 12
     assert stats.outcome_counts["abandoned_queue"] == 0
-    for r in records:
-        assert r.service_start == r.arrival  # a server is always free in time
+    assert block.service_start == block.arrival.tolist()  # a server is always free in time
     assert stats.inclusion_violations == 0 and stats.sojourn_violations == 0
 
 
@@ -96,17 +93,17 @@ def test_regeneration_report_end_model(bounded_src):
 def test_inclusions_and_sojourn_bounds(model, servers):
     scn = Scenario(servers=servers, impatience=model, source=BOUNDED.substream(servers),
                    horizon_customers=5000)
-    records, stats = simulate(scn)
+    block, stats = simulate(scn)
     assert stats.inclusion_violations == 0
     assert stats.sojourn_violations == 0
     assert stats.arrivals == sum(stats.outcome_counts.values())  # drained system
     if model == "begin":
         assert stats.outcome_counts["aborted_in_service"] == 0
-    for r in records:
-        if r.service_start is not None:
-            assert r.service_start >= r.arrival
+    for a, d, s in zip(block.arrival, block.dpat, block.service_start):
+        if s is not None:
+            assert s >= a
             if model == "begin":
-                assert r.service_start <= r.arrival + r.dpat + 1e-9
+                assert s <= a + d + 1e-9
 
 
 def _chains(n, dominating):
@@ -122,21 +119,21 @@ def _chains(n, dominating):
 
 def test_des_l_chain_matches_recursion_step():
     scn = Scenario(servers=3, impatience="begin", source=BUSY, horizon_customers=3000)
-    _, stats = simulate(scn)
+    block, _ = simulate(scn)
     l_chain, m_chain = _chains(3000, SIGMA_PLUS_D)
     assert np.count_nonzero(m_chain) > 100
     # continuous-time and arrival-recursion forms agree up to reassociation
-    assert np.max(np.abs(stats.l_before - l_chain)) <= 1e-9
-    assert np.max(np.abs(stats.m_before - m_chain)) <= 1e-9
+    assert np.max(np.abs(block.l_before - l_chain)) <= 1e-9
+    assert np.max(np.abs(block.m_before - m_chain)) <= 1e-9
 
 
 def test_des_l_chain_matches_recursion_step_end_model():
     scn = Scenario(servers=2, impatience="end", source=BUSY, horizon_customers=2000)
-    _, stats = simulate(scn)
+    block, _ = simulate(scn)
     l_chain, m_chain = _chains(2000, D_ONLY)
     assert np.count_nonzero(m_chain) > 100
-    assert np.max(np.abs(stats.l_before - l_chain)) <= 1e-9
-    assert np.max(np.abs(stats.m_before - m_chain)) <= 1e-9
+    assert np.max(np.abs(block.l_before - l_chain)) <= 1e-9
+    assert np.max(np.abs(block.m_before - m_chain)) <= 1e-9
 
 
 def test_cross_validation_examples():
@@ -171,12 +168,12 @@ def test_cross_validation_requires_single_server():
 
 def test_work_conservation_single_server_begin():
     scn = Scenario(servers=1, impatience="begin", source=BOUNDED, horizon_customers=2000)
-    records, _ = simulate(scn)
-    des_w = workload_before_arrivals(records)
-    for r in records:
-        if des_w[r.index] > 0.0:
-            busy = any(k.service_start is not None and k.service_start <= r.arrival < k.departure
-                       for k in records[:r.index])
+    block, _ = simulate(scn)
+    des_w = workload_before_arrivals(block)
+    for i, a in enumerate(block.arrival):
+        if des_w[i] > 0.0:
+            busy = any(s is not None and s <= a < d
+                       for s, d in zip(block.service_start[:i], block.departure[:i]))
             assert busy
 
 
@@ -190,11 +187,11 @@ def test_des_abandonment_matches_birth_death_oracle():
     lam, mu, gamma = 0.8, 1.0, 0.5
     oracle, _ = birth_death_abandonment(OracleSpec(lam, mu, gamma))
     src = iid_source(Exponential(lam), Exponential(mu), Exponential(gamma), seed=2024)
-    records, stats = simulate(Scenario(servers=1, impatience="begin", source=src,
-                                       horizon_customers=100_000))
+    block, stats = simulate(Scenario(servers=1, impatience="begin", source=src,
+                                     horizon_customers=100_000))
     frac = stats.outcome_counts["abandoned_queue"] / stats.arrivals
     assert abs(frac - oracle) <= 3.0 * math.sqrt(oracle * (1 - oracle) / stats.arrivals)
-    mean_sojourn = sum(r.departure - r.arrival for r in records) / len(records)
+    mean_sojourn = float(np.mean(block.departure - block.arrival))
     lam_emp = stats.arrivals / stats.horizon_time
     assert stats.time_average_congestion == pytest.approx(lam_emp * mean_sojourn, rel=0.02)
 

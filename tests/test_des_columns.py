@@ -1,7 +1,7 @@
 """The arrival-indexed recursion against the event loop that pushed every
 event through one heap, kept here as the oracle; the instant check and its
-memory; the run in blocks against one whole-horizon block; and the
-read-only column view simulate returns."""
+memory; the run in blocks against one whole-horizon block; and the memory of
+the statistics, which keep no block."""
 
 import hashlib
 import heapq
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from renege import (
-    CustomerRecord,
     Discrete,
     Scenario,
     Uniform,
@@ -31,7 +30,7 @@ from renege.des import (
     OUTCOME_ABORTED,
     OUTCOME_SERVED,
     SOJOURN_TIME_TOL,
-    CustomerColumns,
+    PathBlock,
 )
 
 _COMPLETION, _DEADLINE, _ARRIVAL = 0, 1, 2
@@ -209,13 +208,16 @@ def test_merged_arrivals_match_the_heap_loop(name, model, servers, horizon):
                    horizon_customers=horizon)
     got, stats = simulate(scn)
     want, ref = heap_loop(scn)
-    assert isinstance(got, CustomerColumns)
+    assert isinstance(got, PathBlock) and got.start == 0
+    assert [getattr(got, col).dtype for col in ("arrival", "sigma", "dpat", "departure",
+                                                "l_before", "m_before", "x_before")] == \
+        [np.float64] * 6 + [np.int64]
     for col in ("arrival", "sigma", "dpat", "service_start", "departure"):
         assert _hex(getattr(got, col)) == _hex(want[col]), col
     assert got.outcome == want["outcome"]
     for series in ("l_before", "m_before"):
-        assert _hex(getattr(stats, series)) == _hex(ref[series]), series
-    assert stats.x_before.tolist() == ref["x_before"].tolist()
+        assert _hex(getattr(got, series)) == _hex(ref[series]), series
+    assert got.x_before.tolist() == ref["x_before"].tolist()
     assert stats.outcome_counts == ref["counts"]
     assert stats.empty_epoch_count == ref["empty_epochs"]
     assert stats.inclusion_violations == ref["inclusion_violations"] == 0
@@ -273,7 +275,7 @@ def test_small_windows_match_the_heap_loop(name, model, monkeypatch):
     cols, stats = simulate(scn)
     want, ref = heap_loop(scn)
     assert _hex(cols.departure) == _hex(want["departure"])
-    assert stats.x_before.tolist() == ref["x_before"].tolist()
+    assert cols.x_before.tolist() == ref["x_before"].tolist()
     assert stats.time_average_congestion.hex() == float(ref["time_average_congestion"]).hex()
     assert stats.sojourn_violations == ref["sojourn_violations"] == 0
     integral, violations, instants = des.instant_sums(*_instant_inputs(cols, model, 0.25))
@@ -290,8 +292,8 @@ DES_SOURCE = {"kind": "iid", "xi": {"dist": "exponential", "rate": 3.0},
 
 def test_simulate_peaks_no_higher_than_the_event_loop():
     # the event loop simulate replaced peaked at 4 407 259 bytes here
-    # (tracemalloc, after a first call; Python 3.11.7, numpy 2.4.6); the
-    # columns it returns are about 2.9 MB of that
+    # (tracemalloc, after a first call; Python 3.11.7, numpy 2.4.6);
+    # simulate, joining its blocks into one, peaks at 3 550 074
     scn = Scenario(servers=4, impatience="end", source=source_from_config(DES_SOURCE),
                    horizon_customers=20_000)
     simulate(scn)
@@ -304,11 +306,16 @@ def test_simulate_peaks_no_higher_than_the_event_loop():
     assert peak <= 4_407_259
 
 
+def _fields(block):
+    """A block's fields, the floats as hex and the counts as lists."""
+    return [v if k in ("start", "outcome") else v.tolist() if k == "x_before" else _hex(v)
+            for k, v in vars(block).items()]
+
+
 def _run(scn):
     """simulate's outputs, floats as hex."""
-    cols, stats = simulate(scn)
-    return ([c if c is cols.outcome else _hex(c) for c in vars(cols).values()], repr(stats),
-            [_hex(getattr(stats, k)) for k in ("l_before", "m_before")], stats.x_before.tolist())
+    block, stats = simulate(scn)
+    return _fields(block), repr(stats)
 
 
 @pytest.mark.parametrize("block, chunk", [(1, 1), (2, 1), (7, 3), (64, 5)])
@@ -323,7 +330,8 @@ def test_blocks_give_the_whole_horizon_path(model, servers, block, chunk, monkey
     scn = Scenario(servers=servers, impatience=model, source=SOURCES["tie-heavy"],
                    horizon_customers=3000)
     whole = _run(scn)
-    a, dep = np.array(whole[0][0]), np.array(whole[0][4])
+    path = simulate(scn)[0]
+    a, dep = path.arrival, path.departure
     edges = np.arange(block, 3000, block)
     edges = edges[a[edges - 1] == a[edges]]
     assert sum(((a[:k] == a[k]) & (dep[:k] == a[k])).any() for k in edges) > 5
@@ -393,6 +401,24 @@ def test_des_and_regen_run_in_bounded_memory(tmp_path, experiment):
         < 50_000
 
 
+def test_regeneration_stats_keep_no_block():
+    # with no statistics given, the path is simulated block by block and each
+    # block dropped: 20 000 and 200 000 customers both peaked at 0.90 MB,
+    # where the whole horizon simulate joins peaked at 3.8 and 39.6 MB
+    # (tracemalloc; Python 3.11.7, numpy 2.4.6)
+    peaks = []
+    for customers in (20_000, 20_000, 200_000):  # the first call warms up
+        scn = Scenario(servers=4, impatience="end", source=source_from_config(DES_SOURCE),
+                       horizon_customers=customers)
+        tracemalloc.start()
+        try:
+            des.regeneration_stats(scn, replicas=20, max_depth=100)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] - peaks[1] <= 500_000
+
+
 def test_servers_past_the_customers_cost_no_memory():
     # at most `customers` servers are ever busy: 10^6 servers for 1000
     # customers peaked at 8.4 MB with a free time per server, 0.43 MB at 1000
@@ -409,9 +435,7 @@ def test_servers_past_the_customers_cost_no_memory():
         finally:
             tracemalloc.stop()
         assert peak <= 1_000_000
-        runs.append(([_hex(c) if c is not cust.outcome else c for c in vars(cust).values()],
-                     repr(stats), [_hex(getattr(stats, k)) for k in ("l_before", "m_before")],
-                     stats.x_before.tolist()))
+        runs.append((_fields(cust), repr(stats)))
     assert runs[0] == runs[1]
 
 
@@ -439,51 +463,3 @@ def test_workload_before_arrivals_matches_the_record_walk():
         want = heap_loop_workload({"arrival": got.arrival, "service_start": got.service_start,
                                    "departure": got.departure})
         assert _hex(w) == _hex(want)
-
-
-def test_columns_read_as_customer_records():
-    src = SOURCES["tie-heavy"]
-    cols, _ = simulate(Scenario(servers=2, impatience="begin", source=src,
-                                horizon_customers=50))
-    assert len(cols) == 50
-    records = list(cols)
-    assert len(records) == 50 and all(isinstance(r, CustomerRecord) for r in records)
-    for i, r in enumerate(records):
-        assert r == CustomerRecord(i, cols.arrival[i], cols.sigma[i], cols.dpat[i],
-                                   cols.service_start[i], cols.departure[i], cols.outcome[i])
-        assert cols[i] == r
-        assert cols[i - 50] == r
-    assert cols[-1].index == 49
-    assert cols[:3] == records[:3]
-    assert cols[10:20:3] == records[10:20:3]
-    assert cols[::-7] == records[::-7]
-    assert cols[60:] == [] and cols[5:2] == []
-    for bad in (50, -51, 10 ** 9):
-        with pytest.raises(IndexError):
-            cols[bad]
-    # a record is a copy: changing it leaves the columns alone
-    records[0].departure = -1.0
-    assert cols[0].departure == cols.departure[0] != -1.0
-    assert not hasattr(cols, "__setitem__")
-    with pytest.raises(AttributeError):
-        cols.arrival = []
-
-
-@pytest.mark.parametrize("servers", [1, 3])
-@pytest.mark.parametrize("model", ["begin", "end"])
-@pytest.mark.parametrize("name", ["tie-heavy", "bounded", "deterministic-half", "des"])
-def test_starts_on_arrival_are_the_arrival_floats(name, model, servers):
-    # a customer who starts on arrival carries the arrival's own float as
-    # service_start, taken from the arrival and not recomputed, so the two
-    # are equal to the last bit
-    src = source_from_config({**DES_SOURCE, "seed": 3}) if name == "des" else SOURCES[name]
-    blocks = []
-    des.simulate_blocks(Scenario(servers=servers, impatience=model, source=src,
-                                 horizon_customers=10_000), blocks.append)
-    on_arrival = 0
-    for block in blocks:
-        for a, s in zip(block.customers.arrival, block.customers.service_start):
-            if s == a:
-                assert s is a
-                on_arrival += 1
-    assert on_arrival > 100

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from renege import (
     markov_source,
     mc_aggregate,
     prob_zero_estimate,
+    source_from_config,
     step,
 )
 from renege.recursion import y_path
@@ -221,6 +224,32 @@ def test_prob_zero_approximate_flag():
     pz = prob_zero_estimate(SIGMA_PLUS_D, unbounded, 50, 200)
     assert not pz.exact
     assert 0.0 <= pz.estimate.point <= 1.0
+
+
+# the exact-iid benchmark workload's source: heavy and bounded
+EXACT_IID = source_from_config({
+    "kind": "iid", "seed": 20081, "xi": {"dist": "uniform", "low": 0.2, "high": 1.0},
+    "sigma": {"dist": "truncated-exponential", "rate": 1.5, "cap": 2.0},
+    "dpat": {"dist": "uniform", "low": 0.0, "high": 1.5}})
+
+
+def _peak(replicas):
+    """tracemalloc peak of the exact zero estimate over the replicas."""
+    tracemalloc.start()
+    try:
+        prob_zero_estimate(SIGMA_PLUS_D, EXACT_IID, replicas, 10_000)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_prob_zero_counts_its_hits():
+    # the hits are counted, not kept a replica each: from 20 000 to 120 000
+    # replicas the peak grew 16.2 bytes a replica (the screen's index arrays),
+    # 41.7 with a float per replica, its list and mc_aggregate's (tracemalloc;
+    # Python 3.11.7, numpy 2.4.6)
+    prob_zero_estimate(SIGMA_PLUS_D, EXACT_IID, 1000, 10_000)
+    assert _peak(120_000) - _peak(20_000) <= 24 * 100_000
 
 
 # the forward benchmark workload's source: M/M/1+M, no bound on alpha
