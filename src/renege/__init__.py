@@ -53,7 +53,6 @@ from .des import (
     PathStatistics,
     RegenReport,
     Scenario,
-    cross_validate_recursion,
     regeneration_stats,
     simulate,
     workload_before_arrivals,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fifo import BEGIN, MODELS, Model
+from .fifo import BEGIN, MODELS, Model, forward_samples
 from .marks import MarkSource
 from .recursion import y_path
 
@@ -76,10 +76,10 @@ def cesaro_distribution(src: MarkSource, n: int, model: str) -> EmpiricalMeasure
     """Uniform mixture of the laws of the first n workload states from 0,
     realized as the occupation measure of a single trajectory (ergodic
     surrogate): values are w_1..w_n in order, the path that boundary_mass and
-    tightness_report read."""
+    tightness_report read, walked a window at a time by fifo.forward_samples."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    values = np.array(_model(model).w_path(0.0, *src.window_arrays(0, n - 1)))  # w_1..w_n
+    values = forward_samples(_model(model), src, n, warmup=1)  # seen by customers 1..n
     return EmpiricalMeasure(values=values, model=model)
 
 

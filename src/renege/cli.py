@@ -76,7 +76,7 @@ EXIT_CONFIG = 2
 EXIT_CAPABILITY = 3
 EXIT_CONTRACT = 4
 
-_CSV_ROWS = 1024  # rows formatted at once by _csv_rows and _customer_rows
+_CSV_ROWS = 1024  # rows formatted at once by _csv_rows
 _RANGE_ROWS = 8192  # the most replica rows in one range of _parallel_rows
 _INDEX_MAX = int(np.iinfo(np.intp).max)
 
@@ -287,18 +287,17 @@ def _json_cells(a: np.ndarray) -> list[str]:
     return text[1:-1].decode().split(",") if a.size else []
 
 
-def _float_cells(values) -> list[str]:
-    """float.__repr__ of each value of a float64 array or a list of floats,
-    blank for None: orjson's Ryu text, which is repr's shortest round-trip
+def _float_cells(a: np.ndarray) -> list[str]:
+    """float.__repr__ of each value of a float64 array, blank for NaN (a
+    missing value): orjson's Ryu text, which is repr's shortest round-trip
     digits, and repr again for the cells where orjson's layout differs:
-    non-finite values (orjson's null) and nonzero ones outside
-    1e-4 <= |x| < 1e16 (orjson's 0.00001 and 1e16 for 1e-05 and 1e+16)."""
-    a = np.asarray(values, dtype=np.float64)  # None is nan here
+    infinities (orjson's null) and nonzero values outside 1e-4 <= |x| < 1e16
+    (orjson's 0.00001 and 1e16 for 1e-05 and 1e+16)."""
     cells = _json_cells(a)
     mag = np.abs(a)
     odd = np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (a != 0.0))
     for i, v in zip(odd.tolist(), a[odd].tolist()):
-        cells[i] = "" if v != v and values[i] is None else float.__repr__(v)
+        cells[i] = "" if v != v else float.__repr__(v)
     return cells
 
 
@@ -478,22 +477,13 @@ def _exp_regen(cfg, params, out_dir, workers, src) -> int:
     return _finish(out_dir, "regen", cfg, src, results, _path_violation(report.stats))
 
 
-def _customer_rows(fh, block) -> None:
-    """customers.csv rows of a simulate_blocks block, _CSV_ROWS at a time:
-    the index, the times by _float_cells (service_start blank for None) and
-    the outcomes as the program's own text."""
-    times = block.arrival, block.sigma, block.dpat, block.service_start, block.departure
-    for lo in range(0, block.arrival.size, _CSV_ROWS):
-        hi = min(lo + _CSV_ROWS, block.arrival.size)
-        _write_lines(fh, [map(int.__repr__, range(block.start + lo, block.start + hi)),
-                          *(_float_cells(c[lo:hi]) for c in times), block.outcome[lo:hi]])
-
-
 def _exp_des(cfg, params, out_dir, workers, src) -> int:
     scn = _scenario(params, src)
     with _csv_file(out_dir / "customers.csv", ["index", "arrival", "sigma", "dpat",
                                                "service_start", "departure", "outcome"]) as fh:
-        stats = simulate_blocks(scn, partial(_customer_rows, fh))
+        stats = simulate_blocks(scn, lambda b: _csv_rows(fh, [
+            range(b.start, b.start + b.arrival.size), b.arrival, b.sigma, b.dpat,
+            b.service_start, b.departure, b.outcome]))
     return _finish(out_dir, "des", cfg, src, _path_stats_results(stats), _path_violation(stats))
 
 

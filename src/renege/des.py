@@ -37,21 +37,22 @@ the integral of X and checks {L=0} => {X=0} => {M=0} at every event
 instant: each distinct arrival, departure, deadline and completion time.
 
 The loop runs in blocks of _BLOCK arrivals, each handed to the caller as a
-PathBlock (the block's customers as plain columns, and its series) and
-dropped before the next, so a run holds one block whatever its horizon: the
-CLI writes customers.csv and regen's detail.csv block by block, and xval
-compares W block by block.  Between blocks the run carries only _Carry: the
-heap of free times, the next arrival time (the next block's times are
-np.cumsum([t_last, *xi]), summed in the same sequence as over the whole
-horizon), the running maxima e_l and e_m, the counters, and the events the
-instant check has not reached: the departures, deadlines and voided
-completions at or after the next block's first arrival, whose customers are
-still in the system, and the block's arrivals tied with it.  So its memory
-is bounded by the congestion, not the horizon.  instant_sums keeps its
-windows of _CHUNK arrivals and sums the integral in time order across
-blocks, so the statistics keep their bits.  The statistics need no block
-kept (regeneration_stats and the inclusion suite drop each one); simulate
-joins them into one PathBlock of the whole horizon.
+PathBlock (the block's customers as float64 columns, service_start NaN for
+one who abandoned, their outcomes, and the series) and dropped before the
+next, so a run holds one block whatever its horizon: the CLI writes
+customers.csv and regen's detail.csv block by block, and xval compares W
+block by block on the block's own marks.  Between blocks the run carries
+only _Carry: the heap of free times, the next arrival time (the next
+block's times are np.cumsum([t_last, *xi]), summed in the same sequence as
+over the whole horizon), the running maxima e_l and e_m, the counters, and
+the events the instant check has not reached: the departures, deadlines and
+voided completions at or after the next block's first arrival, whose
+customers are still in the system, and the block's arrivals tied with it.
+So its memory is bounded by the congestion, not the horizon.  instant_sums
+keeps its windows of _CHUNK arrivals and sums the integral in time order
+across blocks, so the statistics keep their bits.  The statistics need no
+block kept (regeneration_stats and the inclusion suite drop each one);
+simulate joins them into one PathBlock of the whole horizon.
 """
 
 from __future__ import annotations
@@ -136,17 +137,18 @@ class PathStatistics:
 
 @dataclass(frozen=True)
 class PathBlock:
-    """Customers start.. of a path, by customer: the arrival times and marks,
-    service_start (None for a customer who abandoned the queue), the
-    departures and the outcomes, and the series seen just before each
-    arrival.  The times, marks and series are numpy arrays, service_start and
-    outcome lists."""
+    """Customers start.. of a path, by customer: the arrival times and marks
+    xi, sigma and dpat, service_start (NaN for a customer who abandoned the
+    queue), the departures and the outcomes, and the series seen just before
+    each arrival.  Every field but start and outcome, a list, is a numpy
+    array."""
 
     start: int
     arrival: np.ndarray
+    xi: np.ndarray
     sigma: np.ndarray
     dpat: np.ndarray
-    service_start: list[float | None]
+    service_start: np.ndarray
     departure: np.ndarray
     outcome: list[str]
     l_before: np.ndarray
@@ -233,11 +235,10 @@ def _block(scn: Scenario, carry: _Carry, k0: int, k1: int) -> PathBlock:
     for e in (e_m, e_l):
         np.maximum.accumulate(e, out=e)
     carry.e_m, carry.e_l = e_m[-1], e_l[-1]
-    del xi
 
     free = carry.free
     # allocated whole and filled in place: lists grown by appends fragment the heap
-    service_start: list[float | None] = [None] * m
+    starts = [math.nan] * m
     departure = [0.0] * m
     outcome = [OUTCOME_ABANDONED] * m
     stale = array("d")  # the completion times that an end-model abort voids
@@ -258,11 +259,11 @@ def _block(scn: Scenario, carry: _Carry, k0: int, k1: int) -> PathBlock:
         else:
             outcome[j] = OUTCOME_SERVED
         heapreplace(free, c)
-        service_start[j] = st
+        starts[j] = st
         departure[j] = c
 
-    dep = np.array(departure)
-    del arrival_l, sigma_l, dpat_l, departure
+    dep, service_start = np.array(departure), np.array(starts)
+    del arrival_l, sigma_l, dpat_l, departure, starts
     for k in range(0, m, _CHUNK):  # in windows, which keeps the peak down
         w = slice(k, k + _CHUNK)
         soj, tol = dep[w] - t[w], time_tolerance(dep[w])
@@ -306,14 +307,14 @@ def _block(scn: Scenario, carry: _Carry, k0: int, k1: int) -> PathBlock:
     for e in (e_l, e_m):  # in place: [e_{n-1} - T_n]+, seen by arrival n
         clip(np.subtract(e[:-1], t, out=e[:-1]), e[:-1])
 
-    abandoned = service_start.count(None)
+    abandoned = int(np.count_nonzero(np.isnan(service_start)))
     carry.counts[OUTCOME_SERVED] += m - abandoned - len(stale)
     carry.counts[OUTCOME_ABANDONED] += abandoned
     carry.counts[OUTCOME_ABORTED] += len(stale)
     carry.empty_epochs += int(np.count_nonzero(x_before == 0))
     carry.l_zero += np.count_nonzero(e_l[:-1] == 0.0)
     carry.m_zero += np.count_nonzero(e_m[:-1] == 0.0)
-    return PathBlock(k0, t, sigma, dpat, service_start, dep, outcome, e_l[:-1], e_m[:-1],
+    return PathBlock(k0, t, xi, sigma, dpat, service_start, dep, outcome, e_l[:-1], e_m[:-1],
                      x_before)
 
 
@@ -327,8 +328,8 @@ def simulate(scn: Scenario) -> tuple[PathBlock, PathStatistics]:
     blocks = []
     stats = simulate_blocks(scn, blocks.append)
     columns = zip(*(list(vars(b).values())[1:] for b in blocks))  # each field but start
-    return PathBlock(0, *(np.concatenate(c) if isinstance(c[0], np.ndarray)
-                          else list(chain.from_iterable(c)) for c in columns)), stats
+    return PathBlock(0, *(list(chain.from_iterable(c)) if isinstance(c[0], list)
+                          else np.concatenate(c) for c in columns)), stats
 
 
 def instant_sums(t: np.ndarray, dep: np.ndarray, e_l: np.ndarray, e_m: np.ndarray,
@@ -417,18 +418,11 @@ def workload_before_arrivals(records: PathBlock) -> np.ndarray:
 def _work_before(records: PathBlock, latest: float) -> tuple[np.ndarray, float]:
     """workload_before_arrivals of records that follow customers whose latest
     engaged departure is `latest`; and the latest one after the records."""
-    # service_start is None (nan here) exactly for customers who abandoned
-    engaged = ~np.isnan(np.array(records.service_start, dtype=float))
+    engaged = ~np.isnan(records.service_start)  # NaN exactly where a customer abandoned
     ends = np.maximum.accumulate(np.concatenate(
         ([latest], np.where(engaged, records.departure, -math.inf))))
     v = ends[:-1] - records.arrival
     return clip(v, v), float(ends[-1])
-
-
-def cross_validate_recursion(scn: Scenario) -> float:
-    """Max |DES workload before arrival - arrival recursion| over the horizon:
-    recursion_discrepancy's first value."""
-    return recursion_discrepancy(scn)[0]
 
 
 def recursion_discrepancy(scn: Scenario) -> tuple[float, float]:
@@ -438,8 +432,8 @@ def recursion_discrepancy(scn: Scenario) -> tuple[float, float]:
     Single server only; the contract is that the first is at most
     time_tolerance of the second, which is 1e-9 before time 2^17 (pure float
     reassociation between event-time and mark-time arithmetic).  Compared
-    block by block (simulate_blocks), the recursion carried from one block
-    to the next.
+    block by block (simulate_blocks) on each block's own marks, the
+    recursion carried from one block to the next.
     """
     if scn.servers != 1:
         raise CapabilityError("workload cross-validation is defined for a single server")
@@ -449,8 +443,7 @@ def recursion_discrepancy(scn: Scenario) -> tuple[float, float]:
     def compare(block: PathBlock) -> None:
         nonlocal disc, w, latest
         # W before each of the block's arrivals: w, then after each but the last
-        stop = block.start + block.arrival.size
-        path = [w] + w_path(w, *scn.source.window_arrays(block.start, stop - 1))
+        path = [w] + w_path(w, block.xi, block.sigma, block.dpat)
         w = path.pop()
         des_w, latest = _work_before(block, latest)
         disc = np.maximum(disc, np.max(np.abs(des_w - path)))  # NaN stays NaN

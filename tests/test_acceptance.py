@@ -16,7 +16,6 @@ from renege import (
     Uniform,
     binomial_se,
     cesaro_distribution,
-    cross_validate_recursion,
     forward_samples,
     iid_source,
     invariance_distance,
@@ -25,6 +24,7 @@ from renege import (
     prob_zero_estimate,
     simulate,
 )
+from renege.des import recursion_discrepancy
 from renege.fifo import BEGIN, END
 from renege.properties import pointwise_inequality_suite
 
@@ -130,8 +130,8 @@ def test_c07_des_recursion_cross_validation():
     for model in ("begin", "end"):
         src = iid_source(Uniform(0.5, 1.5), Uniform(0.0, 0.8), Uniform(0.0, 0.4),
                          seed=515151)
-        disc = cross_validate_recursion(
-            Scenario(servers=1, impatience=model, source=src, horizon_customers=10_000))
+        disc = recursion_discrepancy(
+            Scenario(servers=1, impatience=model, source=src, horizon_customers=10_000))[0]
         worst = max(worst, disc)
     _criterion(7, worst <= 1e-9, f"max workload discrepancy {worst:.2e} <= 1e-9")
 

@@ -22,26 +22,25 @@ EXPORTS = frozenset({
     "MarkSource", "MarkTriple", "PathStatistics", "ProbZero", "RecursionSpec", "RegenReport",
     "RenovationNotFoundError", "SIGMA_MIN_D", "SIGMA_PLUS_D", "Scenario", "StateMarginals",
     "TightnessReport", "TruncatedExponential", "Uniform", "binomial_se", "boundary_mass",
-    "cesaro_distribution", "cross_validate_recursion", "deterministic_source", "end_step",
-    "fifo_step", "forward_samples", "forward_samples_end", "iid_source", "invariance_distance",
-    "kolmogorov_distance", "loss_metrics_end", "loss_probability_begin", "markov_source",
-    "mc_aggregate", "prob_zero_estimate", "regeneration_stats", "sample_stationary_s",
-    "sample_stationary_w", "simulate", "source_from_config", "step", "tightness_report",
-    "wilson", "workload_before_arrivals",
+    "cesaro_distribution", "deterministic_source", "end_step", "fifo_step", "forward_samples",
+    "forward_samples_end", "iid_source", "invariance_distance", "kolmogorov_distance",
+    "loss_metrics_end", "loss_probability_begin", "markov_source", "mc_aggregate",
+    "prob_zero_estimate", "regeneration_stats", "sample_stationary_s", "sample_stationary_w",
+    "simulate", "source_from_config", "step", "tightness_report", "wilson",
+    "workload_before_arrivals",
 })
 
 
 def test_exported_names_are_pinned():
     got = {name for name, value in vars(renege).items()
            if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(EXPORTS) == 50
+    assert len(EXPORTS) == 49
     assert got == EXPORTS
 
 PARAMETERS = {
     "binomial_se": ("p", "n"),
     "boundary_mass": ("mu", "src", "p"),
     "cesaro_distribution": ("src", "n", "model"),
-    "cross_validate_recursion": ("scn",),
     "deterministic_source": ("xi", "sigma", "dpat", "seed", "stream"),
     "end_step": ("s", "mark"),
     "fifo_step": ("w", "mark"),
@@ -114,8 +113,8 @@ def test_exact_rows_is_the_one_exact_row_function():
             for a in node.names if a.name.startswith("_")] == []
 
 
-# fields and records with one value or no reader, deleted
-REMOVED = ("StationarySample", "CustomerRecord")
+# fields, records and wrappers with one value or no reader, deleted
+REMOVED = ("StationarySample", "CustomerRecord", "cross_validate_recursion")
 
 
 def test_removed_names_are_not_exported():
@@ -124,6 +123,7 @@ def test_removed_names_are_not_exported():
     assert "replicas" not in renege.ProbZero.__dataclass_fields__
     # simulate returns a block of plain columns; the statistics hold no series
     assert not hasattr(renege.des, "CustomerColumns")
+    assert not hasattr(renege.des, "cross_validate_recursion")
     assert not {"l_before", "m_before", "x_before"} & set(renege.PathStatistics.__dataclass_fields__)
 
 

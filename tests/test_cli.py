@@ -867,9 +867,10 @@ _OTHER_COLUMNS = {
 def test_typed_array_columns_keep_their_text(col):
     # float64 and int64 arrays are formatted by their dtype, all-equal ones
     # as one cell repeated, ranges as ints and text lists as they are: the
-    # text is repr's of each value, or the text itself
+    # text is repr's of each value (blank for NaN), or the text itself
     values = col.tolist() if isinstance(col, np.ndarray) else col
-    assert _cells(col) == [v if isinstance(v, str) else repr(v) for v in values]
+    assert _cells(col) == [v if isinstance(v, str) else "" if v != v else repr(v)
+                           for v in values]
 
 
 def test_constant_columns_keep_zero_signs_apart():
@@ -886,15 +887,14 @@ _BOUNDARIES = [1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 1e16,
 
 
 def _reprs(values):
-    return [repr(float(v)) for v in values]
+    """repr of each value, blank for NaN: the one cell rule for floats."""
+    return ["" if v != v else repr(float(v)) for v in values]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(), max_size=40))
 def test_float_cells_are_repr(values):
-    # every float hypothesis draws, NaN, ±inf, ±0.0 and subnormals among them,
-    # as a list and as a float64 array
-    assert _float_cells(values) == _reprs(values)
+    # every float hypothesis draws, NaN, ±inf, ±0.0 and subnormals among them
     assert _float_cells(np.array(values, dtype=np.float64)) == _reprs(values)
 
 
@@ -902,25 +902,28 @@ def test_float_cells_are_repr(values):
 def test_float_cells_at_the_layout_boundaries(sign):
     # orjson writes 0.00001 and 1e16 where repr writes 1e-05 and 1e+16: at and
     # next to each edge of 1e-4 <= |x| < 1e16 the cell is repr's
-    values = [sign * v for v in _BOUNDARIES]
+    values = np.array([sign * v for v in _BOUNDARIES])
     assert _float_cells(values) == _reprs(values)
-    assert [_float_cells([v]) for v in values] == [[r] for r in _reprs(values)]
+    assert [_float_cells(values[i:i + 1]) for i in range(values.size)] == \
+        [[r] for r in _reprs(values)]
 
 
-def test_float_cells_of_arrays_and_lists_of_any_shape():
-    assert _float_cells([]) == _float_cells(np.empty(0)) == []
-    assert _float_cells([0.5]) == _float_cells(np.array([0.5])) == ["0.5"]
+def test_float_cells_of_arrays_of_any_shape():
+    assert _float_cells(np.empty(0)) == []
+    assert _float_cells(np.array([0.5])) == ["0.5"]
     strided = np.linspace(-3.0, 7.0, 301)[::7]
     assert not strided.flags.c_contiguous
     assert _float_cells(strided) == _reprs(strided)
-    assert _float_cells(strided.tolist()) == _reprs(strided)
 
 
-def test_float_cells_blank_none_and_write_nan():
-    # blank is decided from the values: None is blank, NaN (orjson's null
-    # as well) is repr's nan
-    values = [None, 1.5, math.nan, None, -math.inf, 2e-9, None]
-    assert _float_cells(values) == ["", "1.5", "nan", "", "-inf", "2e-09", ""]
+def test_float_cells_write_nan_as_blank():
+    # NaN is a missing value (a start that never came): blank, whatever its
+    # sign or payload, where orjson writes null for it and for the infinities
+    payload = np.array([0x7FF8_0000_0000_0001, 0xFFF0_0000_0000_0002], dtype=np.uint64)
+    values = np.concatenate(([math.nan, 1.5, -math.nan, -math.inf, 2e-9, math.inf],
+                             payload.view(np.float64)))
+    assert _float_cells(values) == ["", "1.5", "", "-inf", "2e-09", "inf", "", ""]
+    assert _cells(np.full(5, math.nan)) == [""] * 5
 
 
 def test_float_cells_match_repr_on_a_million_bit_patterns():
@@ -934,19 +937,19 @@ def test_float_cells_match_repr_on_a_million_bit_patterns():
     bits[drawn] = (bits[drawn] & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (exponent[drawn] <<
                                                                       np.uint64(52))
     values = bits.view(np.float64)
-    assert _float_cells(values) == list(map(float.__repr__, values.tolist()))
+    assert _float_cells(values) == _reprs(values.tolist())
 
 
 def _customers_reference(path, cols):
-    """customers.csv by csv.writer from simulate's columns, floats as repr."""
+    """customers.csv by csv.writer from simulate's columns, floats as repr and
+    a NaN service_start (a customer who abandoned) blank."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "arrival", "sigma", "dpat", "service_start", "departure",
                          "outcome"])
-        columns = (cols.arrival.tolist(), cols.sigma.tolist(), cols.dpat.tolist(),
-                   cols.service_start, cols.departure.tolist(), cols.outcome)
-        writer.writerows(zip(range(cols.arrival.size), *([repr(c) if isinstance(c, float) else c
-                                                          for c in col] for col in columns)))
+        times = (cols.arrival, cols.sigma, cols.dpat, cols.service_start, cols.departure)
+        writer.writerows(zip(range(cols.arrival.size), *(_reprs(c.tolist()) for c in times),
+                             cols.outcome))
 
 
 # services of -0.0, so every customer starts and departs on arrival,

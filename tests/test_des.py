@@ -7,12 +7,12 @@ from renege import (
     CapabilityError,
     D_ONLY,
     Discrete,
+    MarkSource,
     MarkTriple,
     SIGMA_MIN_D,
     SIGMA_PLUS_D,
     Scenario,
     Uniform,
-    cross_validate_recursion,
     deterministic_source,
     iid_source,
     regeneration_stats,
@@ -22,7 +22,7 @@ from renege import (
 )
 from renege import des
 from renege.cli import main
-from renege.des import SOJOURN_TIME_TOL, time_tolerance
+from renege.des import SOJOURN_TIME_TOL, recursion_discrepancy, time_tolerance
 
 BOUNDED = iid_source(Uniform(0.5, 1.5), Uniform(0.0, 0.8), Uniform(0.0, 0.4), seed=515151)
 # short interarrivals: the dominated chain M (alpha = sigma ^ dpat) leaves 0 too
@@ -37,7 +37,7 @@ def test_hand_timeline_stable_single_server():
     assert stats.outcome_counts["abandoned_queue"] == 0
     assert stats.empty_epoch_count == 20  # every service completion empties
     assert stats.inclusion_violations == 0 and stats.sojourn_violations == 0
-    assert block.service_start == block.arrival.tolist()
+    assert np.array_equal(block.service_start, block.arrival)
     assert block.departure == pytest.approx(block.arrival + 0.6)
     # X alternates 1 during service, 0 for the rest of each cycle
     assert stats.time_average_congestion == pytest.approx(0.6, abs=0.02)
@@ -50,7 +50,7 @@ def test_hand_timeline_end_model_aborts():
     block, stats = simulate(scn)
     assert stats.outcome_counts["aborted_in_service"] == 15
     assert stats.outcome_counts["served"] == 0
-    assert block.service_start == block.arrival.tolist()  # server always free at arrivals
+    assert np.array_equal(block.service_start, block.arrival)  # server always free at arrivals
     assert block.departure == pytest.approx(block.arrival + 0.2)
     assert stats.inclusion_violations == 0 and stats.sojourn_violations == 0
 
@@ -61,7 +61,7 @@ def test_hand_timeline_two_servers_alternate():
     block, stats = simulate(scn)
     assert stats.outcome_counts["served"] == 12
     assert stats.outcome_counts["abandoned_queue"] == 0
-    assert block.service_start == block.arrival.tolist()  # a server is always free in time
+    assert np.array_equal(block.service_start, block.arrival)  # a server is always free in time
     assert stats.inclusion_violations == 0 and stats.sojourn_violations == 0
 
 
@@ -100,7 +100,7 @@ def test_inclusions_and_sojourn_bounds(model, servers):
     if model == "begin":
         assert stats.outcome_counts["aborted_in_service"] == 0
     for a, d, s in zip(block.arrival, block.dpat, block.service_start):
-        if s is not None:
+        if not np.isnan(s):
             assert s >= a
             if model == "begin":
                 assert s <= a + d + 1e-9
@@ -138,16 +138,16 @@ def test_des_l_chain_matches_recursion_step_end_model():
 
 def test_cross_validation_examples():
     det = deterministic_source(1.0, 0.6, 0.3, seed=1)
-    assert cross_validate_recursion(
-        Scenario(servers=1, impatience="begin", source=det, horizon_customers=100)) == 0.0
+    assert recursion_discrepancy(
+        Scenario(servers=1, impatience="begin", source=det, horizon_customers=100))[0] == 0.0
 
     hard = deterministic_source(1.0, 1.5, 0.2, seed=1)
-    assert cross_validate_recursion(
-        Scenario(servers=1, impatience="end", source=hard, horizon_customers=100)) == 0.0
+    assert recursion_discrepancy(
+        Scenario(servers=1, impatience="end", source=hard, horizon_customers=100))[0] == 0.0
 
     for model in ("begin", "end"):
-        disc = cross_validate_recursion(
-            Scenario(servers=1, impatience=model, source=BOUNDED, horizon_customers=10_000))
+        disc = recursion_discrepancy(
+            Scenario(servers=1, impatience=model, source=BOUNDED, horizon_customers=10_000))[0]
         assert disc <= 1e-9
 
 
@@ -155,15 +155,35 @@ def test_cross_validation_with_batch_arrivals():
     batch = iid_source(Discrete((0.0, 2.0), (0.3, 0.7)), Uniform(0.0, 1.2), Uniform(0.0, 0.6),
                        seed=77)
     for model in ("begin", "end"):
-        disc = cross_validate_recursion(
-            Scenario(servers=1, impatience=model, source=batch, horizon_customers=5000))
+        disc = recursion_discrepancy(
+            Scenario(servers=1, impatience=model, source=batch, horizon_customers=5000))[0]
         assert disc <= 1e-9
+
+
+def test_cross_validation_draws_each_block_once(monkeypatch):
+    # the recursion walks each block's own marks: one fill_window call a
+    # block, the DES's, where a second draw for the recursion made two
+    calls = []
+    fill = MarkSource.fill_window
+
+    def counted(self, lo, hi, into):
+        calls.append((lo, hi))
+        return fill(self, lo, hi, into)
+
+    monkeypatch.setattr(MarkSource, "fill_window", counted)
+    n = 2 * des._BLOCK + 5
+    for model in ("begin", "end"):
+        calls.clear()
+        disc, _ = recursion_discrepancy(
+            Scenario(servers=1, impatience=model, source=BOUNDED, horizon_customers=n))
+        assert disc <= 1e-9
+        assert calls == [(k, min(k + des._BLOCK, n) - 1) for k in range(0, n, des._BLOCK)]
 
 
 def test_cross_validation_requires_single_server():
     scn = Scenario(servers=2, impatience="begin", source=BOUNDED, horizon_customers=10)
     with pytest.raises(CapabilityError):
-        cross_validate_recursion(scn)
+        recursion_discrepancy(scn)
 
 
 def test_work_conservation_single_server_begin():
@@ -172,7 +192,7 @@ def test_work_conservation_single_server_begin():
     des_w = workload_before_arrivals(block)
     for i, a in enumerate(block.arrival):
         if des_w[i] > 0.0:
-            busy = any(s is not None and s <= a < d
+            busy = any(not np.isnan(s) and s <= a < d
                        for s, d in zip(block.service_start[:i], block.departure[:i]))
             assert busy
 

@@ -50,7 +50,7 @@ def heap_loop(scn, shift=0.0):
     arrival_l = arrival.tolist()
 
     status = [_WAITING] * n_cust
-    service_start = [None] * n_cust
+    service_start = [math.nan] * n_cust
     departure = [0.0] * n_cust
     outcome = [""] * n_cust
     server_of = [-1] * n_cust
@@ -170,13 +170,13 @@ def heap_loop_workload(columns):
     for a, s, d in zip(columns["arrival"], columns["service_start"], columns["departure"]):
         v = f - a
         out.append(v if v > 0.0 else 0.0)
-        if s is not None and d > f:
+        if not math.isnan(s) and d > f:
             f = d
     return out
 
 
 def _hex(values):
-    return [None if v is None else float(v).hex() for v in values]
+    return [float(v).hex() for v in values]
 
 
 def _tie_heavy(seed):
@@ -209,11 +209,14 @@ def test_merged_arrivals_match_the_heap_loop(name, model, servers, horizon):
     got, stats = simulate(scn)
     want, ref = heap_loop(scn)
     assert isinstance(got, PathBlock) and got.start == 0
-    assert [getattr(got, col).dtype for col in ("arrival", "sigma", "dpat", "departure",
-                                                "l_before", "m_before", "x_before")] == \
-        [np.float64] * 6 + [np.int64]
+    # every field a numpy array but the outcomes' text: NaN marks a start that never came
+    assert [k for k, v in vars(got).items() if isinstance(v, list)] == ["outcome"]
+    assert [getattr(got, col).dtype for col in ("arrival", "xi", "sigma", "dpat", "service_start",
+                                                "departure", "l_before", "m_before",
+                                                "x_before")] == [np.float64] * 8 + [np.int64]
     for col in ("arrival", "sigma", "dpat", "service_start", "departure"):
         assert _hex(getattr(got, col)) == _hex(want[col]), col
+    assert _hex(got.xi) == _hex(scn.source.window_arrays(0, horizon - 1)[0])
     assert got.outcome == want["outcome"]
     for series in ("l_before", "m_before"):
         assert _hex(getattr(got, series)) == _hex(ref[series]), series
@@ -236,7 +239,7 @@ def _instant_inputs(cols, model, shift):
     a, s, d, dep = (np.array(getattr(cols, k)) for k in ("arrival", "sigma", "dpat", "departure"))
     e_l = np.maximum.accumulate(a + d if model == "end" else a + d + s) - shift
     e_m = np.maximum.accumulate(a + np.minimum(s, d)) + shift
-    completion = np.array(cols.service_start, dtype=float) + s
+    completion = cols.service_start + s
     stale = completion[np.array(cols.outcome) == OUTCOME_ABORTED]
     return a, np.sort(dep), e_l, e_m, np.sort(a + d), np.sort(stale)
 

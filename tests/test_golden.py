@@ -267,3 +267,26 @@ def test_golden_csv_files_need_no_quoting(name, tmp_path):
         assert len({len(row) for row in split}) == 1 and len(split[0]) >= 2
         assert list(csv.reader(io.StringIO(text, newline=""))) == \
             [[preamble]] * (preamble is not None) + split
+
+
+def _blank_columns(name):
+    """customers.csv's service_start, blank for a customer who abandoned, and
+    approximate sample rows' renovation_epoch and certificate_depth, which no
+    certificate fills: the columns of a case's CSV files that hold blanks."""
+    experiment, cfg = CASES[name]
+    approximate = experiment.startswith("sample") and cfg["run"]["mode"] == "approximate"
+    return {"customers.csv": {"service_start"},
+            "detail.csv": {"renovation_epoch", "certificate_depth"} if approximate else set()}
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CASES)
+                                  if any(f.endswith(".csv") for f in HASHES[n])])
+def test_golden_csv_cells_are_blank_only_where_a_value_is_missing(name, tmp_path):
+    # a missing float is a blank cell, never nan; no other cell is blank
+    run_case(name, tmp_path)
+    for path in sorted((tmp_path / name).glob("*.csv")):
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+        blank = {h for j, h in enumerate(header) if any(r[j] == "" for r in rows)}
+        assert blank == _blank_columns(name)[path.name], path.name
+        assert not [c for r in rows for c in r if "nan" in c.lower()], path.name
